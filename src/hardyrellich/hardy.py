@@ -11,7 +11,13 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, SupportError, TruncationError
 from .iterated_log import iterated_log_stack, log_derivatives
-from .manifolds import ModelManifold, flat_line, hardy_weight_general, hyperbolic
+from .manifolds import (
+    ModelManifold,
+    _inv_sinh_sq,
+    flat_line,
+    hardy_weight_general,
+    hyperbolic,
+)
 from .pencils import ConstantEstimate, assemble_pencil, min_generalized_eigenvalue
 from .radial import (
     RadialFunction,
@@ -201,13 +207,6 @@ def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
             f"[{r_min:g}, {r_max:g}]"
         )
     return est
-
-
-def _inv_sinh_sq(r):
-    # 4 e^(-2r) / (1 - e^(-2r))^2 with the denominator via expm1: accurate
-    # down to the smallest radii the wide pencils reach
-    r = np.asarray(r, dtype=float)
-    return 4.0 * np.exp(-2.0 * r) / np.expm1(-2.0 * r) ** 2
 
 
 def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,

@@ -100,6 +100,13 @@ def _log_sinh(r):
     return r + np.log(-np.expm1(-2.0 * r)) - math.log(2.0)
 
 
+def _inv_sinh_sq(r):
+    # 4 e^(-2r) / (1 - e^(-2r))^2 with the denominator via expm1: accurate
+    # down to the smallest radii the wide pencils reach
+    r = np.asarray(r, dtype=float)
+    return 4.0 * np.exp(-2.0 * r) / np.expm1(-2.0 * r) ** 2
+
+
 def hyperbolic(N: int) -> ModelManifold:
     """Constant curvature -1 model, psi(r) = sinh r."""
     N = _check_dimension(N)

@@ -8,10 +8,13 @@ square the discrete radial Laplacian through the quadrature weights
 (A symmetric pentadiagonal) and clamp the two nodes adjacent to each end.
 B is always diagonal and strictly positive.
 
-The smallest generalized eigenvalue is bracketed by Sturm-count bisection on
-the congruent symmetric problem B^(-1/2) A B^(-1/2) and refined by shifted
-inverse iteration.  Pentadiagonal numerators go through LAPACK's banded
-bisection instead (scipy.linalg.eig_banded).
+The smallest generalized eigenvalue is found by one solver for every
+bandwidth: bisection on whether a banded Cholesky factorization of A - mu B
+succeeds, which by Sylvester's law of inertia happens exactly when mu lies
+below the smallest eigenvalue.  The bracket starts from Gershgorin and
+Rayleigh-quotient bounds and is narrowed until it is within the requested
+relative tolerance; no refinement step follows, so the returned midpoint is
+always inside a certified bracket.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .radial import RadialGrid
 
 ORDER_LAPLACIAN = "2nd_order_laplacian"
 ORDER_BILAPLACIAN = "4th_order_bilaplacian"
-
-_PIVMIN = 1e-300
 
 
 @dataclass
@@ -237,115 +238,57 @@ def assemble_pencil(
 # eigenvalue machinery
 
 
-def _to_standard(pencil: QuadraticPencil):
-    """Congruence to the standard symmetric banded problem via B^(-1/2)."""
-    s = 1.0 / np.sqrt(pencil.b_diag)
-    bands = pencil.a_bands.copy()
-    n = pencil.size
-    bands[0] *= s * s
-    for k in range(1, bands.shape[0]):
-        bands[k, : n - k] *= s[k:] * s[: n - k]
-    return bands
+def _positive_definite(pencil: QuadraticPencil, mu: float) -> bool:
+    """Whether A - mu B is positive definite, i.e. (Sylvester's law of
+    inertia) whether mu lies below the smallest eigenvalue."""
+    ab = pencil.a_bands.copy()
+    ab[0] -= mu * pencil.b_diag
+    try:
+        scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True,
+                                     check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return False
+    return True
 
 
-def _sturm_count(t: np.ndarray, o2: np.ndarray, mu: float, pivmin: float) -> int:
-    """Number of eigenvalues of the tridiagonal (t, o) strictly below mu.
+def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
+                        budget: int = 200) -> float:
+    """Smallest mu with A x = mu B x, for any bandwidth.
 
-    pivmin is scale-aware (relative to max o^2) so the pivot division can
-    never overflow.
+    Bisects on the inertia test above, from a Gershgorin lower bound of
+    B^(-1/2) A B^(-1/2) up to min(a0/b), the smallest Rayleigh quotient of
+    a unit vector.  Stops once the bracket is no wider than
+    tol * max(1, |lo|, |hi|) and returns its midpoint; each step costs one
+    banded Cholesky factorization.
     """
-    count = 0
-    d = t[0] - mu
-    if d < 0.0:
-        count += 1
-    for i in range(1, t.size):
-        if abs(d) < pivmin:
-            d = -pivmin
-        d = (t[i] - mu) - o2[i - 1] / d
-        if d < 0.0:
-            count += 1
-    return count
-
-
-def _smallest_tridiagonal(t, o, tol, budget):
-    """Sturm bisection bracket + shifted inverse iteration refinement."""
-    n = t.size
-    o_abs = np.abs(o)
-    rad = np.zeros(n)
-    rad[:-1] += o_abs
-    rad[1:] += o_abs
-    lo = float(np.min(t - rad))
-    hi_cap = float(np.max(t + rad))
-    hi = float(np.min(t))
-    o2 = o * o
-    pivmin = max(_PIVMIN, float(np.max(o2)) * 1e-290) if o2.size else _PIVMIN
+    if tol <= 0:
+        raise ArgumentError("tolerance must be positive")
+    a, b = pencil.a_bands, pencil.b_diag
+    n = pencil.size
+    s = 1.0 / np.sqrt(b)
+    radius = np.zeros(n)
+    for k in range(1, a.shape[0]):
+        off = np.abs(a[k, : n - k]) * s[k:] * s[: n - k]
+        radius[k:] += off
+        radius[: n - k] += off
+    lo = float(np.min(a[0] * s * s - radius))
+    hi = float(np.min(a[0] / b))
 
     used = 0
-    step = max(tol * max(1.0, abs(hi)), 1e-14 * max(1.0, abs(hi)))
-    while _sturm_count(t, o2, hi, pivmin) < 1:
-        hi = min(hi + step, hi_cap + step)
-        step *= 2.0
-        used += 1
-        if used > budget:
-            raise NumericError(
-                f"Sturm expansion failed: no eigenvalue below {hi:g}"
-            )
-
     while (hi - lo) > tol * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if _sturm_count(t, o2, mid, pivmin) >= 1:
-            hi = mid
-        else:
-            lo = mid
-        used += 1
-        if used > budget:
+        if used >= budget:
             raise NumericError(
                 "eigenvalue bisection exhausted its iteration budget: "
                 f"bracket [{lo:.12g}, {hi:.12g}], width {hi - lo:.3g}, "
                 f"iterations {used}"
             )
-
-    # shifted inverse iteration from the upper bracket end
-    sigma = hi
-    ab = np.zeros((3, n))
-    x = np.ones(n) / np.sqrt(n)
-    rho = sigma
-    for attempt in range(3):
-        ab[0, 1:] = o
-        ab[1] = t - sigma
-        ab[2, :-1] = o
-        try:
-            prev = None
-            for _ in range(10):
-                y = scipy.linalg.solve_banded((1, 1), ab, x)
-                norm = float(np.linalg.norm(y))
-                if not np.isfinite(norm) or norm == 0.0:
-                    raise scipy.linalg.LinAlgError("inverse iteration blew up")
-                x = y / norm
-                rho = float(x @ (t * x) + 2.0 * np.sum(o * x[:-1] * x[1:]))
-                if prev is not None and abs(rho - prev) <= 1e-15 * max(1.0, abs(rho)):
-                    break
-                prev = rho
-            return rho, (lo, hi)
-        except (scipy.linalg.LinAlgError, ValueError):
-            # shift sat exactly on the eigenvalue: nudge and retry
-            sigma += max(tol, 1e-12) * max(1.0, abs(sigma)) * (attempt + 1)
-    return 0.5 * (lo + hi), (lo, hi)
-
-
-def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
-                        budget: int = 200) -> float:
-    """Smallest mu with A x = mu B x."""
-    if tol <= 0:
-        raise ArgumentError("tolerance must be positive")
-    bands = _to_standard(pencil)
-    if pencil.bandwidth == 1:
-        value, _ = _smallest_tridiagonal(bands[0], bands[1, :-1], tol, budget)
-        return value
-    vals = scipy.linalg.eig_banded(
-        bands, lower=True, eigvals_only=True, select="i", select_range=(0, 0)
-    )
-    return float(vals[0])
+        mid = 0.5 * (lo + hi)
+        if _positive_definite(pencil, mid):
+            lo = mid
+        else:
+            hi = mid
+        used += 1
+    return 0.5 * (lo + hi)
 
 
 def min_generalized_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,

@@ -23,7 +23,7 @@ from .errors import (
     TruncationError,
 )
 from .hardy import MarginReport, MARGIN_RTOL
-from .manifolds import euclidean, flat_line, hyperbolic
+from .manifolds import _inv_sinh_sq, _log_sinh, euclidean, flat_line, hyperbolic
 from .pencils import (
     ConstantEstimate,
     ORDER_BILAPLACIAN,
@@ -47,18 +47,6 @@ def _require_dim(N: int, minimum: int = 5) -> int:
     if int(N) != N or N < minimum:
         raise DomainError(f"needs integer dimension N >= {minimum}, got {N!r}")
     return int(N)
-
-
-def _inv_sinh_sq(r):
-    # 4 e^(-2r) / (1 - e^(-2r))^2 with the denominator via expm1: accurate
-    # down to the smallest radii the wide pencils reach
-    r = np.asarray(r, dtype=float)
-    return 4.0 * np.exp(-2.0 * r) / np.expm1(-2.0 * r) ** 2
-
-
-def _log_sinh(r):
-    r = np.asarray(r, dtype=float)
-    return r + np.log(-np.expm1(-2.0 * r)) - math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -631,29 +619,31 @@ def two_term_expansion_error_precise(N: int, r_values, dps: int = 50) -> list[fl
     evaluated in high-precision arithmetic (needed for r > ~8, where the
     remainder is smaller than double-precision rounding in s)."""
     _require_dim(N, 5)
-    import mpmath as mp
+    import mpmath
 
+    # a private context: mpmath's global precision is shared by every thread
+    mp = mpmath.MPContext()
+    mp.dps = dps
+    pref = mp.mpf(N - 2) ** (mp.mpf(-1) / (N - 2)) / mp.mpf(2) ** (
+        mp.mpf(N - 1) / (N - 2)
+    )
+    c1 = (mp.mpf(N - 1) / (2 ** (N - 1) * (N - 2))) ** (mp.mpf(1) / (N - 2))
+    c2 = c1 * (N - 1) ** 2 / ((N + 1) * (N - 2))
+    mu = mp.mpf(N - 1) / (N - 2)
+    nu = mp.mpf(N - 3) / (N - 2)
     out = []
-    with mp.workdps(dps):
-        pref = mp.mpf(N - 2) ** (mp.mpf(-1) / (N - 2)) / mp.mpf(2) ** (
-            mp.mpf(N - 1) / (N - 2)
-        )
-        c1 = (mp.mpf(N - 1) / (2 ** (N - 1) * (N - 2))) ** (mp.mpf(1) / (N - 2))
-        c2 = c1 * (N - 1) ** 2 / ((N + 1) * (N - 2))
-        mu = mp.mpf(N - 1) / (N - 2)
-        nu = mp.mpf(N - 3) / (N - 2)
-        for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
-            rr = mp.mpf(r)
-            tail = mp.mpf(0)
-            for k in range(200):
-                expo = N - 1 + 2 * k
-                term = mp.binomial(N - 2 + k, k) * mp.e ** (-expo * rr) / expo
-                tail += term
-                if term < mp.mpf(10) ** (-dps - 5) * tail:
-                    break
-            s = pref * tail ** (mp.mpf(-1) / (N - 2))
-            pred = c1 * mp.e ** (mu * rr) - c2 * mp.e ** (-nu * rr)
-            out.append(float(abs(s - pred) / mp.e ** (-nu * rr)))
+    for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
+        rr = mp.mpf(r)
+        tail = mp.mpf(0)
+        for k in range(200):
+            expo = N - 1 + 2 * k
+            term = mp.binomial(N - 2 + k, k) * mp.e ** (-expo * rr) / expo
+            tail += term
+            if term < mp.mpf(10) ** (-dps - 5) * tail:
+                break
+        s = pref * tail ** (mp.mpf(-1) / (N - 2))
+        pred = c1 * mp.e ** (mu * rr) - c2 * mp.e ** (-nu * rr)
+        out.append(float(abs(s - pred) / mp.e ** (-nu * rr)))
     return out
 
 

@@ -13,7 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError, DomainError, ResampleError
-from .manifolds import ModelManifold, _require_positive, hardy_weight_general
+from .manifolds import (
+    ModelManifold,
+    _inv_sinh_sq,
+    _log_sinh,
+    _require_positive,
+    hardy_weight_general,
+)
 from .radial import RadialFunction, RadialGrid, make_grid
 
 # fixed sample set for identity suites: 64 log-spaced radii
@@ -289,15 +295,7 @@ def ground_state(N: int, r):
     if N < 3:
         raise DomainError("ground state needs N >= 3")
     r = _require_positive(r)
-    log_sinh = r + np.log(-np.expm1(-2.0 * r)) - np.log(2.0)
-    return np.exp(0.5 * (N - 1) * (np.log(r) - log_sinh) + 0.5 * (2 - N) * np.log(r))
-
-
-def _inv_sinh_sq(r):
-    # 4 e^(-2r) / (1 - e^(-2r))^2 with the denominator via expm1: accurate
-    # down to the smallest radii the wide pencils reach
-    r = np.asarray(r, dtype=float)
-    return 4.0 * np.exp(-2.0 * r) / np.expm1(-2.0 * r) ** 2
+    return np.exp(0.5 * (N - 1) * (np.log(r) - _log_sinh(r)) + 0.5 * (2 - N) * np.log(r))
 
 
 def ground_state_residual(N: int, r):

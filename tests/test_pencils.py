@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hardyrellich import manifolds as mf
-from hardyrellich import pencils
+from hardyrellich import pencils, rellich
 from hardyrellich.errors import ArgumentError, NumericError
 from hardyrellich.radial import make_grid
 
@@ -71,20 +74,62 @@ def test_euclid_rellich_pencil():
     assert abs(est - 25.0 / 16.0) < 5e-2
 
 
-def test_sturm_solver_matches_lapack():
-    grid = make_grid(1e-6, 100.0, 4096, "log_graded", 1.0)
-    p = pencils.assemble_pencil(mf.hyperbolic(3), 1.0, lambda r: 1.0 / r**2, grid)
-    bands = pencils._to_standard(p)
-    mine, bracket = pencils._smallest_tridiagonal(bands[0], bands[1, :-1],
-                                                  1e-10, 500)
-    ref = scipy.linalg.eigh_tridiagonal(
-        bands[0], bands[1, :-1], select="i", select_range=(0, 0),
-        eigvals_only=True,
-    )[0]
-    # agreement down to the eps * ||T|| floor both solvers share
-    norm_t = np.max(np.abs(bands[0])) + 2 * np.max(np.abs(bands[1]))
-    assert abs(mine - ref) <= max(1e-8, 8.0 * np.finfo(float).eps * norm_t)
-    assert bracket[1] - bracket[0] <= 1e-9
+@st.composite
+def spd_banded_pencils(draw):
+    """A = L L^T for a random lower-banded L with positive diagonal, so A is
+    SPD with the bandwidth of L; B is a positive diagonal."""
+    bw = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(8, 64))
+    diag = draw(hnp.arrays(float, n, elements=st.floats(0.1, 2.0)))
+    offs = draw(hnp.arrays(float, (bw, n), elements=st.floats(-1.0, 1.0)))
+    b_diag = draw(hnp.arrays(float, n, elements=st.floats(0.1, 10.0)))
+    L = np.diag(diag)
+    for k in range(1, bw + 1):
+        L += np.diag(offs[k - 1, : n - k], -k)
+    A = L @ L.T
+    a_bands = np.zeros((bw + 1, n))
+    for k in range(bw + 1):
+        a_bands[k, : n - k] = np.diag(A, -k)
+    grid = make_grid(1.0, 2.0, n, "uniform")
+    order = pencils.ORDER_LAPLACIAN if bw == 1 else pencils.ORDER_BILAPLACIAN
+    return pencils.QuadraticPencil(a_bands, b_diag, grid, order), A
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spd_banded_pencils(), st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_solver_matches_dense_eigh(case, tol):
+    pencil, A = case
+    mu = pencils.smallest_eigenvalue(pencil, tol)
+    ref = scipy.linalg.eigh(A, np.diag(pencil.b_diag), eigvals_only=True)[0]
+    assert abs(mu - ref) <= tol * max(1.0, abs(mu))
+
+
+def _positive_definite(pencil, mu):
+    ab = pencil.a_bands.copy()
+    ab[0] -= mu * pencil.b_diag
+    try:
+        scipy.linalg.cholesky_banded(ab, lower=True)
+    except scipy.linalg.LinAlgError:
+        return False
+    return True
+
+
+def test_tolerance_honoured_on_pentadiagonal_pencil(monkeypatch):
+    # inertia brackets the true eigenvalue: A - mu B is positive definite
+    # exactly below it, so mu must sit within tol of that switch
+    solved = []
+
+    def recording(pencil, tol, label=""):
+        solved.append(pencil)
+        return pencils.min_generalized_eigenvalue(pencil, tol, label)
+
+    monkeypatch.setattr(rellich, "min_generalized_eigenvalue", recording)
+    tol = 1e-8
+    mu = rellich.estimate_sharp_rellich_r2(5, M=8192, tol=tol).value
+    pencil = solved[-1]
+    assert pencil.bandwidth == 2
+    assert _positive_definite(pencil, mu - 2 * tol * abs(mu))
+    assert not _positive_definite(pencil, mu + 2 * tol * abs(mu))
 
 
 def test_discrete_minimum_principle():

@@ -1,6 +1,9 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 from scipy.integrate import quad
 
 from hardyrellich import manifolds as mf
@@ -247,6 +250,25 @@ def test_two_term_expansion_ratio_precise():
         a = float(rellich.two_term_expansion_error(5, r))
         b = rellich.two_term_expansion_error_precise(5, [r])[0]
         assert a == pytest.approx(b, rel=1e-3)
+
+
+def test_precise_expansion_error_thread_safe():
+    # every call must keep its own working precision while other threads
+    # run the same function at another one
+    jobs = [(dps, [8.0, 12.0]) for dps in (15, 30, 50, 70)]
+    serial = [rellich.two_term_expansion_error_precise(5, r, dps) for dps, r in jobs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(rellich.two_term_expansion_error_precise, 5, r, dps)
+                for dps, r in jobs * 3
+            ]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert threaded == serial * 3
 
 
 def test_density_correction_fit():

@@ -253,14 +253,15 @@ def _cmd_curve(args) -> int:
 
 def _cmd_hardy(args) -> int:
     t0 = time.perf_counter()
+    mtol = _config_from(args).tolerance("margin_rtol")
     rows, consts = [], []
     if args.action == "check":
         worst = np.inf
         for u in seeded_bumps(args.seed, 10, 0.3, 6.0):
             rep = hardy.check_poincare_hardy(u, args.N, nodes=2048)
             worst = min(worst, rep.margin / abs(rep.lhs))
-        rows.append(row(f"poincare_hardy_margins(N={args.N})", worst, 1e-8,
-                        worst >= -1e-8))
+        rows.append(row(f"poincare_hardy_margins(N={args.N})", worst, mtol,
+                        worst >= -mtol))
     elif args.action == "sharp":
         est = hardy.estimate_sharp_hardy(args.N, r_max=args.rmax)
         consts.append(est.csv_row("hardy_sharp_radial", args.N))
@@ -274,8 +275,8 @@ def _cmd_hardy(args) -> int:
             rep = hardy.check_iterated_log_improvement(u, args.N, k)
             worst = min(worst, rep.margin / abs(rep.lhs))
         scan = hardy.iterated_log_optimality_scan(args.N, max(args.k, 1))
-        ok = worst >= -1e-8 and min(scan) >= 0.25 - 1e-3 and all(np.diff(scan) <= 0)
-        rows.append(row(f"iterated_log(k<={args.k})", worst, 1e-8, ok))
+        ok = worst >= -mtol and min(scan) >= 0.25 - 1e-3 and all(np.diff(scan) <= 0)
+        rows.append(row(f"iterated_log(k<={args.k})", worst, mtol, ok))
     return _finish(_manifest_for(args, rows, consts, t0), args.out)
 
 
@@ -287,12 +288,13 @@ def _cmd_rellich(args) -> int:
     if args.action == "asymptotics":
         return _cmd_asymptotics(args)
     if args.action == "check":
+        mtol = _config_from(args).tolerance("margin_rtol")
         worst = np.inf
         for u in seeded_bumps(args.seed, 10, 0.3, 6.0):
             rep = rellich.check_poincare_rellich(u, args.N, nodes=2048)
             worst = min(worst, rep.margin / abs(rep.lhs))
-        rows.append(row(f"poincare_rellich_margins(N={args.N})", worst, 1e-8,
-                        worst >= -1e-8))
+        rows.append(row(f"poincare_rellich_margins(N={args.N})", worst, mtol,
+                        worst >= -mtol))
     else:  # sharp-r2
         est = rellich.estimate_sharp_rellich_r2(args.N)
         consts.append(est.csv_row("rellich_sharp_r2_radial", args.N))

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, EvaluationError
 from .manifolds import hyperbolic
 from .radial import (
     RadialFunction,
@@ -242,23 +242,20 @@ class TensorProductFunction:
         ya, yb = self.y_support
         return (xb * (1 + pad), ya * (1 - pad), yb * (1 + pad))
 
-    def value(self, xi, y):
-        return self.fx(xi) * self.fy(y)
-
-    def grad(self, xi, y):
-        return self.fx.d1(xi) * self.fy(y), self.fx(xi) * self.fy.d1(y)
-
-    def _radial_term(self, xi):
-        d1 = self.fx.d1(xi)
-        out = np.zeros_like(xi)
-        mask = xi > 0.0
-        out[mask] = d1[mask] / xi[mask]
-        return out
-
-    def laplacian(self, xi, y, N: int):
+    def jet(self, grid: "TensorGrid", N: int):
+        """(v, dv/dxi, dv/dy, Lap v) on the grid's mesh, from the factors
+        evaluated once on each axis; Lap is the R^N Laplacian of v(|x|, y)."""
+        xi, y = grid.xi, grid.y
+        fx, fx1, fx2 = self.fx(xi), self.fx.d1(xi), self.fx.d2(xi)
+        fy, fy1, fy2 = self.fy(y), self.fy.d1(y), self.fy.d2(y)
+        radial = np.zeros_like(xi)
+        off_axis = xi > 0.0
+        radial[off_axis] = fx1[off_axis] / xi[off_axis]
         return (
-            (self.fx.d2(xi) + (N - 2) * self._radial_term(xi)) * self.fy(y)
-            + self.fx(xi) * self.fy.d2(y)
+            np.outer(fx, fy),
+            np.outer(fx1, fy),
+            np.outer(fx, fy1),
+            np.outer(fx2 + (N - 2) * radial, fy) + np.outer(fx, fy2),
         )
 
 
@@ -297,56 +294,47 @@ class TransportedRadial:
             self.y_support[1] * (1 + pad),
         )
 
-    def _chain(self, xi, y):
+    def jet(self, grid: "TensorGrid", N: int):
+        """(v, dv/dxi, dv/dy, Lap v) on the grid's mesh in one chain-rule
+        pass; Lap is the R^N Laplacian of v(|x|, y).
+
+        U, U' and U'' are evaluated only on the nodes where d lies inside
+        the support of U; all four arrays are exactly zero elsewhere.
+        """
+        shape = (grid.xi.size, grid.y.size)
+        xi, y = grid.xi[:, None], grid.y[None, :]
         w = 1.0 + ((y - 1.0) ** 2 + xi * xi) / (2.0 * y)
         d = np.arccosh(np.maximum(w, 1.0))
         a, b = self.d_support
-        mask = (d > a) & (d < b)
-        g = np.zeros_like(w)
-        g[mask] = 1.0 / np.sqrt(w[mask] ** 2 - 1.0)
+        inside = (d > a) & (d < b)
+        xi = np.broadcast_to(xi, shape)[inside]
+        y = np.broadcast_to(y, shape)[inside]
+        w, d = w[inside], d[inside]
+
+        g = 1.0 / np.sqrt(w**2 - 1.0)
         w_xi = xi / y
         w_y = (y * y - 1.0 - xi * xi) / (2.0 * y * y)
-        w_xixi = 1.0 / y
-        w_yy = (1.0 + xi * xi) / y**3
         d_xi = w_xi * g
         d_y = w_y * g
-        d_xixi = w_xixi * g - w * w_xi**2 * g**3
-        d_yy = w_yy * g - w * w_y**2 * g**3
-        d_xi_over_xi = g / y
-        U = np.where(mask, self.U(np.where(mask, d, 1.0)), 0.0)
-        U1 = np.where(mask, self.U.d1(np.where(mask, d, 1.0)), 0.0)
-        U2 = np.where(mask, self.U.d2(np.where(mask, d, 1.0)), 0.0)
-        return d, mask, U, U1, U2, d_xi, d_y, d_xixi, d_yy, d_xi_over_xi
+        d_xixi = 1.0 / y * g - w * w_xi**2 * g**3
+        d_yy = (1.0 + xi * xi) / y**3 * g - w * w_y**2 * g**3
+        U, U1, U2 = self.U(d), self.U.d1(d), self.U.d2(d)
 
-    def value(self, xi, y):
-        _, _, U, *_ = self._chain(xi, y)
-        return y ** (-self.alpha) * U
-
-    def grad(self, xi, y):
         al = self.alpha
-        _, _, U, U1, _, d_xi, d_y, _, _, _ = self._chain(xi, y)
-        v_xi = y ** (-al) * U1 * d_xi
-        v_y = -al * y ** (-al - 1.0) * U + y ** (-al) * U1 * d_y
-        return v_xi, v_y
-
-    def laplacian(self, xi, y, N: int):
-        al = self.alpha
-        (_, _, U, U1, U2, d_xi, d_y, d_xixi, d_yy, d_ratio) = self._chain(xi, y)
         v_xixi = y ** (-al) * (U2 * d_xi**2 + U1 * d_xixi)
         v_yy = (
             al * (al + 1.0) * y ** (-al - 2.0) * U
             - 2.0 * al * y ** (-al - 1.0) * U1 * d_y
             + y ** (-al) * (U2 * d_y**2 + U1 * d_yy)
         )
-        radial = y ** (-al) * U1 * d_ratio
-        return v_xixi + (N - 2) * radial + v_yy
-
-    def hyperbolic_laplacian_of_u(self, xi, y):
-        """Radial hyperbolic Laplacian of u = U(d) at (xi, y)."""
-        d, mask, _, U1, U2, *_ = self._chain(xi, y)
-        coth = np.zeros_like(d)
-        coth[mask] = 1.0 / np.tanh(d[mask])
-        return U2 + (self.N - 1) * coth * U1
+        # d_xi / xi = g / y stays finite on the axis
+        radial = y ** (-al) * U1 * (g / y)
+        out = np.zeros((4, *shape))
+        out[0][inside] = y ** (-al) * U
+        out[1][inside] = y ** (-al) * U1 * d_xi
+        out[2][inside] = -al * y ** (-al - 1.0) * U + y ** (-al) * U1 * d_y
+        out[3][inside] = v_xixi + (N - 2) * radial + v_yy
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -373,25 +361,51 @@ class TensorGrid:
 
         return TensorGrid(xi, y, trap(xi), trap(y))
 
-    def mesh(self):
-        return np.meshgrid(self.xi, self.y, indexing="ij")
-
     def integrate(self, values: np.ndarray, N: int) -> float:
         """Tensor trapezoid of values * xi^(N-2) (sphere factor omitted).
 
         The xi = 0 column carries zero measure, so singular integrands on
-        the axis are masked there rather than propagated.
+        the axis are masked there rather than propagated; a non-finite
+        value anywhere else raises EvaluationError.
         """
-        weight = np.where(self.xi > 0.0, self.xi ** (N - 2), 0.0)
-        safe = np.where(np.isfinite(values), values, 0.0)
-        col = safe * weight[:, None]
-        col[self.xi == 0.0, :] = 0.0
+        axis = (self.xi == 0.0)[:, None]
+        bad = ~np.isfinite(values) & ~axis
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise EvaluationError(
+                f"half-space integrand is non-finite at "
+                f"(xi, y) = ({self.xi[i]:.6g}, {self.y[j]:.6g})"
+            )
+        col = np.where(axis, 0.0, values) * self.xi[:, None] ** (N - 2)
         return float(self.w_xi @ col @ self.w_y)
 
 
-def _grid_for(v, nx: int, ny: int) -> TensorGrid:
-    xi_max, y_lo, y_hi = v.box()
-    return TensorGrid.over_box(xi_max, y_lo, y_hi, nx, ny)
+def _tensor_margin(name: str, v, N: int, nx: int, ny: int, sides) -> MarginReport:
+    """Half-space margin report from sides(grid, v, v_xi, v_y, lap) ->
+    (lhs, rhs), judged on an nx x ny grid over v's box; the margin change
+    against the half-resolution grid is the quadrature error."""
+    if v.y_support[0] <= 0.0:
+        raise ArgumentError("support must stay away from the boundary y = 0")
+
+    def one(mx, my):
+        grid = TensorGrid.over_box(*v.box(), mx, my)
+        # 0/0 on the xi = 0 axis at (0, 1) is masked by integrate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return sides(grid, *v.jet(grid, N))
+
+    lhs, rhs = one(nx, ny)
+    lhs_c, rhs_c = one(nx // 2, ny // 2)
+    return MarginReport(
+        name=name,
+        N=N,
+        family="halfspace",
+        test_id=v.label,
+        lhs=lhs,
+        rhs=rhs,
+        margin=lhs - rhs,
+        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
+        tol=MARGIN_RTOL * abs(lhs),
+    )
 
 
 def check_halfspace_hardy(v, N: int, nx: int = 512, ny: int = 512) -> MarginReport:
@@ -404,35 +418,17 @@ def check_halfspace_hardy(v, N: int, nx: int = 512, ny: int = 512) -> MarginRepo
     """
     if N < 3:
         raise DomainError("half-space inequality needs N >= 3")
-    if v.y_support[0] <= 0.0:
-        raise ArgumentError("support must stay away from the boundary y = 0")
 
-    def one(mx, my):
-        grid = _grid_for(v, mx, my)
-        XI, Y = grid.mesh()
-        d = _dist_grid(XI, Y)
-        vx, vy = v.grad(XI, Y)
-        vv = v.value(XI, Y)
+    def sides(grid, vv, vx, vy, _lap):
+        Y = grid.y[None, :]
+        d = _dist_grid(grid.xi[:, None], Y)
         lhs = grid.integrate(vx * vx + vy * vy, N)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rhs = 0.25 * grid.integrate(vv * vv / Y**2, N) + 0.25 * grid.integrate(
-                vv * vv / (Y**2 * d**2), N
-            )
+        rhs = 0.25 * grid.integrate(vv * vv / Y**2, N) + 0.25 * grid.integrate(
+            vv * vv / (Y**2 * d**2), N
+        )
         return lhs, rhs
 
-    lhs, rhs = one(nx, ny)
-    lhs_c, rhs_c = one(nx // 2, ny // 2)
-    return MarginReport(
-        name="halfspace_hardy",
-        N=N,
-        family="halfspace",
-        test_id=v.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+    return _tensor_margin("halfspace_hardy", v, N, nx, ny, sides)
 
 
 def check_halfspace_rellich(v, N: int, which: str, nx: int = 512,
@@ -453,83 +449,44 @@ def check_halfspace_rellich(v, N: int, which: str, nx: int = 512,
         raise DomainError("half-space second-order inequalities need N >= 5")
     if which not in ("y2", "y4"):
         raise ArgumentError("which must be 'y2' or 'y4'")
-    if v.y_support[0] <= 0.0:
-        raise ArgumentError("support must stay away from the boundary y = 0")
 
-    def one(mx, my):
-        grid = _grid_for(v, mx, my)
-        XI, Y = grid.mesh()
-        d = _dist_grid(XI, Y)
-        vx, vy = v.grad(XI, Y)
+    def sides(grid, vv, vx, vy, lap):
+        Y = grid.y[None, :]
+        d = _dist_grid(grid.xi[:, None], Y)
         grad2 = vx * vx + vy * vy
-        lap = v.laplacian(XI, Y, N)
-        vv = v.value(XI, Y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if which == "y2":
-                lhs = grid.integrate(Y**2 * lap**2, N) + N * (N - 2) / 2.0 * (
-                    grid.integrate(grad2, N)
-                )
-                base = vv * vv / Y**2
-                rhs = (
-                    (2.0 * N * N - 4.0 * N + 1.0) / 16.0 * grid.integrate(base, N)
-                    + (N - 1) ** 2 / 8.0 * grid.integrate(base / d**2, N)
-                    + 9.0 / 16.0 * grid.integrate(base / d**4, N)
-                )
-            else:
-                lhs = grid.integrate(lap**2, N) + (N * N - 2.0 * N - 4.0) / 2.0 * (
-                    grid.integrate(grad2 / Y**2, N)
-                )
-                base = vv * vv / Y**4
-                rhs = (
-                    9.0 * (2.0 * N * N - 4.0 * N - 7.0) / 16.0 * grid.integrate(base, N)
-                    + (N - 1) ** 2 / 8.0 * grid.integrate(base / d**2, N)
-                    + 9.0 / 16.0 * grid.integrate(base / d**4, N)
-                )
+        if which == "y2":
+            lhs = grid.integrate(Y**2 * lap**2, N) + N * (N - 2) / 2.0 * (
+                grid.integrate(grad2, N)
+            )
+            base = vv * vv / Y**2
+            c0 = (2.0 * N * N - 4.0 * N + 1.0) / 16.0
+        else:
+            lhs = grid.integrate(lap**2, N) + (N * N - 2.0 * N - 4.0) / 2.0 * (
+                grid.integrate(grad2 / Y**2, N)
+            )
+            base = vv * vv / Y**4
+            c0 = 9.0 * (2.0 * N * N - 4.0 * N - 7.0) / 16.0
+        rhs = (
+            c0 * grid.integrate(base, N)
+            + (N - 1) ** 2 / 8.0 * grid.integrate(base / d**2, N)
+            + 9.0 / 16.0 * grid.integrate(base / d**4, N)
+        )
         return lhs, rhs
 
-    lhs, rhs = one(nx, ny)
-    lhs_c, rhs_c = one(nx // 2, ny // 2)
-    return MarginReport(
-        name=f"halfspace_rellich_{which}",
-        N=N,
-        family="halfspace",
-        test_id=v.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+    return _tensor_margin(f"halfspace_rellich_{which}", v, N, nx, ny, sides)
 
 
 def aux_gradient_inequality(v, N: int, nx: int = 512, ny: int = 512) -> MarginReport:
     """Margin of the auxiliary weighted-gradient bound used by the y4
     optimality argument: int int |grad v|^2/y^2 >= 9/4 int int v^2/y^4."""
-    if v.y_support[0] <= 0.0:
-        raise ArgumentError("support must stay away from the boundary y = 0")
 
-    def one(mx, my):
-        grid = _grid_for(v, mx, my)
-        XI, Y = grid.mesh()
-        vx, vy = v.grad(XI, Y)
-        vv = v.value(XI, Y)
+    def sides(grid, vv, vx, vy, _lap):
+        Y = grid.y[None, :]
         lhs = grid.integrate((vx * vx + vy * vy) / Y**2, N)
         rhs = 2.25 * grid.integrate(vv * vv / Y**4, N)
         return lhs, rhs
 
-    lhs, rhs = one(nx, ny)
-    lhs_c, rhs_c = one(nx // 2, ny // 2)
-    return MarginReport(
-        name="halfspace_aux_gradient",
-        N=N,
-        family="halfspace",
-        test_id=v.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+    return _tensor_margin("halfspace_aux_gradient", v, N, nx, ny, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +607,9 @@ def halfspace_bilaplacian_identity(U: RadialFunction, N: int,
     lhs = sphere_area(N) * lhs_rad
 
     v = TransportedRadial(U, N, alpha=(N - 2) / 2.0)
-    tgrid = _grid_for(v, nx, ny)
-    XI, Y = tgrid.mesh()
-    vx, vy = v.grad(XI, Y)
-    lap_v = v.laplacian(XI, Y, N)
-    vv = v.value(XI, Y)
+    tgrid = TensorGrid.over_box(*v.box(), nx, ny)
+    vv, vx, vy, lap_v = v.jet(tgrid, N)
+    Y = tgrid.y[None, :]
     rhs_tensor = (
         tgrid.integrate(Y**2 * lap_v**2, N)
         + N * (N - 2) / 2.0 * tgrid.integrate(vx * vx + vy * vy, N)

@@ -2,7 +2,7 @@
 
 Every value is printed with 17 significant digits and rows are sorted by
 check name before writing, so identical config + seed reproduces the CSV
-files byte for byte regardless of worker scheduling.
+files byte for byte.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Named verification suites behind the CLI: each check is a pure function
-returning one report row, fanned out across worker threads and aggregated
-in name order so runs are reproducible."""
+returning one report row and the constant CSV rows it estimated; a suite
+runs its checks in order on the calling thread, and reports sort rows by
+name, so runs are reproducible."""
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +41,8 @@ def _identity_checks(cfg: ToolkitConfig) -> list:
             for alpha in (-2.0, -0.5, 1.0, (man.N - 1) / 2.0):
                 res = ss.warp_power_identity_residual(man, alpha, r)
                 worst = max(worst, float(np.max(res)))
-            return row(f"warp_power_identity/{man.describe()}", worst, tol, worst <= tol)
+            return row(f"warp_power_identity/{man.describe()}", worst, tol,
+                       worst <= tol), []
 
         return run
 
@@ -59,14 +60,16 @@ def _identity_checks(cfg: ToolkitConfig) -> list:
                     man, iterated_log_profile(N, k), rin
                 )
                 worst = max(worst, float(np.max(res)))
-            return row(f"product_profile_identity/{man.describe()}", worst, tol, worst <= tol)
+            return row(f"product_profile_identity/{man.describe()}", worst, tol,
+                       worst <= tol), []
 
         return run
 
     def equality(man):
         def run():
             worst = float(np.max(ss.supersolution_equality_residual(man, r)))
-            return row(f"supersolution_equality/{man.describe()}", worst, tol, worst <= tol)
+            return row(f"supersolution_equality/{man.describe()}", worst, tol,
+                       worst <= tol), []
 
         return run
 
@@ -80,14 +83,14 @@ def _identity_checks(cfg: ToolkitConfig) -> list:
             float(np.max(ss.ground_state_residual(N, np.array([0.1, 1.0, 10.0]))))
             for N in (3, 5, 8)
         )
-        return row("ground_state_residual", worst, 1e-10, worst <= 1e-10)
+        return row("ground_state_residual", worst, 1e-10, worst <= 1e-10), []
 
     def split():
         bad = sum(
             0 if rellich.verify_euclidean_rellich_split(N)[0] else 1
             for N in range(5, 51)
         )
-        return row("euclidean_rellich_split_exact", bad, 0.0, bad == 0)
+        return row("euclidean_rellich_split_exact", bad, 0.0, bad == 0), []
 
     def minima():
         bad = 0
@@ -99,7 +102,7 @@ def _identity_checks(cfg: ToolkitConfig) -> list:
                 bad += 1
             if tab[0].sinh4_coeff != rellich.min_sinh4_closed_form(N):
                 bad += 1
-        return row("mode_coefficient_minima_exact", bad, 0.0, bad == 0)
+        return row("mode_coefficient_minima_exact", bad, 0.0, bad == 0), []
 
     def joint():
         bad = 0
@@ -107,14 +110,14 @@ def _identity_checks(cfg: ToolkitConfig) -> list:
             total = Fraction(9, 16) + rellich.min_sinh4_closed_form(N)
             if total != Fraction(N * N * (N - 4) ** 2, 16):
                 bad += 1
-        return row("joint_sharpness_sum_exact", bad, 0.0, bad == 0)
+        return row("joint_sharpness_sum_exact", bad, 0.0, bad == 0), []
 
     def growth_consistency():
         bad = sum(
             0 if rellich.asymptotic_constants(N).consistency_exact else 1
             for N in range(5, 11)
         )
-        return row("asymptotic_consistency_exact", bad, 0.0, bad == 0)
+        return row("asymptotic_consistency_exact", bad, 0.0, bad == 0), []
 
     checks += [ground, split, minima, joint, growth_consistency]
     return checks
@@ -136,7 +139,7 @@ def _hardy_checks(cfg: ToolkitConfig) -> list:
             for u in seeded_bumps(seed + N, count, 0.3, 6.0):
                 rep = hardy.check_poincare_hardy(u, N, nodes=2048)
                 worst = min(worst, rep.margin / abs(rep.lhs))
-        return row("poincare_hardy_margins", worst, mtol, worst >= -mtol)
+        return row("poincare_hardy_margins", worst, mtol, worst >= -mtol), []
 
     def general_margins():
         worst = np.inf
@@ -144,28 +147,29 @@ def _hardy_checks(cfg: ToolkitConfig) -> list:
             for u in seeded_bumps(seed + man.N + 17, count, 0.5, 4.0):
                 rep = hardy.check_general_model(u, man, nodes=2048)
                 worst = min(worst, rep.margin / abs(rep.lhs))
-        return row("general_model_margins", worst, mtol, worst >= -mtol)
+        return row("general_model_margins", worst, mtol, worst >= -mtol), []
 
     def gap():
         bad = 0.0
+        consts = []
         for N in (3, 5):
             est = hardy.poincare_gap(N, M=cfg.get_int("grids", "M"))
             lam = (N - 1) ** 2 / 4.0
             bad = max(bad, abs(est.value - lam) / lam)
-            _CONSTANTS.append(est.csv_row("poincare_gap_radial", N))
-        return row("poincare_gap_within_1pct", bad, 0.01, bad <= 0.01)
+            consts.append(est.csv_row("poincare_gap_radial", N))
+        return row("poincare_gap_within_1pct", bad, 0.01, bad <= 0.01), consts
 
     def sharp():
-        vals = []
+        vals, consts = [], []
         for rmax in (25.0, 50.0, 100.0):
             est = hardy.estimate_sharp_hardy(3, r_max=rmax,
                                              M=cfg.get_int("grids", "M"))
             vals.append(est.value)
-            _CONSTANTS.append(est.csv_row("hardy_sharp_radial", 3))
+            consts.append(est.csv_row("hardy_sharp_radial", 3))
         ok = all(0.249 <= v <= 0.30 for v in vals) and all(
             vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1)
         )
-        return row("hardy_sharp_range_and_monotone", vals[-1], 0.05, ok)
+        return row("hardy_sharp_range_and_monotone", vals[-1], 0.05, ok), consts
 
     def sweep():
         N = 5
@@ -181,7 +185,7 @@ def _hardy_checks(cfg: ToolkitConfig) -> list:
         )
         shape_ok = curve.is_nonincreasing() and curve.midpoint_concavity_defect() <= 1e-6
         return row("h_lambda_endpoints_and_shape", curve.h_values[-1], 0.02,
-                   ends_ok and shape_ok)
+                   ends_ok and shape_ok), []
 
     def iterlog_margins():
         worst = np.inf
@@ -190,17 +194,17 @@ def _hardy_checks(cfg: ToolkitConfig) -> list:
             for k in range(kmax + 1):
                 rep = hardy.check_iterated_log_improvement(u, 5, k, nodes=2048)
                 worst = min(worst, rep.margin / abs(rep.lhs))
-        return row("iterated_log_margins", worst, mtol, worst >= -mtol)
+        return row("iterated_log_margins", worst, mtol, worst >= -mtol), []
 
     def criticality():
         slope = ss.null_criticality_slope(5)
-        return row("null_criticality_slope", slope, 1e-3, abs(slope - 0.25) <= 1e-3)
+        return row("null_criticality_slope", slope, 1e-3, abs(slope - 0.25) <= 1e-3), []
 
     def growth():
         seq0 = [ss.minimal_growth_ratios(5, rs, 10.0)[0] for rs in (1e-3, 1e-6, 1e-9)]
         seq1 = [ss.minimal_growth_ratios(5, 1e-3, rl)[1] for rl in (10.0, 100.0, 1000.0)]
         ok = all(np.diff(seq0) < 0) and all(np.diff(seq1) < 0)
-        return row("minimal_growth_ratios_decreasing", seq0[-1], 0.0, ok)
+        return row("minimal_growth_ratios_decreasing", seq0[-1], 0.0, ok), []
 
     def optimality():
         ok = True
@@ -209,7 +213,7 @@ def _hardy_checks(cfg: ToolkitConfig) -> list:
             q = hardy.iterated_log_optimality_scan(5, k)
             val = min(val, min(q))
             ok = ok and all(np.diff(q) <= 1e-12) and min(q) >= 0.25 - 1e-3
-        return row("iterated_log_optimality_scan", val, 1e-3, ok)
+        return row("iterated_log_optimality_scan", val, 1e-3, ok), []
 
     def condition():
         grid = grid_covering((0.5, 20.0), 512)
@@ -220,7 +224,7 @@ def _hardy_checks(cfg: ToolkitConfig) -> list:
         ok = ok and all(
             ss.check_profile_nonincreasing(man, grid) for man in _builtin_families()
         )
-        return row("monotonicity_condition_builtin", 0.0 if ok else 1.0, 0.0, ok)
+        return row("monotonicity_condition_builtin", 0.0 if ok else 1.0, 0.0, ok), []
 
     checks += [margins, general_margins, gap, sharp, sweep, iterlog_margins,
                criticality, growth, optimality, condition]
@@ -242,14 +246,14 @@ def _rellich_checks(cfg: ToolkitConfig) -> list:
             for u in seeded_bumps(seed + 31 + N, 5, 0.3, 6.0):
                 rep = rellich.check_poincare_rellich(u, N, nodes=2048)
                 worst = min(worst, rep.margin / abs(rep.lhs))
-        return row("poincare_rellich_margins", worst, mtol, worst >= -mtol)
+        return row("poincare_rellich_margins", worst, mtol, worst >= -mtol), []
 
     def sinh_hardy():
         worst = np.inf
         for u in seeded_bumps(seed + 41, 10, 0.5, 5.0):
             rep = rellich.check_sinh_hardy_1d(u, nodes=2048)
             worst = min(worst, rep.margin / abs(rep.lhs))
-        return row("sinh_hardy_1d_margins", worst, mtol, worst >= -mtol)
+        return row("sinh_hardy_1d_margins", worst, mtol, worst >= -mtol), []
 
     def chain():
         worst = np.inf
@@ -258,7 +262,7 @@ def _rellich_checks(cfg: ToolkitConfig) -> list:
                 d = rellich.reduced_from_radial(u, 5)
                 rep = rellich.mode_chain_margin(d, 5, n, nodes=2048)
                 worst = min(worst, rep.margin / abs(rep.lhs))
-        return row("mode_chain_margins", worst, mtol, worst >= -mtol)
+        return row("mode_chain_margins", worst, mtol, worst >= -mtol), []
 
     def reduction():
         worst = 0.0
@@ -271,24 +275,26 @@ def _rellich_checks(cfg: ToolkitConfig) -> list:
                     rellich.reduced_from_radial(u, N), N, 0, grid
                 )
                 worst = max(worst, abs(bf - rf) / bf)
-        return row("bilaplacian_vs_reduced_form", worst, 1e-5, worst <= 1e-5)
+        return row("bilaplacian_vs_reduced_form", worst, 1e-5, worst <= 1e-5), []
 
     def anchors():
         hardy1d = rellich.one_d_hardy_constant()
         rell1d = rellich.one_d_rellich_constant()
         euc = rellich.euclidean_rellich_constant(5)
-        _CONSTANTS.append(hardy1d.csv_row("one_d_hardy", 1))
-        _CONSTANTS.append(rell1d.csv_row("one_d_rellich", 1))
-        _CONSTANTS.append(euc.csv_row("euclid_rellich_radial", 5))
+        consts = [
+            hardy1d.csv_row("one_d_hardy", 1),
+            rell1d.csv_row("one_d_rellich", 1),
+            euc.csv_row("euclid_rellich_radial", 5),
+        ]
         ok = (
             abs(hardy1d.value - 0.25) <= 1e-2
             and abs(rell1d.value - 9.0 / 16.0) <= 1e-2
             and abs(euc.value - 25.0 / 16.0) <= 5e-2
         )
-        return row("one_d_and_euclid_anchors", euc.value, 5e-2, ok)
+        return row("one_d_and_euclid_anchors", euc.value, 5e-2, ok), consts
 
     def sharp_r2():
-        vals = []
+        vals, consts = [], []
         for rmax in (1e4, 1e5, cfg.get_float("rellich", "sharp_r_max")):
             est = rellich.estimate_sharp_rellich_r2(
                 5,
@@ -297,15 +303,15 @@ def _rellich_checks(cfg: ToolkitConfig) -> list:
                 M=cfg.get_int("rellich", "sharp_M"),
             )
             vals.append(est.value)
-            _CONSTANTS.append(est.csv_row("rellich_sharp_r2_radial", 5))
+            consts.append(est.csv_row("rellich_sharp_r2_radial", 5))
         est6 = rellich.estimate_sharp_rellich_r2(6)
-        _CONSTANTS.append(est6.csv_row("rellich_sharp_r2_radial", 6))
+        consts.append(est6.csv_row("rellich_sharp_r2_radial", 6))
         ok = (
             all(v >= 2.0 - 1e-2 for v in vals)
             and all(np.diff(vals) <= 1e-10)
             and est6.value >= 25.0 / 8.0 - 1e-2
         )
-        return row("rellich_sharp_r2", vals[-1], 1e-2, ok)
+        return row("rellich_sharp_r2", vals[-1], 1e-2, ok), consts
 
     def mapped():
         worst = np.inf
@@ -319,7 +325,7 @@ def _rellich_checks(cfg: ToolkitConfig) -> list:
         ).margin
         equiv = abs(m_rad - m_map) / abs(m_rad)
         ok = worst >= -mtol and equiv <= 1e-4
-        return row("mapped_rellich_margin_and_equivalence", equiv, 1e-4, ok)
+        return row("mapped_rellich_margin_and_equivalence", equiv, 1e-4, ok), []
 
     checks += [margins, sinh_hardy, chain, reduction, anchors, sharp_r2, mapped]
     return checks
@@ -340,7 +346,7 @@ def _euclid_checks(cfg: ToolkitConfig) -> list:
             for u in seeded_bumps(seed + 80 + N, 5, 0.4, 3.0):
                 for which in ("gradient", "l2", "hardy"):
                     worst = max(worst, euclid.ball_identity_check(u, N, which))
-        return row("ball_identities", worst, 1e-6, worst <= 1e-6)
+        return row("ball_identities", worst, 1e-6, worst <= 1e-6), []
 
     def ball_margin():
         worst = np.inf
@@ -355,7 +361,7 @@ def _euclid_checks(cfg: ToolkitConfig) -> list:
         equiv = abs(m_ball - m_hyp) / abs(m_hyp)
         cmp_ok, _ = euclid.boundary_weight_comparison()
         return row("ball_hardy_margin_and_equivalence", equiv, 1e-5,
-                   ok and equiv <= 1e-5 and cmp_ok)
+                   ok and equiv <= 1e-5 and cmp_ok), []
 
     def halfspace_margin():
         worst = np.inf
@@ -373,7 +379,7 @@ def _euclid_checks(cfg: ToolkitConfig) -> list:
         ratio = euclid.sphere_area(3) / euclid.sphere_area(2)
         equiv = abs(m_t - m_h * ratio) / abs(m_h * ratio)
         return row("halfspace_hardy_margin_and_equivalence", equiv, 1e-4,
-                   worst >= -mtol and equiv <= 1e-4)
+                   worst >= -mtol and equiv <= 1e-4), []
 
     def laplacian_identity():
         worst_ok = 0.0
@@ -386,7 +392,7 @@ def _euclid_checks(cfg: ToolkitConfig) -> list:
                         euclid.halfspace_laplacian_identity_residual(v, alpha, p, 5, True),
                     )
         return row("halfspace_laplacian_identity_corrected", worst_ok, 1e-10,
-                   worst_ok <= 1e-10)
+                   worst_ok <= 1e-10), []
 
     def laplacian_identity_literal():
         # typo witness: the literal middle-term power must fail somewhere on
@@ -402,7 +408,7 @@ def _euclid_checks(cfg: ToolkitConfig) -> list:
                         ),
                     )
         return row("halfspace_laplacian_identity_literal_fails", worst, 1e-6,
-                   worst > 1e-6)
+                   worst > 1e-6), []
 
     def halfspace_rellich():
         worst = np.inf
@@ -412,12 +418,12 @@ def _euclid_checks(cfg: ToolkitConfig) -> list:
             worst = min(worst, rep.margin / abs(rep.lhs))
         rep = euclid.aux_gradient_inequality(v, 5, nx=256, ny=256)
         worst = min(worst, rep.margin / abs(rep.lhs))
-        return row("halfspace_rellich_margins", worst, mtol, worst >= -mtol)
+        return row("halfspace_rellich_margins", worst, mtol, worst >= -mtol), []
 
     def bilap_identity():
         _, _, rel = euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 5,
                                                           nx=640, ny=640)
-        return row("halfspace_bilaplacian_identity", rel, 1e-4, rel <= 1e-4)
+        return row("halfspace_bilaplacian_identity", rel, 1e-4, rel <= 1e-4), []
 
     checks += [identities, ball_margin, halfspace_margin, laplacian_identity,
                laplacian_identity_literal, halfspace_rellich, bilap_identity]
@@ -440,12 +446,12 @@ def _asymptotics_checks(cfg: ToolkitConfig) -> list:
             and c.k1_exact == Fraction(-8, 9)
             and c.consistency_exact
         )
-        return row("asymptotic_constants_exact", err, 1e-14, ok)
+        return row("asymptotic_constants_exact", err, 1e-14, ok), []
 
     def expansion_ratio():
         errs = rellich.two_term_expansion_error_precise(5, [8.0, 12.0])
         ratio = errs[1] / errs[0]
-        return row("two_term_expansion_ratio", ratio, 0.5, ratio < 0.5)
+        return row("two_term_expansion_ratio", ratio, 0.5, ratio < 0.5), []
 
     def table_matches():
         worst = 0.0
@@ -453,26 +459,23 @@ def _asymptotics_checks(cfg: ToolkitConfig) -> list:
             a = float(rellich.two_term_expansion_error(5, r))
             b = rellich.two_term_expansion_error_precise(5, [r])[0]
             worst = max(worst, abs(a - b) / b)
-        return row("s_table_matches_precise", worst, 1e-3, worst <= 1e-3)
+        return row("s_table_matches_precise", worst, 1e-3, worst <= 1e-3), []
 
     def density_fit():
         fits = rellich.density_correction_fit(5, np.array([8.0, 10.0, 12.0]))
         k1 = rellich.asymptotic_constants(5).k1
         worst = float(np.max(np.abs(fits / k1 - 1.0)))
-        return row("density_correction_within_5pct", worst, 0.05, worst <= 0.05)
+        return row("density_correction_within_5pct", worst, 0.05, worst <= 0.05), []
 
     def monotone():
         cov = rellich.change_of_variable(5)
         r = np.geomspace(1e-3, 30.0, 64)
         s = cov.s_of_r(r)
         ok = bool(np.all(np.diff(s) > 0)) and abs(cov.s_of_r(1e-3) / 1e-3 - 1.0) < 1e-3
-        return row("s_of_r_monotone_and_flat_at_pole", 0.0 if ok else 1.0, 0.0, ok)
+        return row("s_of_r_monotone_and_flat_at_pole", 0.0 if ok else 1.0, 0.0, ok), []
 
     checks += [constants_exact, expansion_ratio, table_matches, density_fit, monotone]
     return checks
-
-
-_CONSTANTS: list[str] = []
 
 
 def residual_report_rows() -> list[str]:
@@ -508,8 +511,13 @@ def residual_report_rows() -> list[str]:
 
 
 def run_suite(suite: str, config: ToolkitConfig | None = None,
-              command: str = "", workers: int = 4) -> ExperimentManifest:
-    """Run one named suite (or all) and return its manifest.
+              command: str = "", workers: int = 1) -> ExperimentManifest:
+    """Run one named suite (or all) on the calling thread and return its
+    manifest.
+
+    Checks run one after another: a thread pool ran slower than serial,
+    because most checks hold the interpreter lock.  workers must be 1; the
+    keyword stays so that callers pinning a serial run keep working.
 
     Exit-code contract: manifest.exit_code is 0 iff every check passed;
     the manifest is produced even when checks fail.
@@ -517,6 +525,10 @@ def run_suite(suite: str, config: ToolkitConfig | None = None,
     config = config or ToolkitConfig()
     if suite not in SUITES:
         raise ArgumentError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if workers != 1:
+        raise ArgumentError(
+            f"run_suite runs serially; workers must be 1, got {workers!r}"
+        )
     builders = {
         "identities": _identity_checks,
         "hardy": _hardy_checks,
@@ -529,20 +541,18 @@ def run_suite(suite: str, config: ToolkitConfig | None = None,
     for name in names:
         checks.extend(builders[name](config))
 
-    _CONSTANTS.clear()
     start = time.perf_counter()
-    rows: list[CheckRow]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: c(), checks))
-    else:
-        rows = [c() for c in checks]
-    manifest = ExperimentManifest(
+    rows: list[CheckRow] = []
+    constants: list[str] = []
+    for check in checks:
+        result, found = check()
+        rows.append(result)
+        constants.extend(found)
+    return ExperimentManifest(
         command=command or f"verify --suite {suite}",
         config_text=config.snapshot(),
         seed=config.seed,
         results=rows,
-        constants=list(_CONSTANTS),
+        constants=constants,
         wall_time_s=time.perf_counter() - start,
     )
-    return manifest

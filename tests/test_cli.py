@@ -1,4 +1,6 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -171,3 +173,30 @@ def test_sweep_lambda_command_endpoints(tmp_path):
     last = float(lines[-1].split(",")[1])
     assert first == pytest.approx(2.25, rel=0.02)
     assert last == pytest.approx(0.25, rel=0.02)
+
+
+def test_run_suite_is_serial_only():
+    assert run_suite("asymptotics", ToolkitConfig(), workers=1).passed
+    with pytest.raises(ArgumentError, match="workers"):
+        run_suite("asymptotics", ToolkitConfig(), workers=2)
+
+
+def test_overlapping_runs_keep_their_own_constants():
+    serial = run_suite("hardy", ToolkitConfig()).constants
+    assert serial
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run_suite, "hardy", ToolkitConfig()) for _ in range(2)]
+            threaded = [f.result(timeout=120).constants for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert threaded == [serial, serial]
+
+
+def test_hardy_check_reads_margin_tolerance(tmp_path):
+    assert cli.main(["hardy", "check", "--tol-scale", "2", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert len(lines) == 2
+    assert float(lines[1].rsplit(",", 1)[1]) == 2e-08

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardyrellich import euclid
-from hardyrellich.errors import ArgumentError, DomainError
+from hardyrellich.errors import ArgumentError, DomainError, EvaluationError
 from hardyrellich.radial import bump, seeded_bumps
 
 
@@ -203,3 +203,75 @@ def test_ball_mapped_pair_supports_correspond():
     assert ta == pytest.approx(np.tanh(0.4), rel=1e-12)
     assert tb == pytest.approx(np.tanh(0.9), rel=1e-12)
     assert 0.0 < ta < tb < 1.0  # vanishes near the boundary
+
+
+def _stencil_grid(xs, ys, h):
+    """Grid holding a 3x3 stencil of spacing h around every (x, y) pair."""
+    offsets = np.array([-h, 0.0, h])
+    xi = (np.asarray(xs)[:, None] + offsets).ravel()
+    y = (np.asarray(ys)[:, None] + offsets).ravel()
+    return euclid.TensorGrid(xi, y, np.zeros_like(xi), np.zeros_like(y))
+
+
+def _jet_vs_finite_differences(v, N, xs, ys, h=1e-5):
+    """Worst relative gap of jet's gradient and Laplacian against central
+    differences of jet's own value, at the stencil centres."""
+    val, vx, vy, lap = v.jet(_stencil_grid(xs, ys, h), N)
+    c = np.s_[1::3, 1::3]
+    fd_x = (val[2::3, 1::3] - val[0::3, 1::3]) / (2 * h)
+    fd_y = (val[1::3, 2::3] - val[1::3, 0::3]) / (2 * h)
+    fd_xx = (val[2::3, 1::3] - 2 * val[c] + val[0::3, 1::3]) / h**2
+    fd_yy = (val[1::3, 2::3] - 2 * val[c] + val[1::3, 0::3]) / h**2
+    fd_lap = fd_xx + (N - 2) * fd_x / np.asarray(xs)[:, None] + fd_yy
+    grad = np.hypot(vx[c], vy[c])
+    assert np.max(grad) > 0.0 and np.max(np.abs(lap[c])) > 0.0
+    return (
+        np.max(np.hypot(fd_x - vx[c], fd_y - vy[c])) / np.max(grad),
+        np.max(np.abs(fd_lap - lap[c])) / np.max(np.abs(lap[c])),
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_transported_jet_matches_finite_differences(alpha):
+    v = euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=alpha)
+    xs = np.linspace(0.1, 0.9 * v.xi_support[1], 7)
+    ys = np.linspace(1.05 * v.y_support[0], 0.95 * v.y_support[1], 9)
+    grad_rel, lap_rel = _jet_vs_finite_differences(v, 5, xs, ys)
+    assert grad_rel <= 1e-5 and lap_rel <= 1e-5
+
+
+def test_tensor_jet_matches_finite_differences():
+    v = euclid.tensor_bump(1.0, 0.5, 2.0)
+    # stencils stay off the joints of the C^2 factors (|x| = 0.5, y = 1.25)
+    xs = np.linspace(0.1, 0.95, 7)
+    ys = np.linspace(0.55, 1.95, 8)
+    grad_rel, lap_rel = _jet_vs_finite_differences(v, 5, xs, ys)
+    assert grad_rel <= 1e-5 and lap_rel <= 1e-5
+
+
+def test_jets_vanish_outside_support():
+    U = bump(0.5, 1.5)
+    transported = euclid.TransportedRadial(U, 5, alpha=0.5)
+    tensor = euclid.tensor_bump(1.0, 0.5, 2.0)
+    for v in (transported, tensor):
+        grid = euclid.TensorGrid.over_box(*v.box(pad=0.2), 96, 96)
+        XI, Y = np.meshgrid(grid.xi, grid.y, indexing="ij")
+        if v is transported:
+            d = np.arccosh(np.maximum(1.0 + ((Y - 1.0) ** 2 + XI**2) / (2.0 * Y), 1.0))
+            outside = (d <= U.support[0]) | (d >= U.support[1])
+        else:
+            outside = ((XI >= v.xi_support[1]) | (Y <= v.y_support[0])
+                       | (Y >= v.y_support[1]))
+        assert outside.any() and not outside.all()
+        for part in v.jet(grid, 5):
+            assert np.all(part[outside] == 0.0)
+
+
+def test_tensor_integrate_masks_axis_only():
+    grid = euclid.TensorGrid.over_box(1.0, 0.5, 2.0, 8, 8)
+    values = np.ones((8, 8))
+    values[0, 3] = np.nan  # the xi = 0 column carries zero measure
+    assert np.isfinite(grid.integrate(values, 3))
+    values[4, 5] = np.nan
+    with pytest.raises(EvaluationError, match=f"{grid.xi[4]:.6g}, {grid.y[5]:.6g}"):
+        grid.integrate(values, 3)

@@ -1,8 +1,9 @@
 """Flat key-value configuration (INI sections, no nesting) and defaults.
 
-Every tolerance a check is judged against lives here so that report rows
-can carry it, and so --tol-scale can loosen or tighten the whole run
-uniformly.
+The [tolerances] keys are the relative tolerances that margin and
+identity rows are judged against; --tol-scale multiplies them and nothing
+else.  Fixed criteria (sharp-constant windows, exact counts) stay with
+their checks in suites.py.  Unknown sections and keys are rejected.
 """
 
 from __future__ import annotations
@@ -14,23 +15,14 @@ from dataclasses import dataclass, field
 from .errors import ArgumentError
 
 DEFAULTS: dict[str, dict[str, str]] = {
-    "manifold": {
-        "family": "hyperbolic",
-        "N": "3",
-        "a": "2.0",
-    },
     "grids": {
         "r_min": "1e-6",
         "r_max": "100.0",
         "M": "8192",
-        "grading": "log_graded",
-        "r_c": "1.0",
     },
     "tolerances": {
         "margin_rtol": "1e-8",
         "identity_rtol": "1e-8",
-        "eigen_tol": "1e-8",
-        "iteration_budget": "200",
     },
     "hardy": {
         "sweep_points": "17",
@@ -41,7 +33,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "iterlog_k": "3",
     },
     "rellich": {
-        "n_max": "50",
         "sharp_r_min": "1e-3",
         "sharp_r_max": "1e6",
         "sharp_M": "8192",
@@ -77,9 +68,6 @@ class ToolkitConfig:
             parser[section] = dict(entries)
             for key, val in self.sections.get(section, {}).items():
                 parser[section][key] = val
-        for section in self.sections:
-            if section not in DEFAULTS:
-                parser[section] = dict(self.sections[section])
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
@@ -104,9 +92,12 @@ def load_config(path: str) -> ToolkitConfig:
         where = f" (line {lineno})" if lineno else ""
         raise ArgumentError(f"config parse failure in {path}{where}: {exc.message if hasattr(exc, 'message') else exc}") from exc
     sections = {name: dict(parser[name]) for name in parser.sections()}
+    unknown_sections = set(sections) - set(DEFAULTS)
+    if unknown_sections:
+        raise ArgumentError(
+            f"config has unknown sections: {sorted(unknown_sections)}"
+        )
     for section, entries in sections.items():
-        if section not in DEFAULTS:
-            continue
         unknown = set(entries) - set(DEFAULTS[section])
         if unknown:
             raise ArgumentError(

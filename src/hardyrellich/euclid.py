@@ -25,7 +25,7 @@ from .radial import (
     plateau_cutoff,
     weighted_l2,
 )
-from .hardy import MarginReport, MARGIN_RTOL
+from .hardy import MarginReport
 
 
 def sphere_area(dim: int) -> float:
@@ -198,19 +198,7 @@ def check_ball_hardy(v: RadialFunction, N: int, nodes: int = 4096) -> MarginRepo
         )
         return lhs, rhs
 
-    lhs, rhs = one(nodes)
-    lhs_c, rhs_c = one(nodes // 2)
-    return MarginReport(
-        name="ball_hardy",
-        N=N,
-        family="ball",
-        test_id=v.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+    return MarginReport.from_sides(one, (nodes,), "ball_hardy", N, "ball", v.label)
 
 
 def boundary_weight_comparison(samples: int = 1000) -> tuple[bool, float]:
@@ -393,19 +381,7 @@ def _tensor_margin(name: str, v, N: int, nx: int, ny: int, sides) -> MarginRepor
         with np.errstate(divide="ignore", invalid="ignore"):
             return sides(grid, *v.jet(grid, N))
 
-    lhs, rhs = one(nx, ny)
-    lhs_c, rhs_c = one(nx // 2, ny // 2)
-    return MarginReport(
-        name=name,
-        N=N,
-        family="halfspace",
-        test_id=v.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+    return MarginReport.from_sides(one, (nx, ny), name, N, "halfspace", v.label)
 
 
 def check_halfspace_hardy(v, N: int, nx: int = 512, ny: int = 512) -> MarginReport:

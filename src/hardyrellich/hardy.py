@@ -29,12 +29,12 @@ from .radial import (
     weighted_l2,
 )
 
-MARGIN_RTOL = 1e-8  # margins are judged against tol = MARGIN_RTOL * lhs
-
-
 @dataclass
 class MarginReport:
-    """One inequality evaluation: lhs >= rhs up to quadrature error."""
+    """One inequality evaluation: lhs >= rhs up to quadrature error.
+
+    Reports carry no verdict: a check row judges margin / |lhs| against
+    the configured margin tolerance."""
 
     name: str
     N: int
@@ -44,15 +44,16 @@ class MarginReport:
     rhs: float
     margin: float
     quad_error: float
-    tol: float
 
-    @property
-    def passed(self) -> bool:
-        return self.margin >= -self.tol
-
-
-# reports produced by the Hardy-side checks
-HardyReport = MarginReport
+    @classmethod
+    def from_sides(cls, sides, sizes: tuple[int, ...], name: str, N: int,
+                   family: str, test_id: str) -> "MarginReport":
+        """Report for sides(*sizes) -> (lhs, rhs); the margin change against
+        sides at half of every size is the quadrature error."""
+        lhs, rhs = sides(*sizes)
+        lhs_c, rhs_c = sides(*(n // 2 for n in sizes))
+        return cls(name, N, family, test_id, lhs, rhs, lhs - rhs,
+                   abs((lhs - rhs) - (lhs_c - rhs_c)))
 
 
 @dataclass
@@ -79,15 +80,6 @@ class LambdaCurve:
         return float(np.max(0.5 * (h[:-2] + h[2:]) - h[1:-1]))
 
 
-def _quad_error_estimate(values_fine: dict, values_coarse: dict) -> float:
-    return float(sum(abs(values_fine[k] - values_coarse[k]) for k in values_fine))
-
-
-def _hyperbolic_integrals(u: RadialFunction, manifold: ModelManifold, nodes: int):
-    grid = grid_covering(u.support, nodes)
-    return _model_integrals(u, manifold, grid)
-
-
 def _model_integrals(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid):
     vals = {
         "dirichlet": dirichlet_form(u, manifold, grid),
@@ -100,7 +92,7 @@ def _model_integrals(u: RadialFunction, manifold: ModelManifold, grid: RadialGri
     return vals
 
 
-def check_poincare_hardy(u: RadialFunction, N: int, nodes: int = 4096) -> HardyReport:
+def check_poincare_hardy(u: RadialFunction, N: int, nodes: int = 4096) -> MarginReport:
     """Margin of the sharp Poincare-Hardy inequality on hyperbolic space:
 
       int |grad u|^2 - (N-1)^2/4 int u^2
@@ -112,30 +104,21 @@ def check_poincare_hardy(u: RadialFunction, N: int, nodes: int = 4096) -> HardyR
     if N < 3:
         raise DomainError("the inequality needs N >= 3")
     man = hyperbolic(N)
-    fine = _hyperbolic_integrals(u, man, nodes)
-    coarse = _hyperbolic_integrals(u, man, nodes // 2)
-
     lam = (N - 1) ** 2 / 4.0
     c_sinh = (N - 1) * (N - 3) / 4.0
-    lhs = fine["dirichlet"] - lam * fine["l2"]
-    rhs = 0.25 * fine["hardy"] + c_sinh * fine["psi2"]
-    lhs_c = coarse["dirichlet"] - lam * coarse["l2"]
-    rhs_c = 0.25 * coarse["hardy"] + c_sinh * coarse["psi2"]
-    return HardyReport(
-        name="poincare_hardy",
-        N=N,
-        family="hyperbolic",
-        test_id=u.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+
+    def one(nn: int):
+        vals = _model_integrals(u, man, grid_covering(u.support, nn))
+        lhs = vals["dirichlet"] - lam * vals["l2"]
+        rhs = 0.25 * vals["hardy"] + c_sinh * vals["psi2"]
+        return lhs, rhs
+
+    return MarginReport.from_sides(one, (nodes,), "poincare_hardy",
+                                   N, "hyperbolic", u.label)
 
 
 def check_general_model(u: RadialFunction, manifold: ModelManifold,
-                        nodes: int = 4096) -> HardyReport:
+                        nodes: int = 4096) -> MarginReport:
     """Margin of the curvature-weighted Hardy inequality on a model:
 
       int |grad u|^2 - int w u^2 >= 1/4 int u^2/r^2 + (N-1)(N-3)/4 int u^2/psi^2
@@ -158,19 +141,8 @@ def check_general_model(u: RadialFunction, manifold: ModelManifold,
         rhs = 0.25 * vals["hardy"] + (N - 1) * (N - 3) / 4.0 * vals["psi2"]
         return lhs, rhs
 
-    lhs, rhs = one(nodes)
-    lhs_c, rhs_c = one(nodes // 2)
-    return HardyReport(
-        name="general_model_hardy",
-        N=N,
-        family=manifold.family,
-        test_id=u.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+    return MarginReport.from_sides(one, (nodes,), "general_model_hardy",
+                                   N, manifold.family, u.label)
 
 
 def poincare_gap(N: int, r_min: float = 1e-3, r_max: float = 60.0,
@@ -252,7 +224,7 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
 
 
 def check_iterated_log_improvement(u: RadialFunction, N: int, k: int,
-                                   nodes: int = 4096) -> HardyReport:
+                                   nodes: int = 4096) -> MarginReport:
     """Margin of the k-term series-improved inequality on the unit ball:
 
       lhs of the Poincare-Hardy form
@@ -291,19 +263,8 @@ def check_iterated_log_improvement(u: RadialFunction, N: int, k: int,
         )
         return lhs, rhs
 
-    lhs, rhs = one(nodes)
-    lhs_c, rhs_c = one(nodes // 2)
-    return HardyReport(
-        name=f"iterated_log_improvement(k={k})",
-        N=N,
-        family="hyperbolic",
-        test_id=u.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+    return MarginReport.from_sides(one, (nodes,), f"iterated_log_improvement(k={k})",
+                                   N, "hyperbolic", u.label)
 
 
 def trial_profile(eps: float, a, delta: float) -> RadialFunction:

@@ -22,7 +22,7 @@ from .errors import (
     SupportError,
     TruncationError,
 )
-from .hardy import MarginReport, MARGIN_RTOL
+from .hardy import MarginReport
 from .manifolds import _inv_sinh_sq, _log_sinh, euclidean, flat_line, hyperbolic
 from .pencils import (
     ConstantEstimate,
@@ -39,8 +39,6 @@ from .radial import (
     make_grid,
     weighted_l2,
 )
-
-RellichReport = MarginReport
 
 
 def _require_dim(N: int, minimum: int = 5) -> int:
@@ -151,7 +149,7 @@ def verify_euclidean_rellich_split(N: int) -> tuple[bool, bool]:
 # one-dimensional inequalities and reduced forms
 
 
-def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 4096) -> RellichReport:
+def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 4096) -> MarginReport:
     """Margin of the 1-D weighted inequality
     int u'^2/sinh^2 >= 9/4 int u^2/sinh^4 + int u^2/sinh^2 (flat measure)."""
     line = flat_line(1)
@@ -165,19 +163,7 @@ def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 4096) -> RellichReport:
         rhs = float(np.dot(grid.quad_weights, uu * uu * (2.25 * s2 * s2 + s2)))
         return lhs, rhs
 
-    lhs, rhs = one(nodes)
-    lhs_c, rhs_c = one(nodes // 2)
-    return RellichReport(
-        name="sinh_hardy_1d",
-        N=1,
-        family="line",
-        test_id=u.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+    return MarginReport.from_sides(one, (nodes,), "sinh_hardy_1d", 1, "line", u.label)
 
 
 def _reduced_operator_values(d: RadialFunction, N: int, n: int, r: np.ndarray):
@@ -232,7 +218,7 @@ def reduced_from_radial(u: RadialFunction, N: int) -> RadialFunction:
 
 
 def mode_chain_margin(d: RadialFunction, N: int, n: int,
-                      nodes: int = 4096) -> RellichReport:
+                      nodes: int = 4096) -> MarginReport:
     """Margin of the per-mode chain: reduced form >= 9/16 int d^2/r^4
     + (N-1)^2/8 int d^2/r^2 + (N-1)^4/16 int d^2 + A_n int d^2/sinh^4
     + B_n int d^2/sinh^2 (flat measure)."""
@@ -262,23 +248,12 @@ def mode_chain_margin(d: RadialFunction, N: int, n: int,
         )
         return lhs, rhs
 
-    lhs, rhs = one(nodes)
-    lhs_c, rhs_c = one(nodes // 2)
-    return RellichReport(
-        name=f"mode_chain(n={n})",
-        N=N,
-        family="hyperbolic",
-        test_id=d.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+    return MarginReport.from_sides(one, (nodes,), f"mode_chain(n={n})",
+                                   N, "hyperbolic", d.label)
 
 
 def check_poincare_rellich(u: RadialFunction, N: int,
-                           nodes: int = 4096) -> RellichReport:
+                           nodes: int = 4096) -> MarginReport:
     """Margin of the sharp Poincare-Rellich inequality (radial sector):
 
       int (Lap u)^2 - (N-1)^4/16 int u^2
@@ -305,19 +280,8 @@ def check_poincare_rellich(u: RadialFunction, N: int,
         )
         return lhs, rhs
 
-    lhs, rhs = one(nodes)
-    lhs_c, rhs_c = one(nodes // 2)
-    return RellichReport(
-        name="poincare_rellich",
-        N=N,
-        family="hyperbolic",
-        test_id=u.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+    return MarginReport.from_sides(one, (nodes,), "poincare_rellich",
+                                   N, "hyperbolic", u.label)
 
 
 def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 4096) -> float:
@@ -694,7 +658,7 @@ def mapped_from_radial(u: RadialFunction, N: int) -> RadialFunction:
 
 
 def check_mapped_rellich(v: RadialFunction, N: int,
-                         nodes: int = 4096) -> RellichReport:
+                         nodes: int = 4096) -> MarginReport:
     """Margin of the flattened-variable Rellich inequality:
 
       int rho^-1 (Lap v)^2 s^(N-1) ds
@@ -730,16 +694,5 @@ def check_mapped_rellich(v: RadialFunction, N: int,
         )
         return lhs, rhs
 
-    lhs, rhs = one(nodes)
-    lhs_c, rhs_c = one(nodes // 2)
-    return RellichReport(
-        name="mapped_rellich",
-        N=N,
-        family="hyperbolic",
-        test_id=v.label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        quad_error=abs((lhs - rhs) - (lhs_c - rhs_c)),
-        tol=MARGIN_RTOL * abs(lhs),
-    )
+    return MarginReport.from_sides(one, (nodes,), "mapped_rellich",
+                                   N, "hyperbolic", v.label)

@@ -104,6 +104,20 @@ def write_csv(path: str | Path, header: str, rows: list[str]) -> Path:
     return path
 
 
+def h_lambda_curve(config: ToolkitConfig, N: int):
+    """The h(lambda) curve described by the [hardy] sweep_* keys."""
+    from . import hardy
+
+    return hardy.sweep_h_lambda(
+        N,
+        lambdas=np.linspace(0.0, (N - 1) ** 2 / 4.0,
+                            config.get_int("hardy", "sweep_points")),
+        r_min=config.get_float("hardy", "sweep_r_min"),
+        r_max=config.get_float("hardy", "sweep_r_max"),
+        M=config.get_int("hardy", "sweep_M"),
+    )
+
+
 def emit_curve(name: str, outdir: str | Path, N: int = 5,
                config: ToolkitConfig | None = None) -> Path:
     """Write plot data for one named curve; returns the CSV path.
@@ -117,14 +131,7 @@ def emit_curve(name: str, outdir: str | Path, N: int = 5,
     config = config or ToolkitConfig()
     out = Path(outdir)
     if name == "h_lambda":
-        curve = hardy.sweep_h_lambda(
-            N,
-            lambdas=np.linspace(0.0, (N - 1) ** 2 / 4.0,
-                                config.get_int("hardy", "sweep_points")),
-            r_min=config.get_float("hardy", "sweep_r_min"),
-            r_max=config.get_float("hardy", "sweep_r_max"),
-            M=config.get_int("hardy", "sweep_M"),
-        )
+        curve = h_lambda_curve(config, N)
         rows = [
             f"{format_value(lam)},{format_value(h)}"
             for lam, h in zip(curve.lambdas, curve.h_values)

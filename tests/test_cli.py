@@ -1,11 +1,12 @@
 import json
 import sys
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from hardyrellich import cli
-from hardyrellich.config import ToolkitConfig, default_config, load_config
+from hardyrellich.config import DEFAULTS, ToolkitConfig, default_config, load_config
 from hardyrellich.errors import ArgumentError
 from hardyrellich.reports import ExperimentManifest, emit_curve, row
 from hardyrellich.suites import run_suite
@@ -146,9 +147,16 @@ def test_emit_curve_unknown(tmp_path):
         emit_curve("spectrum", tmp_path)
 
 
-def test_default_config_values():
+def test_default_config_values(tmp_path):
+    for i, text in enumerate(["[manifold]\nfamily = hyperbolic\n",
+                              "[tolerances]\neigen_tol = 1e-8\n"]):
+        path = tmp_path / f"c{i}.ini"
+        path.write_text(text)
+        with pytest.raises(ArgumentError, match="unknown"):
+            load_config(str(path))
+        assert cli.main(["verify", "--suite", "identities", "--config", str(path),
+                         "--out", str(tmp_path)]) == cli.USAGE_EXIT
     cfg = default_config()
-    assert cfg.get("manifold", "family") == "hyperbolic"
     assert cfg.tolerance("margin_rtol") == 1e-8
     cfg.tol_scale = 2.0
     assert cfg.tolerance("margin_rtol") == 2e-8
@@ -196,7 +204,38 @@ def test_overlapping_runs_keep_their_own_constants():
 
 
 def test_hardy_check_reads_margin_tolerance(tmp_path):
-    assert cli.main(["hardy", "check", "--tol-scale", "2", "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "results.csv").read_text().splitlines()
-    assert len(lines) == 2
-    assert float(lines[1].rsplit(",", 1)[1]) == 2e-08
+    # every margin verb judges its margin row against margin_rtol * tol-scale
+    cases = [
+        (["hardy", "check"], {"poincare_hardy_margins": 2e-08}),
+        (["rellich", "check"], {"poincare_rellich_margins": 2e-08}),
+        (["hardy", "iterlog"], {"iterated_log_margins": 2e-08,
+                                "iterated_log_optimality_scan": 1e-3}),
+        (["euclid", "halfspace-hardy"], {"halfspace_hardy_margins": 2e-08}),
+        (["euclid", "halfspace-rellich", "--which", "y4"],
+         {"halfspace_rellich_margins": 2e-08}),
+    ]
+    for i, (argv, expected) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert cli.main([*argv, "--tol-scale", "2", "--out", str(out)]) == 0
+        lines = (out / "results.csv").read_text().splitlines()[1:]
+        tolerances = {l.split(",")[0]: float(l.rsplit(",", 1)[1]) for l in lines}
+        assert tolerances == expected, argv
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+            if line.startswith("hardyrellich ")]
+
+
+def test_readme_config_block_lists_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    path = tmp_path / "readme.ini"
+    path.write_text(readme.split("```ini", 1)[1].split("```", 1)[0])
+    assert load_config(str(path)).sections == DEFAULTS
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_exits_zero(argv, tmp_path):
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0

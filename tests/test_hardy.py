@@ -15,7 +15,7 @@ from hardyrellich.radial import (
 
 def test_margin_positive_basic():
     rep = hardy.check_poincare_hardy(bump(1.0, 2.0), 3)
-    assert rep.margin > 0 and rep.passed
+    assert rep.margin > 0
     assert rep.quad_error < 1e-8 * abs(rep.lhs)
 
 

@@ -27,7 +27,14 @@ from . import __version__, rellich, suites
 from .config import ToolkitConfig, default_config, load_config
 from .errors import ArgumentError, ToolkitError
 from .radial import bump
-from .reports import ExperimentManifest, emit_curve, format_value, write_csv
+from .reports import (
+    ExperimentManifest,
+    emit_curve,
+    format_value,
+    h_lambda_curve,
+    write_csv,
+    write_h_lambda_csv,
+)
 from .suites import SUITES, run_suite
 
 USAGE_EXIT = 2
@@ -40,7 +47,7 @@ CHECKS = {
     "hardy sharp": lambda a, cfg: [
         (suites.hardy_sharp_range_and_monotone, a.N,
          (a.rmax or cfg.get_float("grids", "r_max"),))],
-    "hardy sweep-lambda": lambda a, cfg: [(suites.h_lambda_endpoints_and_shape, a.N)],
+    "hardy sweep-lambda": lambda a, cfg: [(_h_lambda_written, a.N, a.out)],
     "hardy iterlog": lambda a, cfg: [
         (suites.iterated_log_margins, a.N, [bump(0.2, 0.8)], a.k, 4096),
         (suites.iterated_log_optimality_scan, a.N, (max(a.k, 1),))],
@@ -66,17 +73,23 @@ CHECKS = {
         for check in (suites.halfspace_laplacian_identity_corrected,
                       suites.halfspace_laplacian_identity_literal_fails)],
 }
-SHARP = {"hardy": "hardy sharp", "rellich-r2": "rellich sharp-r2",
-         "anchors": "sharp anchors"}
+# sharp --which value -> (entry, default --N)
+SHARP = {"hardy": ("hardy sharp", 3), "rellich-r2": ("rellich sharp-r2", 5),
+         "anchors": ("sharp anchors", None)}
 
 # entry -> writer of the entry's data CSV; returns the path
 OUTPUTS = {
-    "hardy sweep-lambda": lambda a, cfg: emit_curve("h_lambda", a.out, N=a.N,
-                                                    config=cfg),
     "rellich coeffs": lambda a, cfg: write_csv(
         Path(a.out) / f"mode_coeffs_N{a.N}.csv", "n,lambda_n,d_n,A_n,B_n",
         [t.csv_row() for t in rellich.mode_table(a.N, a.nmax)]),
 }
+
+
+def _h_lambda_written(cfg: ToolkitConfig, N: int, out: str):
+    """The h(lambda) check on one sweep, whose curve is also written to out."""
+    curve = h_lambda_curve(cfg, N)
+    print(f"data written to {write_h_lambda_csv(curve, out)}")
+    return suites.h_lambda_endpoints_and_shape(cfg, N, curve)
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -110,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = verb(sub, "verify", "verify", N=None, help="run a verification suite")
     v.add_argument("--suite", choices=SUITES, default="all")
-    s = verb(sub, "sharp", "sharp", N=3, help="sharp-constant estimates")
+    s = verb(sub, "sharp", "sharp", N=None, help="sharp-constant estimates")
+    s.add_argument("--N", type=int, default=None,
+                   help="dimension (default 3 for hardy, 5 for rellich-r2)")
     s.add_argument("--which", choices=tuple(SHARP), default="hardy")
     s.add_argument("--rmax", type=float, default=None)
     verb(sub, "sweep-lambda", "hardy sweep-lambda", help="h(lambda) curve")
@@ -183,7 +198,11 @@ def _cmd_curve(args, command: str) -> int:
 
 def _cmd_checks(args, command: str) -> int:
     cfg = _config_from(args)
-    entry = SHARP[args.which] if args.entry == "sharp" else args.entry
+    entry = args.entry
+    if entry == "sharp":
+        entry, default_N = SHARP[args.which]
+        if args.N is None:
+            args.N = default_N
     checks = [partial(check, cfg, *inputs) for check, *inputs in CHECKS[entry](args, cfg)]
     manifest = suites.run_checks(checks, cfg, command)
     if entry in OUTPUTS:

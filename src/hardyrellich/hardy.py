@@ -18,7 +18,12 @@ from .manifolds import (
     hardy_weight_general,
     hyperbolic,
 )
-from .pencils import ConstantEstimate, assemble_pencil, min_generalized_eigenvalue
+from .pencils import (
+    ConstantEstimate,
+    assemble_pencil,
+    min_generalized_eigenvalue,
+    smallest_eigenvalue,
+)
 from .radial import (
     RadialFunction,
     RadialGrid,
@@ -206,6 +211,7 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
     line = flat_line(2)
     grid = make_grid(r_min, r_max, M, "geometric")
     h_values = []
+    value = None
     for lam in lambdas:
         gap = lam_top - lam
 
@@ -213,9 +219,8 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
             return -(gap + c_sinh * _inv_sinh_sq(r))
 
         pencil = assemble_pencil(line, potential, lambda r: 1.0 / r**2, grid)
-        pencil.rebuild = None  # one solve per lambda; history not needed here
-        est = min_generalized_eigenvalue(pencil, tol)
-        h_values.append(0.25 + est.value)
+        value = smallest_eigenvalue(pencil, tol, near=value)
+        h_values.append(0.25 + value)
     return LambdaCurve(N, lambdas, np.asarray(h_values), r_min, r_max, M)
 
 

@@ -9,16 +9,19 @@ square the discrete radial Laplacian through the quadrature weights
 B is always diagonal and strictly positive.
 
 The smallest generalized eigenvalue is found by one solver for every
-bandwidth: bisection on whether a banded Cholesky factorization of A - mu B
-succeeds, which by Sylvester's law of inertia happens exactly when mu lies
-below the smallest eigenvalue.  The bracket starts from Gershgorin and
-Rayleigh-quotient bounds and is narrowed until it is within the requested
-relative tolerance; no refinement step follows, so the returned midpoint is
-always inside a certified bracket.
+bandwidth: bisection on whether A - mu B factors as a positive definite
+matrix (LAPACK dpttrf for tridiagonal pencils, dpbtrf for wider ones), which
+by Sylvester's law of inertia happens exactly when mu lies below the smallest
+eigenvalue.  The bracket starts from Gershgorin and Rayleigh-quotient bounds,
+or is warm-started around a known nearby value (the previous refinement
+level's, or the previous parameter's in a sweep), and is halved in asinh(mu)
+until it is within the requested relative tolerance; no refinement step
+follows, so the returned midpoint is always inside a certified bracket.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -240,26 +243,48 @@ def assemble_pencil(
 
 def _positive_definite(pencil: QuadraticPencil, mu: float) -> bool:
     """Whether A - mu B is positive definite, i.e. (Sylvester's law of
-    inertia) whether mu lies below the smallest eigenvalue."""
-    ab = pencil.a_bands.copy()
-    ab[0] -= mu * pencil.b_diag
-    try:
-        scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True,
-                                     check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return False
-    return True
+    inertia) whether mu lies below the smallest eigenvalue.
+
+    Tridiagonal pencils use LAPACK dpttrf (L D L^T, positive definite iff
+    every pivot of D is positive), wider ones dpbtrf (banded Cholesky);
+    either reports info > 0 at the first non-positive pivot.
+    """
+    a = pencil.a_bands
+    if pencil.bandwidth == 1:
+        _, _, info = scipy.linalg.lapack.dpttrf(a[0] - mu * pencil.b_diag, a[1, :-1],
+                                                overwrite_d=True)
+    else:
+        ab = np.array(a, order="F")
+        ab[0] -= mu * pencil.b_diag
+        _, info = scipy.linalg.lapack.dpbtrf(ab, lower=True, overwrite_ab=True)
+    if info < 0:
+        raise NumericError(f"LAPACK factorization rejected argument {-info} "
+                           f"at mu = {mu:.12g}")
+    return info == 0
 
 
 def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
-                        budget: int = 200) -> float:
+                        budget: int = 200, near: float | None = None) -> float:
     """Smallest mu with A x = mu B x, for any bandwidth.
 
     Bisects on the inertia test above, from a Gershgorin lower bound of
     B^(-1/2) A B^(-1/2) up to min(a0/b), the smallest Rayleigh quotient of
-    a unit vector.  Stops once the bracket is no wider than
-    tol * max(1, |lo|, |hi|) and returns its midpoint; each step costs one
-    banded Cholesky factorization.
+    a unit vector.  ``lo`` moves only when A - mu B factors and ``hi`` only
+    when it does not.  Each trial point is the midpoint in asinh(mu), which
+    halves the bracket geometrically while it spans orders of magnitude and
+    arithmetically once it is O(1).
+
+    ``near``, a value expected close to the answer (a coarser grid's, or a
+    neighbouring parameter's), warm-starts the bracket: the solver probes
+    near - step and near + step with step = 1e-4 max(1, |near|), growing
+    eightfold, until one probe factors below and one fails above.  A
+    ``near`` that is not finite or lies outside the Gershgorin bracket is
+    ignored.
+
+    Stops once the bracket is no wider than tol * max(1, |lo|, |hi|) and
+    returns its midpoint.  Every probe and every bisection step costs one
+    factorization (dpttrf on tridiagonal pencils, dpbtrf on wider ones) and
+    counts against ``budget``.
     """
     if tol <= 0:
         raise ArgumentError("tolerance must be positive")
@@ -275,19 +300,43 @@ def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
     hi = float(np.min(a[0] / b))
 
     used = 0
-    while (hi - lo) > tol * max(1.0, abs(lo), abs(hi)):
+
+    def factors(mu: float) -> bool:
+        nonlocal used
         if used >= budget:
             raise NumericError(
                 "eigenvalue bisection exhausted its iteration budget: "
                 f"bracket [{lo:.12g}, {hi:.12g}], width {hi - lo:.3g}, "
                 f"iterations {used}"
             )
-        mid = 0.5 * (lo + hi)
-        if _positive_definite(pencil, mid):
+        used += 1
+        return _positive_definite(pencil, mu)
+
+    if near is not None and lo < near < hi:  # NaN and +-inf fail this test
+        first = 1e-4 * max(1.0, abs(near))
+        step = first
+        while lo < near - step:
+            if factors(near - step):
+                lo = near - step
+                break
+            hi = near - step
+            step *= 8.0
+        step = first
+        while near + step < hi:
+            if not factors(near + step):
+                hi = near + step
+                break
+            lo = near + step
+            step *= 8.0
+
+    while (hi - lo) > tol * max(1.0, abs(lo), abs(hi)):
+        mid = math.sinh(0.5 * (math.asinh(lo) + math.asinh(hi)))
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        if factors(mid):
             lo = mid
         else:
             hi = mid
-        used += 1
     return 0.5 * (lo + hi)
 
 
@@ -303,10 +352,11 @@ def min_generalized_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
     history: list[tuple[int, float]] = []
     if pencil.rebuild is not None:
         sizes = sorted({max(32, grid.M // 4), max(32, grid.M // 2), grid.M})
+        value = None
         for m in sizes:
             p = pencil.rebuild(m) if m != grid.M else pencil
-            history.append((m, smallest_eigenvalue(p, tol)))
-        value = history[-1][1]
+            value = smallest_eigenvalue(p, tol, near=value)
+            history.append((m, value))
     else:
         value = smallest_eigenvalue(pencil, tol)
         history.append((grid.M, value))

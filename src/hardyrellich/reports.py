@@ -118,6 +118,15 @@ def h_lambda_curve(config: ToolkitConfig, N: int):
     )
 
 
+def write_h_lambda_csv(curve, outdir: str | Path) -> Path:
+    """Write rows (lambda, h) of an h(lambda) curve to h_lambda_N<N>.csv."""
+    rows = [
+        f"{format_value(lam)},{format_value(h)}"
+        for lam, h in zip(curve.lambdas, curve.h_values)
+    ]
+    return write_csv(Path(outdir) / f"h_lambda_N{curve.N}.csv", "lambda,h", rows)
+
+
 def emit_curve(name: str, outdir: str | Path, N: int = 5,
                config: ToolkitConfig | None = None) -> Path:
     """Write plot data for one named curve; returns the CSV path.
@@ -131,12 +140,7 @@ def emit_curve(name: str, outdir: str | Path, N: int = 5,
     config = config or ToolkitConfig()
     out = Path(outdir)
     if name == "h_lambda":
-        curve = h_lambda_curve(config, N)
-        rows = [
-            f"{format_value(lam)},{format_value(h)}"
-            for lam, h in zip(curve.lambdas, curve.h_values)
-        ]
-        return write_csv(out / f"h_lambda_N{N}.csv", "lambda,h", rows)
+        return write_h_lambda_csv(h_lambda_curve(config, N), out)
     if name == "s_of_r":
         consts = rellich.asymptotic_constants(N)
         mu = (N - 1) / (N - 2)

@@ -170,8 +170,11 @@ def hardy_sharp_range_and_monotone(cfg: ToolkitConfig, N: int, r_maxes):
             [est.csv_row("hardy_sharp_radial", N) for est in ests])
 
 
-def h_lambda_endpoints_and_shape(cfg: ToolkitConfig, N: int):
-    curve = h_lambda_curve(cfg, N)
+def h_lambda_endpoints_and_shape(cfg: ToolkitConfig, N: int, curve=None):
+    """Endpoints and shape of the h(lambda) curve; sweeps it unless the
+    caller passes the swept ``curve``."""
+    if curve is None:
+        curve = h_lambda_curve(cfg, N)
     ends_ok = (
         abs(curve.h_values[0] / ((N - 2) ** 2 / 4.0) - 1.0) <= 0.02
         and abs(curve.h_values[-1] / 0.25 - 1.0) <= 0.02

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from hardyrellich import cli
+from hardyrellich import cli, hardy, suites
 from hardyrellich.config import DEFAULTS, ToolkitConfig, default_config, load_config
 from hardyrellich.errors import ArgumentError
 from hardyrellich.reports import ExperimentManifest, emit_curve, row
@@ -181,6 +181,36 @@ def test_sweep_lambda_command_endpoints(tmp_path):
     last = float(lines[-1].split(",")[1])
     assert first == pytest.approx(2.25, rel=0.02)
     assert last == pytest.approx(0.25, rel=0.02)
+
+
+def test_sweep_lambda_sweeps_once(tmp_path, monkeypatch):
+    sweeps = []
+    sweep = hardy.sweep_h_lambda
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(hardy, "sweep_h_lambda", counted)
+    code = cli.main(["sweep-lambda", "--N", "5", "--out", str(tmp_path / "verb")])
+    assert code == 0
+    assert len(sweeps) == 1
+    # same bytes as the curve verb and the suite check, each sweeping on its own
+    cfg = ToolkitConfig()
+    emit_curve("h_lambda", tmp_path / "curve", N=5, config=cfg)
+    suites.run_checks([lambda: suites.h_lambda_endpoints_and_shape(cfg, 5)], cfg,
+                      "").write(tmp_path / "suite")
+    for name, ref in (("h_lambda_N5.csv", "curve"), ("results.csv", "suite")):
+        assert (tmp_path / "verb" / name).read_bytes() == (tmp_path / ref / name).read_bytes()
+
+
+def test_sharp_rellich_default_dimension(tmp_path):
+    # sharp --which rellich-r2 defaults to N = 5, as rellich sharp-r2 does
+    assert cli.main(["sharp", "--which", "rellich-r2", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["rellich", "sharp-r2", "--out", str(tmp_path / "b")]) == 0
+    for name in ("results.csv", "constants.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert ",5," in (tmp_path / "a" / "constants.csv").read_text()
 
 
 def test_run_suite_is_serial_only():

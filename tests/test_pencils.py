@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hardyrellich import manifolds as mf
-from hardyrellich import pencils, rellich
+from hardyrellich import hardy, pencils, rellich
 from hardyrellich.errors import ArgumentError, NumericError
 from hardyrellich.radial import make_grid
 
@@ -95,13 +95,32 @@ def spd_banded_pencils(draw):
     return pencils.QuadraticPencil(a_bands, b_diag, grid, order), A
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(spd_banded_pencils(), st.sampled_from([1e-6, 1e-8, 1e-10]))
-def test_solver_matches_dense_eigh(case, tol):
+# warm-start values handed to the solver, as functions of the true value;
+# every one, however wrong, must leave the answer within tol
+NEAR = {
+    "none": lambda ref: None,
+    "accurate": lambda ref: ref,
+    "close": lambda ref: ref * (1.0 + 3e-5),
+    "far_above": lambda ref: 40.0 * ref + 3.0,
+    "far_below": lambda ref: ref - 0.999 * abs(ref),
+    "wrong_sign": lambda ref: -ref,
+    "nan": lambda ref: float("nan"),
+    "plus_inf": lambda ref: float("inf"),
+    "minus_inf": lambda ref: float("-inf"),
+    "outside_bracket": lambda ref: -1e300,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spd_banded_pencils(), st.sampled_from([1e-6, 1e-8, 1e-10]),
+       st.sampled_from(sorted(NEAR)))
+def test_solver_matches_dense_eigh(case, tol, near):
     pencil, A = case
-    mu = pencils.smallest_eigenvalue(pencil, tol)
     ref = scipy.linalg.eigh(A, np.diag(pencil.b_diag), eigvals_only=True)[0]
+    mu = pencils.smallest_eigenvalue(pencil, tol, near=NEAR[near](ref))
     assert abs(mu - ref) <= tol * max(1.0, abs(mu))
+    if near in ("nan", "plus_inf", "minus_inf", "outside_bracket"):
+        assert mu == pencils.smallest_eigenvalue(pencil, tol)  # ignored
 
 
 def _positive_definite(pencil, mu):
@@ -114,7 +133,7 @@ def _positive_definite(pencil, mu):
     return True
 
 
-def test_tolerance_honoured_on_pentadiagonal_pencil(monkeypatch):
+def _assert_tolerance_honoured(monkeypatch, module, estimate, bandwidth):
     # inertia brackets the true eigenvalue: A - mu B is positive definite
     # exactly below it, so mu must sit within tol of that switch
     solved = []
@@ -123,13 +142,42 @@ def test_tolerance_honoured_on_pentadiagonal_pencil(monkeypatch):
         solved.append(pencil)
         return pencils.min_generalized_eigenvalue(pencil, tol, label)
 
-    monkeypatch.setattr(rellich, "min_generalized_eigenvalue", recording)
+    monkeypatch.setattr(module, "min_generalized_eigenvalue", recording)
     tol = 1e-8
-    mu = rellich.estimate_sharp_rellich_r2(5, M=8192, tol=tol).value
+    mu = estimate(tol).value
     pencil = solved[-1]
-    assert pencil.bandwidth == 2
+    assert pencil.bandwidth == bandwidth
     assert _positive_definite(pencil, mu - 2 * tol * abs(mu))
     assert not _positive_definite(pencil, mu + 2 * tol * abs(mu))
+
+
+def test_tolerance_honoured_on_pentadiagonal_pencil(monkeypatch):
+    _assert_tolerance_honoured(
+        monkeypatch, rellich,
+        lambda tol: rellich.estimate_sharp_rellich_r2(5, M=8192, tol=tol), 2)
+
+
+def test_tolerance_honoured_on_tridiagonal_pencil(monkeypatch):
+    _assert_tolerance_honoured(
+        monkeypatch, hardy, lambda tol: hardy.estimate_sharp_hardy(3, tol=tol), 1)
+
+
+def test_factorization_count(monkeypatch):
+    # asinh bisection and brackets warm-started from the coarser grid keep
+    # a three-level estimate well under 100 inertia tests
+    calls = []
+    inertia = pencils._positive_definite
+
+    def counted(pencil, mu):
+        calls.append(mu)
+        return inertia(pencil, mu)
+
+    monkeypatch.setattr(pencils, "_positive_definite", counted)
+    for estimate in (lambda: hardy.estimate_sharp_hardy(3),
+                     lambda: rellich.estimate_sharp_rellich_r2(5, M=8192)):
+        calls.clear()
+        estimate()
+        assert 0 < len(calls) <= 100
 
 
 def test_discrete_minimum_principle():
@@ -149,6 +197,10 @@ def test_budget_exhaustion_raises_with_diagnostics():
     p = pencils.assemble_pencil(mf.hyperbolic(3), 1.0, lambda r: 1.0 / r**2, grid)
     with pytest.raises(NumericError, match="budget"):
         pencils.smallest_eigenvalue(p, tol=1e-12, budget=3)
+    # warm-start probes count against the same budget
+    near = pencils.smallest_eigenvalue(p)
+    with pytest.raises(NumericError, match=r"budget: bracket \[.*\], width"):
+        pencils.smallest_eigenvalue(p, tol=1e-12, budget=3, near=near)
 
 
 def test_tolerance_guard():

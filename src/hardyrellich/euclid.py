@@ -230,20 +230,22 @@ class TensorProductFunction:
         ya, yb = self.y_support
         return (xb * (1 + pad), ya * (1 - pad), yb * (1 + pad))
 
-    def jet(self, grid: "TensorGrid", N: int):
+    def jet(self, grid: "TensorGrid", N: int, laplacian: bool = True):
         """(v, dv/dxi, dv/dy, Lap v) on the grid's mesh, from the factors
-        evaluated once on each axis; Lap is the R^N Laplacian of v(|x|, y)."""
+        evaluated once on each axis; Lap is the R^N Laplacian of v(|x|, y),
+        left off (with the second derivatives) unless ``laplacian``."""
         xi, y = grid.xi, grid.y
-        fx, fx1, fx2 = self.fx(xi), self.fx.d1(xi), self.fx.d2(xi)
-        fy, fy1, fy2 = self.fy(y), self.fy.d1(y), self.fy.d2(y)
+        fx, fx1 = self.fx(xi), self.fx.d1(xi)
+        fy, fy1 = self.fy(y), self.fy.d1(y)
+        first = (np.outer(fx, fy), np.outer(fx1, fy), np.outer(fx, fy1))
+        if not laplacian:
+            return first
         radial = np.zeros_like(xi)
         off_axis = xi > 0.0
         radial[off_axis] = fx1[off_axis] / xi[off_axis]
         return (
-            np.outer(fx, fy),
-            np.outer(fx1, fy),
-            np.outer(fx, fy1),
-            np.outer(fx2 + (N - 2) * radial, fy) + np.outer(fx, fy2),
+            *first,
+            np.outer(self.fx.d2(xi) + (N - 2) * radial, fy) + np.outer(fx, self.fy.d2(y)),
         )
 
 
@@ -282,12 +284,13 @@ class TransportedRadial:
             self.y_support[1] * (1 + pad),
         )
 
-    def jet(self, grid: "TensorGrid", N: int):
+    def jet(self, grid: "TensorGrid", N: int, laplacian: bool = True):
         """(v, dv/dxi, dv/dy, Lap v) on the grid's mesh in one chain-rule
-        pass; Lap is the R^N Laplacian of v(|x|, y).
+        pass; Lap is the R^N Laplacian of v(|x|, y), left off (with U'' and
+        the second derivatives of d) unless ``laplacian``.
 
         U, U' and U'' are evaluated only on the nodes where d lies inside
-        the support of U; all four arrays are exactly zero elsewhere.
+        the support of U; every array is exactly zero elsewhere.
         """
         shape = (grid.xi.size, grid.y.size)
         xi, y = grid.xi[:, None], grid.y[None, :]
@@ -304,24 +307,27 @@ class TransportedRadial:
         w_y = (y * y - 1.0 - xi * xi) / (2.0 * y * y)
         d_xi = w_xi * g
         d_y = w_y * g
-        d_xixi = 1.0 / y * g - w * w_xi**2 * g**3
-        d_yy = (1.0 + xi * xi) / y**3 * g - w * w_y**2 * g**3
-        U, U1, U2 = self.U(d), self.U.d1(d), self.U.d2(d)
+        U, U1 = self.U(d), self.U.d1(d)
 
         al = self.alpha
-        v_xixi = y ** (-al) * (U2 * d_xi**2 + U1 * d_xixi)
-        v_yy = (
-            al * (al + 1.0) * y ** (-al - 2.0) * U
-            - 2.0 * al * y ** (-al - 1.0) * U1 * d_y
-            + y ** (-al) * (U2 * d_y**2 + U1 * d_yy)
-        )
-        # d_xi / xi = g / y stays finite on the axis
-        radial = y ** (-al) * U1 * (g / y)
-        out = np.zeros((4, *shape))
-        out[0][inside] = y ** (-al) * U
-        out[1][inside] = y ** (-al) * U1 * d_xi
-        out[2][inside] = -al * y ** (-al - 1.0) * U + y ** (-al) * U1 * d_y
-        out[3][inside] = v_xixi + (N - 2) * radial + v_yy
+        y_al = y ** (-al)
+        out = np.zeros((4 if laplacian else 3, *shape))
+        out[0][inside] = y_al * U
+        out[1][inside] = y_al * U1 * d_xi
+        out[2][inside] = -al * y ** (-al - 1.0) * U + y_al * U1 * d_y
+        if laplacian:
+            d_xixi = 1.0 / y * g - w * w_xi**2 * g**3
+            d_yy = (1.0 + xi * xi) / y**3 * g - w * w_y**2 * g**3
+            U2 = self.U.d2(d)
+            v_xixi = y_al * (U2 * d_xi**2 + U1 * d_xixi)
+            v_yy = (
+                al * (al + 1.0) * y ** (-al - 2.0) * U
+                - 2.0 * al * y ** (-al - 1.0) * U1 * d_y
+                + y_al * (U2 * d_y**2 + U1 * d_yy)
+            )
+            # d_xi / xi = g / y stays finite on the axis
+            radial = y_al * U1 * (g / y)
+            out[3][inside] = v_xixi + (N - 2) * radial + v_yy
         return tuple(out)
 
 
@@ -368,10 +374,12 @@ class TensorGrid:
         return float(self.w_xi @ col @ self.w_y)
 
 
-def _tensor_margin(name: str, v, N: int, nx: int, ny: int, sides) -> MarginReport:
-    """Half-space margin report from sides(grid, v, v_xi, v_y, lap) ->
-    (lhs, rhs), judged on an nx x ny grid over v's box; the margin change
-    against the half-resolution grid is the quadrature error."""
+def _tensor_margin(name: str, v, N: int, nx: int, ny: int, sides,
+                   laplacian: bool = False) -> MarginReport:
+    """Half-space margin report from sides(grid, v, v_xi, v_y[, lap]) ->
+    (lhs, rhs), with lap only if ``laplacian``, judged on an nx x ny grid
+    over v's box; the margin change against the half-resolution grid is
+    the quadrature error."""
     if v.y_support[0] <= 0.0:
         raise ArgumentError("support must stay away from the boundary y = 0")
 
@@ -379,7 +387,7 @@ def _tensor_margin(name: str, v, N: int, nx: int, ny: int, sides) -> MarginRepor
         grid = TensorGrid.over_box(*v.box(), mx, my)
         # 0/0 on the xi = 0 axis at (0, 1) is masked by integrate
         with np.errstate(divide="ignore", invalid="ignore"):
-            return sides(grid, *v.jet(grid, N))
+            return sides(grid, *v.jet(grid, N, laplacian))
 
     return MarginReport.from_sides(one, (nx, ny), name, N, "halfspace", v.label)
 
@@ -395,7 +403,7 @@ def check_halfspace_hardy(v, N: int, nx: int = 512, ny: int = 512) -> MarginRepo
     if N < 3:
         raise DomainError("half-space inequality needs N >= 3")
 
-    def sides(grid, vv, vx, vy, _lap):
+    def sides(grid, vv, vx, vy):
         Y = grid.y[None, :]
         d = _dist_grid(grid.xi[:, None], Y)
         lhs = grid.integrate(vx * vx + vy * vy, N)
@@ -449,14 +457,15 @@ def check_halfspace_rellich(v, N: int, which: str, nx: int = 512,
         )
         return lhs, rhs
 
-    return _tensor_margin(f"halfspace_rellich_{which}", v, N, nx, ny, sides)
+    return _tensor_margin(f"halfspace_rellich_{which}", v, N, nx, ny, sides,
+                          laplacian=True)
 
 
 def aux_gradient_inequality(v, N: int, nx: int = 512, ny: int = 512) -> MarginReport:
     """Margin of the auxiliary weighted-gradient bound used by the y4
     optimality argument: int int |grad v|^2/y^2 >= 9/4 int int v^2/y^4."""
 
-    def sides(grid, vv, vx, vy, _lap):
+    def sides(grid, vv, vx, vy):
         Y = grid.y[None, :]
         lhs = grid.integrate((vx * vx + vy * vy) / Y**2, N)
         rhs = 2.25 * grid.integrate(vv * vv / Y**4, N)
@@ -481,12 +490,6 @@ class PolynomialTestFunction:
 
     def value(self, xi, y):
         return sum(c * xi**i * y**j for (i, j), c in self.coeffs.items())
-
-    def d_xi(self, xi, y):
-        return sum(
-            c * i * xi ** (i - 1) * y**j
-            for (i, j), c in self.coeffs.items() if i >= 1
-        )
 
     def d_y(self, xi, y):
         return sum(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, SupportError, TruncationError
+from .errors import ArgumentError, CapabilityError, DomainError, SupportError, TruncationError
 from .iterated_log import iterated_log_stack, log_derivatives
 from .manifolds import (
     ModelManifold,
@@ -27,11 +27,11 @@ from .pencils import (
 from .radial import (
     RadialFunction,
     RadialGrid,
-    dirichlet_form,
+    _check_support_inside,
+    _integrate,
     grid_covering,
     make_grid,
     plateau_cutoff,
-    weighted_l2,
 )
 
 @dataclass
@@ -85,15 +85,22 @@ class LambdaCurve:
         return float(np.max(0.5 * (h[:-2] + h[2:]) - h[1:-1]))
 
 
-def _model_integrals(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid):
-    vals = {
-        "dirichlet": dirichlet_form(u, manifold, grid),
-        "l2": weighted_l2(u, 1.0, manifold, grid),
-        "hardy": weighted_l2(u, lambda r: 1.0 / r**2, manifold, grid),
-        "psi2": weighted_l2(
-            u, lambda r: np.exp(-2.0 * manifold.log_psi(r)), manifold, grid
-        ),
-    }
+def _model_integrals(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid,
+                     **weights) -> dict[str, float]:
+    """int u'^2 psi^(N-1) ("dirichlet") and int u^2 w psi^(N-1) for w = 1
+    ("l2"), 1/r^2 ("hardy"), psi^-2 ("psi2") and each keyword's weight array,
+    from one evaluation of u, u' and psi^(N-1) on the grid; each integrand is
+    formed and checked as in dirichlet_form and weighted_l2."""
+    _check_support_inside(u, grid)
+    if u.d1 is None:
+        raise CapabilityError("dirichlet_form needs first-derivative data")
+    r = grid.nodes
+    measure = manifold.measure_weight(r)
+    du, uv = u.d1(r), u(r)
+    vals = {"dirichlet": _integrate(du * du * measure, grid, "gradient integrand")}
+    for name, w in {"l2": 1.0, "hardy": 1.0 / r**2,
+                    "psi2": np.exp(-2.0 * manifold.log_psi(r)), **weights}.items():
+        vals[name] = _integrate(uv * uv * w * measure, grid, "weighted L2 integrand")
     return vals
 
 
@@ -138,11 +145,9 @@ def check_general_model(u: RadialFunction, manifold: ModelManifold,
 
     def one(nn: int):
         grid = grid_covering(u.support, nn)
-        vals = _model_integrals(u, manifold, grid)
-        weight_term = weighted_l2(
-            u, lambda r: hardy_weight_general(manifold, r), manifold, grid
-        )
-        lhs = vals["dirichlet"] - weight_term
+        vals = _model_integrals(u, manifold, grid,
+                                curvature=hardy_weight_general(manifold, grid.nodes))
+        lhs = vals["dirichlet"] - vals["curvature"]
         rhs = 0.25 * vals["hardy"] + (N - 1) * (N - 3) / 4.0 * vals["psi2"]
         return lhs, rhs
 
@@ -163,13 +168,15 @@ def poincare_gap(N: int, r_min: float = 1e-3, r_max: float = 60.0,
 
 
 def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
-                         M: int = 8192, tol: float = 1e-8) -> ConstantEstimate:
+                         M: int = 8192, tol: float = 1e-8,
+                         near: float | None = None) -> ConstantEstimate:
     """Radial-sector estimate of the best constant in front of int u^2/r^2.
 
     Minimal eigenvalue of the pencil with numerator
     Dirichlet - (N-1)^2/4 * L^2 and denominator int u^2/r^2 on the
     truncation; tends to 1/4 from above as the truncation widens (the
-    remaining gap is pi^2/log^2(r_max/r_min) to leading order).
+    remaining gap is pi^2/log^2(r_max/r_min) to leading order).  ``near``
+    warm-starts the eigensolve (see min_generalized_eigenvalue).
     """
     if N < 3:
         raise DomainError("the Hardy estimator needs N >= 3")
@@ -177,7 +184,8 @@ def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
     lam = (N - 1) ** 2 / 4.0
     grid = make_grid(r_min, r_max, M, "log_graded", 1.0)
     pencil = assemble_pencil(man, lam, lambda r: 1.0 / r**2, grid)
-    est = min_generalized_eigenvalue(pencil, tol, label=f"hardy_sharp_radial(N={N})")
+    est = min_generalized_eigenvalue(pencil, tol, label=f"hardy_sharp_radial(N={N})",
+                                     near=near)
     if est.value < 0.0:
         raise TruncationError(
             "numerator form is indefinite on this truncation; widen "
@@ -259,12 +267,12 @@ def check_iterated_log_improvement(u: RadialFunction, N: int, k: int,
     def one(nn: int):
         # pad without leaving (0, 1), where the log weights live
         grid = make_grid(a * 0.9, min(b + 0.05 * (b - a), (b + 1.0) / 2.0), nn, "uniform")
-        vals = _model_integrals(u, man, grid)
+        vals = _model_integrals(u, man, grid, series=series_weight(grid.nodes))
         lhs = vals["dirichlet"] - (N - 1) ** 2 / 4.0 * vals["l2"]
         rhs = (
             0.25 * vals["hardy"]
             + (N - 1) * (N - 3) / 4.0 * vals["psi2"]
-            + 0.25 * weighted_l2(u, series_weight, man, grid)
+            + 0.25 * vals["series"]
         )
         return lhs, rhs
 

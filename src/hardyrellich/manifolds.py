@@ -251,21 +251,6 @@ def flat_line(dimension: int) -> ModelManifold:
     )
 
 
-def manifold_from_config(cfg: dict) -> ModelManifold:
-    """Build a manifold from flat key-value config: family, N, [a]."""
-    family = str(cfg.get("family", "hyperbolic")).lower()
-    N = int(cfg.get("N", cfg.get("n", 3)))
-    if family == "euclidean":
-        return euclidean(N)
-    if family == "hyperbolic":
-        return hyperbolic(N)
-    if family == "superexp":
-        if "a" not in cfg:
-            raise ArgumentError("superexp family requires key 'a'")
-        return superexp(N, float(cfg["a"]))
-    raise ArgumentError(f"unknown manifold family {family!r}")
-
-
 # ---------------------------------------------------------------------------
 # curvature and weights
 

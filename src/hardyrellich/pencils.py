@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ArgumentError, EvaluationError, NumericError
 from .manifolds import ModelManifold
@@ -72,7 +71,6 @@ class QuadraticPencil:
     b_diag: np.ndarray
     grid: RadialGrid
     order: str
-    boundary: str = "dirichlet"
     rebuild: Callable[[int], "QuadraticPencil"] | None = None
 
     @property
@@ -247,16 +245,18 @@ def _positive_definite(pencil: QuadraticPencil, mu: float) -> bool:
 
     Tridiagonal pencils use LAPACK dpttrf (L D L^T, positive definite iff
     every pivot of D is positive), wider ones dpbtrf (banded Cholesky);
-    either reports info > 0 at the first non-positive pivot.
+    either reports info > 0 at the first non-positive pivot.  scipy loads
+    here, so that commands which solve no pencil never import it.
     """
+    from scipy.linalg import lapack
+
     a = pencil.a_bands
     if pencil.bandwidth == 1:
-        _, _, info = scipy.linalg.lapack.dpttrf(a[0] - mu * pencil.b_diag, a[1, :-1],
-                                                overwrite_d=True)
+        _, _, info = lapack.dpttrf(a[0] - mu * pencil.b_diag, a[1, :-1], overwrite_d=True)
     else:
         ab = np.array(a, order="F")
         ab[0] -= mu * pencil.b_diag
-        _, info = scipy.linalg.lapack.dpbtrf(ab, lower=True, overwrite_ab=True)
+        _, info = lapack.dpbtrf(ab, lower=True, overwrite_ab=True)
     if info < 0:
         raise NumericError(f"LAPACK factorization rejected argument {-info} "
                            f"at mu = {mu:.12g}")
@@ -341,24 +341,27 @@ def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
 
 
 def min_generalized_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
-                               label: str = "") -> ConstantEstimate:
+                               label: str = "",
+                               near: float | None = None) -> ConstantEstimate:
     """Minimal eigenvalue with a refinement history.
 
     When the pencil carries a rebuild closure the solve is repeated at
     M/4, M/2 and M nodes so the history records three grid refinements;
-    hand-built pencils get a single-entry history.
+    hand-built pencils get a single-entry history.  ``near`` (a neighbouring
+    truncation's value, say) warm-starts the first solve, and each level's
+    value warm-starts the next.
     """
     grid = pencil.grid
     history: list[tuple[int, float]] = []
     if pencil.rebuild is not None:
         sizes = sorted({max(32, grid.M // 4), max(32, grid.M // 2), grid.M})
-        value = None
+        value = near
         for m in sizes:
             p = pencil.rebuild(m) if m != grid.M else pencil
             value = smallest_eigenvalue(p, tol, near=value)
             history.append((m, value))
     else:
-        value = smallest_eigenvalue(pencil, tol)
+        value = smallest_eigenvalue(pencil, tol, near=near)
         history.append((grid.M, value))
     return ConstantEstimate(
         value=value,

@@ -277,14 +277,15 @@ def _check_support_inside(u: RadialFunction, grid: RadialGrid) -> None:
         )
 
 
-def _finite_or_raise(vals: np.ndarray, grid: RadialGrid, what: str) -> np.ndarray:
+def _integrate(vals: np.ndarray, grid: RadialGrid, what: str) -> float:
+    """Quadrature of node values; a non-finite value raises EvaluationError."""
     bad = np.nonzero(~np.isfinite(vals))[0]
     if bad.size:
         i = int(bad[0])
         raise EvaluationError(
             f"{what} is non-finite at node {i} (r = {grid.nodes[i]:.6g})"
         )
-    return vals
+    return float(np.dot(grid.quad_weights, vals))
 
 
 def integrate_weighted(f, w, manifold: ModelManifold, grid: RadialGrid) -> float:
@@ -296,8 +297,7 @@ def integrate_weighted(f, w, manifold: ModelManifold, grid: RadialGrid) -> float
     fv = f(grid.nodes) if callable(f) else np.asarray(f, dtype=float)
     wv = w(grid.nodes) if callable(w) else np.asarray(w, dtype=float)
     vals = fv * wv * manifold.measure_weight(grid.nodes)
-    _finite_or_raise(vals, grid, "integrand")
-    return float(np.dot(grid.quad_weights, vals))
+    return _integrate(vals, grid, "integrand")
 
 
 def dirichlet_form(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid) -> float:
@@ -307,8 +307,7 @@ def dirichlet_form(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid)
         raise CapabilityError("dirichlet_form needs first-derivative data")
     du = u.d1(grid.nodes)
     vals = du * du * manifold.measure_weight(grid.nodes)
-    _finite_or_raise(vals, grid, "gradient integrand")
-    return float(np.dot(grid.quad_weights, vals))
+    return _integrate(vals, grid, "gradient integrand")
 
 
 def bilaplacian_form(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid) -> float:
@@ -320,8 +319,7 @@ def bilaplacian_form(u: RadialFunction, manifold: ModelManifold, grid: RadialGri
     r = grid.nodes
     lap = u.d2(r) + (manifold.N - 1) * manifold.dpsi_over_psi(r) * u.d1(r)
     vals = lap * lap * manifold.measure_weight(r)
-    _finite_or_raise(vals, grid, "bilaplacian integrand")
-    return float(np.dot(grid.quad_weights, vals))
+    return _integrate(vals, grid, "bilaplacian integrand")
 
 
 def weighted_l2(u, weight, manifold: ModelManifold, grid: RadialGrid) -> float:
@@ -329,5 +327,4 @@ def weighted_l2(u, weight, manifold: ModelManifold, grid: RadialGrid) -> float:
     uv = u(grid.nodes)
     wv = weight(grid.nodes) if callable(weight) else weight
     vals = uv * uv * wv * manifold.measure_weight(grid.nodes)
-    _finite_or_raise(vals, grid, "weighted L2 integrand")
-    return float(np.dot(grid.quad_weights, vals))
+    return _integrate(vals, grid, "weighted L2 integrand")

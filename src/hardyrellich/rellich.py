@@ -310,7 +310,8 @@ def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 4096) -> fl
 
 
 def estimate_sharp_rellich_r2(N: int, r_min: float = 1e-3, r_max: float = 1e6,
-                              M: int = 8192, tol: float = 1e-8) -> ConstantEstimate:
+                              M: int = 8192, tol: float = 1e-8,
+                              near: float | None = None) -> ConstantEstimate:
     """Radial-sector estimate of the best 1/r^2 constant in the
     Poincare-Rellich inequality; tends to (N-1)^2/8 from above.
 
@@ -318,6 +319,7 @@ def estimate_sharp_rellich_r2(N: int, r_min: float = 1e-3, r_max: float = 1e6,
     d = sinh^((N-1)/2) u (the mode-0 reduced form): direct sinh^(N-1)
     assembly both overflows at the truncation radii the constant needs and
     loses accuracy to exponential cancellation in the discrete operator.
+    ``near`` warm-starts the eigensolve (see min_generalized_eigenvalue).
     """
     _require_dim(N, 5)
     c4 = (N - 1) * (N - 3) / 4.0
@@ -338,7 +340,7 @@ def estimate_sharp_rellich_r2(N: int, r_min: float = 1e-3, r_max: float = 1e6,
         )
 
     est = min_generalized_eigenvalue(build(M), tol,
-                                     label=f"rellich_sharp_r2_radial(N={N})")
+                                     label=f"rellich_sharp_r2_radial(N={N})", near=near)
     if est.value < 0.0:
         raise TruncationError(
             f"numerator form is indefinite on [{r_min:g}, {r_max:g}]; widen it"
@@ -414,9 +416,6 @@ class AsymptoticConstants:
     k1: float
     c2_over_c1: Fraction
     k1_exact: Fraction
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return self.c1, self.c2, self.k1
 
     @property
     def consistency_exact(self) -> bool:

@@ -159,9 +159,12 @@ def poincare_gap_within_1pct(cfg: ToolkitConfig, Ns):
 
 def hardy_sharp_range_and_monotone(cfg: ToolkitConfig, N: int, r_maxes):
     """Sharp Hardy estimates on widening truncations: each in [0.249, 0.30]
-    and nonincreasing as r_max grows."""
-    ests = [hardy.estimate_sharp_hardy(N, r_max=r_max, M=cfg.get_int("grids", "M"))
-            for r_max in r_maxes]
+    and nonincreasing as r_max grows; each estimate warm-starts the next."""
+    ests = []
+    for r_max in r_maxes:
+        ests.append(hardy.estimate_sharp_hardy(
+            N, r_max=r_max, M=cfg.get_int("grids", "M"),
+            near=ests[-1].value if ests else None))
     vals = [est.value for est in ests]
     ok = all(0.249 <= v <= 0.30 for v in vals) and all(
         vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1)
@@ -273,18 +276,19 @@ def one_d_and_euclid_anchors(cfg: ToolkitConfig):
 def rellich_sharp_r2(cfg: ToolkitConfig, r_maxes_by_N: dict):
     """Sharp Rellich 1/r^2 estimates on the truncations r_maxes_by_N[N]:
     each at least (N-1)^2/8 - 1e-2 and nonincreasing as r_max grows; the
-    row value is the widest estimate of the first N."""
+    row value is the widest estimate of the first N.  Each estimate
+    warm-starts the next truncation of the same N."""
     vals, consts = {}, []
     for N, r_maxes in r_maxes_by_N.items():
-        ests = [
-            rellich.estimate_sharp_rellich_r2(
+        ests = []
+        for r_max in r_maxes:
+            ests.append(rellich.estimate_sharp_rellich_r2(
                 N,
                 r_min=cfg.get_float("rellich", "sharp_r_min"),
                 r_max=r_max,
                 M=cfg.get_int("rellich", "sharp_M"),
-            )
-            for r_max in r_maxes
-        ]
+                near=ests[-1].value if ests else None,
+            ))
         vals[N] = [est.value for est in ests]
         consts += [est.csv_row("rellich_sharp_r2_radial", N) for est in ests]
     ok = all(

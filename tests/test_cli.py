@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
@@ -250,6 +252,30 @@ def test_hardy_check_reads_margin_tolerance(tmp_path):
         lines = (out / "results.csv").read_text().splitlines()[1:]
         tolerances = {l.split(",")[0]: float(l.rsplit(",", 1)[1]) for l in lines}
         assert tolerances == expected, argv
+
+
+_IMPORT_BOUNDARY = """
+import sys
+from hardyrellich import cli
+out = sys.argv[1]
+seen = ["scipy" in sys.modules]
+seen.append(cli.main(["rellich", "coeffs", "--out", out]))
+seen.append("scipy" in sys.modules)
+seen.append(cli.main(["hardy", "sharp", "--out", out]))
+seen.append("scipy" in sys.modules)
+print(seen)
+"""
+
+
+def test_scipy_loads_on_first_factorization(tmp_path):
+    # a fresh interpreter: commands that solve no pencil never import scipy
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # scipy absent after import and after `rellich coeffs`; both verbs exit 0
+    assert done.stdout.splitlines()[-1] == "[False, 0, False, 0, True]"
 
 
 def _readme_commands():

@@ -267,6 +267,18 @@ def test_jets_vanish_outside_support():
             assert np.all(part[outside] == 0.0)
 
 
+def test_jet_without_laplacian_matches_full_jet():
+    # the first-order checks skip the Laplacian; what they read is unchanged
+    for v in (euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5),
+              euclid.tensor_bump(1.0, 0.5, 2.0)):
+        grid = euclid.TensorGrid.over_box(*v.box(), 64, 48)
+        full = v.jet(grid, 5)
+        first = v.jet(grid, 5, laplacian=False)
+        assert len(full) == 4 and len(first) == 3
+        for a, b in zip(first, full):
+            assert np.array_equal(a, b)
+
+
 def test_tensor_integrate_masks_axis_only():
     grid = euclid.TensorGrid.over_box(1.0, 0.5, 2.0, 8, 8)
     values = np.ones((8, 8))

@@ -5,6 +5,7 @@ from hardyrellich import hardy
 from hardyrellich import manifolds as mf
 from hardyrellich.errors import ArgumentError, DomainError, SupportError
 from hardyrellich.radial import (
+    RadialFunction,
     bump,
     dirichlet_form,
     grid_covering,
@@ -216,7 +217,31 @@ def test_truncation_error_path(monkeypatch):
     monkeypatch.setattr(
         hardy,
         "min_generalized_eigenvalue",
-        lambda pencil, tol, label="": ConstantEstimate(-0.1, 1e-6, 1.0, 64, []),
+        lambda pencil, tol, label="", near=None: ConstantEstimate(-0.1, 1e-6, 1.0, 64, []),
     )
     with pytest.raises(TruncationError):
         hardy.estimate_sharp_hardy(3, M=64)
+
+
+def test_model_integrals_evaluate_each_profile_once(monkeypatch):
+    # one evaluation of u, u' and psi^(N-1) per grid, and the same bits as
+    # the one-integral helpers, which evaluate them again for every term
+    base = bump(1.0, 2.0)
+    man = mf.superexp(4, 1.5)
+    grid = grid_covering(base.support, 512)
+    weight = mf.hardy_weight_general(man, grid.nodes)
+    expected = {"dirichlet": dirichlet_form(base, man, grid)}
+    for name, w in (("l2", 1.0), ("hardy", lambda r: 1.0 / r**2),
+                    ("psi2", lambda r: np.exp(-2.0 * man.log_psi(r))),
+                    ("curvature", weight)):
+        expected[name] = weighted_l2(base, w, man, grid)
+
+    calls = []
+    measure = mf.ModelManifold.measure_weight
+    monkeypatch.setattr(mf.ModelManifold, "measure_weight",
+                        lambda self, r: calls.append("psi") or measure(self, r))
+    u = RadialFunction(lambda r: calls.append("u") or base(r),
+                       lambda r: calls.append("du") or base.d1(r),
+                       base.d2, base.support)
+    assert hardy._model_integrals(u, man, grid, curvature=weight) == expected
+    assert sorted(calls) == ["du", "psi", "u"]

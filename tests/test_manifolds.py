@@ -168,16 +168,6 @@ def test_dimension_and_domain_guards():
     assert np.isfinite(mf.hyperbolic(3).log_psi(701.0))
 
 
-def test_manifold_from_config():
-    man = mf.manifold_from_config({"family": "superexp", "N": "4", "a": "2.5"})
-    assert man.family == "superexp" and man.N == 4 and man.a == 2.5
-    assert mf.manifold_from_config({"family": "euclidean", "N": 3}).family == "euclidean"
-    with pytest.raises(ArgumentError):
-        mf.manifold_from_config({"family": "superexp", "N": 4})
-    with pytest.raises(ArgumentError):
-        mf.manifold_from_config({"family": "nope"})
-
-
 def test_measure_weight_log_domain():
     man = mf.hyperbolic(9)
     # sinh(80) alone is ~2.8e34; the 8th power only fits through log_psi

@@ -138,9 +138,9 @@ def _assert_tolerance_honoured(monkeypatch, module, estimate, bandwidth):
     # exactly below it, so mu must sit within tol of that switch
     solved = []
 
-    def recording(pencil, tol, label=""):
+    def recording(pencil, tol, label="", near=None):
         solved.append(pencil)
-        return pencils.min_generalized_eigenvalue(pencil, tol, label)
+        return pencils.min_generalized_eigenvalue(pencil, tol, label, near)
 
     monkeypatch.setattr(module, "min_generalized_eigenvalue", recording)
     tol = 1e-8
@@ -178,6 +178,14 @@ def test_factorization_count(monkeypatch):
         calls.clear()
         estimate()
         assert 0 < len(calls) <= 100
+    # a neighbouring truncation's value warm-starts the coarsest level too
+    near = hardy.estimate_sharp_hardy(3, r_max=25.0).value
+    counts = []
+    for warm in (None, near):
+        calls.clear()
+        hardy.estimate_sharp_hardy(3, r_max=50.0, near=warm)
+        counts.append(len(calls))
+    assert counts[1] < counts[0]
 
 
 def test_discrete_minimum_principle():

@@ -9,14 +9,18 @@ square the discrete radial Laplacian through the quadrature weights
 B is always diagonal and strictly positive.
 
 The smallest generalized eigenvalue is found by one solver for every
-bandwidth: bisection on whether A - mu B factors as a positive definite
-matrix (LAPACK dpttrf for tridiagonal pencils, dpbtrf for wider ones), which
-by Sylvester's law of inertia happens exactly when mu lies below the smallest
-eigenvalue.  The bracket starts from Gershgorin and Rayleigh-quotient bounds,
-or is warm-started around a known nearby value (the previous refinement
-level's, or the previous parameter's in a sweep), and is halved in asinh(mu)
-until it is within the requested relative tolerance; no refinement step
-follows, so the returned midpoint is always inside a certified bracket.
+bandwidth, certified by inertia: A - mu B factors as a positive definite
+matrix (LAPACK dpttrf for tridiagonal pencils, dpbtrf for wider ones)
+exactly when mu lies below the smallest eigenvalue (Sylvester's law of
+inertia), so every factorization moves one end of a bracket.  The bracket
+starts from Gershgorin and Rayleigh-quotient bounds, or is warm-started
+around a known nearby value (the previous refinement level's, or the
+previous parameter's in a sweep).  Each factorization below the eigenvalue
+also drives inverse iteration, whose Rayleigh quotient caps the trial
+points; once it has converged, two inertia tests a fraction of the
+tolerance either side of it close the bracket, and plain bisection in
+asinh(mu) takes over wherever the estimate misleads.  The returned
+midpoint is always inside a certified bracket.
 """
 
 from __future__ import annotations
@@ -239,40 +243,53 @@ def assemble_pencil(
 # eigenvalue machinery
 
 
-def _positive_definite(pencil: QuadraticPencil, mu: float) -> bool:
-    """Whether A - mu B is positive definite, i.e. (Sylvester's law of
-    inertia) whether mu lies below the smallest eigenvalue.
+def _positive_definite(pencil: QuadraticPencil,
+                       mu: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Factor A - mu B; return a solver of (A - mu B) y = r with that
+    factor, or None when A - mu B is not positive definite, i.e.
+    (Sylvester's law of inertia) when mu does not lie below the smallest
+    eigenvalue.
 
-    Tridiagonal pencils use LAPACK dpttrf (L D L^T, positive definite iff
-    every pivot of D is positive), wider ones dpbtrf (banded Cholesky);
-    either reports info > 0 at the first non-positive pivot.  scipy loads
-    here, so that commands which solve no pencil never import it.
+    Tridiagonal pencils use LAPACK dpttrf/dpttrs (L D L^T, positive
+    definite iff every pivot of D is positive), wider ones dpbtrf/dpbtrs
+    (banded Cholesky); either factorization reports info > 0 at the first
+    non-positive pivot.  scipy loads here, so that commands which solve no
+    pencil never import it.
     """
     from scipy.linalg import lapack
 
     a = pencil.a_bands
     if pencil.bandwidth == 1:
-        _, _, info = lapack.dpttrf(a[0] - mu * pencil.b_diag, a[1, :-1], overwrite_d=True)
+        d, e, info = lapack.dpttrf(a[0] - mu * pencil.b_diag, a[1, :-1], overwrite_d=True)
+        solver = lambda rhs: lapack.dpttrs(d, e, rhs)
     else:
         ab = np.array(a, order="F")
         ab[0] -= mu * pencil.b_diag
-        _, info = lapack.dpbtrf(ab, lower=True, overwrite_ab=True)
+        ab, info = lapack.dpbtrf(ab, lower=True, overwrite_ab=True)
+        solver = lambda rhs: lapack.dpbtrs(ab, rhs, lower=True)
     if info < 0:
         raise NumericError(f"LAPACK factorization rejected argument {-info} "
                            f"at mu = {mu:.12g}")
-    return info == 0
+    if info > 0:
+        return None
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        y, info = solver(rhs)
+        if info != 0:
+            raise NumericError(f"LAPACK solve rejected argument {-info} at mu = {mu:.12g}")
+        return y
+
+    return solve
 
 
 def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
                         budget: int = 200, near: float | None = None) -> float:
     """Smallest mu with A x = mu B x, for any bandwidth.
 
-    Bisects on the inertia test above, from a Gershgorin lower bound of
-    B^(-1/2) A B^(-1/2) up to min(a0/b), the smallest Rayleigh quotient of
-    a unit vector.  ``lo`` moves only when A - mu B factors and ``hi`` only
-    when it does not.  Each trial point is the midpoint in asinh(mu), which
-    halves the bracket geometrically while it spans orders of magnitude and
-    arithmetically once it is O(1).
+    The answer is certified by inertia tests: ``lo`` moves only when
+    A - mu B factors and ``hi`` only when it does not.  The bracket starts
+    from a Gershgorin lower bound of B^(-1/2) A B^(-1/2) and min(a0/b), the
+    smallest Rayleigh quotient of a unit vector.
 
     ``near``, a value expected close to the answer (a coarser grid's, or a
     neighbouring parameter's), warm-starts the bracket: the solver probes
@@ -281,10 +298,25 @@ def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
     ``near`` that is not finite or lies outside the Gershgorin bracket is
     ignored.
 
+    Each factorization at ``lo`` also serves inverse iteration: the solver
+    takes a step y = (A - lo B)^(-1) B x from the current vector x and
+    forms the Rayleigh quotient rho = lo + y^T B x / y^T B y, which carries
+    no cancellation.  rho bounds the smallest eigenvalue from above, so
+    trial points lie in (lo, min(hi, rho)): the asinh midpoint (which halves
+    the bracket geometrically while it spans orders of magnitude and
+    arithmetically once it is O(1)), or a point just below rho when the
+    steps converge.  More steps reuse the same factor while they shrink
+    rho's change at least tenfold each.  Once rho's estimated error is well
+    under ``tol``, the bracket is probed around rho as around ``near``,
+    with a first step of 0.4 tol max(1, |rho|); from then on the solver only
+    bisects.  A start vector orthogonal to the ground state, or two nearly
+    equal lowest eigenvalues, can mislead rho; the probes then grow and
+    bisection takes over, so the answer stays certified.
+
     Stops once the bracket is no wider than tol * max(1, |lo|, |hi|) and
-    returns its midpoint.  Every probe and every bisection step costs one
-    factorization (dpttrf on tridiagonal pencils, dpbtrf on wider ones) and
-    counts against ``budget``.
+    returns its midpoint.  Every factorization (dpttrf on tridiagonal
+    pencils, dpbtrf on wider ones) and every solve with one counts against
+    ``budget``.
     """
     if tol <= 0:
         raise ArgumentError("tolerance must be positive")
@@ -300,43 +332,79 @@ def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
     hi = float(np.min(a[0] / b))
 
     used = 0
+    solve = None  # solver with the factor of A - lo B, while it pays
 
-    def factors(mu: float) -> bool:
+    def charge() -> None:
         nonlocal used
         if used >= budget:
             raise NumericError(
-                "eigenvalue bisection exhausted its iteration budget: "
+                "eigenvalue solve exhausted its iteration budget: "
                 f"bracket [{lo:.12g}, {hi:.12g}], width {hi - lo:.3g}, "
-                f"iterations {used}"
+                f"iterations {used} (LAPACK calls), on a pencil of "
+                f"size {n}, bandwidth {pencil.bandwidth}"
             )
         used += 1
-        return _positive_definite(pencil, mu)
 
-    if near is not None and lo < near < hi:  # NaN and +-inf fail this test
-        first = 1e-4 * max(1.0, abs(near))
+    def factors(mu: float) -> bool:
+        nonlocal lo, hi, solve
+        charge()
+        factor = _positive_definite(pencil, mu)
+        if factor is None:
+            hi = mu
+            return False
+        lo, solve = mu, factor
+        return True
+
+    def probe(center: float, first: float) -> None:
+        if not lo < center < hi:  # NaN and +-inf fail this test
+            return
         step = first
-        while lo < near - step:
-            if factors(near - step):
-                lo = near - step
+        while lo < center - step:
+            if factors(center - step):
                 break
-            hi = near - step
             step *= 8.0
         step = first
-        while near + step < hi:
-            if not factors(near + step):
-                hi = near + step
+        while center + step < hi:
+            if not factors(center + step):
                 break
-            lo = near + step
             step *= 8.0
 
+    if near is not None:
+        probe(near, 1e-4 * max(1.0, abs(near)))
+
+    x = s  # unit entries in the symmetric form B^(-1/2) A B^(-1/2)
+    rho = change = None  # Rayleigh quotient, |change| at the last step
+    err = math.inf  # estimated rho - (smallest eigenvalue)
+    guided = True
     while (hi - lo) > tol * max(1.0, abs(lo), abs(hi)):
-        mid = math.sinh(0.5 * (math.asinh(lo) + math.asinh(hi)))
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        if factors(mid):
-            lo = mid
-        else:
-            hi = mid
+        if guided and solve is not None:
+            charge()
+            bx = b * x
+            y = solve(bx)
+            yby = float(y @ (b * y))
+            step_rho = lo + float(y @ bx) / yby
+            x = y / math.sqrt(yby)
+            keep = True  # a second step measures the change
+            if rho is not None:
+                d = abs(rho - step_rho)
+                ratio = d / change if change else 1.0
+                err = d * ratio / (1.0 - ratio) if ratio < 0.5 else d
+                change, keep = d, ratio <= 0.1
+            rho = step_rho
+            if err <= 0.05 * tol * max(1.0, abs(rho)):
+                probe(rho, 0.4 * tol * max(1.0, abs(rho)))
+                guided = False
+            elif not keep:
+                solve = None
+            continue
+        upper = min(hi, rho) if guided and rho is not None and lo < rho else hi
+        mid = math.sinh(0.5 * (math.asinh(lo) + math.asinh(upper)))
+        if not lo < mid < upper:
+            mid = 0.5 * (lo + upper)
+        if guided and mid < upper - 2.0 * err:
+            mid = upper - 2.0 * err
+        if not factors(mid):
+            err = math.inf  # aim no more until the next step
     return 0.5 * (lo + hi)
 
 

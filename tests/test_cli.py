@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import hardyrellich
 from hardyrellich import cli, hardy, suites
 from hardyrellich.config import DEFAULTS, ToolkitConfig, default_config, load_config
 from hardyrellich.errors import ArgumentError
@@ -276,6 +277,19 @@ def test_scipy_loads_on_first_factorization(tmp_path):
     assert done.returncode == 0, done.stderr
     # scipy absent after import and after `rellich coeffs`; both verbs exit 0
     assert done.stdout.splitlines()[-1] == "[False, 0, False, 0, True]"
+
+
+@pytest.mark.parametrize("module", [["-W", "error", "-m", "hardyrellich.cli"],
+                                    ["-m", "hardyrellich"]], ids=" ".join)
+def test_python_m_runs_cleanly(module):
+    # a fresh interpreter: no runpy warning, and the package runs as a module
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, *module, "--version"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.strip() == hardyrellich.__version__
 
 
 def _readme_commands():

@@ -123,6 +123,49 @@ def test_solver_matches_dense_eigh(case, tol, near):
         assert mu == pencils.smallest_eigenvalue(pencil, tol)  # ignored
 
 
+def _banded_pencil(A, bw):
+    n = A.shape[0]
+    a_bands = np.zeros((bw + 1, n))
+    for k in range(bw + 1):
+        a_bands[k, : n - k] = np.diag(A, -k)
+    order = pencils.ORDER_LAPLACIAN if bw == 1 else pencils.ORDER_BILAPLACIAN
+    return pencils.QuadraticPencil(a_bands, np.ones(n), make_grid(1.0, 2.0, n, "uniform"), order)
+
+
+def _assert_certified(pencil, A, tol):
+    ref = scipy.linalg.eigh(A, eigvals_only=True)[0]
+    mu = pencils.smallest_eigenvalue(pencil, tol)
+    assert abs(mu - ref) <= tol * max(1.0, abs(mu))
+    assert _positive_definite(pencil, mu - 2 * tol * abs(mu))
+    assert not _positive_definite(pencil, mu + 2 * tol * abs(mu))
+
+
+@pytest.mark.parametrize("bw", [1, 2])
+def test_start_vector_orthogonal_to_ground_state(bw):
+    # T = tridiag(1, 2, 1) of even size has an antisymmetric ground state,
+    # orthogonal to the solver's start vector B^(-1/2) 1 (all ones here):
+    # in exact arithmetic inverse iteration would find the second
+    # eigenvalue.  T^2 has the same eigenvectors.
+    n = 40
+    T = 2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    A = (T if bw == 1 else T @ T) + np.eye(n)
+    ground = scipy.linalg.eigh(A)[1][:, 0]
+    assert abs(ground.sum()) < 1e-12
+    _assert_certified(_banded_pencil(A, bw), A, 1e-8)
+
+
+def test_nearly_degenerate_lowest_pair():
+    # two Dirichlet chains joined by a weak bond: the symmetric and
+    # antisymmetric ground states split by ~1e-6 relative, so inverse
+    # iteration from any shift not that close converges slowly
+    m = 20
+    A = 3.0 * np.eye(2 * m) - np.eye(2 * m, k=1) - np.eye(2 * m, k=-1)
+    A[m - 1, m] = A[m, m - 1] = -2.4e-4
+    lam = scipy.linalg.eigh(A, eigvals_only=True)
+    assert 3e-7 < (lam[1] - lam[0]) / lam[0] < 3e-6
+    _assert_certified(_banded_pencil(A, 1), A, 1e-8)
+
+
 def _positive_definite(pencil, mu):
     ab = pencil.a_bands.copy()
     ab[0] -= mu * pencil.b_diag
@@ -162,22 +205,39 @@ def test_tolerance_honoured_on_tridiagonal_pencil(monkeypatch):
         monkeypatch, hardy, lambda tol: hardy.estimate_sharp_hardy(3, tol=tol), 1)
 
 
-def test_factorization_count(monkeypatch):
-    # asinh bisection and brackets warm-started from the coarser grid keep
-    # a three-level estimate well under 100 inertia tests
+def _count_lapack_calls(monkeypatch):
+    """Record every factorization (its shift) and every solve with one
+    (the string "solve") through the one LAPACK entry point."""
     calls = []
-    inertia = pencils._positive_definite
+    factor = pencils._positive_definite
 
     def counted(pencil, mu):
         calls.append(mu)
-        return inertia(pencil, mu)
+        solve = factor(pencil, mu)
+        if solve is None:
+            return None
+
+        def counted_solve(rhs):
+            calls.append("solve")
+            return solve(rhs)
+
+        return counted_solve
 
     monkeypatch.setattr(pencils, "_positive_definite", counted)
+    return calls
+
+
+def test_factorization_count(monkeypatch):
+    # inverse iteration on the factor at the lower bracket end, certified
+    # by two inertia tests, keeps a three-level estimate within 50 LAPACK
+    # calls, factorizations and solves alike
+    calls = _count_lapack_calls(monkeypatch)
     for estimate in (lambda: hardy.estimate_sharp_hardy(3),
                      lambda: rellich.estimate_sharp_rellich_r2(5, M=8192)):
         calls.clear()
         estimate()
-        assert 0 < len(calls) <= 100
+        assert 0 < len(calls) <= 50
+        assert "solve" in calls
     # a neighbouring truncation's value warm-starts the coarsest level too
     near = hardy.estimate_sharp_hardy(3, r_max=25.0).value
     counts = []
@@ -209,6 +269,18 @@ def test_budget_exhaustion_raises_with_diagnostics():
     near = pencils.smallest_eigenvalue(p)
     with pytest.raises(NumericError, match=r"budget: bracket \[.*\], width"):
         pencils.smallest_eigenvalue(p, tol=1e-12, budget=3, near=near)
+
+
+def test_budget_counts_every_lapack_call(monkeypatch):
+    grid = make_grid(1e-6, 100.0, 2048, "log_graded", 1.0)
+    p = pencils.assemble_pencil(mf.hyperbolic(3), 1.0, lambda r: 1.0 / r**2, grid)
+    calls = _count_lapack_calls(monkeypatch)
+    value = pencils.smallest_eigenvalue(p)
+    used = len(calls)
+    assert "solve" in calls
+    assert pencils.smallest_eigenvalue(p, budget=used) == value
+    with pytest.raises(NumericError, match=r"size 2048, bandwidth 1"):
+        pencils.smallest_eigenvalue(p, budget=used - 1)
 
 
 def test_tolerance_guard():

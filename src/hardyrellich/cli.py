@@ -204,7 +204,7 @@ def _cmd_checks(args, command: str) -> int:
         if args.N is None:
             args.N = default_N
     checks = [partial(check, cfg, *inputs) for check, *inputs in CHECKS[entry](args, cfg)]
-    manifest = suites.run_checks(checks, cfg, command)
+    manifest = suites.run_checks(checks, cfg, command, [entry] * len(checks))
     if entry in OUTPUTS:
         print(f"data written to {OUTPUTS[entry](args, cfg)}")
     return _finish(manifest, args.out)

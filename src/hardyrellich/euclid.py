@@ -6,12 +6,20 @@ quadrature on (|x|, y) with the (N-2)-sphere area folded into the |x|
 weight; that constant is omitted from every margin (it multiplies both
 sides) and restored through sphere_area() where hyperbolic radial values
 are compared against half-space tensor values.
+
+Half-space integrals are evaluated block by block: a TensorGrid yields
+row blocks that share its y axis and hold at most BLOCK_NODES nodes, and
+each check builds the jet and its integrands on one block at a time and
+adds up the block sums, so no array the size of the whole mesh exists.
+Within a block every integral is one w_xi @ values @ w_y, with xi^(N-2)
+and any power of y folded into the 1-D trapezoid weight vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, DomainError, EvaluationError
@@ -68,12 +76,6 @@ def geodesic_distance_halfspace(p, y=None) -> float:
     if yy <= 0.0:
         raise DomainError("half-space height must satisfy y > 0")
     return float(np.arccosh(1.0 + ((yy - 1.0) ** 2 + xi * xi) / (2.0 * yy)))
-
-
-def _dist_grid(xi, y):
-    """Distance to (0,1) on arrays; safe for the xi = 0, y = 1 corner."""
-    w = 1.0 + ((y - 1.0) ** 2 + xi * xi) / (2.0 * y)
-    return np.arccosh(np.maximum(w, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -289,50 +291,63 @@ class TransportedRadial:
         pass; Lap is the R^N Laplacian of v(|x|, y), left off (with U'' and
         the second derivatives of d) unless ``laplacian``.
 
-        U, U' and U'' are evaluated only on the nodes where d lies inside
-        the support of U; every array is exactly zero elsewhere.
+        The support is tested on w = cosh d (cosh a < w < cosh b), and d,
+        U, U' and U'' are evaluated only on the nodes inside it; every
+        array is exactly zero elsewhere.  Factors that depend on y alone
+        are formed on the y axis and gathered.
         """
-        shape = (grid.xi.size, grid.y.size)
-        xi, y = grid.xi[:, None], grid.y[None, :]
-        w = 1.0 + ((y - 1.0) ** 2 + xi * xi) / (2.0 * y)
-        d = np.arccosh(np.maximum(w, 1.0))
         a, b = self.d_support
-        inside = (d > a) & (d < b)
-        xi = np.broadcast_to(xi, shape)[inside]
-        y = np.broadcast_to(y, shape)[inside]
-        w, d = w[inside], d[inside]
+        w = grid.cosh_dist
+        inside = (w > math.cosh(a)) & (w < math.cosh(b))
 
-        g = 1.0 / np.sqrt(w**2 - 1.0)
-        w_xi = xi / y
-        w_y = (y * y - 1.0 - xi * xi) / (2.0 * y * y)
+        def at(values):
+            return np.broadcast_to(values, inside.shape)[inside]
+
+        w = w[inside]
+        d = np.arccosh(w)
+        xi = at(grid.xi[:, None])
+        xi2p1 = 1.0 + xi * xi
+        al = self.alpha
+        inv_y = 1.0 / grid.y
+        iy = at(inv_y)
+        ya = at(grid.y ** -al)
+        ya1 = al * ya * iy  # -(y^-alpha)' = alpha y^(-alpha-1)
+
+        g = 1.0 / np.sqrt(w * w - 1.0)
+        w_xi = xi * iy
+        w_y = 0.5 - xi2p1 * at(0.5 * inv_y * inv_y)
         d_xi = w_xi * g
         d_y = w_y * g
         U, U1 = self.U(d), self.U.d1(d)
 
-        al = self.alpha
-        y_al = y ** (-al)
-        out = np.zeros((4 if laplacian else 3, *shape))
-        out[0][inside] = y_al * U
-        out[1][inside] = y_al * U1 * d_xi
-        out[2][inside] = -al * y ** (-al - 1.0) * U + y_al * U1 * d_y
+        out = np.zeros((4 if laplacian else 3, *inside.shape))
+        out[0][inside] = ya * U
+        out[1][inside] = ya * U1 * d_xi
+        out[2][inside] = ya * U1 * d_y - ya1 * U
         if laplacian:
-            d_xixi = 1.0 / y * g - w * w_xi**2 * g**3
-            d_yy = (1.0 + xi * xi) / y**3 * g - w * w_y**2 * g**3
+            g3w = w * g**3
+            d_xixi = iy * g - w_xi**2 * g3w
+            d_yy = xi2p1 * iy**3 * g - w_y**2 * g3w
             U2 = self.U.d2(d)
-            v_xixi = y_al * (U2 * d_xi**2 + U1 * d_xixi)
-            v_yy = (
-                al * (al + 1.0) * y ** (-al - 2.0) * U
-                - 2.0 * al * y ** (-al - 1.0) * U1 * d_y
-                + y_al * (U2 * d_y**2 + U1 * d_yy)
+            # v_xixi + v_yy + (N-2) v_xi/xi, where d_xi/xi = g/y stays
+            # finite on the axis
+            out[3][inside] = (
+                ya * (U2 * (d_xi * d_xi + d_y * d_y)
+                      + U1 * (d_xixi + d_yy + (N - 2) * g * iy))
+                + ya1 * ((al + 1.0) * U * iy - 2.0 * U1 * d_y)
             )
-            # d_xi / xi = g / y stays finite on the axis
-            radial = y_al * U1 * (g / y)
-            out[3][inside] = v_xixi + (N - 2) * radial + v_yy
         return tuple(out)
+
+
+# Row blocks of a TensorGrid hold at most this many nodes, so each
+# block-sized temporary of a half-space integrand is at most 128 KiB.
+BLOCK_NODES = 2**14
 
 
 @dataclass(frozen=True)
 class TensorGrid:
+    """Tensor trapezoid grid on (|x|, y) = (xi, y), with the 1-D weights."""
+
     xi: np.ndarray
     y: np.ndarray
     w_xi: np.ndarray
@@ -355,39 +370,82 @@ class TensorGrid:
 
         return TensorGrid(xi, y, trap(xi), trap(y))
 
-    def integrate(self, values: np.ndarray, N: int) -> float:
-        """Tensor trapezoid of values * xi^(N-2) (sphere factor omitted).
+    def blocks(self):
+        """Row blocks of the grid: sub-grids over consecutive xi rows that
+        share the y axis and hold at most BLOCK_NODES nodes (one row at
+        least).  Their integrals add up to the grid's."""
+        rows = max(1, BLOCK_NODES // self.y.size)
+        for i in range(0, self.xi.size, rows):
+            yield TensorGrid(self.xi[i:i + rows], self.y,
+                             self.w_xi[i:i + rows], self.w_y)
 
-        The xi = 0 column carries zero measure, so singular integrands on
-        the axis are masked there rather than propagated; a non-finite
-        value anywhere else raises EvaluationError.
+    @cached_property
+    def cosh_dist(self) -> np.ndarray:
+        """cosh of the distance to (0, 1) on the mesh, A(y) + xi^2 B(y)
+        with A = 1 + (y-1)^2/(2y) and B = 1/(2y); kept for the jet and
+        the integrands of one block."""
+        b = 0.5 / self.y
+        return (1.0 + (self.y - 1.0) ** 2 * b) + (self.xi * self.xi)[:, None] * b
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """Distance to (0, 1) on the mesh; 0 at the corner (0, 1)."""
+        return np.arccosh(np.maximum(self.cosh_dist, 1.0))
+
+    def integrate(self, values: np.ndarray, N: int, y_power: float = 0) -> float:
+        """Tensor trapezoid of values * xi^(N-2) / y^y_power (sphere factor
+        omitted), as one w_xi @ values @ w_y with both powers folded into
+        the 1-D weights.
+
+        The xi = 0 row carries zero measure and is dropped, so singular
+        integrands on the axis never enter the sum; a non-finite value
+        anywhere else raises EvaluationError naming its node, and so does
+        a sum that overflows.
         """
-        axis = (self.xi == 0.0)[:, None]
-        bad = ~np.isfinite(values) & ~axis
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
+        k = int(self.xi[0] == 0.0)
+        w_xi = self.w_xi[k:] * self.xi[k:] ** (N - 2)
+        w_y = self.w_y * self.y ** -y_power if y_power else self.w_y
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
+            total = float(w_xi @ values[k:] @ w_y)
+        if math.isfinite(total):
+            return total
+        bad = np.argwhere(~np.isfinite(values[k:]))
+        if bad.size:
+            i, j = bad[0]
             raise EvaluationError(
                 f"half-space integrand is non-finite at "
-                f"(xi, y) = ({self.xi[i]:.6g}, {self.y[j]:.6g})"
+                f"(xi, y) = ({self.xi[k + i]:.6g}, {self.y[j]:.6g})"
             )
-        col = np.where(axis, 0.0, values) * self.xi[:, None] ** (N - 2)
-        return float(self.w_xi @ col @ self.w_y)
+        raise EvaluationError(
+            f"half-space integral overflows on the rows "
+            f"xi in [{self.xi[0]:.6g}, {self.xi[-1]:.6g}]"
+        )
+
+
+def _block_sums(v, N: int, nx: int, ny: int, sides, laplacian: bool):
+    """Sums over the row blocks of the nx x ny grid on v's box of
+    sides(block, v, v_xi, v_y[, lap]), a tuple of block integrals, with
+    lap only if ``laplacian``."""
+    sums = None
+    # 0/0 on the xi = 0 axis at (0, 1) is dropped by integrate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for block in TensorGrid.over_box(*v.box(), nx, ny).blocks():
+            part = sides(block, *v.jet(block, N, laplacian))
+            sums = part if sums is None else tuple(s + p for s, p in zip(sums, part))
+    return sums
 
 
 def _tensor_margin(name: str, v, N: int, nx: int, ny: int, sides,
                    laplacian: bool = False) -> MarginReport:
-    """Half-space margin report from sides(grid, v, v_xi, v_y[, lap]) ->
-    (lhs, rhs), with lap only if ``laplacian``, judged on an nx x ny grid
-    over v's box; the margin change against the half-resolution grid is
-    the quadrature error."""
+    """Half-space margin report from sides(block, v, v_xi, v_y[, lap]) ->
+    (lhs, rhs) summed over the row blocks, with lap only if
+    ``laplacian``, judged on an nx x ny grid over v's box; the margin
+    change against the half-resolution grid is the quadrature error."""
     if v.y_support[0] <= 0.0:
         raise ArgumentError("support must stay away from the boundary y = 0")
 
     def one(mx, my):
-        grid = TensorGrid.over_box(*v.box(), mx, my)
-        # 0/0 on the xi = 0 axis at (0, 1) is masked by integrate
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return sides(grid, *v.jet(grid, N, laplacian))
+        return _block_sums(v, N, mx, my, sides, laplacian)
 
     return MarginReport.from_sides(one, (nx, ny), name, N, "halfspace", v.label)
 
@@ -404,11 +462,10 @@ def check_halfspace_hardy(v, N: int, nx: int = 512, ny: int = 512) -> MarginRepo
         raise DomainError("half-space inequality needs N >= 3")
 
     def sides(grid, vv, vx, vy):
-        Y = grid.y[None, :]
-        d = _dist_grid(grid.xi[:, None], Y)
+        v2 = vv * vv
         lhs = grid.integrate(vx * vx + vy * vy, N)
-        rhs = 0.25 * grid.integrate(vv * vv / Y**2, N) + 0.25 * grid.integrate(
-            vv * vv / (Y**2 * d**2), N
+        rhs = 0.25 * grid.integrate(v2, N, 2) + 0.25 * grid.integrate(
+            v2 / grid.dist**2, N, 2
         )
         return lhs, rhs
 
@@ -435,25 +492,26 @@ def check_halfspace_rellich(v, N: int, which: str, nx: int = 512,
         raise ArgumentError("which must be 'y2' or 'y4'")
 
     def sides(grid, vv, vx, vy, lap):
-        Y = grid.y[None, :]
-        d = _dist_grid(grid.xi[:, None], Y)
         grad2 = vx * vx + vy * vy
         if which == "y2":
-            lhs = grid.integrate(Y**2 * lap**2, N) + N * (N - 2) / 2.0 * (
+            lhs = grid.integrate(lap * lap, N, -2) + N * (N - 2) / 2.0 * (
                 grid.integrate(grad2, N)
             )
-            base = vv * vv / Y**2
+            p = 2
             c0 = (2.0 * N * N - 4.0 * N + 1.0) / 16.0
         else:
-            lhs = grid.integrate(lap**2, N) + (N * N - 2.0 * N - 4.0) / 2.0 * (
-                grid.integrate(grad2 / Y**2, N)
+            lhs = grid.integrate(lap * lap, N) + (N * N - 2.0 * N - 4.0) / 2.0 * (
+                grid.integrate(grad2, N, 2)
             )
-            base = vv * vv / Y**4
+            p = 4
             c0 = 9.0 * (2.0 * N * N - 4.0 * N - 7.0) / 16.0
+        v2 = vv * vv
+        d2 = grid.dist**2
+        over_d2 = v2 / d2
         rhs = (
-            c0 * grid.integrate(base, N)
-            + (N - 1) ** 2 / 8.0 * grid.integrate(base / d**2, N)
-            + 9.0 / 16.0 * grid.integrate(base / d**4, N)
+            c0 * grid.integrate(v2, N, p)
+            + (N - 1) ** 2 / 8.0 * grid.integrate(over_d2, N, p)
+            + 9.0 / 16.0 * grid.integrate(over_d2 / d2, N, p)
         )
         return lhs, rhs
 
@@ -466,9 +524,8 @@ def aux_gradient_inequality(v, N: int, nx: int = 512, ny: int = 512) -> MarginRe
     optimality argument: int int |grad v|^2/y^2 >= 9/4 int int v^2/y^4."""
 
     def sides(grid, vv, vx, vy):
-        Y = grid.y[None, :]
-        lhs = grid.integrate((vx * vx + vy * vy) / Y**2, N)
-        rhs = 2.25 * grid.integrate(vv * vv / Y**4, N)
+        lhs = grid.integrate(vx * vx + vy * vy, N, 2)
+        rhs = 2.25 * grid.integrate(vv * vv, N, 4)
         return lhs, rhs
 
     return _tensor_margin("halfspace_aux_gradient", v, N, nx, ny, sides)
@@ -585,15 +642,15 @@ def halfspace_bilaplacian_identity(U: RadialFunction, N: int,
                            lap * lap * man.measure_weight(grid.nodes)))
     lhs = sphere_area(N) * lhs_rad
 
+    def sides(grid, vv, vx, vy, lap_v):
+        return (
+            grid.integrate(lap_v * lap_v, N, -2)
+            + N * (N - 2) / 2.0 * grid.integrate(vx * vx + vy * vy, N)
+            + N * N * (N - 2) ** 2 / 16.0 * grid.integrate(vv * vv, N, 2),
+        )
+
     v = TransportedRadial(U, N, alpha=(N - 2) / 2.0)
-    tgrid = TensorGrid.over_box(*v.box(), nx, ny)
-    vv, vx, vy, lap_v = v.jet(tgrid, N)
-    Y = tgrid.y[None, :]
-    rhs_tensor = (
-        tgrid.integrate(Y**2 * lap_v**2, N)
-        + N * (N - 2) / 2.0 * tgrid.integrate(vx * vx + vy * vy, N)
-        + N * N * (N - 2) ** 2 / 16.0 * tgrid.integrate(vv * vv / Y**2, N)
-    )
+    (rhs_tensor,) = _block_sums(v, N, nx, ny, sides, laplacian=True)
     rhs = sphere_area(N - 1) * rhs_tensor
     return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 

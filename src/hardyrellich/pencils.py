@@ -317,6 +317,16 @@ def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
     returns its midpoint.  Every factorization (dpttrf on tridiagonal
     pencils, dpbtrf on wider ones) and every solve with one counts against
     ``budget``.
+
+    The certificate is only as good as the factorization's backward
+    error: whether A - mu B factors is decided in floating point, so the
+    bracket locates the smallest eigenvalue of a pencil within that
+    backward error of the one assembled.  On the tridiagonal Hardy pencils
+    the shift where the factorization starts failing and the converged
+    Rayleigh quotient agree to about 5e-12 relative.  On the finest
+    pentadiagonal Rellich r^-2 pencil of the sharp estimator at M = 32768
+    (n = 32764) they differ by up to 6.4e-8 relative, above tol = 1e-8,
+    so there the bracket holds to tol only for the perturbed pencil.
     """
     if tol <= 0:
         raise ArgumentError("tolerance must be positive")

@@ -199,22 +199,30 @@ def bump(a: float, b: float, rise: float | None = None, fall: float | None = Non
         raise ArgumentError("bump widths must be positive and fit inside [a, b]")
     m1, m2 = a + rise, b - fall
 
-    def _piece(r, up, plateau, down):
+    def _ramp(r):
+        # one smoothstep argument for the whole bump, in one pass: the
+        # rise's (r - a) / rise up to the fall's knot and the fall's
+        # (b - r) / fall after it, clipped to [0, 1], so exactly 0 outside
+        # (a, b); set to exactly 1 on the plateau by comparing r with the
+        # knots, because (r - a) / rise can round below 1 there.  As
+        # s(1) = 1 and s'(1) = s''(1) = 0, s of it is the product of the
+        # clipped rise and fall smoothsteps.
         r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        sel = (r > a) & (r < m1)
-        out[sel] = up((r[sel] - a) / rise)
-        sel = (r >= m1) & (r <= m2)
-        out[sel] = plateau
-        sel = (r > m2) & (r < b)
-        out[sel] = down((b - r[sel]) / fall)
-        return out
+        before_fall = r <= m2
+        t = np.clip(np.where(before_fall, (r - a) / rise, (b - r) / fall), 0.0, 1.0)
+        return before_fall, np.where((r >= m1) & before_fall, 1.0, t)
 
-    value = lambda r: _piece(r, _smoothstep, 1.0, _smoothstep)
-    d1 = lambda r: _piece(r, lambda t: _smoothstep_d1(t) / rise, 0.0,
-                          lambda t: -_smoothstep_d1(t) / fall)
-    d2 = lambda r: _piece(r, lambda t: _smoothstep_d2(t) / rise**2, 0.0,
-                          lambda t: _smoothstep_d2(t) / fall**2)
+    def value(r):
+        return _smoothstep(_ramp(r)[1])
+
+    def d1(r):
+        before_fall, t = _ramp(r)
+        return _smoothstep_d1(t) / np.where(before_fall, rise, -fall)
+
+    def d2(r):
+        before_fall, t = _ramp(r)
+        return _smoothstep_d2(t) / np.where(before_fall, rise**2, fall**2)
+
     return RadialFunction(value, d1, d2, support=(a, b),
                           label=label or f"bump[{a:g},{b:g}]")
 

@@ -47,6 +47,9 @@ class ExperimentManifest:
     results: list[CheckRow] = field(default_factory=list)
     constants: list[str] = field(default_factory=list)  # constant CSV rows
     wall_time_s: float = 0.0
+    # (check, suite, seconds) in run order; written to manifest.json only,
+    # so the CSVs stay byte-identical across runs
+    check_seconds: list[tuple[str, str, float]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -55,6 +58,12 @@ class ExperimentManifest:
     @property
     def exit_code(self) -> int:
         return 0 if self.passed else 1
+
+    def suite_seconds(self) -> dict[str, float]:
+        totals: dict[str, float] = {}
+        for _, suite, t in self.check_seconds:
+            totals[suite] = totals.get(suite, 0.0) + t
+        return totals
 
     def sorted_results(self) -> list[CheckRow]:
         return sorted(self.results, key=lambda r: r.name)
@@ -66,6 +75,11 @@ class ExperimentManifest:
             "seed": self.seed,
             "version": self.version,
             "wall_time_s": self.wall_time_s,
+            "check_seconds": [
+                {"check": name, "suite": suite, "seconds": t}
+                for name, suite, t in self.check_seconds
+            ],
+            "suite_seconds": self.suite_seconds(),
             "passed": self.passed,
             "results": [asdict(r) for r in self.sorted_results()],
             "constants": sorted(self.constants),

@@ -576,18 +576,26 @@ def run_suite(suite: str, config: ToolkitConfig | None = None,
         "asymptotics": _asymptotics_checks,
     }
     names = [s for s in builders] if suite == "all" else [suite]
-    checks = [check for name in names for check in builders[name](config)]
-    return run_checks(checks, config, command or f"verify --suite {suite}")
+    built = [(name, check) for name in names for check in builders[name](config)]
+    return run_checks([check for _, check in built], config,
+                      command or f"verify --suite {suite}",
+                      suite_names=[name for name, _ in built])
 
 
-def run_checks(checks, config: ToolkitConfig, command: str) -> ExperimentManifest:
-    """Run zero-argument checks in order and collect their rows and
-    constants into a manifest."""
+def run_checks(checks, config: ToolkitConfig, command: str,
+               suite_names=None) -> ExperimentManifest:
+    """Run zero-argument checks in order and collect their rows, constants
+    and wall times into a manifest.  ``suite_names`` names the suite of
+    each check, in order, for the manifest's per-suite totals; without it
+    every check counts under ``command``."""
     start = time.perf_counter()
     rows: list[CheckRow] = []
     constants: list[str] = []
-    for check in checks:
+    seconds: list[tuple[str, str, float]] = []
+    for check, group in zip(checks, suite_names or [command] * len(checks)):
+        began = time.perf_counter()
         result, found = check()
+        seconds.append((result.name, group, time.perf_counter() - began))
         rows.append(result)
         constants.extend(found)
     return ExperimentManifest(
@@ -597,4 +605,5 @@ def run_checks(checks, config: ToolkitConfig, command: str) -> ExperimentManifes
         results=rows,
         constants=constants,
         wall_time_s=time.perf_counter() - start,
+        check_seconds=seconds,
     )

@@ -309,3 +309,19 @@ def test_readme_config_block_lists_every_key(tmp_path):
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
 def test_readme_command_exits_zero(argv, tmp_path):
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+
+
+def test_manifest_times_each_check(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert cli.main(["verify", "--suite", "all", "--out", str(out)]) == 0
+    manifest = json.loads((a / "manifest.json").read_text())
+    timed = manifest["check_seconds"]
+    assert sorted(t["check"] for t in timed) == [r["name"] for r in manifest["results"]]
+    assert set(manifest["suite_seconds"]) == set(suites.SUITES) - {"all"}
+    total = sum(t["seconds"] for t in timed)
+    assert sum(manifest["suite_seconds"].values()) == pytest.approx(total)
+    assert abs(total - manifest["wall_time_s"]) <= 0.05 * manifest["wall_time_s"]
+    # timings go only into the manifest
+    for name in ("results.csv", "constants.csv", "residuals.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()

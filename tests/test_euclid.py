@@ -287,3 +287,101 @@ def test_tensor_integrate_masks_axis_only():
     values[4, 5] = np.nan
     with pytest.raises(EvaluationError, match=f"{grid.xi[4]:.6g}, {grid.y[5]:.6g}"):
         grid.integrate(values, 3)
+
+
+def test_tensor_integrate_raises_on_overflow():
+    grid = euclid.TensorGrid.over_box(10.0, 0.5, 20.0, 8, 8)
+    values = np.full((8, 8), 1e308)  # finite, but their integral is not
+    with pytest.raises(EvaluationError, match="overflows"):
+        grid.integrate(values, 3)
+
+
+@pytest.mark.parametrize("y_power", [2, 4, -2])
+def test_tensor_integrate_folds_y_power(y_power):
+    grid = euclid.TensorGrid.over_box(1.3, 0.4, 2.5, 17, 23)
+    values = np.random.default_rng(5).uniform(0.5, 2.0, (17, 23))
+    direct = grid.integrate(values / grid.y ** y_power, 5)
+    assert grid.integrate(values, 5, y_power) == pytest.approx(direct, rel=1e-14)
+
+
+def test_blocks_partition_rows_under_budget(monkeypatch):
+    monkeypatch.setattr(euclid, "BLOCK_NODES", 10 * 16)  # ten rows of 16
+    for nx, rows in [(1, [1]), (9, [9]), (10, [10]), (23, [10, 10, 3])]:
+        grid = euclid.TensorGrid.over_box(1.0, 0.5, 2.0, nx, 16)
+        blocks = list(grid.blocks())
+        assert [blk.xi.size for blk in blocks] == rows
+        assert all(blk.y is grid.y and blk.w_y is grid.w_y for blk in blocks)
+        assert np.array_equal(np.concatenate([blk.xi for blk in blocks]), grid.xi)
+        assert np.array_equal(np.concatenate([blk.w_xi for blk in blocks]), grid.w_xi)
+    monkeypatch.setattr(euclid, "BLOCK_NODES", 15)  # less than one row
+    grid = euclid.TensorGrid.over_box(1.0, 0.5, 2.0, 3, 16)
+    assert [blk.xi.size for blk in grid.blocks()] == [1, 1, 1]
+
+
+def _blocked_values():
+    transported = euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5)
+    tensor = euclid.tensor_bump(1.0, 0.5, 2.0)
+    reports = [
+        euclid.check_halfspace_hardy(transported, 5, 40, 32),
+        euclid.check_halfspace_hardy(tensor, 3, 40, 32),
+        euclid.check_halfspace_rellich(transported, 5, "y2", 40, 32),
+        euclid.check_halfspace_rellich(tensor, 5, "y4", 40, 32),
+        euclid.aux_gradient_inequality(tensor, 5, 40, 32),
+    ]
+    values = [x for rep in reports for x in (rep.lhs, rep.rhs, rep.margin)]
+    return values + [euclid.halfspace_bilaplacian_identity(
+        bump(0.5, 1.5), 5, nodes=512, nx=40, ny=32)[1]]
+
+
+@pytest.mark.parametrize("rows", [1, 39, 40, 7])
+def test_blocked_margins_match_single_block(monkeypatch, rows):
+    # rows per block on the 40 x 32 grid: one row, all but one row (a
+    # one-row remainder), exactly the grid, and a 5-row remainder
+    single = _blocked_values()
+    monkeypatch.setattr(euclid, "BLOCK_NODES", rows * 32)
+    blocked = _blocked_values()
+    assert blocked == pytest.approx(single, rel=1e-13)
+
+
+class _PlantedNaN:
+    """The tensor bump with its value made NaN at the nodes (xi, y)."""
+
+    def __init__(self, xi, y):
+        self.base = euclid.tensor_bump(1.0, 0.5, 2.0)
+        self.xi, self.y = xi, y
+        self.y_support = self.base.y_support
+        self.label = "planted"
+
+    def box(self):
+        return self.base.box()
+
+    def jet(self, grid, N, laplacian=True):
+        parts = self.base.jet(grid, N, laplacian)
+        parts[0][np.ix_(np.isin(grid.xi, self.xi), np.isin(grid.y, self.y))] = np.nan
+        return parts
+
+
+def test_nan_in_a_later_block_names_its_node(monkeypatch):
+    monkeypatch.setattr(euclid, "BLOCK_NODES", 4 * 32)  # four rows a block
+    grid = euclid.TensorGrid.over_box(*euclid.tensor_bump(1.0, 0.5, 2.0).box(), 40, 32)
+    xi, y = grid.xi[25], grid.y[7]  # row 25 lies in the seventh block
+    with pytest.raises(EvaluationError, match=f"\\({xi:.6g}, {y:.6g}\\)"):
+        euclid.check_halfspace_hardy(_PlantedNaN(xi, y), 3, 40, 32)
+    # a NaN on the xi = 0 axis carries zero measure and is dropped
+    report = euclid.check_halfspace_hardy(_PlantedNaN(0.0, grid.y), 3, 40, 32)
+    clean = euclid.check_halfspace_hardy(euclid.tensor_bump(1.0, 0.5, 2.0), 3, 40, 32)
+    assert (report.lhs, report.rhs) == (clean.lhs, clean.rhs)
+
+
+def test_halfspace_hardy_peak_memory_is_block_sized():
+    import tracemalloc
+
+    v = euclid.TransportedRadial(bump(0.5, 1.5), 3, 0.5)
+    euclid.check_halfspace_hardy(v, 3, 16, 16)  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        euclid.check_halfspace_hardy(v, 3, 768, 768)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 768 * 768 * 8  # two 768^2 float arrays, 9 MiB

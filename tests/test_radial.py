@@ -199,3 +199,60 @@ def test_sampled_radial_function():
         f(np.array([1.5]))
     with pytest.raises(ArgumentError):
         radial.RadialFunction.from_samples(g, vals[:-1])
+
+
+def _piecewise_bump(a, b, rise, fall):
+    """Reference bump: each piece of the quintic rise, plateau and fall
+    gathered and evaluated on its own nodes."""
+    m1, m2 = a + rise, b - fall
+    s = radial._smoothstep
+    s1 = radial._smoothstep_d1
+    s2 = radial._smoothstep_d2
+
+    def piece(r, up, plateau, down):
+        out = np.zeros_like(r)
+        sel = (r > a) & (r < m1)
+        out[sel] = up((r[sel] - a) / rise)
+        out[(r >= m1) & (r <= m2)] = plateau
+        sel = (r > m2) & (r < b)
+        out[sel] = down((b - r[sel]) / fall)
+        return out
+
+    return (
+        lambda r: piece(r, s, 1.0, s),
+        lambda r: piece(r, lambda t: s1(t) / rise, 0.0, lambda t: -s1(t) / fall),
+        lambda r: piece(r, lambda t: s2(t) / rise**2, 0.0, lambda t: s2(t) / fall**2),
+    )
+
+
+@pytest.mark.parametrize("a, b, rise, fall", [
+    (0.2, 0.8, None, None),
+    (0.5, 1.5, None, None),
+    (1.0, 2.0, 0.3, 0.2),
+    (0.0, 1.0, 0.5, 0.5),
+    (0.37, 2.11, 0.41, 0.77),
+])
+def test_bump_matches_piecewise_formula(a, b, rise, fall):
+    u = radial.bump(a, b, rise, fall)
+    rise = (b - a) / 2.0 if rise is None else rise
+    fall = (b - a) / 2.0 if fall is None else fall
+    m1, m2 = a + rise, b - fall
+    r = np.concatenate([np.linspace(a - 0.3, b + 0.3, 20001), [a, b, m1, m2]])
+    flat = ((r >= m1) & (r <= m2)) | (r <= a) | (r >= b)
+    for got, ref in zip((u.value, u.d1, u.d2), _piecewise_bump(a, b, rise, fall)):
+        g, e = got(r), ref(r)
+        assert np.array_equal(g[flat], e[flat])
+        assert np.all(np.abs(g - e) <= 1e-15 * np.abs(e))
+
+
+def test_bump_plateau_is_exact():
+    # r = 0.5 is the rise's end knot of bump(0.2, 0.8), yet (r - a) / rise
+    # rounds below 1 there, where s' is not exactly 0
+    u = radial.bump(0.2, 0.8)
+    assert 0.2 + (0.8 - 0.2) / 2.0 == 0.5
+    assert (0.5 - 0.2) / ((0.8 - 0.2) / 2.0) < 1.0
+    r = np.array([0.5])
+    assert u(r)[0] == 1.0 and u.d1(r)[0] == 0.0 and u.d2(r)[0] == 0.0
+    outside = np.array([0.2, 0.8, -1.0, 3.0])
+    for f in (u.value, u.d1, u.d2):
+        assert np.all(f(outside) == 0.0)

@@ -7,12 +7,15 @@ weight; that constant is omitted from every margin (it multiplies both
 sides) and restored through sphere_area() where hyperbolic radial values
 are compared against half-space tensor values.
 
-Half-space integrals are evaluated block by block: a TensorGrid yields
-row blocks that share its y axis and hold at most BLOCK_NODES nodes, and
-each check builds the jet and its integrands on one block at a time and
-adds up the block sums, so no array the size of the whole mesh exists.
-Within a block every integral is one w_xi @ values @ w_y, with xi^(N-2)
-and any power of y folded into the 1-D trapezoid weight vectors.
+Each half-space check lists its integrals as terms, tensor trapezoid sums
+of xi^(N-2) y^(-p) Q d^(-2k) with Q one of v^2, |grad v|^2 and (Lap v)^2,
+and _halfspace_sums evaluates them on one TensorGrid per resolution by the
+method the test function's type allows.  The trapezoid sum of a tensor
+product fx(|x|) fy(y) is the product of the two 1-D trapezoid sums, so
+only its distance-weighted terms visit the mesh; a transported radial
+profile is evaluated only at the nodes inside its support.  The mesh is
+visited in row blocks that share the y axis and hold at most BLOCK_NODES
+nodes, so no array the size of the whole mesh exists.
 """
 
 from __future__ import annotations
@@ -215,6 +218,15 @@ def boundary_weight_comparison(samples: int = 1000) -> tuple[bool, float]:
 
 # ---------------------------------------------------------------------------
 # tensor functions on the half-space
+#
+# A half-space term (q, p, k) is the tensor trapezoid sum of
+#   xi^(N-2) y^(-p) Q d^(-2k)
+# over a grid without its xi = 0 row (sphere factor omitted), where Q is
+# v^2 for q = "v2", |grad v|^2 for "grad2" and (Lap v)^2 for "lap2", with
+# Lap the R^N Laplacian of v(|x|, y), and d is the distance to (0, 1); only
+# v2 terms carry a distance power.  Each test function type sums a list of
+# terms with integrals(grid, N, terms) and gives one term's integrand on a
+# row block with integrand(block, N, term).
 
 
 class TensorProductFunction:
@@ -232,23 +244,59 @@ class TensorProductFunction:
         ya, yb = self.y_support
         return (xb * (1 + pad), ya * (1 - pad), yb * (1 + pad))
 
-    def jet(self, grid: "TensorGrid", N: int, laplacian: bool = True):
-        """(v, dv/dxi, dv/dy, Lap v) on the grid's mesh, from the factors
-        evaluated once on each axis; Lap is the R^N Laplacian of v(|x|, y),
-        left off (with the second derivatives) unless ``laplacian``."""
-        xi, y = grid.xi, grid.y
-        fx, fx1 = self.fx(xi), self.fx.d1(xi)
-        fy, fy1 = self.fy(y), self.fy.d1(y)
-        first = (np.outer(fx, fy), np.outer(fx1, fy), np.outer(fx, fy1))
-        if not laplacian:
-            return first
-        radial = np.zeros_like(xi)
-        off_axis = xi > 0.0
-        radial[off_axis] = fx1[off_axis] / xi[off_axis]
-        return (
-            *first,
-            np.outer(self.fx.d2(xi) + (N - 2) * radial, fy) + np.outer(fx, self.fy.d2(y)),
-        )
+    def x_jet(self, xi, N: int):
+        """(fx, fx', Lx) at xi > 0, where Lx = fx'' + (N-2) fx'/xi, so that
+        the R^N Laplacian of v(|x|, y) is Lx fy + fx fy''."""
+        f, f1, f2 = self.fx.jet(xi)
+        return f, f1, f2 + (N - 2) * f1 / xi
+
+    def _products(self, grid: "TensorGrid", N: int) -> dict:
+        """Each Q on the grid as (x, y) pairs of axis vectors whose outer
+        products add up to Q; (Lap v)^2 expands as
+        Lx^2 fy^2 + 2 (Lx fx)(fy fy'') + fx^2 fy''^2."""
+        fx, fx1, lx = self.x_jet(grid.xi, N)
+        fy, fy1, fy2 = self.fy.jet(grid.y)
+        fx_sq, fy_sq = fx * fx, fy * fy
+        return {
+            "v2": [(fx_sq, fy_sq)],
+            "grad2": [(fx1 * fx1, fy_sq), (fx_sq, fy1 * fy1)],
+            "lap2": [(lx * lx, fy_sq), (2.0 * lx * fx, fy * fy2), (fx_sq, fy2 * fy2)],
+        }
+
+    def integrals(self, grid: "TensorGrid", N: int, terms) -> np.ndarray:
+        """The terms' sums on the grid.  The trapezoid sum of an outer
+        product is the product of the two 1-D sums, so a term without a
+        distance power is a few dot products; a distance-weighted one is
+        (w_xi x)[rows] @ d^(-2k) @ (w_y y) summed over the row blocks, with
+        d^-2 formed once per block for all such terms."""
+        products = self._products(grid, N)
+        w_xi = grid.xi_weights(N)
+        sums = np.zeros(len(terms))
+        weighted = []
+        for t, (q, p, k) in enumerate(terms):
+            w_y = grid.y_weights(p)
+            if k:
+                weighted += [(t, k, w_xi * x, w_y * y) for x, y in products[q]]
+            else:
+                sums[t] = sum((w_xi @ x) * (w_y @ y) for x, y in products[q])
+        start = 0
+        for block in grid.blocks() if weighted else ():
+            rows = slice(start, start + block.xi.size)
+            start = rows.stop
+            inv_d2 = 1.0 / np.arccosh(block.cosh_dist) ** 2
+            for t, k, x, y in weighted:
+                sums[t] += x[rows] @ (inv_d2 if k == 1 else inv_d2 * inv_d2) @ y
+        return sums
+
+    def integrand(self, block: "TensorGrid", N: int, term):
+        """(values, rows, cols): a term's integrand at every node
+        (block.xi[rows], block.y[cols]) of a row block, in row order."""
+        q, _, k = term
+        values = sum(np.outer(x, y) for x, y in self._products(block, N)[q])
+        if k:
+            values = values / np.arccosh(block.cosh_dist) ** (2 * k)
+        rows, cols = np.indices(values.shape).reshape(2, -1)
+        return values.ravel(), rows, cols
 
 
 def tensor_bump(xi_extent: float, y_lo: float, y_hi: float,
@@ -286,24 +334,25 @@ class TransportedRadial:
             self.y_support[1] * (1 + pad),
         )
 
-    def jet(self, grid: "TensorGrid", N: int, laplacian: bool = True):
-        """(v, dv/dxi, dv/dy, Lap v) on the grid's mesh in one chain-rule
-        pass; Lap is the R^N Laplacian of v(|x|, y), left off (with U'' and
-        the second derivatives of d) unless ``laplacian``.
+    def jet(self, grid: "TensorGrid", nodes, N: int, laplacian: bool = True):
+        """(d, v, dv/dxi, dv/dy, Lap v) at the grid nodes where the boolean
+        mesh array ``nodes`` holds, in row order, none of them the
+        reference point (0, 1), from one chain-rule pass: d is the distance
+        to (0, 1) and Lap the R^N Laplacian of v(|x|, y), left off (with
+        U'' and the second derivatives of d) unless ``laplacian``.
 
-        The support is tested on w = cosh d (cosh a < w < cosh b), and d,
-        U, U' and U'' are evaluated only on the nodes inside it; every
-        array is exactly zero elsewhere.  Factors that depend on y alone
-        are formed on the y axis and gathered.
+        U and its derivatives come from one U.jet call; factors that
+        depend on y alone are formed on the y axis and gathered.  N must
+        be the dimension the function was built for.
         """
-        a, b = self.d_support
-        w = grid.cosh_dist
-        inside = (w > math.cosh(a)) & (w < math.cosh(b))
+        if N != self.N:
+            raise ArgumentError(f"transported function built for N = {self.N} "
+                                f"cannot be evaluated in dimension N = {N}")
 
         def at(values):
-            return np.broadcast_to(values, inside.shape)[inside]
+            return np.broadcast_to(values, nodes.shape)[nodes]
 
-        w = w[inside]
+        w = grid.cosh_dist[nodes]
         d = np.arccosh(w)
         xi = at(grid.xi[:, None])
         xi2p1 = 1.0 + xi * xi
@@ -318,25 +367,58 @@ class TransportedRadial:
         w_y = 0.5 - xi2p1 * at(0.5 * inv_y * inv_y)
         d_xi = w_xi * g
         d_y = w_y * g
-        U, U1 = self.U(d), self.U.d1(d)
+        U, U1, *U2 = self.U.jet(d, 2 if laplacian else 1)
+        first = (d, ya * U, ya * U1 * d_xi, ya * U1 * d_y - ya1 * U)
+        if not laplacian:
+            return first
+        g3w = w * g**3
+        d_xixi = iy * g - w_xi**2 * g3w
+        d_yy = xi2p1 * iy**3 * g - w_y**2 * g3w
+        # v_xixi + v_yy + (N-2) v_xi/xi, where d_xi/xi = g/y stays finite
+        # on the axis
+        return (
+            *first,
+            ya * (U2[0] * (d_xi * d_xi + d_y * d_y)
+                  + U1 * (d_xixi + d_yy + (N - 2) * g * iy))
+            + ya1 * ((al + 1.0) * U * iy - 2.0 * U1 * d_y),
+        )
 
-        out = np.zeros((4 if laplacian else 3, *inside.shape))
-        out[0][inside] = ya * U
-        out[1][inside] = ya * U1 * d_xi
-        out[2][inside] = ya * U1 * d_y - ya1 * U
-        if laplacian:
-            g3w = w * g**3
-            d_xixi = iy * g - w_xi**2 * g3w
-            d_yy = xi2p1 * iy**3 * g - w_y**2 * g3w
-            U2 = self.U.d2(d)
-            # v_xixi + v_yy + (N-2) v_xi/xi, where d_xi/xi = g/y stays
-            # finite on the axis
-            out[3][inside] = (
-                ya * (U2 * (d_xi * d_xi + d_y * d_y)
-                      + U1 * (d_xixi + d_yy + (N - 2) * g * iy))
-                + ya1 * ((al + 1.0) * U * iy - 2.0 * U1 * d_y)
-            )
-        return tuple(out)
+    def _support_values(self, block: "TensorGrid", N: int, terms):
+        """(inside, values): the mask of the row block's nodes with
+        cosh a < cosh d < cosh b, and each term's integrand at them, in row
+        order; v vanishes on the rest of the block."""
+        a, b = self.d_support
+        w = block.cosh_dist
+        inside = (w > math.cosh(a)) & (w < math.cosh(b))
+        d, v, v_xi, v_y, *lap = self.jet(
+            block, inside, N, laplacian=any(q == "lap2" for q, _, _ in terms))
+        quantity = {"v2": v * v, "grad2": v_xi * v_xi + v_y * v_y}
+        if lap:
+            quantity["lap2"] = lap[0] * lap[0]
+        d_sq = d * d
+        return inside, [quantity[q] / d_sq**k if k else quantity[q]
+                        for q, _, k in terms]
+
+    def integrals(self, grid: "TensorGrid", N: int, terms) -> np.ndarray:
+        """The terms' sums on the grid, one row block at a time: each term
+        is one values @ weights over the block's support nodes, with the
+        weights w_xi xi^(N-2) w_y y^(-p) gathered there."""
+        w_y = {p: grid.y_weights(p) for _, p, _ in terms}
+        sums = np.zeros(len(terms))
+        for block in grid.blocks():
+            inside, values = self._support_values(block, N, terms)
+            w_xi = np.broadcast_to(block.xi_weights(N)[:, None], inside.shape)[inside]
+            weights = {p: w_xi * np.broadcast_to(w, inside.shape)[inside]
+                       for p, w in w_y.items()}
+            for t, ((_, p, _), f) in enumerate(zip(terms, values)):
+                sums[t] += f @ weights[p]
+        return sums
+
+    def integrand(self, block: "TensorGrid", N: int, term):
+        """(values, rows, cols): a term's integrand at the support nodes
+        (block.xi[rows], block.y[cols]) of a row block, in row order."""
+        inside, (values,) = self._support_values(block, N, [term])
+        return (values, *np.nonzero(inside))
 
 
 # Row blocks of a TensorGrid hold at most this many nodes, so each
@@ -370,6 +452,21 @@ class TensorGrid:
 
         return TensorGrid(xi, y, trap(xi), trap(y))
 
+    def off_axis(self) -> "TensorGrid":
+        """The grid without its xi = 0 row: that row carries zero measure,
+        so integrands singular on the axis never enter a sum."""
+        if self.xi[0] != 0.0:
+            return self
+        return TensorGrid(self.xi[1:], self.y, self.w_xi[1:], self.w_y)
+
+    def xi_weights(self, N: int) -> np.ndarray:
+        """The xi trapezoid weights times xi^(N-2) (sphere factor omitted)."""
+        return self.w_xi * self.xi ** (N - 2)
+
+    def y_weights(self, y_power: float = 0) -> np.ndarray:
+        """The y trapezoid weights divided by y^y_power."""
+        return self.w_y * self.y ** -y_power if y_power else self.w_y
+
     def blocks(self):
         """Row blocks of the grid: sub-grids over consecutive xi rows that
         share the y axis and hold at most BLOCK_NODES nodes (one row at
@@ -382,70 +479,54 @@ class TensorGrid:
     @cached_property
     def cosh_dist(self) -> np.ndarray:
         """cosh of the distance to (0, 1) on the mesh, A(y) + xi^2 B(y)
-        with A = 1 + (y-1)^2/(2y) and B = 1/(2y); kept for the jet and
-        the integrands of one block."""
+        with A = 1 + (y-1)^2/(2y) and B = 1/(2y); formed on a row block,
+        once for its support test and its jet."""
         b = 0.5 / self.y
         return (1.0 + (self.y - 1.0) ** 2 * b) + (self.xi * self.xi)[:, None] * b
 
-    @cached_property
-    def dist(self) -> np.ndarray:
-        """Distance to (0, 1) on the mesh; 0 at the corner (0, 1)."""
-        return np.arccosh(np.maximum(self.cosh_dist, 1.0))
 
-    def integrate(self, values: np.ndarray, N: int, y_power: float = 0) -> float:
-        """Tensor trapezoid of values * xi^(N-2) / y^y_power (sphere factor
-        omitted), as one w_xi @ values @ w_y with both powers folded into
-        the 1-D weights.
+def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> list[float]:
+    """The sums of the half-space terms (q, p, k) of v (a
+    TensorProductFunction or a TransportedRadial) on the nx x ny grid over
+    its box, with the xi = 0 row dropped.
 
-        The xi = 0 row carries zero measure and is dropped, so singular
-        integrands on the axis never enter the sum; a non-finite value
-        anywhere else raises EvaluationError naming its node, and so does
-        a sum that overflows.
-        """
-        k = int(self.xi[0] == 0.0)
-        w_xi = self.w_xi[k:] * self.xi[k:] ** (N - 2)
-        w_y = self.w_y * self.y ** -y_power if y_power else self.w_y
-        with np.errstate(over="ignore", invalid="ignore"):  # raised below
-            total = float(w_xi @ values[k:] @ w_y)
-        if math.isfinite(total):
-            return total
-        bad = np.argwhere(~np.isfinite(values[k:]))
-        if bad.size:
-            i, j = bad[0]
+    A non-finite sum raises EvaluationError naming the first node, in row
+    order, where that term's integrand is non-finite, or the overflow when
+    the integrand is finite everywhere.
+    """
+    grid = TensorGrid.over_box(*v.box(), nx, ny).off_axis()
+    with np.errstate(all="ignore"):  # non-finite sums are traced below
+        sums = v.integrals(grid, N, terms)
+        for term, total in zip(terms, sums):
+            if math.isfinite(total):
+                continue
+            for block in grid.blocks():
+                values, rows, cols = v.integrand(block, N, term)
+                bad = np.flatnonzero(~np.isfinite(values))
+                if bad.size:
+                    i = bad[0]
+                    raise EvaluationError(
+                        f"half-space integrand is non-finite at (xi, y) = "
+                        f"({block.xi[rows[i]]:.6g}, {block.y[cols[i]]:.6g})"
+                    )
             raise EvaluationError(
-                f"half-space integrand is non-finite at "
-                f"(xi, y) = ({self.xi[k + i]:.6g}, {self.y[j]:.6g})"
+                f"half-space integral overflows on the rows "
+                f"xi in [{grid.xi[0]:.6g}, {grid.xi[-1]:.6g}]"
             )
-        raise EvaluationError(
-            f"half-space integral overflows on the rows "
-            f"xi in [{self.xi[0]:.6g}, {self.xi[-1]:.6g}]"
-        )
+    return [float(s) for s in sums]
 
 
-def _block_sums(v, N: int, nx: int, ny: int, sides, laplacian: bool):
-    """Sums over the row blocks of the nx x ny grid on v's box of
-    sides(block, v, v_xi, v_y[, lap]), a tuple of block integrals, with
-    lap only if ``laplacian``."""
-    sums = None
-    # 0/0 on the xi = 0 axis at (0, 1) is dropped by integrate
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for block in TensorGrid.over_box(*v.box(), nx, ny).blocks():
-            part = sides(block, *v.jet(block, N, laplacian))
-            sums = part if sums is None else tuple(s + p for s, p in zip(sums, part))
-    return sums
-
-
-def _tensor_margin(name: str, v, N: int, nx: int, ny: int, sides,
-                   laplacian: bool = False) -> MarginReport:
-    """Half-space margin report from sides(block, v, v_xi, v_y[, lap]) ->
-    (lhs, rhs) summed over the row blocks, with lap only if
-    ``laplacian``, judged on an nx x ny grid over v's box; the margin
-    change against the half-resolution grid is the quadrature error."""
+def _tensor_margin(name: str, v, N: int, nx: int, ny: int, terms,
+                   sides) -> MarginReport:
+    """Half-space margin report from sides(*sums) -> (lhs, rhs), with sums
+    the sums of the terms, judged on an nx x ny grid over v's box; the
+    margin change against the half-resolution grid is the quadrature
+    error."""
     if v.y_support[0] <= 0.0:
         raise ArgumentError("support must stay away from the boundary y = 0")
 
     def one(mx, my):
-        return _block_sums(v, N, mx, my, sides, laplacian)
+        return sides(*_halfspace_sums(v, N, mx, my, terms))
 
     return MarginReport.from_sides(one, (nx, ny), name, N, "halfspace", v.label)
 
@@ -460,16 +541,11 @@ def check_halfspace_hardy(v, N: int, nx: int = 512, ny: int = 512) -> MarginRepo
     """
     if N < 3:
         raise DomainError("half-space inequality needs N >= 3")
-
-    def sides(grid, vv, vx, vy):
-        v2 = vv * vv
-        lhs = grid.integrate(vx * vx + vy * vy, N)
-        rhs = 0.25 * grid.integrate(v2, N, 2) + 0.25 * grid.integrate(
-            v2 / grid.dist**2, N, 2
-        )
-        return lhs, rhs
-
-    return _tensor_margin("halfspace_hardy", v, N, nx, ny, sides)
+    return _tensor_margin(
+        "halfspace_hardy", v, N, nx, ny,
+        [("grad2", 0, 0), ("v2", 2, 0), ("v2", 2, 1)],
+        lambda grad2, v2, v2_d2: (grad2, 0.25 * v2 + 0.25 * v2_d2),
+    )
 
 
 def check_halfspace_rellich(v, N: int, which: str, nx: int = 512,
@@ -490,45 +566,32 @@ def check_halfspace_rellich(v, N: int, which: str, nx: int = 512,
         raise DomainError("half-space second-order inequalities need N >= 5")
     if which not in ("y2", "y4"):
         raise ArgumentError("which must be 'y2' or 'y4'")
+    if which == "y2":
+        lhs_terms = [("lap2", -2, 0), ("grad2", 0, 0)]
+        c_grad = N * (N - 2) / 2.0
+        p = 2
+        c0 = (2.0 * N * N - 4.0 * N + 1.0) / 16.0
+    else:
+        lhs_terms = [("lap2", 0, 0), ("grad2", 2, 0)]
+        c_grad = (N * N - 2.0 * N - 4.0) / 2.0
+        p = 4
+        c0 = 9.0 * (2.0 * N * N - 4.0 * N - 7.0) / 16.0
 
-    def sides(grid, vv, vx, vy, lap):
-        grad2 = vx * vx + vy * vy
-        if which == "y2":
-            lhs = grid.integrate(lap * lap, N, -2) + N * (N - 2) / 2.0 * (
-                grid.integrate(grad2, N)
-            )
-            p = 2
-            c0 = (2.0 * N * N - 4.0 * N + 1.0) / 16.0
-        else:
-            lhs = grid.integrate(lap * lap, N) + (N * N - 2.0 * N - 4.0) / 2.0 * (
-                grid.integrate(grad2, N, 2)
-            )
-            p = 4
-            c0 = 9.0 * (2.0 * N * N - 4.0 * N - 7.0) / 16.0
-        v2 = vv * vv
-        d2 = grid.dist**2
-        over_d2 = v2 / d2
-        rhs = (
-            c0 * grid.integrate(v2, N, p)
-            + (N - 1) ** 2 / 8.0 * grid.integrate(over_d2, N, p)
-            + 9.0 / 16.0 * grid.integrate(over_d2 / d2, N, p)
-        )
-        return lhs, rhs
+    def sides(lap2, grad2, v2, v2_d2, v2_d4):
+        return (lap2 + c_grad * grad2,
+                c0 * v2 + (N - 1) ** 2 / 8.0 * v2_d2 + 9.0 / 16.0 * v2_d4)
 
-    return _tensor_margin(f"halfspace_rellich_{which}", v, N, nx, ny, sides,
-                          laplacian=True)
+    return _tensor_margin(f"halfspace_rellich_{which}", v, N, nx, ny,
+                          lhs_terms + [("v2", p, 0), ("v2", p, 1), ("v2", p, 2)],
+                          sides)
 
 
 def aux_gradient_inequality(v, N: int, nx: int = 512, ny: int = 512) -> MarginReport:
     """Margin of the auxiliary weighted-gradient bound used by the y4
     optimality argument: int int |grad v|^2/y^2 >= 9/4 int int v^2/y^4."""
-
-    def sides(grid, vv, vx, vy):
-        lhs = grid.integrate(vx * vx + vy * vy, N, 2)
-        rhs = 2.25 * grid.integrate(vv * vv, N, 4)
-        return lhs, rhs
-
-    return _tensor_margin("halfspace_aux_gradient", v, N, nx, ny, sides)
+    return _tensor_margin("halfspace_aux_gradient", v, N, nx, ny,
+                          [("grad2", 2, 0), ("v2", 4, 0)],
+                          lambda grad2, v2: (grad2, 2.25 * v2))
 
 
 # ---------------------------------------------------------------------------
@@ -642,15 +705,10 @@ def halfspace_bilaplacian_identity(U: RadialFunction, N: int,
                            lap * lap * man.measure_weight(grid.nodes)))
     lhs = sphere_area(N) * lhs_rad
 
-    def sides(grid, vv, vx, vy, lap_v):
-        return (
-            grid.integrate(lap_v * lap_v, N, -2)
-            + N * (N - 2) / 2.0 * grid.integrate(vx * vx + vy * vy, N)
-            + N * N * (N - 2) ** 2 / 16.0 * grid.integrate(vv * vv, N, 2),
-        )
-
     v = TransportedRadial(U, N, alpha=(N - 2) / 2.0)
-    (rhs_tensor,) = _block_sums(v, N, nx, ny, sides, laplacian=True)
+    lap2, grad2, v2 = _halfspace_sums(v, N, nx, ny,
+                                      [("lap2", -2, 0), ("grad2", 0, 0), ("v2", 2, 0)])
+    rhs_tensor = lap2 + N * (N - 2) / 2.0 * grad2 + N * N * (N - 2) ** 2 / 16.0 * v2
     rhs = sphere_area(N - 1) * rhs_tensor
     return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 

@@ -137,9 +137,19 @@ class RadialFunction:
     support: tuple[float, float] = (0.0, np.inf)
     label: str = ""
     kind: str = "closed_form"
+    jet_fn: Callable | None = None
 
     def __call__(self, r):
         return self.value(r)
+
+    def jet(self, r, order: int = 2) -> tuple:
+        """(u, u') at r, with u'' appended when order is 2: from jet_fn(r,
+        order) when the function evaluates them jointly, else from value,
+        d1 and d2."""
+        if self.jet_fn is not None:
+            return self.jet_fn(r, order)
+        out = (self.value(r), self.d1(r))
+        return out + (self.d2(r),) if order == 2 else out
 
     @staticmethod
     def from_samples(grid: RadialGrid, values: np.ndarray, label: str = "") -> "RadialFunction":
@@ -212,19 +222,21 @@ def bump(a: float, b: float, rise: float | None = None, fall: float | None = Non
         t = np.clip(np.where(before_fall, (r - a) / rise, (b - r) / fall), 0.0, 1.0)
         return before_fall, np.where((r >= m1) & before_fall, 1.0, t)
 
-    def value(r):
-        return _smoothstep(_ramp(r)[1])
-
-    def d1(r):
-        before_fall, t = _ramp(r)
+    def _d1(before_fall, t):
         return _smoothstep_d1(t) / np.where(before_fall, rise, -fall)
 
-    def d2(r):
-        before_fall, t = _ramp(r)
+    def _d2(before_fall, t):
         return _smoothstep_d2(t) / np.where(before_fall, rise**2, fall**2)
 
-    return RadialFunction(value, d1, d2, support=(a, b),
-                          label=label or f"bump[{a:g},{b:g}]")
+    def jet(r, order):
+        ramp = _ramp(r)
+        out = (_smoothstep(ramp[1]), _d1(*ramp))
+        return out + (_d2(*ramp),) if order == 2 else out
+
+    return RadialFunction(lambda r: _smoothstep(_ramp(r)[1]),
+                          lambda r: _d1(*_ramp(r)), lambda r: _d2(*_ramp(r)),
+                          support=(a, b), label=label or f"bump[{a:g},{b:g}]",
+                          jet_fn=jet)
 
 
 def plateau_cutoff(delta: float, width: float | None = None) -> RadialFunction:

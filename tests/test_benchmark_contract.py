@@ -53,3 +53,35 @@ def test_every_traced_span_names_a_package_function(bench):
 def test_benchmark_selftest_passes(bench):
     _, selftest = bench
     assert selftest.run() == []
+
+
+def test_halfspace_checks_build_one_grid_per_resolution(monkeypatch):
+    # the traced euclid.tensor2d.points count adds up the nodes of every
+    # TensorGrid.over_box call: a margin check builds its full and its
+    # half-resolution grid, the bilaplacian identity one grid
+    from hardyrellich import euclid
+    from hardyrellich.radial import bump
+
+    sizes = []
+    over_box = euclid.TensorGrid.over_box
+
+    def counted(*args):
+        sizes.append(args[3:])
+        return over_box(*args)
+
+    monkeypatch.setattr(euclid.TensorGrid, "over_box", staticmethod(counted))
+    checks = (
+        lambda v: euclid.check_halfspace_hardy(v, 5, 40, 32),
+        lambda v: euclid.check_halfspace_rellich(v, 5, "y2", 40, 32),
+        lambda v: euclid.check_halfspace_rellich(v, 5, "y4", 40, 32),
+        lambda v: euclid.aux_gradient_inequality(v, 5, 40, 32),
+    )
+    for v in (euclid.tensor_bump(1.0, 0.5, 2.0),
+              euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5)):
+        for check in checks:
+            sizes.clear()
+            check(v)
+            assert sizes == [(40, 32), (20, 16)]
+    sizes.clear()
+    euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 5, nodes=512, nx=40, ny=32)
+    assert sizes == [(40, 32)]

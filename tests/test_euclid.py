@@ -3,7 +3,7 @@ import pytest
 
 from hardyrellich import euclid
 from hardyrellich.errors import ArgumentError, DomainError, EvaluationError
-from hardyrellich.radial import bump, seeded_bumps
+from hardyrellich.radial import RadialFunction, bump, seeded_bumps
 
 
 def test_distance_reference_point():
@@ -213,10 +213,10 @@ def _stencil_grid(xs, ys, h):
     return euclid.TensorGrid(xi, y, np.zeros_like(xi), np.zeros_like(y))
 
 
-def _jet_vs_finite_differences(v, N, xs, ys, h=1e-5):
-    """Worst relative gap of jet's gradient and Laplacian against central
-    differences of jet's own value, at the stencil centres."""
-    val, vx, vy, lap = v.jet(_stencil_grid(xs, ys, h), N)
+def _fd_gaps(val, vx, vy, lap, xs, N, h):
+    """Worst relative gap of a gradient and Laplacian given on a stencil
+    grid against central differences of the values there, at the stencil
+    centres."""
     c = np.s_[1::3, 1::3]
     fd_x = (val[2::3, 1::3] - val[0::3, 1::3]) / (2 * h)
     fd_y = (val[1::3, 2::3] - val[1::3, 0::3]) / (2 * h)
@@ -231,77 +231,151 @@ def _jet_vs_finite_differences(v, N, xs, ys, h=1e-5):
     )
 
 
+def _all_nodes(grid):
+    return np.ones((grid.xi.size, grid.y.size), dtype=bool)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
 def test_transported_jet_matches_finite_differences(alpha):
     v = euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=alpha)
     xs = np.linspace(0.1, 0.9 * v.xi_support[1], 7)
     ys = np.linspace(1.05 * v.y_support[0], 0.95 * v.y_support[1], 9)
-    grad_rel, lap_rel = _jet_vs_finite_differences(v, 5, xs, ys)
+    grid = _stencil_grid(xs, ys, 1e-5)
+    nodes = _all_nodes(grid)
+    _, *parts = v.jet(grid, nodes, 5)
+    grad_rel, lap_rel = _fd_gaps(*(p.reshape(nodes.shape) for p in parts), xs, 5, 1e-5)
     assert grad_rel <= 1e-5 and lap_rel <= 1e-5
 
 
 def test_tensor_jet_matches_finite_differences():
+    # Lx fy + fx fy'' against central differences of the mesh fx (x) fy
     v = euclid.tensor_bump(1.0, 0.5, 2.0)
     # stencils stay off the joints of the C^2 factors (|x| = 0.5, y = 1.25)
     xs = np.linspace(0.1, 0.95, 7)
     ys = np.linspace(0.55, 1.95, 8)
-    grad_rel, lap_rel = _jet_vs_finite_differences(v, 5, xs, ys)
+    grid = _stencil_grid(xs, ys, 1e-5)
+    fx, fx1, lx = v.x_jet(grid.xi, 5)
+    fy, fy1, fy2 = v.fy(grid.y), v.fy.d1(grid.y), v.fy.d2(grid.y)
+    grad_rel, lap_rel = _fd_gaps(np.outer(fx, fy), np.outer(fx1, fy), np.outer(fx, fy1),
+                                 np.outer(lx, fy) + np.outer(fx, fy2), xs, 5, 1e-5)
     assert grad_rel <= 1e-5 and lap_rel <= 1e-5
 
 
 def test_jets_vanish_outside_support():
     U = bump(0.5, 1.5)
     transported = euclid.TransportedRadial(U, 5, alpha=0.5)
+    grid = euclid.TensorGrid.over_box(*transported.box(pad=0.2), 96, 96).off_axis()
+    XI, Y = np.meshgrid(grid.xi, grid.y, indexing="ij")
+    d = np.arccosh(1.0 + ((Y - 1.0) ** 2 + XI**2) / (2.0 * Y))
+    outside = (d <= U.support[0]) | (d >= U.support[1])
+    assert outside.any() and not outside.all()
+    for part in transported.jet(grid, outside, 5)[1:]:
+        assert np.all(part == 0.0)
     tensor = euclid.tensor_bump(1.0, 0.5, 2.0)
-    for v in (transported, tensor):
-        grid = euclid.TensorGrid.over_box(*v.box(pad=0.2), 96, 96)
-        XI, Y = np.meshgrid(grid.xi, grid.y, indexing="ij")
-        if v is transported:
-            d = np.arccosh(np.maximum(1.0 + ((Y - 1.0) ** 2 + XI**2) / (2.0 * Y), 1.0))
-            outside = (d <= U.support[0]) | (d >= U.support[1])
-        else:
-            outside = ((XI >= v.xi_support[1]) | (Y <= v.y_support[0])
-                       | (Y >= v.y_support[1]))
-        assert outside.any() and not outside.all()
-        for part in v.jet(grid, 5):
-            assert np.all(part[outside] == 0.0)
+    xi_out = np.linspace(tensor.xi_support[1], 1.5, 20)
+    y_out = np.concatenate([np.linspace(0.2, 0.5, 10), np.linspace(2.0, 2.4, 10)])
+    for part in (*tensor.x_jet(xi_out, 5), *tensor.fy.jet(y_out)):
+        assert np.all(part == 0.0)
 
 
 def test_jet_without_laplacian_matches_full_jet():
     # the first-order checks skip the Laplacian; what they read is unchanged
-    for v in (euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5),
-              euclid.tensor_bump(1.0, 0.5, 2.0)):
-        grid = euclid.TensorGrid.over_box(*v.box(), 64, 48)
-        full = v.jet(grid, 5)
-        first = v.jet(grid, 5, laplacian=False)
-        assert len(full) == 4 and len(first) == 3
-        for a, b in zip(first, full):
-            assert np.array_equal(a, b)
+    transported = euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5)
+    grid = euclid.TensorGrid.over_box(*transported.box(), 64, 48).off_axis()
+    full = transported.jet(grid, _all_nodes(grid), 5)
+    first = transported.jet(grid, _all_nodes(grid), 5, laplacian=False)
+    assert len(full) == 5 and len(first) == 4
+    for a, b in zip(first, full):
+        assert np.array_equal(a, b)
+    first_terms = [("grad2", 2, 0), ("v2", 4, 0), ("v2", 2, 1)]
+    for v in (transported, euclid.tensor_bump(1.0, 0.5, 2.0)):
+        sums = euclid._halfspace_sums(v, 5, 64, 48, first_terms)
+        with_lap = euclid._halfspace_sums(v, 5, 64, 48, first_terms + [("lap2", 0, 0)])
+        assert with_lap[:3] == sums
+
+
+def _nan_at(f, points):
+    """f with its value made NaN within 1e-12 relative of the points."""
+    points = np.asarray(points, dtype=float)
+
+    def value(r):
+        r = np.asarray(r, dtype=float)
+        hit = np.isclose(r[..., None], points, rtol=1e-12, atol=0.0).any(axis=-1)
+        return np.where(hit, np.nan, f(r))
+
+    return RadialFunction(value, f.d1, f.d2, support=f.support, label="planted")
 
 
 def test_tensor_integrate_masks_axis_only():
-    grid = euclid.TensorGrid.over_box(1.0, 0.5, 2.0, 8, 8)
-    values = np.ones((8, 8))
-    values[0, 3] = np.nan  # the xi = 0 column carries zero measure
-    assert np.isfinite(grid.integrate(values, 3))
-    values[4, 5] = np.nan
-    with pytest.raises(EvaluationError, match=f"{grid.xi[4]:.6g}, {grid.y[5]:.6g}"):
-        grid.integrate(values, 3)
+    base = euclid.tensor_bump(1.0, 0.5, 2.0)
+    grid = euclid.TensorGrid.over_box(*base.box(), 8, 8)
+    terms = [("v2", 2, 0), ("v2", 2, 1), ("lap2", 0, 0)]
+    # the xi = 0 row carries zero measure
+    on_axis = euclid.TensorProductFunction(_nan_at(base.fx, [0.0]), base.fy)
+    assert (euclid._halfspace_sums(on_axis, 5, 8, 8, terms)
+            == euclid._halfspace_sums(base, 5, 8, 8, terms))
+    # a NaN factor at xi[4] makes that whole row NaN
+    off_axis = euclid.TensorProductFunction(_nan_at(base.fx, [0.0, grid.xi[4]]), base.fy)
+    with pytest.raises(EvaluationError, match=f"{grid.xi[4]:.6g}, {grid.y[0]:.6g}"):
+        euclid._halfspace_sums(off_axis, 5, 8, 8, terms)
+
+
+def _constant(c, support):
+    return RadialFunction(lambda r: np.full(np.shape(r), c),
+                          lambda r: np.zeros(np.shape(r)),
+                          lambda r: np.zeros(np.shape(r)), support=support)
 
 
 def test_tensor_integrate_raises_on_overflow():
-    grid = euclid.TensorGrid.over_box(10.0, 0.5, 20.0, 8, 8)
-    values = np.full((8, 8), 1e308)  # finite, but their integral is not
-    with pytest.raises(EvaluationError, match="overflows"):
-        grid.integrate(values, 3)
+    big = 1.3e154  # v^2 = 1.69e308 is finite, but its integrals are not
+    tensor = euclid.TensorProductFunction(_constant(big, (0.0, 10.0)),
+                                          _constant(1.0, (0.5, 20.0)))
+    transported = euclid.TransportedRadial(_constant(big, (0.5, 1.5)), 3, alpha=0.0)
+    for v in (tensor, transported):
+        with pytest.raises(EvaluationError, match="overflows"):
+            euclid._halfspace_sums(v, 3, 8, 8, [("v2", -2, 0)])
 
 
-@pytest.mark.parametrize("y_power", [2, 4, -2])
+def _brute_force(v, N, nx, ny, terms):
+    """Each term's tensor trapezoid from mesh arrays on every off-axis node
+    of v's grid: outer products of the factors for a tensor product, the
+    jet at every node for a transported profile, with xi^(N-2), y^(-p) and
+    d^(-2k) multiplied in node by node."""
+    grid = euclid.TensorGrid.over_box(*v.box(), nx, ny).off_axis()
+    xi, y = grid.xi, grid.y
+    if isinstance(v, euclid.TensorProductFunction):
+        fx, fy = v.fx, v.fy
+        val = np.outer(fx(xi), fy(y))
+        v_xi, v_y = np.outer(fx.d1(xi), fy(y)), np.outer(fx(xi), fy.d1(y))
+        lap = (np.outer(fx.d2(xi) + (N - 2) * fx.d1(xi) / xi, fy(y))
+               + np.outer(fx(xi), fy.d2(y)))
+    else:
+        nodes = _all_nodes(grid)
+        _, *parts = v.jet(grid, nodes, N)
+        val, v_xi, v_y, lap = (p.reshape(nodes.shape) for p in parts)
+    quantity = {"v2": val * val, "grad2": v_xi * v_xi + v_y * v_y, "lap2": lap * lap}
+    d = np.arccosh(1.0 + ((y - 1.0) ** 2 + xi[:, None] ** 2) / (2.0 * y))
+    weight = np.outer(grid.w_xi * xi ** (N - 2), grid.w_y)
+    return [float(np.sum(weight * quantity[q] / y**p / d ** (2 * k)))
+            for q, p, k in terms]
+
+
+@pytest.mark.parametrize("y_power", [2, 4, -2, 0])
 def test_tensor_integrate_folds_y_power(y_power):
-    grid = euclid.TensorGrid.over_box(1.3, 0.4, 2.5, 17, 23)
-    values = np.random.default_rng(5).uniform(0.5, 2.0, (17, 23))
-    direct = grid.integrate(values / grid.y ** y_power, 5)
-    assert grid.integrate(values, 5, y_power) == pytest.approx(direct, rel=1e-14)
+    # the separable and support-node sums against brute-force mesh sums
+    terms = [("v2", y_power, k) for k in (0, 1, 2)]
+    terms += [("grad2", y_power, 0), ("lap2", y_power, 0)]
+    for N in (3, 5):
+        for v in (euclid.tensor_bump(1.0, 0.5, 2.0),
+                  euclid.TransportedRadial(bump(0.5, 1.5), N, alpha=0.5)):
+            sums = euclid._halfspace_sums(v, N, 41, 37, terms)
+            assert sums == pytest.approx(_brute_force(v, N, 41, 37, terms), rel=1e-13)
+
+
+def test_transported_radial_rejects_other_dimension():
+    v = euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5)
+    with pytest.raises(ArgumentError, match="N = 5.*N = 3"):
+        euclid.check_halfspace_hardy(v, 3, 40, 32)
 
 
 def test_blocks_partition_rows_under_budget(monkeypatch):
@@ -335,53 +409,64 @@ def _blocked_values():
 
 @pytest.mark.parametrize("rows", [1, 39, 40, 7])
 def test_blocked_margins_match_single_block(monkeypatch, rows):
-    # rows per block on the 40 x 32 grid: one row, all but one row (a
-    # one-row remainder), exactly the grid, and a 5-row remainder
+    # rows per block on the 39 off-axis rows of the 40 x 32 grid: one row,
+    # exactly those rows, more than the grid, and a 4-row remainder
     single = _blocked_values()
     monkeypatch.setattr(euclid, "BLOCK_NODES", rows * 32)
     blocked = _blocked_values()
     assert blocked == pytest.approx(single, rel=1e-13)
 
 
-class _PlantedNaN:
-    """The tensor bump with its value made NaN at the nodes (xi, y)."""
-
-    def __init__(self, xi, y):
-        self.base = euclid.tensor_bump(1.0, 0.5, 2.0)
-        self.xi, self.y = xi, y
-        self.y_support = self.base.y_support
-        self.label = "planted"
-
-    def box(self):
-        return self.base.box()
-
-    def jet(self, grid, N, laplacian=True):
-        parts = self.base.jet(grid, N, laplacian)
-        parts[0][np.ix_(np.isin(grid.xi, self.xi), np.isin(grid.y, self.y))] = np.nan
-        return parts
-
-
 def test_nan_in_a_later_block_names_its_node(monkeypatch):
     monkeypatch.setattr(euclid, "BLOCK_NODES", 4 * 32)  # four rows a block
-    grid = euclid.TensorGrid.over_box(*euclid.tensor_bump(1.0, 0.5, 2.0).box(), 40, 32)
-    xi, y = grid.xi[25], grid.y[7]  # row 25 lies in the seventh block
-    with pytest.raises(EvaluationError, match=f"\\({xi:.6g}, {y:.6g}\\)"):
-        euclid.check_halfspace_hardy(_PlantedNaN(xi, y), 3, 40, 32)
-    # a NaN on the xi = 0 axis carries zero measure and is dropped
-    report = euclid.check_halfspace_hardy(_PlantedNaN(0.0, grid.y), 3, 40, 32)
-    clean = euclid.check_halfspace_hardy(euclid.tensor_bump(1.0, 0.5, 2.0), 3, 40, 32)
-    assert (report.lhs, report.rhs) == (clean.lhs, clean.rhs)
+    tensor = euclid.tensor_bump(1.0, 0.5, 2.0)
+    transported = euclid.TransportedRadial(bump(0.5, 1.5), 3, alpha=0.5)
+    grid = euclid.TensorGrid.over_box(*tensor.box(), 40, 32)
+    # row 25 is in the seventh block of the 39 off-axis rows; a NaN factor
+    # there makes the whole row NaN
+    xi = grid.xi[25]
+    cases = [(tensor, xi, grid.y[0],
+              euclid.TensorProductFunction(_nan_at(tensor.fx, [xi]), tensor.fy),
+              euclid.TensorProductFunction(_nan_at(tensor.fx, [0.0]), tensor.fy))]
+    # row 15 (the fourth block) meets the transported support; the profile
+    # is made NaN at the distance of one node there
+    grid = euclid.TensorGrid.over_box(*transported.box(), 40, 32)
+    xi = grid.xi[15]
+    y = grid.y[np.argmin(np.abs(grid.y - np.sqrt(1.0 + xi * xi)))]
+    d = euclid.geodesic_distance_halfspace((xi, y))
+    axis_d = np.abs(np.log(grid.y))
+    cases.append((transported, xi, y,
+                  euclid.TransportedRadial(_nan_at(transported.U, [d]), 3, 0.5),
+                  euclid.TransportedRadial(_nan_at(transported.U, axis_d), 3, 0.5)))
+    for clean_v, xi, y, planted, on_axis in cases:
+        with pytest.raises(EvaluationError, match=f"\\({xi:.6g}, {y:.6g}\\)"):
+            euclid.check_halfspace_hardy(planted, 3, 40, 32)
+        # a NaN on the xi = 0 axis carries zero measure and is dropped
+        report = euclid.check_halfspace_hardy(on_axis, 3, 40, 32)
+        clean = euclid.check_halfspace_hardy(clean_v, 3, 40, 32)
+        assert (report.lhs, report.rhs) == (clean.lhs, clean.rhs)
+
+
+def _peak_bytes(check):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        check()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_halfspace_hardy_peak_memory_is_block_sized():
-    import tracemalloc
-
     v = euclid.TransportedRadial(bump(0.5, 1.5), 3, 0.5)
     euclid.check_halfspace_hardy(v, 3, 16, 16)  # warm up lazy imports
-    tracemalloc.start()
-    try:
-        euclid.check_halfspace_hardy(v, 3, 768, 768)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(lambda: euclid.check_halfspace_hardy(v, 3, 768, 768))
     assert peak < 2 * 768 * 768 * 8  # two 768^2 float arrays, 9 MiB
+
+
+def test_halfspace_rellich_peak_memory_is_block_sized():
+    v = euclid.tensor_bump(1.0, 0.5, 2.0)
+    euclid.check_halfspace_rellich(v, 5, "y4", 16, 16)  # warm up lazy imports
+    peak = _peak_bytes(lambda: euclid.check_halfspace_rellich(v, 5, "y4", 512, 512))
+    assert peak < 512 * 512 * 8  # one 512^2 float array, 2 MiB

@@ -256,3 +256,16 @@ def test_bump_plateau_is_exact():
     outside = np.array([0.2, 0.8, -1.0, 3.0])
     for f in (u.value, u.d1, u.d2):
         assert np.all(f(outside) == 0.0)
+
+
+@pytest.mark.parametrize("u", [radial.bump(0.37, 2.11, 0.41, 0.77),
+                               radial.plateau_cutoff(0.5)])
+def test_jet_matches_separate_calls(u):
+    # the bump's joint jet shares one ramp; the cutoff's falls back to
+    # value, d1 and d2
+    r = np.linspace(-0.3, 2.4, 2001)
+    separate = (u.value(r), u.d1(r), u.d2(r))
+    for order in (1, 2):
+        jet = u.jet(r, order)
+        assert len(jet) == order + 1
+        assert all(np.array_equal(a, b) for a, b in zip(jet, separate))

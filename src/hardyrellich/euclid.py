@@ -29,12 +29,12 @@ from .errors import ArgumentError, DomainError, EvaluationError
 from .manifolds import hyperbolic
 from .radial import (
     RadialFunction,
+    bilaplacian_form,
     bump,
-    dirichlet_form,
     grid_covering,
     make_grid,
     plateau_cutoff,
-    weighted_l2,
+    radial_sums,
 )
 from .hardy import MarginReport
 
@@ -119,18 +119,19 @@ def ball_from_radial(u: RadialFunction, N: int) -> RadialFunction:
         t = np.asarray(t, dtype=float)
         return conformal_factor(t) ** half * u(ball_radius_of_t(t))
 
-    def d1(t):
+    def jet(t, order):
+        # (v, v') whatever the order: v has no second-derivative data
         t = np.asarray(t, dtype=float)
         c = conformal_factor(t)
-        r = ball_radius_of_t(t)
+        ur, dur = u.jet(ball_radius_of_t(t), 1)
         # c' = c^2 t and r'(t) = c
-        return c ** (half + 1.0) * (half * t * u(r) + u.d1(r))
+        return c ** half * ur, c ** (half + 1.0) * (half * t * ur + dur)
 
     a, b = u.support
     return RadialFunction(
-        value, d1, None,
+        value, lambda t: jet(t, 1)[1], None,
         support=(float(np.tanh(a / 2.0)), float(np.tanh(min(b, 700.0) / 2.0))),
-        label=f"ball({u.label})",
+        label=f"ball({u.label})", jet_fn=jet,
     )
 
 
@@ -148,30 +149,25 @@ def ball_identity_check(u: RadialFunction, N: int, which: str,
     """
     if N < 3:
         raise DomainError("ball identities need N >= 3")
+    if which not in ("gradient", "l2", "hardy"):
+        raise ArgumentError("which must be 'gradient', 'l2' or 'hardy'")
     man = hyperbolic(N)
     grid_h = grid_covering(u.support, nodes)
     v = ball_from_radial(u, N)
     ta, tb = v.support
     grid_t = make_grid(max(ta * 0.9, 1e-12), min(tb * 1.05, 1.0 - 1e-12),
                        nodes, "uniform")
-    t = grid_t.nodes
+    r, t = grid_h.nodes, grid_t.nodes
     c2 = conformal_factor(t) ** 2
-    tw = t ** (N - 1) * grid_t.quad_weights
 
     if which == "gradient":
-        lhs = dirichlet_form(u, man, grid_h)
-        dv = v.d1(t)
-        rhs = float(np.dot(tw, dv * dv)) + N * (N - 2) / 4.0 * float(
-            np.dot(tw, c2 * v(t) ** 2)
-        )
+        hyp, ball = ("grad2", 1.0), [("grad2", 1.0), ("v2", N * (N - 2) / 4.0 * c2)]
     elif which == "l2":
-        lhs = weighted_l2(u, 1.0, man, grid_h)
-        rhs = float(np.dot(tw, c2 * v(t) ** 2))
-    elif which == "hardy":
-        lhs = weighted_l2(u, lambda r: 1.0 / r**2, man, grid_h)
-        rhs = float(np.dot(tw, c2 * v(t) ** 2 / ball_radius_of_t(t) ** 2))
+        hyp, ball = ("v2", 1.0), [("v2", c2)]
     else:
-        raise ArgumentError("which must be 'gradient', 'l2' or 'hardy'")
+        hyp, ball = ("v2", 1.0 / r**2), [("v2", c2 / ball_radius_of_t(t) ** 2)]
+    lhs = radial_sums(u, grid_h, [hyp], man.measure_weight(r))[0]
+    rhs = sum(radial_sums(v, grid_t, ball, t ** (N - 1)))
 
     scale = max(abs(lhs), abs(rhs))
     return 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
@@ -187,21 +183,17 @@ def check_ball_hardy(v: RadialFunction, N: int, nodes: int = 4096) -> MarginRepo
     if N < 3:
         raise DomainError("ball inequality needs N >= 3")
     a, b = v.support
-    if not (0.0 <= a < b < 1.0):
-        raise ArgumentError("support must stay strictly inside the unit ball")
+    if not (0.0 < a < b < 1.0):
+        raise ArgumentError("support must lie in (0, 1): inside the unit ball, off its centre")
 
     def one(nn):
-        grid = make_grid(max(a * 0.9, 1e-12), (b + 1.0) / 2.0, nn, "uniform")
+        grid = make_grid(a * 0.9, (b + 1.0) / 2.0, nn, "uniform")
         t = grid.nodes
-        tw = t ** (N - 1) * grid.quad_weights
         c2 = conformal_factor(t) ** 2
-        dv = v.d1(t)
-        vals = v(t) ** 2
-        lhs = float(np.dot(tw, dv * dv))
-        rhs = 0.25 * float(np.dot(tw, c2 * vals)) + 0.25 * float(
-            np.dot(tw, c2 * vals / ball_radius_of_t(t) ** 2)
-        )
-        return lhs, rhs
+        grad2, v2, v2_log = radial_sums(
+            v, grid, [("grad2", 1.0), ("v2", c2), ("v2", c2 / ball_radius_of_t(t) ** 2)],
+            t ** (N - 1))
+        return grad2, 0.25 * v2 + 0.25 * v2_log
 
     return MarginReport.from_sides(one, (nodes,), "ball_hardy", N, "ball", v.label)
 
@@ -698,12 +690,8 @@ def halfspace_bilaplacian_identity(U: RadialFunction, N: int,
     """
     if N < 5:
         raise DomainError("the bilaplacian identity check needs N >= 5")
-    man = hyperbolic(N)
     grid = grid_covering(U.support, nodes)
-    lap = U.d2(grid.nodes) + (N - 1) / np.tanh(grid.nodes) * U.d1(grid.nodes)
-    lhs_rad = float(np.dot(grid.quad_weights,
-                           lap * lap * man.measure_weight(grid.nodes)))
-    lhs = sphere_area(N) * lhs_rad
+    lhs = sphere_area(N) * bilaplacian_form(U, hyperbolic(N), grid)
 
     v = TransportedRadial(U, N, alpha=(N - 2) / 2.0)
     lap2, grad2, v2 = _halfspace_sums(v, N, nx, ny,
@@ -723,8 +711,7 @@ def hyperbolic_margin_without_sinh(U: RadialFunction, N: int,
     """
     man = hyperbolic(N)
     grid = grid_covering(U.support, nodes)
-    return (
-        dirichlet_form(U, man, grid)
-        - (N - 1) ** 2 / 4.0 * weighted_l2(U, 1.0, man, grid)
-        - 0.25 * weighted_l2(U, lambda r: 1.0 / r**2, man, grid)
-    )
+    r = grid.nodes
+    terms = [("grad2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2)]
+    dirichlet, l2, by_r2 = radial_sums(U, grid, terms, man.measure_weight(r))
+    return dirichlet - (N - 1) ** 2 / 4.0 * l2 - 0.25 * by_r2

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, CapabilityError, DomainError, SupportError, TruncationError
+from .errors import ArgumentError, DomainError, SupportError, TruncationError
 from .iterated_log import iterated_log_stack, log_derivatives
 from .manifolds import (
     ModelManifold,
@@ -27,11 +27,11 @@ from .pencils import (
 from .radial import (
     RadialFunction,
     RadialGrid,
-    _check_support_inside,
     _integrate,
     grid_covering,
     make_grid,
     plateau_cutoff,
+    radial_sums,
 )
 
 @dataclass
@@ -85,23 +85,14 @@ class LambdaCurve:
         return float(np.max(0.5 * (h[:-2] + h[2:]) - h[1:-1]))
 
 
-def _model_integrals(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid,
-                     **weights) -> dict[str, float]:
-    """int u'^2 psi^(N-1) ("dirichlet") and int u^2 w psi^(N-1) for w = 1
-    ("l2"), 1/r^2 ("hardy"), psi^-2 ("psi2") and each keyword's weight array,
-    from one evaluation of u, u' and psi^(N-1) on the grid; each integrand is
-    formed and checked as in dirichlet_form and weighted_l2."""
-    _check_support_inside(u, grid)
-    if u.d1 is None:
-        raise CapabilityError("dirichlet_form needs first-derivative data")
+def _hardy_sums(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid,
+                *weights) -> list[float]:
+    """int u'^2, int u^2/r^2 and int u^2/psi^2, then int u^2 w for each
+    weight w, all against the volume weight psi^(N-1)."""
     r = grid.nodes
-    measure = manifold.measure_weight(r)
-    du, uv = u.d1(r), u(r)
-    vals = {"dirichlet": _integrate(du * du * measure, grid, "gradient integrand")}
-    for name, w in {"l2": 1.0, "hardy": 1.0 / r**2,
-                    "psi2": np.exp(-2.0 * manifold.log_psi(r)), **weights}.items():
-        vals[name] = _integrate(uv * uv * w * measure, grid, "weighted L2 integrand")
-    return vals
+    terms = [("grad2", 1.0), ("v2", 1.0 / r**2), ("v2", np.exp(-2.0 * manifold.log_psi(r))),
+             *(("v2", w) for w in weights)]
+    return radial_sums(u, grid, terms, manifold.measure_weight(r))
 
 
 def check_poincare_hardy(u: RadialFunction, N: int, nodes: int = 4096) -> MarginReport:
@@ -120,10 +111,9 @@ def check_poincare_hardy(u: RadialFunction, N: int, nodes: int = 4096) -> Margin
     c_sinh = (N - 1) * (N - 3) / 4.0
 
     def one(nn: int):
-        vals = _model_integrals(u, man, grid_covering(u.support, nn))
-        lhs = vals["dirichlet"] - lam * vals["l2"]
-        rhs = 0.25 * vals["hardy"] + c_sinh * vals["psi2"]
-        return lhs, rhs
+        grid = grid_covering(u.support, nn)
+        dirichlet, by_r2, by_psi2, l2 = _hardy_sums(u, man, grid, 1.0)
+        return dirichlet - lam * l2, 0.25 * by_r2 + c_sinh * by_psi2
 
     return MarginReport.from_sides(one, (nodes,), "poincare_hardy",
                                    N, "hyperbolic", u.label)
@@ -145,11 +135,9 @@ def check_general_model(u: RadialFunction, manifold: ModelManifold,
 
     def one(nn: int):
         grid = grid_covering(u.support, nn)
-        vals = _model_integrals(u, manifold, grid,
-                                curvature=hardy_weight_general(manifold, grid.nodes))
-        lhs = vals["dirichlet"] - vals["curvature"]
-        rhs = 0.25 * vals["hardy"] + (N - 1) * (N - 3) / 4.0 * vals["psi2"]
-        return lhs, rhs
+        dirichlet, by_r2, by_psi2, curvature = _hardy_sums(
+            u, manifold, grid, hardy_weight_general(manifold, grid.nodes))
+        return dirichlet - curvature, 0.25 * by_r2 + (N - 1) * (N - 3) / 4.0 * by_psi2
 
     return MarginReport.from_sides(one, (nodes,), "general_model_hardy",
                                    N, manifold.family, u.label)
@@ -267,14 +255,10 @@ def check_iterated_log_improvement(u: RadialFunction, N: int, k: int,
     def one(nn: int):
         # pad without leaving (0, 1), where the log weights live
         grid = make_grid(a * 0.9, min(b + 0.05 * (b - a), (b + 1.0) / 2.0), nn, "uniform")
-        vals = _model_integrals(u, man, grid, series=series_weight(grid.nodes))
-        lhs = vals["dirichlet"] - (N - 1) ** 2 / 4.0 * vals["l2"]
-        rhs = (
-            0.25 * vals["hardy"]
-            + (N - 1) * (N - 3) / 4.0 * vals["psi2"]
-            + 0.25 * vals["series"]
-        )
-        return lhs, rhs
+        dirichlet, by_r2, by_psi2, l2, series = _hardy_sums(
+            u, man, grid, 1.0, series_weight(grid.nodes))
+        lhs = dirichlet - (N - 1) ** 2 / 4.0 * l2
+        return lhs, 0.25 * by_r2 + (N - 1) * (N - 3) / 4.0 * by_psi2 + 0.25 * series
 
     return MarginReport.from_sides(one, (nodes,), f"iterated_log_improvement(k={k})",
                                    N, "hyperbolic", u.label)
@@ -355,7 +339,7 @@ def iterated_log_optimality_scan(N: int, k: int, params=None,
         pk = np.prod(iterated_log_stack(k, r), axis=0)
         du = u.d1(r)
         uu = u(r)
-        num = float(np.dot(grid.quad_weights, du * du * r / pk))
-        den = float(np.dot(grid.quad_weights, uu * uu * pk / r))
+        num = _integrate(du * du * r / pk, grid, "quotient numerator")
+        den = _integrate(uu * uu * pk / r, grid, "quotient denominator")
         out.append(0.25 + num / den)
     return out

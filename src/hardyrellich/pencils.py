@@ -179,14 +179,14 @@ def assemble_custom_pencil(
 
     b_diag = w * g * w_vals
 
-    if order in (ORDER_LAPLACIAN, 2, "2"):
+    if order == ORDER_LAPLACIAN:
         diag, off = _stiffness(nodes, grid.r_min, grid.r_max, g_of)
         diag = diag - w * g * v_vals
         a_bands = np.zeros((2, nodes.size))
         a_bands[0] = diag
         a_bands[1, :-1] = off
         pencil = QuadraticPencil(a_bands, b_diag, grid, ORDER_LAPLACIAN, rebuild=rebuild)
-    elif order in (ORDER_BILAPLACIAN, 4, "4"):
+    elif order == ORDER_BILAPLACIAN:
         p_vals = _as_values(drift, nodes)
         q_vals = _as_values(zeroth, nodes)
         alpha, beta, gamma = _laplacian_rows(nodes, grid.r_min, grid.r_max, p_vals, q_vals)
@@ -225,7 +225,7 @@ def assemble_pencil(
         return assemble_pencil(manifold, V, W, grid.refined(m), order)
 
     drift = None
-    if order in (ORDER_BILAPLACIAN, 4, "4"):
+    if order == ORDER_BILAPLACIAN:
         drift = lambda r: (manifold.N - 1) * manifold.dpsi_over_psi(r)
     return assemble_custom_pencil(
         grid,

@@ -7,6 +7,10 @@ two weights), which is exact for linear integrands and keeps every weight
 positive.  Test functions used in inequality checks must be compactly
 supported strictly inside the truncation, mirroring the smooth compactly
 supported test class of the continuous statements.
+
+Every 1-D margin and identity lists its integrals as terms (Q, weight)
+with Q one of u^2, u'^2 and (u'' + p u' - q u)^2, and radial_sums forms
+them from one evaluation of u per grid.
 """
 
 from __future__ import annotations
@@ -320,31 +324,57 @@ def integrate_weighted(f, w, manifold: ModelManifold, grid: RadialGrid) -> float
     return _integrate(vals, grid, "integrand")
 
 
+# derivative order each integrand of radial_sums needs
+_TERM_ORDER = {"v2": 0, "grad2": 1, "lap2": 2}
+
+
+def radial_sums(u: RadialFunction, grid: RadialGrid, terms, measure,
+                drift=None, zeroth=None) -> list[float]:
+    """Quadrature of Q * weight * measure for each term (Q, weight), from one
+    evaluation of u on the grid: Q is "v2" = u^2, "grad2" = u'^2 or
+    "lap2" = (u'' + drift u' - zeroth u)^2, and u is evaluated with its
+    jet only to the highest derivative a term needs.
+
+    weight, measure, drift and zeroth are node arrays or scalars (drift and
+    zeroth default to 0).  u must be supported strictly inside the grid; a
+    non-finite integrand raises EvaluationError naming its node."""
+    _check_support_inside(u, grid)
+    order = max(_TERM_ORDER[q] for q, _ in terms)
+    if order and (u.d1 is None or (order == 2 and u.d2 is None)):
+        raise CapabilityError(
+            f"radial_sums needs {'second' if order == 2 else 'first'}-derivative data"
+        )
+    jet = u.jet(grid.nodes, order) if order else (u(grid.nodes),)
+    Q = {"v2": jet[0] * jet[0]}
+    if order:
+        Q["grad2"] = jet[1] * jet[1]
+    if order == 2:
+        lap = jet[2]
+        if drift is not None:
+            lap = lap + drift * jet[1]
+        if zeroth is not None:
+            lap = lap - zeroth * jet[0]
+        Q["lap2"] = lap * lap
+    return [_integrate(Q[q] * weight * measure, grid, f"{q} integrand")
+            for q, weight in terms]
+
+
 def dirichlet_form(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid) -> float:
     """Radial Dirichlet energy: integral of u'(r)^2 psi^(N-1) dr."""
-    _check_support_inside(u, grid)
-    if u.d1 is None:
-        raise CapabilityError("dirichlet_form needs first-derivative data")
-    du = u.d1(grid.nodes)
-    vals = du * du * manifold.measure_weight(grid.nodes)
-    return _integrate(vals, grid, "gradient integrand")
+    return radial_sums(u, grid, [("grad2", 1.0)], manifold.measure_weight(grid.nodes))[0]
 
 
 def bilaplacian_form(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid) -> float:
     """Integral of (Delta u)^2 psi^(N-1) dr with the radial Laplacian
     Delta u = u'' + (N-1)(psi'/psi) u'."""
-    _check_support_inside(u, grid)
-    if u.d1 is None or u.d2 is None:
-        raise CapabilityError("bilaplacian_form needs second-derivative data")
     r = grid.nodes
-    lap = u.d2(r) + (manifold.N - 1) * manifold.dpsi_over_psi(r) * u.d1(r)
-    vals = lap * lap * manifold.measure_weight(r)
-    return _integrate(vals, grid, "bilaplacian integrand")
+    return radial_sums(u, grid, [("lap2", 1.0)], manifold.measure_weight(r),
+                       drift=(manifold.N - 1) * manifold.dpsi_over_psi(r))[0]
 
 
-def weighted_l2(u, weight, manifold: ModelManifold, grid: RadialGrid) -> float:
+def weighted_l2(u: RadialFunction, weight, manifold: ModelManifold,
+                grid: RadialGrid) -> float:
     """Integral of u^2 * weight(r) * psi^(N-1) dr (margin-check helper)."""
-    uv = u(grid.nodes)
-    wv = weight(grid.nodes) if callable(weight) else weight
-    vals = uv * uv * wv * manifold.measure_weight(grid.nodes)
-    return _integrate(vals, grid, "weighted L2 integrand")
+    r = grid.nodes
+    wv = weight(r) if callable(weight) else weight
+    return radial_sums(u, grid, [("v2", wv)], manifold.measure_weight(r))[0]

@@ -16,10 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    ArgumentError,
     DomainError,
     RangeError,
-    SupportError,
     TruncationError,
 )
 from .hardy import MarginReport
@@ -34,10 +32,9 @@ from .pencils import (
 from .radial import (
     RadialFunction,
     RadialGrid,
-    bilaplacian_form,
     grid_covering,
     make_grid,
-    weighted_l2,
+    radial_sums,
 )
 
 
@@ -152,25 +149,25 @@ def verify_euclidean_rellich_split(N: int) -> tuple[bool, bool]:
 def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 4096) -> MarginReport:
     """Margin of the 1-D weighted inequality
     int u'^2/sinh^2 >= 9/4 int u^2/sinh^4 + int u^2/sinh^2 (flat measure)."""
-    line = flat_line(1)
 
     def one(nn):
         grid = grid_covering(u.support, nn)
-        du = u.d1(grid.nodes)
         s2 = _inv_sinh_sq(grid.nodes)
-        lhs = float(np.dot(grid.quad_weights, du * du * s2))
-        uu = u(grid.nodes)
-        rhs = float(np.dot(grid.quad_weights, uu * uu * (2.25 * s2 * s2 + s2)))
-        return lhs, rhs
+        return radial_sums(u, grid, [("grad2", s2), ("v2", 2.25 * s2 * s2 + s2)], 1.0)
 
     return MarginReport.from_sides(one, (nodes,), "sinh_hardy_1d", 1, "line", u.label)
 
 
-def _reduced_operator_values(d: RadialFunction, N: int, n: int, r: np.ndarray):
-    lam = mode_eigenvalue(n, N)
+def _reduced_sums(d: RadialFunction, N: int, n: int, grid: RadialGrid,
+                  *weights) -> list[float]:
+    """The mode-n reduced form, then int d^2 w for each weight w (flat
+    measure)."""
+    r = grid.nodes
     coth2 = 1.0 / np.tanh(r) ** 2
+    lam = mode_eigenvalue(n, N)
     q = (N - 1) * (N - 3) / 4.0 * coth2 + (N - 1) / 2.0 + lam * _inv_sinh_sq(r)
-    return d.d2(r) - q * d(r)
+    terms = [("lap2", 1.0), *(("v2", w) for w in weights)]
+    return radial_sums(d, grid, terms, 1.0, zeroth=q)
 
 
 def radial_reduced_form(d: RadialFunction, N: int, n: int,
@@ -183,13 +180,7 @@ def radial_reduced_form(d: RadialFunction, N: int, n: int,
     the radial function u (the substitution is an isometry of the forms).
     """
     _require_dim(N, 5)
-    if d.d2 is None:
-        raise ArgumentError("reduced form needs second-derivative data")
-    a, b = d.support
-    if not (a > grid.r_min and b < grid.r_max):
-        raise SupportError("profile support must lie strictly inside the grid")
-    vals = _reduced_operator_values(d, N, n, grid.nodes) ** 2
-    return float(np.dot(grid.quad_weights, vals))
+    return _reduced_sums(d, N, n, grid)[0]
 
 
 def reduced_from_radial(u: RadialFunction, N: int) -> RadialFunction:
@@ -202,19 +193,18 @@ def reduced_from_radial(u: RadialFunction, N: int) -> RadialFunction:
     def kappa(r):
         return half / np.tanh(r)
 
-    def value(r):
-        return w(r) * u(r)
-
-    def d1(r):
-        return w(r) * (kappa(r) * u(r) + u.d1(r))
-
-    def d2(r):
-        k = kappa(r)
+    def jet(r, order):
+        wr, k = w(r), kappa(r)
+        ur = u.jet(r, order)
+        out = (wr * ur[0], wr * (k * ur[0] + ur[1]))
+        if order == 1:
+            return out
         kp = -half * _inv_sinh_sq(r)
-        return w(r) * ((k * k + kp) * u(r) + 2.0 * k * u.d1(r) + u.d2(r))
+        return out + (wr * ((k * k + kp) * ur[0] + 2.0 * k * ur[1] + ur[2]),)
 
-    return RadialFunction(value, d1, d2, support=u.support,
-                          label=f"reduced({u.label})")
+    return RadialFunction(lambda r: w(r) * u(r), lambda r: jet(r, 1)[1],
+                          lambda r: jet(r, 2)[2], support=u.support,
+                          label=f"reduced({u.label})", jet_fn=jet)
 
 
 def mode_chain_margin(d: RadialFunction, N: int, n: int,
@@ -229,27 +219,26 @@ def mode_chain_margin(d: RadialFunction, N: int, n: int,
     def one(nn):
         grid = grid_covering(d.support, nn)
         r = grid.nodes
-        dd = d(r)
         s2 = _inv_sinh_sq(r)
-        lhs = radial_reduced_form(d, N, n, grid)
-        rhs = float(
-            np.dot(
-                grid.quad_weights,
-                dd
-                * dd
-                * (
-                    9.0 / 16.0 / r**4
-                    + (N - 1) ** 2 / 8.0 / r**2
-                    + (N - 1) ** 4 / 16.0
-                    + a4 * s2 * s2
-                    + b2 * s2
-                ),
-            )
-        )
-        return lhs, rhs
+        weight = (9.0 / 16.0 / r**4 + (N - 1) ** 2 / 8.0 / r**2 + (N - 1) ** 4 / 16.0
+                  + a4 * s2 * s2 + b2 * s2)
+        return _reduced_sums(d, N, n, grid, weight)
 
     return MarginReport.from_sides(one, (nodes,), f"mode_chain(n={n})",
                                    N, "hyperbolic", d.label)
+
+
+def _poincare_rellich_sums(u: RadialFunction, N: int, grid: RadialGrid,
+                          count: int = 6) -> list[float]:
+    """The first count of int (Lap u)^2, int u^2, int u^2/r^2, int u^2/r^4,
+    int u^2/sinh^2 and int u^2/sinh^4 (hyperbolic volume weight)."""
+    man = hyperbolic(N)
+    r = grid.nodes
+    inv_psi2 = np.exp(-2.0 * man.log_psi(r))
+    terms = [("lap2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2), ("v2", 1.0 / r**4),
+             ("v2", inv_psi2), ("v2", inv_psi2**2)]
+    return radial_sums(u, grid, terms[:count], man.measure_weight(r),
+                       drift=(N - 1) * man.dpsi_over_psi(r))
 
 
 def check_poincare_rellich(u: RadialFunction, N: int,
@@ -262,21 +251,16 @@ def check_poincare_rellich(u: RadialFunction, N: int,
            + (N-1)(N-3)(N^2-4N-3)/16 int u^2/sinh^4.
     """
     _require_dim(N, 5)
-    man = hyperbolic(N)
 
     def one(nn):
-        grid = grid_covering(u.support, nn)
-        r = grid.nodes
-        lhs = (
-            bilaplacian_form(u, man, grid)
-            - (N - 1) ** 4 / 16.0 * weighted_l2(u, 1.0, man, grid)
-        )
-        inv_psi2 = np.exp(-2.0 * man.log_psi(r))
+        lap2, l2, by_r2, by_r4, by_psi2, by_psi4 = _poincare_rellich_sums(
+            u, N, grid_covering(u.support, nn))
+        lhs = lap2 - (N - 1) ** 4 / 16.0 * l2
         rhs = (
-            (N - 1) ** 2 / 8.0 * weighted_l2(u, lambda rr: 1.0 / rr**2, man, grid)
-            + 9.0 / 16.0 * weighted_l2(u, lambda rr: 1.0 / rr**4, man, grid)
-            + float(min_sinh2_closed_form(N)) * weighted_l2(u, inv_psi2, man, grid)
-            + float(min_sinh4_closed_form(N)) * weighted_l2(u, inv_psi2**2, man, grid)
+            (N - 1) ** 2 / 8.0 * by_r2
+            + 9.0 / 16.0 * by_r4
+            + float(min_sinh2_closed_form(N)) * by_psi2
+            + float(min_sinh4_closed_form(N)) * by_psi4
         )
         return lhs, rhs
 
@@ -292,17 +276,10 @@ def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 4096) -> fl
     used for the cross-model consistency check.
     """
     _require_dim(N, 5)
-    man = hyperbolic(N)
-    grid = grid_covering(u.support, nodes)
-    lhs = (
-        bilaplacian_form(u, man, grid)
-        - (N - 1) ** 4 / 16.0 * weighted_l2(u, 1.0, man, grid)
-    )
-    rhs = (
-        (N - 1) ** 2 / 8.0 * weighted_l2(u, lambda rr: 1.0 / rr**2, man, grid)
-        + 9.0 / 16.0 * weighted_l2(u, lambda rr: 1.0 / rr**4, man, grid)
-    )
-    return lhs - rhs
+    lap2, l2, by_r2, by_r4 = _poincare_rellich_sums(
+        u, N, grid_covering(u.support, nodes), count=4)
+    lhs = lap2 - (N - 1) ** 4 / 16.0 * l2
+    return lhs - ((N - 1) ** 2 / 8.0 * by_r2 + 9.0 / 16.0 * by_r4)
 
 
 # ---------------------------------------------------------------------------
@@ -629,31 +606,24 @@ def mapped_from_radial(u: RadialFunction, N: int) -> RadialFunction:
     """
     cov = change_of_variable(N)
 
-    def _r_and_derivs(s):
+    def jet(s, order):
+        # one inversion r(s) for the whole jet
         s = np.asarray(s, dtype=float)
         r = cov.r_of_s(s)
         rp = np.exp((N - 1) * (_log_sinh(r) - np.log(s)))
+        ur = u.jet(r, order)
+        out = (ur[0], ur[1] * rp)
+        if order == 1:
+            return out
         rpp = (N - 1) * rp * (rp / np.tanh(r) - 1.0 / s)
-        return r, rp, rpp
+        return out + (ur[2] * rp * rp + ur[1] * rpp,)
 
     a, b = u.support
     s_a = cov.s_of_r(max(a, cov.TABLE_RANGE[0]))
     s_b = cov.s_of_r(min(b, cov.TABLE_RANGE[1]))
-
-    def value(s):
-        r, _, _ = _r_and_derivs(s)
-        return u(r)
-
-    def d1(s):
-        r, rp, _ = _r_and_derivs(s)
-        return u.d1(r) * rp
-
-    def d2(s):
-        r, rp, rpp = _r_and_derivs(s)
-        return u.d2(r) * rp * rp + u.d1(r) * rpp
-
-    return RadialFunction(value, d1, d2, support=(s_a, s_b),
-                          label=f"mapped({u.label})")
+    return RadialFunction(lambda s: u(cov.r_of_s(s)), lambda s: jet(s, 1)[1],
+                          lambda s: jet(s, 2)[2], support=(s_a, s_b),
+                          label=f"mapped({u.label})", jet_fn=jet)
 
 
 def check_mapped_rellich(v: RadialFunction, N: int,
@@ -675,23 +645,10 @@ def check_mapped_rellich(v: RadialFunction, N: int,
         grid = grid_covering(v.support, nn)
         s = grid.nodes
         r = cov.r_of_s(s)
-        log_rho = 2.0 * (N - 1) * (_log_sinh(r) - np.log(s))
-        rho = np.exp(log_rho)
-        sw = s ** (N - 1)
-        lap = v.d2(s) + (N - 1) / s * v.d1(s)
-        vv = v(s)
-        lhs = float(np.dot(grid.quad_weights, lap * lap / rho * sw))
-        rhs = float(
-            np.dot(
-                grid.quad_weights,
-                vv * vv * rho * sw * (
-                    (N - 1) ** 4 / 16.0
-                    + 9.0 / 16.0 / r**4
-                    + (N - 1) ** 2 / 8.0 / r**2
-                ),
-            )
-        )
-        return lhs, rhs
+        rho = np.exp(2.0 * (N - 1) * (_log_sinh(r) - np.log(s)))
+        principal = (N - 1) ** 4 / 16.0 + 9.0 / 16.0 / r**4 + (N - 1) ** 2 / 8.0 / r**2
+        return radial_sums(v, grid, [("lap2", 1.0 / rho), ("v2", rho * principal)],
+                           s ** (N - 1), drift=(N - 1) / s)
 
     return MarginReport.from_sides(one, (nodes,), "mapped_rellich",
                                    N, "hyperbolic", v.label)

@@ -10,6 +10,7 @@ their own arguments.  Reports sort rows by name, so runs are reproducible."""
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 from functools import partial
@@ -47,10 +48,13 @@ def _product_profiles(N: int) -> list:
 
 def _margin_row(cfg: ToolkitConfig, name: str, reports) -> CheckRow:
     """Worst relative margin, min of margin / |lhs| over the reports,
-    judged against [tolerances] margin_rtol."""
+    judged against [tolerances] margin_rtol.  A non-finite ratio, or a
+    report with lhs = 0, fails the row and is its value."""
     mtol = cfg.tolerance("margin_rtol")
-    worst = min(rep.margin / abs(rep.lhs) for rep in reports)
-    return row(name, worst, mtol, worst >= -mtol)
+    ratios = [rep.margin / abs(rep.lhs) if rep.lhs else math.nan for rep in reports]
+    bad = [x for x in ratios if not math.isfinite(x)]
+    worst = bad[0] if bad else min(ratios)
+    return row(name, worst, mtol, not bad and worst >= -mtol)
 
 
 def _count_row(name: str, bad: int) -> CheckRow:

@@ -20,7 +20,7 @@ from .manifolds import (
     _require_positive,
     hardy_weight_general,
 )
-from .radial import RadialFunction, RadialGrid, make_grid
+from .radial import RadialFunction, RadialGrid, _integrate, make_grid
 
 # fixed sample set for identity suites: 64 log-spaced radii
 IDENTITY_SAMPLE = np.geomspace(1e-3, 30.0, 64)
@@ -358,7 +358,7 @@ def null_criticality_scan(N: int, k_list, M: int = 4096) -> list[tuple[float, fl
     for k in k_list:
         grid = make_grid(float(np.exp(-k)), 1.0, M, "geometric")
         vals = 0.25 / grid.nodes
-        out.append((float(k), float(np.dot(grid.quad_weights, vals))))
+        out.append((float(k), _integrate(vals, grid, "mass integrand")))
     return out
 
 

@@ -325,3 +325,21 @@ def test_manifest_times_each_check(tmp_path):
     # timings go only into the manifest
     for name in ("results.csv", "constants.csv", "residuals.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["nan_first", "nan_last", "zero_lhs", "minus_inf"])
+def test_margin_row_fails_nonfinite_ratios(bad):
+    # min() drops a NaN unless it comes first, and lhs = 0 divided by zero
+    def report(lhs, rhs):
+        return hardy.MarginReport("m", 5, "hyperbolic", "u", lhs, rhs, lhs - rhs, 0.0)
+
+    good = report(2.0, 1.0)
+    reports = {
+        "nan_first": [report(float("nan"), 1.0), good],
+        "nan_last": [good, report(float("nan"), 1.0)],
+        "zero_lhs": [good, report(0.0, 0.0)],
+        "minus_inf": [good, report(1.0, float("inf"))],
+    }[bad]
+    cfg = ToolkitConfig()
+    assert suites._margin_row(cfg, "m", [good]).passed
+    assert not suites._margin_row(cfg, "m", reports).passed

@@ -9,6 +9,7 @@ from hardyrellich.radial import (
     bump,
     dirichlet_form,
     grid_covering,
+    radial_sums,
     seeded_bumps,
     weighted_l2,
 )
@@ -224,17 +225,16 @@ def test_truncation_error_path(monkeypatch):
 
 
 def test_model_integrals_evaluate_each_profile_once(monkeypatch):
-    # one evaluation of u, u' and psi^(N-1) per grid, and the same bits as
-    # the one-integral helpers, which evaluate them again for every term
+    # one jet of u and one psi^(N-1) per grid, and the same bits as the
+    # one-term forms, which evaluate them again for every term
     base = bump(1.0, 2.0)
     man = mf.superexp(4, 1.5)
     grid = grid_covering(base.support, 512)
-    weight = mf.hardy_weight_general(man, grid.nodes)
-    expected = {"dirichlet": dirichlet_form(base, man, grid)}
-    for name, w in (("l2", 1.0), ("hardy", lambda r: 1.0 / r**2),
-                    ("psi2", lambda r: np.exp(-2.0 * man.log_psi(r))),
-                    ("curvature", weight)):
-        expected[name] = weighted_l2(base, w, man, grid)
+    r = grid.nodes
+    weights = [1.0, 1.0 / r**2, np.exp(-2.0 * man.log_psi(r)),
+               mf.hardy_weight_general(man, r)]
+    expected = [dirichlet_form(base, man, grid)]
+    expected += [weighted_l2(base, w, man, grid) for w in weights]
 
     calls = []
     measure = mf.ModelManifold.measure_weight
@@ -242,6 +242,13 @@ def test_model_integrals_evaluate_each_profile_once(monkeypatch):
                         lambda self, r: calls.append("psi") or measure(self, r))
     u = RadialFunction(lambda r: calls.append("u") or base(r),
                        lambda r: calls.append("du") or base.d1(r),
-                       base.d2, base.support)
-    assert hardy._model_integrals(u, man, grid, curvature=weight) == expected
-    assert sorted(calls) == ["du", "psi", "u"]
+                       lambda r: calls.append("d2u") or base.d2(r), base.support,
+                       jet_fn=lambda r, order: calls.append(f"jet{order}")
+                       or base.jet(r, order))
+    terms = [("grad2", 1.0)] + [("v2", w) for w in weights]
+    assert radial_sums(u, grid, terms, man.measure_weight(r)) == expected
+    assert sorted(calls) == ["jet1", "psi"]
+
+    calls.clear()
+    hardy.check_general_model(u, man, nodes=512)  # the full and the half grid
+    assert sorted(calls) == ["jet1", "jet1", "psi", "psi"]

@@ -303,3 +303,13 @@ def test_refinement_error_decreases_for_bilaplacian():
     d1 = abs(est.history[1][1] - est.history[0][1])
     d2 = abs(est.history[2][1] - est.history[1][1])
     assert d2 <= d1
+
+
+@pytest.mark.parametrize("order", [2, "2", 4, "4", "laplacian"], ids=repr)
+def test_pencil_order_must_be_a_named_constant(order):
+    grid = make_grid(1.0, 2.0, 64, "uniform")
+    with pytest.raises(ArgumentError, match="unknown pencil order"):
+        pencils.assemble_pencil(mf.hyperbolic(3), None, 1.0, grid, order)
+    with pytest.raises(ArgumentError, match="unknown pencil order"):
+        pencils.assemble_custom_pencil(grid, lambda r: np.zeros_like(r), None, None,
+                                       None, 1.0, order)

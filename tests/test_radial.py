@@ -269,3 +269,100 @@ def test_jet_matches_separate_calls(u):
         jet = u.jet(r, order)
         assert len(jet) == order + 1
         assert all(np.array_equal(a, b) for a, b in zip(jet, separate))
+
+
+def _reference_sums(u, grid, weight, measure, drift, zeroth):
+    # each integral written out as a raw trapezoid dot product of separately
+    # evaluated value, first and second derivative
+    r, w = grid.nodes, grid.quad_weights
+    uu, du = u.value(r), u.d1(r)
+    out = {"v2": np.dot(w, uu * uu * weight * measure),
+           "grad2": np.dot(w, du * du * weight * measure)}
+    if u.d2 is not None:
+        lap = u.d2(r) + drift * du - zeroth * uu
+        out["lap2"] = np.dot(w, lap * lap * weight * measure)
+    return out
+
+
+def _trial_inside(grid_end):
+    # trial_profile reaches r = 0, where no grid starts; its declared support
+    # is cut to the grid, as both sums visit the same nodes
+    from hardyrellich.hardy import trial_profile
+
+    u = trial_profile(0.3, [0.5], 0.25)
+    return radial.RadialFunction(u.value, u.d1, u.d2, support=(grid_end, 0.5))
+
+
+def _sums_cases():
+    from hardyrellich.euclid import ball_from_radial
+    from hardyrellich.rellich import mapped_from_radial, reduced_from_radial
+
+    return {
+        "bump": lambda: radial.bump(0.6, 2.3, 0.4, 0.9),
+        "trial_profile": lambda: _trial_inside(0.02),
+        "reduced_from_radial": lambda: reduced_from_radial(radial.bump(0.5, 2.0), 5),
+        "ball_from_radial": lambda: ball_from_radial(radial.bump(0.5, 2.0), 5),
+        "mapped_from_radial": lambda: mapped_from_radial(radial.bump(1.0, 2.0), 5),
+    }
+
+
+@pytest.mark.parametrize("case", list(_sums_cases()))
+def test_radial_sums_match_written_out_sums(case):
+    u = _sums_cases()[case]()
+    grid = radial.grid_covering(u.support, 1024)
+    r = grid.nodes
+    weight, measure = 1.0 + 1.0 / r**2, r**4
+    drift, zeroth = 4.0 / r, 1.0 + 0.5 * r
+    ref = _reference_sums(u, grid, weight, measure, drift, zeroth)
+    qs = list(ref)
+    for n in range(1, len(qs) + 1):  # each highest derivative order, terms reversed
+        some = qs[:n][::-1]
+        got = radial.radial_sums(u, grid, [(q, weight) for q in some], measure,
+                                 drift=drift, zeroth=zeroth)
+        for q, value in zip(some, got):
+            assert value > 0.0 and value == pytest.approx(ref[q], rel=1e-14, abs=0.0), q
+    if u.d2 is None:  # ball_from_radial has first derivatives only
+        with pytest.raises(CapabilityError):
+            radial.radial_sums(u, grid, [("lap2", 1.0)], measure)
+
+
+def _nan_on(u, lo, hi):
+    """u with NaN value, slope and curvature on [lo, hi]."""
+    def poisoned(f):
+        def g(r):
+            r = np.asarray(r, dtype=float)
+            return np.where((r >= lo) & (r <= hi), np.nan, f(r))
+        return g
+
+    return radial.RadialFunction(poisoned(u.value), poisoned(u.d1), poisoned(u.d2),
+                                 support=u.support, label="nan")
+
+
+def _nan_checks():
+    from hardyrellich import euclid, rellich
+
+    def reduced(u):
+        return rellich.reduced_from_radial(u, 5)
+
+    return {
+        "sinh_hardy_1d": lambda: rellich.check_sinh_hardy_1d(
+            _nan_on(radial.bump(1.0, 2.0), 1.4, 1.6), nodes=256),
+        "mode_chain": lambda: rellich.mode_chain_margin(
+            _nan_on(reduced(radial.bump(1.0, 2.0)), 1.4, 1.6), 5, 1, nodes=256),
+        "mapped_rellich": lambda: rellich.check_mapped_rellich(
+            _nan_on(radial.bump(2.0, 5.0), 3.0, 3.5), 5, nodes=256),
+        "ball_identity": lambda: euclid.ball_identity_check(
+            _nan_on(radial.bump(1.0, 2.0), 1.4, 1.6), 5, "l2", nodes=256),
+        "ball_hardy": lambda: euclid.check_ball_hardy(
+            _nan_on(radial.bump(0.2, 0.6), 0.35, 0.45), 3, nodes=256),
+        "halfspace_bilaplacian": lambda: euclid.halfspace_bilaplacian_identity(
+            _nan_on(radial.bump(0.5, 1.5), 0.9, 1.1), 5, nodes=256, nx=40, ny=32),
+    }
+
+
+@pytest.mark.parametrize("check", list(_nan_checks()))
+def test_nan_profile_names_its_radius(check):
+    # these checks summed raw dot products, which turned a NaN profile
+    # value into a NaN margin
+    with pytest.raises(EvaluationError, match=r"non-finite at node \d+ \(r = "):
+        _nan_checks()[check]()

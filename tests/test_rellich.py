@@ -293,3 +293,29 @@ def test_mapped_rellich_margin_and_equivalence():
         rellich.mapped_from_radial(u, 5), 5, nodes=8192
     ).margin
     assert abs(m_rad - m_map) / abs(m_rad) <= 1e-4
+
+
+def test_mapped_profile_inverts_once_per_jet(monkeypatch):
+    # the jet matches the chain rule written out on one inversion r(s),
+    # bit for bit, and a mapped margin inverts twice per grid: once for the
+    # profile's jet and once for the density
+    N = 5
+    u = bump(1.0, 2.0)
+    v = rellich.mapped_from_radial(u, N)
+    cov = rellich.change_of_variable(N)
+    s = grid_covering(v.support, 512).nodes
+    r = cov.r_of_s(s)
+    rp = np.exp((N - 1) * (rellich._log_sinh(r) - np.log(s)))
+    rpp = (N - 1) * rp * (rp / np.tanh(r) - 1.0 / s)
+    written_out = (u(r), u.d1(r) * rp, u.d2(r) * rp * rp + u.d1(r) * rpp)
+    for order in (1, 2):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(v.jet(s, order), written_out[:order + 1]))
+    assert all(np.array_equal(f(s), w) for f, w in zip((v.value, v.d1, v.d2), written_out))
+
+    calls = []
+    r_of_s = rellich.ChangeOfVariable.r_of_s
+    monkeypatch.setattr(rellich.ChangeOfVariable, "r_of_s",
+                        lambda self, s: calls.append(1) or r_of_s(self, s))
+    rellich.check_mapped_rellich(v, N, nodes=512)
+    assert len(calls) == 4  # the full and the half grid

@@ -29,6 +29,7 @@ from .errors import ArgumentError, DomainError, EvaluationError
 from .manifolds import hyperbolic
 from .radial import (
     RadialFunction,
+    _trapezoid_weights,
     bilaplacian_form,
     bump,
     grid_covering,
@@ -112,45 +113,40 @@ class BallMappedPair:
 
 
 def ball_from_radial(u: RadialFunction, N: int) -> RadialFunction:
-    """Transplanted profile v(t) = (2/(1-t^2))^((N-2)/2) u(r(t))."""
+    """Transplanted profile v(t) = (2/(1-t^2))^((N-2)/2) u(r(t)), with its
+    first derivative only."""
     half = 0.5 * (N - 2)
 
-    def value(t):
-        t = np.asarray(t, dtype=float)
-        return conformal_factor(t) ** half * u(ball_radius_of_t(t))
-
     def jet(t, order):
-        # (v, v') whatever the order: v has no second-derivative data
         t = np.asarray(t, dtype=float)
         c = conformal_factor(t)
-        ur, dur = u.jet(ball_radius_of_t(t), 1)
+        ur = u.jet(ball_radius_of_t(t), order)
+        out = (c ** half * ur[0],)
         # c' = c^2 t and r'(t) = c
-        return c ** half * ur, c ** (half + 1.0) * (half * t * ur + dur)
+        return out + (c ** (half + 1.0) * (half * t * ur[0] + ur[1]),) if order else out
 
     a, b = u.support
     return RadialFunction(
-        value, lambda t: jet(t, 1)[1], None,
+        jet, max_order=1,
         support=(float(np.tanh(a / 2.0)), float(np.tanh(min(b, 700.0) / 2.0))),
-        label=f"ball({u.label})", jet_fn=jet,
+        label=f"ball({u.label})",
     )
 
 
-def ball_identity_check(u: RadialFunction, N: int, which: str,
-                        nodes: int = 4096) -> float:
-    """Relative discrepancy of one transplantation identity.
+def ball_identity_check(u: RadialFunction, N: int,
+                        nodes: int = 4096) -> tuple[float, float, float]:
+    """Relative discrepancies of the three transplantation identities:
 
-    which = "gradient":  hyperbolic Dirichlet energy against
-                         int |grad v|^2 + N(N-2)/4 int c(t)^2 v^2
-    which = "l2":        int u^2 dv against int c^2 v^2
-    which = "hardy":     int u^2/r^2 dv against int c^2 v^2 / r(t)^2
+      gradient:  hyperbolic Dirichlet energy against
+                 int |grad v|^2 + N(N-2)/4 int c(t)^2 v^2
+      l2:        int u^2 dv against int c^2 v^2
+      hardy:     int u^2/r^2 dv against int c^2 v^2 / r(t)^2
 
-    Both sides are reduced to 1-D radial integrals; the sphere factor is
-    identical on the two sides and dropped.
+    Both sides are reduced to 1-D radial integrals, one radial_sums call
+    per side; the sphere factor is identical on the two sides and dropped.
     """
     if N < 3:
         raise DomainError("ball identities need N >= 3")
-    if which not in ("gradient", "l2", "hardy"):
-        raise ArgumentError("which must be 'gradient', 'l2' or 'hardy'")
     man = hyperbolic(N)
     grid_h = grid_covering(u.support, nodes)
     v = ball_from_radial(u, N)
@@ -160,17 +156,17 @@ def ball_identity_check(u: RadialFunction, N: int, which: str,
     r, t = grid_h.nodes, grid_t.nodes
     c2 = conformal_factor(t) ** 2
 
-    if which == "gradient":
-        hyp, ball = ("grad2", 1.0), [("grad2", 1.0), ("v2", N * (N - 2) / 4.0 * c2)]
-    elif which == "l2":
-        hyp, ball = ("v2", 1.0), [("v2", c2)]
-    else:
-        hyp, ball = ("v2", 1.0 / r**2), [("v2", c2 / ball_radius_of_t(t) ** 2)]
-    lhs = radial_sums(u, grid_h, [hyp], man.measure_weight(r))[0]
-    rhs = sum(radial_sums(v, grid_t, ball, t ** (N - 1)))
+    grad_h, l2_h, hardy_h = radial_sums(
+        u, grid_h, [("grad2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2)], man.measure_weight(r))
+    grad_b, conf_b, l2_b, hardy_b = radial_sums(
+        v, grid_t, [("grad2", 1.0), ("v2", N * (N - 2) / 4.0 * c2), ("v2", c2),
+                    ("v2", c2 / ball_radius_of_t(t) ** 2)], t ** (N - 1))
 
-    scale = max(abs(lhs), abs(rhs))
-    return 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
+    def gap(lhs, rhs):
+        scale = max(abs(lhs), abs(rhs))
+        return 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
+
+    return gap(grad_h, grad_b + conf_b), gap(l2_h, l2_b), gap(hardy_h, hardy_b)
 
 
 def check_ball_hardy(v: RadialFunction, N: int, nodes: int = 4096) -> MarginReport:
@@ -239,7 +235,7 @@ class TensorProductFunction:
     def x_jet(self, xi, N: int):
         """(fx, fx', Lx) at xi > 0, where Lx = fx'' + (N-2) fx'/xi, so that
         the R^N Laplacian of v(|x|, y) is Lx fy + fx fy''."""
-        f, f1, f2 = self.fx.jet(xi)
+        f, f1, f2 = self.fx.jet(xi, 2)
         return f, f1, f2 + (N - 2) * f1 / xi
 
     def _products(self, grid: "TensorGrid", N: int) -> dict:
@@ -247,7 +243,7 @@ class TensorProductFunction:
         products add up to Q; (Lap v)^2 expands as
         Lx^2 fy^2 + 2 (Lx fx)(fy fy'') + fx^2 fy''^2."""
         fx, fx1, lx = self.x_jet(grid.xi, N)
-        fy, fy1, fy2 = self.fy.jet(grid.y)
+        fy, fy1, fy2 = self.fy.jet(grid.y, 2)
         fx_sq, fy_sq = fx * fx, fy * fy
         return {
             "v2": [(fx_sq, fy_sq)],
@@ -434,15 +430,7 @@ class TensorGrid:
             raise ArgumentError("tensor grid needs y > 0")
         xi = np.linspace(0.0, xi_max, nx)
         y = np.linspace(y_lo, y_hi, ny)
-
-        def trap(nodes):
-            w = np.zeros_like(nodes)
-            gaps = np.diff(nodes)
-            w[:-1] += gaps / 2.0
-            w[1:] += gaps / 2.0
-            return w
-
-        return TensorGrid(xi, y, trap(xi), trap(y))
+        return TensorGrid(xi, y, _trapezoid_weights(xi), _trapezoid_weights(y))
 
     def off_axis(self) -> "TensorGrid":
         """The grid without its xi = 0 row: that row carries zero measure,

@@ -162,9 +162,12 @@ def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
 
     Minimal eigenvalue of the pencil with numerator
     Dirichlet - (N-1)^2/4 * L^2 and denominator int u^2/r^2 on the
-    truncation; tends to 1/4 from above as the truncation widens (the
-    remaining gap is pi^2/log^2(r_max/r_min) to leading order).  ``near``
-    warm-starts the eigensolve (see min_generalized_eigenvalue).
+    truncation; tends to 1/4 from above as the truncation widens.  After
+    u = v / sinh^((N-1)/2) r the quotient is int v'^2 + (N-1)(N-3)/4
+    int v^2/sinh^2 r over int v^2/r^2 (measure dr), so for N = 3 the
+    truncated value is exactly 1/4 + pi^2/log^2(r_max/r_min); other N add
+    the sinh potential to that 1-D Hardy quotient.  ``near`` warm-starts
+    the eigensolve (see min_generalized_eigenvalue).
     """
     if N < 3:
         raise DomainError("the Hardy estimator needs N >= 3")
@@ -277,39 +280,31 @@ def trial_profile(eps: float, a, delta: float) -> RadialFunction:
     cut = plateau_cutoff(delta, delta)
     k = len(a)
 
-    def _pieces(r):
+    def jet(r, order):
+        # core = r^eps X_1^a_1 ... X_k^a_k with log-derivatives l1, l2,
+        # times the cutoff's jet
         r = np.asarray(r, dtype=float)
+        c = cut.jet(r, order)
         if k:
             stack = iterated_log_stack(k, r)
             core = r**eps * np.prod(
                 stack ** np.asarray(a).reshape((k,) + (1,) * r.ndim), axis=0
             )
-            l1x, l2x = log_derivatives(a, r)
         else:
             core = r**eps
-            l1x = np.zeros_like(r)
-            l2x = np.zeros_like(r)
+        out = (core * c[0],)
+        if not order:
+            return out
+        l1x, l2x = log_derivatives(a, r) if k else (0.0, 0.0)
         l1 = eps / r + l1x
-        l2 = -eps / r**2 + l2x
-        return core, l1, l2
+        out += (core * (l1 * c[0] + c[1]),)
+        if order == 1:
+            return out
+        w2 = -eps / r**2 + l2x + l1 * l1
+        return out + (core * (w2 * c[0] + 2.0 * l1 * c[1] + c[2]),)
 
-    def value(r):
-        core, _, _ = _pieces(r)
-        return core * cut(r)
-
-    def d1(r):
-        core, l1, _ = _pieces(r)
-        return core * (l1 * cut(r) + cut.d1(r))
-
-    def d2(r):
-        core, l1, l2 = _pieces(r)
-        w2 = l2 + l1 * l1
-        return core * (w2 * cut(r) + 2.0 * l1 * cut.d1(r) + cut.d2(r))
-
-    return RadialFunction(
-        value, d1, d2, support=(0.0, 2.0 * delta),
-        label=f"trial(eps={eps:g},a={a},delta={delta:g})",
-    )
+    return RadialFunction(jet, support=(0.0, 2.0 * delta),
+                          label=f"trial(eps={eps:g},a={a},delta={delta:g})")
 
 
 def iterated_log_optimality_scan(N: int, k: int, params=None,
@@ -337,8 +332,7 @@ def iterated_log_optimality_scan(N: int, k: int, params=None,
         grid = make_grid(r_floor, 2.0 * delta, M, "geometric")
         r = grid.nodes
         pk = np.prod(iterated_log_stack(k, r), axis=0)
-        du = u.d1(r)
-        uu = u(r)
+        uu, du = u.jet(r, 1)
         num = _integrate(du * du * r / pk, grid, "quotient numerator")
         den = _integrate(uu * uu * pk / r, grid, "quotient denominator")
         out.append(0.25 + num / den)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .radial import RadialFunction
+from .radial import RadialFunction, log_jet
 
 
 def _check_unit(t) -> np.ndarray:
@@ -76,26 +76,15 @@ def iterated_log_profile(N: int, k: int) -> RadialFunction:
     exps = [-0.5] * k
 
     def _logd(r):
-        r = _check_unit(r)
         l1x, l2x = log_derivatives(exps, r)
-        l1 = p / r + l1x
-        l2 = -p / (r * r) + l2x
-        return l1, l2
+        return p / r + l1x, -p / (r * r) + l2x
 
-    def value(r):
+    def jet(r, order):
         r = _check_unit(r)
-        if k == 0:
-            return r**p
-        stack = iterated_log_stack(k, r)
-        return r**p * np.prod(stack, axis=0) ** -0.5
+        value = r**p
+        if k:
+            value = value * np.prod(iterated_log_stack(k, r), axis=0) ** -0.5
+        return log_jet(value, lambda: _logd(r), order)
 
-    def d1(r):
-        l1, _ = _logd(r)
-        return value(r) * l1
-
-    def d2(r):
-        l1, l2 = _logd(r)
-        return value(r) * (l2 + l1 * l1)
-
-    return RadialFunction(value, d1, d2, support=(0.0, 1.0),
+    return RadialFunction(jet, support=(0.0, 1.0),
                           label=f"iterlog_multiplier(N={N},k={k})")

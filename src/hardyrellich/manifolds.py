@@ -299,10 +299,8 @@ def check_monotonicity_condition(manifold: ModelManifold, grid):
 
 
 def laplace_radial(manifold: ModelManifold, f, r):
-    """Radial Laplace-Beltrami operator: f'' + (N-1)(psi'/psi) f'."""
+    """Radial Laplace-Beltrami operator f'' + (N-1)(psi'/psi) f' of a
+    RadialFunction f, from its jet."""
     r = _require_positive(r)
-    d1 = getattr(f, "d1", None)
-    d2 = getattr(f, "d2", None)
-    if d1 is None or d2 is None:
-        raise CapabilityError("laplace_radial needs first and second derivatives")
-    return f.d2(r) + (manifold.N - 1) * manifold.dpsi_over_psi(r) * f.d1(r)
+    _, f1, f2 = f.jet(r, 2)
+    return f2 + (manifold.N - 1) * manifold.dpsi_over_psi(r) * f1

@@ -48,6 +48,15 @@ class RadialGrid:
         return make_grid(self.r_min, self.r_max, M, self.grading, self.r_c)
 
 
+def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
+    """Trapezoid weights over [nodes[0], nodes[-1]]."""
+    w = np.zeros_like(nodes)
+    gaps = np.diff(nodes)
+    w[:-1] += gaps / 2.0
+    w[1:] += gaps / 2.0
+    return w
+
+
 def _closure_weights(nodes: np.ndarray, a: float, b: float) -> np.ndarray:
     """Trapezoid weights over [a, b] on interior nodes, linear end-closure.
 
@@ -56,10 +65,7 @@ def _closure_weights(nodes: np.ndarray, a: float, b: float) -> np.ndarray:
     (exact for linear integrands); tiny grids fall back to constant
     extrapolation to keep every weight positive.
     """
-    w = np.zeros_like(nodes)
-    gaps = np.diff(nodes)
-    w[:-1] += gaps / 2.0
-    w[1:] += gaps / 2.0
+    w = _trapezoid_weights(nodes)
     d0 = nodes[0] - a
     d1 = b - nodes[-1]
     h0 = nodes[1] - nodes[0]
@@ -129,31 +135,32 @@ def make_grid(
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Scalar function of r with optional first and second derivatives.
+    """Scalar function of r, evaluated through its jet.
 
-    Closed-form instances are evaluable anywhere in their support; sampled
-    instances only at the nodes of the grid they were sampled on.
+    jet_fn(r, order) returns (u, u', u'') cut after the order-th
+    derivative, for every order up to max_order, and each shorter jet is a
+    bitwise prefix of a longer one.  Closed-form instances are evaluable
+    anywhere in their support; sampled instances only at the nodes of the
+    grid they were sampled on.
     """
 
-    value: Callable
-    d1: Callable | None = None
-    d2: Callable | None = None
+    jet_fn: Callable
+    max_order: int = 2
     support: tuple[float, float] = (0.0, np.inf)
     label: str = ""
-    kind: str = "closed_form"
-    jet_fn: Callable | None = None
 
     def __call__(self, r):
-        return self.value(r)
+        return self.jet(r, 0)[0]
 
     def jet(self, r, order: int = 2) -> tuple:
-        """(u, u') at r, with u'' appended when order is 2: from jet_fn(r,
-        order) when the function evaluates them jointly, else from value,
-        d1 and d2."""
-        if self.jet_fn is not None:
-            return self.jet_fn(r, order)
-        out = (self.value(r), self.d1(r))
-        return out + (self.d2(r),) if order == 2 else out
+        """(u, u', u'') at r up to the order-th derivative; an order beyond
+        max_order raises CapabilityError."""
+        if order > self.max_order:
+            raise CapabilityError(
+                f"{self.label or 'radial function'} has derivatives up to order "
+                f"{self.max_order}, not {order}"
+            )
+        return self.jet_fn(r, order)
 
     @staticmethod
     def from_samples(grid: RadialGrid, values: np.ndarray, label: str = "") -> "RadialFunction":
@@ -161,32 +168,27 @@ class RadialFunction:
         if values.shape != grid.nodes.shape:
             raise ArgumentError("sample array must match the grid nodes")
         nodes = grid.nodes
-
-        def _at_nodes(r):
-            r = np.asarray(r, dtype=float)
-            if r.shape != nodes.shape or not np.array_equal(r, nodes):
-                raise CapabilityError("sampled function is evaluable at its grid nodes only")
-            return values
-
         d1 = np.gradient(values, nodes)
         d2 = np.gradient(d1, nodes)
 
-        def _d1(r):
-            _at_nodes(r)
-            return d1
+        def jet(r, order):
+            r = np.asarray(r, dtype=float)
+            if r.shape != nodes.shape or not np.array_equal(r, nodes):
+                raise CapabilityError("sampled function is evaluable at its grid nodes only")
+            return (values, d1, d2)[:order + 1]
 
-        def _d2(r):
-            _at_nodes(r)
-            return d2
+        return RadialFunction(jet, support=(float(nodes[0]), float(nodes[-1])), label=label)
 
-        return RadialFunction(
-            value=_at_nodes,
-            d1=_d1,
-            d2=_d2,
-            support=(float(nodes[0]), float(nodes[-1])),
-            label=label,
-            kind="sampled",
-        )
+
+def log_jet(value, log_derivatives, order: int) -> tuple:
+    """Jet of a positive function f from its value and log-derivatives:
+    f' = f l' and f'' = f (l'' + l'^2), where log_derivatives() returns
+    (l', l'') and is called only when order > 0."""
+    if not order:
+        return (value,)
+    l1, l2 = log_derivatives()
+    out = (value, value * l1)
+    return out + (value * (l2 + l1 * l1),) if order == 2 else out
 
 
 def _smoothstep(t):
@@ -226,40 +228,38 @@ def bump(a: float, b: float, rise: float | None = None, fall: float | None = Non
         t = np.clip(np.where(before_fall, (r - a) / rise, (b - r) / fall), 0.0, 1.0)
         return before_fall, np.where((r >= m1) & before_fall, 1.0, t)
 
-    def _d1(before_fall, t):
-        return _smoothstep_d1(t) / np.where(before_fall, rise, -fall)
-
-    def _d2(before_fall, t):
-        return _smoothstep_d2(t) / np.where(before_fall, rise**2, fall**2)
-
     def jet(r, order):
-        ramp = _ramp(r)
-        out = (_smoothstep(ramp[1]), _d1(*ramp))
-        return out + (_d2(*ramp),) if order == 2 else out
+        before_fall, t = _ramp(r)
+        out = (_smoothstep(t),)
+        if order:
+            out += (_smoothstep_d1(t) / np.where(before_fall, rise, -fall),)
+        if order == 2:
+            out += (_smoothstep_d2(t) / np.where(before_fall, rise**2, fall**2),)
+        return out
 
-    return RadialFunction(lambda r: _smoothstep(_ramp(r)[1]),
-                          lambda r: _d1(*_ramp(r)), lambda r: _d2(*_ramp(r)),
-                          support=(a, b), label=label or f"bump[{a:g},{b:g}]",
-                          jet_fn=jet)
+    return RadialFunction(jet, support=(a, b), label=label or f"bump[{a:g},{b:g}]")
 
 
 def plateau_cutoff(delta: float, width: float | None = None) -> RadialFunction:
     """C^2 cutoff equal to 1 on [0, delta], falling to 0 at delta + width."""
     width = delta if width is None else float(width)
     b = delta + width
+    mids = (_smoothstep, lambda t: -_smoothstep_d1(t) / width,
+            lambda t: _smoothstep_d2(t) / width**2)
 
-    def _sel(r, f_mid, lo_val, hi_val):
+    def jet(r, order):
+        # each derivative is 0 outside (delta, b) but the value is 1 on
+        # [0, delta]; inside, the fall's smoothstep in (b - r) / width
         r = np.asarray(r, dtype=float)
-        out = np.full_like(r, hi_val)
-        out[r <= delta] = lo_val
         sel = (r > delta) & (r < b)
-        out[sel] = f_mid((b - r[sel]) / width)
+        t = (b - r[sel]) / width
+        out = tuple(np.zeros_like(r) for _ in range(order + 1))
+        out[0][r <= delta] = 1.0
+        for part, f_mid in zip(out, mids):
+            part[sel] = f_mid(t)
         return out
 
-    value = lambda r: _sel(r, _smoothstep, 1.0, 0.0)
-    d1 = lambda r: _sel(r, lambda t: -_smoothstep_d1(t) / width, 0.0, 0.0)
-    d2 = lambda r: _sel(r, lambda t: _smoothstep_d2(t) / width**2, 0.0, 0.0)
-    return RadialFunction(value, d1, d2, support=(0.0, b), label=f"cutoff[{delta:g}]")
+    return RadialFunction(jet, support=(0.0, b), label=f"cutoff[{delta:g}]")
 
 
 def seeded_bumps(seed: int, count: int, lo: float, hi: float,
@@ -340,11 +340,7 @@ def radial_sums(u: RadialFunction, grid: RadialGrid, terms, measure,
     non-finite integrand raises EvaluationError naming its node."""
     _check_support_inside(u, grid)
     order = max(_TERM_ORDER[q] for q, _ in terms)
-    if order and (u.d1 is None or (order == 2 and u.d2 is None)):
-        raise CapabilityError(
-            f"radial_sums needs {'second' if order == 2 else 'first'}-derivative data"
-        )
-    jet = u.jet(grid.nodes, order) if order else (u(grid.nodes),)
+    jet = u.jet(grid.nodes, order)
     Q = {"v2": jet[0] * jet[0]}
     if order:
         Q["grad2"] = jet[1] * jet[1]

@@ -21,7 +21,7 @@ from .errors import (
     TruncationError,
 )
 from .hardy import MarginReport
-from .manifolds import _inv_sinh_sq, _log_sinh, euclidean, flat_line, hyperbolic
+from .manifolds import _check_dimension, _inv_sinh_sq, _log_sinh, euclidean, flat_line, hyperbolic
 from .pencils import (
     ConstantEstimate,
     ORDER_BILAPLACIAN,
@@ -36,12 +36,6 @@ from .radial import (
     make_grid,
     radial_sums,
 )
-
-
-def _require_dim(N: int, minimum: int = 5) -> int:
-    if int(N) != N or N < minimum:
-        raise DomainError(f"needs integer dimension N >= {minimum}, got {N!r}")
-    return int(N)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +62,7 @@ def mode_multiplicity(n: int, N: int) -> int:
 
 def sinh4_coefficient(n: int, N: int) -> Fraction:
     """Exact per-mode coefficient of the 1/sinh^4 term in the reduced bound."""
-    _require_dim(N)
+    _check_dimension(N, 5)
     lam = mode_eigenvalue(n, N)
     return (
         Fraction(lam) ** 2
@@ -80,7 +74,7 @@ def sinh4_coefficient(n: int, N: int) -> Fraction:
 
 def sinh2_coefficient(n: int, N: int) -> Fraction:
     """Exact per-mode coefficient of the 1/sinh^2 term in the reduced bound."""
-    _require_dim(N)
+    _check_dimension(N, 5)
     lam = mode_eigenvalue(n, N)
     return (
         Fraction((N + 1) * (N - 3), 2) * lam
@@ -115,7 +109,7 @@ class ModeCoefficients:
 
 
 def mode_table(N: int, n_max: int = 50) -> list[ModeCoefficients]:
-    _require_dim(N)
+    _check_dimension(N, 5)
     return [
         ModeCoefficients(
             n,
@@ -179,7 +173,7 @@ def radial_reduced_form(d: RadialFunction, N: int, n: int,
     For n = 0 and d = sinh^((N-1)/2) u this equals the bilaplacian form of
     the radial function u (the substitution is an isometry of the forms).
     """
-    _require_dim(N, 5)
+    _check_dimension(N, 5)
     return _reduced_sums(d, N, n, grid)[0]
 
 
@@ -187,24 +181,20 @@ def reduced_from_radial(u: RadialFunction, N: int) -> RadialFunction:
     """d(r) = sinh(r)^((N-1)/2) * u(r) with closed-form derivatives."""
     half = 0.5 * (N - 1)
 
-    def w(r):
-        return np.exp(half * _log_sinh(r))
-
-    def kappa(r):
-        return half / np.tanh(r)
-
     def jet(r, order):
-        wr, k = w(r), kappa(r)
+        wr = np.exp(half * _log_sinh(r))
         ur = u.jet(r, order)
-        out = (wr * ur[0], wr * (k * ur[0] + ur[1]))
+        out = (wr * ur[0],)
+        if not order:
+            return out
+        k = half / np.tanh(r)
+        out += (wr * (k * ur[0] + ur[1]),)
         if order == 1:
             return out
         kp = -half * _inv_sinh_sq(r)
         return out + (wr * ((k * k + kp) * ur[0] + 2.0 * k * ur[1] + ur[2]),)
 
-    return RadialFunction(lambda r: w(r) * u(r), lambda r: jet(r, 1)[1],
-                          lambda r: jet(r, 2)[2], support=u.support,
-                          label=f"reduced({u.label})", jet_fn=jet)
+    return RadialFunction(jet, support=u.support, label=f"reduced({u.label})")
 
 
 def mode_chain_margin(d: RadialFunction, N: int, n: int,
@@ -212,7 +202,7 @@ def mode_chain_margin(d: RadialFunction, N: int, n: int,
     """Margin of the per-mode chain: reduced form >= 9/16 int d^2/r^4
     + (N-1)^2/8 int d^2/r^2 + (N-1)^4/16 int d^2 + A_n int d^2/sinh^4
     + B_n int d^2/sinh^2 (flat measure)."""
-    _require_dim(N, 5)
+    _check_dimension(N, 5)
     a4 = float(sinh4_coefficient(n, N))
     b2 = float(sinh2_coefficient(n, N))
 
@@ -250,7 +240,7 @@ def check_poincare_rellich(u: RadialFunction, N: int,
            + (N^2-1)(N-3)^2/8 int u^2/sinh^2
            + (N-1)(N-3)(N^2-4N-3)/16 int u^2/sinh^4.
     """
-    _require_dim(N, 5)
+    _check_dimension(N, 5)
 
     def one(nn):
         lap2, l2, by_r2, by_r4, by_psi2, by_psi4 = _poincare_rellich_sums(
@@ -275,7 +265,7 @@ def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 4096) -> fl
     (the change of variables maps the three principal integrals termwise),
     used for the cross-model consistency check.
     """
-    _require_dim(N, 5)
+    _check_dimension(N, 5)
     lap2, l2, by_r2, by_r4 = _poincare_rellich_sums(
         u, N, grid_covering(u.support, nodes), count=4)
     lhs = lap2 - (N - 1) ** 4 / 16.0 * l2
@@ -298,7 +288,7 @@ def estimate_sharp_rellich_r2(N: int, r_min: float = 1e-3, r_max: float = 1e6,
     loses accuracy to exponential cancellation in the discrete operator.
     ``near`` warm-starts the eigensolve (see min_generalized_eigenvalue).
     """
-    _require_dim(N, 5)
+    _check_dimension(N, 5)
     c4 = (N - 1) * (N - 3) / 4.0
     c2 = (N - 1) / 2.0
     lam2 = (N - 1) ** 4 / 16.0
@@ -330,7 +320,7 @@ def euclidean_rellich_constant(N: int = 5, r_min: float = 1e-9,
                                tol: float = 1e-8) -> ConstantEstimate:
     """Radial euclidean Rellich pencil: int (Lap u)^2 r^(N-1) over
     int u^2/r^4 r^(N-1); tends to N^2(N-4)^2/16."""
-    _require_dim(N, 5)
+    _check_dimension(N, 5)
     grid = make_grid(r_min, r_max, M, "geometric")
     pencil = assemble_pencil(
         euclidean(N), None, lambda r: 1.0 / r**4, grid, ORDER_BILAPLACIAN
@@ -400,7 +390,7 @@ class AsymptoticConstants:
 
 
 def asymptotic_constants(N: int) -> AsymptoticConstants:
-    _require_dim(N, 5)
+    _check_dimension(N, 5)
     c1 = ((N - 1) / (2 ** (N - 1) * (N - 2))) ** (1.0 / (N - 2))
     ratio = Fraction((N - 1) ** 2, (N + 1) * (N - 2))
     k1_exact = 2 * (N - 1) * (ratio - 1)
@@ -442,7 +432,7 @@ class ChangeOfVariable:
     TABLE_RANGE = (1e-4, 40.0)
 
     def __init__(self, N: int, table_size: int = 4096):
-        self.N = _require_dim(N, 3)
+        self.N = _check_dimension(N)
         lo, hi = self.TABLE_RANGE
         self.r_tab = np.geomspace(lo, hi, table_size)
         tail = self._series_tail(hi)
@@ -537,28 +527,33 @@ def s_of_r(N: int, r):
     return change_of_variable(N).s_of_r(r)
 
 
+def two_term_prediction(N: int, r) -> np.ndarray:
+    """The two-term expansion c1 e^(mu r) - c2 e^(-nu r) of s(r), with
+    mu = (N-1)/(N-2) and nu = (N-3)/(N-2)."""
+    consts = asymptotic_constants(N)
+    mu = (N - 1) / (N - 2)
+    nu = (N - 3) / (N - 2)
+    return consts.c1 * np.exp(mu * r) - consts.c2 * np.exp(-nu * r)
+
+
 def two_term_expansion_error(N: int, r) -> np.ndarray:
-    """|s(r) - c1 e^(mu r) + c2 e^(-nu r)| / e^(-nu r) with
-    mu = (N-1)/(N-2), nu = (N-3)/(N-2); tends to 0 at large r.
+    """|s(r) - two_term_prediction(N, r)| / e^(-nu r), nu = (N-3)/(N-2);
+    tends to 0 at large r.
 
     In double precision the true remainder (~ e^(-2r)) drops below the
     rounding floor of s (~ eps * e^(2r) after weighting) beyond r ~ 8;
     use two_term_expansion_error_precise for larger radii.
     """
-    consts = asymptotic_constants(N)
-    mu = (N - 1) / (N - 2)
-    nu = (N - 3) / (N - 2)
     r = np.asarray(r, dtype=float)
     s = change_of_variable(N).s_of_r(r)
-    pred = consts.c1 * np.exp(mu * r) - consts.c2 * np.exp(-nu * r)
-    return np.abs(s - pred) / np.exp(-nu * r)
+    return np.abs(s - two_term_prediction(N, r)) / np.exp(-(N - 3) / (N - 2) * r)
 
 
 def two_term_expansion_error_precise(N: int, r_values, dps: int = 50) -> list[float]:
     """Expansion error from the exact series for the tail integral,
     evaluated in high-precision arithmetic (needed for r > ~8, where the
     remainder is smaller than double-precision rounding in s)."""
-    _require_dim(N, 5)
+    _check_dimension(N, 5)
     import mpmath
 
     # a private context: mpmath's global precision is shared by every thread
@@ -610,8 +605,10 @@ def mapped_from_radial(u: RadialFunction, N: int) -> RadialFunction:
         # one inversion r(s) for the whole jet
         s = np.asarray(s, dtype=float)
         r = cov.r_of_s(s)
-        rp = np.exp((N - 1) * (_log_sinh(r) - np.log(s)))
         ur = u.jet(r, order)
+        if not order:
+            return ur
+        rp = np.exp((N - 1) * (_log_sinh(r) - np.log(s)))
         out = (ur[0], ur[1] * rp)
         if order == 1:
             return out
@@ -621,9 +618,7 @@ def mapped_from_radial(u: RadialFunction, N: int) -> RadialFunction:
     a, b = u.support
     s_a = cov.s_of_r(max(a, cov.TABLE_RANGE[0]))
     s_b = cov.s_of_r(min(b, cov.TABLE_RANGE[1]))
-    return RadialFunction(lambda s: u(cov.r_of_s(s)), lambda s: jet(s, 1)[1],
-                          lambda s: jet(s, 2)[2], support=(s_a, s_b),
-                          label=f"mapped({u.label})", jet_fn=jet)
+    return RadialFunction(jet, support=(s_a, s_b), label=f"mapped({u.label})")
 
 
 def check_mapped_rellich(v: RadialFunction, N: int,
@@ -638,7 +633,7 @@ def check_mapped_rellich(v: RadialFunction, N: int,
     with Lap the euclidean radial Laplacian in s and rho the transported
     volume density.
     """
-    _require_dim(N, 5)
+    _check_dimension(N, 5)
     cov = change_of_variable(N)
 
     def one(nn):

@@ -156,12 +156,9 @@ def emit_curve(name: str, outdir: str | Path, N: int = 5,
     if name == "h_lambda":
         return write_h_lambda_csv(h_lambda_curve(config, N), out)
     if name == "s_of_r":
-        consts = rellich.asymptotic_constants(N)
-        mu = (N - 1) / (N - 2)
-        nu = (N - 3) / (N - 2)
         r = np.linspace(0.5, 14.0, 28)
         s = rellich.change_of_variable(N).s_of_r(r)
-        pred = consts.c1 * np.exp(mu * r) - consts.c2 * np.exp(-nu * r)
+        pred = rellich.two_term_prediction(N, r)
         rows = [
             f"{format_value(ri)},{format_value(si)},{format_value(pi)},"
             f"{format_value(abs(si - pi) / si)}"

@@ -10,6 +10,8 @@ while the identity still balances.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ArgumentError, DomainError, ResampleError
@@ -20,7 +22,7 @@ from .manifolds import (
     _require_positive,
     hardy_weight_general,
 )
-from .radial import RadialFunction, RadialGrid, _integrate, make_grid
+from .radial import RadialFunction, RadialGrid, _integrate, log_jet, make_grid
 
 # fixed sample set for identity suites: 64 log-spaced radii
 IDENTITY_SAMPLE = np.geomspace(1e-3, 30.0, 64)
@@ -55,31 +57,17 @@ def _inv_psi_sq(manifold: ModelManifold, r):
 def warp_power_profile(manifold: ModelManifold, alpha: float) -> RadialFunction:
     """Phi(r) = (psi(r)/r)^alpha with log-domain evaluation and derivatives."""
 
-    def _m(r):
-        return alpha * (manifold.dpsi_over_psi(r) - 1.0 / r)
+    def _logd(r):
+        s = manifold.dpsi_over_psi(r)
+        return (alpha * (s - 1.0 / r),
+                alpha * (manifold.ddpsi_over_psi(r) - s**2 + 1.0 / r**2))
 
-    def _mprime(r):
-        return alpha * (
-            manifold.ddpsi_over_psi(r)
-            - manifold.dpsi_over_psi(r) ** 2
-            + 1.0 / r**2
-        )
-
-    def value(r):
+    def jet(r, order):
         r = _require_positive(r)
-        return np.exp(alpha * (manifold.log_psi(r) - np.log(r)))
+        value = np.exp(alpha * (manifold.log_psi(r) - np.log(r)))
+        return log_jet(value, lambda: _logd(r), order)
 
-    def d1(r):
-        r = _require_positive(r)
-        return value(r) * _m(r)
-
-    def d2(r):
-        r = _require_positive(r)
-        m = _m(r)
-        return value(r) * (_mprime(r) + m * m)
-
-    return RadialFunction(value, d1, d2, support=(0.0, np.inf),
-                          label=f"(psi/r)^{alpha:g}")
+    return RadialFunction(jet, support=(0.0, np.inf), label=f"(psi/r)^{alpha:g}")
 
 
 def comparison_profile(manifold: ModelManifold) -> RadialFunction:
@@ -95,36 +83,26 @@ def comparison_profile(manifold: ModelManifold) -> RadialFunction:
         )
         return m, mp
 
-    def value(r):
+    def jet(r, order):
         r = _require_positive(r)
-        return np.exp(
+        value = np.exp(
             0.5 * (N - 1) * (np.log(r) - manifold.log_psi(r))
             + 0.5 * (2 - N) * np.log(r)
         )
+        return log_jet(value, lambda: _logd(r), order)
 
-    def d1(r):
-        r = _require_positive(r)
-        m, _ = _logd(r)
-        return value(r) * m
-
-    def d2(r):
-        r = _require_positive(r)
-        m, mp = _logd(r)
-        return value(r) * (mp + m * m)
-
-    return RadialFunction(value, d1, d2, support=(0.0, np.inf),
+    return RadialFunction(jet, support=(0.0, np.inf),
                           label=f"comparison_profile(N={N})")
 
 
 def power_profile(p: float) -> RadialFunction:
     """f(r) = r^p."""
-    return RadialFunction(
-        value=lambda r: _require_positive(r) ** p,
-        d1=lambda r: p * _require_positive(r) ** (p - 1.0),
-        d2=lambda r: p * (p - 1.0) * _require_positive(r) ** (p - 2.0),
-        support=(0.0, np.inf),
-        label=f"r^{p:g}",
-    )
+
+    def jet(r, order):
+        r = _require_positive(r)
+        return (r**p, p * r ** (p - 1.0), p * (p - 1.0) * r ** (p - 2.0))[:order + 1]
+
+    return RadialFunction(jet, support=(0.0, np.inf), label=f"r^{p:g}")
 
 
 def power_log_profile(N: int) -> RadialFunction:
@@ -132,23 +110,14 @@ def power_log_profile(N: int) -> RadialFunction:
     p = (2.0 - N) / 2.0
     c = 2.0 - N
 
-    def value(r):
+    def jet(r, order):
         r = _require_positive(r)
-        return r**p * c * np.log(r)
+        log_r = np.log(r)
+        return (r**p * c * log_r,
+                c * r ** (p - 1.0) * (p * log_r + 1.0),
+                c * r ** (p - 2.0) * (p * (p - 1.0) * log_r + 2.0 * p - 1.0))[:order + 1]
 
-    def d1(r):
-        r = _require_positive(r)
-        return c * r ** (p - 1.0) * (p * np.log(r) + 1.0)
-
-    def d2(r):
-        r = _require_positive(r)
-        return c * r ** (p - 2.0) * (p * (p - 1.0) * np.log(r) + 2.0 * p - 1.0)
-
-    return RadialFunction(value, d1, d2, support=(0.0, np.inf),
-                          label=f"r^{p:g}*log(r^{c:g})")
-
-
-from dataclasses import dataclass
+    return RadialFunction(jet, support=(0.0, np.inf), label=f"r^{p:g}*log(r^{c:g})")
 
 
 @dataclass(frozen=True)
@@ -168,18 +137,19 @@ class SupersolutionProfile:
         base = warp_power_profile(self.manifold, -(self.manifold.N - 1) / 2.0)
         f = self.multiplier
 
-        def value(r):
-            return base(r) * f(r)
-
-        def d1(r):
-            return base.d1(r) * f(r) + base(r) * f.d1(r)
-
-        def d2(r):
-            return base.d2(r) * f(r) + 2.0 * base.d1(r) * f.d1(r) + base(r) * f.d2(r)
+        def jet(r, order):
+            # Leibniz rule on the two jets
+            (b, *db), (g, *dg) = base.jet(r, order), f.jet(r, order)
+            out = (b * g,)
+            if order:
+                out += (db[0] * g + b * dg[0],)
+            if order == 2:
+                out += (db[1] * g + 2.0 * db[0] * dg[0] + b * dg[1],)
+            return out
 
         lo = max(base.support[0], f.support[0])
         hi = min(base.support[1], f.support[1])
-        return RadialFunction(value, d1, d2, support=(lo, hi),
+        return RadialFunction(jet, support=(lo, hi),
                               label=f"profile({self.manifold.describe()},{f.label})")
 
     def residual(self, r):
@@ -233,14 +203,12 @@ def product_profile_identity_residual(manifold: ModelManifold, f: RadialFunction
     """
     r = _require_positive(r)
     N = manifold.N
-    if f.d1 is None or f.d2 is None:
-        raise ArgumentError("multiplier f needs closed-form derivatives")
     s = manifold.dpsi_over_psi(r)
     m = -0.5 * (N - 1) * (s - 1.0 / r)
     mp = -0.5 * (N - 1) * (manifold.ddpsi_over_psi(r) - s * s + 1.0 / r**2)
     k_rad = -manifold.ddpsi_over_psi(r)
     k_tan = -manifold.tan_ratio(r)
-    fv, f1, f2 = f(r), f.d1(r), f.d2(r)
+    fv, f1, f2 = f.jet(r, 2)
 
     lhs_terms = [
         -((mp + m * m) * fv + 2.0 * m * f1 + f2),

@@ -146,8 +146,7 @@ def test_criterion_7_cross_model_identities():
     ok = True
     for N in (3, 5, 7):
         for u in seeded_bumps(701 + N, 20, 0.4, 3.0):
-            for which in ("gradient", "l2", "hardy"):
-                ok &= euclid.ball_identity_check(u, N, which, nodes=2048) <= 1e-6
+            ok &= max(euclid.ball_identity_check(u, N, nodes=2048)) <= 1e-6
     _, _, rel = euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 5,
                                                       nx=640, ny=640)
     ok &= rel <= 1e-4

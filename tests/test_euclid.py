@@ -46,23 +46,16 @@ def test_ball_identities():
     worst = 0.0
     for N in (3, 5, 7):
         for u in seeded_bumps(80 + N, 7, 0.4, 3.0):
-            for which in ("gradient", "l2", "hardy"):
-                worst = max(worst, euclid.ball_identity_check(u, N, which))
+            worst = max(worst, *euclid.ball_identity_check(u, N))
     assert worst < 1e-6
 
 
 def test_ball_identity_zero_function():
     from hardyrellich.radial import RadialFunction
 
-    zero = RadialFunction(
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        support=(1.0, 2.0),
-    )
-    assert euclid.ball_identity_check(zero, 3, "l2") == 0.0
-    with pytest.raises(ArgumentError):
-        euclid.ball_identity_check(bump(1.0, 2.0), 3, "mass")
+    zero = RadialFunction(lambda r, order: (np.zeros_like(np.asarray(r, float)),) * (order + 1),
+                          support=(1.0, 2.0))
+    assert euclid.ball_identity_check(zero, 3) == (0.0, 0.0, 0.0)
 
 
 def test_ball_hardy_margin_and_guard():
@@ -255,7 +248,7 @@ def test_tensor_jet_matches_finite_differences():
     ys = np.linspace(0.55, 1.95, 8)
     grid = _stencil_grid(xs, ys, 1e-5)
     fx, fx1, lx = v.x_jet(grid.xi, 5)
-    fy, fy1, fy2 = v.fy(grid.y), v.fy.d1(grid.y), v.fy.d2(grid.y)
+    fy, fy1, fy2 = v.fy.jet(grid.y, 2)
     grad_rel, lap_rel = _fd_gaps(np.outer(fx, fy), np.outer(fx1, fy), np.outer(fx, fy1),
                                  np.outer(lx, fy) + np.outer(fx, fy2), xs, 5, 1e-5)
     assert grad_rel <= 1e-5 and lap_rel <= 1e-5
@@ -298,12 +291,13 @@ def _nan_at(f, points):
     """f with its value made NaN within 1e-12 relative of the points."""
     points = np.asarray(points, dtype=float)
 
-    def value(r):
+    def jet(r, order):
         r = np.asarray(r, dtype=float)
         hit = np.isclose(r[..., None], points, rtol=1e-12, atol=0.0).any(axis=-1)
-        return np.where(hit, np.nan, f(r))
+        value, *derivatives = f.jet(r, order)
+        return (np.where(hit, np.nan, value), *derivatives)
 
-    return RadialFunction(value, f.d1, f.d2, support=f.support, label="planted")
+    return RadialFunction(jet, support=f.support, label="planted")
 
 
 def test_tensor_integrate_masks_axis_only():
@@ -321,9 +315,9 @@ def test_tensor_integrate_masks_axis_only():
 
 
 def _constant(c, support):
-    return RadialFunction(lambda r: np.full(np.shape(r), c),
-                          lambda r: np.zeros(np.shape(r)),
-                          lambda r: np.zeros(np.shape(r)), support=support)
+    return RadialFunction(
+        lambda r, order: (np.full(np.shape(r), c),) + (np.zeros(np.shape(r)),) * order,
+        support=support)
 
 
 def test_tensor_integrate_raises_on_overflow():
@@ -344,11 +338,11 @@ def _brute_force(v, N, nx, ny, terms):
     grid = euclid.TensorGrid.over_box(*v.box(), nx, ny).off_axis()
     xi, y = grid.xi, grid.y
     if isinstance(v, euclid.TensorProductFunction):
-        fx, fy = v.fx, v.fy
-        val = np.outer(fx(xi), fy(y))
-        v_xi, v_y = np.outer(fx.d1(xi), fy(y)), np.outer(fx(xi), fy.d1(y))
-        lap = (np.outer(fx.d2(xi) + (N - 2) * fx.d1(xi) / xi, fy(y))
-               + np.outer(fx(xi), fy.d2(y)))
+        fx, fx1, fx2 = v.fx.jet(xi, 2)
+        fy, fy1, fy2 = v.fy.jet(y, 2)
+        val = np.outer(fx, fy)
+        v_xi, v_y = np.outer(fx1, fy), np.outer(fx, fy1)
+        lap = np.outer(fx2 + (N - 2) * fx1 / xi, fy) + np.outer(fx, fy2)
     else:
         nodes = _all_nodes(grid)
         _, *parts = v.jet(grid, nodes, N)

@@ -170,7 +170,7 @@ def test_trial_profile():
     h = 1e-6
     for r0 in (0.05, 0.3, 0.4):
         fd = (tp(np.array([r0 + h]))[0] - tp(np.array([r0 - h]))[0]) / (2 * h)
-        assert tp.d1(np.array([r0]))[0] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        assert tp.jet(np.array([r0]), 1)[1][0] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def test_optimality_scan_bound_and_trend():
@@ -195,8 +195,10 @@ def test_optimality_scan_matches_direct_quotient():
     r, w = grid.nodes, grid.quad_weights
     phik = np.exp(0.5 * (N - 1) * (np.log(r) - man.log_psi(r))) * fk(r)
     uu = phik * u_t(r)
-    dlog = 0.5 * (N - 1) * (1.0 / r - 1.0 / np.tanh(r)) + fk.d1(r) / fk(r)
-    du = phik * (dlog * u_t(r) + u_t.d1(r))
+    f0, f1 = fk.jet(r, 1)
+    u0, u1 = u_t.jet(r, 1)
+    dlog = 0.5 * (N - 1) * (1.0 / r - 1.0 / np.tanh(r)) + f1 / f0
+    du = phik * (dlog * u0 + u1)
     mw = man.measure_weight(r)
     D = np.dot(w, du * du * mw)
     L2 = np.dot(w, uu * uu * mw)
@@ -240,11 +242,8 @@ def test_model_integrals_evaluate_each_profile_once(monkeypatch):
     measure = mf.ModelManifold.measure_weight
     monkeypatch.setattr(mf.ModelManifold, "measure_weight",
                         lambda self, r: calls.append("psi") or measure(self, r))
-    u = RadialFunction(lambda r: calls.append("u") or base(r),
-                       lambda r: calls.append("du") or base.d1(r),
-                       lambda r: calls.append("d2u") or base.d2(r), base.support,
-                       jet_fn=lambda r, order: calls.append(f"jet{order}")
-                       or base.jet(r, order))
+    u = RadialFunction(lambda r, order: calls.append(f"jet{order}") or base.jet(r, order),
+                       support=base.support)
     terms = [("grad2", 1.0)] + [("v2", w) for w in weights]
     assert radial_sums(u, grid, terms, man.measure_weight(r)) == expected
     assert sorted(calls) == ["jet1", "psi"]

@@ -69,6 +69,7 @@ def test_profile_derivatives_against_fd():
     f = il.iterated_log_profile(5, 2)
     t0, h = 0.3, 1e-6
     fd1 = float((f(np.array(t0 + h)) - f(np.array(t0 - h))) / (2 * h))
-    assert float(f.d1(np.array(t0))) == pytest.approx(fd1, rel=1e-8)
+    _, d1, d2 = f.jet(np.array(t0), 2)
+    assert float(d1) == pytest.approx(fd1, rel=1e-8)
     fd2 = float((f(np.array(t0 + h)) - 2 * f(np.array(t0)) + f(np.array(t0 - h))) / h**2)
-    assert float(f.d2(np.array(t0))) == pytest.approx(fd2, rel=1e-4)
+    assert float(d2) == pytest.approx(fd2, rel=1e-4)

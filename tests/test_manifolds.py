@@ -87,14 +87,11 @@ def test_monotonicity_condition_builtin_and_sin():
 
 
 def test_laplace_radial():
-    sq = RadialFunction(lambda r: r**2, lambda r: 2 * r,
-                        lambda r: np.full_like(np.asarray(r, float), 2.0))
+    sq = RadialFunction(lambda r, order: (r**2, 2 * r, np.full_like(r, 2.0))[:order + 1])
     assert mf.laplace_radial(mf.euclidean(3), sq, 1.7) == pytest.approx(6.0, rel=1e-14)
-    one = RadialFunction(lambda r: np.ones_like(np.asarray(r, float)),
-                         lambda r: np.zeros_like(np.asarray(r, float)),
-                         lambda r: np.zeros_like(np.asarray(r, float)))
+    one = RadialFunction(lambda r, order: (np.ones_like(r),) + (np.zeros_like(r),) * order)
     assert mf.laplace_radial(mf.hyperbolic(7), one, 3.0) == 0.0
-    no_deriv = RadialFunction(lambda r: r, None, None)
+    no_deriv = RadialFunction(lambda r, order: (r,), max_order=0)
     with pytest.raises(CapabilityError):
         mf.laplace_radial(mf.euclidean(3), no_deriv, 1.0)
 

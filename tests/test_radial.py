@@ -109,8 +109,9 @@ def test_bump_smoothness_and_support():
     rr = np.concatenate([np.linspace(1.01, 1.49, 25), np.linspace(1.51, 1.99, 25)])
     fd1 = (u(rr + h) - u(rr - h)) / (2 * h)
     fd2 = (u(rr + h) - 2 * u(rr) + u(rr - h)) / h**2
-    assert np.max(np.abs(u.d1(rr) - fd1)) < 1e-6
-    assert np.max(np.abs(u.d2(rr) - fd2)) < 1e-4
+    _, d1, d2 = u.jet(rr, 2)
+    assert np.max(np.abs(d1 - fd1)) < 1e-6
+    assert np.max(np.abs(d2 - fd2)) < 1e-4
 
 
 def test_seeded_bumps_reproducible():
@@ -126,16 +127,14 @@ def test_dirichlet_form_against_adaptive_oracle():
     man = mf.euclidean(3)
     g = radial.grid_covering(u.support, 4096)
     mine = radial.dirichlet_form(u, man, g)
-    oracle = quad(lambda r: float(u.d1(np.array([r]))[0]) ** 2 * r**2,
+    oracle = quad(lambda r: float(u.jet(np.array([r]), 1)[1][0]) ** 2 * r**2,
                   1.0, 2.0, limit=200)[0]
     assert abs(mine - oracle) / oracle < 1e-6
 
 
 def test_dirichlet_form_rejects_noncompact():
     const = radial.RadialFunction(
-        lambda r: np.ones_like(np.asarray(r, float)),
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        lambda r: np.zeros_like(np.asarray(r, float)),
+        lambda r, order: (np.ones_like(r),) + (np.zeros_like(r),) * order,
         support=(0.0, np.inf),
     )
     man = mf.hyperbolic(3)
@@ -160,8 +159,7 @@ def test_bilaplacian_form_against_adaptive_oracle():
     mine = radial.bilaplacian_form(u, man, g)
 
     def integrand(r):
-        d1 = float(u.d1(np.array([r]))[0])
-        d2 = float(u.d2(np.array([r]))[0])
+        _, d1, d2 = (float(part[0]) for part in u.jet(np.array([r]), 2))
         return (d2 + 4.0 * d1 / r) ** 2 * r**4
 
     oracle = quad(integrand, 1.0, 2.0, limit=200)[0]
@@ -169,12 +167,8 @@ def test_bilaplacian_form_against_adaptive_oracle():
 
 
 def test_bilaplacian_form_zero_function():
-    zero = radial.RadialFunction(
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        support=(1.0, 2.0),
-    )
+    zero = radial.RadialFunction(lambda r, order: (np.zeros_like(r),) * (order + 1),
+                                 support=(1.0, 2.0))
     man = mf.hyperbolic(5)
     g = radial.make_grid(0.5, 3.0, 128, "uniform")
     assert radial.bilaplacian_form(zero, man, g) == 0.0
@@ -182,7 +176,7 @@ def test_bilaplacian_form_zero_function():
 
 def test_bilaplacian_needs_second_derivative():
     u = radial.bump(1.0, 2.0)
-    crippled = radial.RadialFunction(u.value, u.d1, None, support=u.support)
+    crippled = radial.RadialFunction(u.jet_fn, max_order=1, support=u.support)
     man = mf.hyperbolic(5)
     g = radial.grid_covering(u.support, 128)
     with pytest.raises(CapabilityError):
@@ -193,7 +187,6 @@ def test_sampled_radial_function():
     g = radial.make_grid(1.0, 2.0, 64, "uniform")
     vals = np.sin(g.nodes)
     f = radial.RadialFunction.from_samples(g, vals)
-    assert f.kind == "sampled"
     assert np.array_equal(f(g.nodes), vals)
     with pytest.raises(CapabilityError):
         f(np.array([1.5]))
@@ -239,8 +232,8 @@ def test_bump_matches_piecewise_formula(a, b, rise, fall):
     m1, m2 = a + rise, b - fall
     r = np.concatenate([np.linspace(a - 0.3, b + 0.3, 20001), [a, b, m1, m2]])
     flat = ((r >= m1) & (r <= m2)) | (r <= a) | (r >= b)
-    for got, ref in zip((u.value, u.d1, u.d2), _piecewise_bump(a, b, rise, fall)):
-        g, e = got(r), ref(r)
+    for g, ref in zip(u.jet(r, 2), _piecewise_bump(a, b, rise, fall)):
+        e = ref(r)
         assert np.array_equal(g[flat], e[flat])
         assert np.all(np.abs(g - e) <= 1e-15 * np.abs(e))
 
@@ -252,34 +245,72 @@ def test_bump_plateau_is_exact():
     assert 0.2 + (0.8 - 0.2) / 2.0 == 0.5
     assert (0.5 - 0.2) / ((0.8 - 0.2) / 2.0) < 1.0
     r = np.array([0.5])
-    assert u(r)[0] == 1.0 and u.d1(r)[0] == 0.0 and u.d2(r)[0] == 0.0
+    assert all(part[0] == value for part, value in zip(u.jet(r, 2), (1.0, 0.0, 0.0)))
     outside = np.array([0.2, 0.8, -1.0, 3.0])
-    for f in (u.value, u.d1, u.d2):
-        assert np.all(f(outside) == 0.0)
+    for part in u.jet(outside, 2):
+        assert np.all(part == 0.0)
 
 
-@pytest.mark.parametrize("u", [radial.bump(0.37, 2.11, 0.41, 0.77),
-                               radial.plateau_cutoff(0.5)])
-def test_jet_matches_separate_calls(u):
-    # the bump's joint jet shares one ramp; the cutoff's falls back to
-    # value, d1 and d2
-    r = np.linspace(-0.3, 2.4, 2001)
-    separate = (u.value(r), u.d1(r), u.d2(r))
-    for order in (1, 2):
-        jet = u.jet(r, order)
+def _jet_cases():
+    """Each constructor of a RadialFunction with sample points inside its
+    domain."""
+    from hardyrellich import euclid, hardy, iterated_log, rellich
+    from hardyrellich import supersolutions as ss
+
+    man = mf.hyperbolic(5)
+    grid = radial.make_grid(1.0, 2.0, 64, "uniform")
+    wide = np.linspace(-0.3, 2.4, 2001)
+    unit = np.linspace(1e-3, 1.0, 501)
+    positive = ss.IDENTITY_SAMPLE
+    mapped = rellich.mapped_from_radial(radial.bump(1.0, 2.0), 5)
+    return {
+        "from_samples": lambda: (
+            radial.RadialFunction.from_samples(grid, np.sin(grid.nodes)), grid.nodes),
+        "bump": lambda: (radial.bump(0.37, 2.11, 0.41, 0.77), wide),
+        "plateau_cutoff": lambda: (radial.plateau_cutoff(0.5), wide),
+        "trial_profile": lambda: (hardy.trial_profile(0.3, [0.5], 0.25), unit),
+        "iterated_log_profile": lambda: (iterated_log.iterated_log_profile(5, 2), unit),
+        "warp_power_profile": lambda: (ss.warp_power_profile(man, 0.5), positive),
+        "comparison_profile": lambda: (ss.comparison_profile(man), positive),
+        "power_profile": lambda: (ss.power_profile(-1.5), positive),
+        "power_log_profile": lambda: (ss.power_log_profile(5), positive),
+        "supersolution_profile": lambda: (
+            ss.SupersolutionProfile(man, ss.power_log_profile(5)).profile(), positive),
+        "reduced_from_radial": lambda: (
+            rellich.reduced_from_radial(radial.bump(0.5, 2.0), 5), wide[wide > 0.0]),
+        "ball_from_radial": lambda: (
+            euclid.ball_from_radial(radial.bump(0.5, 2.0), 5), unit[unit < 1.0]),
+        "mapped_from_radial": lambda: (
+            mapped, radial.grid_covering(mapped.support, 512).nodes),
+    }
+
+
+@pytest.mark.parametrize("case", list(_jet_cases()))
+def test_jet_matches_separate_calls(case):
+    # every constructor passes one jet: each shorter jet is a bitwise
+    # prefix of a longer one, u(r) is the order-0 jet, and an order beyond
+    # the stated one raises
+    u, r = _jet_cases()[case]()
+    assert u.max_order == (1 if case == "ball_from_radial" else 2)
+    jets = [u.jet(r, order) for order in range(u.max_order + 1)]
+    for order, jet in enumerate(jets):
         assert len(jet) == order + 1
-        assert all(np.array_equal(a, b) for a, b in zip(jet, separate))
+        assert all(np.all(np.isfinite(part)) for part in jet)
+        assert all(np.array_equal(a, b) for a, b in zip(jet, jets[-1]))
+    assert np.array_equal(u(r), jets[0][0])
+    with pytest.raises(CapabilityError):
+        u.jet(r, u.max_order + 1)
 
 
 def _reference_sums(u, grid, weight, measure, drift, zeroth):
     # each integral written out as a raw trapezoid dot product of separately
     # evaluated value, first and second derivative
     r, w = grid.nodes, grid.quad_weights
-    uu, du = u.value(r), u.d1(r)
+    uu, du, *d2 = u.jet(r, u.max_order)
     out = {"v2": np.dot(w, uu * uu * weight * measure),
            "grad2": np.dot(w, du * du * weight * measure)}
-    if u.d2 is not None:
-        lap = u.d2(r) + drift * du - zeroth * uu
+    if d2:
+        lap = d2[0] + drift * du - zeroth * uu
         out["lap2"] = np.dot(w, lap * lap * weight * measure)
     return out
 
@@ -290,7 +321,7 @@ def _trial_inside(grid_end):
     from hardyrellich.hardy import trial_profile
 
     u = trial_profile(0.3, [0.5], 0.25)
-    return radial.RadialFunction(u.value, u.d1, u.d2, support=(grid_end, 0.5))
+    return radial.RadialFunction(u.jet_fn, support=(grid_end, 0.5))
 
 
 def _sums_cases():
@@ -321,21 +352,19 @@ def test_radial_sums_match_written_out_sums(case):
                                  drift=drift, zeroth=zeroth)
         for q, value in zip(some, got):
             assert value > 0.0 and value == pytest.approx(ref[q], rel=1e-14, abs=0.0), q
-    if u.d2 is None:  # ball_from_radial has first derivatives only
+    if u.max_order < 2:  # ball_from_radial has first derivatives only
         with pytest.raises(CapabilityError):
             radial.radial_sums(u, grid, [("lap2", 1.0)], measure)
 
 
 def _nan_on(u, lo, hi):
     """u with NaN value, slope and curvature on [lo, hi]."""
-    def poisoned(f):
-        def g(r):
-            r = np.asarray(r, dtype=float)
-            return np.where((r >= lo) & (r <= hi), np.nan, f(r))
-        return g
+    def jet(r, order):
+        r = np.asarray(r, dtype=float)
+        return tuple(np.where((r >= lo) & (r <= hi), np.nan, part)
+                     for part in u.jet(r, order))
 
-    return radial.RadialFunction(poisoned(u.value), poisoned(u.d1), poisoned(u.d2),
-                                 support=u.support, label="nan")
+    return radial.RadialFunction(jet, u.max_order, support=u.support, label="nan")
 
 
 def _nan_checks():
@@ -352,7 +381,7 @@ def _nan_checks():
         "mapped_rellich": lambda: rellich.check_mapped_rellich(
             _nan_on(radial.bump(2.0, 5.0), 3.0, 3.5), 5, nodes=256),
         "ball_identity": lambda: euclid.ball_identity_check(
-            _nan_on(radial.bump(1.0, 2.0), 1.4, 1.6), 5, "l2", nodes=256),
+            _nan_on(radial.bump(1.0, 2.0), 1.4, 1.6), 5, nodes=256),
         "ball_hardy": lambda: euclid.check_ball_hardy(
             _nan_on(radial.bump(0.2, 0.6), 0.35, 0.45), 3, nodes=256),
         "halfspace_bilaplacian": lambda: euclid.halfspace_bilaplacian_identity(

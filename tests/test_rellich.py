@@ -72,12 +72,8 @@ def test_joint_sharpness_sum():
 def test_sinh_hardy_1d_margins():
     rep = rellich.check_sinh_hardy_1d(bump(1.0, 3.0))
     assert rep.margin > 0
-    zero = RadialFunction(
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        support=(1.0, 3.0),
-    )
+    zero = RadialFunction(lambda r, order: (np.zeros_like(np.asarray(r, float)),) * (order + 1),
+                          support=(1.0, 3.0))
     assert rellich.check_sinh_hardy_1d(zero).margin == 0.0
 
 
@@ -85,16 +81,12 @@ def test_sinh_hardy_1d_proof_substitution():
     # u = sinh(r) * w, the substitution used to prove the bound, stays valid
     w = bump(1.0, 3.0)
 
-    def value(r):
-        return np.sinh(r) * w(r)
+    def jet(r, order):
+        w0, w1, w2 = w.jet(r, 2)
+        sh, ch = np.sinh(r), np.cosh(r)
+        return (sh * w0, ch * w0 + sh * w1, sh * w0 + 2 * ch * w1 + sh * w2)[:order + 1]
 
-    def d1(r):
-        return np.cosh(r) * w(r) + np.sinh(r) * w.d1(r)
-
-    def d2(r):
-        return np.sinh(r) * w(r) + 2 * np.cosh(r) * w.d1(r) + np.sinh(r) * w.d2(r)
-
-    u = RadialFunction(value, d1, d2, support=w.support, label="sinh*bump")
+    u = RadialFunction(jet, support=w.support, label="sinh*bump")
     assert rellich.check_sinh_hardy_1d(u).margin >= 0
 
 
@@ -113,15 +105,11 @@ def test_reduced_form_matches_bilaplacian():
 
 
 def test_reduced_form_zero_and_support_guard():
-    zero = RadialFunction(
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        lambda r: np.zeros_like(np.asarray(r, float)),
-        support=(1.0, 2.0),
-    )
+    zero = RadialFunction(lambda r, order: (np.zeros_like(np.asarray(r, float)),) * (order + 1),
+                          support=(1.0, 2.0))
     grid = grid_covering((1.0, 2.0), 256)
     assert rellich.radial_reduced_form(zero, 5, 0, grid) == 0.0
-    wide = RadialFunction(zero.value, zero.d1, zero.d2, support=(0.0, np.inf))
+    wide = RadialFunction(zero.jet_fn, support=(0.0, np.inf))
     with pytest.raises(SupportError):
         rellich.radial_reduced_form(wide, 5, 0, grid)
 
@@ -136,7 +124,7 @@ def test_reduced_form_mode_difference_oracle():
     f1 = rellich.radial_reduced_form(d, 5, 1, grid)
     lam1 = rellich.mode_eigenvalue(1, 5)
     s2 = rellich._inv_sinh_sq(r)
-    base = d.d2(r) - (2.0 / np.tanh(r) ** 2 + 2.0) * d(r)
+    base = d.jet(r, 2)[2] - (2.0 / np.tanh(r) ** 2 + 2.0) * d(r)
     extra = float(np.dot(w, -2 * lam1 * s2 * d(r) * base + lam1**2 * s2**2 * d(r) ** 2))
     assert (f1 - f0) == pytest.approx(extra, rel=1e-10)
 
@@ -280,12 +268,8 @@ def test_density_correction_fit():
 def test_mapped_rellich_margin_and_equivalence():
     rep = rellich.check_mapped_rellich(bump(2.0, 5.0), 5)
     assert rep.margin > 0
-    zero = RadialFunction(
-        lambda s: np.zeros_like(np.asarray(s, float)),
-        lambda s: np.zeros_like(np.asarray(s, float)),
-        lambda s: np.zeros_like(np.asarray(s, float)),
-        support=(2.0, 5.0),
-    )
+    zero = RadialFunction(lambda s, order: (np.zeros_like(np.asarray(s, float)),) * (order + 1),
+                          support=(2.0, 5.0))
     assert rellich.check_mapped_rellich(zero, 5).margin == 0.0
     u = bump(1.0, 2.0)
     m_rad = rellich.principal_rellich_margin(u, 5, nodes=8192)
@@ -307,11 +291,12 @@ def test_mapped_profile_inverts_once_per_jet(monkeypatch):
     r = cov.r_of_s(s)
     rp = np.exp((N - 1) * (rellich._log_sinh(r) - np.log(s)))
     rpp = (N - 1) * rp * (rp / np.tanh(r) - 1.0 / s)
-    written_out = (u(r), u.d1(r) * rp, u.d2(r) * rp * rp + u.d1(r) * rpp)
-    for order in (1, 2):
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(v.jet(s, order), written_out[:order + 1]))
-    assert all(np.array_equal(f(s), w) for f, w in zip((v.value, v.d1, v.d2), written_out))
+    u0, u1, u2 = u.jet(r, 2)
+    written_out = (u0, u1 * rp, u2 * rp * rp + u1 * rpp)
+    for order in (0, 1, 2):
+        jet = v.jet(s, order)
+        assert len(jet) == order + 1
+        assert all(np.array_equal(a, b) for a, b in zip(jet, written_out))
 
     calls = []
     r_of_s = rellich.ChangeOfVariable.r_of_s

@@ -161,7 +161,7 @@ def test_warp_power_profile_evaluates_in_log_domain():
     assert np.isfinite(val).all() and val[0] > 1e150
     h = 1e-6
     fd = (prof(np.array([2.0 + h])) - prof(np.array([2.0 - h]))) / (2 * h)
-    assert prof.d1(np.array([2.0]))[0] == pytest.approx(fd[0], rel=1e-8)
+    assert prof.jet(np.array([2.0]), 1)[1][0] == pytest.approx(fd[0], rel=1e-8)
 
 
 def test_supersolution_profile_type():

@@ -49,14 +49,13 @@ CHECKS = {
          (a.rmax or cfg.get_float("grids", "r_max"),))],
     "hardy sweep-lambda": lambda a, cfg: [(_h_lambda_written, a.N, a.out)],
     "hardy iterlog": lambda a, cfg: [
-        (suites.iterated_log_margins, a.N, [bump(0.2, 0.8)], a.k, 4096),
+        (suites.iterated_log_margins, a.N, bump(0.2, 0.8), a.k, 4096),
         (suites.iterated_log_optimality_scan, a.N, (max(a.k, 1),))],
     "rellich check": lambda a, cfg: [(suites.poincare_rellich_margins, (a.N,), 10)],
     "rellich sharp-r2": lambda a, cfg: [
         (suites.rellich_sharp_r2,
          {a.N: (getattr(a, "rmax", None) or cfg.get_float("rellich", "sharp_r_max"),)})],
-    "rellich coeffs": lambda a, cfg: [
-        (suites.mode_coefficient_minima_exact, (a.N,), a.nmax)],
+    "rellich coeffs": lambda a, cfg: [(_coeffs_written, a.N, a.nmax, a.out)],
     "rellich asymptotics": lambda a, cfg: [
         (suites.asymptotic_consistency_exact, (a.N,)),
         (suites.two_term_expansion_ratio, a.N),
@@ -77,12 +76,14 @@ CHECKS = {
 SHARP = {"hardy": ("hardy sharp", 3), "rellich-r2": ("rellich sharp-r2", 5),
          "anchors": ("sharp anchors", None)}
 
-# entry -> writer of the entry's data CSV; returns the path
-OUTPUTS = {
-    "rellich coeffs": lambda a, cfg: write_csv(
-        Path(a.out) / f"mode_coeffs_N{a.N}.csv", "n,lambda_n,d_n,A_n,B_n",
-        [t.csv_row() for t in rellich.mode_table(a.N, a.nmax)]),
-}
+def _coeffs_written(cfg: ToolkitConfig, N: int, n_max: int, out: str):
+    """The exact mode-coefficient check on one table, which is also
+    written to out."""
+    table = rellich.mode_table(N, n_max)
+    path = write_csv(Path(out) / f"mode_coeffs_N{N}.csv", "n,lambda_n,d_n,A_n,B_n",
+                     [t.csv_row() for t in table])
+    print(f"data written to {path}")
+    return suites.mode_coefficient_minima_exact(cfg, (N,), n_max, tables={N: table})
 
 
 def _h_lambda_written(cfg: ToolkitConfig, N: int, out: str):
@@ -205,8 +206,6 @@ def _cmd_checks(args, command: str) -> int:
             args.N = default_N
     checks = [partial(check, cfg, *inputs) for check, *inputs in CHECKS[entry](args, cfg)]
     manifest = suites.run_checks(checks, cfg, command, [entry] * len(checks))
-    if entry in OUTPUTS:
-        print(f"data written to {OUTPUTS[entry](args, cfg)}")
     return _finish(manifest, args.out)
 
 

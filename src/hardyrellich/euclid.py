@@ -128,14 +128,15 @@ def ball_from_radial(u: RadialFunction, N: int) -> RadialFunction:
     a, b = u.support
     return RadialFunction(
         jet, max_order=1,
-        support=(float(np.tanh(a / 2.0)), float(np.tanh(min(b, 700.0) / 2.0))),
+        support=(np.tanh(a / 2.0), np.tanh(np.minimum(b, 700.0) / 2.0)),
         label=f"ball({u.label})",
+        members=tuple(ball_from_radial(m, N) for m in u.members),
     )
 
 
-def ball_identity_check(u: RadialFunction, N: int,
-                        nodes: int = 4096) -> tuple[float, float, float]:
-    """Relative discrepancies of the three transplantation identities:
+def ball_identity_check(u: RadialFunction, N: int, nodes: int = 4096) -> tuple:
+    """Relative discrepancies of the three transplantation identities
+    (one array of them per identity for a family, one per member):
 
       gradient:  hyperbolic Dirichlet energy against
                  int |grad v|^2 + N(N-2)/4 int c(t)^2 v^2
@@ -151,20 +152,21 @@ def ball_identity_check(u: RadialFunction, N: int,
     grid_h = grid_covering(u.support, nodes)
     v = ball_from_radial(u, N)
     ta, tb = v.support
-    grid_t = make_grid(max(ta * 0.9, 1e-12), min(tb * 1.05, 1.0 - 1e-12),
+    grid_t = make_grid(np.maximum(ta * 0.9, 1e-12), np.minimum(tb * 1.05, 1.0 - 1e-12),
                        nodes, "uniform")
     r, t = grid_h.nodes, grid_t.nodes
     c2 = conformal_factor(t) ** 2
 
     grad_h, l2_h, hardy_h = radial_sums(
-        u, grid_h, [("grad2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2)], man.measure_weight(r))
+        u, grid_h, [("grad2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2)],
+        man.measure_weight(r))[..., 0]
     grad_b, conf_b, l2_b, hardy_b = radial_sums(
         v, grid_t, [("grad2", 1.0), ("v2", N * (N - 2) / 4.0 * c2), ("v2", c2),
-                    ("v2", c2 / ball_radius_of_t(t) ** 2)], t ** (N - 1))
+                    ("v2", c2 / ball_radius_of_t(t) ** 2)], t ** (N - 1))[..., 0]
 
     def gap(lhs, rhs):
-        scale = max(abs(lhs), abs(rhs))
-        return 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
+        scale = np.maximum(abs(lhs), abs(rhs))
+        return np.divide(abs(lhs - rhs), scale, out=np.zeros_like(scale), where=scale != 0.0)
 
     return gap(grad_h, grad_b + conf_b), gap(l2_h, l2_b), gap(hardy_h, hardy_b)
 
@@ -179,19 +181,16 @@ def check_ball_hardy(v: RadialFunction, N: int, nodes: int = 4096) -> MarginRepo
     if N < 3:
         raise DomainError("ball inequality needs N >= 3")
     a, b = v.support
-    if not (0.0 < a < b < 1.0):
+    if not np.all((0.0 < a) & (a < b) & (b < 1.0)):
         raise ArgumentError("support must lie in (0, 1): inside the unit ball, off its centre")
-
-    def one(nn):
-        grid = make_grid(a * 0.9, (b + 1.0) / 2.0, nn, "uniform")
-        t = grid.nodes
-        c2 = conformal_factor(t) ** 2
-        grad2, v2, v2_log = radial_sums(
-            v, grid, [("grad2", 1.0), ("v2", c2), ("v2", c2 / ball_radius_of_t(t) ** 2)],
-            t ** (N - 1))
-        return grad2, 0.25 * v2 + 0.25 * v2_log
-
-    return MarginReport.from_sides(one, (nodes,), "ball_hardy", N, "ball", v.label)
+    grid = make_grid(a * 0.9, (b + 1.0) / 2.0, nodes, "uniform")
+    t = grid.nodes
+    c2 = conformal_factor(t) ** 2
+    grad2, v2, v2_log = radial_sums(
+        v, grid, [("grad2", 1.0), ("v2", c2), ("v2", c2 / ball_radius_of_t(t) ** 2)],
+        t ** (N - 1))
+    return MarginReport.from_sides(grad2, 0.25 * v2 + 0.25 * v2_log, "ball_hardy", N, "ball",
+                                   v.labels)
 
 
 def boundary_weight_comparison(samples: int = 1000) -> tuple[bool, float]:
@@ -252,28 +251,30 @@ class TensorProductFunction:
         }
 
     def integrals(self, grid: "TensorGrid", N: int, terms) -> np.ndarray:
-        """The terms' sums on the grid.  The trapezoid sum of an outer
-        product is the product of the two 1-D sums, so a term without a
-        distance power is a few dot products; a distance-weighted one is
+        """The terms' sums on the grid and on its subgrid, shape
+        (len(terms), 2).  The trapezoid sum of an outer product is the
+        product of the two 1-D sums, so a term without a distance power is
+        a few dot products; a distance-weighted one is
         (w_xi x)[rows] @ d^(-2k) @ (w_y y) summed over the row blocks, with
         d^-2 formed once per block for all such terms."""
         products = self._products(grid, N)
         w_xi = grid.xi_weights(N)
-        sums = np.zeros(len(terms))
+        sums = np.zeros((len(terms), 2))
         weighted = []
         for t, (q, p, k) in enumerate(terms):
             w_y = grid.y_weights(p)
             if k:
                 weighted += [(t, k, w_xi * x, w_y * y) for x, y in products[q]]
             else:
-                sums[t] = sum((w_xi @ x) * (w_y @ y) for x, y in products[q])
+                sums[t] = sum(np.vecdot(w_xi, x) * np.vecdot(w_y, y) for x, y in products[q])
         start = 0
         for block in grid.blocks() if weighted else ():
             rows = slice(start, start + block.xi.size)
             start = rows.stop
             inv_d2 = 1.0 / np.arccosh(block.cosh_dist) ** 2
             for t, k, x, y in weighted:
-                sums[t] += x[rows] @ (inv_d2 if k == 1 else inv_d2 * inv_d2) @ y
+                dist = inv_d2 if k == 1 else inv_d2 * inv_d2
+                sums[t] += [x[c, rows] @ dist @ y[c] for c in (0, 1)]
         return sums
 
     def integrand(self, block: "TensorGrid", N: int, term):
@@ -388,18 +389,19 @@ class TransportedRadial:
                         for q, _, k in terms]
 
     def integrals(self, grid: "TensorGrid", N: int, terms) -> np.ndarray:
-        """The terms' sums on the grid, one row block at a time: each term
-        is one values @ weights over the block's support nodes, with the
-        weights w_xi xi^(N-2) w_y y^(-p) gathered there."""
-        w_y = {p: grid.y_weights(p) for _, p, _ in terms}
-        sums = np.zeros(len(terms))
+        """The terms' sums on the grid and on its subgrid, shape
+        (len(terms), 2), one row block at a time: each term's values at the
+        block's support nodes are laid on the block (zero elsewhere) and
+        summed as (w_xi xi^(N-2)) @ values @ (w_y y^(-p)) on either grid."""
+        w_y = [grid.y_weights(p) for _, p, _ in terms]
+        sums = np.zeros((len(terms), 2))
         for block in grid.blocks():
             inside, values = self._support_values(block, N, terms)
-            w_xi = np.broadcast_to(block.xi_weights(N)[:, None], inside.shape)[inside]
-            weights = {p: w_xi * np.broadcast_to(w, inside.shape)[inside]
-                       for p, w in w_y.items()}
-            for t, ((_, p, _), f) in enumerate(zip(terms, values)):
-                sums[t] += f @ weights[p]
+            w_xi = block.xi_weights(N)
+            dense = np.zeros(inside.shape)
+            for t, f in enumerate(values):  # each term overwrites the same nodes
+                dense[inside] = f
+                sums[t] += np.vecdot(w_xi @ dense, w_y[t])
         return sums
 
     def integrand(self, block: "TensorGrid", N: int, term):
@@ -414,14 +416,30 @@ class TransportedRadial:
 BLOCK_NODES = 2**14
 
 
+def _subgrid_weights(nodes: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of the every-other-node subgrid nodes[::2], zero
+    on the nodes it skips."""
+    w = np.zeros_like(nodes)
+    w[::2] = _trapezoid_weights(nodes[::2])
+    return w
+
+
 @dataclass(frozen=True)
 class TensorGrid:
-    """Tensor trapezoid grid on (|x|, y) = (xi, y), with the 1-D weights."""
+    """Tensor trapezoid grid on (|x|, y) = (xi, y), with the 1-D weights.
+
+    sub_xi and sub_y are the trapezoid weights of the every-other-node
+    subgrid, every other row and column of the grid, zero on the nodes it
+    skips (over_box fills them): the sums of one set of node values on the
+    grid and on the subgrid differ by about the subgrid's quadrature error.
+    """
 
     xi: np.ndarray
     y: np.ndarray
     w_xi: np.ndarray
     w_y: np.ndarray
+    sub_xi: np.ndarray | None = None
+    sub_y: np.ndarray | None = None
 
     @staticmethod
     def over_box(xi_max: float, y_lo: float, y_hi: float,
@@ -430,22 +448,27 @@ class TensorGrid:
             raise ArgumentError("tensor grid needs y > 0")
         xi = np.linspace(0.0, xi_max, nx)
         y = np.linspace(y_lo, y_hi, ny)
-        return TensorGrid(xi, y, _trapezoid_weights(xi), _trapezoid_weights(y))
+        return TensorGrid(xi, y, _trapezoid_weights(xi), _trapezoid_weights(y),
+                          _subgrid_weights(xi), _subgrid_weights(y))
 
     def off_axis(self) -> "TensorGrid":
         """The grid without its xi = 0 row: that row carries zero measure,
         so integrands singular on the axis never enter a sum."""
         if self.xi[0] != 0.0:
             return self
-        return TensorGrid(self.xi[1:], self.y, self.w_xi[1:], self.w_y)
+        return TensorGrid(self.xi[1:], self.y, self.w_xi[1:], self.w_y,
+                          self.sub_xi[1:], self.sub_y)
 
     def xi_weights(self, N: int) -> np.ndarray:
-        """The xi trapezoid weights times xi^(N-2) (sphere factor omitted)."""
-        return self.w_xi * self.xi ** (N - 2)
+        """The xi trapezoid weights of the grid and of its subgrid, shape
+        (2, nx), times xi^(N-2) (sphere factor omitted)."""
+        return np.stack([self.w_xi, self.sub_xi]) * self.xi ** (N - 2)
 
     def y_weights(self, y_power: float = 0) -> np.ndarray:
-        """The y trapezoid weights divided by y^y_power."""
-        return self.w_y * self.y ** -y_power if y_power else self.w_y
+        """The y trapezoid weights of the grid and of its subgrid, shape
+        (2, ny), divided by y^y_power."""
+        w = np.stack([self.w_y, self.sub_y])
+        return w * self.y ** -y_power if y_power else w
 
     def blocks(self):
         """Row blocks of the grid: sub-grids over consecutive xi rows that
@@ -453,8 +476,8 @@ class TensorGrid:
         least).  Their integrals add up to the grid's."""
         rows = max(1, BLOCK_NODES // self.y.size)
         for i in range(0, self.xi.size, rows):
-            yield TensorGrid(self.xi[i:i + rows], self.y,
-                             self.w_xi[i:i + rows], self.w_y)
+            yield TensorGrid(self.xi[i:i + rows], self.y, self.w_xi[i:i + rows],
+                             self.w_y, self.sub_xi[i:i + rows], self.sub_y)
 
     @cached_property
     def cosh_dist(self) -> np.ndarray:
@@ -465,10 +488,11 @@ class TensorGrid:
         return (1.0 + (self.y - 1.0) ** 2 * b) + (self.xi * self.xi)[:, None] * b
 
 
-def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> list[float]:
+def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> np.ndarray:
     """The sums of the half-space terms (q, p, k) of v (a
     TensorProductFunction or a TransportedRadial) on the nx x ny grid over
-    its box, with the xi = 0 row dropped.
+    its box, with the xi = 0 row dropped, and on its every-other-node
+    subgrid: shape (len(terms), 2).
 
     A non-finite sum raises EvaluationError naming the first node, in row
     order, where that term's integrand is non-finite, or the overflow when
@@ -478,7 +502,7 @@ def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> list[float]:
     with np.errstate(all="ignore"):  # non-finite sums are traced below
         sums = v.integrals(grid, N, terms)
         for term, total in zip(terms, sums):
-            if math.isfinite(total):
+            if np.all(np.isfinite(total)):
                 continue
             for block in grid.blocks():
                 values, rows, cols = v.integrand(block, N, term)
@@ -493,22 +517,19 @@ def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> list[float]:
                 f"half-space integral overflows on the rows "
                 f"xi in [{grid.xi[0]:.6g}, {grid.xi[-1]:.6g}]"
             )
-    return [float(s) for s in sums]
+    return sums
 
 
 def _tensor_margin(name: str, v, N: int, nx: int, ny: int, terms,
                    sides) -> MarginReport:
     """Half-space margin report from sides(*sums) -> (lhs, rhs), with sums
-    the sums of the terms, judged on an nx x ny grid over v's box; the
-    margin change against the half-resolution grid is the quadrature
-    error."""
+    the sums of the terms on an nx x ny grid over v's box and on its
+    every-other-node subgrid; the margin change between the two is the
+    quadrature error."""
     if v.y_support[0] <= 0.0:
         raise ArgumentError("support must stay away from the boundary y = 0")
-
-    def one(mx, my):
-        return sides(*_halfspace_sums(v, N, mx, my, terms))
-
-    return MarginReport.from_sides(one, (nx, ny), name, N, "halfspace", v.label)
+    lhs, rhs = sides(*_halfspace_sums(v, N, nx, ny, terms))
+    return MarginReport.from_sides(lhs, rhs, name, N, "halfspace", [v.label])
 
 
 def check_halfspace_hardy(v, N: int, nx: int = 512, ny: int = 512) -> MarginReport:
@@ -679,11 +700,11 @@ def halfspace_bilaplacian_identity(U: RadialFunction, N: int,
     if N < 5:
         raise DomainError("the bilaplacian identity check needs N >= 5")
     grid = grid_covering(U.support, nodes)
-    lhs = sphere_area(N) * bilaplacian_form(U, hyperbolic(N), grid)
+    lhs = sphere_area(N) * float(bilaplacian_form(U, hyperbolic(N), grid))
 
     v = TransportedRadial(U, N, alpha=(N - 2) / 2.0)
     lap2, grad2, v2 = _halfspace_sums(v, N, nx, ny,
-                                      [("lap2", -2, 0), ("grad2", 0, 0), ("v2", 2, 0)])
+                                      [("lap2", -2, 0), ("grad2", 0, 0), ("v2", 2, 0)])[:, 0]
     rhs_tensor = lap2 + N * (N - 2) / 2.0 * grad2 + N * N * (N - 2) ** 2 / 16.0 * v2
     rhs = sphere_area(N - 1) * rhs_tensor
     return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs))
@@ -701,5 +722,5 @@ def hyperbolic_margin_without_sinh(U: RadialFunction, N: int,
     grid = grid_covering(U.support, nodes)
     r = grid.nodes
     terms = [("grad2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2)]
-    dirichlet, l2, by_r2 = radial_sums(U, grid, terms, man.measure_weight(r))
-    return dirichlet - (N - 1) ** 2 / 4.0 * l2 - 0.25 * by_r2
+    dirichlet, l2, by_r2 = radial_sums(U, grid, terms, man.measure_weight(r))[:, 0]
+    return float(dirichlet - (N - 1) ** 2 / 4.0 * l2 - 0.25 * by_r2)

@@ -39,7 +39,8 @@ class MarginReport:
     """One inequality evaluation: lhs >= rhs up to quadrature error.
 
     Reports carry no verdict: a check row judges margin / |lhs| against
-    the configured margin tolerance."""
+    the configured margin tolerance.  Iterating a report yields the report
+    itself, as a check on a family returns a list of them."""
 
     name: str
     N: int
@@ -50,15 +51,26 @@ class MarginReport:
     margin: float
     quad_error: float
 
+    def __iter__(self):
+        yield self
+
     @classmethod
-    def from_sides(cls, sides, sizes: tuple[int, ...], name: str, N: int,
-                   family: str, test_id: str) -> "MarginReport":
-        """Report for sides(*sizes) -> (lhs, rhs); the margin change against
-        sides at half of every size is the quadrature error."""
-        lhs, rhs = sides(*sizes)
-        lhs_c, rhs_c = sides(*(n // 2 for n in sizes))
-        return cls(name, N, family, test_id, lhs, rhs, lhs - rhs,
-                   abs((lhs - rhs) - (lhs_c - rhs_c)))
+    def from_sides(cls, lhs, rhs, name: str, N: int, family: str, test_ids):
+        """Reports of lhs >= rhs, where lhs and rhs hold (grid, subgrid)
+        sums on their last axis, both summed from one evaluation of the test
+        function (see RadialGrid.sub_weights and TensorGrid): the margin
+        change against the every-other-node subgrid is the quadrature error.
+
+        lhs and rhs of shape (2,) give one report; shape (k, 2), from a
+        family on a stacked grid, gives a list of k, one per test id."""
+        margin = np.subtract(lhs, rhs)
+        reports = [
+            cls(name, N, family, test_id, float(l[0]), float(r[0]), float(m[0]),
+                float(abs(m[0] - m[1])))
+            for test_id, l, r, m in zip(test_ids, *(np.reshape(x, (-1, 2))
+                                                    for x in (lhs, rhs, margin)))
+        ]
+        return reports if np.ndim(margin) > 1 else reports[0]
 
 
 @dataclass
@@ -86,9 +98,10 @@ class LambdaCurve:
 
 
 def _hardy_sums(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid,
-                *weights) -> list[float]:
+                *weights) -> np.ndarray:
     """int u'^2, int u^2/r^2 and int u^2/psi^2, then int u^2 w for each
-    weight w, all against the volume weight psi^(N-1)."""
+    weight w, all against the volume weight psi^(N-1), as radial_sums
+    returns them."""
     r = grid.nodes
     terms = [("grad2", 1.0), ("v2", 1.0 / r**2), ("v2", np.exp(-2.0 * manifold.log_psi(r))),
              *(("v2", w) for w in weights)]
@@ -110,13 +123,9 @@ def check_poincare_hardy(u: RadialFunction, N: int, nodes: int = 4096) -> Margin
     lam = (N - 1) ** 2 / 4.0
     c_sinh = (N - 1) * (N - 3) / 4.0
 
-    def one(nn: int):
-        grid = grid_covering(u.support, nn)
-        dirichlet, by_r2, by_psi2, l2 = _hardy_sums(u, man, grid, 1.0)
-        return dirichlet - lam * l2, 0.25 * by_r2 + c_sinh * by_psi2
-
-    return MarginReport.from_sides(one, (nodes,), "poincare_hardy",
-                                   N, "hyperbolic", u.label)
+    dirichlet, by_r2, by_psi2, l2 = _hardy_sums(u, man, grid_covering(u.support, nodes), 1.0)
+    return MarginReport.from_sides(dirichlet - lam * l2, 0.25 * by_r2 + c_sinh * by_psi2,
+                                   "poincare_hardy", N, "hyperbolic", u.labels)
 
 
 def check_general_model(u: RadialFunction, manifold: ModelManifold,
@@ -133,14 +142,12 @@ def check_general_model(u: RadialFunction, manifold: ModelManifold,
         raise DomainError("the inequality needs N >= 3")
     N = manifold.N
 
-    def one(nn: int):
-        grid = grid_covering(u.support, nn)
-        dirichlet, by_r2, by_psi2, curvature = _hardy_sums(
-            u, manifold, grid, hardy_weight_general(manifold, grid.nodes))
-        return dirichlet - curvature, 0.25 * by_r2 + (N - 1) * (N - 3) / 4.0 * by_psi2
-
-    return MarginReport.from_sides(one, (nodes,), "general_model_hardy",
-                                   N, manifold.family, u.label)
+    grid = grid_covering(u.support, nodes)
+    dirichlet, by_r2, by_psi2, curvature = _hardy_sums(
+        u, manifold, grid, hardy_weight_general(manifold, grid.nodes))
+    return MarginReport.from_sides(dirichlet - curvature,
+                                   0.25 * by_r2 + (N - 1) * (N - 3) / 4.0 * by_psi2,
+                                   "general_model_hardy", N, manifold.family, u.labels)
 
 
 def poincare_gap(N: int, r_min: float = 1e-3, r_max: float = 60.0,
@@ -227,8 +234,8 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
 # ball improvements with iterated-log weights
 
 
-def check_iterated_log_improvement(u: RadialFunction, N: int, k: int,
-                                   nodes: int = 4096) -> MarginReport:
+def check_iterated_log_improvement(u: RadialFunction, N: int, k,
+                                   nodes: int = 4096):
     """Margin of the k-term series-improved inequality on the unit ball:
 
       lhs of the Poincare-Hardy form
@@ -237,34 +244,41 @@ def check_iterated_log_improvement(u: RadialFunction, N: int, k: int,
 
     Truncating the (positive) series only weakens the inequality, so any
     k >= 0 is a valid check; k = 0 recovers the plain form on the ball.
+    A sequence of series lengths k is served by one grid and one jet of u,
+    and gives the reports of every length, length by length.
     """
     if N < 3:
         raise DomainError("the inequality needs N >= 3")
-    if k < 0:
+    ks = list(np.atleast_1d(k))
+    if min(ks) < 0:
         raise ArgumentError("series length k must be >= 0")
     a, b = u.support
-    if not (0.0 < a and b < 1.0):
+    inside = (0.0 < a) & (b < 1.0)
+    if not np.all(inside):
+        j = int(np.argmin(inside))
+        a, b = (float(np.ravel(x)[j]) for x in (a, b))
         raise SupportError(
-            f"support [{a:g}, {b:g}] must lie strictly inside the unit ball"
+            f"support [{a:g}, {b:g}] of {u.labels[j]} must lie strictly inside "
+            "the unit ball"
         )
     man = hyperbolic(N)
-
-    def series_weight(r):
-        if k == 0:
-            return np.zeros_like(np.asarray(r, dtype=float))
-        stack = iterated_log_stack(k, r) ** 2
-        return np.cumprod(stack, axis=0).sum(axis=0) / np.asarray(r, dtype=float) ** 2
-
-    def one(nn: int):
-        # pad without leaving (0, 1), where the log weights live
-        grid = make_grid(a * 0.9, min(b + 0.05 * (b - a), (b + 1.0) / 2.0), nn, "uniform")
-        dirichlet, by_r2, by_psi2, l2, series = _hardy_sums(
-            u, man, grid, 1.0, series_weight(grid.nodes))
-        lhs = dirichlet - (N - 1) ** 2 / 4.0 * l2
-        return lhs, 0.25 * by_r2 + (N - 1) * (N - 3) / 4.0 * by_psi2 + 0.25 * series
-
-    return MarginReport.from_sides(one, (nodes,), f"iterated_log_improvement(k={k})",
-                                   N, "hyperbolic", u.label)
+    # pad without leaving (0, 1), where the log weights live
+    grid = make_grid(a * 0.9, np.minimum(b + 0.05 * (b - a), (b + 1.0) / 2.0), nodes, "uniform")
+    r = grid.nodes
+    # the series weight of length i is the sum of the first i products
+    # X_1^2...X_j^2, over r^2
+    series = np.cumsum(np.cumprod(iterated_log_stack(max(ks), r) ** 2, axis=0), axis=0) / r**2
+    weights = {i: series[i - 1] for i in ks if i}
+    dirichlet, by_r2, by_psi2, l2, *by_series = _hardy_sums(u, man, grid, 1.0, *weights.values())
+    series_sums = dict(zip(weights, by_series))
+    lhs = dirichlet - (N - 1) ** 2 / 4.0 * l2
+    rhs = 0.25 * by_r2 + (N - 1) * (N - 3) / 4.0 * by_psi2
+    reports = [
+        MarginReport.from_sides(lhs, rhs + 0.25 * series_sums[i] if i else rhs,
+                                f"iterated_log_improvement(k={i})", N, "hyperbolic", u.labels)
+        for i in ks
+    ]
+    return reports[0] if np.ndim(k) == 0 else [rep for per_k in reports for rep in per_k]
 
 
 def trial_profile(eps: float, a, delta: float) -> RadialFunction:
@@ -326,14 +340,13 @@ def iterated_log_optimality_scan(N: int, k: int, params=None,
     if params is None:
         params = [0.5 * 2.0**-j for j in range(5)]
     delta = 0.25
+    grid = make_grid(r_floor, 2.0 * delta, M, "geometric")
+    r = grid.nodes
+    pk = np.prod(iterated_log_stack(k, r), axis=0)
     out = []
     for t in params:
-        u = trial_profile(t, [t] * k, delta)
-        grid = make_grid(r_floor, 2.0 * delta, M, "geometric")
-        r = grid.nodes
-        pk = np.prod(iterated_log_stack(k, r), axis=0)
-        uu, du = u.jet(r, 1)
-        num = _integrate(du * du * r / pk, grid, "quotient numerator")
-        den = _integrate(uu * uu * pk / r, grid, "quotient denominator")
+        uu, du = trial_profile(t, [t] * k, delta).jet(r, 1)
+        num = _integrate(du * du * r / pk, grid, "quotient numerator")[0]
+        den = _integrate(uu * uu * pk / r, grid, "quotient denominator")[0]
         out.append(0.25 + num / den)
     return out

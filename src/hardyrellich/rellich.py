@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    NumericError,
     RangeError,
     TruncationError,
 )
@@ -61,27 +62,27 @@ def mode_multiplicity(n: int, N: int) -> int:
 
 
 def sinh4_coefficient(n: int, N: int) -> Fraction:
-    """Exact per-mode coefficient of the 1/sinh^4 term in the reduced bound."""
+    """Exact per-mode coefficient of the 1/sinh^4 term in the reduced bound,
+
+      A_n = lam^2 + N(N-4)/2 lam + ((N-1)(N-3))^2/16 - 3(N-1)(N-3)/8,
+
+    built from the integer 16 A_n."""
     _check_dimension(N, 5)
     lam = mode_eigenvalue(n, N)
-    return (
-        Fraction(lam) ** 2
-        + Fraction(N * (N - 4), 2) * lam
-        + Fraction(((N - 1) * (N - 3)) ** 2, 16)
-        - Fraction(3 * (N - 1) * (N - 3), 8)
-    )
+    c = (N - 1) * (N - 3)
+    return Fraction(16 * lam * lam + 8 * N * (N - 4) * lam + c * c - 6 * c, 16)
 
 
 def sinh2_coefficient(n: int, N: int) -> Fraction:
-    """Exact per-mode coefficient of the 1/sinh^2 term in the reduced bound."""
+    """Exact per-mode coefficient of the 1/sinh^2 term in the reduced bound,
+
+      B_n = (N+1)(N-3)/2 lam + (N-1)^2(N-3)/4 + ((N-1)(N-3))^2/8 - (N-1)(N-3)/2,
+
+    built from the integer 8 B_n."""
     _check_dimension(N, 5)
     lam = mode_eigenvalue(n, N)
-    return (
-        Fraction((N + 1) * (N - 3), 2) * lam
-        + Fraction((N - 1) ** 2 * (N - 3), 4)
-        + Fraction(((N - 1) * (N - 3)) ** 2, 8)
-        - Fraction((N - 1) * (N - 3), 2)
-    )
+    c = (N - 1) * (N - 3)
+    return Fraction(4 * (N + 1) * (N - 3) * lam + 2 * (N - 1) * c + c * c - 4 * c, 8)
 
 
 def min_sinh4_closed_form(N: int) -> Fraction:
@@ -144,18 +145,16 @@ def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 4096) -> MarginReport:
     """Margin of the 1-D weighted inequality
     int u'^2/sinh^2 >= 9/4 int u^2/sinh^4 + int u^2/sinh^2 (flat measure)."""
 
-    def one(nn):
-        grid = grid_covering(u.support, nn)
-        s2 = _inv_sinh_sq(grid.nodes)
-        return radial_sums(u, grid, [("grad2", s2), ("v2", 2.25 * s2 * s2 + s2)], 1.0)
-
-    return MarginReport.from_sides(one, (nodes,), "sinh_hardy_1d", 1, "line", u.label)
+    grid = grid_covering(u.support, nodes)
+    s2 = _inv_sinh_sq(grid.nodes)
+    lhs, rhs = radial_sums(u, grid, [("grad2", s2), ("v2", 2.25 * s2 * s2 + s2)], 1.0)
+    return MarginReport.from_sides(lhs, rhs, "sinh_hardy_1d", 1, "line", u.labels)
 
 
 def _reduced_sums(d: RadialFunction, N: int, n: int, grid: RadialGrid,
-                  *weights) -> list[float]:
+                  *weights) -> np.ndarray:
     """The mode-n reduced form, then int d^2 w for each weight w (flat
-    measure)."""
+    measure), as radial_sums returns them."""
     r = grid.nodes
     coth2 = 1.0 / np.tanh(r) ** 2
     lam = mode_eigenvalue(n, N)
@@ -174,7 +173,7 @@ def radial_reduced_form(d: RadialFunction, N: int, n: int,
     the radial function u (the substitution is an isometry of the forms).
     """
     _check_dimension(N, 5)
-    return _reduced_sums(d, N, n, grid)[0]
+    return _reduced_sums(d, N, n, grid)[0, ..., 0]
 
 
 def reduced_from_radial(u: RadialFunction, N: int) -> RadialFunction:
@@ -194,7 +193,8 @@ def reduced_from_radial(u: RadialFunction, N: int) -> RadialFunction:
         kp = -half * _inv_sinh_sq(r)
         return out + (wr * ((k * k + kp) * ur[0] + 2.0 * k * ur[1] + ur[2]),)
 
-    return RadialFunction(jet, support=u.support, label=f"reduced({u.label})")
+    return RadialFunction(jet, support=u.support, label=f"reduced({u.label})",
+                          members=tuple(reduced_from_radial(m, N) for m in u.members))
 
 
 def mode_chain_margin(d: RadialFunction, N: int, n: int,
@@ -206,22 +206,20 @@ def mode_chain_margin(d: RadialFunction, N: int, n: int,
     a4 = float(sinh4_coefficient(n, N))
     b2 = float(sinh2_coefficient(n, N))
 
-    def one(nn):
-        grid = grid_covering(d.support, nn)
-        r = grid.nodes
-        s2 = _inv_sinh_sq(r)
-        weight = (9.0 / 16.0 / r**4 + (N - 1) ** 2 / 8.0 / r**2 + (N - 1) ** 4 / 16.0
-                  + a4 * s2 * s2 + b2 * s2)
-        return _reduced_sums(d, N, n, grid, weight)
-
-    return MarginReport.from_sides(one, (nodes,), f"mode_chain(n={n})",
-                                   N, "hyperbolic", d.label)
+    grid = grid_covering(d.support, nodes)
+    r = grid.nodes
+    s2 = _inv_sinh_sq(r)
+    weight = (9.0 / 16.0 / r**4 + (N - 1) ** 2 / 8.0 / r**2 + (N - 1) ** 4 / 16.0
+              + a4 * s2 * s2 + b2 * s2)
+    lhs, rhs = _reduced_sums(d, N, n, grid, weight)
+    return MarginReport.from_sides(lhs, rhs, f"mode_chain(n={n})", N, "hyperbolic", d.labels)
 
 
 def _poincare_rellich_sums(u: RadialFunction, N: int, grid: RadialGrid,
-                          count: int = 6) -> list[float]:
+                          count: int = 6) -> np.ndarray:
     """The first count of int (Lap u)^2, int u^2, int u^2/r^2, int u^2/r^4,
-    int u^2/sinh^2 and int u^2/sinh^4 (hyperbolic volume weight)."""
+    int u^2/sinh^2 and int u^2/sinh^4 (hyperbolic volume weight), as
+    radial_sums returns them."""
     man = hyperbolic(N)
     r = grid.nodes
     inv_psi2 = np.exp(-2.0 * man.log_psi(r))
@@ -242,20 +240,16 @@ def check_poincare_rellich(u: RadialFunction, N: int,
     """
     _check_dimension(N, 5)
 
-    def one(nn):
-        lap2, l2, by_r2, by_r4, by_psi2, by_psi4 = _poincare_rellich_sums(
-            u, N, grid_covering(u.support, nn))
-        lhs = lap2 - (N - 1) ** 4 / 16.0 * l2
-        rhs = (
-            (N - 1) ** 2 / 8.0 * by_r2
-            + 9.0 / 16.0 * by_r4
-            + float(min_sinh2_closed_form(N)) * by_psi2
-            + float(min_sinh4_closed_form(N)) * by_psi4
-        )
-        return lhs, rhs
-
-    return MarginReport.from_sides(one, (nodes,), "poincare_rellich",
-                                   N, "hyperbolic", u.label)
+    lap2, l2, by_r2, by_r4, by_psi2, by_psi4 = _poincare_rellich_sums(
+        u, N, grid_covering(u.support, nodes))
+    lhs = lap2 - (N - 1) ** 4 / 16.0 * l2
+    rhs = (
+        (N - 1) ** 2 / 8.0 * by_r2
+        + 9.0 / 16.0 * by_r4
+        + float(min_sinh2_closed_form(N)) * by_psi2
+        + float(min_sinh4_closed_form(N)) * by_psi4
+    )
+    return MarginReport.from_sides(lhs, rhs, "poincare_rellich", N, "hyperbolic", u.labels)
 
 
 def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 4096) -> float:
@@ -269,7 +263,7 @@ def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 4096) -> fl
     lap2, l2, by_r2, by_r4 = _poincare_rellich_sums(
         u, N, grid_covering(u.support, nodes), count=4)
     lhs = lap2 - (N - 1) ** 4 / 16.0 * l2
-    return lhs - ((N - 1) ** 2 / 8.0 * by_r2 + 9.0 / 16.0 * by_r4)
+    return float((lhs - ((N - 1) ** 2 / 8.0 * by_r2 + 9.0 / 16.0 * by_r4))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +419,17 @@ class ChangeOfVariable:
     The tail integral behind s(r) is accumulated over Gauss panels on a
     log-spaced table covering r in [1e-4, 40], with the analytic series
     tail beyond 40 where the integrand is e^(-(N-1)sigma) times a
-    geometric-series correction.  Inversion is bisection on the table
-    plus Newton polishing with the exact derivative ds/dr = (s/sinh r)^(N-1).
+    geometric-series correction.  Inversion starts from a cubic Hermite
+    interpolant of log r against log s on the table, with the exact slopes
+    from ds/dr = (s/sinh r)^(N-1), and polishes it by Newton steps.
     """
 
     TABLE_RANGE = (1e-4, 40.0)
+    # Newton polishing of r(s) stops once every relative residual
+    # |s(r) - s| / s is at most NEWTON_RTOL before a step, which then
+    # leaves an error of order its square; it gives up after NEWTON_STEPS.
+    NEWTON_RTOL = 1e-9
+    NEWTON_STEPS = 8
 
     def __init__(self, N: int, table_size: int = 4096):
         self.N = _check_dimension(N)
@@ -442,6 +442,14 @@ class ChangeOfVariable:
         )
         self.prefactor = (N - 2) ** (-1.0 / (N - 2)) / 2 ** ((N - 1) / (N - 2))
         self.s_tab = self._s_from_integral(self.i_tab)
+        # the inverse interpolant's table: log s, log r and d log r / d log s
+        self._log_s = np.log(self.s_tab)
+        self._log_r = np.log(self.r_tab)
+        self._slope = self.s_tab / (self.r_tab * self.ds_dr(self.r_tab, self.s_tab))
+        # the last inversion (s, r): a transported profile and the density
+        # of its mapped check invert the same nodes; the pair is replaced
+        # whole, so a reader sees a matching pair
+        self._last = (np.empty(0), np.empty(0))
 
     def _integrand(self, sigma):
         sigma = np.asarray(sigma, dtype=float)
@@ -493,7 +501,8 @@ class ChangeOfVariable:
         return np.exp((self.N - 1) * (np.log(s) - _log_sinh(r)))
 
     def r_of_s(self, s):
-        """Inverse map on the tabulated range."""
+        """Inverse map on the tabulated range.  Nodes equal to those of the
+        previous call reuse its inversion."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
@@ -502,15 +511,38 @@ class ChangeOfVariable:
                 f"s outside tabulated range [{self.s_tab[0]:.3g}, "
                 f"{self.s_tab[-1]:.3g}]"
             )
-        r = np.exp(np.interp(np.log(s), np.log(self.s_tab), np.log(self.r_tab)))
-        for _ in range(4):
-            f = self.s_of_r(r) - s
-            r = np.clip(
-                r - f / self.ds_dr(r, s),
-                self.TABLE_RANGE[0],
-                self.TABLE_RANGE[1],
-            )
+        last_s, last_r = self._last
+        if np.array_equal(s, last_s):
+            r = last_r.copy()
+        else:
+            r = self._invert(s)
+            self._last = (s.copy(), r.copy())
         return float(r[0]) if scalar else r
+
+    def _invert(self, s: np.ndarray) -> np.ndarray:
+        """r(s) on the tabulated range: the Hermite start, then Newton steps
+        until the relative residual meets NEWTON_RTOL (NumericError naming
+        s when NEWTON_STEPS do not)."""
+        x = np.log(s)
+        j = np.clip(np.searchsorted(self._log_s, x, side="right") - 1,
+                    0, self._log_s.size - 2)
+        h = self._log_s[j + 1] - self._log_s[j]
+        t = (x - self._log_s[j]) / h
+        t1 = 1.0 - t
+        r = np.exp(t1 * t1 * ((1.0 + 2.0 * t) * self._log_r[j] + t * h * self._slope[j])
+                   + t * t * ((3.0 - 2.0 * t) * self._log_r[j + 1]
+                              - t1 * h * self._slope[j + 1]))
+        for _ in range(self.NEWTON_STEPS):
+            f = self.s_of_r(r) - s
+            converged = np.abs(f) <= self.NEWTON_RTOL * s
+            r = np.clip(r - f / self.ds_dr(r, s), *self.TABLE_RANGE)
+            if np.all(converged):
+                return r
+        bad = np.flatnonzero(~converged)
+        raise NumericError(
+            f"r(s) did not converge in {self.NEWTON_STEPS} Newton steps at "
+            f"s = {s.flat[bad[0]]:.17g} ({bad.size} nodes)"
+        )
 
     def rho_of_r(self, r):
         """Density rho = (sinh r / s)^(2(N-1)) along the map."""
@@ -616,9 +648,10 @@ def mapped_from_radial(u: RadialFunction, N: int) -> RadialFunction:
         return out + (ur[2] * rp * rp + ur[1] * rpp,)
 
     a, b = u.support
-    s_a = cov.s_of_r(max(a, cov.TABLE_RANGE[0]))
-    s_b = cov.s_of_r(min(b, cov.TABLE_RANGE[1]))
-    return RadialFunction(jet, support=(s_a, s_b), label=f"mapped({u.label})")
+    s_a = cov.s_of_r(np.maximum(a, cov.TABLE_RANGE[0]))
+    s_b = cov.s_of_r(np.minimum(b, cov.TABLE_RANGE[1]))
+    return RadialFunction(jet, support=(s_a, s_b), label=f"mapped({u.label})",
+                          members=tuple(mapped_from_radial(m, N) for m in u.members))
 
 
 def check_mapped_rellich(v: RadialFunction, N: int,
@@ -631,19 +664,16 @@ def check_mapped_rellich(v: RadialFunction, N: int,
            + (N-1)^2/8 int rho/r^2 v^2 s^(N-1) ds
 
     with Lap the euclidean radial Laplacian in s and rho the transported
-    volume density.
+    volume density.  For a transported profile (mapped_from_radial) the
+    density takes r(s) from the inversion its jet made on the same nodes.
     """
     _check_dimension(N, 5)
     cov = change_of_variable(N)
-
-    def one(nn):
-        grid = grid_covering(v.support, nn)
-        s = grid.nodes
-        r = cov.r_of_s(s)
-        rho = np.exp(2.0 * (N - 1) * (_log_sinh(r) - np.log(s)))
-        principal = (N - 1) ** 4 / 16.0 + 9.0 / 16.0 / r**4 + (N - 1) ** 2 / 8.0 / r**2
-        return radial_sums(v, grid, [("lap2", 1.0 / rho), ("v2", rho * principal)],
+    grid = grid_covering(v.support, nodes)
+    s = grid.nodes
+    r = cov.r_of_s(s)
+    rho = np.exp(2.0 * (N - 1) * (_log_sinh(r) - np.log(s)))
+    principal = (N - 1) ** 4 / 16.0 + 9.0 / 16.0 / r**4 + (N - 1) ** 2 / 8.0 / r**2
+    lhs, rhs = radial_sums(v, grid, [("lap2", 1.0 / rho), ("v2", rho * principal)],
                            s ** (N - 1), drift=(N - 1) / s)
-
-    return MarginReport.from_sides(one, (nodes,), "mapped_rellich",
-                                   N, "hyperbolic", v.label)
+    return MarginReport.from_sides(lhs, rhs, "mapped_rellich", N, "hyperbolic", v.labels)

@@ -28,6 +28,9 @@ class CheckRow:
     status: str  # "pass" | "fail"
     value: float
     tolerance: float
+    # margin rows: the largest quad_error / |lhs| of their reports, written
+    # to manifest.json only (results.csv keeps its four columns)
+    quad_error_rel: float | None = None
 
     @property
     def passed(self) -> bool:

@@ -343,3 +343,34 @@ def test_margin_row_fails_nonfinite_ratios(bad):
     cfg = ToolkitConfig()
     assert suites._margin_row(cfg, "m", [good]).passed
     assert not suites._margin_row(cfg, "m", reports).passed
+
+
+def test_margin_rows_carry_their_quad_error_in_the_manifest(tmp_path):
+    # the worst quad_error / |lhs| of a margin row goes to manifest.json;
+    # results.csv keeps its four columns
+    cfg = ToolkitConfig()
+    reports = [hardy.check_poincare_hardy(u, 5, nodes=2048)
+               for u in suites.seeded_bumps(cfg.seed + 5, 3, 0.3, 6.0)]
+    manifest = suites.run_checks([lambda: suites.poincare_hardy_margins(cfg, (5,), 3)],
+                                 cfg, "hardy check")
+    manifest.write(tmp_path)
+    (result,) = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    worst = max(rep.quad_error / abs(rep.lhs) for rep in reports)
+    assert result["quad_error_rel"] == pytest.approx(worst, rel=1e-6) and worst > 0.0
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[0] == "check,status,value,tolerance" and lines[1].count(",") == 3
+    other = suites.run_checks([lambda: suites.null_criticality_slope(cfg, 5)], cfg, "x")
+    assert json.loads(other.to_json())["results"][0]["quad_error_rel"] is None
+
+
+def test_coeffs_builds_its_table_once(tmp_path, monkeypatch):
+    from hardyrellich import rellich
+
+    calls = []
+    mode_table = rellich.mode_table
+    monkeypatch.setattr(rellich, "mode_table",
+                        lambda N, n_max=50: calls.append(N) or mode_table(N, n_max))
+    assert cli.main(["rellich", "coeffs", "--nmax", "12", "--out", str(tmp_path)]) == 0
+    assert calls == [5]
+    lines = (tmp_path / "mode_coeffs_N5.csv").read_text().splitlines()
+    assert len(lines) == 14

@@ -284,7 +284,7 @@ def test_jet_without_laplacian_matches_full_jet():
     for v in (transported, euclid.tensor_bump(1.0, 0.5, 2.0)):
         sums = euclid._halfspace_sums(v, 5, 64, 48, first_terms)
         with_lap = euclid._halfspace_sums(v, 5, 64, 48, first_terms + [("lap2", 0, 0)])
-        assert with_lap[:3] == sums
+        assert np.array_equal(with_lap[:3], sums)
 
 
 def _nan_at(f, points):
@@ -306,8 +306,8 @@ def test_tensor_integrate_masks_axis_only():
     terms = [("v2", 2, 0), ("v2", 2, 1), ("lap2", 0, 0)]
     # the xi = 0 row carries zero measure
     on_axis = euclid.TensorProductFunction(_nan_at(base.fx, [0.0]), base.fy)
-    assert (euclid._halfspace_sums(on_axis, 5, 8, 8, terms)
-            == euclid._halfspace_sums(base, 5, 8, 8, terms))
+    assert np.array_equal(euclid._halfspace_sums(on_axis, 5, 8, 8, terms),
+                          euclid._halfspace_sums(base, 5, 8, 8, terms))
     # a NaN factor at xi[4] makes that whole row NaN
     off_axis = euclid.TensorProductFunction(_nan_at(base.fx, [0.0, grid.xi[4]]), base.fy)
     with pytest.raises(EvaluationError, match=f"{grid.xi[4]:.6g}, {grid.y[0]:.6g}"):
@@ -362,7 +362,7 @@ def test_tensor_integrate_folds_y_power(y_power):
     for N in (3, 5):
         for v in (euclid.tensor_bump(1.0, 0.5, 2.0),
                   euclid.TransportedRadial(bump(0.5, 1.5), N, alpha=0.5)):
-            sums = euclid._halfspace_sums(v, N, 41, 37, terms)
+            sums = euclid._halfspace_sums(v, N, 41, 37, terms)[:, 0]
             assert sums == pytest.approx(_brute_force(v, N, 41, 37, terms), rel=1e-13)
 
 
@@ -464,3 +464,58 @@ def test_halfspace_rellich_peak_memory_is_block_sized():
     euclid.check_halfspace_rellich(v, 5, "y4", 16, 16)  # warm up lazy imports
     peak = _peak_bytes(lambda: euclid.check_halfspace_rellich(v, 5, "y4", 512, 512))
     assert peak < 512 * 512 * 8  # one 512^2 float array, 2 MiB
+
+
+def _written_out_nested(v, N, nx, ny, terms):
+    """Each term's tensor trapezoid sum, written out from mesh arrays, on
+    the nx x ny grid over v's box and on its subgrid of every other row
+    and column; the xi = 0 row carries zero measure and is left out."""
+
+    def trapezoid(nodes):
+        w = np.zeros_like(nodes)
+        w[:-1] += np.diff(nodes) / 2.0
+        w[1:] += np.diff(nodes) / 2.0
+        return w
+
+    full = euclid.TensorGrid.over_box(*v.box(), nx, ny)
+    out = []
+    for xi, y in ((full.xi, full.y), (full.xi[::2], full.y[::2])):
+        w_xi, w_y = trapezoid(xi)[1:], trapezoid(y)
+        grid = euclid.TensorGrid(xi[1:], y, w_xi, w_y)
+        xi = grid.xi
+        if isinstance(v, euclid.TensorProductFunction):
+            fx, fx1, fx2 = v.fx.jet(xi, 2)
+            fy, fy1, fy2 = v.fy.jet(y, 2)
+            val, v_xi, v_y = np.outer(fx, fy), np.outer(fx1, fy), np.outer(fx, fy1)
+            lap = np.outer(fx2 + (N - 2) * fx1 / xi, fy) + np.outer(fx, fy2)
+        else:
+            nodes = _all_nodes(grid)
+            _, *parts = v.jet(grid, nodes, N)
+            val, v_xi, v_y, lap = (p.reshape(nodes.shape) for p in parts)
+        quantity = {"v2": val * val, "grad2": v_xi * v_xi + v_y * v_y, "lap2": lap * lap}
+        d = np.arccosh(1.0 + ((y - 1.0) ** 2 + xi[:, None] ** 2) / (2.0 * y))
+        weight = np.outer(w_xi * xi ** (N - 2), w_y)
+        out.append([np.sum(weight * quantity[q] / y**p / d ** (2 * k)) for q, p, k in terms])
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("check", [
+    lambda v: euclid.check_halfspace_hardy(v, 5, 41, 37),
+    lambda v: euclid.check_halfspace_rellich(v, 5, "y2", 41, 37),
+    lambda v: euclid.check_halfspace_rellich(v, 5, "y4", 40, 36),
+    lambda v: euclid.aux_gradient_inequality(v, 5, 40, 37),
+], ids=["hardy", "rellich_y2", "rellich_y4", "aux"])
+@pytest.mark.parametrize("make", [
+    lambda: euclid.tensor_bump(1.0, 0.5, 2.0),
+    lambda: euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5),
+], ids=["tensor", "transported"])
+def test_halfspace_quad_error_is_the_margin_change_on_the_subgrid(check, make, monkeypatch):
+    # the same check with its sums written out on the grid and on its
+    # subgrid of every other row and column
+    v = make()
+    report = check(v)
+    monkeypatch.setattr(euclid, "_halfspace_sums", _written_out_nested)
+    ref = check(v)
+    assert report.quad_error > 0.0
+    assert (report.lhs, report.rhs) == pytest.approx((ref.lhs, ref.rhs), rel=1e-13)
+    assert abs(report.quad_error - ref.quad_error) <= 1e-13 * abs(report.lhs)

@@ -6,6 +6,7 @@ from hardyrellich import manifolds as mf
 from hardyrellich.errors import ArgumentError, DomainError, SupportError
 from hardyrellich.radial import (
     RadialFunction,
+    bilaplacian_form,
     bump,
     dirichlet_form,
     grid_covering,
@@ -245,9 +246,69 @@ def test_model_integrals_evaluate_each_profile_once(monkeypatch):
     u = RadialFunction(lambda r, order: calls.append(f"jet{order}") or base.jet(r, order),
                        support=base.support)
     terms = [("grad2", 1.0)] + [("v2", w) for w in weights]
-    assert radial_sums(u, grid, terms, man.measure_weight(r)) == expected
+    assert radial_sums(u, grid, terms, man.measure_weight(r))[:, 0].tolist() == expected
     assert sorted(calls) == ["jet1", "psi"]
 
     calls.clear()
-    hardy.check_general_model(u, man, nodes=512)  # the full and the half grid
-    assert sorted(calls) == ["jet1", "jet1", "psi", "psi"]
+    hardy.check_general_model(u, man, nodes=512)  # one grid, and its subgrid
+    assert sorted(calls) == ["jet1", "psi"]
+
+
+def _family_checks():
+    """Each family check of the suites, as (check of a test function,
+    the family it takes, jet calls it makes: one per grid)."""
+    from hardyrellich import euclid, rellich
+
+    return {
+        "poincare_hardy": (lambda u: hardy.check_poincare_hardy(u, 5, 256),
+                           seeded_bumps(8, 4, 0.3, 6.0), 1),
+        "general_model": (lambda u: hardy.check_general_model(u, mf.superexp(5, 2.0), 256),
+                          seeded_bumps(8, 4, 0.5, 4.0), 1),
+        "iterated_log": (lambda u: hardy.check_iterated_log_improvement(u, 5, range(4), 256),
+                         seeded_bumps(8, 4, 0.15, 0.85), 1),
+        "poincare_rellich": (lambda u: rellich.check_poincare_rellich(u, 6, 256),
+                             seeded_bumps(8, 4, 0.3, 6.0), 1),
+        "sinh_hardy_1d": (lambda u: rellich.check_sinh_hardy_1d(u, 256),
+                          seeded_bumps(8, 4, 0.5, 5.0), 1),
+        "mode_chain": (lambda u: rellich.mode_chain_margin(
+            rellich.reduced_from_radial(u, 5), 5, 3, 256), seeded_bumps(8, 3, 0.4, 4.0), 1),
+        "mapped_rellich": (lambda u: rellich.check_mapped_rellich(u, 5, 256),
+                           seeded_bumps(8, 4, 2.0, 6.0), 1),
+        "ball_hardy": (lambda u: euclid.check_ball_hardy(u, 3, 256),
+                       seeded_bumps(8, 4, 0.05, 0.9), 1),
+        "ball_identities": (lambda u: euclid.ball_identity_check(u, 5, 256),
+                            seeded_bumps(8, 4, 0.4, 3.0), 2),
+        "bilaplacian_vs_reduced": (lambda u: (
+            bilaplacian_form(u, mf.hyperbolic(5), grid_covering(u.support, 256)),
+            rellich.radial_reduced_form(rellich.reduced_from_radial(u, 5), 5, 0,
+                                        grid_covering(u.support, 256))),
+            seeded_bumps(8, 4, 0.4, 5.0), 2),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_family_checks()))
+def test_family_check_evaluates_its_jet_once_per_grid(kind):
+    # a family's check gives what its members' checks give, one by one,
+    # from one jet call per grid for the whole family
+    check, family, grids = _family_checks()[kind]
+    calls = []
+    counted = RadialFunction(lambda r, order: calls.append(order) or family.jet(r, order),
+                             support=family.support, label=family.label,
+                             members=family.members)
+    stacked = check(counted)
+    assert len(calls) == grids
+    singles = [check(m) for m in family]
+    if isinstance(singles[0], tuple):  # identities: one array per quantity
+        assert all(np.array_equal(np.stack(column), values)
+                   for column, values in zip(zip(*singles), stacked))
+    else:  # margin reports, member-major for each series length
+        by_member = [rep for j in range(len(singles)) for rep in stacked[j::len(singles)]]
+        assert by_member == [rep for reps in singles for rep in reps]
+
+
+def test_iterated_log_lengths_from_one_grid():
+    u = bump(0.2, 0.8)
+    together = hardy.check_iterated_log_improvement(u, 5, range(4))
+    assert together == [hardy.check_iterated_log_improvement(u, 5, k) for k in range(4)]
+    assert [rep.name for rep in together] == [f"iterated_log_improvement(k={k})"
+                                              for k in range(4)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -302,17 +304,30 @@ def test_jet_matches_separate_calls(case):
         u.jet(r, u.max_order + 1)
 
 
+def subgrid_sum(grid, vals):
+    """The end-closed trapezoid sum over the grid nodes of even index,
+    written out: the trapezoid between those nodes, and each boundary cell
+    of width d next to a node value f with neighbour g at distance h (d <=
+    h) closed by linear extrapolation, d f + d^2 / (2h) (f - g)."""
+    s, f = grid.nodes[::2], vals[::2]
+    total = np.sum(np.diff(s) * (f[1:] + f[:-1]) / 2.0)
+    for end, inner, d in ((0, 1, s[0] - grid.r_min), (-1, -2, grid.r_max - s[-1])):
+        h = abs(s[inner] - s[end])
+        assert d <= h * (1.0 + 1e-12)
+        total += d * f[end] + d * d / (2.0 * h) * (f[end] - f[inner])
+    return total
+
+
 def _reference_sums(u, grid, weight, measure, drift, zeroth):
     # each integral written out as a raw trapezoid dot product of separately
-    # evaluated value, first and second derivative
+    # evaluated value, first and second derivative, and as the subgrid sum
     r, w = grid.nodes, grid.quad_weights
     uu, du, *d2 = u.jet(r, u.max_order)
-    out = {"v2": np.dot(w, uu * uu * weight * measure),
-           "grad2": np.dot(w, du * du * weight * measure)}
+    vals = {"v2": uu * uu * weight * measure, "grad2": du * du * weight * measure}
     if d2:
         lap = d2[0] + drift * du - zeroth * uu
-        out["lap2"] = np.dot(w, lap * lap * weight * measure)
-    return out
+        vals["lap2"] = lap * lap * weight * measure
+    return {q: (np.dot(w, v), subgrid_sum(grid, v)) for q, v in vals.items()}
 
 
 def _trial_inside(grid_end):
@@ -350,8 +365,9 @@ def test_radial_sums_match_written_out_sums(case):
         some = qs[:n][::-1]
         got = radial.radial_sums(u, grid, [(q, weight) for q in some], measure,
                                  drift=drift, zeroth=zeroth)
-        for q, value in zip(some, got):
-            assert value > 0.0 and value == pytest.approx(ref[q], rel=1e-14, abs=0.0), q
+        for q, (value, sub) in zip(some, got):
+            assert value > 0.0 and value == pytest.approx(ref[q][0], rel=1e-14, abs=0.0), q
+            assert sub == pytest.approx(ref[q][1], rel=1e-13, abs=0.0), q
     if u.max_order < 2:  # ball_from_radial has first derivatives only
         with pytest.raises(CapabilityError):
             radial.radial_sums(u, grid, [("lap2", 1.0)], measure)
@@ -395,3 +411,153 @@ def test_nan_profile_names_its_radius(check):
     # value into a NaN margin
     with pytest.raises(EvaluationError, match=r"non-finite at node \d+ \(r = "):
         _nan_checks()[check]()
+
+
+# ---------------------------------------------------------------------------
+# families: k test functions stacked row by row
+
+
+def _families():
+    from hardyrellich.euclid import ball_from_radial
+    from hardyrellich.rellich import reduced_from_radial
+
+    return {
+        "bump": lambda: radial.seeded_bumps(5, 6, 0.4, 3.0),
+        "reduced_from_radial": lambda: reduced_from_radial(
+            radial.seeded_bumps(5, 6, 0.4, 3.0), 5),
+        "ball_from_radial": lambda: ball_from_radial(radial.seeded_bumps(5, 6, 0.4, 3.0), 5),
+    }
+
+
+@pytest.mark.parametrize("case", list(_families()))
+def test_family_rows_are_its_members(case):
+    # iterating a family yields single functions whose jets are the
+    # family's rows bit for bit; a single function is a family of one
+    family = _families()[case]()
+    members = list(family)
+    assert len(members) == 6 and all(not m.members for m in members)
+    assert family.labels == [m.label for m in members]
+    grid = radial.grid_covering(family.support, 256)
+    for order in range(family.max_order + 1):
+        rows = family.jet(grid.nodes, order)
+        for j, m in enumerate(members):
+            assert (m.support[0], m.support[1]) == (family.support[0][j, 0],
+                                                    family.support[1][j, 0])
+            for row, part in zip(rows, m.jet(grid.nodes[j], order)):
+                assert np.array_equal(row[j], part)
+    single = members[0]
+    assert list(single) == [single] and single.labels == [single.label]
+
+
+def test_seeded_bumps_keep_their_draws():
+    # bump k takes four consecutive draws of the seeded stream
+    rng = np.random.default_rng(42)
+    family = radial.seeded_bumps(42, 7, 0.3, 6.0)
+    for k, u in enumerate(family):
+        a = rng.uniform(0.3, 6.0 - 0.3)
+        b = rng.uniform(a + 0.3, 6.0)
+        rise = rng.uniform(0.2, 0.5) * (b - a)
+        fall = rng.uniform(0.2, 0.5) * (b - a)
+        ref = radial.bump(a, b, rise, fall)
+        assert u.support == (a, b) and u.label == f"bump(seed=42,k={k})"
+        r = np.linspace(a - 0.1, b + 0.1, 501)
+        assert all(np.array_equal(x, y) for x, y in zip(u.jet(r, 2), ref.jet(r, 2)))
+
+
+def test_stacked_grid_rows_are_single_grids():
+    family = radial.seeded_bumps(9, 5, 0.3, 6.0)
+    for grading in ("uniform", "geometric", "log_graded"):
+        lo, hi = family.support[0] * 0.1, family.support[1] + 2.0
+        grid = radial.make_grid(lo, hi, 257, grading, 1.0 if grading == "log_graded" else None)
+        assert grid.nodes.shape == (5, 257) and grid.M == 257
+        for j in range(5):
+            row = radial.make_grid(float(lo[j, 0]), float(hi[j, 0]), 257, grading,
+                                   grid.r_c)
+            assert np.array_equal(grid.nodes[j], row.nodes)
+            assert np.array_equal(grid.quad_weights[j], row.quad_weights)
+            assert np.array_equal(grid.sub_weights[j], row.sub_weights)
+
+
+@pytest.mark.parametrize("case", list(_families()))
+def test_stacked_sums_match_each_member(case):
+    # row j of a family's sums on the stacked grid equals member j's sums
+    # on its own grid
+    family = _families()[case]()
+    terms = [("grad2", 1.0), ("v2", "r^-2")]
+    if family.max_order == 2:
+        terms.append(("lap2", "r^-2"))
+
+    def sums(u, grid):
+        r = grid.nodes
+        weights = [(q, 1.0 / r**2 if w == "r^-2" else w) for q, w in terms]
+        return radial.radial_sums(u, grid, weights, r**3, drift=2.0 / r, zeroth=0.5)
+
+    grid = radial.grid_covering(family.support, 512)
+    stacked = sums(family, grid)
+    assert stacked.shape == (len(terms), 6, 2)
+    for j, m in enumerate(family):
+        alone = sums(m, radial.grid_covering(m.support, 512))
+        assert stacked[:, j] == pytest.approx(alone, rel=1e-15, abs=0.0)
+
+
+def test_nan_in_a_row_names_its_label_and_radius():
+    family = radial.seeded_bumps(3, 5, 0.4, 3.0)
+    grid = radial.grid_covering(family.support, 128)
+    j, i = 3, 70
+    hit = np.zeros(grid.nodes.shape, dtype=bool)
+    hit[j, i] = True
+
+    def jet(r, order):
+        value, *rest = family.jet(r, order)
+        return (np.where(hit, np.nan, value), *rest)
+
+    planted = radial.RadialFunction(jet, support=family.support,
+                                    members=family.members)
+    label = family.labels[j]
+    with pytest.raises(EvaluationError, match=rf"of {re.escape(label)} is non-finite "
+                       rf"at node {i} \(r = {grid.nodes[j, i]:.6g}\)"):
+        radial.radial_sums(planted, grid, [("grad2", 1.0), ("v2", 1.0)], 1.0)
+
+
+def test_support_outside_a_row_names_its_label():
+    family = radial.seeded_bumps(3, 5, 0.4, 3.0)
+    grid = radial.grid_covering(family.support, 64)
+    lo = np.array(grid.r_min, copy=True)
+    lo[2, 0] = family.support[0][2, 0] + 1e-3  # row 2 starts inside its bump
+    narrow = radial.make_grid(lo, grid.r_max, 64)
+    with pytest.raises(SupportError, match=re.escape(family.labels[2])):
+        radial.radial_sums(family, narrow, [("v2", 1.0)], 1.0)
+
+
+def _margin_checks():
+    """One single-function check of each 1-D margin kind."""
+    from hardyrellich import euclid, hardy, rellich
+
+    return {
+        "poincare_hardy": lambda: hardy.check_poincare_hardy(radial.bump(1.0, 2.5), 5, 512),
+        "general_model": lambda: hardy.check_general_model(
+            radial.bump(1.0, 2.5), mf.superexp(5, 2.0), 512),
+        "iterated_log": lambda: hardy.check_iterated_log_improvement(
+            radial.bump(0.2, 0.8), 5, 2, 512),
+        "poincare_rellich": lambda: rellich.check_poincare_rellich(radial.bump(1.0, 2.5), 5, 512),
+        "sinh_hardy_1d": lambda: rellich.check_sinh_hardy_1d(radial.bump(0.5, 2.0), 512),
+        "mode_chain": lambda: rellich.mode_chain_margin(
+            rellich.reduced_from_radial(radial.bump(0.5, 2.0), 5), 5, 2, 512),
+        "mapped_rellich": lambda: rellich.check_mapped_rellich(
+            rellich.mapped_from_radial(radial.bump(1.0, 2.0), 5), 5, 512),
+        "ball_hardy": lambda: euclid.check_ball_hardy(radial.bump(0.2, 0.6), 3, 512),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_margin_checks()))
+def test_quad_error_is_the_margin_change_on_the_subgrid(kind, monkeypatch):
+    # the same check with every integral summed by the written-out rules:
+    # its margin is the grid margin and its quad_error the change of the
+    # margin on the every-other-node subgrid
+    report = _margin_checks()[kind]()
+    monkeypatch.setattr(radial, "_integrate", lambda vals, grid, what, labels=None: np.array(
+        [np.dot(grid.quad_weights, vals), subgrid_sum(grid, vals)]))
+    ref = _margin_checks()[kind]()
+    assert (report.lhs, report.rhs, report.margin) == (ref.lhs, ref.rhs, ref.margin)
+    assert report.quad_error > 0.0
+    assert abs(report.quad_error - ref.quad_error) <= 1e-13 * abs(report.lhs)

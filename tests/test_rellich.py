@@ -281,8 +281,8 @@ def test_mapped_rellich_margin_and_equivalence():
 
 def test_mapped_profile_inverts_once_per_jet(monkeypatch):
     # the jet matches the chain rule written out on one inversion r(s),
-    # bit for bit, and a mapped margin inverts twice per grid: once for the
-    # profile's jet and once for the density
+    # bit for bit, and a mapped margin inverts once per grid: the density
+    # reuses the inversion of the profile's jet
     N = 5
     u = bump(1.0, 2.0)
     v = rellich.mapped_from_radial(u, N)
@@ -299,8 +299,46 @@ def test_mapped_profile_inverts_once_per_jet(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(jet, written_out))
 
     calls = []
-    r_of_s = rellich.ChangeOfVariable.r_of_s
-    monkeypatch.setattr(rellich.ChangeOfVariable, "r_of_s",
-                        lambda self, s: calls.append(1) or r_of_s(self, s))
-    rellich.check_mapped_rellich(v, N, nodes=512)
-    assert len(calls) == 4  # the full and the half grid
+    invert = rellich.ChangeOfVariable._invert
+    monkeypatch.setattr(rellich.ChangeOfVariable, "_invert",
+                        lambda self, s: calls.append(1) or invert(self, s))
+    rellich.check_mapped_rellich(v, N, nodes=256)  # nodes not inverted above
+    assert len(calls) == 1
+
+
+def test_r_of_s_matches_four_newton_steps_from_the_table():
+    # reference: interpolation in log-log on the table, then four Newton
+    # steps with the exact derivative, clipped to the table range
+    cov = rellich.ChangeOfVariable(5)
+    s = np.geomspace(cov.s_tab[0], cov.s_tab[-1], 3001)
+    r = np.exp(np.interp(np.log(s), np.log(cov.s_tab), np.log(cov.r_tab)))
+    for _ in range(4):
+        r = np.clip(r - (cov.s_of_r(r) - s) / cov.ds_dr(r, s), *cov.TABLE_RANGE)
+    got = cov.r_of_s(s)
+    assert np.max(np.abs(got / r - 1.0)) <= 1e-14
+    assert cov.r_of_s(s) is not got and np.array_equal(cov.r_of_s(s), got)  # reused
+    assert cov.r_of_s(float(s[7])) == got[7]
+
+
+def test_r_of_s_raises_when_newton_fails(monkeypatch):
+    from hardyrellich.errors import NumericError
+
+    cov = rellich.ChangeOfVariable(5)
+    s = cov.s_of_r(np.array([0.5, 2.0]))
+    # a forward map rough at the 1e-6 level: no residual gets below 1e-9
+    s_of_r = cov.s_of_r
+    monkeypatch.setattr(cov, "s_of_r", lambda r: s_of_r(r) * (1.0 + 1e-6 * np.cos(1e9 * r)))
+    with pytest.raises(NumericError, match=r"did not converge in 8 Newton steps at s = "):
+        cov.r_of_s(s)
+
+
+def test_mode_coefficients_from_integers_match_the_rational_sums():
+    for N in range(5, 13):
+        for n in range(51):
+            lam = rellich.mode_eigenvalue(n, N)
+            a = (Fraction(lam) ** 2 + Fraction(N * (N - 4), 2) * lam
+                 + Fraction(((N - 1) * (N - 3)) ** 2, 16) - Fraction(3 * (N - 1) * (N - 3), 8))
+            b = (Fraction((N + 1) * (N - 3), 2) * lam + Fraction((N - 1) ** 2 * (N - 3), 4)
+                 + Fraction(((N - 1) * (N - 3)) ** 2, 8) - Fraction((N - 1) * (N - 3), 2))
+            assert rellich.sinh4_coefficient(n, N) == a
+            assert rellich.sinh2_coefficient(n, N) == b

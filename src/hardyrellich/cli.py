@@ -183,12 +183,7 @@ def _config_from(args) -> ToolkitConfig:
 
 def _cmd_verify(args, command: str) -> int:
     cfg = _config_from(args)
-    manifest = run_suite(args.suite, cfg, command=command)
-    if args.suite in ("identities", "all"):
-        write_csv(Path(args.out) / "residuals.csv",
-                  "identity,family,N,alpha_or_f,r,residual_rel",
-                  suites.residual_report_rows())
-    return _finish(manifest, args.out)
+    return _finish(run_suite(args.suite, cfg, command=command), args.out)
 
 
 def _cmd_curve(args, command: str) -> int:

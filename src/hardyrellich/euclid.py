@@ -49,26 +49,12 @@ def sphere_area(dim: int) -> float:
 # half-space geometry
 
 
-@dataclass(frozen=True)
-class HalfSpacePoint:
-    """Point (x, y) with x in R^(N-1) (or already-reduced |x|) and y > 0."""
-
-    x: object
-    y: float
-
-    @property
-    def xi(self) -> float:
-        arr = np.atleast_1d(np.asarray(self.x, dtype=float))
-        return float(np.sqrt(np.sum(arr * arr)))
-
-
 def _dist_args(p, y=None):
-    if y is not None:
-        return float(np.sqrt(np.sum(np.atleast_1d(np.asarray(p, float)) ** 2))), float(y)
-    if isinstance(p, HalfSpacePoint):
-        return p.xi, float(p.y)
-    xi, yy = p
-    return float(np.sqrt(np.sum(np.atleast_1d(np.asarray(xi, float)) ** 2))), float(yy)
+    """(|x|, y) of the point given as (x, y) or as p = x and y, where x is in
+    R^(N-1) or is already the reduced |x|."""
+    if y is None:
+        p, y = p
+    return float(np.sqrt(np.sum(np.atleast_1d(np.asarray(p, float)) ** 2))), float(y)
 
 
 def geodesic_distance_halfspace(p, y=None) -> float:
@@ -95,26 +81,10 @@ def conformal_factor(t):
     return 2.0 / (1.0 - np.asarray(t, dtype=float) ** 2)
 
 
-@dataclass(frozen=True)
-class BallMappedPair:
-    """A hyperbolic radial profile with its unit-ball transplant.
-
-    The supports correspond under t = tanh(r/2); v vanishes near |x| = 1
-    whenever u has compact support.
-    """
-
-    u: RadialFunction
-    v: RadialFunction
-    N: int
-
-    @staticmethod
-    def from_radial(u: RadialFunction, N: int) -> "BallMappedPair":
-        return BallMappedPair(u, ball_from_radial(u, N), N)
-
-
 def ball_from_radial(u: RadialFunction, N: int) -> RadialFunction:
     """Transplanted profile v(t) = (2/(1-t^2))^((N-2)/2) u(r(t)), with its
-    first derivative only."""
+    first derivative only.  Its support is the image of u's under
+    t = tanh(r/2), so v vanishes near |x| = 1 when u has compact support."""
     half = 0.5 * (N - 2)
 
     def jet(t, order):

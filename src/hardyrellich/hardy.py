@@ -14,12 +14,13 @@ from .iterated_log import iterated_log_stack, log_derivatives
 from .manifolds import (
     ModelManifold,
     _inv_sinh_sq,
-    flat_line,
     hardy_weight_general,
     hyperbolic,
 )
 from .pencils import (
+    ORDER_LAPLACIAN,
     ConstantEstimate,
+    assemble_custom_pencil,
     assemble_pencil,
     min_generalized_eigenvalue,
     smallest_eigenvalue,
@@ -159,7 +160,7 @@ def poincare_gap(N: int, r_min: float = 1e-3, r_max: float = 60.0,
     man = hyperbolic(N)
     grid = make_grid(r_min, r_max, M, "log_graded", 1.0)
     pencil = assemble_pencil(man, None, 1.0, grid)
-    return min_generalized_eigenvalue(pencil, tol, label=f"poincare_gap(N={N})")
+    return min_generalized_eigenvalue(pencil, tol)
 
 
 def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
@@ -182,8 +183,7 @@ def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
     lam = (N - 1) ** 2 / 4.0
     grid = make_grid(r_min, r_max, M, "log_graded", 1.0)
     pencil = assemble_pencil(man, lam, lambda r: 1.0 / r**2, grid)
-    est = min_generalized_eigenvalue(pencil, tol, label=f"hardy_sharp_radial(N={N})",
-                                     near=near)
+    est = min_generalized_eigenvalue(pencil, tol, near=near)
     if est.value < 0.0:
         raise TruncationError(
             "numerator form is indefinite on this truncation; widen "
@@ -214,7 +214,6 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
         raise DomainError("lambda must lie in [0, (N-1)^2/4]")
 
     c_sinh = (N - 1) * (N - 3) / 4.0
-    line = flat_line(2)
     grid = make_grid(r_min, r_max, M, "geometric")
     h_values = []
     value = None
@@ -224,7 +223,9 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
         def potential(r, gap=gap):
             return -(gap + c_sinh * _inv_sinh_sq(r))
 
-        pencil = assemble_pencil(line, potential, lambda r: 1.0 / r**2, grid)
+        pencil = assemble_custom_pencil(grid, log_weight=np.log, drift=None, zeroth=None,
+                                        V=potential, W=lambda r: 1.0 / r**2,
+                                        order=ORDER_LAPLACIAN)
         value = smallest_eigenvalue(pencil, tol, near=value)
         h_values.append(0.25 + value)
     return LambdaCurve(N, lambdas, np.asarray(h_values), r_min, r_max, M)

@@ -228,29 +228,6 @@ def custom(N: int, psi, dpsi, ddpsi, name: str = "custom") -> ModelManifold:
     )
 
 
-def flat_line(dimension: int) -> ModelManifold:
-    """Internal flat model with psi = r and N in {1, 2}.
-
-    Backs the one-dimensional auxiliary pencils (measure r^(N-1) dr with
-    N - 1 in {0, 1}); not part of the public manifold families, which
-    require N >= 3.
-    """
-    if dimension not in (1, 2):
-        raise DomainError("flat_line supports dimension 1 or 2 only")
-    base = euclidean(3)
-    return ModelManifold(
-        N=dimension,
-        family="flat",
-        psi=base.psi,
-        dpsi=base.dpsi,
-        ddpsi=base.ddpsi,
-        log_psi=base.log_psi,
-        dpsi_over_psi=base.dpsi_over_psi,
-        ddpsi_over_psi=base.ddpsi_over_psi,
-        tan_ratio=base.tan_ratio,
-    )
-
-
 # ---------------------------------------------------------------------------
 # curvature and weights
 

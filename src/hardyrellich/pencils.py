@@ -52,7 +52,6 @@ class ConstantEstimate:
     r_max: float
     M: int
     history: list[tuple[int, float]] = field(default_factory=list)
-    label: str = ""
 
     def csv_row(self, name: str, N: int) -> str:
         return (
@@ -419,7 +418,6 @@ def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
 
 
 def min_generalized_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
-                               label: str = "",
                                near: float | None = None) -> ConstantEstimate:
     """Minimal eigenvalue with a refinement history.
 
@@ -447,5 +445,4 @@ def min_generalized_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
         r_max=grid.r_max,
         M=grid.M,
         history=history,
-        label=label,
     )

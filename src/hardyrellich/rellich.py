@@ -22,10 +22,11 @@ from .errors import (
     TruncationError,
 )
 from .hardy import MarginReport
-from .manifolds import _check_dimension, _inv_sinh_sq, _log_sinh, euclidean, flat_line, hyperbolic
+from .manifolds import _check_dimension, _inv_sinh_sq, _log_sinh, euclidean, hyperbolic
 from .pencils import (
     ConstantEstimate,
     ORDER_BILAPLACIAN,
+    ORDER_LAPLACIAN,
     assemble_custom_pencil,
     assemble_pencil,
     min_generalized_eigenvalue,
@@ -270,6 +271,11 @@ def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 4096) -> fl
 # sharp-constant pencils
 
 
+def _flat_measure(r):
+    """Log weight 0, for the pencils below that integrate against dr."""
+    return np.zeros_like(np.asarray(r, dtype=float))
+
+
 def estimate_sharp_rellich_r2(N: int, r_min: float = 1e-3, r_max: float = 1e6,
                               M: int = 8192, tol: float = 1e-8,
                               near: float | None = None) -> ConstantEstimate:
@@ -291,7 +297,7 @@ def estimate_sharp_rellich_r2(N: int, r_min: float = 1e-3, r_max: float = 1e6,
         grid = make_grid(r_min, r_max, m, "geometric")
         return assemble_custom_pencil(
             grid,
-            log_weight=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+            log_weight=_flat_measure,
             drift=None,
             zeroth=lambda r: c4 / np.tanh(r) ** 2 + c2,
             V=lam2,
@@ -300,8 +306,7 @@ def estimate_sharp_rellich_r2(N: int, r_min: float = 1e-3, r_max: float = 1e6,
             rebuild=build,
         )
 
-    est = min_generalized_eigenvalue(build(M), tol,
-                                     label=f"rellich_sharp_r2_radial(N={N})", near=near)
+    est = min_generalized_eigenvalue(build(M), tol, near=near)
     if est.value < 0.0:
         raise TruncationError(
             f"numerator form is indefinite on [{r_min:g}, {r_max:g}]; widen it"
@@ -319,29 +324,28 @@ def euclidean_rellich_constant(N: int = 5, r_min: float = 1e-9,
     pencil = assemble_pencil(
         euclidean(N), None, lambda r: 1.0 / r**4, grid, ORDER_BILAPLACIAN
     )
-    return min_generalized_eigenvalue(pencil, tol,
-                                      label=f"euclid_rellich_radial(N={N})")
+    return min_generalized_eigenvalue(pencil, tol)
+
+
+def _flat_constant(r_min: float, r_max: float, M: int, tol: float, W,
+                   order: str) -> ConstantEstimate:
+    """Minimal eigenvalue, with its refinement history, of the pencil with
+    measure dr, no potential and denominator weight W on a geometric grid."""
+
+    def build(m: int):
+        grid = make_grid(r_min, r_max, m, "geometric")
+        return assemble_custom_pencil(grid, log_weight=_flat_measure, drift=None,
+                                      zeroth=None, V=None, W=W, order=order,
+                                      rebuild=build)
+
+    return min_generalized_eigenvalue(build(M), tol)
 
 
 def one_d_rellich_constant(r_min: float = 1e-12, r_max: float = 1e12,
                            M: int = 8192, tol: float = 1e-8) -> ConstantEstimate:
     """1-D anchor: int u''^2 over int u^2/x^4 tends to 9/16, the constant
     the fourth-power weight inherits in the mode reduction."""
-
-    def build(m: int):
-        grid = make_grid(r_min, r_max, m, "geometric")
-        return assemble_custom_pencil(
-            grid,
-            log_weight=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            drift=None,
-            zeroth=None,
-            V=None,
-            W=lambda r: 1.0 / r**4,
-            order=ORDER_BILAPLACIAN,
-            rebuild=build,
-        )
-
-    return min_generalized_eigenvalue(build(M), tol, label="one_d_rellich")
+    return _flat_constant(r_min, r_max, M, tol, lambda r: 1.0 / r**4, ORDER_BILAPLACIAN)
 
 
 def one_d_hardy_constant(r_min: float = 1e-10, r_max: float = 1e10,
@@ -352,9 +356,7 @@ def one_d_hardy_constant(r_min: float = 1e-10, r_max: float = 1e10,
     constant: the dimension enters only through the final (N-1)^2/2
     rescaling, so the pencil itself is N-free.
     """
-    grid = make_grid(r_min, r_max, M, "geometric")
-    pencil = assemble_pencil(flat_line(1), None, lambda r: 1.0 / r**2, grid)
-    return min_generalized_eigenvalue(pencil, tol, label="one_d_hardy")
+    return _flat_constant(r_min, r_max, M, tol, lambda r: 1.0 / r**2, ORDER_LAPLACIAN)
 
 
 # ---------------------------------------------------------------------------

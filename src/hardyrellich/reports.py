@@ -1,14 +1,16 @@
 """Experiment manifests, CSV emission, and curve exports.
 
-Every value is printed with 17 significant digits and rows are sorted by
-check name before writing, so identical config + seed reproduces the CSV
-files byte for byte.
+A manifest holds one CheckRow per check, in run order; each row carries the
+constants.csv and residuals.csv rows its check produced.  Every value is
+printed with 17 significant digits; results.csv is sorted by check name,
+constants.csv by row, and residuals.csv keeps run order, so identical
+config + seed reproduces the CSV files byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +33,20 @@ class CheckRow:
     # margin rows: the largest quad_error / |lhs| of their reports, written
     # to manifest.json only (results.csv keeps its four columns)
     quad_error_rel: float | None = None
+    # the constants.csv and residuals.csv rows of the check, written to
+    # those files only
+    constants: list[str] = field(default_factory=list)
+    residuals: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-def row(name: str, value: float, tolerance: float, ok: bool) -> CheckRow:
-    return CheckRow(name, "pass" if ok else "fail", float(value), float(tolerance))
+def row(name: str, value: float, tolerance: float, ok: bool,
+        constants=(), residuals=()) -> CheckRow:
+    return CheckRow(name, "pass" if ok else "fail", float(value), float(tolerance),
+                    constants=list(constants), residuals=list(residuals))
 
 
 @dataclass
@@ -47,8 +55,7 @@ class ExperimentManifest:
     config_text: str
     seed: int
     version: str = __version__
-    results: list[CheckRow] = field(default_factory=list)
-    constants: list[str] = field(default_factory=list)  # constant CSV rows
+    results: list[CheckRow] = field(default_factory=list)  # in run order
     wall_time_s: float = 0.0
     # (check, suite, seconds) in run order; written to manifest.json only,
     # so the CSVs stay byte-identical across runs
@@ -71,6 +78,11 @@ class ExperimentManifest:
     def sorted_results(self) -> list[CheckRow]:
         return sorted(self.results, key=lambda r: r.name)
 
+    @property
+    def constants(self) -> list[str]:
+        """The constants.csv rows of every check, sorted."""
+        return sorted(c for r in self.results for c in r.constants)
+
     def to_json(self) -> str:
         payload = {
             "command": self.command,
@@ -84,13 +96,18 @@ class ExperimentManifest:
             ],
             "suite_seconds": self.suite_seconds(),
             "passed": self.passed,
-            "results": [asdict(r) for r in self.sorted_results()],
-            "constants": sorted(self.constants),
+            # the CSV rows a CheckRow carries stay out of the JSON
+            "results": [{key: getattr(r, key) for key in
+                         ("name", "status", "value", "tolerance", "quad_error_rel")}
+                        for r in self.sorted_results()],
+            "constants": self.constants,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def write(self, outdir: str | Path) -> tuple[Path, Path]:
-        """Write manifest.json and results.csv; returns their paths.
+        """Write manifest.json and results.csv, and constants.csv and
+        residuals.csv when the checks produced rows for them; returns the
+        paths of the first two.
 
         Manifests are written even when checks fail; only the exit code
         reports failure.
@@ -106,11 +123,15 @@ class ExperimentManifest:
                 f"{r.name},{r.status},{format_value(r.value)},{format_value(r.tolerance)}"
             )
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        if self.constants:
-            const_path = out / "constants.csv"
-            const_lines = ["constant_name,N,r_min,r_max,M,value"]
-            const_lines.extend(sorted(self.constants))
-            const_path.write_text("\n".join(const_lines) + "\n", encoding="utf-8")
+        constants = self.constants
+        if constants:
+            const_lines = ["constant_name,N,r_min,r_max,M,value", *constants]
+            (out / "constants.csv").write_text("\n".join(const_lines) + "\n",
+                                               encoding="utf-8")
+        residuals = [line for r in self.results for line in r.residuals]
+        if residuals:
+            write_csv(out / "residuals.csv", "identity,family,N,alpha_or_f,r,residual_rel",
+                      residuals)
         return manifest_path, csv_path
 
 

@@ -1,12 +1,15 @@
 """Every verification check, and the named suites that run them.
 
-Each check is a module-level function check(cfg, <inputs>) -> (row,
-constants): one report row and the constants.csv rows it estimated.  The
-inputs are N values, test functions, node or grid sizes, truncation radii
-and the like; tolerances come from cfg.tolerance() or from the check's own
-fixed criterion.  A suite binds its checks to the suite's inputs and runs
-them in order on the calling thread; the CLI verbs bind the same checks to
-their own arguments.  Reports sort rows by name, so runs are reproducible."""
+Each check is a module-level function check(cfg, <inputs>) -> CheckRow:
+one report row, which also carries the constants.csv rows the check
+estimated and the residuals.csv rows it computed (identity checks only).
+The inputs are N values, test functions, node or grid sizes, truncation
+radii and the like; tolerances come from cfg.tolerance() or from the
+check's own fixed criterion.  A suite binds its checks to the suite's
+inputs and runs them in order on the calling thread; the CLI verbs bind the
+same checks to their own arguments.  Reports sort results.csv and
+constants.csv and keep residuals.csv in run order, so runs are
+reproducible."""
 
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .config import ToolkitConfig
 from .errors import ArgumentError
 from .iterated_log import iterated_log_profile
 from .radial import bump, grid_covering, seeded_bumps, bilaplacian_form
-from .reports import CheckRow, ExperimentManifest, h_lambda_curve, row
+from .reports import CheckRow, ExperimentManifest, format_value, h_lambda_curve, row
 
 SUITES = ("identities", "hardy", "rellich", "euclid", "asymptotics", "all")
 
@@ -66,41 +69,50 @@ def _count_row(name: str, bad: int) -> CheckRow:
     return row(name, bad, 0.0, bad == 0)
 
 
+def _identity_row(cfg: ToolkitConfig, name: str, identity: str,
+                  man: mf.ModelManifold, sampled, others=()) -> CheckRow:
+    """Worst residual of an identity check against [tolerances]
+    identity_rtol.  ``sampled`` holds (alpha_or_f, residuals on
+    ss.IDENTITY_SAMPLE) pairs, which become the row's residuals.csv rows;
+    ``others`` are residual arrays on other radii, judged only."""
+    tol = cfg.tolerance("identity_rtol")
+    arrays = [res for _, res in sampled] + list(others)
+    worst = float(np.max([np.max(res) for res in arrays]))
+    residuals = [
+        f"{identity},{man.family},{man.N},{tag},{format_value(r)},{format_value(e)}"
+        for tag, res in sampled for r, e in zip(ss.IDENTITY_SAMPLE, res)
+    ]
+    return row(f"{name}/{man.describe()}", worst, tol, worst <= tol, residuals=residuals)
+
+
 # ---------------------------------------------------------------------------
 # checks: each takes the config and its inputs and returns one report row
-# and the constants.csv rows it estimated
 
 
 def warp_power_identity(cfg: ToolkitConfig, man: mf.ModelManifold):
-    tol = cfg.tolerance("identity_rtol")
-    worst = 0.0
-    for alpha in _warp_alphas(man.N):
-        res = ss.warp_power_identity_residual(man, alpha, ss.IDENTITY_SAMPLE)
-        worst = max(worst, float(np.max(res)))
-    return row(f"warp_power_identity/{man.describe()}", worst, tol,
-               worst <= tol), []
+    sampled = [(f"alpha={alpha:g}",
+                ss.warp_power_identity_residual(man, alpha, ss.IDENTITY_SAMPLE))
+               for alpha in _warp_alphas(man.N)]
+    return _identity_row(cfg, "warp_power_identity", "warp_power", man, sampled)
 
 
 def product_profile_identity(cfg: ToolkitConfig, man: mf.ModelManifold):
-    tol = cfg.tolerance("identity_rtol")
     N = man.N
-    worst = max(
-        float(np.max(ss.product_profile_identity_residual(man, f, ss.IDENTITY_SAMPLE)))
-        for f in _product_profiles(N)
-    )
+    sampled = [(f"f={f.label}",
+                ss.product_profile_identity_residual(man, f, ss.IDENTITY_SAMPLE))
+               for f in _product_profiles(N)]
     rin = np.geomspace(1e-3, 0.99, 64)
-    for k in (1, 2, 3):
-        res = ss.product_profile_identity_residual(man, iterated_log_profile(N, k), rin)
-        worst = max(worst, float(np.max(res)))
-    return row(f"product_profile_identity/{man.describe()}", worst, tol,
-               worst <= tol), []
+    inner = [ss.product_profile_identity_residual(man, iterated_log_profile(N, k), rin)
+             for k in (1, 2, 3)]
+    return _identity_row(cfg, "product_profile_identity", "product_profile", man,
+                         sampled, inner)
 
 
 def supersolution_equality(cfg: ToolkitConfig, man: mf.ModelManifold):
-    tol = cfg.tolerance("identity_rtol")
-    worst = float(np.max(ss.supersolution_equality_residual(man, ss.IDENTITY_SAMPLE)))
-    return row(f"supersolution_equality/{man.describe()}", worst, tol,
-               worst <= tol), []
+    sampled = [(f"f=r^{(2 - man.N) / 2:g}",
+                ss.supersolution_equality_residual(man, ss.IDENTITY_SAMPLE))]
+    return _identity_row(cfg, "supersolution_equality", "supersolution_equality", man,
+                         sampled)
 
 
 def ground_state_residual(cfg: ToolkitConfig, Ns):
@@ -108,12 +120,12 @@ def ground_state_residual(cfg: ToolkitConfig, Ns):
         float(np.max(ss.ground_state_residual(N, np.array([0.1, 1.0, 10.0]))))
         for N in Ns
     )
-    return row("ground_state_residual", worst, 1e-10, worst <= 1e-10), []
+    return row("ground_state_residual", worst, 1e-10, worst <= 1e-10)
 
 
 def euclidean_rellich_split_exact(cfg: ToolkitConfig, Ns):
     bad = sum(0 if rellich.verify_euclidean_rellich_split(N)[0] else 1 for N in Ns)
-    return _count_row("euclidean_rellich_split_exact", bad), []
+    return _count_row("euclidean_rellich_split_exact", bad)
 
 
 def mode_coefficient_minima_exact(cfg: ToolkitConfig, Ns, n_max: int, tables=None):
@@ -128,7 +140,7 @@ def mode_coefficient_minima_exact(cfg: ToolkitConfig, Ns, n_max: int, tables=Non
             bad += 1
         if tab[0].sinh4_coeff != rellich.min_sinh4_closed_form(N):
             bad += 1
-    return _count_row("mode_coefficient_minima_exact", bad), []
+    return _count_row("mode_coefficient_minima_exact", bad)
 
 
 def joint_sharpness_sum_exact(cfg: ToolkitConfig, Ns):
@@ -137,12 +149,12 @@ def joint_sharpness_sum_exact(cfg: ToolkitConfig, Ns):
         total = Fraction(9, 16) + rellich.min_sinh4_closed_form(N)
         if total != Fraction(N * N * (N - 4) ** 2, 16):
             bad += 1
-    return _count_row("joint_sharpness_sum_exact", bad), []
+    return _count_row("joint_sharpness_sum_exact", bad)
 
 
 def asymptotic_consistency_exact(cfg: ToolkitConfig, Ns):
     bad = sum(0 if rellich.asymptotic_constants(N).consistency_exact else 1 for N in Ns)
-    return _count_row("asymptotic_consistency_exact", bad), []
+    return _count_row("asymptotic_consistency_exact", bad)
 
 
 # Each margin check below evaluates one seeded family of bumps, stacked
@@ -153,13 +165,13 @@ def asymptotic_consistency_exact(cfg: ToolkitConfig, Ns):
 def poincare_hardy_margins(cfg: ToolkitConfig, Ns, count: int):
     reports = (rep for N in Ns for rep in hardy.check_poincare_hardy(
         seeded_bumps(cfg.seed + N, count, 0.3, 6.0), N, nodes=2048))
-    return _margin_row(cfg, "poincare_hardy_margins", reports), []
+    return _margin_row(cfg, "poincare_hardy_margins", reports)
 
 
 def general_model_margins(cfg: ToolkitConfig, manifolds, count: int):
     reports = (rep for man in manifolds for rep in hardy.check_general_model(
         seeded_bumps(cfg.seed + man.N + 17, count, 0.5, 4.0), man, nodes=2048))
-    return _margin_row(cfg, "general_model_margins", reports), []
+    return _margin_row(cfg, "general_model_margins", reports)
 
 
 def poincare_gap_within_1pct(cfg: ToolkitConfig, Ns):
@@ -170,7 +182,7 @@ def poincare_gap_within_1pct(cfg: ToolkitConfig, Ns):
         lam = (N - 1) ** 2 / 4.0
         bad = max(bad, abs(est.value - lam) / lam)
         consts.append(est.csv_row("poincare_gap_radial", N))
-    return row("poincare_gap_within_1pct", bad, 0.01, bad <= 0.01), consts
+    return row("poincare_gap_within_1pct", bad, 0.01, bad <= 0.01, constants=consts)
 
 
 def hardy_sharp_range_and_monotone(cfg: ToolkitConfig, N: int, r_maxes):
@@ -179,14 +191,14 @@ def hardy_sharp_range_and_monotone(cfg: ToolkitConfig, N: int, r_maxes):
     ests = []
     for r_max in r_maxes:
         ests.append(hardy.estimate_sharp_hardy(
-            N, r_max=r_max, M=cfg.get_int("grids", "M"),
-            near=ests[-1].value if ests else None))
+            N, r_min=cfg.get_float("grids", "r_min"), r_max=r_max,
+            M=cfg.get_int("grids", "M"), near=ests[-1].value if ests else None))
     vals = [est.value for est in ests]
     ok = all(0.249 <= v <= 0.30 for v in vals) and all(
         vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1)
     )
-    return (row("hardy_sharp_range_and_monotone", vals[-1], 0.05, ok),
-            [est.csv_row("hardy_sharp_radial", N) for est in ests])
+    return row("hardy_sharp_range_and_monotone", vals[-1], 0.05, ok,
+               constants=[est.csv_row("hardy_sharp_radial", N) for est in ests])
 
 
 def h_lambda_endpoints_and_shape(cfg: ToolkitConfig, N: int, curve=None):
@@ -200,7 +212,7 @@ def h_lambda_endpoints_and_shape(cfg: ToolkitConfig, N: int, curve=None):
     )
     shape_ok = curve.is_nonincreasing() and curve.midpoint_concavity_defect() <= 1e-6
     return row("h_lambda_endpoints_and_shape", curve.h_values[-1], 0.02,
-               ends_ok and shape_ok), []
+               ends_ok and shape_ok)
 
 
 def iterated_log_margins(cfg: ToolkitConfig, N: int, functions, k_max: int,
@@ -209,19 +221,19 @@ def iterated_log_margins(cfg: ToolkitConfig, N: int, functions, k_max: int,
     function or a family), all from one grid and one jet."""
     reports = hardy.check_iterated_log_improvement(functions, N, range(k_max + 1),
                                                    nodes=nodes)
-    return _margin_row(cfg, "iterated_log_margins", reports), []
+    return _margin_row(cfg, "iterated_log_margins", reports)
 
 
 def null_criticality_slope(cfg: ToolkitConfig, N: int):
     slope = ss.null_criticality_slope(N)
-    return row("null_criticality_slope", slope, 1e-3, abs(slope - 0.25) <= 1e-3), []
+    return row("null_criticality_slope", slope, 1e-3, abs(slope - 0.25) <= 1e-3)
 
 
 def minimal_growth_ratios_decreasing(cfg: ToolkitConfig, N: int):
     seq0 = [ss.minimal_growth_ratios(N, rs, 10.0)[0] for rs in (1e-3, 1e-6, 1e-9)]
     seq1 = [ss.minimal_growth_ratios(N, 1e-3, rl)[1] for rl in (10.0, 100.0, 1000.0)]
     ok = all(np.diff(seq0) < 0) and all(np.diff(seq1) < 0)
-    return row("minimal_growth_ratios_decreasing", seq0[-1], 0.0, ok), []
+    return row("minimal_growth_ratios_decreasing", seq0[-1], 0.0, ok)
 
 
 def iterated_log_optimality_scan(cfg: ToolkitConfig, N: int, ks):
@@ -231,33 +243,33 @@ def iterated_log_optimality_scan(cfg: ToolkitConfig, N: int, ks):
         q = hardy.iterated_log_optimality_scan(N, k)
         val = min(val, min(q))
         ok = ok and all(np.diff(q) <= 1e-12) and min(q) >= 0.25 - 1e-3
-    return row("iterated_log_optimality_scan", val, 1e-3, ok), []
+    return row("iterated_log_optimality_scan", val, 1e-3, ok)
 
 
 def monotonicity_condition_builtin(cfg: ToolkitConfig, manifolds):
     grid = grid_covering((0.5, 20.0), 512)
     ok = all(mf.check_monotonicity_condition(man, grid)[0] for man in manifolds)
     ok = ok and all(ss.check_profile_nonincreasing(man, grid) for man in manifolds)
-    return row("monotonicity_condition_builtin", 0.0 if ok else 1.0, 0.0, ok), []
+    return row("monotonicity_condition_builtin", 0.0 if ok else 1.0, 0.0, ok)
 
 
 def poincare_rellich_margins(cfg: ToolkitConfig, Ns, count: int):
     reports = (rep for N in Ns for rep in rellich.check_poincare_rellich(
         seeded_bumps(cfg.seed + 31 + N, count, 0.3, 6.0), N, nodes=2048))
-    return _margin_row(cfg, "poincare_rellich_margins", reports), []
+    return _margin_row(cfg, "poincare_rellich_margins", reports)
 
 
 def sinh_hardy_1d_margins(cfg: ToolkitConfig, count: int):
     reports = rellich.check_sinh_hardy_1d(seeded_bumps(cfg.seed + 41, count, 0.5, 5.0),
                                           nodes=2048)
-    return _margin_row(cfg, "sinh_hardy_1d_margins", reports), []
+    return _margin_row(cfg, "sinh_hardy_1d_margins", reports)
 
 
 def mode_chain_margins(cfg: ToolkitConfig, N: int, modes):
     reports = (rep for n in modes for rep in rellich.mode_chain_margin(
         rellich.reduced_from_radial(seeded_bumps(cfg.seed + 53 + n, 3, 0.4, 4.0), N),
         N, n, nodes=2048))
-    return _margin_row(cfg, "mode_chain_margins", reports), []
+    return _margin_row(cfg, "mode_chain_margins", reports)
 
 
 def bilaplacian_vs_reduced_form(cfg: ToolkitConfig, Ns):
@@ -275,7 +287,7 @@ def bilaplacian_vs_reduced_form(cfg: ToolkitConfig, Ns):
                 rellich.reduced_from_radial(u, N), N, 0, grid
             )
             worst = max(worst, abs(bf - rf) / bf)
-    return row("bilaplacian_vs_reduced_form", worst, 1e-5, worst <= 1e-5), []
+    return row("bilaplacian_vs_reduced_form", worst, 1e-5, worst <= 1e-5)
 
 
 def one_d_and_euclid_anchors(cfg: ToolkitConfig):
@@ -292,7 +304,7 @@ def one_d_and_euclid_anchors(cfg: ToolkitConfig):
         and abs(rell1d.value - 9.0 / 16.0) <= 1e-2
         and abs(euc.value - 25.0 / 16.0) <= 5e-2
     )
-    return row("one_d_and_euclid_anchors", euc.value, 5e-2, ok), consts
+    return row("one_d_and_euclid_anchors", euc.value, 5e-2, ok, constants=consts)
 
 
 def rellich_sharp_r2(cfg: ToolkitConfig, r_maxes_by_N: dict):
@@ -317,7 +329,8 @@ def rellich_sharp_r2(cfg: ToolkitConfig, r_maxes_by_N: dict):
         all(v >= (N - 1) ** 2 / 8.0 - 1e-2 for v in vs) and all(np.diff(vs) <= 1e-10)
         for N, vs in vals.items()
     )
-    return row("rellich_sharp_r2", next(iter(vals.values()))[-1], 1e-2, ok), consts
+    return row("rellich_sharp_r2", next(iter(vals.values()))[-1], 1e-2, ok,
+               constants=consts)
 
 
 def mapped_rellich_margin_and_equivalence(cfg: ToolkitConfig, N: int):
@@ -330,13 +343,13 @@ def mapped_rellich_margin_and_equivalence(cfg: ToolkitConfig, N: int):
     ).margin
     equiv = abs(m_rad - m_map) / abs(m_rad)
     return row("mapped_rellich_margin_and_equivalence", equiv, 1e-4,
-               margins.passed and equiv <= 1e-4), []
+               margins.passed and equiv <= 1e-4)
 
 
 def ball_identities(cfg: ToolkitConfig, Ns):
     worst = max(float(np.max(euclid.ball_identity_check(
         seeded_bumps(cfg.seed + 80 + N, 5, 0.4, 3.0), N))) for N in Ns)
-    return row("ball_identities", worst, 1e-6, worst <= 1e-6), []
+    return row("ball_identities", worst, 1e-6, worst <= 1e-6)
 
 
 def ball_hardy_margin_and_equivalence(cfg: ToolkitConfig, N: int):
@@ -349,18 +362,18 @@ def ball_hardy_margin_and_equivalence(cfg: ToolkitConfig, N: int):
     equiv = abs(m_ball - m_hyp) / abs(m_hyp)
     cmp_ok, _ = euclid.boundary_weight_comparison()
     return row("ball_hardy_margin_and_equivalence", equiv, 1e-5,
-               margins.passed and equiv <= 1e-5 and cmp_ok), []
+               margins.passed and equiv <= 1e-5 and cmp_ok)
 
 
 def halfspace_hardy_margins(cfg: ToolkitConfig, N: int, functions, nx: int, ny: int):
     reports = (euclid.check_halfspace_hardy(v, N, nx=nx, ny=ny) for v in functions)
-    return _margin_row(cfg, "halfspace_hardy_margins", reports), []
+    return _margin_row(cfg, "halfspace_hardy_margins", reports)
 
 
 def halfspace_hardy_margin_and_equivalence(cfg: ToolkitConfig, functions):
     """N = 3 half-space Hardy margins on a 256^2 grid, and the transported
     radial margin against the hyperbolic one times the sphere-area ratio."""
-    margins, _ = halfspace_hardy_margins(cfg, 3, functions, 256, 256)
+    margins = halfspace_hardy_margins(cfg, 3, functions, 256, 256)
     U = bump(0.5, 1.5)
     vtr = euclid.TransportedRadial(U, 3, alpha=0.5)
     m_t = euclid.check_halfspace_hardy(vtr, 3, nx=768, ny=768).margin
@@ -368,7 +381,7 @@ def halfspace_hardy_margin_and_equivalence(cfg: ToolkitConfig, functions):
     ratio = euclid.sphere_area(3) / euclid.sphere_area(2)
     equiv = abs(m_t - m_h * ratio) / abs(m_h * ratio)
     return row("halfspace_hardy_margin_and_equivalence", equiv, 1e-4,
-               margins.passed and equiv <= 1e-4), []
+               margins.passed and equiv <= 1e-4)
 
 
 def halfspace_laplacian_identity_corrected(cfg: ToolkitConfig, N: int, alphas):
@@ -377,7 +390,7 @@ def halfspace_laplacian_identity_corrected(cfg: ToolkitConfig, N: int, alphas):
         for v in euclid.POLYNOMIAL_SUITE for alpha in alphas for p in _CONJUGATION_POINTS
     )
     return row("halfspace_laplacian_identity_corrected", worst, 1e-10,
-               worst <= 1e-10), []
+               worst <= 1e-10)
 
 
 def halfspace_laplacian_identity_literal_fails(cfg: ToolkitConfig, N: int, alphas):
@@ -388,7 +401,7 @@ def halfspace_laplacian_identity_literal_fails(cfg: ToolkitConfig, N: int, alpha
         for v in euclid.POLYNOMIAL_SUITE for alpha in alphas for p in _CONJUGATION_POINTS
     )
     return row("halfspace_laplacian_identity_literal_fails", worst, 1e-6,
-               worst > 1e-6), []
+               worst > 1e-6)
 
 
 def halfspace_rellich_margins(cfg: ToolkitConfig, N: int, functions, forms,
@@ -400,13 +413,13 @@ def halfspace_rellich_margins(cfg: ToolkitConfig, N: int, functions, forms,
         else euclid.check_halfspace_rellich(v, N, form, nx=nx, ny=ny)
         for v in functions for form in forms
     )
-    return _margin_row(cfg, "halfspace_rellich_margins", reports), []
+    return _margin_row(cfg, "halfspace_rellich_margins", reports)
 
 
 def halfspace_bilaplacian_identity(cfg: ToolkitConfig, N: int):
     _, _, rel = euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), N,
                                                       nx=640, ny=640)
-    return row("halfspace_bilaplacian_identity", rel, 1e-4, rel <= 1e-4), []
+    return row("halfspace_bilaplacian_identity", rel, 1e-4, rel <= 1e-4)
 
 
 def asymptotic_constants_exact(cfg: ToolkitConfig):
@@ -418,13 +431,13 @@ def asymptotic_constants_exact(cfg: ToolkitConfig):
         and c.k1_exact == Fraction(-8, 9)
         and c.consistency_exact
     )
-    return row("asymptotic_constants_exact", err, 1e-14, ok), []
+    return row("asymptotic_constants_exact", err, 1e-14, ok)
 
 
 def two_term_expansion_ratio(cfg: ToolkitConfig, N: int):
     errs = rellich.two_term_expansion_error_precise(N, [8.0, 12.0])
     ratio = errs[1] / errs[0]
-    return row("two_term_expansion_ratio", ratio, 0.5, ratio < 0.5), []
+    return row("two_term_expansion_ratio", ratio, 0.5, ratio < 0.5)
 
 
 def s_table_matches_precise(cfg: ToolkitConfig, N: int):
@@ -433,21 +446,21 @@ def s_table_matches_precise(cfg: ToolkitConfig, N: int):
         a = float(rellich.two_term_expansion_error(N, r))
         b = rellich.two_term_expansion_error_precise(N, [r])[0]
         worst = max(worst, abs(a - b) / b)
-    return row("s_table_matches_precise", worst, 1e-3, worst <= 1e-3), []
+    return row("s_table_matches_precise", worst, 1e-3, worst <= 1e-3)
 
 
 def density_correction_within_5pct(cfg: ToolkitConfig, N: int):
     fits = rellich.density_correction_fit(N, np.array([8.0, 10.0, 12.0]))
     k1 = rellich.asymptotic_constants(N).k1
     worst = float(np.max(np.abs(fits / k1 - 1.0)))
-    return row("density_correction_within_5pct", worst, 0.05, worst <= 0.05), []
+    return row("density_correction_within_5pct", worst, 0.05, worst <= 0.05)
 
 
 def s_of_r_monotone_and_flat_at_pole(cfg: ToolkitConfig, N: int):
     cov = rellich.change_of_variable(N)
     s = cov.s_of_r(np.geomspace(1e-3, 30.0, 64))
     ok = bool(np.all(np.diff(s) > 0)) and abs(cov.s_of_r(1e-3) / 1e-3 - 1.0) < 1e-3
-    return row("s_of_r_monotone_and_flat_at_pole", 0.0 if ok else 1.0, 0.0, ok), []
+    return row("s_of_r_monotone_and_flat_at_pole", 0.0 if ok else 1.0, 0.0, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -534,38 +547,6 @@ def _asymptotics_checks(cfg: ToolkitConfig) -> list:
     ]
 
 
-def residual_report_rows() -> list[str]:
-    """Per-sample identity residuals over the fixed 64-point log-spaced
-    sample, as CSV rows: identity,family,N,alpha_or_f,r,residual_rel."""
-    from .reports import format_value
-
-    rows = []
-    r = ss.IDENTITY_SAMPLE
-    for man in _builtin_families():
-        N = man.N
-        for alpha in _warp_alphas(N):
-            res = ss.warp_power_identity_residual(man, alpha, r)
-            rows += [
-                f"warp_power,{man.family},{N},alpha={alpha:g},"
-                f"{format_value(rv)},{format_value(e)}"
-                for rv, e in zip(r, res)
-            ]
-        for f in _product_profiles(N):
-            res = ss.product_profile_identity_residual(man, f, r)
-            rows += [
-                f"product_profile,{man.family},{N},f={f.label},"
-                f"{format_value(rv)},{format_value(e)}"
-                for rv, e in zip(r, res)
-            ]
-        res = ss.supersolution_equality_residual(man, r)
-        rows += [
-            f"supersolution_equality,{man.family},{N},f=r^{(2 - N) / 2:g},"
-            f"{format_value(rv)},{format_value(e)}"
-            for rv, e in zip(r, res)
-        ]
-    return rows
-
-
 def run_suite(suite: str, config: ToolkitConfig | None = None,
               command: str = "", workers: int = 1) -> ExperimentManifest:
     """Run one named suite (or all) on the calling thread and return its
@@ -601,26 +582,23 @@ def run_suite(suite: str, config: ToolkitConfig | None = None,
 
 def run_checks(checks, config: ToolkitConfig, command: str,
                suite_names=None) -> ExperimentManifest:
-    """Run zero-argument checks in order and collect their rows, constants
-    and wall times into a manifest.  ``suite_names`` names the suite of
+    """Run zero-argument checks in order and collect their rows and wall
+    times into a manifest.  ``suite_names`` names the suite of
     each check, in order, for the manifest's per-suite totals; without it
     every check counts under ``command``."""
     start = time.perf_counter()
     rows: list[CheckRow] = []
-    constants: list[str] = []
     seconds: list[tuple[str, str, float]] = []
     for check, group in zip(checks, suite_names or [command] * len(checks)):
         began = time.perf_counter()
-        result, found = check()
+        result = check()
         seconds.append((result.name, group, time.perf_counter() - began))
         rows.append(result)
-        constants.extend(found)
     return ExperimentManifest(
         command=command,
         config_text=config.snapshot(),
         seed=config.seed,
         results=rows,
-        constants=constants,
         wall_time_s=time.perf_counter() - start,
         check_seconds=seconds,
     )

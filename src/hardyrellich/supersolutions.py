@@ -50,6 +50,28 @@ def _inv_psi_sq(manifold: ModelManifold, r):
     return np.exp(-2.0 * manifold.log_psi(r))
 
 
+def _warp_power_logd(alpha: float, r, s, dds):
+    """(log Phi)' and (log Phi)'' of Phi = (psi/r)^alpha, from s = psi'/psi
+    and dds = psi''/psi at r."""
+    return alpha * (s - 1.0 / r), alpha * (dds - s**2 + 1.0 / r**2)
+
+
+def _comparison_logd(N: int, r, s, dds):
+    """(log Phi)' and (log Phi)'' of the comparison profile
+    Phi = (r/psi)^((N-1)/2) r^((2-N)/2), from s = psi'/psi and
+    dds = psi''/psi at r."""
+    m = 0.5 * (N - 1) * (1.0 / r - s) + 0.5 * (2 - N) / r
+    mp = 0.5 * (N - 1) * (-1.0 / r**2 - dds + s**2) - 0.5 * (2 - N) / r**2
+    return m, mp
+
+
+def _comparison_log(N: int, r, log_psi):
+    """log of the comparison profile (r/psi)^((N-1)/2) r^((2-N)/2), from
+    log psi(r)."""
+    log_r = np.log(r)
+    return 0.5 * (N - 1) * (log_r - log_psi) + 0.5 * (2 - N) * log_r
+
+
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -57,15 +79,11 @@ def _inv_psi_sq(manifold: ModelManifold, r):
 def warp_power_profile(manifold: ModelManifold, alpha: float) -> RadialFunction:
     """Phi(r) = (psi(r)/r)^alpha with log-domain evaluation and derivatives."""
 
-    def _logd(r):
-        s = manifold.dpsi_over_psi(r)
-        return (alpha * (s - 1.0 / r),
-                alpha * (manifold.ddpsi_over_psi(r) - s**2 + 1.0 / r**2))
-
     def jet(r, order):
         r = _require_positive(r)
         value = np.exp(alpha * (manifold.log_psi(r) - np.log(r)))
-        return log_jet(value, lambda: _logd(r), order)
+        return log_jet(value, lambda: _warp_power_logd(
+            alpha, r, manifold.dpsi_over_psi(r), manifold.ddpsi_over_psi(r)), order)
 
     return RadialFunction(jet, support=(0.0, np.inf), label=f"(psi/r)^{alpha:g}")
 
@@ -74,22 +92,11 @@ def comparison_profile(manifold: ModelManifold) -> RadialFunction:
     """The supersolution profile (r/psi)^((N-1)/2) * r^((2-N)/2)."""
     N = manifold.N
 
-    def _logd(r):
-        m = 0.5 * (N - 1) * (1.0 / r - manifold.dpsi_over_psi(r)) + 0.5 * (2 - N) / r
-        mp = (
-            0.5 * (N - 1) * (-1.0 / r**2 - manifold.ddpsi_over_psi(r)
-                             + manifold.dpsi_over_psi(r) ** 2)
-            - 0.5 * (2 - N) / r**2
-        )
-        return m, mp
-
     def jet(r, order):
         r = _require_positive(r)
-        value = np.exp(
-            0.5 * (N - 1) * (np.log(r) - manifold.log_psi(r))
-            + 0.5 * (2 - N) * np.log(r)
-        )
-        return log_jet(value, lambda: _logd(r), order)
+        value = np.exp(_comparison_log(N, r, manifold.log_psi(r)))
+        return log_jet(value, lambda: _comparison_logd(
+            N, r, manifold.dpsi_over_psi(r), manifold.ddpsi_over_psi(r)), order)
 
     return RadialFunction(jet, support=(0.0, np.inf),
                           label=f"comparison_profile(N={N})")
@@ -172,10 +179,9 @@ def warp_power_identity_residual(manifold: ModelManifold, alpha: float, r):
     """
     r = _require_positive(r)
     N = manifold.N
-    s = manifold.dpsi_over_psi(r)
-    m = alpha * (s - 1.0 / r)
-    mp = alpha * (manifold.ddpsi_over_psi(r) - s * s + 1.0 / r**2)
-    k_rad = -manifold.ddpsi_over_psi(r)
+    s, dds = manifold.dpsi_over_psi(r), manifold.ddpsi_over_psi(r)
+    m, mp = _warp_power_logd(alpha, r, s, dds)
+    k_rad = -dds
     k_tan = -manifold.tan_ratio(r)
 
     lhs_terms = [
@@ -188,9 +194,7 @@ def warp_power_identity_residual(manifold: ModelManifold, alpha: float, r):
         -alpha * (alpha + 1.0) / r**2,
         (2.0 * alpha**2 + alpha * (N - 1)) * s / r,
     ]
-    mp_mag = abs(alpha) * (
-        np.abs(manifold.ddpsi_over_psi(r)) + s * s + 1.0 / r**2
-    )
+    mp_mag = abs(alpha) * (np.abs(dds) + s * s + 1.0 / r**2)
     return _rel_residual(lhs_terms, rhs_terms, magnitudes=[mp_mag])
 
 
@@ -203,10 +207,9 @@ def product_profile_identity_residual(manifold: ModelManifold, f: RadialFunction
     """
     r = _require_positive(r)
     N = manifold.N
-    s = manifold.dpsi_over_psi(r)
-    m = -0.5 * (N - 1) * (s - 1.0 / r)
-    mp = -0.5 * (N - 1) * (manifold.ddpsi_over_psi(r) - s * s + 1.0 / r**2)
-    k_rad = -manifold.ddpsi_over_psi(r)
+    s, dds = manifold.dpsi_over_psi(r), manifold.ddpsi_over_psi(r)
+    m, mp = _warp_power_logd(-0.5 * (N - 1), r, s, dds)
+    k_rad = -dds
     k_tan = -manifold.tan_ratio(r)
     fv, f1, f2 = f.jet(r, 2)
 
@@ -219,9 +222,7 @@ def product_profile_identity_residual(manifold: ModelManifold, f: RadialFunction
         0.25 * (N - 1) * (N - 3) * (_inv_psi_sq(manifold, r) - 1.0 / r**2) * fv,
         -(f2 + (N - 1) * f1 / r),
     ]
-    mp_mag = 0.5 * (N - 1) * (
-        np.abs(manifold.ddpsi_over_psi(r)) + s * s + 1.0 / r**2
-    )
+    mp_mag = 0.5 * (N - 1) * (np.abs(dds) + s * s + 1.0 / r**2)
     mags = [
         mp_mag * np.abs(fv),
         np.abs(f2) + (N - 1) * np.abs(f1) / r,
@@ -238,19 +239,15 @@ def supersolution_equality_residual(manifold: ModelManifold, r):
     """
     r = _require_positive(r)
     N = manifold.N
-    s = manifold.dpsi_over_psi(r)
-    m = 0.5 * (N - 1) * (1.0 / r - s) + 0.5 * (2 - N) / r
-    mp = (
-        0.5 * (N - 1) * (-1.0 / r**2 - manifold.ddpsi_over_psi(r) + s * s)
-        - 0.5 * (2 - N) / r**2
-    )
+    s, dds = manifold.dpsi_over_psi(r), manifold.ddpsi_over_psi(r)
+    m, mp = _comparison_logd(N, r, s, dds)
     lhs_terms = [-(mp + m * m), -(N - 1) * s * m]
     rhs_terms = [
         hardy_weight_general(manifold, r),
         0.25 * (N - 1) * (N - 3) * _inv_psi_sq(manifold, r),
         0.25 / r**2,
     ]
-    mp_mag = 0.5 * (N - 1) * (np.abs(manifold.ddpsi_over_psi(r)) + s * s + 1.0 / r**2)
+    mp_mag = 0.5 * (N - 1) * (np.abs(dds) + s * s + 1.0 / r**2)
     return _rel_residual(lhs_terms, rhs_terms, magnitudes=[mp_mag])
 
 
@@ -263,7 +260,7 @@ def ground_state(N: int, r):
     if N < 3:
         raise DomainError("ground state needs N >= 3")
     r = _require_positive(r)
-    return np.exp(0.5 * (N - 1) * (np.log(r) - _log_sinh(r)) + 0.5 * (2 - N) * np.log(r))
+    return np.exp(_comparison_log(N, r, _log_sinh(r)))
 
 
 def ground_state_residual(N: int, r):
@@ -350,10 +347,5 @@ def check_profile_nonincreasing(manifold: ModelManifold, grid: RadialGrid):
     if not ok:
         return None
     r = grid.nodes
-    N = manifold.N
-    log_profile = (
-        0.5 * (N - 1) * (np.log(r) - manifold.log_psi(r))
-        + 0.5 * (2 - N) * np.log(r)
-    )
-    diffs = np.diff(log_profile)
+    diffs = np.diff(_comparison_log(manifold.N, r, manifold.log_psi(r)))
     return bool(np.all(diffs <= 1e-12))

@@ -9,10 +9,15 @@ import pytest
 
 import hardyrellich
 from hardyrellich import cli, hardy, suites
+from hardyrellich import manifolds as mf
+from hardyrellich import supersolutions as ss
 from hardyrellich.config import DEFAULTS, ToolkitConfig, default_config, load_config
 from hardyrellich.errors import ArgumentError
-from hardyrellich.reports import ExperimentManifest, emit_curve, row
+from hardyrellich.reports import ExperimentManifest, emit_curve, format_value, row
 from hardyrellich.suites import run_suite
+
+# the keys of every manifest.json results entry, sorted
+RESULT_KEYS = ("name", "quad_error_rel", "status", "tolerance", "value")
 
 
 def test_verify_identities_exit_zero(tmp_path):
@@ -165,13 +170,67 @@ def test_default_config_values(tmp_path):
     assert cfg.tolerance("margin_rtol") == 2e-8
 
 
+def test_verify_identities_computes_each_residual_once(tmp_path, monkeypatch):
+    # residuals.csv is written from the arrays the identity checks judge
+    calls = {}
+    for name in ("warp_power_identity_residual", "product_profile_identity_residual",
+                 "supersolution_equality_residual"):
+        def counted(*args, _name=name, _fn=getattr(ss, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(ss, name, counted)
+    assert cli.main(["verify", "--suite", "identities", "--out", str(tmp_path)]) == 0
+    assert calls == {"warp_power_identity_residual": 12,
+                     "product_profile_identity_residual": 15,
+                     "supersolution_equality_residual": 3}
+
+
 def test_residual_report_emitted(tmp_path):
-    code = cli.main(["verify", "--suite", "identities", "--out", str(tmp_path)])
-    assert code == 0
-    lines = (tmp_path / "residuals.csv").read_text().strip().splitlines()
-    assert lines[0] == "identity,family,N,alpha_or_f,r,residual_rel"
-    assert len(lines) > 1000
+    # residuals.csv equals the rows written out here from the three residual
+    # functions, in run order: for each family the warp powers, the two
+    # product profiles, then the supersolution equality
+    assert cli.main(["verify", "--suite", "identities", "--out", str(tmp_path)]) == 0
+    r = ss.IDENTITY_SAMPLE
+
+    def rows(identity, man, tag, res):
+        return [f"{identity},{man.family},5,{tag},{format_value(x)},{format_value(e)}"
+                for x, e in zip(r, res)]
+
+    expected = ["identity,family,N,alpha_or_f,r,residual_rel"]
+    for man in (mf.hyperbolic(5), mf.euclidean(5), mf.superexp(5, 2.0)):
+        for alpha in (-2.0, -0.5, 1.0, 2.0):
+            expected += rows("warp_power", man, f"alpha={alpha:g}",
+                             ss.warp_power_identity_residual(man, alpha, r))
+        for f in (ss.power_profile(-1.5), ss.power_log_profile(5)):
+            expected += rows("product_profile", man, f"f={f.label}",
+                             ss.product_profile_identity_residual(man, f, r))
+        expected += rows("supersolution_equality", man, "f=r^-1.5",
+                         ss.supersolution_equality_residual(man, r))
+    lines = (tmp_path / "residuals.csv").read_text().splitlines()
+    assert lines == expected and len(lines) == 1 + 21 * 64
     assert all(float(l.rsplit(",", 1)[1]) <= 1e-8 for l in lines[1:])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert {tuple(sorted(entry)) for entry in manifest["results"]} == {RESULT_KEYS}
+
+
+def test_grids_r_min_reaches_the_sharp_hardy_estimate(tmp_path):
+    config = tmp_path / "grids.ini"
+    config.write_text("[grids]\nr_min = 1e-4\n")
+    common = ["--N", "3", "--config", str(config)]
+    # the narrower truncation lifts the estimate to about 0.306, above the
+    # check's [0.249, 0.30] window, so the run exits 1
+    assert cli.main(["hardy", "sharp", *common, "--out", str(tmp_path / "sharp")]) == 1
+    assert cli.main(["curve", "--name", "convergence", *common,
+                     "--out", str(tmp_path / "curve")]) == 0
+    (line,) = (tmp_path / "sharp" / "constants.csv").read_text().splitlines()[1:]
+    name, N, r_min, r_max, _, value = line.split(",")
+    assert (name, N, r_min, r_max) == ("hardy_sharp_radial", "3", "0.0001", "100")
+    last = (tmp_path / "curve" / "convergence_hardy_sharp_N3.csv").read_text().splitlines()[-1]
+    assert value == last.split(",")[1]
+    manifest = json.loads((tmp_path / "sharp" / "manifest.json").read_text())
+    assert manifest["constants"] == [line]
+    assert [tuple(sorted(entry)) for entry in manifest["results"]] == [RESULT_KEYS]
 
 
 def test_sweep_lambda_command_endpoints(tmp_path):

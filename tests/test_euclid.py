@@ -39,7 +39,7 @@ def test_distance_domain_error():
     with pytest.raises(DomainError):
         euclid.geodesic_distance_halfspace((0.0, 0.0))
     with pytest.raises(DomainError):
-        euclid.geodesic_distance_halfspace(euclid.HalfSpacePoint(1.0, -2.0))
+        euclid.geodesic_distance_halfspace(1.0, -2.0)
 
 
 def test_ball_identities():
@@ -191,8 +191,7 @@ def test_sphere_area_values():
 
 def test_ball_mapped_pair_supports_correspond():
     u = bump(0.8, 1.8)
-    pair = euclid.BallMappedPair.from_radial(u, 3)
-    ta, tb = pair.v.support
+    ta, tb = euclid.ball_from_radial(u, 3).support
     assert ta == pytest.approx(np.tanh(0.4), rel=1e-12)
     assert tb == pytest.approx(np.tanh(0.9), rel=1e-12)
     assert 0.0 < ta < tb < 1.0  # vanishes near the boundary

@@ -221,7 +221,7 @@ def test_truncation_error_path(monkeypatch):
     monkeypatch.setattr(
         hardy,
         "min_generalized_eigenvalue",
-        lambda pencil, tol, label="", near=None: ConstantEstimate(-0.1, 1e-6, 1.0, 64, []),
+        lambda pencil, tol, near=None: ConstantEstimate(-0.1, 1e-6, 1.0, 64, []),
     )
     with pytest.raises(TruncationError):
         hardy.estimate_sharp_hardy(3, M=64)

@@ -49,9 +49,14 @@ def test_identity_pencil_exact_one():
 
 def test_one_d_hardy_anchor():
     # numerator int z'^2, denominator int z^2/x^2 on the line measure
-    grid = make_grid(1e-10, 1e10, 8192, "geometric")
-    p = pencils.assemble_pencil(mf.flat_line(1), None, lambda r: 1.0 / r**2, grid)
-    est = pencils.min_generalized_eigenvalue(p)
+
+    def build(m):
+        return pencils.assemble_custom_pencil(
+            make_grid(1e-10, 1e10, m, "geometric"), log_weight=np.zeros_like,
+            drift=None, zeroth=None, V=None, W=lambda r: 1.0 / r**2,
+            order=pencils.ORDER_LAPLACIAN, rebuild=build)
+
+    est = pencils.min_generalized_eigenvalue(build(8192))
     assert abs(est.value - 0.25) < 1e-2
     assert len(est.history) >= 3
 
@@ -181,9 +186,9 @@ def _assert_tolerance_honoured(monkeypatch, module, estimate, bandwidth):
     # exactly below it, so mu must sit within tol of that switch
     solved = []
 
-    def recording(pencil, tol, label="", near=None):
+    def recording(pencil, tol, near=None):
         solved.append(pencil)
-        return pencils.min_generalized_eigenvalue(pencil, tol, label, near)
+        return pencils.min_generalized_eigenvalue(pencil, tol, near)
 
     monkeypatch.setattr(module, "min_generalized_eigenvalue", recording)
     tol = 1e-8

@@ -71,7 +71,8 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     each neighbouring gap."""
     if nodes.shape[-1] < 2:
         return np.zeros_like(nodes)
-    half = np.diff(nodes, axis=-1) / 2.0
+    half = np.diff(nodes, axis=-1)
+    half /= 2.0
     w = np.empty_like(nodes)
     w[..., 0] = half[..., 0]
     w[..., -1] = half[..., -1]
@@ -135,7 +136,8 @@ def make_grid(
         nodes = r_min + np.arange(1, M + 1) * ((r_max - r_min) / (M + 1))
     elif grading == "geometric":
         q = (r_max / r_min) ** (1.0 / (M + 1))
-        nodes = r_min * q ** np.arange(1, M + 1)
+        nodes = np.power(q, np.arange(1.0, M + 1))
+        nodes *= r_min
     else:
         r_c = 1.0 if r_c is None else float(r_c)
         if not np.all((r_min < r_c) & (r_c < r_max)):
@@ -143,7 +145,8 @@ def make_grid(
         m_geo = M // 2
         m_uni = M - m_geo
         q = (r_c / r_min) ** (1.0 / (m_geo + 1))
-        lower = r_min * q ** np.arange(1, m_geo + 1)
+        lower = np.power(q, np.arange(1.0, m_geo + 1))
+        lower *= r_min
         upper = r_c + (r_max - r_c) / m_uni * np.arange(m_uni)
         nodes = np.concatenate([lower, upper], axis=-1)
 

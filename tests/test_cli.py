@@ -338,6 +338,20 @@ def test_scipy_loads_on_first_factorization(tmp_path):
     assert done.stdout.splitlines()[-1] == "[False, 0, False, 0, True]"
 
 
+def test_sharp_hardy_overflow_names_its_radius(tmp_path):
+    # a fresh interpreter: at r_max = 1000 the direct pencil's measure
+    # exp(2 log sinh r - median) overflows; the run exits 1 with a typed
+    # error naming the node and radius, and numpy warns nothing
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "hardyrellich", "hardy", "sharp", "--N", "3",
+                           "--rmax", "1000", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "non-finite" in done.stderr and "r = " in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+
+
 @pytest.mark.parametrize("module", [["-W", "error", "-m", "hardyrellich.cli"],
                                     ["-m", "hardyrellich"]], ids=" ".join)
 def test_python_m_runs_cleanly(module):

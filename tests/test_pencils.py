@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hardyrellich import manifolds as mf
-from hardyrellich import hardy, pencils, rellich
+from hardyrellich import cli, hardy, pencils, rellich
 from hardyrellich.errors import ArgumentError, NumericError
 from hardyrellich.radial import make_grid
 
@@ -251,6 +251,40 @@ def test_factorization_count(monkeypatch):
         hardy.estimate_sharp_hardy(3, r_max=50.0, near=warm)
         counts.append(len(calls))
     assert counts[1] < counts[0]
+
+
+def _factorizations(calls):
+    return sum(1 for c in calls if c != "solve")
+
+
+def test_sharp_large_M_factorization_count(monkeypatch):
+    # the benchmark's M = 32768 pair: one probe below each coarser level's
+    # value, inverse iteration on that factor while it pays, and a
+    # certificate above the Rayleigh quotient first
+    calls = _count_lapack_calls(monkeypatch)
+    hardy.estimate_sharp_hardy(3, M=32768)
+    rellich.estimate_sharp_rellich_r2(5, M=32768)
+    assert _factorizations(calls) <= 32
+
+
+def test_verify_all_lapack_calls(monkeypatch, tmp_path):
+    # factorizations and solves alike, through the one LAPACK entry point
+    calls = _count_lapack_calls(monkeypatch)
+    assert cli.main(["verify", "--suite", "all", "--out", str(tmp_path)]) == 0
+    assert len(calls) < 533
+
+
+@pytest.mark.parametrize("offset", [1e-6, -1e-6])
+def test_warm_solve_with_accurate_near_factors_three_times(monkeypatch, offset):
+    # the sharp Hardy pencil at M = 8192: one factorization below near,
+    # then one on each side of the converged Rayleigh quotient
+    grid = make_grid(1e-6, 100.0, 8192, "log_graded", 1.0)
+    p = pencils.assemble_pencil(mf.hyperbolic(3), 1.0, lambda r: 1.0 / r**2, grid)
+    value = pencils.smallest_eigenvalue(p)
+    calls = _count_lapack_calls(monkeypatch)
+    mu = pencils.smallest_eigenvalue(p, near=value + offset)
+    assert abs(mu - value) <= 1e-8  # both within tol * max(1, |value|)
+    assert _factorizations(calls) <= 3
 
 
 def test_discrete_minimum_principle():

@@ -1,27 +1,31 @@
 """Ball-model and half-space transforms of the hyperbolic inequalities.
 
 Ball-side identities reduce to 1-D integrals in t = |x| (the sphere factor
-cancels against the hyperbolic one).  Half-space checks use tensor trapezoid
+cancels against the hyperbolic one).  Half-space checks use tensor
 quadrature on (|x|, y) with the (N-2)-sphere area folded into the |x|
 weight; that constant is omitted from every margin (it multiplies both
 sides) and restored through sphere_area() where hyperbolic radial values
 are compared against half-space tensor values.
 
-Each half-space check lists its integrals as terms, tensor trapezoid sums
-of xi^(N-2) y^(-p) Q d^(-2k) with Q one of v^2, |grad v|^2 and (Lap v)^2,
-and _halfspace_sums evaluates them on one TensorGrid per resolution by the
-method the test function's type allows.  The trapezoid sum of a tensor
-product fx(|x|) fy(y) is the product of the two 1-D trapezoid sums, so
-only its distance-weighted terms visit the mesh; a transported radial
-profile is evaluated only at the nodes inside its support.  The mesh is
-visited in row blocks that share the y axis and hold at most BLOCK_NODES
-nodes, so no array the size of the whole mesh exists.
+Each half-space check lists its integrals as terms, tensor quadrature
+sums of xi^(N-2) y^(-p) Q d^(-2k) with Q one of v^2, |grad v|^2 and
+(Lap v)^2, and _halfspace_sums evaluates them on one TensorGrid per
+resolution by the rule and the method the test function's type allows.
+A tensor product fx(|x|) fy(y) drops the xi = 0 row and keeps y uniform;
+its trapezoid sums are products of the two 1-D sums, so only its
+distance-weighted terms visit the mesh.  A transported radial profile
+keeps the xi = 0 row, with the Euler-Maclaurin end weight for odd N, takes
+its y nodes uniform in log y, and is evaluated only at the nodes inside
+its support.  The mesh is visited in row blocks that share the y axis and
+hold at most BLOCK_NODES nodes, so no array the size of the whole mesh
+exists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 import numpy as np
 
@@ -129,10 +133,10 @@ def ball_identity_check(u: RadialFunction, N: int, nodes: int = 4096) -> tuple:
 
     grad_h, l2_h, hardy_h = radial_sums(
         u, grid_h, [("grad2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2)],
-        man.measure_weight(r))[..., 0]
+        man.measure_weight(r), subgrid=False)
     grad_b, conf_b, l2_b, hardy_b = radial_sums(
         v, grid_t, [("grad2", 1.0), ("v2", N * (N - 2) / 4.0 * c2), ("v2", c2),
-                    ("v2", c2 / ball_radius_of_t(t) ** 2)], t ** (N - 1))[..., 0]
+                    ("v2", c2 / ball_radius_of_t(t) ** 2)], t ** (N - 1), subgrid=False)
 
     def gap(lhs, rhs):
         scale = np.maximum(abs(lhs), abs(rhs))
@@ -176,18 +180,24 @@ def boundary_weight_comparison(samples: int = 1000) -> tuple[bool, float]:
 # ---------------------------------------------------------------------------
 # tensor functions on the half-space
 #
-# A half-space term (q, p, k) is the tensor trapezoid sum of
+# A half-space term (q, p, k) is the tensor quadrature sum of
 #   xi^(N-2) y^(-p) Q d^(-2k)
-# over a grid without its xi = 0 row (sphere factor omitted), where Q is
-# v^2 for q = "v2", |grad v|^2 for "grad2" and (Lap v)^2 for "lap2", with
-# Lap the R^N Laplacian of v(|x|, y), and d is the distance to (0, 1); only
-# v2 terms carry a distance power.  Each test function type sums a list of
-# terms with integrals(grid, N, terms) and gives one term's integrand on a
-# row block with integrand(block, N, term).
+# (sphere factor omitted), where Q is v^2 for q = "v2", |grad v|^2 for
+# "grad2" and (Lap v)^2 for "lap2", with Lap the R^N Laplacian of
+# v(|x|, y), and d is the distance to (0, 1); only v2 terms carry a
+# distance power.  Each test function type picks its rule on an over_box
+# grid with rule(grid), sums a list of terms with integrals(grid, N,
+# terms) and gives one term's integrand on a row block with
+# integrand(block, N, term).
 
 
 class TensorProductFunction:
-    """v(|x|, y) = fx(|x|) * fy(y) with C^2 factors."""
+    """v(|x|, y) = fx(|x|) * fy(y) with C^2 factors.
+
+    The distance-weighted terms of its margins are singular at (0, 1), so
+    their trapezoid sums converge slowly and not monotonically, and a
+    margin's quad_error is an estimate, not a bound (on 512^2 y2 and y4
+    margins, about two thirds of the error against an 8193^2 result)."""
 
     def __init__(self, fx: RadialFunction, fy: RadialFunction, label: str = ""):
         self.fx = fx
@@ -200,6 +210,12 @@ class TensorProductFunction:
         xb = self.xi_support[1]
         ya, yb = self.y_support
         return (xb * (1 + pad), ya * (1 - pad), yb * (1 + pad))
+
+    @staticmethod
+    def rule(grid: "TensorGrid") -> "TensorGrid":
+        """The over_box grid without its xi = 0 row: the distance terms are
+        singular at (0, 1) and x_jet divides by xi."""
+        return grid.off_axis()
 
     def x_jet(self, xi, N: int):
         """(fx, fx', Lx) at xi > 0, where Lx = fx'' + (N-2) fx'/xi, so that
@@ -293,6 +309,14 @@ class TransportedRadial:
             self.y_support[1] * (1 + pad),
         )
 
+    @staticmethod
+    def rule(grid: "TensorGrid") -> "TensorGrid":
+        """The over_box grid with its y nodes uniform in log y, where
+        y^(-alpha) U(d) varies on the scale y.  It keeps the xi = 0 row,
+        with the end weight of xi_weights: the support keeps d >= a > 0,
+        so the integrand is finite and even in xi there."""
+        return grid.log_y()
+
     def jet(self, grid: "TensorGrid", nodes, N: int, laplacian: bool = True):
         """(d, v, dv/dxi, dv/dy, Lap v) at the grid nodes where the boolean
         mesh array ``nodes`` holds, in row order, none of them the
@@ -362,7 +386,7 @@ class TransportedRadial:
         """The terms' sums on the grid and on its subgrid, shape
         (len(terms), 2), one row block at a time: each term's values at the
         block's support nodes are laid on the block (zero elsewhere) and
-        summed as (w_xi xi^(N-2)) @ values @ (w_y y^(-p)) on either grid."""
+        summed as xi_weights(N) @ values @ (w_y y^(-p)) on either grid."""
         w_y = [grid.y_weights(p) for _, p, _ in terms]
         sums = np.zeros((len(terms), 2))
         for block in grid.blocks():
@@ -394,14 +418,30 @@ def _subgrid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+def _axis_end_weight(N: int) -> float:
+    """B_(N-1)/(N-1), exactly, for odd N >= 3 (1/12 for N = 3, -1/120 for
+    N = 5): the Euler-Maclaurin end term of the trapezoid rule for
+    xi^(N-2) F on [0, a] is -B_(N-1)/(N-1) h^(N-1) F(0) when F is smooth
+    and even in xi and vanishes near a."""
+    bernoulli = [Fraction(1)]  # B_0, B_1, ... by the binomial recurrence
+    for m in range(1, N):
+        bernoulli.append(-sum(math.comb(m + 1, k) * b for k, b in enumerate(bernoulli))
+                         / (m + 1))
+    return float(bernoulli[N - 1] / (N - 1))
+
+
 @dataclass(frozen=True)
 class TensorGrid:
     """Tensor trapezoid grid on (|x|, y) = (xi, y), with the 1-D weights.
 
-    sub_xi and sub_y are the trapezoid weights of the every-other-node
-    subgrid, every other row and column of the grid, zero on the nodes it
-    skips (over_box fills them): the sums of one set of node values on the
-    grid and on the subgrid differ by about the subgrid's quadrature error.
+    sub_xi and sub_y are the weights of the every-other-node subgrid,
+    every other row and column of the grid, zero on the nodes it skips
+    (over_box fills them): the sums of one set of node values on the grid
+    and on the subgrid differ by about the subgrid's quadrature error.
+
+    h_xi is the xi spacing of the whole grid.  It sets the end weight of
+    the xi = 0 row (see xi_weights), so a row block that holds that row
+    weighs it as the grid does.
     """
 
     xi: np.ndarray
@@ -410,33 +450,59 @@ class TensorGrid:
     w_y: np.ndarray
     sub_xi: np.ndarray | None = None
     sub_y: np.ndarray | None = None
+    h_xi: float = 0.0
 
     @staticmethod
     def over_box(xi_max: float, y_lo: float, y_hi: float,
                  nx: int, ny: int) -> "TensorGrid":
+        """The uniform nx x ny grid on [0, xi_max] x [y_lo, y_hi]; each test
+        function type then applies its own rule to it (off_axis, log_y)."""
         if y_lo <= 0.0:
             raise ArgumentError("tensor grid needs y > 0")
         xi = np.linspace(0.0, xi_max, nx)
         y = np.linspace(y_lo, y_hi, ny)
         return TensorGrid(xi, y, _trapezoid_weights(xi), _trapezoid_weights(y),
-                          _subgrid_weights(xi), _subgrid_weights(y))
+                          _subgrid_weights(xi), _subgrid_weights(y),
+                          xi_max / max(nx - 1, 1))
 
     def off_axis(self) -> "TensorGrid":
-        """The grid without its xi = 0 row: that row carries zero measure,
-        so integrands singular on the axis never enter a sum."""
+        """The grid without its xi = 0 row, for integrands that cannot be
+        evaluated on the axis.  The row's trapezoid weight times xi^(N-2)
+        is zero, but dropping it also drops its end weight, so for odd N
+        the xi sum keeps its O(h^(N-1)) end error."""
         if self.xi[0] != 0.0:
             return self
-        return TensorGrid(self.xi[1:], self.y, self.w_xi[1:], self.w_y,
-                          self.sub_xi[1:], self.sub_y)
+        return replace(self, xi=self.xi[1:], w_xi=self.w_xi[1:], sub_xi=self.sub_xi[1:])
+
+    def log_y(self) -> "TensorGrid":
+        """The grid with its y nodes spaced uniformly in s = log y between
+        the same ends: the y weights are the trapezoid weights in s times y
+        (dy = y ds), on the grid and on its every-other-node subgrid, which
+        stays nested."""
+        s = np.linspace(math.log(self.y[0]), math.log(self.y[-1]), self.y.size)
+        y = np.exp(s)
+        return replace(self, y=y, w_y=_trapezoid_weights(s) * y,
+                       sub_y=_subgrid_weights(s) * y)
 
     def xi_weights(self, N: int) -> np.ndarray:
-        """The xi trapezoid weights of the grid and of its subgrid, shape
-        (2, nx), times xi^(N-2) (sphere factor omitted)."""
-        return np.stack([self.w_xi, self.sub_xi]) * self.xi ** (N - 2)
+        """The xi weights of the grid and of its subgrid, shape (2, nx):
+        the trapezoid weights times xi^(N-2) (sphere factor omitted).
+
+        For odd N a xi = 0 row gets the weights B_(N-1)/(N-1) h^(N-1) and
+        B_(N-1)/(N-1) (2h)^(N-1), h = h_xi: applied to the integrand
+        without its xi^(N-2) factor, they cancel the leading
+        Euler-Maclaurin end term, so for an integrand smooth and even in
+        xi the error falls from O(h^(N-1)) to O(h^(N+1)).  For even N >= 4
+        that row keeps its trapezoid weight times 0^(N-2) = 0: the
+        integrand is then even in xi and has no such end term."""
+        w = np.stack([self.w_xi, self.sub_xi]) * self.xi ** (N - 2)
+        if N % 2 and self.xi[0] == 0.0:
+            w[:, 0] = _axis_end_weight(N) * np.array([self.h_xi, 2.0 * self.h_xi]) ** (N - 1)
+        return w
 
     def y_weights(self, y_power: float = 0) -> np.ndarray:
-        """The y trapezoid weights of the grid and of its subgrid, shape
-        (2, ny), divided by y^y_power."""
+        """The y weights of the grid and of its subgrid, shape (2, ny),
+        divided by y^y_power."""
         w = np.stack([self.w_y, self.sub_y])
         return w * self.y ** -y_power if y_power else w
 
@@ -446,8 +512,8 @@ class TensorGrid:
         least).  Their integrals add up to the grid's."""
         rows = max(1, BLOCK_NODES // self.y.size)
         for i in range(0, self.xi.size, rows):
-            yield TensorGrid(self.xi[i:i + rows], self.y, self.w_xi[i:i + rows],
-                             self.w_y, self.sub_xi[i:i + rows], self.sub_y)
+            yield replace(self, xi=self.xi[i:i + rows], w_xi=self.w_xi[i:i + rows],
+                          sub_xi=self.sub_xi[i:i + rows])
 
     @cached_property
     def cosh_dist(self) -> np.ndarray:
@@ -461,14 +527,14 @@ class TensorGrid:
 def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> np.ndarray:
     """The sums of the half-space terms (q, p, k) of v (a
     TensorProductFunction or a TransportedRadial) on the nx x ny grid over
-    its box, with the xi = 0 row dropped, and on its every-other-node
-    subgrid: shape (len(terms), 2).
+    its box, under the rule of v's type (v.rule), and on its
+    every-other-node subgrid: shape (len(terms), 2).
 
     A non-finite sum raises EvaluationError naming the first node, in row
     order, where that term's integrand is non-finite, or the overflow when
     the integrand is finite everywhere.
     """
-    grid = TensorGrid.over_box(*v.box(), nx, ny).off_axis()
+    grid = v.rule(TensorGrid.over_box(*v.box(), nx, ny))
     with np.errstate(all="ignore"):  # non-finite sums are traced below
         sums = v.integrals(grid, N, terms)
         for term, total in zip(terms, sums):
@@ -692,5 +758,5 @@ def hyperbolic_margin_without_sinh(U: RadialFunction, N: int,
     grid = grid_covering(U.support, nodes)
     r = grid.nodes
     terms = [("grad2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2)]
-    dirichlet, l2, by_r2 = radial_sums(U, grid, terms, man.measure_weight(r))[:, 0]
+    dirichlet, l2, by_r2 = radial_sums(U, grid, terms, man.measure_weight(r), subgrid=False)
     return float(dirichlet - (N - 1) ** 2 / 4.0 * l2 - 0.25 * by_r2)

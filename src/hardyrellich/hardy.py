@@ -41,7 +41,12 @@ class MarginReport:
 
     Reports carry no verdict: a check row judges margin / |lhs| against
     the configured margin tolerance.  Iterating a report yields the report
-    itself, as a check on a family returns a list of them."""
+    itself, as a check on a family returns a list of them.
+
+    quad_error is the margin change on the every-other-node subgrid: an
+    estimate of the quadrature error, not a bound.  Where the integrand
+    is singular it can understate the error, as on the half-space margins
+    of a tensor product (see euclid.TensorProductFunction)."""
 
     name: str
     N: int
@@ -347,7 +352,7 @@ def iterated_log_optimality_scan(N: int, k: int, params=None,
     out = []
     for t in params:
         uu, du = trial_profile(t, [t] * k, delta).jet(r, 1)
-        num = _integrate(du * du * r / pk, grid, "quotient numerator")[0]
-        den = _integrate(uu * uu * pk / r, grid, "quotient denominator")[0]
+        num = _integrate(du * du * r / pk, grid, "quotient numerator", subgrid=False)
+        den = _integrate(uu * uu * pk / r, grid, "quotient denominator", subgrid=False)
         out.append(0.25 + num / den)
     return out

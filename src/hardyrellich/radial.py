@@ -359,16 +359,20 @@ def _check_support_inside(u: RadialFunction, grid: RadialGrid) -> None:
         )
 
 
-def _integrate(vals: np.ndarray, grid: RadialGrid, what: str, labels=None) -> np.ndarray:
+def _integrate(vals: np.ndarray, grid: RadialGrid, what: str, labels=None,
+               subgrid: bool = True) -> np.ndarray:
     """Quadrature of node values on the grid and on its every-other-node
-    subgrid, row by row: shape (..., 2), see RadialGrid.sub_weights.
+    subgrid, row by row: shape (..., 2), see RadialGrid.sub_weights; with
+    subgrid False, on the grid alone, shape (...), and the subgrid
+    weights are not formed.
 
     Every grid weight is positive, so a non-finite value makes its row's
     sums non-finite; only then are the values searched, and the error
     names the first bad value's row label (from labels, one per row), node
     and r, or the overflow when every value is finite."""
-    sums = np.stack([np.vecdot(vals, grid.quad_weights),
-                     np.vecdot(vals[..., ::2], grid.sub_weights)], axis=-1)
+    sums = np.vecdot(vals, grid.quad_weights)
+    if subgrid:
+        sums = np.stack([sums, np.vecdot(vals[..., ::2], grid.sub_weights)], axis=-1)
     if np.all(np.isfinite(sums)):
         return sums
     bad = ~np.isfinite(vals)
@@ -391,7 +395,7 @@ def integrate_weighted(f, w, manifold: ModelManifold, grid: RadialGrid) -> float
     fv = f(grid.nodes) if callable(f) else np.asarray(f, dtype=float)
     wv = w(grid.nodes) if callable(w) else np.asarray(w, dtype=float)
     vals = fv * wv * manifold.measure_weight(grid.nodes)
-    return float(_integrate(vals, grid, "integrand")[0])
+    return float(_integrate(vals, grid, "integrand", subgrid=False))
 
 
 # derivative order each integrand of radial_sums needs
@@ -399,7 +403,7 @@ _TERM_ORDER = {"v2": 0, "grad2": 1, "lap2": 2}
 
 
 def radial_sums(u: RadialFunction, grid: RadialGrid, terms, measure,
-                drift=None, zeroth=None) -> np.ndarray:
+                drift=None, zeroth=None, subgrid: bool = True) -> np.ndarray:
     """Quadrature of Q * weight * measure for each term (Q, weight), from one
     evaluation of u on the grid: Q is "v2" = u^2, "grad2" = u'^2 or
     "lap2" = (u'' + drift u' - zeroth u)^2, and u is evaluated with its
@@ -407,9 +411,10 @@ def radial_sums(u: RadialFunction, grid: RadialGrid, terms, measure,
 
     Returns shape (len(terms), ..., 2): each term's sums on the grid and on
     its every-other-node subgrid (RadialGrid.sub_weights), one row per
-    member for a family on a stacked grid.  weight, measure, drift and
-    zeroth are node arrays or scalars (drift and zeroth default to 0).  u
-    must be supported strictly inside the grid; a non-finite integrand
+    member for a family on a stacked grid; with subgrid False, shape
+    (len(terms), ...), the sums on the grid alone.  weight, measure, drift
+    and zeroth are node arrays or scalars (drift and zeroth default to 0).
+    u must be supported strictly inside the grid; a non-finite integrand
     raises EvaluationError naming the member, its node and r."""
     _check_support_inside(u, grid)
     order = max(_TERM_ORDER[q] for q, _ in terms)
@@ -425,13 +430,14 @@ def radial_sums(u: RadialFunction, grid: RadialGrid, terms, measure,
             lap = lap - zeroth * jet[0]
         Q["lap2"] = lap * lap
     labels = u.labels
-    return np.stack([_integrate(Q[q] * weight * measure, grid, f"{q} integrand", labels)
-                     for q, weight in terms])
+    return np.stack([_integrate(Q[q] * weight * measure, grid, f"{q} integrand", labels,
+                                subgrid=subgrid) for q, weight in terms])
 
 
 def dirichlet_form(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid):
     """Radial Dirichlet energy: integral of u'(r)^2 psi^(N-1) dr."""
-    return radial_sums(u, grid, [("grad2", 1.0)], manifold.measure_weight(grid.nodes))[0, ..., 0]
+    return radial_sums(u, grid, [("grad2", 1.0)], manifold.measure_weight(grid.nodes),
+                       subgrid=False)[0]
 
 
 def bilaplacian_form(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid):
@@ -439,7 +445,7 @@ def bilaplacian_form(u: RadialFunction, manifold: ModelManifold, grid: RadialGri
     Delta u = u'' + (N-1)(psi'/psi) u'; one value per member for a family."""
     r = grid.nodes
     return radial_sums(u, grid, [("lap2", 1.0)], manifold.measure_weight(r),
-                       drift=(manifold.N - 1) * manifold.dpsi_over_psi(r))[0, ..., 0]
+                       drift=(manifold.N - 1) * manifold.dpsi_over_psi(r), subgrid=False)[0]
 
 
 def weighted_l2(u: RadialFunction, weight, manifold: ModelManifold,
@@ -447,4 +453,4 @@ def weighted_l2(u: RadialFunction, weight, manifold: ModelManifold,
     """Integral of u^2 * weight(r) * psi^(N-1) dr (margin-check helper)."""
     r = grid.nodes
     wv = weight(r) if callable(weight) else weight
-    return radial_sums(u, grid, [("v2", wv)], manifold.measure_weight(r))[0, ..., 0]
+    return radial_sums(u, grid, [("v2", wv)], manifold.measure_weight(r), subgrid=False)[0]

@@ -153,7 +153,7 @@ def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 4096) -> MarginReport:
 
 
 def _reduced_sums(d: RadialFunction, N: int, n: int, grid: RadialGrid,
-                  *weights) -> np.ndarray:
+                  *weights, subgrid: bool = True) -> np.ndarray:
     """The mode-n reduced form, then int d^2 w for each weight w (flat
     measure), as radial_sums returns them."""
     r = grid.nodes
@@ -161,7 +161,7 @@ def _reduced_sums(d: RadialFunction, N: int, n: int, grid: RadialGrid,
     lam = mode_eigenvalue(n, N)
     q = (N - 1) * (N - 3) / 4.0 * coth2 + (N - 1) / 2.0 + lam * _inv_sinh_sq(r)
     terms = [("lap2", 1.0), *(("v2", w) for w in weights)]
-    return radial_sums(d, grid, terms, 1.0, zeroth=q)
+    return radial_sums(d, grid, terms, 1.0, zeroth=q, subgrid=subgrid)
 
 
 def radial_reduced_form(d: RadialFunction, N: int, n: int,
@@ -174,7 +174,7 @@ def radial_reduced_form(d: RadialFunction, N: int, n: int,
     the radial function u (the substitution is an isometry of the forms).
     """
     _check_dimension(N, 5)
-    return _reduced_sums(d, N, n, grid)[0, ..., 0]
+    return _reduced_sums(d, N, n, grid, subgrid=False)[0]
 
 
 def reduced_from_radial(u: RadialFunction, N: int) -> RadialFunction:
@@ -312,6 +312,24 @@ def estimate_sharp_rellich_r2(N: int, r_min: float = 1e-3, r_max: float = 1e6,
             f"numerator form is indefinite on [{r_min:g}, {r_max:g}]; widen it"
         )
     return est
+
+
+def sharp_r2_next_truncation(N: int, value: float, r_max: float, r_next: float) -> float:
+    """The radial Rellich 1/r^2 estimate at r_max = r_next predicted from
+    its value at r_max by the truncation law
+
+      v = (N-1)^2/8 + (N-1)^2 pi^2 / (2 L^2),  L = log(r_max / r0),
+
+    the truncated 1-D Hardy quotient 1/4 + pi^2/L^2 times (N-1)^2/2: L is
+    solved from value, then moved on by log(r_next / r_max).  A value at
+    or below the limit, or a truncation r_next below r0, predicts value
+    itself.  A warm start for estimate_sharp_rellich_r2, not an estimate."""
+    limit = (N - 1) ** 2 / 8.0
+    rate = (N - 1) ** 2 * math.pi**2 / 2.0
+    if value <= limit:
+        return value
+    L = math.sqrt(rate / (value - limit)) + math.log(r_next / r_max)
+    return limit + rate / L**2 if L > 0.0 else value
 
 
 def euclidean_rellich_constant(N: int = 5, r_min: float = 1e-9,

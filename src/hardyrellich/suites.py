@@ -310,7 +310,8 @@ def one_d_and_euclid_anchors(cfg: ToolkitConfig):
 def rellich_sharp_r2(cfg: ToolkitConfig, r_maxes_by_N: dict):
     """Sharp Rellich 1/r^2 estimates on the truncations r_maxes_by_N[N]:
     each at least (N-1)^2/8 - 1e-2 and nonincreasing as r_max grows; the
-    row value is the widest estimate of the first N.  Each estimate
+    row value is the widest estimate of the first N.  Each estimate,
+    moved on by the truncation law (rellich.sharp_r2_next_truncation),
     warm-starts the next truncation of the same N."""
     vals, consts = {}, []
     for N, r_maxes in r_maxes_by_N.items():
@@ -321,7 +322,8 @@ def rellich_sharp_r2(cfg: ToolkitConfig, r_maxes_by_N: dict):
                 r_min=cfg.get_float("rellich", "sharp_r_min"),
                 r_max=r_max,
                 M=cfg.get_int("rellich", "sharp_M"),
-                near=ests[-1].value if ests else None,
+                near=rellich.sharp_r2_next_truncation(
+                    N, ests[-1].value, ests[-1].r_max, r_max) if ests else None,
             ))
         vals[N] = [est.value for est in ests]
         consts += [est.csv_row("rellich_sharp_r2_radial", N) for est in ests]
@@ -372,11 +374,12 @@ def halfspace_hardy_margins(cfg: ToolkitConfig, N: int, functions, nx: int, ny: 
 
 def halfspace_hardy_margin_and_equivalence(cfg: ToolkitConfig, functions):
     """N = 3 half-space Hardy margins on a 256^2 grid, and the transported
-    radial margin against the hyperbolic one times the sphere-area ratio."""
+    radial margin (also 256^2, under its axis-corrected log-y rule) against
+    the hyperbolic one times the sphere-area ratio."""
     margins = halfspace_hardy_margins(cfg, 3, functions, 256, 256)
     U = bump(0.5, 1.5)
     vtr = euclid.TransportedRadial(U, 3, alpha=0.5)
-    m_t = euclid.check_halfspace_hardy(vtr, 3, nx=768, ny=768).margin
+    m_t = euclid.check_halfspace_hardy(vtr, 3, nx=256, ny=256).margin
     m_h = euclid.hyperbolic_margin_without_sinh(U, 3, nodes=8192)
     ratio = euclid.sphere_area(3) / euclid.sphere_area(2)
     equiv = abs(m_t - m_h * ratio) / abs(m_h * ratio)
@@ -418,7 +421,7 @@ def halfspace_rellich_margins(cfg: ToolkitConfig, N: int, functions, forms,
 
 def halfspace_bilaplacian_identity(cfg: ToolkitConfig, N: int):
     _, _, rel = euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), N,
-                                                      nx=640, ny=640)
+                                                      nx=512, ny=512)
     return row("halfspace_bilaplacian_identity", rel, 1e-4, rel <= 1e-4)
 
 

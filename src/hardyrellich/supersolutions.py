@@ -323,7 +323,7 @@ def null_criticality_scan(N: int, k_list, M: int = 4096) -> list[tuple[float, fl
     for k in k_list:
         grid = make_grid(float(np.exp(-k)), 1.0, M, "geometric")
         vals = 0.25 / grid.nodes
-        out.append((float(k), float(_integrate(vals, grid, "mass integrand")[0])))
+        out.append((float(k), float(_integrate(vals, grid, "mass integrand", subgrid=False))))
     return out
 
 

@@ -266,6 +266,22 @@ def test_sweep_lambda_sweeps_once(tmp_path, monkeypatch):
         assert (tmp_path / "verb" / name).read_bytes() == (tmp_path / ref / name).read_bytes()
 
 
+def test_rellich_sharp_r2_warm_starts_from_the_truncation_law(monkeypatch):
+    from hardyrellich import rellich
+
+    nears, ests = [], []
+    estimate = rellich.estimate_sharp_rellich_r2
+
+    def spied(N, **kwargs):
+        nears.append(kwargs["near"])
+        ests.append(estimate(N, **{**kwargs, "M": 512}))
+        return ests[-1]
+
+    monkeypatch.setattr(rellich, "estimate_sharp_rellich_r2", spied)
+    suites.rellich_sharp_r2(ToolkitConfig(), {5: (1e4, 1e5)})
+    assert nears == [None, rellich.sharp_r2_next_truncation(5, ests[0].value, 1e4, 1e5)]
+
+
 def test_sharp_rellich_default_dimension(tmp_path):
     # sharp --which rellich-r2 defaults to N = 5, as rellich sharp-r2 does
     assert cli.main(["sharp", "--which", "rellich-r2", "--out", str(tmp_path / "a")]) == 0

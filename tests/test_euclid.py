@@ -102,6 +102,51 @@ def test_halfspace_equivalence_with_hyperbolic():
     assert m_t == pytest.approx(m_h * ratio, rel=1e-4)
 
 
+def _transported_hardy_error(n):
+    """Relative gap of the transported N = 3 half-space Hardy margin on an
+    n x n grid to the 65,536-node hyperbolic margin times the sphere-area
+    ratio."""
+    U = bump(0.5, 1.5)
+    m_t = euclid.check_halfspace_hardy(euclid.TransportedRadial(U, 3, alpha=0.5), 3, n, n).margin
+    m_h = euclid.hyperbolic_margin_without_sinh(U, 3, nodes=65536)
+    ratio = euclid.sphere_area(3) / euclid.sphere_area(2)
+    return abs(m_t - m_h * ratio) / abs(m_h * ratio)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_transported_hardy_matches_fine_radial_value(n):
+    # the suite's 256^2 grid, and one of the other parity
+    assert _transported_hardy_error(n) <= 2.5e-7
+
+
+@pytest.mark.parametrize("n", [512, 513])
+def test_transported_bilaplacian_matches_fine_radial_value(n):
+    # the suite's 512^2 grid, and one of the other parity
+    _, _, rel = euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 5, nodes=65536,
+                                                      nx=n, ny=n)
+    assert rel <= 2.5e-7
+
+
+def test_transported_hardy_error_is_fourth_order():
+    # the axis end weight cancels the h^2 term: halving h divides the
+    # error by at least 2^4
+    assert _transported_hardy_error(513) * 16.0 <= _transported_hardy_error(257)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 40])
+def test_axis_weight_is_the_euler_maclaurin_end_term(monkeypatch, rows):
+    monkeypatch.setattr(euclid, "BLOCK_NODES", rows * 16)
+    grid = euclid.TensorGrid.over_box(2.0, 0.5, 2.0, 41, 16)
+    h = 2.0 / 40
+    for N in (3, 4, 5, 6, 7):
+        first = next(grid.blocks()).xi_weights(N)[:, 0]
+        want = [_END_WEIGHT[N] * h ** (N - 1), _END_WEIGHT[N] * (2 * h) ** (N - 1)] \
+            if N % 2 else [0.0, 0.0]
+        assert first == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert np.array_equal(np.hstack([b.xi_weights(N) for b in grid.blocks()]),
+                              grid.xi_weights(N))
+
+
 def test_laplacian_identity_corrected_passes():
     # 5 functions x 3 alphas x 10 points
     worst = 0.0
@@ -329,13 +374,42 @@ def test_tensor_integrate_raises_on_overflow():
             euclid._halfspace_sums(v, 3, 8, 8, [("v2", -2, 0)])
 
 
-def _brute_force(v, N, nx, ny, terms):
-    """Each term's tensor trapezoid from mesh arrays on every off-axis node
-    of v's grid: outer products of the factors for a tensor product, the
-    jet at every node for a transported profile, with xi^(N-2), y^(-p) and
-    d^(-2k) multiplied in node by node."""
-    grid = euclid.TensorGrid.over_box(*v.box(), nx, ny).off_axis()
-    xi, y = grid.xi, grid.y
+def _trapezoid(nodes):
+    w = np.zeros_like(nodes)
+    w[:-1] += np.diff(nodes) / 2.0
+    w[1:] += np.diff(nodes) / 2.0
+    return w
+
+
+# B_(N-1)/(N-1) from B_2 = 1/6, B_4 = -1/30 and B_6 = 1/42
+_END_WEIGHT = {3: 1.0 / 12.0, 5: -1.0 / 120.0, 7: 1.0 / 252.0}
+
+
+def _written_out_rule(v, N, nx, ny, step):
+    """(xi, y, w_xi, w_y) of v's rule on the nx x ny grid over its box
+    (step 1) or on its subgrid of every other row and column (step 2),
+    with xi^(N-2) in w_xi.  A tensor product drops the xi = 0 row and
+    keeps y uniform.  A transported profile keeps that row, weighted for
+    odd N by B_(N-1)/(N-1) h^(N-1) with h its own xi spacing, and takes y
+    uniform in s = log y with the trapezoid weights in s times y."""
+    xi = np.linspace(0.0, v.box()[0], nx)[::step]
+    y = np.linspace(*v.box()[1:], ny)
+    w_xi = _trapezoid(xi) * xi ** (N - 2)
+    if isinstance(v, euclid.TensorProductFunction):
+        y = y[::step]
+        return xi[1:], y, w_xi[1:], _trapezoid(y)
+    if N % 2:
+        w_xi[0] = _END_WEIGHT[N] * (xi[1] - xi[0]) ** (N - 1)
+    s = np.linspace(np.log(y[0]), np.log(y[-1]), ny)[::step]
+    return xi, np.exp(s), w_xi, _trapezoid(s) * np.exp(s)
+
+
+def _written_out_sums(v, N, rule, terms):
+    """Each term's sum from mesh arrays on every node of the written-out
+    rule: outer products of the factors for a tensor product, the jet at
+    every node for a transported profile, with y^(-p) and d^(-2k)
+    multiplied in node by node."""
+    xi, y, w_xi, w_y = rule
     if isinstance(v, euclid.TensorProductFunction):
         fx, fx1, fx2 = v.fx.jet(xi, 2)
         fy, fy1, fy2 = v.fy.jet(y, 2)
@@ -343,14 +417,20 @@ def _brute_force(v, N, nx, ny, terms):
         v_xi, v_y = np.outer(fx1, fy), np.outer(fx, fy1)
         lap = np.outer(fx2 + (N - 2) * fx1 / xi, fy) + np.outer(fx, fy2)
     else:
+        grid = euclid.TensorGrid(xi, y, w_xi, w_y)
         nodes = _all_nodes(grid)
         _, *parts = v.jet(grid, nodes, N)
         val, v_xi, v_y, lap = (p.reshape(nodes.shape) for p in parts)
     quantity = {"v2": val * val, "grad2": v_xi * v_xi + v_y * v_y, "lap2": lap * lap}
     d = np.arccosh(1.0 + ((y - 1.0) ** 2 + xi[:, None] ** 2) / (2.0 * y))
-    weight = np.outer(grid.w_xi * xi ** (N - 2), grid.w_y)
+    weight = np.outer(w_xi, w_y)
     return [float(np.sum(weight * quantity[q] / y**p / d ** (2 * k)))
             for q, p, k in terms]
+
+
+def _brute_force(v, N, nx, ny, terms):
+    """Each term's sum written out from mesh arrays on v's grid."""
+    return _written_out_sums(v, N, _written_out_rule(v, N, nx, ny, 1), terms)
 
 
 @pytest.mark.parametrize("y_power", [2, 4, -2, 0])
@@ -413,31 +493,37 @@ def test_blocked_margins_match_single_block(monkeypatch, rows):
 def test_nan_in_a_later_block_names_its_node(monkeypatch):
     monkeypatch.setattr(euclid, "BLOCK_NODES", 4 * 32)  # four rows a block
     tensor = euclid.tensor_bump(1.0, 0.5, 2.0)
-    transported = euclid.TransportedRadial(bump(0.5, 1.5), 3, alpha=0.5)
     grid = euclid.TensorGrid.over_box(*tensor.box(), 40, 32)
     # row 25 is in the seventh block of the 39 off-axis rows; a NaN factor
     # there makes the whole row NaN
     xi = grid.xi[25]
-    cases = [(tensor, xi, grid.y[0],
-              euclid.TensorProductFunction(_nan_at(tensor.fx, [xi]), tensor.fy),
-              euclid.TensorProductFunction(_nan_at(tensor.fx, [0.0]), tensor.fy))]
+    planted = euclid.TensorProductFunction(_nan_at(tensor.fx, [xi]), tensor.fy)
+    with pytest.raises(EvaluationError, match=f"\\({xi:.6g}, {grid.y[0]:.6g}\\)"):
+        euclid.check_halfspace_hardy(planted, 3, 40, 32)
+    # a tensor product's xi = 0 row is dropped, so a NaN there never counts
+    on_axis = euclid.TensorProductFunction(_nan_at(tensor.fx, [0.0]), tensor.fy)
+    report = euclid.check_halfspace_hardy(on_axis, 3, 40, 32)
+    clean = euclid.check_halfspace_hardy(tensor, 3, 40, 32)
+    assert (report.lhs, report.rhs) == (clean.lhs, clean.rhs)
+
+    transported = euclid.TransportedRadial(bump(0.5, 1.5), 3, alpha=0.5)
+    grid = transported.rule(euclid.TensorGrid.over_box(*transported.box(), 40, 32))
     # row 15 (the fourth block) meets the transported support; the profile
     # is made NaN at the distance of one node there
-    grid = euclid.TensorGrid.over_box(*transported.box(), 40, 32)
     xi = grid.xi[15]
     y = grid.y[np.argmin(np.abs(grid.y - np.sqrt(1.0 + xi * xi)))]
     d = euclid.geodesic_distance_halfspace((xi, y))
+    planted = euclid.TransportedRadial(_nan_at(transported.U, [d]), 3, 0.5)
+    with pytest.raises(EvaluationError, match=f"\\({xi:.6g}, {y:.6g}\\)"):
+        euclid.check_halfspace_hardy(planted, 3, 40, 32)
+    # the transported xi = 0 row carries the axis end weight, so a NaN at
+    # the distance |log y| of every axis node is found at the first of
+    # them inside the support
     axis_d = np.abs(np.log(grid.y))
-    cases.append((transported, xi, y,
-                  euclid.TransportedRadial(_nan_at(transported.U, [d]), 3, 0.5),
-                  euclid.TransportedRadial(_nan_at(transported.U, axis_d), 3, 0.5)))
-    for clean_v, xi, y, planted, on_axis in cases:
-        with pytest.raises(EvaluationError, match=f"\\({xi:.6g}, {y:.6g}\\)"):
-            euclid.check_halfspace_hardy(planted, 3, 40, 32)
-        # a NaN on the xi = 0 axis carries zero measure and is dropped
-        report = euclid.check_halfspace_hardy(on_axis, 3, 40, 32)
-        clean = euclid.check_halfspace_hardy(clean_v, 3, 40, 32)
-        assert (report.lhs, report.rhs) == (clean.lhs, clean.rhs)
+    inside = (axis_d > 0.5) & (axis_d < 1.5)
+    on_axis = euclid.TransportedRadial(_nan_at(transported.U, axis_d), 3, 0.5)
+    with pytest.raises(EvaluationError, match=f"\\(0, {grid.y[inside][0]:.6g}\\)"):
+        euclid.check_halfspace_hardy(on_axis, 3, 40, 32)
 
 
 def _peak_bytes(check):
@@ -466,36 +552,11 @@ def test_halfspace_rellich_peak_memory_is_block_sized():
 
 
 def _written_out_nested(v, N, nx, ny, terms):
-    """Each term's tensor trapezoid sum, written out from mesh arrays, on
-    the nx x ny grid over v's box and on its subgrid of every other row
-    and column; the xi = 0 row carries zero measure and is left out."""
-
-    def trapezoid(nodes):
-        w = np.zeros_like(nodes)
-        w[:-1] += np.diff(nodes) / 2.0
-        w[1:] += np.diff(nodes) / 2.0
-        return w
-
-    full = euclid.TensorGrid.over_box(*v.box(), nx, ny)
-    out = []
-    for xi, y in ((full.xi, full.y), (full.xi[::2], full.y[::2])):
-        w_xi, w_y = trapezoid(xi)[1:], trapezoid(y)
-        grid = euclid.TensorGrid(xi[1:], y, w_xi, w_y)
-        xi = grid.xi
-        if isinstance(v, euclid.TensorProductFunction):
-            fx, fx1, fx2 = v.fx.jet(xi, 2)
-            fy, fy1, fy2 = v.fy.jet(y, 2)
-            val, v_xi, v_y = np.outer(fx, fy), np.outer(fx1, fy), np.outer(fx, fy1)
-            lap = np.outer(fx2 + (N - 2) * fx1 / xi, fy) + np.outer(fx, fy2)
-        else:
-            nodes = _all_nodes(grid)
-            _, *parts = v.jet(grid, nodes, N)
-            val, v_xi, v_y, lap = (p.reshape(nodes.shape) for p in parts)
-        quantity = {"v2": val * val, "grad2": v_xi * v_xi + v_y * v_y, "lap2": lap * lap}
-        d = np.arccosh(1.0 + ((y - 1.0) ** 2 + xi[:, None] ** 2) / (2.0 * y))
-        weight = np.outer(w_xi * xi ** (N - 2), w_y)
-        out.append([np.sum(weight * quantity[q] / y**p / d ** (2 * k)) for q, p, k in terms])
-    return np.array(out).T
+    """Each term's sum, written out from mesh arrays, on the nx x ny grid
+    over v's box and on its subgrid of every other row and column, each
+    under v's rule as _written_out_rule writes it."""
+    return np.array([_written_out_sums(v, N, _written_out_rule(v, N, nx, ny, step), terms)
+                     for step in (1, 2)]).T
 
 
 @pytest.mark.parametrize("check", [

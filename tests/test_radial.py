@@ -553,11 +553,37 @@ def _margin_checks():
 def test_quad_error_is_the_margin_change_on_the_subgrid(kind, monkeypatch):
     # the same check with every integral summed by the written-out rules:
     # its margin is the grid margin and its quad_error the change of the
-    # margin on the every-other-node subgrid
+    # margin on the every-other-node subgrid (which every margin reads)
     report = _margin_checks()[kind]()
-    monkeypatch.setattr(radial, "_integrate", lambda vals, grid, what, labels=None: np.array(
-        [np.dot(grid.quad_weights, vals), subgrid_sum(grid, vals)]))
+    monkeypatch.setattr(radial, "_integrate",
+                        lambda vals, grid, what, labels=None, subgrid=True: np.array(
+                            [np.dot(grid.quad_weights, vals), subgrid_sum(grid, vals)]))
     ref = _margin_checks()[kind]()
     assert (report.lhs, report.rhs, report.margin) == (ref.lhs, ref.rhs, ref.margin)
     assert report.quad_error > 0.0
     assert abs(report.quad_error - ref.quad_error) <= 1e-13 * abs(report.lhs)
+
+
+def test_grid_only_sums_form_no_subgrid_weights(monkeypatch):
+    # identities, forms and scans read only the grid sum, so they never
+    # form the subgrid's closure weights; the margins still do
+    from hardyrellich import euclid, hardy, rellich, supersolutions
+
+    def no_subgrid(grid):
+        raise AssertionError("subgrid weights formed for a grid-only sum")
+
+    monkeypatch.setattr(radial.RadialGrid, "sub_weights", property(no_subgrid))
+    u = radial.bump(1.0, 2.5)
+    man = mf.hyperbolic(5)
+    grid = radial.grid_covering(u.support, 512)
+    radial.integrate_weighted(u, 1.0, man, grid)
+    radial.dirichlet_form(u, man, grid)
+    radial.bilaplacian_form(u, man, grid)
+    radial.weighted_l2(u, 1.0, man, grid)
+    rellich.radial_reduced_form(rellich.reduced_from_radial(u, 5), 5, 0, grid)
+    euclid.ball_identity_check(u, 5, 512)
+    euclid.hyperbolic_margin_without_sinh(u, 5, 512)
+    supersolutions.null_criticality_scan(5, [2.0], M=512)
+    hardy.iterated_log_optimality_scan(5, 1, params=[0.25], M=512)
+    with pytest.raises(AssertionError, match="grid-only"):
+        hardy.check_poincare_hardy(u, 5, 512)

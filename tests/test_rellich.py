@@ -176,6 +176,28 @@ def test_estimate_sharp_rellich_r2():
     assert est6.value >= 25.0 / 8.0 - 1e-2
 
 
+def test_sharp_r2_next_truncation_follows_the_law():
+    # on the law v = (N-1)^2/8 + (N-1)^2 pi^2/(2 L^2) the prediction is exact
+    for N in (5, 6):
+        limit, rate = (N - 1) ** 2 / 8.0, (N - 1) ** 2 * np.pi**2 / 2.0
+        L1 = np.log(1e4 / 0.37)
+        v1 = limit + rate / L1**2
+        v2 = limit + rate / (L1 + np.log(10.0)) ** 2
+        assert rellich.sharp_r2_next_truncation(N, v1, 1e4, 1e5) == pytest.approx(v2, rel=1e-14)
+        # at or below the limit, and below r0, the value predicts itself
+        assert rellich.sharp_r2_next_truncation(N, limit, 1e4, 1e5) == limit
+        assert rellich.sharp_r2_next_truncation(N, v1, 1e4, 0.3) == v1
+
+
+def test_sharp_r2_next_truncation_is_a_close_warm_start():
+    # the previous truncation's value is 13% off the next one; the law's
+    # prediction is within 1e-3
+    v4 = rellich.estimate_sharp_rellich_r2(5, r_max=1e4, M=2048).value
+    v5 = rellich.estimate_sharp_rellich_r2(5, r_max=1e5, M=2048).value
+    assert abs(v4 - v5) > 0.1 * v5
+    assert rellich.sharp_r2_next_truncation(5, v4, 1e4, 1e5) == pytest.approx(v5, rel=1e-3)
+
+
 def test_one_d_anchors():
     h = rellich.one_d_hardy_constant(M=4096)
     assert abs(h.value - 0.25) <= 1e-2

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__, rellich, suites
@@ -107,7 +107,10 @@ def _common_parent() -> argparse.ArgumentParser:
     return common
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process (parse_args leaves it
+    unchanged)."""
     common = _common_parent()
     p = argparse.ArgumentParser(prog="hardyrellich",
                                 description=__doc__,

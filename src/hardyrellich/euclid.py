@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 import numpy as np
 
+from . import claims
 from .errors import ArgumentError, DomainError, EvaluationError
 from .manifolds import hyperbolic
 from .radial import (
@@ -163,8 +164,9 @@ def check_ball_hardy(v: RadialFunction, N: int, nodes: int = 4096) -> MarginRepo
     grad2, v2, v2_log = radial_sums(
         v, grid, [("grad2", 1.0), ("v2", c2), ("v2", c2 / ball_radius_of_t(t) ** 2)],
         t ** (N - 1))
-    return MarginReport.from_sides(grad2, 0.25 * v2 + 0.25 * v2_log, "ball_hardy", N, "ball",
-                                   v.labels)
+    return MarginReport.from_sides(
+        grad2, float(claims.BALL_HARDY) * v2 + float(claims.HARDY_R2) * v2_log,
+        "ball_hardy", N, "ball", v.labels)
 
 
 def boundary_weight_comparison(samples: int = 1000) -> tuple[bool, float]:
@@ -581,7 +583,8 @@ def check_halfspace_hardy(v, N: int, nx: int = 512, ny: int = 512) -> MarginRepo
     return _tensor_margin(
         "halfspace_hardy", v, N, nx, ny,
         [("grad2", 0, 0), ("v2", 2, 0), ("v2", 2, 1)],
-        lambda grad2, v2, v2_d2: (grad2, 0.25 * v2 + 0.25 * v2_d2),
+        lambda grad2, v2, v2_d2: (grad2, float(claims.HALFSPACE_HARDY) * v2
+                                  + float(claims.HARDY_R2) * v2_d2),
     )
 
 
@@ -604,19 +607,16 @@ def check_halfspace_rellich(v, N: int, which: str, nx: int = 512,
     if which not in ("y2", "y4"):
         raise ArgumentError("which must be 'y2' or 'y4'")
     if which == "y2":
-        lhs_terms = [("lap2", -2, 0), ("grad2", 0, 0)]
-        c_grad = N * (N - 2) / 2.0
-        p = 2
-        c0 = (2.0 * N * N - 4.0 * N + 1.0) / 16.0
+        lhs_terms, p = [("lap2", -2, 0), ("grad2", 0, 0)], 2
+        grad, l2 = claims.halfspace_y2_grad, claims.halfspace_y2_l2
     else:
-        lhs_terms = [("lap2", 0, 0), ("grad2", 2, 0)]
-        c_grad = (N * N - 2.0 * N - 4.0) / 2.0
-        p = 4
-        c0 = 9.0 * (2.0 * N * N - 4.0 * N - 7.0) / 16.0
+        lhs_terms, p = [("lap2", 0, 0), ("grad2", 2, 0)], 4
+        grad, l2 = claims.halfspace_y4_grad, claims.halfspace_y4_l2
 
     def sides(lap2, grad2, v2, v2_d2, v2_d4):
-        return (lap2 + c_grad * grad2,
-                c0 * v2 + (N - 1) ** 2 / 8.0 * v2_d2 + 9.0 / 16.0 * v2_d4)
+        return (lap2 + float(grad(N)) * grad2,
+                float(l2(N)) * v2 + float(claims.rellich_r2(N)) * v2_d2
+                + float(claims.RELLICH_R4) * v2_d4)
 
     return _tensor_margin(f"halfspace_rellich_{which}", v, N, nx, ny,
                           lhs_terms + [("v2", p, 0), ("v2", p, 1), ("v2", p, 2)],
@@ -628,7 +628,7 @@ def aux_gradient_inequality(v, N: int, nx: int = 512, ny: int = 512) -> MarginRe
     optimality argument: int int |grad v|^2/y^2 >= 9/4 int int v^2/y^4."""
     return _tensor_margin("halfspace_aux_gradient", v, N, nx, ny,
                           [("grad2", 2, 0), ("v2", 4, 0)],
-                          lambda grad2, v2: (grad2, 2.25 * v2))
+                          lambda grad2, v2: (grad2, float(claims.HALFSPACE_AUX) * v2))
 
 
 # ---------------------------------------------------------------------------
@@ -759,4 +759,5 @@ def hyperbolic_margin_without_sinh(U: RadialFunction, N: int,
     r = grid.nodes
     terms = [("grad2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2)]
     dirichlet, l2, by_r2 = radial_sums(U, grid, terms, man.measure_weight(r), subgrid=False)
-    return float(dirichlet - (N - 1) ** 2 / 4.0 * l2 - 0.25 * by_r2)
+    return float(dirichlet - float(claims.spectral_gap(N)) * l2
+                 - float(claims.HARDY_R2) * by_r2)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import claims
 from .errors import ArgumentError, DomainError, SupportError, TruncationError
 from .iterated_log import iterated_log_stack, log_derivatives
 from .manifolds import (
@@ -126,12 +127,11 @@ def check_poincare_hardy(u: RadialFunction, N: int, nodes: int = 4096) -> Margin
     if N < 3:
         raise DomainError("the inequality needs N >= 3")
     man = hyperbolic(N)
-    lam = (N - 1) ** 2 / 4.0
-    c_sinh = (N - 1) * (N - 3) / 4.0
-
     dirichlet, by_r2, by_psi2, l2 = _hardy_sums(u, man, grid_covering(u.support, nodes), 1.0)
-    return MarginReport.from_sides(dirichlet - lam * l2, 0.25 * by_r2 + c_sinh * by_psi2,
-                                   "poincare_hardy", N, "hyperbolic", u.labels)
+    return MarginReport.from_sides(
+        dirichlet - float(claims.spectral_gap(N)) * l2,
+        float(claims.HARDY_R2) * by_r2 + float(claims.sinh_hardy(N)) * by_psi2,
+        "poincare_hardy", N, "hyperbolic", u.labels)
 
 
 def check_general_model(u: RadialFunction, manifold: ModelManifold,
@@ -151,9 +151,10 @@ def check_general_model(u: RadialFunction, manifold: ModelManifold,
     grid = grid_covering(u.support, nodes)
     dirichlet, by_r2, by_psi2, curvature = _hardy_sums(
         u, manifold, grid, hardy_weight_general(manifold, grid.nodes))
-    return MarginReport.from_sides(dirichlet - curvature,
-                                   0.25 * by_r2 + (N - 1) * (N - 3) / 4.0 * by_psi2,
-                                   "general_model_hardy", N, manifold.family, u.labels)
+    return MarginReport.from_sides(
+        dirichlet - curvature,
+        float(claims.HARDY_R2) * by_r2 + float(claims.sinh_hardy(N)) * by_psi2,
+        "general_model_hardy", N, manifold.family, u.labels)
 
 
 def poincare_gap(N: int, r_min: float = 1e-3, r_max: float = 60.0,
@@ -184,10 +185,9 @@ def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
     """
     if N < 3:
         raise DomainError("the Hardy estimator needs N >= 3")
-    man = hyperbolic(N)
-    lam = (N - 1) ** 2 / 4.0
     grid = make_grid(r_min, r_max, M, "log_graded", 1.0)
-    pencil = assemble_pencil(man, lam, lambda r: 1.0 / r**2, grid)
+    pencil = assemble_pencil(hyperbolic(N), float(claims.spectral_gap(N)),
+                             lambda r: 1.0 / r**2, grid)
     est = min_generalized_eigenvalue(pencil, tol, near=near)
     if est.value < 0.0:
         raise TruncationError(
@@ -203,36 +203,35 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
     """h(lambda) = best constant of int u^2/r^2 under numerator
     Dirichlet - lambda L^2, for lambda in [0, (N-1)^2/4] (radial sector).
 
-    Assembled after the exact ground-state substitution u = v_+ phi, under
-    which the quotient becomes a weight-r pencil with potential
+    Assembled after the exact ground-state substitution u = v_+ phi (v_+
+    solves the critical equation whose three coefficients are the claimed
+    ones, see supersolutions.ground_state_residual), under which the
+    quotient becomes 1/4 plus a weight-r pencil with potential
     ((N-1)^2/4 - lambda) + (N-1)(N-3)/(4 sinh^2 r) against denominator
     weight 1/r^2; this reaches the huge truncation radii the lambda ->
     (N-1)^2/4 endpoint needs without ever forming sinh^(N-1).
     """
     if N < 3:
         raise DomainError("the h(lambda) sweep needs N >= 3")
-    lam_top = (N - 1) ** 2 / 4.0
+    top = float(claims.spectral_gap(N))
     if lambdas is None:
-        lambdas = np.linspace(0.0, lam_top, 17)
+        lambdas = np.linspace(0.0, top, 17)
     lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas < 0.0) or np.any(lambdas > lam_top * (1 + 1e-12)):
+    if np.any(lambdas < 0.0) or np.any(lambdas > top * (1 + 1e-12)):
         raise DomainError("lambda must lie in [0, (N-1)^2/4]")
 
-    c_sinh = (N - 1) * (N - 3) / 4.0
     grid = make_grid(r_min, r_max, M, "geometric")
     h_values = []
     value = None
     for lam in lambdas:
-        gap = lam_top - lam
-
-        def potential(r, gap=gap):
-            return -(gap + c_sinh * _inv_sinh_sq(r))
+        def potential(r, gap=top - lam, c=float(claims.sinh_hardy(N))):
+            return -(gap + c * _inv_sinh_sq(r))
 
         pencil = assemble_custom_pencil(grid, log_weight=np.log, drift=None, zeroth=None,
                                         V=potential, W=lambda r: 1.0 / r**2,
                                         order=ORDER_LAPLACIAN)
         value = smallest_eigenvalue(pencil, tol, near=value)
-        h_values.append(0.25 + value)
+        h_values.append(float(claims.HARDY_R2) + value)
     return LambdaCurve(N, lambdas, np.asarray(h_values), r_min, r_max, M)
 
 
@@ -277,10 +276,11 @@ def check_iterated_log_improvement(u: RadialFunction, N: int, k,
     weights = {i: series[i - 1] for i in ks if i}
     dirichlet, by_r2, by_psi2, l2, *by_series = _hardy_sums(u, man, grid, 1.0, *weights.values())
     series_sums = dict(zip(weights, by_series))
-    lhs = dirichlet - (N - 1) ** 2 / 4.0 * l2
-    rhs = 0.25 * by_r2 + (N - 1) * (N - 3) / 4.0 * by_psi2
+    lhs = dirichlet - float(claims.spectral_gap(N)) * l2
+    rhs = float(claims.HARDY_R2) * by_r2 + float(claims.sinh_hardy(N)) * by_psi2
     reports = [
-        MarginReport.from_sides(lhs, rhs + 0.25 * series_sums[i] if i else rhs,
+        MarginReport.from_sides(lhs, rhs + float(claims.ITERATED_LOG) * series_sums[i]
+                                if i else rhs,
                                 f"iterated_log_improvement(k={i})", N, "hyperbolic", u.labels)
         for i in ks
     ]

@@ -274,10 +274,3 @@ def check_monotonicity_condition(manifold: ModelManifold, grid):
         return False, int(bad[0])
     return True, None
 
-
-def laplace_radial(manifold: ModelManifold, f, r):
-    """Radial Laplace-Beltrami operator f'' + (N-1)(psi'/psi) f' of a
-    RadialFunction f, from its jet."""
-    r = _require_positive(r)
-    _, f1, f2 = f.jet(r, 2)
-    return f2 + (manifold.N - 1) * manifold.dpsi_over_psi(r) * f1

@@ -69,7 +69,8 @@ class QuadraticPencil:
     ``a_bands`` is in lower banded storage: row k holds the k-th subdiagonal
     (row 0 = main diagonal).  ``rebuild`` re-assembles the same pencil on a
     grid with a different node count; it backs the refinement history of
-    min_generalized_eigenvalue.
+    min_generalized_eigenvalue.  Assembled pencils carry one; hand-built
+    ones keep None.
     """
 
     a_bands: np.ndarray
@@ -168,7 +169,6 @@ def assemble_custom_pencil(
     V,
     W,
     order: str,
-    rebuild: Callable[[int], "QuadraticPencil"] | None = None,
 ) -> QuadraticPencil:
     """Shared assembly with measure exp(log_weight(r)) dr.
 
@@ -178,7 +178,8 @@ def assemble_custom_pencil(
     truncations stay far from overflow; pencil eigenvalues are unchanged.
     log_weight is evaluated once, on the nodes with both truncation ends
     appended.  Overflow is not warned about but reported: a non-finite
-    entry raises EvaluationError naming its node and radius.
+    entry raises EvaluationError naming its node and radius.  The pencil's
+    rebuild re-assembles the same arguments on grid.refined(m).
     """
     if order not in (ORDER_LAPLACIAN, ORDER_BILAPLACIAN):
         raise ArgumentError(f"unknown pencil order {order!r}")
@@ -220,6 +221,10 @@ def assemble_custom_pencil(
             f"pencil assembly produced non-finite entries at node {i} "
             f"(r = {nodes[i]:.6g})"
         )
+
+    def rebuild(m: int) -> QuadraticPencil:
+        return assemble_custom_pencil(grid.refined(m), log_weight, drift, zeroth, V, W, order)
+
     return QuadraticPencil(a_bands, b_diag, grid, order, rebuild=rebuild)
 
 
@@ -233,10 +238,6 @@ def assemble_pencil(
     """Pencil of the quotient [int u'^2 psi^(N-1) - int V u^2 psi^(N-1)] /
     [int W u^2 psi^(N-1)] (order 2), or the bilaplacian analogue with
     Delta u = u'' + (N-1)(psi'/psi) u' (order 4)."""
-
-    def rebuild(m: int) -> QuadraticPencil:
-        return assemble_pencil(manifold, V, W, grid.refined(m), order)
-
     drift = None
     if order == ORDER_BILAPLACIAN:
         drift = lambda r: (manifold.N - 1) * manifold.dpsi_over_psi(r)
@@ -248,7 +249,6 @@ def assemble_pencil(
         V=V,
         W=W,
         order=order,
-        rebuild=rebuild,
     )
 
 

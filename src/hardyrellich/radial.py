@@ -166,9 +166,7 @@ class RadialFunction:
 
     jet_fn(r, order) returns (u, u', u'') cut after the order-th
     derivative, for every order up to max_order, and each shorter jet is a
-    bitwise prefix of a longer one.  Closed-form instances are evaluable
-    anywhere in their support; sampled instances only at the nodes of the
-    grid they were sampled on.
+    bitwise prefix of a longer one.
 
     A family of k functions is one RadialFunction whose parameters and
     support ends are (k, 1) arrays: its jet takes (k, n) nodes, row j at
@@ -203,23 +201,6 @@ class RadialFunction:
                 f"{self.max_order}, not {order}"
             )
         return self.jet_fn(r, order)
-
-    @staticmethod
-    def from_samples(grid: RadialGrid, values: np.ndarray, label: str = "") -> "RadialFunction":
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.nodes.shape:
-            raise ArgumentError("sample array must match the grid nodes")
-        nodes = grid.nodes
-        d1 = np.gradient(values, nodes)
-        d2 = np.gradient(d1, nodes)
-
-        def jet(r, order):
-            r = np.asarray(r, dtype=float)
-            if r.shape != nodes.shape or not np.array_equal(r, nodes):
-                raise CapabilityError("sampled function is evaluable at its grid nodes only")
-            return (values, d1, d2)[:order + 1]
-
-        return RadialFunction(jet, support=(float(nodes[0]), float(nodes[-1])), label=label)
 
 
 def log_jet(value, log_derivatives, order: int) -> tuple:

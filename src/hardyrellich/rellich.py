@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import claims
 from .errors import (
     DomainError,
     NumericError,
@@ -125,17 +126,15 @@ def mode_table(N: int, n_max: int = 50) -> list[ModeCoefficients]:
 
 
 def verify_euclidean_rellich_split(N: int) -> tuple[bool, bool]:
-    """Exact integer check that the two singular coefficients add up to the
+    """Exact check that the two singular coefficients add up to the
     euclidean Rellich constant:
 
-      9 + (N-1)(N-3)(N^2-4N-3) == N^2 (N-4)^2   (both sides 16x scaled)
+      9/16 + (N-1)(N-3)(N^2-4N-3)/16 == N^2 (N-4)^2/16
 
     Returns (identity holds, N is within the N >= 5 hypothesis); the
     identity itself is polynomial and holds for every integer N.
     """
-    lhs = 9 + (N - 1) * (N - 3) * (N * N - 4 * N - 3)
-    rhs = N * N * (N - 4) ** 2
-    return lhs == rhs, N >= 5
+    return claims.RELLICH_R4 + min_sinh4_closed_form(N) == claims.euclid_rellich(N), N >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +147,8 @@ def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 4096) -> MarginReport:
 
     grid = grid_covering(u.support, nodes)
     s2 = _inv_sinh_sq(grid.nodes)
-    lhs, rhs = radial_sums(u, grid, [("grad2", s2), ("v2", 2.25 * s2 * s2 + s2)], 1.0)
+    weight = float(claims.SINH_1D_S4) * s2 * s2 + float(claims.SINH_1D_S2) * s2
+    lhs, rhs = radial_sums(u, grid, [("grad2", s2), ("v2", weight)], 1.0)
     return MarginReport.from_sides(lhs, rhs, "sinh_hardy_1d", 1, "line", u.labels)
 
 
@@ -210,8 +210,8 @@ def mode_chain_margin(d: RadialFunction, N: int, n: int,
     grid = grid_covering(d.support, nodes)
     r = grid.nodes
     s2 = _inv_sinh_sq(r)
-    weight = (9.0 / 16.0 / r**4 + (N - 1) ** 2 / 8.0 / r**2 + (N - 1) ** 4 / 16.0
-              + a4 * s2 * s2 + b2 * s2)
+    weight = (float(claims.RELLICH_R4) / r**4 + float(claims.rellich_r2(N)) / r**2
+              + float(claims.rellich_l2(N)) + a4 * s2 * s2 + b2 * s2)
     lhs, rhs = _reduced_sums(d, N, n, grid, weight)
     return MarginReport.from_sides(lhs, rhs, f"mode_chain(n={n})", N, "hyperbolic", d.labels)
 
@@ -243,10 +243,10 @@ def check_poincare_rellich(u: RadialFunction, N: int,
 
     lap2, l2, by_r2, by_r4, by_psi2, by_psi4 = _poincare_rellich_sums(
         u, N, grid_covering(u.support, nodes))
-    lhs = lap2 - (N - 1) ** 4 / 16.0 * l2
+    lhs = lap2 - float(claims.rellich_l2(N)) * l2
     rhs = (
-        (N - 1) ** 2 / 8.0 * by_r2
-        + 9.0 / 16.0 * by_r4
+        float(claims.rellich_r2(N)) * by_r2
+        + float(claims.RELLICH_R4) * by_r4
         + float(min_sinh2_closed_form(N)) * by_psi2
         + float(min_sinh4_closed_form(N)) * by_psi4
     )
@@ -263,8 +263,9 @@ def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 4096) -> fl
     _check_dimension(N, 5)
     lap2, l2, by_r2, by_r4 = _poincare_rellich_sums(
         u, N, grid_covering(u.support, nodes), count=4)
-    lhs = lap2 - (N - 1) ** 4 / 16.0 * l2
-    return float((lhs - ((N - 1) ** 2 / 8.0 * by_r2 + 9.0 / 16.0 * by_r4))[0])
+    lhs = lap2 - float(claims.rellich_l2(N)) * l2
+    return float((lhs - (float(claims.rellich_r2(N)) * by_r2
+                         + float(claims.RELLICH_R4) * by_r4))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +292,16 @@ def estimate_sharp_rellich_r2(N: int, r_min: float = 1e-3, r_max: float = 1e6,
     _check_dimension(N, 5)
     c4 = (N - 1) * (N - 3) / 4.0
     c2 = (N - 1) / 2.0
-    lam2 = (N - 1) ** 4 / 16.0
-
-    def build(m: int):
-        grid = make_grid(r_min, r_max, m, "geometric")
-        return assemble_custom_pencil(
-            grid,
-            log_weight=_flat_measure,
-            drift=None,
-            zeroth=lambda r: c4 / np.tanh(r) ** 2 + c2,
-            V=lam2,
-            W=lambda r: 1.0 / r**2,
-            order=ORDER_BILAPLACIAN,
-            rebuild=build,
-        )
-
-    est = min_generalized_eigenvalue(build(M), tol, near=near)
+    pencil = assemble_custom_pencil(
+        make_grid(r_min, r_max, M, "geometric"),
+        log_weight=_flat_measure,
+        drift=None,
+        zeroth=lambda r: c4 / np.tanh(r) ** 2 + c2,
+        V=float(claims.rellich_l2(N)),
+        W=lambda r: 1.0 / r**2,
+        order=ORDER_BILAPLACIAN,
+    )
+    est = min_generalized_eigenvalue(pencil, tol, near=near)
     if est.value < 0.0:
         raise TruncationError(
             f"numerator form is indefinite on [{r_min:g}, {r_max:g}]; widen it"
@@ -318,14 +313,14 @@ def sharp_r2_next_truncation(N: int, value: float, r_max: float, r_next: float) 
     """The radial Rellich 1/r^2 estimate at r_max = r_next predicted from
     its value at r_max by the truncation law
 
-      v = (N-1)^2/8 + (N-1)^2 pi^2 / (2 L^2),  L = log(r_max / r0),
+      v = c + 4 pi^2 c / L^2,  c = (N-1)^2/8,  L = log(r_max / r0),
 
     the truncated 1-D Hardy quotient 1/4 + pi^2/L^2 times (N-1)^2/2: L is
     solved from value, then moved on by log(r_next / r_max).  A value at
     or below the limit, or a truncation r_next below r0, predicts value
     itself.  A warm start for estimate_sharp_rellich_r2, not an estimate."""
-    limit = (N - 1) ** 2 / 8.0
-    rate = (N - 1) ** 2 * math.pi**2 / 2.0
+    limit = float(claims.rellich_r2(N))
+    rate = 4.0 * math.pi**2 * limit
     if value <= limit:
         return value
     L = math.sqrt(rate / (value - limit)) + math.log(r_next / r_max)
@@ -349,14 +344,9 @@ def _flat_constant(r_min: float, r_max: float, M: int, tol: float, W,
                    order: str) -> ConstantEstimate:
     """Minimal eigenvalue, with its refinement history, of the pencil with
     measure dr, no potential and denominator weight W on a geometric grid."""
-
-    def build(m: int):
-        grid = make_grid(r_min, r_max, m, "geometric")
-        return assemble_custom_pencil(grid, log_weight=_flat_measure, drift=None,
-                                      zeroth=None, V=None, W=W, order=order,
-                                      rebuild=build)
-
-    return min_generalized_eigenvalue(build(M), tol)
+    return min_generalized_eigenvalue(assemble_custom_pencil(
+        make_grid(r_min, r_max, M, "geometric"), log_weight=_flat_measure, drift=None,
+        zeroth=None, V=None, W=W, order=order), tol)
 
 
 def one_d_rellich_constant(r_min: float = 1e-12, r_max: float = 1e12,
@@ -466,10 +456,6 @@ class ChangeOfVariable:
         self._log_s = np.log(self.s_tab)
         self._log_r = np.log(self.r_tab)
         self._slope = self.s_tab / (self.r_tab * self.ds_dr(self.r_tab, self.s_tab))
-        # the last inversion (s, r): a transported profile and the density
-        # of its mapped check invert the same nodes; the pair is replaced
-        # whole, so a reader sees a matching pair
-        self._last = (np.empty(0), np.empty(0))
 
     def _integrand(self, sigma):
         sigma = np.asarray(sigma, dtype=float)
@@ -521,8 +507,7 @@ class ChangeOfVariable:
         return np.exp((self.N - 1) * (np.log(s) - _log_sinh(r)))
 
     def r_of_s(self, s):
-        """Inverse map on the tabulated range.  Nodes equal to those of the
-        previous call reuse its inversion."""
+        """Inverse map on the tabulated range."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
@@ -531,12 +516,7 @@ class ChangeOfVariable:
                 f"s outside tabulated range [{self.s_tab[0]:.3g}, "
                 f"{self.s_tab[-1]:.3g}]"
             )
-        last_s, last_r = self._last
-        if np.array_equal(s, last_s):
-            r = last_r.copy()
-        else:
-            r = self._invert(s)
-            self._last = (s.copy(), r.copy())
+        r = self._invert(s)
         return float(r[0]) if scalar else r
 
     def _invert(self, s: np.ndarray) -> np.ndarray:
@@ -684,8 +664,7 @@ def check_mapped_rellich(v: RadialFunction, N: int,
            + (N-1)^2/8 int rho/r^2 v^2 s^(N-1) ds
 
     with Lap the euclidean radial Laplacian in s and rho the transported
-    volume density.  For a transported profile (mapped_from_radial) the
-    density takes r(s) from the inversion its jet made on the same nodes.
+    volume density.
     """
     _check_dimension(N, 5)
     cov = change_of_variable(N)
@@ -693,7 +672,8 @@ def check_mapped_rellich(v: RadialFunction, N: int,
     s = grid.nodes
     r = cov.r_of_s(s)
     rho = np.exp(2.0 * (N - 1) * (_log_sinh(r) - np.log(s)))
-    principal = (N - 1) ** 4 / 16.0 + 9.0 / 16.0 / r**4 + (N - 1) ** 2 / 8.0 / r**2
+    principal = (float(claims.rellich_l2(N)) + float(claims.RELLICH_R4) / r**4
+                 + float(claims.rellich_r2(N)) / r**2)
     lhs, rhs = radial_sums(v, grid, [("lap2", 1.0 / rho), ("v2", rho * principal)],
                            s ** (N - 1), drift=(N - 1) / s)
     return MarginReport.from_sides(lhs, rhs, "mapped_rellich", N, "hyperbolic", v.labels)

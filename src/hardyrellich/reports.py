@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, claims
 from .config import ToolkitConfig
 from .errors import ArgumentError
 
@@ -148,7 +148,7 @@ def h_lambda_curve(config: ToolkitConfig, N: int):
 
     return hardy.sweep_h_lambda(
         N,
-        lambdas=np.linspace(0.0, (N - 1) ** 2 / 4.0,
+        lambdas=np.linspace(0.0, float(claims.spectral_gap(N)),
                             config.get_int("hardy", "sweep_points")),
         r_min=config.get_float("hardy", "sweep_r_min"),
         r_max=config.get_float("hardy", "sweep_r_max"),

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from . import euclid, hardy, rellich
+from . import claims, euclid, hardy, rellich
 from . import manifolds as mf
 from . import supersolutions as ss
 from .config import ToolkitConfig
@@ -146,8 +146,8 @@ def mode_coefficient_minima_exact(cfg: ToolkitConfig, Ns, n_max: int, tables=Non
 def joint_sharpness_sum_exact(cfg: ToolkitConfig, Ns):
     bad = 0
     for N in Ns:
-        total = Fraction(9, 16) + rellich.min_sinh4_closed_form(N)
-        if total != Fraction(N * N * (N - 4) ** 2, 16):
+        total = claims.RELLICH_R4 + rellich.min_sinh4_closed_form(N)
+        if total != claims.euclid_rellich(N):
             bad += 1
     return _count_row("joint_sharpness_sum_exact", bad)
 
@@ -179,8 +179,8 @@ def poincare_gap_within_1pct(cfg: ToolkitConfig, Ns):
     consts = []
     for N in Ns:
         est = hardy.poincare_gap(N, M=cfg.get_int("grids", "M"))
-        lam = (N - 1) ** 2 / 4.0
-        bad = max(bad, abs(est.value - lam) / lam)
+        gap = float(claims.spectral_gap(N))
+        bad = max(bad, abs(est.value - gap) / gap)
         consts.append(est.csv_row("poincare_gap_radial", N))
     return row("poincare_gap_within_1pct", bad, 0.01, bad <= 0.01, constants=consts)
 
@@ -207,8 +207,8 @@ def h_lambda_endpoints_and_shape(cfg: ToolkitConfig, N: int, curve=None):
     if curve is None:
         curve = h_lambda_curve(cfg, N)
     ends_ok = (
-        abs(curve.h_values[0] / ((N - 2) ** 2 / 4.0) - 1.0) <= 0.02
-        and abs(curve.h_values[-1] / 0.25 - 1.0) <= 0.02
+        abs(curve.h_values[0] / float(claims.euclid_hardy(N)) - 1.0) <= 0.02
+        and abs(curve.h_values[-1] / float(claims.HARDY_R2) - 1.0) <= 0.02
     )
     shape_ok = curve.is_nonincreasing() and curve.midpoint_concavity_defect() <= 1e-6
     return row("h_lambda_endpoints_and_shape", curve.h_values[-1], 0.02,
@@ -226,7 +226,8 @@ def iterated_log_margins(cfg: ToolkitConfig, N: int, functions, k_max: int,
 
 def null_criticality_slope(cfg: ToolkitConfig, N: int):
     slope = ss.null_criticality_slope(N)
-    return row("null_criticality_slope", slope, 1e-3, abs(slope - 0.25) <= 1e-3)
+    return row("null_criticality_slope", slope, 1e-3,
+               abs(slope - float(claims.HARDY_R2)) <= 1e-3)
 
 
 def minimal_growth_ratios_decreasing(cfg: ToolkitConfig, N: int):
@@ -242,7 +243,7 @@ def iterated_log_optimality_scan(cfg: ToolkitConfig, N: int, ks):
     for k in ks:
         q = hardy.iterated_log_optimality_scan(N, k)
         val = min(val, min(q))
-        ok = ok and all(np.diff(q) <= 1e-12) and min(q) >= 0.25 - 1e-3
+        ok = ok and all(np.diff(q) <= 1e-12) and min(q) >= float(claims.ITERATED_LOG) - 1e-3
     return row("iterated_log_optimality_scan", val, 1e-3, ok)
 
 
@@ -300,9 +301,9 @@ def one_d_and_euclid_anchors(cfg: ToolkitConfig):
         euc.csv_row("euclid_rellich_radial", 5),
     ]
     ok = (
-        abs(hardy1d.value - 0.25) <= 1e-2
-        and abs(rell1d.value - 9.0 / 16.0) <= 1e-2
-        and abs(euc.value - 25.0 / 16.0) <= 5e-2
+        abs(hardy1d.value - float(claims.HARDY_R2)) <= 1e-2
+        and abs(rell1d.value - float(claims.RELLICH_R4)) <= 1e-2
+        and abs(euc.value - float(claims.euclid_rellich(5))) <= 5e-2
     )
     return row("one_d_and_euclid_anchors", euc.value, 5e-2, ok, constants=consts)
 
@@ -328,7 +329,7 @@ def rellich_sharp_r2(cfg: ToolkitConfig, r_maxes_by_N: dict):
         vals[N] = [est.value for est in ests]
         consts += [est.csv_row("rellich_sharp_r2_radial", N) for est in ests]
     ok = all(
-        all(v >= (N - 1) ** 2 / 8.0 - 1e-2 for v in vs) and all(np.diff(vs) <= 1e-10)
+        all(v >= float(claims.rellich_r2(N)) - 1e-2 for v in vs) and all(np.diff(vs) <= 1e-10)
         for N, vs in vals.items()
     )
     return row("rellich_sharp_r2", next(iter(vals.values()))[-1], 1e-2, ok,

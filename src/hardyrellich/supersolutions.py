@@ -10,16 +10,17 @@ while the identity still balances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import claims
 from .errors import ArgumentError, DomainError, ResampleError
 from .manifolds import (
     ModelManifold,
     _inv_sinh_sq,
     _log_sinh,
     _require_positive,
+    curvature_rad,
+    curvature_tan,
     hardy_weight_general,
 )
 from .radial import RadialFunction, RadialGrid, _integrate, log_jet, make_grid
@@ -127,42 +128,6 @@ def power_log_profile(N: int) -> RadialFunction:
     return RadialFunction(jet, support=(0.0, np.inf), label=f"r^{p:g}*log(r^{c:g})")
 
 
-@dataclass(frozen=True)
-class SupersolutionProfile:
-    """A multiplied comparison profile (r/psi)^((N-1)/2) * f(r).
-
-    Bundles the manifold, the multiplier f and the composite with
-    closed-form derivatives; the composite solves the supersolution
-    equation exactly on models, which the residual checks certify.
-    """
-
-    manifold: ModelManifold
-    multiplier: RadialFunction
-
-    def profile(self) -> RadialFunction:
-        # pure warp factor (r/psi)^((N-1)/2); the multiplier carries the rest
-        base = warp_power_profile(self.manifold, -(self.manifold.N - 1) / 2.0)
-        f = self.multiplier
-
-        def jet(r, order):
-            # Leibniz rule on the two jets
-            (b, *db), (g, *dg) = base.jet(r, order), f.jet(r, order)
-            out = (b * g,)
-            if order:
-                out += (db[0] * g + b * dg[0],)
-            if order == 2:
-                out += (db[1] * g + 2.0 * db[0] * dg[0] + b * dg[1],)
-            return out
-
-        lo = max(base.support[0], f.support[0])
-        hi = min(base.support[1], f.support[1])
-        return RadialFunction(jet, support=(lo, hi),
-                              label=f"profile({self.manifold.describe()},{f.label})")
-
-    def residual(self, r):
-        return product_profile_identity_residual(self.manifold, self.multiplier, r)
-
-
 # ---------------------------------------------------------------------------
 # identity residuals
 
@@ -181,8 +146,7 @@ def warp_power_identity_residual(manifold: ModelManifold, alpha: float, r):
     N = manifold.N
     s, dds = manifold.dpsi_over_psi(r), manifold.ddpsi_over_psi(r)
     m, mp = _warp_power_logd(alpha, r, s, dds)
-    k_rad = -dds
-    k_tan = -manifold.tan_ratio(r)
+    k_rad, k_tan = curvature_rad(manifold, r), curvature_tan(manifold, r)
 
     lhs_terms = [
         -(mp + m * m),
@@ -209,8 +173,7 @@ def product_profile_identity_residual(manifold: ModelManifold, f: RadialFunction
     N = manifold.N
     s, dds = manifold.dpsi_over_psi(r), manifold.ddpsi_over_psi(r)
     m, mp = _warp_power_logd(-0.5 * (N - 1), r, s, dds)
-    k_rad = -dds
-    k_tan = -manifold.tan_ratio(r)
+    k_rad, k_tan = curvature_rad(manifold, r), curvature_tan(manifold, r)
     fv, f1, f2 = f.jet(r, 2)
 
     lhs_terms = [
@@ -244,8 +207,8 @@ def supersolution_equality_residual(manifold: ModelManifold, r):
     lhs_terms = [-(mp + m * m), -(N - 1) * s * m]
     rhs_terms = [
         hardy_weight_general(manifold, r),
-        0.25 * (N - 1) * (N - 3) * _inv_psi_sq(manifold, r),
-        0.25 / r**2,
+        float(claims.sinh_hardy(N)) * _inv_psi_sq(manifold, r),
+        float(claims.HARDY_R2) / r**2,
     ]
     mp_mag = 0.5 * (N - 1) * (np.abs(dds) + s * s + 1.0 / r**2)
     return _rel_residual(lhs_terms, rhs_terms, magnitudes=[mp_mag])
@@ -275,9 +238,9 @@ def ground_state_residual(N: int, r):
     mp = 0.5 * (N - 1) * (-1.0 / r**2 + inv_s2) - 0.5 * (2 - N) / r**2
     lhs_terms = [-(mp + m * m), -(N - 1) * coth * m]
     rhs_terms = [
-        np.full_like(r, (N - 1) ** 2 / 4.0),
-        0.25 / r**2,
-        0.25 * (N - 1) * (N - 3) * inv_s2,
+        np.full_like(r, float(claims.spectral_gap(N))),
+        float(claims.HARDY_R2) / r**2,
+        float(claims.sinh_hardy(N)) * inv_s2,
     ]
     mp_mag = 0.5 * (N - 1) * (1.0 / r**2 + inv_s2) + 0.5 * abs(2 - N) / r**2
     return _rel_residual(lhs_terms, rhs_terms, magnitudes=[mp_mag])
@@ -322,7 +285,7 @@ def null_criticality_scan(N: int, k_list, M: int = 4096) -> list[tuple[float, fl
     out = []
     for k in k_list:
         grid = make_grid(float(np.exp(-k)), 1.0, M, "geometric")
-        vals = 0.25 / grid.nodes
+        vals = float(claims.HARDY_R2) / grid.nodes
         out.append((float(k), float(_integrate(vals, grid, "mass integrand", subgrid=False))))
     return out
 

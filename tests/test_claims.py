@@ -1,0 +1,270 @@
+"""The table of claimed constants: each entry is its paper formula, in the
+same bits as the literal it replaced, and every consumer reads it when it
+runs, so perturbing one entry moves every margin, estimator and check row
+that states it."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hardyrellich import claims, euclid, hardy, rellich, reports, suites
+from hardyrellich import manifolds as mf
+from hardyrellich import supersolutions as ss
+from hardyrellich.config import default_config
+from hardyrellich.pencils import ConstantEstimate
+from hardyrellich.radial import bump
+
+# entry -> (the paper's formula, the floating-point literal each consumer
+# spelled before the table existed); N-free entries ignore N
+PAPER = {
+    "spectral_gap": (lambda N: Fraction(N - 1, 2) ** 2, lambda N: (N - 1) ** 2 / 4.0),
+    "HARDY_R2": (lambda N: Fraction(1, 2) ** 2, lambda N: 0.25),
+    "sinh_hardy": (lambda N: Fraction(N - 1, 2) * Fraction(N - 3, 2),
+                   lambda N: (N - 1) * (N - 3) / 4.0),
+    "euclid_hardy": (lambda N: Fraction(N - 2, 2) ** 2, lambda N: (N - 2) ** 2 / 4.0),
+    "ITERATED_LOG": (lambda N: Fraction(1, 4), lambda N: 0.25),
+    "BALL_HARDY": (lambda N: Fraction(1, 4), lambda N: 0.25),
+    "HALFSPACE_HARDY": (lambda N: Fraction(1, 4), lambda N: 0.25),
+    "rellich_l2": (lambda N: Fraction(N - 1, 2) ** 4, lambda N: (N - 1) ** 4 / 16.0),
+    "rellich_r2": (lambda N: Fraction(N - 1, 2) ** 2 / 2, lambda N: (N - 1) ** 2 / 8.0),
+    "RELLICH_R4": (lambda N: Fraction(3, 4) ** 2, lambda N: 9.0 / 16.0),
+    "euclid_rellich": (lambda N: Fraction(N * (N - 4), 4) ** 2,
+                       lambda N: N * N * (N - 4) ** 2 / 16.0),
+    "SINH_1D_S4": (lambda N: Fraction(3, 2) ** 2, lambda N: 2.25),
+    "SINH_1D_S2": (lambda N: Fraction(1), lambda N: 1.0),
+    "HALFSPACE_AUX": (lambda N: Fraction(3, 2) ** 2, lambda N: 2.25),
+    "halfspace_y2_grad": (lambda N: Fraction(N * (N - 2), 2), lambda N: N * (N - 2) / 2.0),
+    "halfspace_y2_l2": (lambda N: Fraction(2 * N * N - 4 * N + 1, 16),
+                        lambda N: (2.0 * N * N - 4.0 * N + 1.0) / 16.0),
+    "halfspace_y4_grad": (lambda N: Fraction(N * N - 2 * N - 4, 2),
+                          lambda N: (N * N - 2.0 * N - 4.0) / 2.0),
+    "halfspace_y4_l2": (lambda N: 9 * Fraction(2 * N * N - 4 * N - 7, 16),
+                        lambda N: 9.0 * (2.0 * N * N - 4.0 * N - 7.0) / 16.0),
+}
+
+
+def _entries():
+    return sorted(name for name, value in vars(claims).items()
+                  if isinstance(value, Fraction)
+                  or callable(value) and getattr(value, "__module__", "") == claims.__name__)
+
+
+def _value(name, N):
+    entry = getattr(claims, name)
+    return entry(N) if callable(entry) else entry
+
+
+def test_every_entry_has_its_formula_and_consumers():
+    assert sorted(PAPER) == _entries() == sorted(CONSUMERS)
+
+
+@pytest.mark.parametrize("name", sorted(PAPER))
+def test_entry_is_its_paper_formula_in_the_same_bits(name):
+    formula, literal = PAPER[name]
+    for N in range(3, 13):
+        value = _value(name, N)
+        assert isinstance(value, Fraction)
+        assert value == formula(N)
+        assert float(value).hex() == float(literal(N)).hex()
+
+
+def test_claims_relate_as_the_paper_states():
+    for N in range(5, 13):
+        assert claims.rellich_l2(N) == claims.spectral_gap(N) ** 2
+        # the 1/r^2 Rellich constant is the 1-D Hardy constant times (N-1)^2/2
+        assert claims.rellich_r2(N) == Fraction((N - 1) ** 2, 2) * claims.HARDY_R2
+
+
+# ---------------------------------------------------------------------------
+# perturbation: every consumer reads the table
+
+
+CFG = default_config()
+U = bump(0.5, 2.0)
+BALL_U = bump(0.2, 0.8)
+TENSOR = euclid.tensor_bump(1.0, 0.5, 2.0)
+
+
+def _estimate(value, r_max=1.0):
+    return ConstantEstimate(value, 1e-3, r_max, 64)
+
+
+def _stubbed(check, stubs):
+    """check() with the module attributes in stubs replaced, as a thunk."""
+
+    def run():
+        with pytest.MonkeyPatch.context() as mp:
+            for (module, attr), value in stubs.items():
+                mp.setattr(module, attr, value)
+            return check()
+
+    return run
+
+
+# an h(lambda) curve for N = 5 with both ends 1.95% below their claims
+# 9/4 and 1/4: inside the 2% windows, and out of them once a claim grows
+# by 1e-3
+H0, H1 = 0.9805 * 2.25, 0.9805 * 0.25
+H_CURVE = hardy.LambdaCurve(5, np.array([0.0, 1.0, 2.0]),
+                            np.array([H0, 0.5 * (H0 + H1), H1]), 1e-9, 1e26, 64)
+
+
+# each anchor 1e-4 inside the low end of its window, so a claim 1e-3 larger
+# puts it outside
+ANCHORS = _stubbed(lambda: suites.one_d_and_euclid_anchors(CFG).passed, {
+    (rellich, "one_d_hardy_constant"): lambda: _estimate(0.25 - 1e-2 + 1e-4),
+    (rellich, "one_d_rellich_constant"): lambda: _estimate(9 / 16 - 1e-2 + 1e-4),
+    (rellich, "euclidean_rellich_constant"): lambda N: _estimate(25 / 16 - 5e-2 + 1e-4),
+})
+ITERLOG_SCAN = _stubbed(lambda: suites.iterated_log_optimality_scan(CFG, 5, (1,)).passed, {
+    (hardy, "iterated_log_optimality_scan"): lambda N, k: [0.25 - 1e-3 + 2e-4]})
+RELLICH_FLOOR = _stubbed(lambda: suites.rellich_sharp_r2(CFG, {5: (1e6,)}).passed, {
+    (rellich, "estimate_sharp_rellich_r2"):
+        lambda N, **kw: _estimate(2.0 - 1e-2 + 1e-4, kw["r_max"])})
+H_ENDS = lambda: suites.h_lambda_endpoints_and_shape(CFG, 5, H_CURVE).passed  # noqa: E731
+JOINT = lambda: suites.joint_sharpness_sum_exact(CFG, range(5, 9)).value  # noqa: E731
+SPLIT = lambda: rellich.verify_euclidean_rellich_split(5)[0]  # noqa: E731
+GROUND = lambda: ss.ground_state_residual(5, np.array([0.1, 1.0, 10.0]))  # noqa: E731
+EQUALITY = lambda: ss.supersolution_equality_residual(  # noqa: E731
+    mf.hyperbolic(5), ss.IDENTITY_SAMPLE)
+HYP_MARGIN = lambda: euclid.hyperbolic_margin_without_sinh(U, 5, nodes=512)  # noqa: E731
+
+
+def _hardy(N=5):
+    return hardy.check_poincare_hardy(U, N, nodes=512)
+
+
+def _model():
+    return hardy.check_general_model(U, mf.superexp(5, 2.0), nodes=512)
+
+
+def _iterlog(k):
+    return hardy.check_iterated_log_improvement(BALL_U, 5, k, nodes=512)
+
+
+def _rellich():
+    return rellich.check_poincare_rellich(U, 5, nodes=512)
+
+
+def _chain():
+    return rellich.mode_chain_margin(rellich.reduced_from_radial(U, 5), 5, 1, nodes=512)
+
+
+def _mapped():
+    return rellich.check_mapped_rellich(rellich.mapped_from_radial(bump(1.0, 2.0), 5), 5,
+                                        nodes=256)
+
+
+def _halfspace(which):
+    return euclid.check_halfspace_rellich(TENSOR, 5, which, 32, 32)
+
+
+def _principal():
+    return rellich.principal_rellich_margin(U, 5, nodes=512)
+
+
+# entry -> the consumers that state it, as thunks whose result must move
+CONSUMERS = {
+    "spectral_gap": [
+        lambda: _hardy().lhs,
+        lambda: _iterlog(0).lhs,
+        lambda: hardy.estimate_sharp_hardy(3, M=256).value,
+        lambda: hardy.sweep_h_lambda(5, M=256).h_values,
+        _stubbed(lambda: reports.h_lambda_curve(CFG, 5), {
+            (hardy, "sweep_h_lambda"): lambda N, lambdas, **kw: lambdas}),
+        _stubbed(lambda: suites.poincare_gap_within_1pct(CFG, (3,)).value, {
+            (hardy, "poincare_gap"): lambda N, M: _estimate(4.01)}),
+        HYP_MARGIN,
+        GROUND,
+    ],
+    "HARDY_R2": [
+        lambda: _hardy().rhs,
+        lambda: _model().rhs,
+        lambda: _iterlog(0).rhs,
+        lambda: euclid.check_ball_hardy(BALL_U, 3, nodes=512).rhs,
+        lambda: euclid.check_halfspace_hardy(TENSOR, 3, 32, 32).rhs,
+        lambda: hardy.sweep_h_lambda(5, M=256).h_values,
+        HYP_MARGIN,
+        H_ENDS,
+        ANCHORS,
+        GROUND,
+        EQUALITY,
+        lambda: suites.null_criticality_slope(CFG, 5).value,
+    ],
+    "sinh_hardy": [
+        lambda: _hardy().rhs,
+        lambda: _model().rhs,
+        lambda: _iterlog(0).rhs,
+        lambda: hardy.sweep_h_lambda(5, M=256).h_values,
+        GROUND,
+        EQUALITY,
+    ],
+    "euclid_hardy": [H_ENDS],
+    "ITERATED_LOG": [lambda: _iterlog(1).rhs, ITERLOG_SCAN],
+    "BALL_HARDY": [lambda: euclid.check_ball_hardy(BALL_U, 3, nodes=512).rhs],
+    "HALFSPACE_HARDY": [lambda: euclid.check_halfspace_hardy(TENSOR, 3, 32, 32).rhs],
+    "rellich_l2": [
+        lambda: _rellich().lhs,
+        _principal,
+        lambda: _chain().rhs,
+        lambda: _mapped().rhs,
+        # a truncation far enough above the claim to stay definite
+        lambda: rellich.estimate_sharp_rellich_r2(5, r_max=10.0, M=256).value,
+    ],
+    "rellich_r2": [
+        lambda: _rellich().rhs,
+        _principal,
+        lambda: _chain().rhs,
+        lambda: _mapped().rhs,
+        lambda: _halfspace("y2").rhs,
+        lambda: _halfspace("y4").rhs,
+        lambda: rellich.sharp_r2_next_truncation(5, 2.5, 1e4, 1e5),
+        RELLICH_FLOOR,
+    ],
+    "RELLICH_R4": [
+        lambda: _rellich().rhs,
+        _principal,
+        lambda: _chain().rhs,
+        lambda: _mapped().rhs,
+        lambda: _halfspace("y2").rhs,
+        lambda: _halfspace("y4").rhs,
+        ANCHORS,
+        JOINT,
+        SPLIT,
+    ],
+    "euclid_rellich": [ANCHORS, JOINT, SPLIT],
+    "SINH_1D_S4": [lambda: rellich.check_sinh_hardy_1d(U, nodes=512).rhs],
+    "SINH_1D_S2": [lambda: rellich.check_sinh_hardy_1d(U, nodes=512).rhs],
+    "HALFSPACE_AUX": [lambda: euclid.aux_gradient_inequality(TENSOR, 5, 32, 32).rhs],
+    "halfspace_y2_grad": [lambda: _halfspace("y2").lhs],
+    "halfspace_y2_l2": [lambda: _halfspace("y2").rhs],
+    "halfspace_y4_grad": [lambda: _halfspace("y4").lhs],
+    "halfspace_y4_l2": [lambda: _halfspace("y4").rhs],
+}
+
+
+def _perturb(monkeypatch, name, scale=Fraction(1001, 1000)):
+    entry = getattr(claims, name)
+    monkeypatch.setattr(claims, name,
+                        (lambda N: entry(N) * scale) if callable(entry) else entry * scale)
+
+
+@pytest.mark.parametrize("name", sorted(CONSUMERS))
+def test_every_consumer_moves_with_its_claim(name, monkeypatch):
+    before = [np.asarray(consumer(), dtype=float) for consumer in CONSUMERS[name]]
+    _perturb(monkeypatch, name)
+    after = [np.asarray(consumer(), dtype=float) for consumer in CONSUMERS[name]]
+    still = [i for i, (b, a) in enumerate(zip(before, after)) if np.array_equal(b, a)]
+    assert still == []
+
+
+def test_poincare_hardy_rhs_grows_by_the_perturbation(monkeypatch):
+    # rhs = 1/4 int u^2/r^2 + ..., so 1/4 -> 1/4 (1 + 1e-3) adds exactly
+    # 1e-3 * 1/4 int u^2/r^2, and the lhs does not move
+    before = _hardy(3)
+    by_r2 = before.rhs / 0.25  # N = 3: the sinh term vanishes
+    _perturb(monkeypatch, "HARDY_R2")
+    after = _hardy(3)
+    assert after.lhs == before.lhs
+    assert after.rhs - before.rhs == pytest.approx(1e-3 * 0.25 * by_r2, rel=1e-9)

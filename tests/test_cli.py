@@ -463,3 +463,23 @@ def test_coeffs_builds_its_table_once(tmp_path, monkeypatch):
     assert calls == [5]
     lines = (tmp_path / "mode_coeffs_N5.csv").read_text().splitlines()
     assert len(lines) == 14
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    # two verbs in one process share one argparse tree, and write the same
+    # CSV bytes as the two verbs run in fresh interpreters
+    verbs = [["rellich", "coeffs", "--nmax", "12"], ["euclid", "laplacian-identity"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    cli.build_parser.cache_clear()
+    for i, argv in enumerate(verbs):
+        assert cli.main([*argv, "--out", str(tmp_path / "same" / str(i))]) == 0
+        done = subprocess.run([sys.executable, "-m", "hardyrellich", *argv,
+                               "--out", str(tmp_path / "fresh" / str(i))],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for i in range(len(verbs)):
+        same = {p.name: p.read_bytes() for p in (tmp_path / "same" / str(i)).glob("*.csv")}
+        fresh = {p.name: p.read_bytes() for p in (tmp_path / "fresh" / str(i)).glob("*.csv")}
+        assert same and same == fresh

@@ -9,7 +9,7 @@ from hardyrellich.errors import (
     DomainError,
     NumericError,
 )
-from hardyrellich.radial import RadialFunction, make_grid
+from hardyrellich.radial import make_grid
 
 
 def test_curvatures_hyperbolic_exact_minus_one():
@@ -86,25 +86,16 @@ def test_monotonicity_condition_builtin_and_sin():
     assert grid.nodes[idx - 1] < root < grid.nodes[idx] + 1e-12
 
 
-def test_laplace_radial():
-    sq = RadialFunction(lambda r, order: (r**2, 2 * r, np.full_like(r, 2.0))[:order + 1])
-    assert mf.laplace_radial(mf.euclidean(3), sq, 1.7) == pytest.approx(6.0, rel=1e-14)
-    one = RadialFunction(lambda r, order: (np.ones_like(r),) + (np.zeros_like(r),) * order)
-    assert mf.laplace_radial(mf.hyperbolic(7), one, 3.0) == 0.0
-    no_deriv = RadialFunction(lambda r, order: (r,), max_order=0)
-    with pytest.raises(CapabilityError):
-        mf.laplace_radial(mf.euclidean(3), no_deriv, 1.0)
-
-
 def test_laplace_radial_ground_state_relation():
-    # for the N=3 comparison profile: -Lap(v) = (1 + 1/(4 r^2)) v
+    # for the N=3 comparison profile: -Lap(v) = (1 + 1/(4 r^2)) v, with the
+    # radial Laplacian v'' + (N-1)(psi'/psi) v' taken from the profile's jet
     from hardyrellich.supersolutions import comparison_profile
 
     man = mf.hyperbolic(3)
-    prof = comparison_profile(man)
     r = 1.0
-    lap = mf.laplace_radial(man, prof, r)
-    assert lap == pytest.approx(-(1.0 + 0.25 / r**2) * prof(r), rel=1e-12)
+    v, v1, v2 = comparison_profile(man).jet(r, 2)
+    lap = v2 + 2 * man.dpsi_over_psi(r) * v1
+    assert lap == pytest.approx(-(1.0 + 0.25 / r**2) * v, rel=1e-12)
 
 
 def test_derivatives_match_finite_differences():

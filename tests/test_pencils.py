@@ -48,17 +48,30 @@ def test_identity_pencil_exact_one():
 
 
 def test_one_d_hardy_anchor():
-    # numerator int z'^2, denominator int z^2/x^2 on the line measure
-
-    def build(m):
-        return pencils.assemble_custom_pencil(
-            make_grid(1e-10, 1e10, m, "geometric"), log_weight=np.zeros_like,
-            drift=None, zeroth=None, V=None, W=lambda r: 1.0 / r**2,
-            order=pencils.ORDER_LAPLACIAN, rebuild=build)
-
-    est = pencils.min_generalized_eigenvalue(build(8192))
+    # numerator int z'^2, denominator int z^2/x^2 on the line measure; the
+    # assembled pencil carries its own rebuild, which gives the history
+    p = pencils.assemble_custom_pencil(
+        make_grid(1e-10, 1e10, 8192, "geometric"), log_weight=np.zeros_like,
+        drift=None, zeroth=None, V=None, W=lambda r: 1.0 / r**2,
+        order=pencils.ORDER_LAPLACIAN)
+    est = pencils.min_generalized_eigenvalue(p)
     assert abs(est.value - 0.25) < 1e-2
     assert len(est.history) >= 3
+
+
+def test_rebuild_reassembles_on_the_refined_grid():
+    # an assembled pencil's rebuild gives the bits of assembling the same
+    # arguments on a grid of the same grading with m nodes
+    zeroth = lambda r: 1.0 / np.tanh(r) ** 2  # noqa: E731
+    args = dict(log_weight=np.zeros_like, drift=None, zeroth=zeroth, V=2.0,
+                W=lambda r: 1.0 / r**2, order=pencils.ORDER_BILAPLACIAN)
+    p = pencils.assemble_custom_pencil(make_grid(1e-3, 1e3, 256, "geometric"), **args)
+    q = p.rebuild(64)
+    fresh = pencils.assemble_custom_pencil(make_grid(1e-3, 1e3, 64, "geometric"), **args)
+    assert np.array_equal(q.a_bands, fresh.a_bands) and np.array_equal(q.b_diag, fresh.b_diag)
+    assert q.grid.M == 64 and q.rebuild is not None
+    hand = pencils.QuadraticPencil(p.a_bands, p.b_diag, p.grid, p.order)
+    assert hand.rebuild is None
 
 
 def test_history_refinement_monotone():
@@ -330,14 +343,9 @@ def test_tolerance_guard():
 
 
 def test_refinement_error_decreases_for_bilaplacian():
-    def build(m):
-        grid = make_grid(1e-9, 1e9, m, "geometric")
-        return pencils.assemble_pencil(mf.euclidean(5), None,
-                                       lambda r: 1.0 / r**4, grid,
-                                       pencils.ORDER_BILAPLACIAN)
-
-    p = build(4096)
-    p.rebuild = build
+    p = pencils.assemble_pencil(mf.euclidean(5), None, lambda r: 1.0 / r**4,
+                                make_grid(1e-9, 1e9, 4096, "geometric"),
+                                pencils.ORDER_BILAPLACIAN)
     est = pencils.min_generalized_eigenvalue(p)
     d1 = abs(est.history[1][1] - est.history[0][1])
     d2 = abs(est.history[2][1] - est.history[1][1])

@@ -185,17 +185,6 @@ def test_bilaplacian_needs_second_derivative():
         radial.bilaplacian_form(crippled, man, g)
 
 
-def test_sampled_radial_function():
-    g = radial.make_grid(1.0, 2.0, 64, "uniform")
-    vals = np.sin(g.nodes)
-    f = radial.RadialFunction.from_samples(g, vals)
-    assert np.array_equal(f(g.nodes), vals)
-    with pytest.raises(CapabilityError):
-        f(np.array([1.5]))
-    with pytest.raises(ArgumentError):
-        radial.RadialFunction.from_samples(g, vals[:-1])
-
-
 def _piecewise_bump(a, b, rise, fall):
     """Reference bump: each piece of the quintic rise, plateau and fall
     gathered and evaluated on its own nodes."""
@@ -260,14 +249,11 @@ def _jet_cases():
     from hardyrellich import supersolutions as ss
 
     man = mf.hyperbolic(5)
-    grid = radial.make_grid(1.0, 2.0, 64, "uniform")
     wide = np.linspace(-0.3, 2.4, 2001)
     unit = np.linspace(1e-3, 1.0, 501)
     positive = ss.IDENTITY_SAMPLE
     mapped = rellich.mapped_from_radial(radial.bump(1.0, 2.0), 5)
     return {
-        "from_samples": lambda: (
-            radial.RadialFunction.from_samples(grid, np.sin(grid.nodes)), grid.nodes),
         "bump": lambda: (radial.bump(0.37, 2.11, 0.41, 0.77), wide),
         "plateau_cutoff": lambda: (radial.plateau_cutoff(0.5), wide),
         "trial_profile": lambda: (hardy.trial_profile(0.3, [0.5], 0.25), unit),
@@ -276,8 +262,6 @@ def _jet_cases():
         "comparison_profile": lambda: (ss.comparison_profile(man), positive),
         "power_profile": lambda: (ss.power_profile(-1.5), positive),
         "power_log_profile": lambda: (ss.power_log_profile(5), positive),
-        "supersolution_profile": lambda: (
-            ss.SupersolutionProfile(man, ss.power_log_profile(5)).profile(), positive),
         "reduced_from_radial": lambda: (
             rellich.reduced_from_radial(radial.bump(0.5, 2.0), 5), wide[wide > 0.0]),
         "ball_from_radial": lambda: (

@@ -303,8 +303,9 @@ def test_mapped_rellich_margin_and_equivalence():
 
 def test_mapped_profile_inverts_once_per_jet(monkeypatch):
     # the jet matches the chain rule written out on one inversion r(s),
-    # bit for bit, and a mapped margin inverts once per grid: the density
-    # reuses the inversion of the profile's jet
+    # bit for bit, and inverts once per call; a mapped margin inverts once
+    # for the profile's jet and once for the density, with no state kept
+    # between the two
     N = 5
     u = bump(1.0, 2.0)
     v = rellich.mapped_from_radial(u, N)
@@ -324,8 +325,10 @@ def test_mapped_profile_inverts_once_per_jet(monkeypatch):
     invert = rellich.ChangeOfVariable._invert
     monkeypatch.setattr(rellich.ChangeOfVariable, "_invert",
                         lambda self, s: calls.append(1) or invert(self, s))
-    rellich.check_mapped_rellich(v, N, nodes=256)  # nodes not inverted above
+    v.jet(s, 2)
     assert len(calls) == 1
+    rellich.check_mapped_rellich(v, N, nodes=256)
+    assert len(calls) == 3
 
 
 def test_r_of_s_matches_four_newton_steps_from_the_table():
@@ -338,7 +341,7 @@ def test_r_of_s_matches_four_newton_steps_from_the_table():
         r = np.clip(r - (cov.s_of_r(r) - s) / cov.ds_dr(r, s), *cov.TABLE_RANGE)
     got = cov.r_of_s(s)
     assert np.max(np.abs(got / r - 1.0)) <= 1e-14
-    assert cov.r_of_s(s) is not got and np.array_equal(cov.r_of_s(s), got)  # reused
+    assert np.array_equal(cov.r_of_s(s), got)
     assert cov.r_of_s(float(s[7])) == got[7]
 
 

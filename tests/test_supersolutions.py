@@ -94,6 +94,9 @@ def test_ground_state_values():
     assert ss.ground_state(3, 1.0) == pytest.approx(1.0 / np.sinh(1.0), rel=1e-12)
     # r -> 0: diverges like r^(-1/2)
     assert ss.ground_state(3, 1e-4) * 1e-2 == pytest.approx(1.0, abs=1e-3)
+    # the comparison profile on H^5 is the ground state
+    assert ss.comparison_profile(mf.hyperbolic(5))(np.array([1.3]))[0] == pytest.approx(
+        float(ss.ground_state(5, 1.3)), rel=1e-12)
     with pytest.raises(DomainError):
         ss.ground_state(2, 1.0)
 
@@ -162,17 +165,6 @@ def test_warp_power_profile_evaluates_in_log_domain():
     h = 1e-6
     fd = (prof(np.array([2.0 + h])) - prof(np.array([2.0 - h]))) / (2 * h)
     assert prof.jet(np.array([2.0]), 1)[1][0] == pytest.approx(fd[0], rel=1e-8)
-
-
-def test_supersolution_profile_type():
-    man = mf.hyperbolic(5)
-    sp = ss.SupersolutionProfile(man, ss.power_profile(-1.5))
-    prof = sp.profile()
-    # composite equals ground state for the Euler-power multiplier
-    assert prof(np.array([1.3]))[0] == pytest.approx(
-        float(ss.ground_state(5, 1.3)), rel=1e-12
-    )
-    assert float(np.max(sp.residual(ss.IDENTITY_SAMPLE))) <= 1e-8
     # the pure warp profile tends to 1 at the pole
     warp = ss.warp_power_profile(man, 2.0)
     assert warp(np.array([1e-8]))[0] == pytest.approx(1.0, abs=1e-6)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .manifolds import ModelManifold
 
-GRADINGS = ("uniform", "log_graded", "geometric")
+GRADINGS = ("uniform", "geometric")
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,13 @@ class RadialGrid:
     r_min: float
     r_max: float
     grading: str
-    r_c: float | None = None
 
     @property
     def M(self) -> int:
         return self.nodes.shape[-1]
 
     def refined(self, M: int) -> "RadialGrid":
-        return make_grid(self.r_min, self.r_max, M, self.grading, self.r_c)
+        return make_grid(self.r_min, self.r_max, M, self.grading)
 
     @cached_property
     def sub_weights(self) -> np.ndarray:
@@ -109,20 +108,14 @@ def _closure_weights(nodes: np.ndarray, a, b) -> np.ndarray:
     return w
 
 
-def make_grid(
-    r_min,
-    r_max,
-    M: int,
-    grading: str = "uniform",
-    r_c: float | None = None,
-) -> RadialGrid:
+def make_grid(r_min, r_max, M: int, grading: str = "uniform") -> RadialGrid:
     """Interior grid of M nodes on (r_min, r_max); (k, 1) arrays r_min and
     r_max give k grids stacked row by row, each row the grid of its ends.
 
     uniform     equispaced
-    geometric   constant ratio between consecutive nodes
-    log_graded  half the nodes geometric in (r_min, r_c), half uniform
-                on [r_c, r_max); default split r_c = 1
+    geometric   constant ratio between consecutive nodes; on it the
+                ground-state pencils (weight r) are second order in the
+                log spacing
     """
     if not np.all((0.0 < r_min) & (r_min < r_max)):
         raise ArgumentError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
@@ -134,26 +127,15 @@ def make_grid(
     if grading == "uniform":
         # the interior of np.linspace(r_min, r_max, M + 2), row by row
         nodes = r_min + np.arange(1, M + 1) * ((r_max - r_min) / (M + 1))
-    elif grading == "geometric":
+    else:
         q = (r_max / r_min) ** (1.0 / (M + 1))
         nodes = np.power(q, np.arange(1.0, M + 1))
         nodes *= r_min
-    else:
-        r_c = 1.0 if r_c is None else float(r_c)
-        if not np.all((r_min < r_c) & (r_c < r_max)):
-            raise ArgumentError("log_graded needs r_min < r_c < r_max")
-        m_geo = M // 2
-        m_uni = M - m_geo
-        q = (r_c / r_min) ** (1.0 / (m_geo + 1))
-        lower = np.power(q, np.arange(1.0, m_geo + 1))
-        lower *= r_min
-        upper = r_c + (r_max - r_c) / m_uni * np.arange(m_uni)
-        nodes = np.concatenate([lower, upper], axis=-1)
 
     weights = _closure_weights(nodes, r_min, r_max)
     if np.ndim(r_min) == 0:
         r_min, r_max = float(r_min), float(r_max)
-    return RadialGrid(nodes, weights, r_min, r_max, grading, r_c)
+    return RadialGrid(nodes, weights, r_min, r_max, grading)
 
 
 # ---------------------------------------------------------------------------

@@ -144,11 +144,7 @@ def mode_coefficient_minima_exact(cfg: ToolkitConfig, Ns, n_max: int, tables=Non
 
 
 def joint_sharpness_sum_exact(cfg: ToolkitConfig, Ns):
-    bad = 0
-    for N in Ns:
-        total = claims.RELLICH_R4 + rellich.min_sinh4_closed_form(N)
-        if total != claims.euclid_rellich(N):
-            bad += 1
+    bad = sum(0 if rellich.verify_euclidean_rellich_split(N)[0] else 1 for N in Ns)
     return _count_row("joint_sharpness_sum_exact", bad)
 
 

@@ -274,10 +274,10 @@ def minimal_growth_ratios(N: int, r_small: float, r_large: float):
 def null_criticality_scan(N: int, k_list, M: int = 4096) -> list[tuple[float, float]]:
     """Truncated weighted-L2 mass of the ground state near the pole.
 
-    For each k, integrates v_+^2 * (4 r^2)^-1 * sinh^(N-1) r over [e^-k, 1].
-    The integrand collapses exactly to 1/(4r) (the profile cancellation is
-    done symbolically to avoid forming near-cancelling huge factors), so the
-    value is k/4: the mass diverges logarithmically, which is the
+    For each k, integrates v_+^2 * (4 r^2)^-1 * sinh^(N-1) r over [e^-k, 1],
+    with v_+ from ground_state and the product formed in the log domain.
+    Since v_+^2 sinh^(N-1) r = r the integrand is 1/(4r), so the value is
+    k/4: the mass diverges logarithmically, which is the
     square-nonintegrability of the ground state against the Hardy weight.
     """
     if N < 3:
@@ -285,7 +285,9 @@ def null_criticality_scan(N: int, k_list, M: int = 4096) -> list[tuple[float, fl
     out = []
     for k in k_list:
         grid = make_grid(float(np.exp(-k)), 1.0, M, "geometric")
-        vals = float(claims.HARDY_R2) / grid.nodes
+        r = grid.nodes
+        log_mass = 2.0 * np.log(ground_state(N, r)) + (N - 1) * _log_sinh(r) - 2.0 * np.log(r)
+        vals = float(claims.HARDY_R2) * np.exp(log_mass)
         out.append((float(k), float(_integrate(vals, grid, "mass integrand", subgrid=False))))
     return out
 

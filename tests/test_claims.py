@@ -169,7 +169,9 @@ CONSUMERS = {
     "spectral_gap": [
         lambda: _hardy().lhs,
         lambda: _iterlog(0).lhs,
-        lambda: hardy.estimate_sharp_hardy(3, M=256).value,
+        # a truncation short enough to stay definite: with the claim 1e-3
+        # larger the form is indefinite on the default [1e-6, 100]
+        lambda: hardy.estimate_sharp_hardy(3, r_max=10.0, M=256).value,
         lambda: hardy.sweep_h_lambda(5, M=256).h_values,
         _stubbed(lambda: reports.h_lambda_curve(CFG, 5), {
             (hardy, "sweep_h_lambda"): lambda N, lambdas, **kw: lambdas}),

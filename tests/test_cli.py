@@ -1,18 +1,21 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import hardyrellich
-from hardyrellich import cli, hardy, suites
+from hardyrellich import cli, hardy, pencils, suites
 from hardyrellich import manifolds as mf
 from hardyrellich import supersolutions as ss
 from hardyrellich.config import DEFAULTS, ToolkitConfig, default_config, load_config
-from hardyrellich.errors import ArgumentError
+from hardyrellich.errors import ArgumentError, EvaluationError
+from hardyrellich.radial import make_grid
 from hardyrellich.reports import ExperimentManifest, emit_curve, format_value, row
 from hardyrellich.suites import run_suite
 
@@ -355,17 +358,24 @@ def test_scipy_loads_on_first_factorization(tmp_path):
 
 
 def test_sharp_hardy_overflow_names_its_radius(tmp_path):
-    # a fresh interpreter: at r_max = 1000 the direct pencil's measure
-    # exp(2 log sinh r - median) overflows; the run exits 1 with a typed
-    # error naming the node and radius, and numpy warns nothing
+    # a fresh interpreter: the ground-state pencil never forms sinh^(N-1),
+    # so r_max = 1000 solves, at the exact truncated value
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-m", "hardyrellich", "hardy", "sharp", "--N", "3",
                            "--rmax", "1000", "--out", str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 1
-    assert "non-finite" in done.stderr and "r = " in done.stderr
-    assert "RuntimeWarning" not in done.stderr
+    assert done.returncode == 0, done.stderr
+    value = float((tmp_path / "constants.csv").read_text().splitlines()[1].rsplit(",", 1)[1])
+    assert abs(value - (0.25 + math.pi**2 / math.log(1000.0 / 1e-6) ** 2)) <= 5e-8
+    # the direct pencil's measure exp(2 log sinh r - median) overflows on
+    # the same truncation: a typed error names the node and radius, and
+    # numpy warns nothing
+    grid = make_grid(1e-6, 1000.0, 8192, "geometric")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=r"non-finite .* \(r = "):
+            pencils.assemble_pencil(mf.hyperbolic(3), 1.0, lambda r: 1.0 / r**2, grid)
 
 
 @pytest.mark.parametrize("module", [["-W", "error", "-m", "hardyrellich.cli"],

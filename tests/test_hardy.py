@@ -113,6 +113,61 @@ def test_estimate_sharp_hardy_n5_lower_bound():
     assert est.value >= 0.249
 
 
+@pytest.mark.parametrize("r_min, r_max", [(1e-6, 25.0), (1e-6, 50.0), (1e-6, 100.0),
+                                          (1e-4, 100.0), (1e-6, 1000.0)])
+def test_sharp_hardy_n3_matches_its_exact_truncated_value(r_min, r_max):
+    # for N = 3 the quotient is the 1-D Hardy quotient of v = u sinh r on
+    # (r_min, r_max), whose minimum is 1/4 + pi^2/log^2(r_max/r_min)
+    est = hardy.estimate_sharp_hardy(3, r_min=r_min, r_max=r_max)
+    exact = 0.25 + np.pi**2 / np.log(r_max / r_min) ** 2
+    assert abs(est.value - exact) <= 5e-8
+
+
+def test_poincare_gap_n3_matches_its_exact_truncated_value():
+    # for N = 3 the quotient is int v'^2 + int v^2 over int v^2 (v = u sinh r)
+    est = hardy.poincare_gap(3)
+    assert abs(est.value - (1.0 + np.pi**2 / (60.0 - 1e-3) ** 2)) <= 1e-8
+
+
+def _shoot_sharp_hardy(N, r_min, r_max):
+    """Smallest h with -v'' + (N-1)(N-3)/(4 sinh^2 r) v = h v / r^2 and
+    v(r_min) = v(r_max) = 0, by shooting in t = log r, where the equation
+    reads v_tt - v_t = ((N-1)(N-3)/4 (r/sinh r)^2 - h) v."""
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    c = (N - 1) * (N - 3) / 4.0
+    t0, t1 = np.log(r_min), np.log(r_max)
+
+    def shoot(h):
+        def rhs(t, y):
+            r = np.exp(t)
+            return [y[1], y[1] + (c * (r / np.sinh(r)) ** 2 - h) * y[0]]
+
+        return solve_ivp(rhs, (t0, t1), [0.0, 1.0], method="DOP853", rtol=1e-12,
+                         atol=1e-14, dense_output=True)
+
+    hs = np.arange(0.3, 2.0, 0.1)
+    ends = [shoot(h).y[0, -1] for h in hs]
+    i = next(i for i in range(len(hs) - 1) if ends[i] * ends[i + 1] < 0.0)
+    h = brentq(lambda h: shoot(h).y[0, -1], hs[i], hs[i + 1], xtol=1e-13, rtol=1e-13)
+    # the ground state: no sign change strictly inside the interval
+    v = shoot(h).sol(np.linspace(t0, t1, 4001)[1:-1])[0]
+    assert np.count_nonzero(np.diff(np.sign(v))) == 0
+    return h
+
+
+def test_sharp_hardy_n5_matches_ode_shooting():
+    ref = _shoot_sharp_hardy(5, 1e-6, 100.0)
+    assert ref == pytest.approx(0.69423878, abs=1e-8)
+    assert abs(hardy.estimate_sharp_hardy(5).value - ref) <= 1e-6
+
+
+def test_sharp_hardy_converges_at_second_order():
+    (_, v0), (_, v1), (_, v2) = hardy.estimate_sharp_hardy(3, M=2048).history
+    assert 1.8 <= np.log2(abs(v1 - v0) / abs(v2 - v1)) <= 2.2
+
+
 def test_sweep_h_lambda_endpoints_and_shape():
     curve = hardy.sweep_h_lambda(5, M=4096)
     assert curve.h_values[0] == pytest.approx(2.25, rel=0.02)

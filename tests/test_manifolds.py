@@ -68,7 +68,7 @@ def test_hardy_weight_superexp_asymptotics():
 
 
 def test_monotonicity_condition_builtin_and_sin():
-    grid = make_grid(1e-3, 20.0, 256, "log_graded", 1.0)
+    grid = make_grid(1e-3, 20.0, 256, "geometric")
     for man in (mf.hyperbolic(4), mf.euclidean(3), mf.superexp(5, 2.0)):
         ok, idx = mf.check_monotonicity_condition(man, grid)
         assert ok and idx is None

@@ -145,8 +145,21 @@ def test_null_criticality_scan():
     assert slope == pytest.approx(0.25, abs=1e-3)
 
 
+def test_null_criticality_slope_reads_the_ground_state(monkeypatch):
+    # v_+ r^0.01 makes the integrand r^0.02/(4r), whose mass over
+    # [e^-k, 1] is (1 - e^(-0.02 k))/0.08: the fitted slope leaves the
+    # 1e-3 window around 1/4
+    ks = np.array([2.0, 4.0, 8.0, 16.0])
+    ground = ss.ground_state
+    monkeypatch.setattr(ss, "ground_state", lambda N, r: ground(N, r) * r**0.01)
+    slope = ss.null_criticality_slope(5, tuple(ks))
+    expected = np.polyfit(ks, (1.0 - np.exp(-0.02 * ks)) / 0.08, 1)[0]
+    assert slope == pytest.approx(expected, abs=1e-4)
+    assert abs(slope - 0.25) > 1e-3
+
+
 def test_profile_nonincreasing():
-    grid = make_grid(1e-3, 20.0, 512, "log_graded", 1.0)
+    grid = make_grid(1e-3, 20.0, 512, "geometric")
     assert ss.check_profile_nonincreasing(mf.hyperbolic(4), grid) is True
     assert ss.check_profile_nonincreasing(mf.euclidean(3), grid) is True
     assert ss.check_profile_nonincreasing(mf.superexp(5, 2.0), grid) is True

@@ -12,16 +12,10 @@ import numpy as np
 from . import claims
 from .errors import ArgumentError, DomainError, SupportError, TruncationError
 from .iterated_log import iterated_log_stack, log_derivatives
-from .manifolds import (
-    ModelManifold,
-    _inv_sinh_sq,
-    hardy_weight_general,
-    hyperbolic,
-)
+from .manifolds import ModelManifold, hardy_weight_general, hyperbolic
 from .pencils import (
-    ORDER_LAPLACIAN,
     ConstantEstimate,
-    assemble_custom_pencil,
+    assemble_pencil,
     min_generalized_eigenvalue,
     smallest_eigenvalue,
 )
@@ -156,43 +150,20 @@ def check_general_model(u: RadialFunction, manifold: ModelManifold,
         "general_model_hardy", N, manifold.family, u.labels)
 
 
-def _ground_state_pencil(N: int, grid: RadialGrid, lam: float, W):
-    """Pencil of a radial Hardy quotient after the ground-state
-    substitution u = v_+ phi.
-
-    v_+ = (r/sinh r)^((N-1)/2) r^((2-N)/2) solves the critical equation
-    -Lap v = [(N-1)^2/4 + 1/(4 r^2) + (N-1)(N-3)/(4 sinh^2 r)] v and
-    v_+^2 sinh^(N-1) r = r, so int |grad u|^2 - lam int u^2 is
-    int phi'^2 r + int [s + 1/(4 r^2) + (N-1)(N-3)/(4 sinh^2 r)] phi^2 r
-    with s = (N-1)^2/4 - lam, and int u^2 W sinh^(N-1) is int phi^2 W r.
-    The pencil has weight r and never forms sinh^(N-1); its eigenvalues
-    are the quotient's own.  (N-1)^2/4 is v_+'s substitution coefficient,
-    derived here; the caller's lam carries any claimed constant.
-    """
-    s = (N - 1) ** 2 / 4.0 - lam
-    quarter, c = float(claims.HARDY_R2), float(claims.sinh_hardy(N))
-
-    def potential(r):
-        return -(s + quarter / r**2 + c * _inv_sinh_sq(r))
-
-    return assemble_custom_pencil(grid, log_weight=np.log, drift=None, zeroth=None,
-                                  V=potential, W=W, order=ORDER_LAPLACIAN)
-
-
 def poincare_gap(N: int, r_min: float = 1e-3, r_max: float = 60.0,
                  M: int = 8192, tol: float = 1e-8) -> ConstantEstimate:
     """Bottom of the radial L^2 spectrum of the hyperbolic Laplacian on a
     truncation; reproduces the spectral gap (N-1)^2/4 as the ends widen.
 
-    The ground-state pencil with lam = 0 and W = 1 on a geometric grid:
-    for N = 3 the quotient is int v'^2 + int v^2 over int v^2 (v = u sinh r,
+    The pencil of hyperbolic(N) with W = 1 on a geometric grid: for N = 3
+    the quotient is int v'^2 + int v^2 over int v^2 (v = u sinh r,
     measure dr), so the truncated value is exactly
     1 + pi^2/(r_max - r_min)^2.
     """
     if N < 3:
         raise DomainError("the gap estimator needs N >= 3")
     grid = make_grid(r_min, r_max, M, "geometric")
-    return min_generalized_eigenvalue(_ground_state_pencil(N, grid, 0.0, 1.0), tol)
+    return min_generalized_eigenvalue(assemble_pencil(hyperbolic(N), None, 1.0, grid), tol)
 
 
 def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
@@ -203,7 +174,7 @@ def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
     Minimal eigenvalue of the quotient with numerator
     Dirichlet - (N-1)^2/4 * L^2 and denominator int u^2/r^2 on the
     truncation; tends to 1/4 from above as the truncation widens.  It is
-    the ground-state pencil with lam the claimed spectral gap and
+    the pencil of hyperbolic(N) with V the claimed spectral gap and
     W = 1/r^2 on a geometric grid, second order in the log spacing.  For
     N = 3 the quotient is the 1-D Hardy quotient int v'^2 over int v^2/r^2
     (v = u sinh r, measure dr), whose truncated value is exactly
@@ -213,8 +184,8 @@ def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
     if N < 3:
         raise DomainError("the Hardy estimator needs N >= 3")
     grid = make_grid(r_min, r_max, M, "geometric")
-    pencil = _ground_state_pencil(N, grid, float(claims.spectral_gap(N)),
-                                  lambda r: 1.0 / r**2)
+    pencil = assemble_pencil(hyperbolic(N), float(claims.spectral_gap(N)),
+                             lambda r: 1.0 / r**2, grid)
     est = min_generalized_eigenvalue(pencil, tol, near=near)
     if est.value < 0.0:
         raise TruncationError(
@@ -230,10 +201,10 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
     """h(lambda) = best constant of int u^2/r^2 under numerator
     Dirichlet - lambda L^2, for lambda in [0, (N-1)^2/4] (radial sector).
 
-    Each h is the smallest eigenvalue of the ground-state pencil at lambda
-    with W = 1/r^2 on one geometric grid; each warm-starts the next.  The
-    pencil reaches the huge truncation radii the lambda -> (N-1)^2/4
-    endpoint needs without ever forming sinh^(N-1).
+    Each h is the smallest eigenvalue of the pencil of hyperbolic(N) with
+    V = lambda and W = 1/r^2 on one geometric grid; each warm-starts the
+    next.  The pencil reaches the huge truncation radii the
+    lambda -> (N-1)^2/4 endpoint needs without ever forming sinh^(N-1).
     """
     if N < 3:
         raise DomainError("the h(lambda) sweep needs N >= 3")
@@ -245,10 +216,11 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
         raise DomainError("lambda must lie in [0, (N-1)^2/4]")
 
     grid = make_grid(r_min, r_max, M, "geometric")
+    man = hyperbolic(N)
     h_values = []
     value = None
     for lam in lambdas:
-        pencil = _ground_state_pencil(N, grid, lam, lambda r: 1.0 / r**2)
+        pencil = assemble_pencil(man, lam, lambda r: 1.0 / r**2, grid)
         value = smallest_eigenvalue(pencil, tol, near=value)
         h_values.append(value)
     return LambdaCurve(N, lambdas, np.asarray(h_values), r_min, r_max, M)

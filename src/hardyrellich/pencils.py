@@ -2,11 +2,15 @@
 
 A pencil (A, B) encodes numerator and denominator quadratic forms of a
 radial quotient on a grid with homogeneous Dirichlet conditions at both
-truncation ends.  Second-order numerators are assembled variationally from
-piecewise-linear cells (A symmetric tridiagonal); fourth-order numerators
-square the discrete radial Laplacian through the quadrature weights
-(A symmetric pentadiagonal) and clamp the two nodes adjacent to each end.
-B is always diagonal and strictly positive.
+truncation ends.  assemble_pencil is the one place that knows the
+ground-state substitution u = psi^(-(N-1)/2) d, which removes the volume
+factor psi^(N-1) from every quotient: second-order pencils then carry the
+weight r (after d = r^(1/2) phi), fourth-order ones the flat measure.
+Second-order numerators are assembled variationally from piecewise-linear
+cells (A symmetric tridiagonal); fourth-order numerators square the
+discrete operator d'' - q d through the quadrature weights (A symmetric
+pentadiagonal) and clamp the two nodes adjacent to each end.  B is always
+diagonal and strictly positive.
 
 The smallest generalized eigenvalue is found by one solver for every
 bandwidth, certified by inertia: A - mu B factors as a positive definite
@@ -110,26 +114,18 @@ def _stiffness(h, g_ext, bands):
     bands[1, -1] = 0.0
 
 
-def _laplacian_rows(h, p_vals, q_vals):
-    """Nonuniform 3-point rows of L[u] = u'' + p u' - q u at each node,
-    from the cell widths h (both truncation ends appended to the nodes);
-    p_vals or q_vals None drop that term."""
+def _laplacian_rows(h, q_vals):
+    """Nonuniform 3-point rows of L[u] = u'' - q u at each node, from the
+    cell widths h (both truncation ends appended to the nodes); q_vals
+    None drops the q term."""
     hm, hp = h[:-1], h[1:]
     hs = hm + hp
-    if p_vals is not None:
-        d_m = -hp / (hm * hs)
-        d_c = (hp - hm) / (hm * hp)
-        d_p = hm / (hp * hs)
     alpha = hm * hs
     np.divide(2.0, alpha, out=alpha)
     gamma = np.multiply(hp, hs, out=hs)  # hs is not read again
     np.divide(2.0, gamma, out=gamma)
     beta = hm * hp
     np.divide(-2.0, beta, out=beta)
-    if p_vals is not None:
-        alpha += p_vals * d_m
-        beta += p_vals * d_c
-        gamma += p_vals * d_p
     if q_vals is not None:
         beta -= q_vals
     return alpha, beta, gamma
@@ -161,25 +157,20 @@ def _square_rows(alpha, beta, gamma, d):
     return bands
 
 
-def assemble_custom_pencil(
-    grid: RadialGrid,
-    log_weight: Callable,
-    drift,
-    zeroth,
-    V,
-    W,
-    order: str,
-) -> QuadraticPencil:
-    """Shared assembly with measure exp(log_weight(r)) dr.
+def assemble_custom_pencil(grid: RadialGrid, zeroth, V, W, order: str) -> QuadraticPencil:
+    """Pencil of a quotient whose measure is r dr (order 2) or dr (order 4).
 
-    order 2: numerator int u'^2 g - int V u^2 g, denominator int W u^2 g.
-    order 4: numerator int (u'' + drift*u' - zeroth*u)^2 g - int V u^2 g.
-    The measure is rescaled by a common constant (median log) so the widest
-    truncations stay far from overflow; pencil eigenvalues are unchanged.
-    log_weight is evaluated once, on the nodes with both truncation ends
-    appended.  Overflow is not warned about but reported: a non-finite
-    entry raises EvaluationError naming its node and radius.  The pencil's
-    rebuild re-assembles the same arguments on grid.refined(m).
+    order 2: numerator int phi'^2 r - int V phi^2 r, denominator
+    int W phi^2 r; zeroth is not read.
+    order 4: numerator int (d'' - zeroth*d)^2 - int V d^2, denominator
+    int W d^2.
+    The order-2 measure is rescaled by a common constant (r over its median
+    node) so the widest truncations stay far from overflow; pencil
+    eigenvalues are unchanged.  Overflow is not warned about but reported:
+    a non-finite entry raises EvaluationError naming its node and radius.
+    The pencil's rebuild re-assembles the same arguments on
+    grid.refined(m).  assemble_pencil derives these arguments from a
+    manifold after the ground-state substitution.
     """
     if order not in (ORDER_LAPLACIAN, ORDER_BILAPLACIAN):
         raise ArgumentError(f"unknown pencil order {order!r}")
@@ -189,10 +180,6 @@ def assemble_custom_pencil(
         raise ArgumentError("bilaplacian pencil needs more interior nodes")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ext = np.concatenate(([grid.r_min], nodes, [grid.r_max]))
-        lg = np.broadcast_to(np.asarray(log_weight(ext), dtype=float), ext.shape)
-        g_ext = lg - float(np.median(lg[1:-1]))
-        np.exp(g_ext, out=g_ext)
-        wg = grid.quad_weights * g_ext[1:-1]
         v_vals = _values(V, nodes)
         w_vals = np.broadcast_to(0.0 if W is None else _values(W, nodes), nodes.shape)
         if np.any(w_vals <= 0.0):
@@ -204,13 +191,16 @@ def assemble_custom_pencil(
         h = np.diff(ext)
         if order == ORDER_LAPLACIAN:
             core = slice(0, n)
+            g_ext = np.log(ext)
+            g_ext -= float(np.median(g_ext[1:-1]))
+            np.exp(g_ext, out=g_ext)
+            wg = grid.quad_weights * g_ext[1:-1]
             a_bands = np.empty((2, n))
             _stiffness(h, g_ext, a_bands)
         else:
             core = slice(2, n - 2)  # the two nodes next to each end are clamped
-            alpha, beta, gamma = _laplacian_rows(
-                h, _values(drift, nodes), _values(zeroth, nodes))
-            a_bands = _square_rows(alpha, beta, gamma, wg)
+            wg = grid.quad_weights
+            a_bands = _square_rows(*_laplacian_rows(h, _values(zeroth, nodes)), wg)
         if v_vals is not None:
             a_bands[0] -= (wg * v_vals)[core]
         b_diag = wg[core] * w_vals[core]
@@ -223,7 +213,7 @@ def assemble_custom_pencil(
         )
 
     def rebuild(m: int) -> QuadraticPencil:
-        return assemble_custom_pencil(grid.refined(m), log_weight, drift, zeroth, V, W, order)
+        return assemble_custom_pencil(grid.refined(m), zeroth, V, W, order)
 
     return QuadraticPencil(a_bands, b_diag, grid, order, rebuild=rebuild)
 
@@ -235,21 +225,33 @@ def assemble_pencil(
     grid: RadialGrid,
     order: str = ORDER_LAPLACIAN,
 ) -> QuadraticPencil:
-    """Pencil of the quotient [int u'^2 psi^(N-1) - int V u^2 psi^(N-1)] /
-    [int W u^2 psi^(N-1)] (order 2), or the bilaplacian analogue with
-    Delta u = u'' + (N-1)(psi'/psi) u' (order 4)."""
-    drift = None
+    """Pencil of the radial quotient [int u'^2 psi^(N-1) - int V u^2
+    psi^(N-1)] / [int W u^2 psi^(N-1)] (order 2), or of its bilaplacian
+    analogue with (Delta u)^2 in the numerator (order 4), after the
+    ground-state substitution; psi^(N-1) is never formed.
+
+    u = psi^(-a) d with a = (N-1)/2 gives int u'^2 psi^(N-1) =
+    int d'^2 + int q d^2 and Delta u = psi^(-a) (d'' - q d), with
+    q = a psi''/psi + a(a-1) (psi'/psi)^2.  Order 4 is the flat pencil
+    with zeroth = q.  Order 2 also substitutes d = r^(1/2) phi, which
+    gives weight r and potential -[(q - V) + 1/(4 r^2)]; on the hyperbolic
+    family that is the Poincare-Hardy ground state v_+ = psi^(-a) r^(1/2).
+    Each substitution is exact, so the eigenvalues are the quotient's own.
+    """
+    a = (manifold.N - 1) / 2.0
+    c = a * (a - 1.0)
+
+    def q(r):
+        return a * manifold.ddpsi_over_psi(r) + c * manifold.dpsi_over_psi(r) ** 2
+
     if order == ORDER_BILAPLACIAN:
-        drift = lambda r: (manifold.N - 1) * manifold.dpsi_over_psi(r)
-    return assemble_custom_pencil(
-        grid,
-        log_weight=lambda r: (manifold.N - 1) * manifold.log_psi(r),
-        drift=drift,
-        zeroth=None,
-        V=V,
-        W=W,
-        order=order,
-    )
+        return assemble_custom_pencil(grid, q, V, W, order)
+
+    def potential(r):
+        v = _values(V, r)
+        return -((q(r) - (0.0 if v is None else v)) + 0.25 / r**2)
+
+    return assemble_custom_pencil(grid, None, potential, W, order)
 
 
 # ---------------------------------------------------------------------------

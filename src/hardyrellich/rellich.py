@@ -27,8 +27,6 @@ from .manifolds import _check_dimension, _inv_sinh_sq, _log_sinh, euclidean, hyp
 from .pencils import (
     ConstantEstimate,
     ORDER_BILAPLACIAN,
-    ORDER_LAPLACIAN,
-    assemble_custom_pencil,
     assemble_pencil,
     min_generalized_eigenvalue,
 )
@@ -272,35 +270,22 @@ def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 4096) -> fl
 # sharp-constant pencils
 
 
-def _flat_measure(r):
-    """Log weight 0, for the pencils below that integrate against dr."""
-    return np.zeros_like(np.asarray(r, dtype=float))
-
-
 def estimate_sharp_rellich_r2(N: int, r_min: float = 1e-3, r_max: float = 1e6,
                               M: int = 8192, tol: float = 1e-8,
                               near: float | None = None) -> ConstantEstimate:
     """Radial-sector estimate of the best 1/r^2 constant in the
     Poincare-Rellich inequality; tends to (N-1)^2/8 from above.
 
-    The bilaplacian quotient is assembled after the exact substitution
-    d = sinh^((N-1)/2) u (the mode-0 reduced form): direct sinh^(N-1)
-    assembly both overflows at the truncation radii the constant needs and
-    loses accuracy to exponential cancellation in the discrete operator.
+    assemble_pencil forms the bilaplacian quotient after the exact
+    substitution d = sinh^((N-1)/2) u (the mode-0 reduced form): direct
+    sinh^(N-1) assembly both overflows at the truncation radii the
+    constant needs and loses accuracy to exponential cancellation in the
+    discrete operator.
     ``near`` warm-starts the eigensolve (see min_generalized_eigenvalue).
     """
     _check_dimension(N, 5)
-    c4 = (N - 1) * (N - 3) / 4.0
-    c2 = (N - 1) / 2.0
-    pencil = assemble_custom_pencil(
-        make_grid(r_min, r_max, M, "geometric"),
-        log_weight=_flat_measure,
-        drift=None,
-        zeroth=lambda r: c4 / np.tanh(r) ** 2 + c2,
-        V=float(claims.rellich_l2(N)),
-        W=lambda r: 1.0 / r**2,
-        order=ORDER_BILAPLACIAN,
-    )
+    pencil = assemble_pencil(hyperbolic(N), float(claims.rellich_l2(N)), lambda r: 1.0 / r**2,
+                             make_grid(r_min, r_max, M, "geometric"), ORDER_BILAPLACIAN)
     est = min_generalized_eigenvalue(pencil, tol, near=near)
     if est.value < 0.0:
         raise TruncationError(
@@ -331,7 +316,8 @@ def euclidean_rellich_constant(N: int = 5, r_min: float = 1e-9,
                                r_max: float = 1e9, M: int = 8192,
                                tol: float = 1e-8) -> ConstantEstimate:
     """Radial euclidean Rellich pencil: int (Lap u)^2 r^(N-1) over
-    int u^2/r^4 r^(N-1); tends to N^2(N-4)^2/16."""
+    int u^2/r^4 r^(N-1); tends to N^2(N-4)^2/16.  After d = r^((N-1)/2) u
+    it is int (d'' - (N-1)(N-3)/(4 r^2) d)^2 over int d^2/r^4."""
     _check_dimension(N, 5)
     grid = make_grid(r_min, r_max, M, "geometric")
     pencil = assemble_pencil(
@@ -340,20 +326,14 @@ def euclidean_rellich_constant(N: int = 5, r_min: float = 1e-9,
     return min_generalized_eigenvalue(pencil, tol)
 
 
-def _flat_constant(r_min: float, r_max: float, M: int, tol: float, W,
-                   order: str) -> ConstantEstimate:
-    """Minimal eigenvalue, with its refinement history, of the pencil with
-    measure dr, no potential and denominator weight W on a geometric grid."""
-    return min_generalized_eigenvalue(assemble_custom_pencil(
-        make_grid(r_min, r_max, M, "geometric"), log_weight=_flat_measure, drift=None,
-        zeroth=None, V=None, W=W, order=order), tol)
-
-
 def one_d_rellich_constant(r_min: float = 1e-12, r_max: float = 1e12,
                            M: int = 8192, tol: float = 1e-8) -> ConstantEstimate:
     """1-D anchor: int u''^2 over int u^2/x^4 tends to 9/16, the constant
-    the fourth-power weight inherits in the mode reduction."""
-    return _flat_constant(r_min, r_max, M, tol, lambda r: 1.0 / r**4, ORDER_BILAPLACIAN)
+    the fourth-power weight inherits in the mode reduction.  It is the
+    euclidean(3) Rellich pencil, whose substitution d = r u leaves d''."""
+    grid = make_grid(r_min, r_max, M, "geometric")
+    return min_generalized_eigenvalue(
+        assemble_pencil(euclidean(3), None, lambda r: 1.0 / r**4, grid, ORDER_BILAPLACIAN), tol)
 
 
 def one_d_hardy_constant(r_min: float = 1e-10, r_max: float = 1e10,
@@ -362,9 +342,12 @@ def one_d_hardy_constant(r_min: float = 1e-10, r_max: float = 1e10,
 
     This is the limiting quotient behind the sharpness of the (N-1)^2/8
     constant: the dimension enters only through the final (N-1)^2/2
-    rescaling, so the pencil itself is N-free.
+    rescaling, so the pencil itself is N-free.  It is the euclidean(3)
+    Hardy pencil: z = r u, then z = r^(1/2) phi, weight r.
     """
-    return _flat_constant(r_min, r_max, M, tol, lambda r: 1.0 / r**2, ORDER_LAPLACIAN)
+    grid = make_grid(r_min, r_max, M, "geometric")
+    return min_generalized_eigenvalue(
+        assemble_pencil(euclidean(3), None, lambda r: 1.0 / r**2, grid), tol)
 
 
 # ---------------------------------------------------------------------------

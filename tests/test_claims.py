@@ -186,7 +186,6 @@ CONSUMERS = {
         lambda: _iterlog(0).rhs,
         lambda: euclid.check_ball_hardy(BALL_U, 3, nodes=512).rhs,
         lambda: euclid.check_halfspace_hardy(TENSOR, 3, 32, 32).rhs,
-        lambda: hardy.sweep_h_lambda(5, M=256).h_values,
         HYP_MARGIN,
         H_ENDS,
         ANCHORS,
@@ -198,7 +197,6 @@ CONSUMERS = {
         lambda: _hardy().rhs,
         lambda: _model().rhs,
         lambda: _iterlog(0).rhs,
-        lambda: hardy.sweep_h_lambda(5, M=256).h_values,
         GROUND,
         EQUALITY,
     ],
@@ -270,3 +268,30 @@ def test_poincare_hardy_rhs_grows_by_the_perturbation(monkeypatch):
     after = _hardy(3)
     assert after.lhs == before.lhs
     assert after.rhs - before.rhs == pytest.approx(1e-3 * 0.25 * by_r2, rel=1e-9)
+
+
+# the Hardy estimators derive 1/4 and (N-1)(N-3)/4 from psi in the
+# ground-state substitution: they measure these claims, so they must not
+# read them
+ESTIMATORS = [
+    lambda: hardy.estimate_sharp_hardy(5).value,
+    lambda: hardy.poincare_gap(5).value,
+    lambda: hardy.sweep_h_lambda(5).h_values,
+]
+
+
+@pytest.mark.parametrize("name", ["HARDY_R2", "sinh_hardy"])
+def test_hardy_estimators_do_not_read_what_they_estimate(name, monkeypatch):
+    before = [np.asarray(estimate(), dtype=float) for estimate in ESTIMATORS]
+    _perturb(monkeypatch, name)
+    after = [np.asarray(estimate(), dtype=float) for estimate in ESTIMATORS]
+    assert all(np.array_equal(b, a) for b, a in zip(before, after))
+
+
+def test_h_lambda_row_catches_a_wrong_hardy_claim(monkeypatch):
+    # h(lambda) at lambda = (N-1)^2/4 estimates 1/4 (0.25275 on the default
+    # truncation); a claim of 53/200 = 0.265 lies 4.6% above it, outside
+    # the row's 2% window
+    assert suites.h_lambda_endpoints_and_shape(CFG, 5).passed
+    monkeypatch.setattr(claims, "HARDY_R2", Fraction(53, 200))
+    assert not suites.h_lambda_endpoints_and_shape(CFG, 5).passed

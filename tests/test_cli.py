@@ -368,14 +368,15 @@ def test_sharp_hardy_overflow_names_its_radius(tmp_path):
     assert done.returncode == 0, done.stderr
     value = float((tmp_path / "constants.csv").read_text().splitlines()[1].rsplit(",", 1)[1])
     assert abs(value - (0.25 + math.pi**2 / math.log(1000.0 / 1e-6) ** 2)) <= 5e-8
-    # the direct pencil's measure exp(2 log sinh r - median) overflows on
-    # the same truncation: a typed error names the node and radius, and
-    # numpy warns nothing
-    grid = make_grid(1e-6, 1000.0, 8192, "geometric")
+    # a pencil that does overflow, the euclidean Rellich one from
+    # r = 1e-90 (1/r^4 and the h^-4 rows pass 1e308): a typed error names
+    # the node and radius, and numpy warns nothing
+    grid = make_grid(1e-90, 1.0, 8192, "geometric")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(EvaluationError, match=r"non-finite .* \(r = "):
-            pencils.assemble_pencil(mf.hyperbolic(3), 1.0, lambda r: 1.0 / r**2, grid)
+        with pytest.raises(EvaluationError, match=r"non-finite .* at node 2 \(r = "):
+            pencils.assemble_pencil(mf.euclidean(5), None, lambda r: 1.0 / r**4, grid,
+                                    pencils.ORDER_BILAPLACIAN)
 
 
 @pytest.mark.parametrize("module", [["-W", "error", "-m", "hardyrellich.cli"],

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from hardyrellich import manifolds as mf
 from hardyrellich import cli, hardy, pencils, rellich
 from hardyrellich.errors import ArgumentError, NumericError
-from hardyrellich.radial import make_grid
+from hardyrellich.radial import bump, make_grid, radial_sums
 
 
 def hardy_pencil_euclid(N=3, r_min=1e-10, r_max=1e10, M=8192):
@@ -25,14 +25,15 @@ def test_euclid_hardy_quarter():
 
 
 def sharp_hardy_pencil(M):
-    # the ground-state pencil of estimate_sharp_hardy(3) on [1e-6, 100]
+    # the pencil of estimate_sharp_hardy(3) on [1e-6, 100]
     grid = make_grid(1e-6, 100.0, M, "geometric")
-    return hardy._ground_state_pencil(3, grid, 1.0, lambda r: 1.0 / r**2)
+    return pencils.assemble_pencil(mf.hyperbolic(3), 1.0, lambda r: 1.0 / r**2, grid)
 
 
 def gap_pencil(N):
-    # the ground-state pencil of poincare_gap's defaults
-    return hardy._ground_state_pencil(N, make_grid(1e-3, 60.0, 8192, "geometric"), 0.0, 1.0)
+    # the pencil of poincare_gap's defaults
+    return pencils.assemble_pencil(mf.hyperbolic(N), None, 1.0,
+                                   make_grid(1e-3, 60.0, 8192, "geometric"))
 
 
 def test_hyperbolic_gap_n3():
@@ -58,12 +59,11 @@ def test_identity_pencil_exact_one():
 
 
 def test_one_d_hardy_anchor():
-    # numerator int z'^2, denominator int z^2/x^2 on the line measure; the
-    # assembled pencil carries its own rebuild, which gives the history
-    p = pencils.assemble_custom_pencil(
-        make_grid(1e-10, 1e10, 8192, "geometric"), log_weight=np.zeros_like,
-        drift=None, zeroth=None, V=None, W=lambda r: 1.0 / r**2,
-        order=pencils.ORDER_LAPLACIAN)
+    # numerator int z'^2, denominator int z^2/x^2 on the line measure (the
+    # euclidean(3) quotient after z = r u); the assembled pencil carries
+    # its own rebuild, which gives the history
+    p = pencils.assemble_pencil(mf.euclidean(3), None, lambda r: 1.0 / r**2,
+                                make_grid(1e-10, 1e10, 8192, "geometric"))
     est = pencils.min_generalized_eigenvalue(p)
     assert abs(est.value - 0.25) < 1e-2
     assert len(est.history) >= 3
@@ -73,8 +73,8 @@ def test_rebuild_reassembles_on_the_refined_grid():
     # an assembled pencil's rebuild gives the bits of assembling the same
     # arguments on a grid of the same grading with m nodes
     zeroth = lambda r: 1.0 / np.tanh(r) ** 2  # noqa: E731
-    args = dict(log_weight=np.zeros_like, drift=None, zeroth=zeroth, V=2.0,
-                W=lambda r: 1.0 / r**2, order=pencils.ORDER_BILAPLACIAN)
+    args = dict(zeroth=zeroth, V=2.0, W=lambda r: 1.0 / r**2,
+                order=pencils.ORDER_BILAPLACIAN)
     p = pencils.assemble_custom_pencil(make_grid(1e-3, 1e3, 256, "geometric"), **args)
     q = p.rebuild(64)
     fresh = pencils.assemble_custom_pencil(make_grid(1e-3, 1e3, 64, "geometric"), **args)
@@ -99,6 +99,40 @@ def test_euclid_rellich_pencil():
                                 grid, pencils.ORDER_BILAPLACIAN)
     est = pencils.smallest_eigenvalue(p)
     assert abs(est - 25.0 / 16.0) < 5e-2
+
+
+def _banded_quadratic_form(pencil, x):
+    """x^T A x from the lower banded storage of A."""
+    a = pencil.a_bands
+    value = np.dot(a[0], x * x)
+    for k in range(1, a.shape[0]):
+        value += 2.0 * np.dot(a[k, : x.size - k], x[: x.size - k] * x[k:])
+    return value
+
+
+@pytest.mark.parametrize("order", [pencils.ORDER_LAPLACIAN, pencils.ORDER_BILAPLACIAN])
+@pytest.mark.parametrize("manifold", [mf.hyperbolic(5), mf.euclidean(5), mf.superexp(5, 2.0)],
+                         ids=lambda m: m.family)
+def test_substitution_matches_the_quadrature_layer(manifold, order):
+    # the pencil's Rayleigh quotient at the substituted nodal vector
+    # (d = psi^((N-1)/2) u, and phi = d / r^(1/2) at order 2) is the
+    # quotient radial_sums forms against psi^(N-1) from the same u
+    u = bump(0.5, 3.0)
+    grid = make_grid(1e-2, 4.0, 8192, "geometric")
+    r = grid.nodes
+    V, W = 0.5, lambda r: 1.0 / r**2
+    pencil = pencils.assemble_pencil(manifold, V, W, grid, order)
+    d = np.exp((manifold.N - 1) / 2.0 * manifold.log_psi(r)) * u(r)
+    if order == pencils.ORDER_LAPLACIAN:
+        x, q = d / np.sqrt(r), "grad2"
+    else:
+        x, q = d[2:-2], "lap2"
+    pencil_quotient = _banded_quadratic_form(pencil, x) / np.dot(pencil.b_diag, x * x)
+    top, l2, den = radial_sums(u, grid, [(q, 1.0), ("v2", 1.0), ("v2", W(r))],
+                               manifold.measure_weight(r), subgrid=False,
+                               drift=(manifold.N - 1) * manifold.dpsi_over_psi(r))
+    quotient = (top - V * l2) / den
+    assert abs(pencil_quotient / quotient - 1.0) < 1e-3
 
 
 @st.composite
@@ -363,5 +397,4 @@ def test_pencil_order_must_be_a_named_constant(order):
     with pytest.raises(ArgumentError, match="unknown pencil order"):
         pencils.assemble_pencil(mf.hyperbolic(3), None, 1.0, grid, order)
     with pytest.raises(ArgumentError, match="unknown pencil order"):
-        pencils.assemble_custom_pencil(grid, lambda r: np.zeros_like(r), None, None,
-                                       None, 1.0, order)
+        pencils.assemble_custom_pencil(grid, None, None, 1.0, order)

@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -208,6 +209,18 @@ def test_one_d_anchors():
     assert abs(r.value - 9.0 / 16.0) <= 1e-2
     e = rellich.euclidean_rellich_constant(5, M=4096)
     assert abs(e.value - 25.0 / 16.0) <= 5e-2
+
+
+def test_anchors_read_their_exact_truncated_values():
+    # the 1-D Hardy anchor's truncated value is 1/4 + pi^2/L^2 exactly; the
+    # two Rellich anchors are scale-invariant, so x = e^t turns each into
+    # D^4 + (2k - 4) D^2 + k^2 - mu on [0, L], L = log(r_max/r_min), with
+    # k = 3/4 - (N-1)(N-3)/4, clamped at both ends; the references are the
+    # first root of its 4x4 determinant, computed with mpmath
+    hardy_1d = 0.25 + math.pi**2 / math.log(1e10 / 1e-10) ** 2
+    assert abs(rellich.one_d_hardy_constant().value / hardy_1d - 1.0) <= 1e-7
+    assert abs(rellich.euclidean_rellich_constant(5).value / 1.6013347064 - 1.0) <= 3e-5
+    assert abs(rellich.one_d_rellich_constant().value / 0.5709735046 - 1.0) <= 5e-6
 
 
 def test_asymptotic_constants_exact():

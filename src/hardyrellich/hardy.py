@@ -103,7 +103,7 @@ def _hardy_sums(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid,
     weight w, all against the volume weight psi^(N-1), as radial_sums
     returns them."""
     r = grid.nodes
-    terms = [("grad2", 1.0), ("v2", 1.0 / r**2), ("v2", np.exp(-2.0 * manifold.log_psi(r))),
+    terms = [("grad2", 1.0), ("v2", 1.0 / r**2), ("v2", manifold.inv_psi_sq(r)),
              *(("v2", w) for w in weights)]
     return radial_sums(u, grid, terms, manifold.measure_weight(r))
 

@@ -24,11 +24,7 @@ def iterated_log(k: int, t):
     """X_k(t) for k >= 1, t in (0, 1]."""
     if k < 1:
         raise DomainError("iterated log order must be k >= 1")
-    t = _check_unit(t)
-    x = 1.0 / (1.0 - np.log(t))
-    for _ in range(k - 1):
-        x = 1.0 / (1.0 - np.log(x))
-    return x
+    return iterated_log_stack(k, t)[-1]
 
 
 def iterated_log_stack(k: int, t) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Rotationally symmetric model manifolds defined by a warping function.
 
 A manifold here is the data (N, psi) with metric dr^2 + psi(r)^2 dw^2 on
-(0, infinity) x S^{N-1}.  Everything downstream only ever needs psi, its
-first two derivatives, and a handful of overflow-safe ratios, so each family
-carries closed-form evaluators for all of them.  The hyperbolic family never
-forms sinh r directly beyond r = 700; callers needing the volume weight at
-large radius go through ``log_psi``.
+(0, infinity) x S^{N-1}.  It is carried as four overflow-safe ratios,
+log psi, psi'/psi, psi''/psi and (psi'^2 - 1)/psi^2, which are all that
+curvatures, weights, pencils and identity residuals read.  psi itself is
+never formed, so the built-in families stay finite at radii where psi
+overflows; only ``custom`` takes psi, psi' and psi'' (the user's closed
+forms) and builds the ratios from them.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, CapabilityError, DomainError, NumericError
-
-# sinh overflows float64 just past this radius; log-domain paths take over.
-SINH_DIRECT_LIMIT = 700.0
+from .errors import ArgumentError, CapabilityError, DomainError
 
 _POLE_SAMPLES = (1e-6, 1e-8)
 _POLE_RTOL = 1e-4
@@ -34,18 +32,12 @@ def _require_positive(r) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelManifold:
-    """Dimension N plus closed-form psi, psi', psi'' and stable ratios.
-
-    ``dpsi_over_psi``, ``ddpsi_over_psi``, ``tan_ratio`` (= (psi'^2 - 1)/psi^2)
-    and ``log_psi`` are the overflow-safe forms used by curvature, weights and
-    quadrature; the raw evaluators stay available for identity checks.
-    """
+    """Dimension N plus the closed-form ratios ``log_psi``,
+    ``dpsi_over_psi``, ``ddpsi_over_psi`` and ``tan_ratio``
+    (= (psi'^2 - 1)/psi^2), each finite wherever its value is."""
 
     N: int
     family: str
-    psi: Callable
-    dpsi: Callable
-    ddpsi: Callable
     log_psi: Callable
     dpsi_over_psi: Callable
     ddpsi_over_psi: Callable
@@ -62,6 +54,10 @@ class ModelManifold:
         r = _require_positive(r)
         return np.exp((self.N - 1) * self.log_psi(r))
 
+    def inv_psi_sq(self, r):
+        """1/psi(r)^2, computed in log domain."""
+        return np.exp(-2.0 * self.log_psi(r))
+
 
 def _check_dimension(N: int, minimum: int = 3) -> int:
     if int(N) != N or N < minimum:
@@ -75,23 +71,11 @@ def euclidean(N: int) -> ModelManifold:
     return ModelManifold(
         N=N,
         family="euclidean",
-        psi=lambda r: _require_positive(r) + 0.0,
-        dpsi=lambda r: np.ones_like(_require_positive(r)),
-        ddpsi=lambda r: np.zeros_like(_require_positive(r)),
         log_psi=lambda r: np.log(_require_positive(r)),
         dpsi_over_psi=lambda r: 1.0 / _require_positive(r),
         ddpsi_over_psi=lambda r: np.zeros_like(_require_positive(r)),
         tan_ratio=lambda r: np.zeros_like(_require_positive(r)),
     )
-
-
-def _sinh_guarded(r):
-    r = _require_positive(r)
-    if np.max(r) > SINH_DIRECT_LIMIT:
-        raise NumericError(
-            f"sinh(r) would overflow for r > {SINH_DIRECT_LIMIT}; use log_psi"
-        )
-    return np.sinh(r)
 
 
 def _log_sinh(r):
@@ -113,9 +97,6 @@ def hyperbolic(N: int) -> ModelManifold:
     return ModelManifold(
         N=N,
         family="hyperbolic",
-        psi=_sinh_guarded,
-        dpsi=lambda r: np.cosh(_require_positive(r)),
-        ddpsi=_sinh_guarded,
         log_psi=_log_sinh,
         dpsi_over_psi=lambda r: 1.0 / np.tanh(_require_positive(r)),
         ddpsi_over_psi=lambda r: np.ones_like(_require_positive(r)),
@@ -137,18 +118,6 @@ def superexp(N: int, a: float) -> ModelManifold:
     def g1(r):  # (r^a)'
         return a * r ** (a - 1.0)
 
-    def psi(r):
-        r = _require_positive(r)
-        return r * np.exp(r**a)
-
-    def dpsi(r):
-        r = _require_positive(r)
-        return np.exp(r**a) * (1.0 + a * r**a)
-
-    def ddpsi(r):
-        r = _require_positive(r)
-        return np.exp(r**a) * a * r ** (a - 1.0) * (1.0 + a + a * r**a)
-
     def log_psi(r):
         r = _require_positive(r)
         return np.log(r) + r**a
@@ -168,9 +137,6 @@ def superexp(N: int, a: float) -> ModelManifold:
     return ModelManifold(
         N=N,
         family="superexp",
-        psi=psi,
-        dpsi=dpsi,
-        ddpsi=ddpsi,
         log_psi=log_psi,
         dpsi_over_psi=dpsi_over_psi,
         ddpsi_over_psi=ddpsi_over_psi,
@@ -196,9 +162,11 @@ def check_pole_conditions(psi, dpsi, ddpsi) -> None:
 def custom(N: int, psi, dpsi, ddpsi, name: str = "custom") -> ModelManifold:
     """Model from user-supplied closed-form psi, psi', psi''.
 
-    All three evaluators are required; finite-difference fallbacks are
-    refused because differenced psi'' cannot reach the identity-residual
-    tolerances the verifiers assert.  Pole conditions are validated here.
+    The one constructor that takes psi itself; the ratios are built from
+    the three evaluators, so they overflow where the user's psi does.  All
+    three are required; finite-difference fallbacks are refused because
+    differenced psi'' cannot reach the identity-residual tolerances the
+    verifiers assert.  Pole conditions are validated here.
     """
     N = _check_dimension(N)
     for f, label in ((psi, "psi"), (dpsi, "dpsi"), (ddpsi, "ddpsi")):
@@ -218,9 +186,6 @@ def custom(N: int, psi, dpsi, ddpsi, name: str = "custom") -> ModelManifold:
     return ModelManifold(
         N=N,
         family=name,
-        psi=_psi,
-        dpsi=_dpsi,
-        ddpsi=_ddpsi,
         log_psi=lambda r: np.log(_psi(r)),
         dpsi_over_psi=lambda r: _dpsi(r) / _psi(r),
         ddpsi_over_psi=lambda r: _ddpsi(r) / _psi(r),
@@ -260,15 +225,18 @@ def hardy_weight_general(manifold: ModelManifold, r):
 def check_monotonicity_condition(manifold: ModelManifold, grid):
     """Check (N-2) psi' + (N-1) r psi'' >= 0 at every grid node.
 
-    Returns (True, None) if the condition holds, else (False, i) with i the
-    first violating node index.  This is the hypothesis under which the
+    Tested divided by psi > 0, as (N-2) psi'/psi + (N-1) r psi''/psi, which
+    has the same sign and stays finite at every radius.  Returns
+    (True, None) if the condition holds, else (False, i) with i the first
+    violating node index.  This is the hypothesis under which the
     comparison profile used by the supersolution argument is nonincreasing.
     """
     nodes = np.asarray(getattr(grid, "nodes", grid), dtype=float)
     if nodes.size == 0:
         raise ArgumentError("grid must be nonempty")
     N = manifold.N
-    values = (N - 2) * manifold.dpsi(nodes) + (N - 1) * nodes * manifold.ddpsi(nodes)
+    values = ((N - 2) * manifold.dpsi_over_psi(nodes)
+              + (N - 1) * nodes * manifold.ddpsi_over_psi(nodes))
     bad = np.nonzero(values < 0.0)[0]
     if bad.size:
         return False, int(bad[0])

@@ -221,7 +221,7 @@ def _poincare_rellich_sums(u: RadialFunction, N: int, grid: RadialGrid,
     radial_sums returns them."""
     man = hyperbolic(N)
     r = grid.nodes
-    inv_psi2 = np.exp(-2.0 * man.log_psi(r))
+    inv_psi2 = man.inv_psi_sq(r)
     terms = [("lap2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2), ("v2", 1.0 / r**4),
              ("v2", inv_psi2), ("v2", inv_psi2**2)]
     return radial_sums(u, grid, terms[:count], man.measure_weight(r),

@@ -123,9 +123,14 @@ def ground_state_residual(cfg: ToolkitConfig, Ns):
     return row("ground_state_residual", worst, 1e-10, worst <= 1e-10)
 
 
-def euclidean_rellich_split_exact(cfg: ToolkitConfig, Ns):
+def _rellich_split_row(name: str, Ns) -> CheckRow:
+    """Count of the N in Ns whose exact euclidean Rellich split fails."""
     bad = sum(0 if rellich.verify_euclidean_rellich_split(N)[0] else 1 for N in Ns)
-    return _count_row("euclidean_rellich_split_exact", bad)
+    return _count_row(name, bad)
+
+
+def euclidean_rellich_split_exact(cfg: ToolkitConfig, Ns):
+    return _rellich_split_row("euclidean_rellich_split_exact", Ns)
 
 
 def mode_coefficient_minima_exact(cfg: ToolkitConfig, Ns, n_max: int, tables=None):
@@ -144,8 +149,7 @@ def mode_coefficient_minima_exact(cfg: ToolkitConfig, Ns, n_max: int, tables=Non
 
 
 def joint_sharpness_sum_exact(cfg: ToolkitConfig, Ns):
-    bad = sum(0 if rellich.verify_euclidean_rellich_split(N)[0] else 1 for N in Ns)
-    return _count_row("joint_sharpness_sum_exact", bad)
+    return _rellich_split_row("joint_sharpness_sum_exact", Ns)
 
 
 def asymptotic_consistency_exact(cfg: ToolkitConfig, Ns):

@@ -19,9 +19,11 @@ from .manifolds import (
     _inv_sinh_sq,
     _log_sinh,
     _require_positive,
+    check_monotonicity_condition,
     curvature_rad,
     curvature_tan,
     hardy_weight_general,
+    hyperbolic,
 )
 from .radial import RadialFunction, RadialGrid, _integrate, log_jet, make_grid
 
@@ -45,10 +47,6 @@ def _rel_residual(lhs_terms, rhs_terms, magnitudes=()):
     safe = np.where(scale > 0.0, scale, 1.0)
     out = np.where(scale > 0.0, np.abs(total) / safe, 0.0)
     return float(out) if np.isscalar(total) or out.ndim == 0 else out
-
-
-def _inv_psi_sq(manifold: ModelManifold, r):
-    return np.exp(-2.0 * manifold.log_psi(r))
 
 
 def _warp_power_logd(alpha: float, r, s, dds):
@@ -154,7 +152,7 @@ def warp_power_identity_residual(manifold: ModelManifold, alpha: float, r):
         -alpha * (k_rad + (alpha - 2.0 + N) * k_tan),
     ]
     rhs_terms = [
-        -alpha * (alpha - 2.0 + N) * _inv_psi_sq(manifold, r),
+        -alpha * (alpha - 2.0 + N) * manifold.inv_psi_sq(r),
         -alpha * (alpha + 1.0) / r**2,
         (2.0 * alpha**2 + alpha * (N - 1)) * s / r,
     ]
@@ -174,6 +172,7 @@ def product_profile_identity_residual(manifold: ModelManifold, f: RadialFunction
     s, dds = manifold.dpsi_over_psi(r), manifold.ddpsi_over_psi(r)
     m, mp = _warp_power_logd(-0.5 * (N - 1), r, s, dds)
     k_rad, k_tan = curvature_rad(manifold, r), curvature_tan(manifold, r)
+    inv_psi2 = manifold.inv_psi_sq(r)
     fv, f1, f2 = f.jet(r, 2)
 
     lhs_terms = [
@@ -182,14 +181,14 @@ def product_profile_identity_residual(manifold: ModelManifold, f: RadialFunction
         0.25 * (N - 1) * (2.0 * k_rad + (N - 3) * k_tan) * fv,
     ]
     rhs_terms = [
-        0.25 * (N - 1) * (N - 3) * (_inv_psi_sq(manifold, r) - 1.0 / r**2) * fv,
+        0.25 * (N - 1) * (N - 3) * (inv_psi2 - 1.0 / r**2) * fv,
         -(f2 + (N - 1) * f1 / r),
     ]
     mp_mag = 0.5 * (N - 1) * (np.abs(dds) + s * s + 1.0 / r**2)
     mags = [
         mp_mag * np.abs(fv),
         np.abs(f2) + (N - 1) * np.abs(f1) / r,
-        0.25 * (N - 1) * abs(N - 3) * (_inv_psi_sq(manifold, r) + 1.0 / r**2) * np.abs(fv),
+        0.25 * (N - 1) * abs(N - 3) * (inv_psi2 + 1.0 / r**2) * np.abs(fv),
     ]
     return _rel_residual(lhs_terms, rhs_terms, magnitudes=mags)
 
@@ -207,7 +206,7 @@ def supersolution_equality_residual(manifold: ModelManifold, r):
     lhs_terms = [-(mp + m * m), -(N - 1) * s * m]
     rhs_terms = [
         hardy_weight_general(manifold, r),
-        float(claims.sinh_hardy(N)) * _inv_psi_sq(manifold, r),
+        float(claims.sinh_hardy(N)) * manifold.inv_psi_sq(r),
         float(claims.HARDY_R2) / r**2,
     ]
     mp_mag = 0.5 * (N - 1) * (np.abs(dds) + s * s + 1.0 / r**2)
@@ -219,11 +218,9 @@ def supersolution_equality_residual(manifold: ModelManifold, r):
 
 
 def ground_state(N: int, r):
-    """Positive solution of minimal growth: (r/sinh r)^((N-1)/2) r^((2-N)/2)."""
-    if N < 3:
-        raise DomainError("ground state needs N >= 3")
-    r = _require_positive(r)
-    return np.exp(_comparison_log(N, r, _log_sinh(r)))
+    """Positive solution of minimal growth: (r/sinh r)^((N-1)/2) r^((2-N)/2),
+    the comparison profile of hyperbolic(N) (DomainError for N < 3)."""
+    return comparison_profile(hyperbolic(N))(r)
 
 
 def ground_state_residual(N: int, r):
@@ -306,8 +303,6 @@ def check_profile_nonincreasing(manifold: ModelManifold, grid: RadialGrid):
     Returns None (inapplicable) when the curvature-growth condition fails,
     since monotonicity is only asserted under that hypothesis.
     """
-    from .manifolds import check_monotonicity_condition
-
     ok, _ = check_monotonicity_condition(manifold, grid)
     if not ok:
         return None

@@ -3,12 +3,7 @@ import pytest
 import sympy
 
 from hardyrellich import manifolds as mf
-from hardyrellich.errors import (
-    ArgumentError,
-    CapabilityError,
-    DomainError,
-    NumericError,
-)
+from hardyrellich.errors import ArgumentError, CapabilityError, DomainError
 from hardyrellich.radial import make_grid
 
 
@@ -86,6 +81,18 @@ def test_monotonicity_condition_builtin_and_sin():
     assert grid.nodes[idx - 1] < root < grid.nodes[idx] + 1e-12
 
 
+def test_monotonicity_condition_finite_past_psi_overflow():
+    # sinh r overflows past r = 710 and r e^(r^2) past r = 26.6; the
+    # hypothesis and the profile check read only the ratios
+    from hardyrellich.supersolutions import check_profile_nonincreasing
+
+    wide = make_grid(1.0, 800.0, 512, "geometric")
+    assert mf.check_monotonicity_condition(mf.hyperbolic(3), wide) == (True, None)
+    assert check_profile_nonincreasing(mf.hyperbolic(3), wide) is True
+    grid = make_grid(1.0, 40.0, 512, "geometric")
+    assert mf.check_monotonicity_condition(mf.superexp(5, 2.0), grid) == (True, None)
+
+
 def test_laplace_radial_ground_state_relation():
     # for the N=3 comparison profile: -Lap(v) = (1 + 1/(4 r^2)) v, with the
     # radial Laplacian v'' + (N-1)(psi'/psi) v' taken from the profile's jet
@@ -99,7 +106,8 @@ def test_laplace_radial_ground_state_relation():
 
 
 def test_derivatives_match_finite_differences():
-    # central differences with h = 1e-5, evaluated in high precision: the
+    # the ratios every consumer reads against central differences of psi
+    # with h = 1e-5, divided by psi and evaluated in high precision: the
     # second difference of sinh at r = 10 cancels 10 digits, which float64
     # cannot spare at the 1e-6 relative tolerance
     import mpmath as mp
@@ -116,21 +124,33 @@ def test_derivatives_match_finite_differences():
             psi = mp_psi[man.family]
             for rv in r_samples:
                 rm = mp.mpf(float(rv))
-                fd1 = float((psi(rm + h) - psi(rm - h)) / (2 * h))
-                fd2 = float((psi(rm + h) - 2 * psi(rm) + psi(rm - h)) / h**2)
-                assert abs(float(man.dpsi(rv)) / fd1 - 1.0) < 1e-6
-                scale = max(abs(fd2), abs(float(man.psi(rv))))
-                assert abs(float(man.ddpsi(rv)) - fd2) / scale < 1e-6
+                p0 = psi(rm)
+                s1 = (psi(rm + h) - psi(rm - h)) / (2 * h) / p0
+                s2 = float((psi(rm + h) - 2 * p0 + psi(rm - h)) / h**2 / p0)
+                assert abs(float(man.dpsi_over_psi(rv)) / float(s1) - 1.0) < 1e-6
+                # psi''/psi relative to max(|psi''|/psi, 1)
+                assert abs(float(man.ddpsi_over_psi(rv)) - s2) / max(abs(s2), 1.0) < 1e-6
+                # (psi'^2 - 1)/psi^2 relative to the larger of its two pieces
+                tan = float(s1**2 - 1 / p0**2)
+                scale = float(max(s1**2, 1 / p0**2))
+                assert abs(float(man.tan_ratio(rv)) - tan) / scale < 1e-6
+
+
+def _evaluators_from_ratios(man):
+    """psi, psi', psi'' rebuilt from the ratios a manifold carries."""
+    psi = lambda r: np.exp(man.log_psi(r))  # noqa: E731
+    return (psi, lambda r: psi(r) * man.dpsi_over_psi(r),
+            lambda r: psi(r) * man.ddpsi_over_psi(r))
 
 
 def test_pole_conditions():
     for man in (mf.euclidean(3), mf.hyperbolic(6), mf.superexp(4, 2.0),
                 mf.superexp(5, 2.5)):
-        mf.check_pole_conditions(man.psi, man.dpsi, man.ddpsi)
+        mf.check_pole_conditions(*_evaluators_from_ratios(man))
     # superexp near the pole: psi'' -> 0 like r^(a-1)
-    man = mf.superexp(4, 2.0)
-    assert abs(float(man.ddpsi(1e-6))) < 1e-4
-    assert abs(float(man.ddpsi(1e-8))) < abs(float(man.ddpsi(1e-6)))
+    ddpsi = _evaluators_from_ratios(mf.superexp(4, 2.0))[2]
+    assert abs(float(ddpsi(1e-6))) < 1e-4
+    assert abs(float(ddpsi(1e-8))) < abs(float(ddpsi(1e-6)))
 
 
 def test_custom_validation():
@@ -150,10 +170,13 @@ def test_dimension_and_domain_guards():
         mf.curvature_rad(mf.hyperbolic(3), -1.0)
     with pytest.raises(DomainError):
         mf.curvature_tan(mf.hyperbolic(3), 0.0)
-    with pytest.raises(NumericError):
-        mf.hyperbolic(3).psi(701.0)
-    # log-domain path covers the same radius
-    assert np.isfinite(mf.hyperbolic(3).log_psi(701.0))
+    # at r = 701 the volume weight sinh^2 r overflows float64; the ratios
+    # and everything built from them stay finite
+    man = mf.hyperbolic(3)
+    for value in (man.log_psi(701.0), man.inv_psi_sq(701.0),
+                  mf.curvature_rad(man, 701.0), mf.curvature_tan(man, 701.0),
+                  mf.hardy_weight_general(man, 701.0)):
+        assert np.isfinite(value)
 
 
 def test_measure_weight_log_domain():

@@ -94,9 +94,11 @@ def test_ground_state_values():
     assert ss.ground_state(3, 1.0) == pytest.approx(1.0 / np.sinh(1.0), rel=1e-12)
     # r -> 0: diverges like r^(-1/2)
     assert ss.ground_state(3, 1e-4) * 1e-2 == pytest.approx(1.0, abs=1e-3)
-    # the comparison profile on H^5 is the ground state
-    assert ss.comparison_profile(mf.hyperbolic(5))(np.array([1.3]))[0] == pytest.approx(
-        float(ss.ground_state(5, 1.3)), rel=1e-12)
+    # the comparison profile on H^N is the ground state, bit for bit
+    r = np.geomspace(1e-6, 800.0, 257)
+    for N in (3, 5, 8):
+        assert np.array_equal(ss.comparison_profile(mf.hyperbolic(N))(r),
+                              ss.ground_state(N, r))
     with pytest.raises(DomainError):
         ss.ground_state(2, 1.0)
 

@@ -51,29 +51,6 @@ def sphere_area(dim: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# half-space geometry
-
-
-def _dist_args(p, y=None):
-    """(|x|, y) of the point given as (x, y) or as p = x and y, where x is in
-    R^(N-1) or is already the reduced |x|."""
-    if y is None:
-        p, y = p
-    return float(np.sqrt(np.sum(np.atleast_1d(np.asarray(p, float)) ** 2))), float(y)
-
-
-def geodesic_distance_halfspace(p, y=None) -> float:
-    """Hyperbolic distance from (x, y) to the reference point (0, 1):
-
-      d = arccosh(1 + ((y-1)^2 + |x|^2) / (2y)).
-    """
-    xi, yy = _dist_args(p, y)
-    if yy <= 0.0:
-        raise DomainError("half-space height must satisfy y > 0")
-    return float(np.arccosh(1.0 + ((yy - 1.0) ** 2 + xi * xi) / (2.0 * yy)))
-
-
-# ---------------------------------------------------------------------------
 # ball model
 
 
@@ -681,6 +658,13 @@ POLYNOMIAL_SUITE = [
     PolynomialTestFunction({(4, 0): 1.0, (0, 1): 2.0}, "x^4 + 2y"),
     PolynomialTestFunction({(2, 0): 1.0, (0, 0): 1.0, (0, 4): 0.25}, "x^2 + 1 + y^4/4"),
 ]
+
+
+def _dist_args(point):
+    """(|x|, y) of the point (x, y), where x is in R^(N-1) or is already
+    the reduced |x|."""
+    x, y = point
+    return float(np.sqrt(np.sum(np.atleast_1d(np.asarray(x, float)) ** 2))), float(y)
 
 
 def halfspace_laplacian_identity_residual(v, alpha: float, point, N: int,

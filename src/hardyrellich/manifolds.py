@@ -58,6 +58,13 @@ class ModelManifold:
         """1/psi(r)^2, computed in log domain."""
         return np.exp(-2.0 * self.log_psi(r))
 
+    def substitution_potential(self, r):
+        """q = a psi''/psi + a(a-1) (psi'/psi)^2, a = (N-1)/2: the potential
+        of the ground-state substitution u = psi^(-a) d, which turns
+        Delta u into psi^(-a) (d'' - q d)."""
+        a = (self.N - 1) / 2.0
+        return a * self.ddpsi_over_psi(r) + a * (a - 1.0) * self.dpsi_over_psi(r) ** 2
+
 
 def _check_dimension(N: int, minimum: int = 3) -> int:
     if int(N) != N or N < minimum:
@@ -82,13 +89,6 @@ def _log_sinh(r):
     # log(sinh r) = r + log(-expm1(-2r)) - log 2, stable for every r > 0
     r = _require_positive(r)
     return r + np.log(-np.expm1(-2.0 * r)) - math.log(2.0)
-
-
-def _inv_sinh_sq(r):
-    # 4 e^(-2r) / (1 - e^(-2r))^2 with the denominator via expm1: accurate
-    # down to the smallest radii the wide pencils reach
-    r = np.asarray(r, dtype=float)
-    return 4.0 * np.exp(-2.0 * r) / np.expm1(-2.0 * r) ** 2
 
 
 def hyperbolic(N: int) -> ModelManifold:

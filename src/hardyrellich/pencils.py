@@ -73,8 +73,8 @@ class QuadraticPencil:
     ``a_bands`` is in lower banded storage: row k holds the k-th subdiagonal
     (row 0 = main diagonal).  ``rebuild`` re-assembles the same pencil on a
     grid with a different node count; it backs the refinement history of
-    min_generalized_eigenvalue.  Assembled pencils carry one; hand-built
-    ones keep None.
+    min_generalized_eigenvalue, which needs one.  Assembled pencils carry
+    one; hand-built ones keep None and are solved by smallest_eigenvalue.
     """
 
     a_bands: np.ndarray
@@ -231,19 +231,14 @@ def assemble_pencil(
     ground-state substitution; psi^(N-1) is never formed.
 
     u = psi^(-a) d with a = (N-1)/2 gives int u'^2 psi^(N-1) =
-    int d'^2 + int q d^2 and Delta u = psi^(-a) (d'' - q d), with
-    q = a psi''/psi + a(a-1) (psi'/psi)^2.  Order 4 is the flat pencil
-    with zeroth = q.  Order 2 also substitutes d = r^(1/2) phi, which
-    gives weight r and potential -[(q - V) + 1/(4 r^2)]; on the hyperbolic
+    int d'^2 + int q d^2 and Delta u = psi^(-a) (d'' - q d), with q the
+    manifold's substitution_potential.  Order 4 is the flat pencil with
+    zeroth = q.  Order 2 also substitutes d = r^(1/2) phi, which gives
+    weight r and potential -[(q - V) + 1/(4 r^2)]; on the hyperbolic
     family that is the Poincare-Hardy ground state v_+ = psi^(-a) r^(1/2).
     Each substitution is exact, so the eigenvalues are the quotient's own.
     """
-    a = (manifold.N - 1) / 2.0
-    c = a * (a - 1.0)
-
-    def q(r):
-        return a * manifold.ddpsi_over_psi(r) + c * manifold.dpsi_over_psi(r) ** 2
-
+    q = manifold.substitution_potential
     if order == ORDER_BILAPLACIAN:
         return assemble_custom_pencil(grid, q, V, W, order)
 
@@ -487,26 +482,25 @@ def min_generalized_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
                                near: float | None = None) -> ConstantEstimate:
     """Minimal eigenvalue with a refinement history.
 
-    When the pencil carries a rebuild closure the solve is repeated at
-    M/4, M/2 and M nodes so the history records three grid refinements;
-    hand-built pencils get a single-entry history.  ``near`` (a neighbouring
-    truncation's value, say) warm-starts the first solve, and each level's
-    value warm-starts the next; from the third level on, moved on by half
-    the last change, as a first-order discretization error would move it.
+    The solve is repeated at M/4, M/2 and M nodes, the coarser pencils
+    from the pencil's rebuild, so the history records three grid
+    refinements; a hand-built pencil without rebuild raises ArgumentError.
+    ``near`` (a neighbouring truncation's value, say) warm-starts the first
+    solve, and each level's value warm-starts the next; from the third
+    level on, moved on by half the last change, as a first-order
+    discretization error would move it.
     """
+    if pencil.rebuild is None:
+        raise ArgumentError("a refinement history needs an assembled pencil (rebuild)")
     grid = pencil.grid
     history: list[tuple[int, float]] = []
-    if pencil.rebuild is not None:
-        sizes = sorted({max(32, grid.M // 4), max(32, grid.M // 2), grid.M})
-        guess = near
-        for m in sizes:
-            p = pencil.rebuild(m) if m != grid.M else pencil
-            value = smallest_eigenvalue(p, tol, near=guess)
-            history.append((m, value))
-            guess = value if len(history) == 1 else 1.5 * value - 0.5 * history[-2][1]
-    else:
-        value = smallest_eigenvalue(pencil, tol, near=near)
-        history.append((grid.M, value))
+    sizes = sorted({max(32, grid.M // 4), max(32, grid.M // 2), grid.M})
+    guess = near
+    for m in sizes:
+        p = pencil.rebuild(m) if m != grid.M else pencil
+        value = smallest_eigenvalue(p, tol, near=guess)
+        history.append((m, value))
+        guess = value if len(history) == 1 else 1.5 * value - 0.5 * history[-2][1]
     return ConstantEstimate(
         value=value,
         r_min=grid.r_min,

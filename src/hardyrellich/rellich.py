@@ -23,7 +23,7 @@ from .errors import (
     TruncationError,
 )
 from .hardy import MarginReport
-from .manifolds import _check_dimension, _inv_sinh_sq, _log_sinh, euclidean, hyperbolic
+from .manifolds import _check_dimension, _log_sinh, euclidean, hyperbolic
 from .pencils import (
     ConstantEstimate,
     ORDER_BILAPLACIAN,
@@ -144,7 +144,7 @@ def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 4096) -> MarginReport:
     int u'^2/sinh^2 >= 9/4 int u^2/sinh^4 + int u^2/sinh^2 (flat measure)."""
 
     grid = grid_covering(u.support, nodes)
-    s2 = _inv_sinh_sq(grid.nodes)
+    s2 = hyperbolic(3).inv_psi_sq(grid.nodes)  # psi = sinh r in every dimension
     weight = float(claims.SINH_1D_S4) * s2 * s2 + float(claims.SINH_1D_S2) * s2
     lhs, rhs = radial_sums(u, grid, [("grad2", s2), ("v2", weight)], 1.0)
     return MarginReport.from_sides(lhs, rhs, "sinh_hardy_1d", 1, "line", u.labels)
@@ -153,11 +153,10 @@ def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 4096) -> MarginReport:
 def _reduced_sums(d: RadialFunction, N: int, n: int, grid: RadialGrid,
                   *weights, subgrid: bool = True) -> np.ndarray:
     """The mode-n reduced form, then int d^2 w for each weight w (flat
-    measure), as radial_sums returns them."""
-    r = grid.nodes
-    coth2 = 1.0 / np.tanh(r) ** 2
-    lam = mode_eigenvalue(n, N)
-    q = (N - 1) * (N - 3) / 4.0 * coth2 + (N - 1) / 2.0 + lam * _inv_sinh_sq(r)
+    measure), as radial_sums returns them.  Its potential is hyperbolic(N)'s
+    substitution potential plus lambda_n/sinh^2."""
+    man, r = hyperbolic(N), grid.nodes
+    q = man.substitution_potential(r) + mode_eigenvalue(n, N) * man.inv_psi_sq(r)
     terms = [("lap2", 1.0), *(("v2", w) for w in weights)]
     return radial_sums(d, grid, terms, 1.0, zeroth=q, subgrid=subgrid)
 
@@ -176,20 +175,23 @@ def radial_reduced_form(d: RadialFunction, N: int, n: int,
 
 
 def reduced_from_radial(u: RadialFunction, N: int) -> RadialFunction:
-    """d(r) = sinh(r)^((N-1)/2) * u(r) with closed-form derivatives."""
+    """d(r) = sinh(r)^((N-1)/2) * u(r) with closed-form derivatives, read
+    from hyperbolic(N): (log d/u)' = a psi'/psi and, since
+    (log sinh)'' = -1/sinh^2, (log d/u)'' = -a/psi^2, a = (N-1)/2."""
+    man = hyperbolic(N)
     half = 0.5 * (N - 1)
 
     def jet(r, order):
-        wr = np.exp(half * _log_sinh(r))
+        wr = np.exp(half * man.log_psi(r))
         ur = u.jet(r, order)
         out = (wr * ur[0],)
         if not order:
             return out
-        k = half / np.tanh(r)
+        k = half * man.dpsi_over_psi(r)
         out += (wr * (k * ur[0] + ur[1]),)
         if order == 1:
             return out
-        kp = -half * _inv_sinh_sq(r)
+        kp = -half * man.inv_psi_sq(r)
         return out + (wr * ((k * k + kp) * ur[0] + 2.0 * k * ur[1] + ur[2]),)
 
     return RadialFunction(jet, support=u.support, label=f"reduced({u.label})",
@@ -207,24 +209,22 @@ def mode_chain_margin(d: RadialFunction, N: int, n: int,
 
     grid = grid_covering(d.support, nodes)
     r = grid.nodes
-    s2 = _inv_sinh_sq(r)
+    s2 = hyperbolic(N).inv_psi_sq(r)
     weight = (float(claims.RELLICH_R4) / r**4 + float(claims.rellich_r2(N)) / r**2
               + float(claims.rellich_l2(N)) + a4 * s2 * s2 + b2 * s2)
     lhs, rhs = _reduced_sums(d, N, n, grid, weight)
     return MarginReport.from_sides(lhs, rhs, f"mode_chain(n={n})", N, "hyperbolic", d.labels)
 
 
-def _poincare_rellich_sums(u: RadialFunction, N: int, grid: RadialGrid,
-                          count: int = 6) -> np.ndarray:
-    """The first count of int (Lap u)^2, int u^2, int u^2/r^2, int u^2/r^4,
-    int u^2/sinh^2 and int u^2/sinh^4 (hyperbolic volume weight), as
-    radial_sums returns them."""
+def _poincare_rellich_sums(u: RadialFunction, N: int, grid: RadialGrid) -> np.ndarray:
+    """int (Lap u)^2, int u^2, int u^2/r^2, int u^2/r^4, int u^2/sinh^2 and
+    int u^2/sinh^4 (hyperbolic volume weight), as radial_sums returns them."""
     man = hyperbolic(N)
     r = grid.nodes
     inv_psi2 = man.inv_psi_sq(r)
     terms = [("lap2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2), ("v2", 1.0 / r**4),
              ("v2", inv_psi2), ("v2", inv_psi2**2)]
-    return radial_sums(u, grid, terms[:count], man.measure_weight(r),
+    return radial_sums(u, grid, terms, man.measure_weight(r),
                        drift=(N - 1) * man.dpsi_over_psi(r))
 
 
@@ -259,8 +259,8 @@ def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 4096) -> fl
     used for the cross-model consistency check.
     """
     _check_dimension(N, 5)
-    lap2, l2, by_r2, by_r4 = _poincare_rellich_sums(
-        u, N, grid_covering(u.support, nodes), count=4)
+    lap2, l2, by_r2, by_r4, _, _ = _poincare_rellich_sums(
+        u, N, grid_covering(u.support, nodes))
     lhs = lap2 - float(claims.rellich_l2(N)) * l2
     return float((lhs - (float(claims.rellich_r2(N)) * by_r2
                          + float(claims.RELLICH_R4) * by_r4))[0])

@@ -16,7 +16,6 @@ from . import claims
 from .errors import ArgumentError, DomainError, ResampleError
 from .manifolds import (
     ModelManifold,
-    _inv_sinh_sq,
     _log_sinh,
     _require_positive,
     check_monotonicity_condition,
@@ -58,10 +57,10 @@ def _warp_power_logd(alpha: float, r, s, dds):
 def _comparison_logd(N: int, r, s, dds):
     """(log Phi)' and (log Phi)'' of the comparison profile
     Phi = (r/psi)^((N-1)/2) r^((2-N)/2), from s = psi'/psi and
-    dds = psi''/psi at r."""
-    m = 0.5 * (N - 1) * (1.0 / r - s) + 0.5 * (2 - N) / r
-    mp = 0.5 * (N - 1) * (-1.0 / r**2 - dds + s**2) - 0.5 * (2 - N) / r**2
-    return m, mp
+    dds = psi''/psi at r: the warp power -(N-1)/2 and the r^((2-N)/2)
+    term."""
+    m, mp = _warp_power_logd(-0.5 * (N - 1), r, s, dds)
+    return m + 0.5 * (2 - N) / r, mp - 0.5 * (2 - N) / r**2
 
 
 def _comparison_log(N: int, r, log_psi):
@@ -73,18 +72,6 @@ def _comparison_log(N: int, r, log_psi):
 
 # ---------------------------------------------------------------------------
 # profiles
-
-
-def warp_power_profile(manifold: ModelManifold, alpha: float) -> RadialFunction:
-    """Phi(r) = (psi(r)/r)^alpha with log-domain evaluation and derivatives."""
-
-    def jet(r, order):
-        r = _require_positive(r)
-        value = np.exp(alpha * (manifold.log_psi(r) - np.log(r)))
-        return log_jet(value, lambda: _warp_power_logd(
-            alpha, r, manifold.dpsi_over_psi(r), manifold.ddpsi_over_psi(r)), order)
-
-    return RadialFunction(jet, support=(0.0, np.inf), label=f"(psi/r)^{alpha:g}")
 
 
 def comparison_profile(manifold: ModelManifold) -> RadialFunction:
@@ -228,11 +215,10 @@ def ground_state_residual(N: int, r):
     H = -Lap - (N-1)^2/4 - 1/(4 r^2) - (N-1)(N-3)/(4 sinh^2 r)."""
     if N < 3:
         raise DomainError("ground state needs N >= 3")
+    man = hyperbolic(N)
     r = _require_positive(r)
-    coth = 1.0 / np.tanh(r)
-    inv_s2 = _inv_sinh_sq(r)
-    m = 0.5 * (N - 1) * (1.0 / r - coth) + 0.5 * (2 - N) / r
-    mp = 0.5 * (N - 1) * (-1.0 / r**2 + inv_s2) - 0.5 * (2 - N) / r**2
+    coth, inv_s2 = man.dpsi_over_psi(r), man.inv_psi_sq(r)
+    m, mp = _comparison_logd(N, r, coth, man.ddpsi_over_psi(r))
     lhs_terms = [-(mp + m * m), -(N - 1) * coth * m]
     rhs_terms = [
         np.full_like(r, float(claims.spectral_gap(N))),

@@ -6,21 +6,35 @@ from hardyrellich.errors import ArgumentError, DomainError, EvaluationError
 from hardyrellich.radial import RadialFunction, bump, seeded_bumps
 
 
+def _distance(xi, y):
+    """The production half-space distance to (0, 1) at the nodes xi x y."""
+    xi, y = np.atleast_1d(xi), np.atleast_1d(y)
+    grid = euclid.TensorGrid.over_box(float(xi[-1]), float(y[0]), float(y[-1]),
+                                      xi.size, y.size)
+    return np.arccosh(grid.cosh_dist)
+
+
 def test_distance_reference_point():
-    assert euclid.geodesic_distance_halfspace((0.0, 1.0)) == 0.0
+    assert _distance(0.0, 1.0)[0, 0] == 0.0
 
 
 def test_distance_vertical_axis():
     for y in (0.5, 2.0, 7.0, 1e-3):
-        d = euclid.geodesic_distance_halfspace((0.0, y))
-        assert d == pytest.approx(abs(np.log(y)), rel=1e-9)
+        assert _distance(0.0, y)[0, 0] == pytest.approx(abs(np.log(y)), rel=1e-9)
+    y = np.linspace(0.5, 7.0, 14)
+    assert _distance(0.0, y)[0] == pytest.approx(np.abs(np.log(y)), rel=1e-9)
 
 
 def test_distance_boundary_asymptote():
     for y in (1e-3, 1e-6):
-        assert euclid.geodesic_distance_halfspace((0.0, y)) / np.log(1.0 / y) == (
-            pytest.approx(1.0, rel=1e-12)
-        )
+        assert _distance(0.0, y)[0, 0] / np.log(1.0 / y) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_distance_closed_form():
+    # arccosh(1 + ((y-1)^2 + xi^2)/(2y)), written out as its own reference
+    xi, y = np.linspace(0.0, 3.0, 7), np.linspace(0.05, 4.0, 9)
+    ref = np.arccosh(1.0 + ((y[None, :] - 1.0) ** 2 + xi[:, None] ** 2) / (2.0 * y[None, :]))
+    assert _distance(xi, y) == pytest.approx(ref, rel=1e-13)
 
 
 def test_distance_rotation_invariance():
@@ -30,16 +44,22 @@ def test_distance_rotation_invariance():
     x = rng.normal(size=4)
     for k in range(3):
         Q = ortho_group.rvs(4, random_state=k)
-        assert euclid.geodesic_distance_halfspace((Q @ x, 2.0)) == pytest.approx(
-            euclid.geodesic_distance_halfspace((x, 2.0)), rel=1e-12
+        assert euclid._dist_args((Q @ x, 2.0))[0] == pytest.approx(
+            euclid._dist_args((x, 2.0))[0], rel=1e-12
         )
+    assert euclid._dist_args((x, 2.0)) == (pytest.approx(np.linalg.norm(x), rel=1e-15), 2.0)
 
 
 def test_distance_domain_error():
+    v = euclid.POLYNOMIAL_SUITE[0]
     with pytest.raises(DomainError):
-        euclid.geodesic_distance_halfspace((0.0, 0.0))
+        euclid.halfspace_laplacian_identity_residual(v, 1.0, (0.0, 0.0), 5)
     with pytest.raises(DomainError):
-        euclid.geodesic_distance_halfspace(1.0, -2.0)
+        euclid.halfspace_laplacian_identity_residual(v, 1.0, (1.0, -2.0), 5)
+    with pytest.raises(ArgumentError):
+        euclid.TensorGrid.over_box(1.0, 0.0, 2.0, 8, 8)
+    with pytest.raises(ArgumentError):
+        euclid.TensorGrid.over_box(1.0, -1.0, 2.0, 8, 8)
 
 
 def test_ball_identities():
@@ -511,8 +531,8 @@ def test_nan_in_a_later_block_names_its_node(monkeypatch):
     # row 15 (the fourth block) meets the transported support; the profile
     # is made NaN at the distance of one node there
     xi = grid.xi[15]
-    y = grid.y[np.argmin(np.abs(grid.y - np.sqrt(1.0 + xi * xi)))]
-    d = euclid.geodesic_distance_halfspace((xi, y))
+    j = np.argmin(np.abs(grid.y - np.sqrt(1.0 + xi * xi)))
+    y, d = grid.y[j], np.arccosh(grid.cosh_dist[15, j])
     planted = euclid.TransportedRadial(_nan_at(transported.U, [d]), 3, 0.5)
     with pytest.raises(EvaluationError, match=f"\\({xi:.6g}, {y:.6g}\\)"):
         euclid.check_halfspace_hardy(planted, 3, 40, 32)

@@ -185,3 +185,22 @@ def test_measure_weight_log_domain():
     val = man.measure_weight(np.array([80.0]))
     assert np.isfinite(val).all()
     assert np.log(val[0]) == pytest.approx(8 * (80.0 - np.log(2.0)), rel=1e-10)
+
+
+def test_substitution_potential_closed_forms():
+    # q = a psi''/psi + a(a-1)(psi'/psi)^2, a = (N-1)/2, against its closed
+    # forms: (N-1)(N-3)/4 coth^2 r + (N-1)/2 on hyperbolic(N), and
+    # (N-1)(N-3)/(4 r^2) on euclidean(N)
+    r = np.geomspace(1e-6, 700.0, 999)
+    for N in (3, 5, 8):
+        c = (N - 1) * (N - 3) / 4.0
+        hyp = c / np.tanh(r) ** 2 + (N - 1) / 2.0
+        assert mf.hyperbolic(N).substitution_potential(r) == pytest.approx(hyp, rel=1e-14)
+        flat = mf.euclidean(N).substitution_potential(r)
+        if N == 3:
+            assert np.all(flat == 0.0)
+        else:
+            assert flat == pytest.approx(c / r**2, rel=1e-14)
+    # finite where psi = r e^(r^2) itself overflows
+    assert np.isfinite(mf.superexp(5, 2.0).substitution_potential(30.0))
+    assert mf.superexp(5, 2.0).log_psi(30.0) > np.log(np.finfo(float).max)

@@ -259,7 +259,6 @@ def _jet_cases():
         "plateau_cutoff": lambda: (radial.plateau_cutoff(0.5), wide),
         "trial_profile": lambda: (hardy.trial_profile(0.3, [0.5], 0.25), unit),
         "iterated_log_profile": lambda: (iterated_log.iterated_log_profile(5, 2), unit),
-        "warp_power_profile": lambda: (ss.warp_power_profile(man, 0.5), positive),
         "comparison_profile": lambda: (ss.comparison_profile(man), positive),
         "power_profile": lambda: (ss.power_profile(-1.5), positive),
         "power_log_profile": lambda: (ss.power_log_profile(5), positive),

@@ -31,9 +31,10 @@ import numpy as np
 
 from . import claims
 from .errors import ArgumentError, DomainError, EvaluationError
-from .manifolds import hyperbolic
+from .manifolds import _check_dimension, hyperbolic
 from .radial import (
     RadialFunction,
+    _check_support_inside,
     _trapezoid_weights,
     bilaplacian_form,
     bump,
@@ -98,8 +99,6 @@ def ball_identity_check(u: RadialFunction, N: int, nodes: int = 4096) -> tuple:
     Both sides are reduced to 1-D radial integrals, one radial_sums call
     per side; the sphere factor is identical on the two sides and dropped.
     """
-    if N < 3:
-        raise DomainError("ball identities need N >= 3")
     man = hyperbolic(N)
     grid_h = grid_covering(u.support, nodes)
     v = ball_from_radial(u, N)
@@ -130,11 +129,9 @@ def check_ball_hardy(v: RadialFunction, N: int, nodes: int = 4096) -> MarginRepo
 
     with c = 2/(1-t^2); radial reduction in t = |x|.
     """
-    if N < 3:
-        raise DomainError("ball inequality needs N >= 3")
+    _check_dimension(N)
+    _check_support_inside(v, 0.0, 1.0)
     a, b = v.support
-    if not np.all((0.0 < a) & (a < b) & (b < 1.0)):
-        raise ArgumentError("support must lie in (0, 1): inside the unit ball, off its centre")
     grid = make_grid(a * 0.9, (b + 1.0) / 2.0, nodes, "uniform")
     t = grid.nodes
     c2 = conformal_factor(t) ** 2
@@ -541,8 +538,6 @@ def _tensor_margin(name: str, v, N: int, nx: int, ny: int, terms,
     the sums of the terms on an nx x ny grid over v's box and on its
     every-other-node subgrid; the margin change between the two is the
     quadrature error."""
-    if v.y_support[0] <= 0.0:
-        raise ArgumentError("support must stay away from the boundary y = 0")
     lhs, rhs = sides(*_halfspace_sums(v, N, nx, ny, terms))
     return MarginReport.from_sides(lhs, rhs, name, N, "halfspace", [v.label])
 
@@ -555,8 +550,7 @@ def check_halfspace_hardy(v, N: int, nx: int = 512, ny: int = 512) -> MarginRepo
     with d the hyperbolic distance to (0, 1); cylindrical reduction with the
     (N-2)-sphere factor folded into the |x| weight.
     """
-    if N < 3:
-        raise DomainError("half-space inequality needs N >= 3")
+    _check_dimension(N)
     return _tensor_margin(
         "halfspace_hardy", v, N, nx, ny,
         [("grad2", 0, 0), ("v2", 2, 0), ("v2", 2, 1)],
@@ -579,8 +573,7 @@ def check_halfspace_rellich(v, N: int, which: str, nx: int = 512,
                         + (N-1)^2/8 int int v^2/(y^4 d^2)
                         + 9/16 int int v^2/(y^4 d^4)
     """
-    if N < 5:
-        raise DomainError("half-space second-order inequalities need N >= 5")
+    _check_dimension(N, 5)
     if which not in ("y2", "y4"):
         raise ArgumentError("which must be 'y2' or 'y4'")
     if which == "y2":
@@ -717,8 +710,7 @@ def halfspace_bilaplacian_identity(U: RadialFunction, N: int,
     sinh^(N-1)), right side by tensor quadrature; the sphere areas of the
     two reductions are restored.  Returns (lhs, rhs, relative difference).
     """
-    if N < 5:
-        raise DomainError("the bilaplacian identity check needs N >= 5")
+    _check_dimension(N, 5)
     grid = grid_covering(U.support, nodes)
     lhs = sphere_area(N) * float(bilaplacian_form(U, hyperbolic(N), grid))
 

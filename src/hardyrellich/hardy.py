@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import claims
-from .errors import ArgumentError, DomainError, SupportError, TruncationError
+from .errors import ArgumentError, DomainError, TruncationError
 from .iterated_log import iterated_log_stack, log_derivatives
-from .manifolds import ModelManifold, hardy_weight_general, hyperbolic
+from .manifolds import ModelManifold, _check_dimension, hardy_weight_general, hyperbolic
 from .pencils import (
     ConstantEstimate,
     assemble_pencil,
@@ -22,6 +22,7 @@ from .pencils import (
 from .radial import (
     RadialFunction,
     RadialGrid,
+    _check_support_inside,
     _integrate,
     grid_covering,
     make_grid,
@@ -81,12 +82,9 @@ class LambdaCurve:
     N: int
     lambdas: np.ndarray
     h_values: np.ndarray
-    r_min: float
-    r_max: float
-    M: int
 
-    def is_nonincreasing(self, slack: float = 1e-9) -> bool:
-        return bool(np.all(np.diff(self.h_values) <= slack))
+    def is_nonincreasing(self) -> bool:
+        return bool(np.all(np.diff(self.h_values) <= 1e-9))
 
     def midpoint_concavity_defect(self) -> float:
         """max over interior points of (h[i-1]+h[i+1])/2 - h[i]; concavity
@@ -117,8 +115,6 @@ def check_poincare_hardy(u: RadialFunction, N: int, nodes: int = 4096) -> Margin
     (radial reduction, volume weight sinh^(N-1) r).  For N = 3 the sinh
     coefficient vanishes and this is the plain optimal-constant form.
     """
-    if N < 3:
-        raise DomainError("the inequality needs N >= 3")
     man = hyperbolic(N)
     dirichlet, by_r2, by_psi2, l2 = _hardy_sums(u, man, grid_covering(u.support, nodes), 1.0)
     return MarginReport.from_sides(
@@ -137,8 +133,6 @@ def check_general_model(u: RadialFunction, manifold: ModelManifold,
     inequality for the euclidean family and to the hyperbolic form above
     for psi = sinh r.
     """
-    if manifold.N < 3:
-        raise DomainError("the inequality needs N >= 3")
     N = manifold.N
 
     grid = grid_covering(u.support, nodes)
@@ -160,10 +154,9 @@ def poincare_gap(N: int, r_min: float = 1e-3, r_max: float = 60.0,
     measure dr), so the truncated value is exactly
     1 + pi^2/(r_max - r_min)^2.
     """
-    if N < 3:
-        raise DomainError("the gap estimator needs N >= 3")
+    man = hyperbolic(N)
     grid = make_grid(r_min, r_max, M, "geometric")
-    return min_generalized_eigenvalue(assemble_pencil(hyperbolic(N), None, 1.0, grid), tol)
+    return min_generalized_eigenvalue(assemble_pencil(man, None, 1.0, grid), tol)
 
 
 def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
@@ -181,10 +174,9 @@ def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
     1/4 + pi^2/log^2(r_max/r_min); other N add the sinh potential.
     ``near`` warm-starts the eigensolve (see min_generalized_eigenvalue).
     """
-    if N < 3:
-        raise DomainError("the Hardy estimator needs N >= 3")
+    man = hyperbolic(N)
     grid = make_grid(r_min, r_max, M, "geometric")
-    pencil = assemble_pencil(hyperbolic(N), float(claims.spectral_gap(N)),
+    pencil = assemble_pencil(man, float(claims.spectral_gap(N)),
                              lambda r: 1.0 / r**2, grid)
     est = min_generalized_eigenvalue(pencil, tol, near=near)
     if est.value < 0.0:
@@ -206,8 +198,7 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
     next.  The pencil reaches the huge truncation radii the
     lambda -> (N-1)^2/4 endpoint needs without ever forming sinh^(N-1).
     """
-    if N < 3:
-        raise DomainError("the h(lambda) sweep needs N >= 3")
+    man = hyperbolic(N)
     top = float(claims.spectral_gap(N))
     if lambdas is None:
         lambdas = np.linspace(0.0, top, 17)
@@ -216,14 +207,13 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
         raise DomainError("lambda must lie in [0, (N-1)^2/4]")
 
     grid = make_grid(r_min, r_max, M, "geometric")
-    man = hyperbolic(N)
     h_values = []
     value = None
     for lam in lambdas:
         pencil = assemble_pencil(man, lam, lambda r: 1.0 / r**2, grid)
         value = smallest_eigenvalue(pencil, tol, near=value)
         h_values.append(value)
-    return LambdaCurve(N, lambdas, np.asarray(h_values), r_min, r_max, M)
+    return LambdaCurve(N, lambdas, np.asarray(h_values))
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +233,12 @@ def check_iterated_log_improvement(u: RadialFunction, N: int, k,
     A sequence of series lengths k is served by one grid and one jet of u,
     and gives the reports of every length, length by length.
     """
-    if N < 3:
-        raise DomainError("the inequality needs N >= 3")
+    man = hyperbolic(N)
     ks = list(np.atleast_1d(k))
     if min(ks) < 0:
         raise ArgumentError("series length k must be >= 0")
+    _check_support_inside(u, 0.0, 1.0)
     a, b = u.support
-    inside = (0.0 < a) & (b < 1.0)
-    if not np.all(inside):
-        j = int(np.argmin(inside))
-        a, b = (float(np.ravel(x)[j]) for x in (a, b))
-        raise SupportError(
-            f"support [{a:g}, {b:g}] of {u.labels[j]} must lie strictly inside "
-            "the unit ball"
-        )
-    man = hyperbolic(N)
     # pad without leaving (0, 1), where the log weights live
     grid = make_grid(a * 0.9, np.minimum(b + 0.05 * (b - a), (b + 1.0) / 2.0), nodes, "uniform")
     r = grid.nodes
@@ -330,8 +311,7 @@ def iterated_log_optimality_scan(N: int, k: int, params=None,
     whose two integrands are pointwise nonnegative: the lower bound 1/4
     survives any domain truncation.
     """
-    if N < 3:
-        raise DomainError("the optimality scan needs N >= 3")
+    _check_dimension(N)
     if k < 1:
         raise ArgumentError("the scan needs k >= 1 series terms")
     if params is None:

@@ -309,13 +309,16 @@ def grid_covering(support: tuple, M: int = 4096, pad: float = 0.05) -> RadialGri
 # quadrature and quadratic forms
 
 
-def _check_support_inside(u: RadialFunction, grid: RadialGrid) -> None:
+def _check_support_inside(u: RadialFunction, lo, hi) -> None:
+    """SupportError naming the first member of u whose support does not lie
+    strictly inside (lo, hi); lo and hi are floats or (k, 1) arrays, as a
+    grid's ends are."""
     a, b = u.support
-    bad = ~((a > grid.r_min) & (b < grid.r_max) & np.isfinite(b))
+    bad = ~((a > lo) & (b < hi) & np.isfinite(b))
     if np.any(bad):
         j = int(np.argmax(bad))  # the first bad row
         a, b, lo, hi = (float(np.ravel(np.broadcast_to(x, bad.shape))[j])
-                        for x in (a, b, grid.r_min, grid.r_max))
+                        for x in (a, b, lo, hi))
         raise SupportError(
             f"test function {u.labels[j]} support [{a:g}, {b:g}] must lie "
             f"strictly inside ({lo:g}, {hi:g})"
@@ -379,7 +382,7 @@ def radial_sums(u: RadialFunction, grid: RadialGrid, terms, measure,
     and zeroth are node arrays or scalars (drift and zeroth default to 0).
     u must be supported strictly inside the grid; a non-finite integrand
     raises EvaluationError naming the member, its node and r."""
-    _check_support_inside(u, grid)
+    _check_support_inside(u, grid.r_min, grid.r_max)
     order = max(_TERM_ORDER[q] for q, _ in terms)
     jet = u.jet(grid.nodes, order)
     Q = {"v2": jet[0] * jet[0]}

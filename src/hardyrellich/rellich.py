@@ -23,7 +23,7 @@ from .errors import (
     TruncationError,
 )
 from .hardy import MarginReport
-from .manifolds import _check_dimension, _log_sinh, euclidean, hyperbolic
+from .manifolds import _check_dimension, euclidean, hyperbolic
 from .pencils import (
     ConstantEstimate,
     ORDER_BILAPLACIAN,
@@ -425,7 +425,9 @@ class ChangeOfVariable:
     NEWTON_STEPS = 8
 
     def __init__(self, N: int, table_size: int = 4096):
-        self.N = _check_dimension(N)
+        man = hyperbolic(N)
+        self.N = man.N
+        self._log_psi = man.log_psi
         lo, hi = self.TABLE_RANGE
         self.r_tab = np.geomspace(lo, hi, table_size)
         tail = self._series_tail(hi)
@@ -442,7 +444,7 @@ class ChangeOfVariable:
 
     def _integrand(self, sigma):
         sigma = np.asarray(sigma, dtype=float)
-        return np.exp(-(self.N - 1) * (math.log(2.0) + _log_sinh(sigma)))
+        return np.exp(-(self.N - 1) * (math.log(2.0) + self._log_psi(sigma)))
 
     def _series_tail(self, r):
         """Integral of (e^s - e^-s)^(1-N) from r to infinity, by series."""
@@ -486,8 +488,13 @@ class ChangeOfVariable:
             out[small] = self._s_from_integral(self.i_tab[j] + local)
         return float(out[0]) if scalar else out
 
+    def log_ds_dr(self, r, s):
+        """log ds/dr = (N-1)(log s - log sinh r): the one copy of the
+        density, which ds_dr, rho_of_r and the mapped profiles exponentiate."""
+        return (self.N - 1) * (np.log(s) - self._log_psi(r))
+
     def ds_dr(self, r, s):
-        return np.exp((self.N - 1) * (np.log(s) - _log_sinh(r)))
+        return np.exp(self.log_ds_dr(r, s))
 
     def r_of_s(self, s):
         """Inverse map on the tabulated range."""
@@ -529,8 +536,7 @@ class ChangeOfVariable:
 
     def rho_of_r(self, r):
         """Density rho = (sinh r / s)^(2(N-1)) along the map."""
-        s = self.s_of_r(r)
-        return np.exp(2.0 * (self.N - 1) * (_log_sinh(r) - np.log(s)))
+        return np.exp(-2.0 * self.log_ds_dr(r, self.s_of_r(r)))
 
 
 @lru_cache(maxsize=8)
@@ -623,7 +629,7 @@ def mapped_from_radial(u: RadialFunction, N: int) -> RadialFunction:
         ur = u.jet(r, order)
         if not order:
             return ur
-        rp = np.exp((N - 1) * (_log_sinh(r) - np.log(s)))
+        rp = np.exp(-cov.log_ds_dr(r, s))
         out = (ur[0], ur[1] * rp)
         if order == 1:
             return out
@@ -654,7 +660,7 @@ def check_mapped_rellich(v: RadialFunction, N: int,
     grid = grid_covering(v.support, nodes)
     s = grid.nodes
     r = cov.r_of_s(s)
-    rho = np.exp(2.0 * (N - 1) * (_log_sinh(r) - np.log(s)))
+    rho = np.exp(-2.0 * cov.log_ds_dr(r, s))
     principal = (float(claims.rellich_l2(N)) + float(claims.RELLICH_R4) / r**4
                  + float(claims.rellich_r2(N)) / r**2)
     lhs, rhs = radial_sums(v, grid, [("lap2", 1.0 / rho), ("v2", rho * principal)],

@@ -106,8 +106,9 @@ class ExperimentManifest:
 
     def write(self, outdir: str | Path) -> tuple[Path, Path]:
         """Write manifest.json and results.csv, and constants.csv and
-        residuals.csv when the checks produced rows for them; returns the
-        paths of the first two.
+        residuals.csv when the checks produced rows for them, deleting
+        either of the two that they did not; returns the paths of the
+        first two.
 
         Manifests are written even when checks fail; only the exit code
         reports failure.
@@ -123,15 +124,20 @@ class ExperimentManifest:
                 f"{r.name},{r.status},{format_value(r.value)},{format_value(r.tolerance)}"
             )
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # an earlier run into the same directory may have left either file
         constants = self.constants
         if constants:
             const_lines = ["constant_name,N,r_min,r_max,M,value", *constants]
             (out / "constants.csv").write_text("\n".join(const_lines) + "\n",
                                                encoding="utf-8")
+        else:
+            (out / "constants.csv").unlink(missing_ok=True)
         residuals = [line for r in self.results for line in r.residuals]
         if residuals:
             write_csv(out / "residuals.csv", "identity,family,N,alpha_or_f,r,residual_rel",
                       residuals)
+        else:
+            (out / "residuals.csv").unlink(missing_ok=True)
         return manifest_path, csv_path
 
 

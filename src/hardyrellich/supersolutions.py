@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import claims
-from .errors import ArgumentError, DomainError, ResampleError
+from .errors import ArgumentError, ResampleError
 from .manifolds import (
     ModelManifold,
-    _log_sinh,
+    _check_dimension,
     _require_positive,
     check_monotonicity_condition,
     curvature_rad,
@@ -180,24 +180,31 @@ def product_profile_identity_residual(manifold: ModelManifold, f: RadialFunction
     return _rel_residual(lhs_terms, rhs_terms, magnitudes=mags)
 
 
-def supersolution_equality_residual(manifold: ModelManifold, r):
-    """Residual of the model-manifold equality for the comparison profile.
-
-    On a model, -Lap(profile) equals w(r) + (N-1)(N-3)/(4 psi^2) + 1/(4 r^2)
-    times the profile, w being the curvature Hardy weight; relative residual.
-    """
+def _equality_residual(manifold: ModelManifold, r, w):
+    """Relative residual of -Lap(profile) = [w + (N-1)(N-3)/(4 psi^2)
+    + 1/(4 r^2)] profile for the comparison profile of the manifold, with
+    w the weight term: an array on r, or a constant."""
     r = _require_positive(r)
     N = manifold.N
     s, dds = manifold.dpsi_over_psi(r), manifold.ddpsi_over_psi(r)
     m, mp = _comparison_logd(N, r, s, dds)
     lhs_terms = [-(mp + m * m), -(N - 1) * s * m]
     rhs_terms = [
-        hardy_weight_general(manifold, r),
+        w,
         float(claims.sinh_hardy(N)) * manifold.inv_psi_sq(r),
         float(claims.HARDY_R2) / r**2,
     ]
     mp_mag = 0.5 * (N - 1) * (np.abs(dds) + s * s + 1.0 / r**2)
     return _rel_residual(lhs_terms, rhs_terms, magnitudes=[mp_mag])
+
+
+def supersolution_equality_residual(manifold: ModelManifold, r):
+    """Residual of the model-manifold equality for the comparison profile.
+
+    On a model, -Lap(profile) equals w(r) + (N-1)(N-3)/(4 psi^2) + 1/(4 r^2)
+    times the profile, w being the curvature Hardy weight; relative residual.
+    """
+    return _equality_residual(manifold, r, hardy_weight_general(manifold, r))
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +219,9 @@ def ground_state(N: int, r):
 
 def ground_state_residual(N: int, r):
     """Relative residual of H v_+ = 0 for the shifted critical operator
-    H = -Lap - (N-1)^2/4 - 1/(4 r^2) - (N-1)(N-3)/(4 sinh^2 r)."""
-    if N < 3:
-        raise DomainError("ground state needs N >= 3")
-    man = hyperbolic(N)
-    r = _require_positive(r)
-    coth, inv_s2 = man.dpsi_over_psi(r), man.inv_psi_sq(r)
-    m, mp = _comparison_logd(N, r, coth, man.ddpsi_over_psi(r))
-    lhs_terms = [-(mp + m * m), -(N - 1) * coth * m]
-    rhs_terms = [
-        np.full_like(r, float(claims.spectral_gap(N))),
-        float(claims.HARDY_R2) / r**2,
-        float(claims.sinh_hardy(N)) * inv_s2,
-    ]
-    mp_mag = 0.5 * (N - 1) * (1.0 / r**2 + inv_s2) + 0.5 * abs(2 - N) / r**2
-    return _rel_residual(lhs_terms, rhs_terms, magnitudes=[mp_mag])
+    H = -Lap - (N-1)^2/4 - 1/(4 r^2) - (N-1)(N-3)/(4 sinh^2 r): the
+    equality above on hyperbolic(N), with the claimed spectral gap as w."""
+    return _equality_residual(hyperbolic(N), r, float(claims.spectral_gap(N)))
 
 
 def minimal_growth_ratios(N: int, r_small: float, r_large: float):
@@ -236,8 +231,7 @@ def minimal_growth_ratios(N: int, r_small: float, r_large: float):
     shrink as the sample radii move toward 0 and infinity, which is the
     minimal-growth hypothesis checked numerically.
     """
-    if N < 3:
-        raise DomainError("minimal growth ratios need N >= 3")
+    _check_dimension(N)
     for r in (r_small, r_large):
         if r <= 0:
             raise ArgumentError("sample radii must be positive")
@@ -263,13 +257,12 @@ def null_criticality_scan(N: int, k_list, M: int = 4096) -> list[tuple[float, fl
     k/4: the mass diverges logarithmically, which is the
     square-nonintegrability of the ground state against the Hardy weight.
     """
-    if N < 3:
-        raise DomainError("null criticality scan needs N >= 3")
+    man = hyperbolic(N)
     out = []
     for k in k_list:
         grid = make_grid(float(np.exp(-k)), 1.0, M, "geometric")
         r = grid.nodes
-        log_mass = 2.0 * np.log(ground_state(N, r)) + (N - 1) * _log_sinh(r) - 2.0 * np.log(r)
+        log_mass = 2.0 * np.log(ground_state(N, r)) + (N - 1) * man.log_psi(r) - 2.0 * np.log(r)
         vals = float(claims.HARDY_R2) * np.exp(log_mass)
         out.append((float(k), float(_integrate(vals, grid, "mass integrand", subgrid=False))))
     return out

@@ -107,7 +107,7 @@ def _stubbed(check, stubs):
 # by 1e-3
 H0, H1 = 0.9805 * 2.25, 0.9805 * 0.25
 H_CURVE = hardy.LambdaCurve(5, np.array([0.0, 1.0, 2.0]),
-                            np.array([H0, 0.5 * (H0 + H1), H1]), 1e-9, 1e26, 64)
+                            np.array([H0, 0.5 * (H0 + H1), H1]))
 
 
 # each anchor 1e-4 inside the low end of its window, so a claim 1e-3 larger

@@ -129,6 +129,28 @@ def test_sharp_anchor_command(tmp_path):
     assert "one_d_hardy" in consts and "euclid_rellich_radial" in consts
 
 
+@pytest.mark.parametrize("first, second", [("anchors", "identities"),
+                                           ("identities", "anchors")])
+def test_reused_out_keeps_only_the_last_runs_csvs(first, second, tmp_path):
+    # the anchors write constants.csv and no residuals.csv, the identities
+    # the other way round: a run into a used directory deletes the CSV it
+    # did not produce, so no file from the earlier run sits beside its
+    # manifest
+    argv = {"anchors": ["sharp", "--which", "anchors"],
+            "identities": ["verify", "--suite", "identities"]}
+    for name in (first, second):
+        assert cli.main([*argv[name], "--out", str(tmp_path)]) == 0
+    fresh = tmp_path / "fresh"
+    assert cli.main([*argv[second], "--out", str(fresh)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
+    assert written == sorted(p.name for p in fresh.iterdir())
+    assert ("constants.csv" in written) == (second == "anchors")
+    assert ("residuals.csv" in written) == (second == "identities")
+    for name in written:
+        if name != "manifest.json":  # it records the run's wall time
+            assert (tmp_path / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_euclid_laplacian_identity_command(tmp_path):
     code = cli.main(["euclid", "laplacian-identity", "--out", str(tmp_path)])
     assert code == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardyrellich import euclid
-from hardyrellich.errors import ArgumentError, DomainError, EvaluationError
+from hardyrellich.errors import ArgumentError, DomainError, EvaluationError, SupportError
 from hardyrellich.radial import RadialFunction, bump, seeded_bumps
 
 
@@ -83,6 +83,14 @@ def test_ball_hardy_margin_and_guard():
     assert rep.margin > 0
     with pytest.raises(ArgumentError):
         euclid.check_ball_hardy(bump(0.5, 1.2), 3)
+    # a family whose third member reaches |x| = 1 is refused by name
+    family = bump(np.array([[0.2], [0.3], [0.5]]), np.array([[0.6], [0.7], [1.0]]))
+    with pytest.raises(SupportError, match=r"bump\[0\.5,1\] support \[0\.5, 1\]"):
+        euclid.check_ball_hardy(family, 3)
+    with pytest.raises(DomainError):
+        euclid.check_ball_hardy(bump(0.2, 0.6), 2)
+    with pytest.raises(DomainError):
+        euclid.ball_identity_check(bump(0.4, 1.0), 2)
 
 
 def test_ball_equivalence_with_hyperbolic_margin():
@@ -111,6 +119,14 @@ def test_halfspace_hardy_guards():
     touching = euclid.TensorProductFunction(v.fx, bump(0.0, 1.0))
     with pytest.raises(ArgumentError):
         euclid.check_halfspace_hardy(touching, 3)
+    # every half-space check refuses a support that reaches y = 0
+    on_boundary = euclid.tensor_bump(1.0, 0.0, 2.0)
+    for call in (lambda: euclid.check_halfspace_hardy(on_boundary, 3),
+                 lambda: euclid.check_halfspace_rellich(on_boundary, 5, "y2"),
+                 lambda: euclid.check_halfspace_rellich(on_boundary, 5, "y4"),
+                 lambda: euclid.aux_gradient_inequality(on_boundary, 5)):
+        with pytest.raises(ArgumentError, match="y > 0"):
+            call()
 
 
 def test_halfspace_equivalence_with_hyperbolic():
@@ -220,6 +236,8 @@ def test_halfspace_rellich_margins():
         assert rep.margin > 0
     with pytest.raises(DomainError):
         euclid.check_halfspace_rellich(v, 4, "y2")
+    with pytest.raises(DomainError):
+        euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 4)
     with pytest.raises(ArgumentError):
         euclid.check_halfspace_rellich(v, 5, "y6")
 

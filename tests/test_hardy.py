@@ -85,8 +85,18 @@ def test_margin_suite_seeded():
 
 
 def test_dimension_guard():
-    with pytest.raises(DomainError):
-        hardy.check_poincare_hardy(bump(1.0, 2.0), 2)
+    # every entry point refuses N = 2 through hyperbolic(N) or the one
+    # dimension check of manifolds, before any other work
+    u = bump(0.2, 0.8)
+    for call in (lambda: hardy.check_poincare_hardy(u, 2),
+                 lambda: hardy.check_general_model(u, mf.hyperbolic(2)),
+                 lambda: hardy.poincare_gap(2),
+                 lambda: hardy.estimate_sharp_hardy(2),
+                 lambda: hardy.sweep_h_lambda(2),
+                 lambda: hardy.check_iterated_log_improvement(u, 2, 1),
+                 lambda: hardy.iterated_log_optimality_scan(2, 1)):
+        with pytest.raises(DomainError, match="dimension must be an integer >= 3"):
+            call()
 
 
 def test_poincare_gap():
@@ -210,6 +220,10 @@ def test_iterated_log_margins_decrease_with_k():
 def test_iterated_log_support_guard():
     with pytest.raises(SupportError):
         hardy.check_iterated_log_improvement(bump(0.5, 1.5), 5, 1)
+    # a family whose third member reaches the unit sphere is refused by name
+    family = bump(np.array([[0.2], [0.3], [0.5]]), np.array([[0.6], [0.7], [1.0]]))
+    with pytest.raises(SupportError, match=r"bump\[0\.5,1\] support \[0\.5, 1\]"):
+        hardy.check_iterated_log_improvement(family, 5, [0, 1])
 
 
 def test_trial_profile():

@@ -316,16 +316,16 @@ def test_mapped_rellich_margin_and_equivalence():
 
 def test_mapped_profile_inverts_once_per_jet(monkeypatch):
     # the jet matches the chain rule written out on one inversion r(s),
-    # bit for bit, and inverts once per call; a mapped margin inverts once
-    # for the profile's jet and once for the density, with no state kept
-    # between the two
+    # with r'(s) = exp(-log ds/dr), bit for bit, and inverts once per
+    # call; a mapped margin inverts once for the profile's jet and once for
+    # the density, with no state kept between the two
     N = 5
     u = bump(1.0, 2.0)
     v = rellich.mapped_from_radial(u, N)
     cov = rellich.change_of_variable(N)
     s = grid_covering(v.support, 512).nodes
     r = cov.r_of_s(s)
-    rp = np.exp((N - 1) * (rellich._log_sinh(r) - np.log(s)))
+    rp = np.exp(-cov.log_ds_dr(r, s))
     rpp = (N - 1) * rp * (rp / np.tanh(r) - 1.0 / s)
     u0, u1, u2 = u.jet(r, 2)
     written_out = (u0, u1 * rp, u2 * rp * rp + u1 * rpp)
@@ -356,6 +356,17 @@ def test_r_of_s_matches_four_newton_steps_from_the_table():
     assert np.max(np.abs(got / r - 1.0)) <= 1e-14
     assert np.array_equal(cov.r_of_s(s), got)
     assert cov.r_of_s(float(s[7])) == got[7]
+
+    # ds/dr, rho and the mapped profile's r'(s), all read from log_ds_dr,
+    # keep the bits of the density written out with log sinh
+    log_sinh = mf.hyperbolic(5).log_psi
+    assert np.array_equal(cov.ds_dr(got, s), np.exp(4 * (np.log(s) - log_sinh(got))))
+    assert np.array_equal(cov.rho_of_r(got),
+                          np.exp(2.0 * 4 * (log_sinh(got) - np.log(cov.s_of_r(got)))))
+    line = RadialFunction(lambda r, order: (r, np.ones_like(r), np.zeros_like(r))[:order + 1],
+                          support=(0.5, 2.0))
+    rp = rellich.mapped_from_radial(line, 5).jet(s, 1)[1]
+    assert np.array_equal(rp, np.exp(4 * (log_sinh(got) - np.log(s))))
 
 
 def test_r_of_s_raises_when_newton_fails(monkeypatch):

@@ -99,8 +99,12 @@ def test_ground_state_values():
     for N in (3, 5, 8):
         assert np.array_equal(ss.comparison_profile(mf.hyperbolic(N))(r),
                               ss.ground_state(N, r))
-    with pytest.raises(DomainError):
-        ss.ground_state(2, 1.0)
+    for call in (lambda: ss.ground_state(2, 1.0),
+                 lambda: ss.ground_state_residual(2, np.array([0.1, 1.0])),
+                 lambda: ss.minimal_growth_ratios(2, 1e-3, 10.0),
+                 lambda: ss.null_criticality_scan(2, [2.0])):
+        with pytest.raises(DomainError, match="dimension must be an integer >= 3"):
+            call()
 
 
 def test_ground_state_solves_critical_equation():

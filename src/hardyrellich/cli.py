@@ -49,7 +49,7 @@ CHECKS = {
          (a.rmax or cfg.get_float("grids", "r_max"),))],
     "hardy sweep-lambda": lambda a, cfg: [(_h_lambda_written, a.N, a.out)],
     "hardy iterlog": lambda a, cfg: [
-        (suites.iterated_log_margins, a.N, bump(0.2, 0.8), a.k, 4096),
+        (suites.iterated_log_margins, a.N, bump(0.2, 0.8), a.k),
         (suites.iterated_log_optimality_scan, a.N, (max(a.k, 1),))],
     "rellich check": lambda a, cfg: [(suites.poincare_rellich_margins, (a.N,), 10)],
     "rellich sharp-r2": lambda a, cfg: [
@@ -83,14 +83,19 @@ def _coeffs_written(cfg: ToolkitConfig, N: int, n_max: int, out: str):
     path = write_csv(Path(out) / f"mode_coeffs_N{N}.csv", "n,lambda_n,d_n,A_n,B_n",
                      [t.csv_row() for t in table])
     print(f"data written to {path}")
-    return suites.mode_coefficient_minima_exact(cfg, (N,), n_max, tables={N: table})
+    result = suites.mode_coefficient_minima_exact(cfg, (N,), n_max, tables={N: table})
+    result.files.append(path.name)
+    return result
 
 
 def _h_lambda_written(cfg: ToolkitConfig, N: int, out: str):
     """The h(lambda) check on one sweep, whose curve is also written to out."""
     curve = h_lambda_curve(cfg, N)
-    print(f"data written to {write_h_lambda_csv(curve, out)}")
-    return suites.h_lambda_endpoints_and_shape(cfg, N, curve)
+    path = write_h_lambda_csv(curve, out)
+    print(f"data written to {path}")
+    result = suites.h_lambda_endpoints_and_shape(cfg, N, curve)
+    result.files.append(path.name)
+    return result
 
 
 def _common_parent() -> argparse.ArgumentParser:

@@ -44,6 +44,10 @@ class ModelManifold:
     tan_ratio: Callable
     a: float | None = None
 
+    def __post_init__(self):
+        # the one dimension check of every model, however it was built
+        object.__setattr__(self, "N", _check_dimension(self.N))
+
     def describe(self) -> str:
         if self.family == "superexp":
             return f"superexp(a={self.a:g}, N={self.N})"
@@ -74,7 +78,6 @@ def _check_dimension(N: int, minimum: int = 3) -> int:
 
 def euclidean(N: int) -> ModelManifold:
     """Flat model, psi(r) = r."""
-    N = _check_dimension(N)
     return ModelManifold(
         N=N,
         family="euclidean",
@@ -93,7 +96,6 @@ def _log_sinh(r):
 
 def hyperbolic(N: int) -> ModelManifold:
     """Constant curvature -1 model, psi(r) = sinh r."""
-    N = _check_dimension(N)
     return ModelManifold(
         N=N,
         family="hyperbolic",
@@ -111,7 +113,6 @@ def superexp(N: int, a: float) -> ModelManifold:
     Curvatures are unbounded below; all ratios are formed with exp(r^a)
     cancelled symbolically so no evaluator overflows before r^a itself does.
     """
-    N = _check_dimension(N)
     if not a > 1.0:
         raise DomainError(f"superexp exponent must satisfy a > 1, got {a!r}")
 
@@ -168,7 +169,6 @@ def custom(N: int, psi, dpsi, ddpsi, name: str = "custom") -> ModelManifold:
     differenced psi'' cannot reach the identity-residual tolerances the
     verifiers assert.  Pole conditions are validated here.
     """
-    N = _check_dimension(N)
     for f, label in ((psi, "psi"), (dpsi, "dpsi"), (ddpsi, "ddpsi")):
         if not callable(f):
             raise CapabilityError(f"custom manifold needs a callable {label}")

@@ -6,12 +6,16 @@ endpoint values by two-point extrapolation, folded into the first and last
 two weights), which is exact for linear integrands and keeps every weight
 positive.  Test functions used in inequality checks must be compactly
 supported strictly inside the truncation, mirroring the smooth compactly
-supported test class of the continuous statements.
+supported test class of the continuous statements: bumps and cutoffs are
+C^inf (their ramp is _ramp_jet), so on their integrands the trapezoid rule
+converges faster than any power of the spacing.
 
 Every 1-D margin and identity lists its integrals as terms (Q, weight)
 with Q one of u^2, u'^2 and (u'' + p u' - q u)^2, and radial_sums forms
 them from one evaluation of u per grid, on the grid and on its
-every-other-node subgrid, whose margin change is the quadrature error.
+every-other-node subgrid, whose margin change estimates the quadrature
+error (under that fast convergence, it is about the subgrid's own error and
+overstates the grid's by orders of magnitude; see hardy.MarginReport).
 A family of test functions is evaluated at once, one row per member on a
 stacked grid.
 """
@@ -196,17 +200,30 @@ def log_jet(value, log_derivatives, order: int) -> tuple:
     return out + (value * (l2 + l1 * l1),) if order == 2 else out
 
 
-def _smoothstep(t):
-    # quintic smoothstep: s(0)=0, s(1)=1, s'=s''=0 at both ends (C^2 glue)
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+def _ramp_jet(t, order: int) -> tuple:
+    """The C^inf ramp s(t) = (1 + tanh(tan(pi (t - 1/2)))) / 2 on [0, 1] and
+    its derivatives, up to the order-th (at most 2).  s(0) = 0, s(1) = 1,
+    and every derivative vanishes at both ends, so the trapezoid rule on an
+    integrand built from it converges faster than any power of the spacing.
 
-
-def _smoothstep_d1(t):
-    return 30.0 * t * t * (t - 1.0) ** 2
-
-
-def _smoothstep_d2(t):
-    return 60.0 * t * (2.0 * t - 1.0) * (t - 1.0)
+    With z = tan(pi (t - 1/2)) and e = exp(-2|z|): s = e/(1+e) for z < 0
+    and 1/(1+e) otherwise, tanh z = sign(z) (1-e)/(1+e),
+    sech^2 z = 4e/(1+e)^2 and z' = pi (1 + z^2).  None of these overflow:
+    at t = 0 and 1, tan(pi (t - 1/2)) is about -1.6e16 and 1.6e16, e = 0,
+    so s is exactly 0 and 1 there, and s' and s'' exactly 0."""
+    z = np.tan(np.pi * (t - 0.5))
+    e = np.exp(-2.0 * np.abs(z))
+    one_e = 1.0 + e
+    out = (np.where(z < 0.0, e, 1.0) / one_e,)
+    if not order:
+        return out
+    sech2 = 4.0 * e / (one_e * one_e)
+    dz = np.pi * (1.0 + z * z)
+    out += (0.5 * sech2 * dz,)
+    if order == 2:
+        tanh = np.copysign((1.0 - e) / one_e, z)
+        out += (sech2 * dz * (np.pi * z - tanh * dz),)
+    return out
 
 
 def _bump_jet(a, b, rise, fall):
@@ -215,13 +232,13 @@ def _bump_jet(a, b, rise, fall):
     m1, m2 = a + rise, b - fall
 
     def _ramp(r):
-        # one smoothstep argument for the whole bump, in one pass: the
+        # one ramp argument for the whole bump, in one pass: the
         # rise's (r - a) / rise up to the fall's knot and the fall's
         # (b - r) / fall after it, clipped to [0, 1], so exactly 0 outside
         # (a, b); set to exactly 1 on the plateau by comparing r with the
         # knots, because (r - a) / rise can round below 1 there.  As
         # s(1) = 1 and s'(1) = s''(1) = 0, s of it is the product of the
-        # clipped rise and fall smoothsteps.
+        # clipped rise and fall ramps.
         r = np.asarray(r, dtype=float)
         before_fall = r <= m2
         t = np.clip(np.where(before_fall, (r - a) / rise, (b - r) / fall), 0.0, 1.0)
@@ -229,20 +246,22 @@ def _bump_jet(a, b, rise, fall):
 
     def jet(r, order):
         before_fall, t = _ramp(r)
-        out = (_smoothstep(t),)
+        s = _ramp_jet(t, order)
+        out = s[:1]
         if order:
-            out += (_smoothstep_d1(t) / np.where(before_fall, rise, -fall),)
+            out += (s[1] / np.where(before_fall, rise, -fall),)
         if order == 2:
-            out += (_smoothstep_d2(t) / np.where(before_fall, rise**2, fall**2),)
+            out += (s[2] / np.where(before_fall, rise**2, fall**2),)
         return out
 
     return jet
 
 
 def bump(a, b, rise=None, fall=None, label="") -> RadialFunction:
-    """C^2 bump: quintic rise on [a, a+rise], plateau 1, quintic fall on
-    [b-fall, b].  (k, 1) arrays a, b, rise and fall give the family of the
-    k bumps of their rows, with label a list of k labels."""
+    """C^inf bump: ramp rise on [a, a+rise], plateau 1, ramp fall on
+    [b-fall, b] (see _ramp_jet).  (k, 1) arrays a, b, rise and fall give
+    the family of the k bumps of their rows, with label a list of k
+    labels."""
     rise = (b - a) / 2.0 if rise is None else rise
     fall = (b - a) / 2.0 if fall is None else fall
     if not np.all((0.0 <= a) & (a < b)):
@@ -261,22 +280,19 @@ def bump(a, b, rise=None, fall=None, label="") -> RadialFunction:
 
 
 def plateau_cutoff(delta: float, width: float | None = None) -> RadialFunction:
-    """C^2 cutoff equal to 1 on [0, delta], falling to 0 at delta + width."""
+    """C^inf cutoff equal to 1 on [0, delta], falling to 0 at delta + width."""
     width = delta if width is None else float(width)
     b = delta + width
-    mids = (_smoothstep, lambda t: -_smoothstep_d1(t) / width,
-            lambda t: _smoothstep_d2(t) / width**2)
 
     def jet(r, order):
         # each derivative is 0 outside (delta, b) but the value is 1 on
-        # [0, delta]; inside, the fall's smoothstep in (b - r) / width
+        # [0, delta]; inside, the ramp in (b - r) / width
         r = np.asarray(r, dtype=float)
         sel = (r > delta) & (r < b)
-        t = (b - r[sel]) / width
         out = tuple(np.zeros_like(r) for _ in range(order + 1))
         out[0][r <= delta] = 1.0
-        for part, f_mid in zip(out, mids):
-            part[sel] = f_mid(t)
+        for k, ramp in enumerate(_ramp_jet((b - r[sel]) / width, order)):
+            out[k][sel] = ramp / (-width) ** k
         return out
 
     return RadialFunction(jet, support=(0.0, b), label=f"cutoff[{delta:g}]")

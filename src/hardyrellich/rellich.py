@@ -139,7 +139,7 @@ def verify_euclidean_rellich_split(N: int) -> tuple[bool, bool]:
 # one-dimensional inequalities and reduced forms
 
 
-def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 4096) -> MarginReport:
+def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 1024) -> MarginReport:
     """Margin of the 1-D weighted inequality
     int u'^2/sinh^2 >= 9/4 int u^2/sinh^4 + int u^2/sinh^2 (flat measure)."""
 
@@ -199,7 +199,7 @@ def reduced_from_radial(u: RadialFunction, N: int) -> RadialFunction:
 
 
 def mode_chain_margin(d: RadialFunction, N: int, n: int,
-                      nodes: int = 4096) -> MarginReport:
+                      nodes: int = 1024) -> MarginReport:
     """Margin of the per-mode chain: reduced form >= 9/16 int d^2/r^4
     + (N-1)^2/8 int d^2/r^2 + (N-1)^4/16 int d^2 + A_n int d^2/sinh^4
     + B_n int d^2/sinh^2 (flat measure)."""
@@ -229,7 +229,7 @@ def _poincare_rellich_sums(u: RadialFunction, N: int, grid: RadialGrid) -> np.nd
 
 
 def check_poincare_rellich(u: RadialFunction, N: int,
-                           nodes: int = 4096) -> MarginReport:
+                           nodes: int = 1024) -> MarginReport:
     """Margin of the sharp Poincare-Rellich inequality (radial sector):
 
       int (Lap u)^2 - (N-1)^4/16 int u^2
@@ -251,7 +251,7 @@ def check_poincare_rellich(u: RadialFunction, N: int,
     return MarginReport.from_sides(lhs, rhs, "poincare_rellich", N, "hyperbolic", u.labels)
 
 
-def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 4096) -> float:
+def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 1024) -> float:
     """Margin keeping only the two r-power terms on the right-hand side.
 
     This is the exact radial counterpart of the flattened-variable margin
@@ -644,7 +644,7 @@ def mapped_from_radial(u: RadialFunction, N: int) -> RadialFunction:
 
 
 def check_mapped_rellich(v: RadialFunction, N: int,
-                         nodes: int = 4096) -> MarginReport:
+                         nodes: int = 1024) -> MarginReport:
     """Margin of the flattened-variable Rellich inequality:
 
       int rho^-1 (Lap v)^2 s^(N-1) ds

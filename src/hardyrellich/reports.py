@@ -20,6 +20,10 @@ from .config import ToolkitConfig
 from .errors import ArgumentError
 
 
+# the data CSVs that verbs write beside their manifest, by file name pattern
+DATA_CSVS = ("mode_coeffs_N*.csv", "h_lambda_N*.csv")
+
+
 def format_value(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -37,6 +41,9 @@ class CheckRow:
     # those files only
     constants: list[str] = field(default_factory=list)
     residuals: list[str] = field(default_factory=list)
+    # the names of the data CSVs (DATA_CSVS) the check wrote beside the
+    # manifest, which ExperimentManifest.write keeps
+    files: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -107,7 +114,8 @@ class ExperimentManifest:
     def write(self, outdir: str | Path) -> tuple[Path, Path]:
         """Write manifest.json and results.csv, and constants.csv and
         residuals.csv when the checks produced rows for them, deleting
-        either of the two that they did not; returns the paths of the
+        either of the two that they did not, and every data CSV (DATA_CSVS)
+        that no check of this manifest wrote; returns the paths of the
         first two.
 
         Manifests are written even when checks fail; only the exit code
@@ -124,7 +132,8 @@ class ExperimentManifest:
                 f"{r.name},{r.status},{format_value(r.value)},{format_value(r.tolerance)}"
             )
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        # an earlier run into the same directory may have left either file
+        # an earlier run into the same directory may have left any of the
+        # files below
         constants = self.constants
         if constants:
             const_lines = ["constant_name,N,r_min,r_max,M,value", *constants]
@@ -138,6 +147,11 @@ class ExperimentManifest:
                       residuals)
         else:
             (out / "residuals.csv").unlink(missing_ok=True)
+        written = {name for r in self.results for name in r.files}
+        for pattern in DATA_CSVS:
+            for path in out.glob(pattern):
+                if path.name not in written:
+                    path.unlink()
         return manifest_path, csv_path
 
 

@@ -198,3 +198,39 @@ def test_criterion_10_typo_adjudication():
     ok = corrected.passed and corrected.value < 1e-10
     ok &= literal.passed and literal.value > 1e-6  # recorded failure witness
     _report("10 typo adjudication", ok, t0, 120.0)
+
+
+def test_criterion_11_spectral_margin_quadrature():
+    # every 1-D margin family of the suites, with the suites' seeded bumps:
+    # on the C^inf bumps the trapezoid rule converges faster than any
+    # power of the spacing, so both sides at the suites' 1024 nodes agree
+    # with a 16x finer grid to rounding
+    t0 = time.perf_counter()
+    cfg = ToolkitConfig()
+    seed, count = cfg.seed, cfg.get_int("hardy", "bump_count")
+    families = [
+        lambda n: [rep for N in (3, 4, 5, 7, 10) for rep in hardy.check_poincare_hardy(
+            seeded_bumps(seed + N, count, 0.3, 6.0), N, nodes=n)],
+        lambda n: [rep for man in (mf.hyperbolic(5), mf.euclidean(5), mf.superexp(5, 2.0))
+                   for rep in hardy.check_general_model(
+                       seeded_bumps(seed + man.N + 17, count, 0.5, 4.0), man, nodes=n)],
+        lambda n: hardy.check_iterated_log_improvement(
+            seeded_bumps(seed + 5, count, 0.15, 0.85), 5, range(4), nodes=n),
+        lambda n: [rep for N in (5, 6, 8, 10) for rep in rellich.check_poincare_rellich(
+            seeded_bumps(seed + 31 + N, 5, 0.3, 6.0), N, nodes=n)],
+        lambda n: rellich.check_sinh_hardy_1d(seeded_bumps(seed + 41, 10, 0.5, 5.0),
+                                              nodes=n),
+        lambda n: [rep for k in range(6) for rep in rellich.mode_chain_margin(
+            rellich.reduced_from_radial(seeded_bumps(seed + 53 + k, 3, 0.4, 4.0), 5),
+            5, k, nodes=n)],
+        lambda n: rellich.check_mapped_rellich(seeded_bumps(seed + 71, 5, 2.0, 6.0), 5,
+                                               nodes=n),
+        lambda n: euclid.check_ball_hardy(seeded_bumps(seed + 90, 10, 0.05, 0.9), 3,
+                                          nodes=n),
+    ]
+    worst = 0.0
+    for family in families:
+        for rep, fine in zip(family(1024), family(16384)):
+            worst = max(worst, abs(rep.lhs - fine.lhs) / abs(fine.lhs),
+                        abs(rep.rhs - fine.rhs) / abs(fine.rhs))
+    _report("11 spectral margin quadrature", worst <= 1e-13, t0, 60.0)

@@ -130,14 +130,18 @@ def test_sharp_anchor_command(tmp_path):
 
 
 @pytest.mark.parametrize("first, second", [("anchors", "identities"),
-                                           ("identities", "anchors")])
+                                           ("identities", "anchors"),
+                                           ("coeffs", "identities"),
+                                           ("sweep", "coeffs")])
 def test_reused_out_keeps_only_the_last_runs_csvs(first, second, tmp_path):
     # the anchors write constants.csv and no residuals.csv, the identities
-    # the other way round: a run into a used directory deletes the CSV it
-    # did not produce, so no file from the earlier run sits beside its
-    # manifest
+    # the other way round, and coeffs and sweep-lambda each write their
+    # own data CSV: a run into a used directory deletes every CSV it did
+    # not produce, so no file from the earlier run sits beside its manifest
     argv = {"anchors": ["sharp", "--which", "anchors"],
-            "identities": ["verify", "--suite", "identities"]}
+            "identities": ["verify", "--suite", "identities"],
+            "coeffs": ["rellich", "coeffs", "--N", "5", "--nmax", "10"],
+            "sweep": ["hardy", "sweep-lambda", "--N", "5"]}
     for name in (first, second):
         assert cli.main([*argv[name], "--out", str(tmp_path)]) == 0
     fresh = tmp_path / "fresh"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy
@@ -177,6 +179,18 @@ def test_dimension_and_domain_guards():
                   mf.curvature_rad(man, 701.0), mf.curvature_tan(man, 701.0),
                   mf.hardy_weight_general(man, 701.0)):
         assert np.isfinite(value)
+
+
+def test_every_model_checks_its_dimension_however_built():
+    # the check lives in ModelManifold itself, so a model copied with
+    # another N is checked as the factories' models are
+    for N in (2, 2.5, 0):
+        with pytest.raises(DomainError, match="integer >= 3"):
+            dataclasses.replace(mf.hyperbolic(3), N=N)
+    with pytest.raises(DomainError):
+        mf.custom(2, np.sinh, np.cosh, np.sinh)
+    man = dataclasses.replace(mf.superexp(5, 2.0), N=4.0)
+    assert man.N == 4 and isinstance(man.N, int)
 
 
 def test_measure_weight_log_domain():

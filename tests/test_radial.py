@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hardyrellich import manifolds as mf
@@ -108,8 +110,9 @@ def test_bump_smoothness_and_support():
     assert np.all(u(r) >= 0.0) and np.max(u(r)) == pytest.approx(1.0)
     assert np.all(u(np.array([0.99, 2.01])) == 0.0)
     h = 1e-5
-    # stay clear of the piecewise joins, where only C^2 glue is promised
-    rr = np.concatenate([np.linspace(1.01, 1.49, 25), np.linspace(1.51, 1.99, 25)])
+    # the glue is C^inf, so the central differences match across the joins
+    # (r = 1.5) and the support ends too
+    rr = np.linspace(0.9, 2.1, 121)
     fd1 = (u(rr + h) - u(rr - h)) / (2 * h)
     fd2 = (u(rr + h) - 2 * u(rr) + u(rr - h)) / h**2
     _, d1, d2 = u.jet(rr, 2)
@@ -186,28 +189,33 @@ def test_bilaplacian_needs_second_derivative():
         radial.bilaplacian_form(crippled, man, g)
 
 
-def _piecewise_bump(a, b, rise, fall):
-    """Reference bump: each piece of the quintic rise, plateau and fall
-    gathered and evaluated on its own nodes."""
-    m1, m2 = a + rise, b - fall
-    s = radial._smoothstep
-    s1 = radial._smoothstep_d1
-    s2 = radial._smoothstep_d2
+def _ramp_closed_form(t):
+    """s(t) = (1 + tanh z)/2, z = tan(pi (t - 1/2)), with s' and s'' as the
+    chain rule gives them, through numpy's tanh and cosh: s' = sech^2(z) z'/2
+    and s'' = sech^2(z) z' (pi z - tanh(z) z'), z' = pi (1 + z^2)."""
+    z = np.tan(np.pi * (t - 0.5))
+    dz = np.pi * (1.0 + z * z)
+    with np.errstate(over="ignore"):  # cosh overflows to inf near the ends
+        sech2 = 1.0 / np.cosh(z) ** 2
+    return (0.5 * (1.0 + np.tanh(z)), 0.5 * sech2 * dz,
+            sech2 * dz * (np.pi * z - np.tanh(z) * dz))
 
-    def piece(r, up, plateau, down):
+
+def _piecewise_bump(a, b, rise, fall):
+    """Reference bump: each piece of the rise, plateau and fall gathered and
+    evaluated on its own nodes from the ramp's closed form."""
+    m1, m2 = a + rise, b - fall
+
+    def piece(r, k, plateau):
         out = np.zeros_like(r)
         sel = (r > a) & (r < m1)
-        out[sel] = up((r[sel] - a) / rise)
+        out[sel] = _ramp_closed_form((r[sel] - a) / rise)[k] / rise**k
         out[(r >= m1) & (r <= m2)] = plateau
         sel = (r > m2) & (r < b)
-        out[sel] = down((b - r[sel]) / fall)
+        out[sel] = _ramp_closed_form((b - r[sel]) / fall)[k] / (-fall) ** k
         return out
 
-    return (
-        lambda r: piece(r, s, 1.0, s),
-        lambda r: piece(r, lambda t: s1(t) / rise, 0.0, lambda t: -s1(t) / fall),
-        lambda r: piece(r, lambda t: s2(t) / rise**2, 0.0, lambda t: s2(t) / fall**2),
-    )
+    return [lambda r, k=k: piece(r, k, 1.0 if k == 0 else 0.0) for k in range(3)]
 
 
 @pytest.mark.parametrize("a, b, rise, fall", [
@@ -227,7 +235,30 @@ def test_bump_matches_piecewise_formula(a, b, rise, fall):
     for g, ref in zip(u.jet(r, 2), _piecewise_bump(a, b, rise, fall)):
         e = ref(r)
         assert np.array_equal(g[flat], e[flat])
-        assert np.all(np.abs(g - e) <= 1e-15 * np.abs(e))
+        # the two forms of tanh and sech^2 differ by rounding, relative to
+        # each derivative's scale (s'' changes sign inside each ramp)
+        assert np.all(np.abs(g - e) <= 1e-14 * np.max(np.abs(e)))
+
+
+def test_ramp_ends_are_exact_and_finite():
+    # tan(pi (t - 1/2)) is finite at t = 0 and 1, so no value overflows and
+    # the ends come out exactly; the tiniest steps inside stay finite too
+    # (a RuntimeWarning would fail the test)
+    s, s1, s2 = radial._ramp_jet(np.array([0.0, 1.0]), 2)
+    assert s.tolist() == [0.0, 1.0]
+    assert s1.tolist() == [0.0, 0.0] and s2.tolist() == [0.0, 0.0]
+    for part in radial._ramp_jet(np.array([5e-324, 1.0 - 2.0**-53]), 2):
+        assert np.all(np.isfinite(part))
+    assert radial._ramp_jet(np.array([0.5]), 2)[1][0] == pytest.approx(np.pi / 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0))
+def test_ramp_is_symmetric(t):
+    # s(1 - t) = 1 - s(t), up to the rounding of 1 - t (|s'| <= pi/2)
+    s_t = radial._ramp_jet(np.array([t]), 0)[0][0]
+    s_flip = radial._ramp_jet(np.array([1.0 - t]), 0)[0][0]
+    assert abs(s_flip - (1.0 - s_t)) <= 1e-15
 
 
 def test_bump_plateau_is_exact():

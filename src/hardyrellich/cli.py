@@ -63,10 +63,9 @@ CHECKS = {
     "sharp anchors": lambda a, cfg: [(suites.one_d_and_euclid_anchors,)],
     "euclid ball-identities": lambda a, cfg: [(suites.ball_identities, (a.N,))],
     "euclid halfspace-hardy": lambda a, cfg: [
-        (suites.halfspace_hardy_margins, a.N, [suites.HALFSPACE_BUMP], 512, 512)],
+        (suites.halfspace_hardy_margins, a.N, [suites.HALFSPACE_BUMP])],
     "euclid halfspace-rellich": lambda a, cfg: [
-        (suites.halfspace_rellich_margins, a.N, [suites.HALFSPACE_BUMP], (a.which,),
-         512, 512)],
+        (suites.halfspace_rellich_margins, a.N, [suites.HALFSPACE_BUMP], (a.which,))],
     "euclid laplacian-identity": lambda a, cfg: [
         (check, a.N, (0.0, 0.8, (a.N - 2) / 2.0, 2.5))
         for check in (suites.halfspace_laplacian_identity_corrected,

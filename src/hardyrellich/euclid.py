@@ -11,14 +11,15 @@ Each half-space check lists its integrals as terms, tensor quadrature
 sums of xi^(N-2) y^(-p) Q d^(-2k) with Q one of v^2, |grad v|^2 and
 (Lap v)^2, and _halfspace_sums evaluates them on one TensorGrid per
 resolution by the rule and the method the test function's type allows.
-A tensor product fx(|x|) fy(y) drops the xi = 0 row and keeps y uniform;
-its trapezoid sums are products of the two 1-D sums, so only its
-distance-weighted terms visit the mesh.  A transported radial profile
-keeps the xi = 0 row, with the Euler-Maclaurin end weight for odd N, takes
-its y nodes uniform in log y, and is evaluated only at the nodes inside
-its support.  The mesh is visited in row blocks that share the y axis and
-hold at most BLOCK_NODES nodes, so no array the size of the whole mesh
-exists.
+Both types keep the xi = 0 row, with the Euler-Maclaurin end weight for
+odd N.  A tensor product fx(|x|) fy(y) keeps y uniform; its trapezoid sums
+are products of the two 1-D sums, so only its distance-weighted terms
+visit the mesh, and those only with their far part: the near part of each
+distance weight is integrated on a polar patch about (0, 1).  A
+transported radial profile takes its y nodes uniform in log y and is
+evaluated only at the nodes inside its support.  The mesh is visited in
+row blocks that share the y axis and hold at most BLOCK_NODES nodes, so no
+array the size of the whole mesh exists.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 import numpy as np
 
 from . import claims
@@ -163,18 +164,25 @@ def boundary_weight_comparison(samples: int = 1000) -> tuple[bool, float]:
 # v(|x|, y), and d is the distance to (0, 1); only v2 terms carry a
 # distance power.  Each test function type picks its rule on an over_box
 # grid with rule(grid), sums a list of terms with integrals(grid, N,
-# terms) and gives one term's integrand on a row block with
-# integrand(block, N, term).
+# terms) and gives one term's integrand, piece by piece, with
+# integrands(grid, N, term).
 
 
 class TensorProductFunction:
-    """v(|x|, y) = fx(|x|) * fy(y) with C^inf factors.
+    """v(|x|, y) = fx(|x|) * fy(y) with C^inf factors, fx with a smooth
+    even extension (fx'(0) = 0).
 
-    The distance-weighted terms of its margins are singular at (0, 1), so
-    their trapezoid sums converge slowly and not monotonically, and a
-    margin's quad_error is an estimate, not a bound (on the 512^2 y2 and y4
-    margins of tensor_bump(1.0, 0.5, 2.0), N = 5, it reads 0.85 of the
-    change against an 8193^2 result)."""
+    Its rule (see integrals) keeps every node of the over_box grid, the
+    xi = 0 row with the end weight of xi_weights, and splits each
+    distance weight d^(-2k) = chi d^(-2k) + (1 - chi) d^(-2k) with chi the
+    cutoff _PATCH_CUTOFF in d: the far part is summed on the grid, where
+    it is smooth, and the near part on the polar patch about (0, 1)
+    (_polar_patch), where d^(-2k) cancels against the polar measure.  On
+    both the integrand is smooth, so every term converges at order >= 4.
+    A margin's quad_error, its change against the every-other-node subgrid
+    plus the half patch, overstates its error: on the 128^2 y2 margin of
+    tensor_bump(1.0, 0.5, 2.0), N = 5, it reads 8.4e-5 of |lhs| against
+    6.8e-8 from a grid and patch 4x finer."""
 
     def __init__(self, fx: RadialFunction, fy: RadialFunction, label: str = ""):
         self.fx = fx
@@ -190,22 +198,23 @@ class TensorProductFunction:
 
     @staticmethod
     def rule(grid: "TensorGrid") -> "TensorGrid":
-        """The over_box grid without its xi = 0 row: the distance terms are
-        singular at (0, 1) and x_jet divides by xi."""
-        return grid.off_axis()
+        """The over_box grid itself, xi = 0 row included."""
+        return grid
 
     def x_jet(self, xi, N: int):
-        """(fx, fx', Lx) at xi > 0, where Lx = fx'' + (N-2) fx'/xi, so that
-        the R^N Laplacian of v(|x|, y) is Lx fy + fx fy''."""
+        """(fx, fx', Lx), where Lx = fx'' + (N-2) fx'/xi, so that the R^N
+        Laplacian of v(|x|, y) is Lx fy + fx fy''.  On the axis fx'/xi
+        takes its limit fx''(0), as fx'(0) = 0."""
         f, f1, f2 = self.fx.jet(xi, 2)
-        return f, f1, f2 + (N - 2) * f1 / xi
+        ratio = np.divide(f1, xi, out=f2.copy(), where=xi != 0.0)
+        return f, f1, f2 + (N - 2) * ratio
 
-    def _products(self, grid: "TensorGrid", N: int) -> dict:
-        """Each Q on the grid as (x, y) pairs of axis vectors whose outer
-        products add up to Q; (Lap v)^2 expands as
+    def _products(self, xi, y, N: int) -> dict:
+        """Each Q on the mesh of the axes xi and y as (x, y) pairs of axis
+        vectors whose outer products add up to Q; (Lap v)^2 expands as
         Lx^2 fy^2 + 2 (Lx fx)(fy fy'') + fx^2 fy''^2."""
-        fx, fx1, lx = self.x_jet(grid.xi, N)
-        fy, fy1, fy2 = self.fy.jet(grid.y, 2)
+        fx, fx1, lx = self.x_jet(xi, N)
+        fy, fy1, fy2 = self.fy.jet(y, 2)
         fx_sq, fy_sq = fx * fx, fy * fy
         return {
             "v2": [(fx_sq, fy_sq)],
@@ -214,41 +223,72 @@ class TensorProductFunction:
         }
 
     def integrals(self, grid: "TensorGrid", N: int, terms) -> np.ndarray:
-        """The terms' sums on the grid and on its subgrid, shape
-        (len(terms), 2).  The trapezoid sum of an outer product is the
-        product of the two 1-D sums, so a term without a distance power is
-        a few dot products; a distance-weighted one is
-        (w_xi x)[rows] @ d^(-2k) @ (w_y y) summed over the row blocks, with
-        d^-2 formed once per block for all such terms."""
-        products = self._products(grid, N)
+        """The terms' sums under the rule and under its every-other-node
+        subgrid plus half patch, shape (len(terms), 2).  The trapezoid sum
+        of an outer product is the product of the two 1-D sums, so a term
+        without a distance power is a few dot products; the far part of a
+        distance-weighted one is (w_xi x)[:, rows] @ (1 - chi) d^(-2k) @
+        (w_y y) summed over the row blocks, grid and subgrid in one pass,
+        and its near part is the patch sum."""
+        products = self._products(grid.xi, grid.y, N)
         w_xi = grid.xi_weights(N)
         sums = np.zeros((len(terms), 2))
-        weighted = []
+        far = []
         for t, (q, p, k) in enumerate(terms):
             w_y = grid.y_weights(p)
             if k:
-                weighted += [(t, k, w_xi * x, w_y * y) for x, y in products[q]]
+                far += [(t, k, w_xi * x, w_y * y) for x, y in products[q]]
             else:
                 sums[t] = sum(np.vecdot(w_xi, x) * np.vecdot(w_y, y) for x, y in products[q])
         start = 0
-        for block in grid.blocks() if weighted else ():
+        for block in grid.blocks() if far else ():
             rows = slice(start, start + block.xi.size)
             start = rows.stop
-            inv_d2 = 1.0 / np.arccosh(block.cosh_dist) ** 2
-            for t, k, x, y in weighted:
-                dist = inv_d2 if k == 1 else inv_d2 * inv_d2
-                sums[t] += [x[c, rows] @ dist @ y[c] for c in (0, 1)]
+            dist = _far_distance_weights(block, {k for _, k, _, _ in far})
+            for t, k, x, y in far:
+                sums[t] += np.vecdot(x[:, rows] @ dist[k], y)
+        near = [t for t, (_, _, k) in enumerate(terms) if k]
+        if near:
+            sums[near] += self._patch_sums(N, [terms[t] for t in near])
         return sums
 
-    def integrand(self, block: "TensorGrid", N: int, term):
-        """(values, rows, cols): a term's integrand at every node
-        (block.xi[rows], block.y[cols]) of a row block, in row order."""
-        q, _, k = term
-        values = sum(np.outer(x, y) for x, y in self._products(block, N)[q])
+    def _patch_v2(self, patch: "_PolarPatch"):
+        """v^2 on the patch mesh."""
+        v = self.fx(patch.xi) * self.fy(patch.y)
+        v *= v
+        return v
+
+    def _patch_sums(self, N: int, terms) -> np.ndarray:
+        """The near parts chi d^(-2k) of the distance-weighted terms, all
+        v2 terms, on the polar patch and on its half rule, shape
+        (len(terms), 2): sums of v^2 y^(N-p) times the factors of d alone
+        and of theta alone."""
+        patch = _polar_patch(*PATCH_NODES)
+        v2 = self._patch_v2(patch)
+        w_theta = patch.w_theta * patch.sin ** (N - 2)
+        out = []
+        for _, p, k in terms:
+            w_d = patch.w_d * (patch.sinhc ** (2 * k) * patch.sinh ** (N - 1 - 2 * k))
+            out.append(np.vecdot(w_d @ (v2 * patch.y ** (N - p)), w_theta))
+        return np.array(out)
+
+    def integrands(self, grid: "TensorGrid", N: int, term):
+        """(values, xi, y) for each row block of the grid, in row order, and
+        then for the polar patch of a distance-weighted term: the term's
+        integrand at every node (xi, y) of the block, with a distance
+        weight's far part (1 - chi) d^(-2k), and on the patch v^2 y^(N-p),
+        the integrand without the factors of d alone and of theta alone."""
+        q, p, k = term
+        for block in grid.blocks():
+            values = sum(np.outer(x, y) for x, y in self._products(block.xi, block.y, N)[q])
+            if k:
+                values = values * _far_distance_weights(block, {k})[k]
+            xi, y = np.meshgrid(block.xi, block.y, indexing="ij")
+            yield values.ravel(), xi.ravel(), y.ravel()
         if k:
-            values = values / np.arccosh(block.cosh_dist) ** (2 * k)
-        rows, cols = np.indices(values.shape).reshape(2, -1)
-        return values.ravel(), rows, cols
+            patch = _polar_patch(*PATCH_NODES)
+            values = self._patch_v2(patch) * patch.y ** (N - p)
+            yield values.ravel(), patch.xi.ravel(), patch.y.ravel()
 
 
 def tensor_bump(xi_extent: float, y_lo: float, y_hi: float,
@@ -375,11 +415,13 @@ class TransportedRadial:
                 sums[t] += np.vecdot(w_xi @ dense, w_y[t])
         return sums
 
-    def integrand(self, block: "TensorGrid", N: int, term):
-        """(values, rows, cols): a term's integrand at the support nodes
-        (block.xi[rows], block.y[cols]) of a row block, in row order."""
-        inside, (values,) = self._support_values(block, N, [term])
-        return (values, *np.nonzero(inside))
+    def integrands(self, grid: "TensorGrid", N: int, term):
+        """(values, xi, y) for each row block of the grid, in row order: a
+        term's integrand at the block's support nodes (xi, y)."""
+        for block in grid.blocks():
+            inside, (values,) = self._support_values(block, N, [term])
+            rows, cols = np.nonzero(inside)
+            yield values, block.xi[rows], block.y[cols]
 
 
 # Row blocks of a TensorGrid hold at most this many nodes, so each
@@ -395,6 +437,7 @@ def _subgrid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+@cache
 def _axis_end_weight(N: int) -> float:
     """B_(N-1)/(N-1), exactly, for odd N >= 3 (1/12 for N = 3, -1/120 for
     N = 5): the Euler-Maclaurin end term of the trapezoid rule for
@@ -433,7 +476,7 @@ class TensorGrid:
     def over_box(xi_max: float, y_lo: float, y_hi: float,
                  nx: int, ny: int) -> "TensorGrid":
         """The uniform nx x ny grid on [0, xi_max] x [y_lo, y_hi]; each test
-        function type then applies its own rule to it (off_axis, log_y)."""
+        function type then applies its own rule to it (itself, or log_y)."""
         if y_lo <= 0.0:
             raise ArgumentError("tensor grid needs y > 0")
         xi = np.linspace(0.0, xi_max, nx)
@@ -441,15 +484,6 @@ class TensorGrid:
         return TensorGrid(xi, y, _trapezoid_weights(xi), _trapezoid_weights(y),
                           _subgrid_weights(xi), _subgrid_weights(y),
                           xi_max / max(nx - 1, 1))
-
-    def off_axis(self) -> "TensorGrid":
-        """The grid without its xi = 0 row, for integrands that cannot be
-        evaluated on the axis.  The row's trapezoid weight times xi^(N-2)
-        is zero, but dropping it also drops its end weight, so for odd N
-        the xi sum keeps its O(h^(N-1)) end error."""
-        if self.xi[0] != 0.0:
-            return self
-        return replace(self, xi=self.xi[1:], w_xi=self.w_xi[1:], sub_xi=self.sub_xi[1:])
 
     def log_y(self) -> "TensorGrid":
         """The grid with its y nodes spaced uniformly in s = log y between
@@ -501,11 +535,107 @@ class TensorGrid:
         return (1.0 + (self.y - 1.0) ** 2 * b) + (self.xi * self.xi)[:, None] * b
 
 
+# The near part chi(d) d^(-2k) of a tensor product's distance weight:
+# chi is 1 for d <= PATCH_RADIUS / 2 and 0 for d >= PATCH_RADIUS.
+PATCH_RADIUS = 0.3
+_PATCH_CUTOFF = plateau_cutoff(PATCH_RADIUS / 2.0, PATCH_RADIUS / 2.0)
+# Clenshaw-Curtis orders of the polar patch in d and in theta (multiples
+# of 4, so that the half rule has an even order too)
+PATCH_NODES = (64, 32)
+# Nodes per axis of the tensor-bump grid of the margin checks: the
+# smallest multiple of 16 that keeps every term of the suites' tensor
+# bumps within 1e-7, relative, of a grid and a patch 4x finer (7.2e-8;
+# 112 reads 2.2e-7).  Below 128 the error is not monotone in the size:
+# 126 reads 1.6e-7 and 127 3.1e-8.
+TENSOR_GRID = 128
+
+
+def _clenshaw_curtis(a: float, b: float, n: int):
+    """Nodes of the (n + 1)-point Clenshaw-Curtis rule on [a, b], n a
+    multiple of 4, ascending, and its weights stacked over those of the
+    (n/2 + 1)-point rule on every other node (zero on the nodes it skips):
+    shape (2, n+1).  The weights are the closed-form cosine sums for even
+    orders (Trefethen, Spectral Methods in MATLAB, 2000, clencurt), a few
+    array operations."""
+    if n % 4:
+        raise ArgumentError(f"Clenshaw-Curtis order {n} is not a multiple of 4")
+    rows = []
+    for m in (n, n // 2):
+        theta = np.pi * np.arange(m + 1) / m
+        j = np.arange(1, m // 2)
+        v = (1.0 - 2.0 * (np.cos(np.outer(theta, 2.0 * j)) / (4.0 * j * j - 1.0)).sum(axis=1)
+             - np.cos(m * theta) / (m * m - 1.0))
+        w = v * (2.0 / m)
+        w[[0, -1]] = 1.0 / (m * m - 1.0)
+        rows.append(w * (0.5 * (b - a)))
+    weights = np.zeros((2, n + 1))
+    weights[0], weights[1, ::2] = rows
+    nodes = a + (0.5 * (b - a)) * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
+    return nodes, weights
+
+
+@dataclass(frozen=True)
+class _PolarPatch:
+    """Geodesic polar rule about (0, 1) on d <= PATCH_RADIUS: the point at
+    distance d in direction theta in [0, pi] is
+    y = 1/(cosh d - sinh d cos theta), xi = y sinh d sin theta, and
+    dxi dy = y^2 sinh d dd dtheta.  w_d (times chi(d)) and w_theta are the
+    Clenshaw-Curtis weights over those of the half rule, shape (2, n + 1);
+    sinhc is sinh(d)/d, 1 at d = 0."""
+
+    xi: np.ndarray
+    y: np.ndarray
+    w_d: np.ndarray
+    sinh: np.ndarray
+    sinhc: np.ndarray
+    w_theta: np.ndarray
+    sin: np.ndarray
+
+
+@cache
+def _polar_patch(n_d: int, n_theta: int) -> _PolarPatch:
+    """The polar patch of Clenshaw-Curtis orders n_d and n_theta, built on
+    first use."""
+    d, w_d = _clenshaw_curtis(0.0, PATCH_RADIUS, n_d)
+    theta, w_theta = _clenshaw_curtis(0.0, math.pi, n_theta)
+    sinh = np.sinh(d)
+    sinhc = np.divide(sinh, d, out=np.ones_like(d), where=d > 0.0)
+    sin = np.sin(theta)
+    y = 1.0 / (np.cosh(d)[:, None] - np.outer(sinh, np.cos(theta)))
+    patch = _PolarPatch(y * np.outer(sinh, sin), y, w_d * _PATCH_CUTOFF(d), sinh, sinhc,
+                        w_theta, sin)
+    for a in vars(patch).values():
+        a.flags.writeable = False
+    return patch
+
+
+def _far_distance_weights(block: "TensorGrid", ks) -> dict:
+    """(1 - chi(d)) d^(-2k) at a row block's nodes for each k in ks.  d^-2
+    is formed in place on the whole block and its powers once; 1 - chi is
+    applied only at the nodes with d < PATCH_RADIUS, where it is 0 at
+    d <= PATCH_RADIUS / 2, so the reference point (0, 1) gets 0, not
+    0/0."""
+    w = block.cosh_dist
+    inv_d2 = np.arccosh(w)
+    inv_d2 *= inv_d2
+    np.divide(1.0, inv_d2, out=inv_d2)
+    dist = {k: inv_d2 if k == 1 else inv_d2 ** k for k in ks}
+    near = w < math.cosh(PATCH_RADIUS)
+    if near.any():
+        d = np.arccosh(w[near])
+        keep = 1.0 - _PATCH_CUTOFF(d)
+        inv = np.divide(1.0, d * d, out=np.zeros_like(d), where=keep > 0.0)
+        for k, values in dist.items():
+            values[near] = keep * inv ** k
+    return dist
+
+
 def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> np.ndarray:
     """The sums of the half-space terms (q, p, k) of v (a
     TensorProductFunction or a TransportedRadial) on the nx x ny grid over
     its box, under the rule of v's type (v.rule), and on its
-    every-other-node subgrid: shape (len(terms), 2).
+    every-other-node subgrid (with a tensor product's polar patch and its
+    half rule): shape (len(terms), 2).
 
     A non-finite sum raises EvaluationError naming the first node, in row
     order, where that term's integrand is non-finite, or the overflow when
@@ -517,14 +647,13 @@ def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> np.ndarray:
         for term, total in zip(terms, sums):
             if np.all(np.isfinite(total)):
                 continue
-            for block in grid.blocks():
-                values, rows, cols = v.integrand(block, N, term)
+            for values, xi, y in v.integrands(grid, N, term):
                 bad = np.flatnonzero(~np.isfinite(values))
                 if bad.size:
                     i = bad[0]
                     raise EvaluationError(
                         f"half-space integrand is non-finite at (xi, y) = "
-                        f"({block.xi[rows[i]]:.6g}, {block.y[cols[i]]:.6g})"
+                        f"({xi[i]:.6g}, {y[i]:.6g})"
                     )
             raise EvaluationError(
                 f"half-space integral overflows on the rows "
@@ -543,7 +672,8 @@ def _tensor_margin(name: str, v, N: int, nx: int, ny: int, terms,
     return MarginReport.from_sides(lhs, rhs, name, N, "halfspace", [v.label])
 
 
-def check_halfspace_hardy(v, N: int, nx: int = 512, ny: int = 512) -> MarginReport:
+def check_halfspace_hardy(v, N: int, nx: int = TENSOR_GRID,
+                          ny: int = TENSOR_GRID) -> MarginReport:
     """Margin of the distance-improved Hardy inequality on the half-space:
 
       int int |grad v|^2 >= 1/4 int int v^2/y^2 + 1/4 int int v^2/(y^2 d^2)
@@ -560,8 +690,8 @@ def check_halfspace_hardy(v, N: int, nx: int = 512, ny: int = 512) -> MarginRepo
     )
 
 
-def check_halfspace_rellich(v, N: int, which: str, nx: int = 512,
-                            ny: int = 512) -> MarginReport:
+def check_halfspace_rellich(v, N: int, which: str, nx: int = TENSOR_GRID,
+                            ny: int = TENSOR_GRID) -> MarginReport:
     """Margin of a half-space second-order inequality.
 
     which = "y2":  int int (y^2 (Lap v)^2 + N(N-2)/2 |grad v|^2)
@@ -594,7 +724,8 @@ def check_halfspace_rellich(v, N: int, which: str, nx: int = 512,
                           sides)
 
 
-def aux_gradient_inequality(v, N: int, nx: int = 512, ny: int = 512) -> MarginReport:
+def aux_gradient_inequality(v, N: int, nx: int = TENSOR_GRID,
+                            ny: int = TENSOR_GRID) -> MarginReport:
     """Margin of the auxiliary weighted-gradient bound used by the y4
     optimality argument: int int |grad v|^2/y^2 >= 9/4 int int v^2/y^4."""
     return _tensor_margin("halfspace_aux_gradient", v, N, nx, ny,

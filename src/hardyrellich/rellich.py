@@ -570,10 +570,21 @@ def two_term_expansion_error(N: int, r) -> np.ndarray:
     return np.abs(s - two_term_prediction(N, r)) / np.exp(-(N - 3) / (N - 2) * r)
 
 
+# two_term_expansion_error_precise sums its series to at most this many
+# terms; r = 1e-3 (N = 5) needs about 57,000
+PRECISE_SERIES_CAP = 100_000
+
+
 def two_term_expansion_error_precise(N: int, r_values, dps: int = 50) -> list[float]:
     """Expansion error from the exact series for the tail integral,
     evaluated in high-precision arithmetic (needed for r > ~8, where the
-    remainder is smaller than double-precision rounding in s)."""
+    remainder is smaller than double-precision rounding in s).
+
+    The tail is sum_k C(N-2+k, k) e^(-(N-1+2k) r)/(N-1+2k), summed until a
+    term drops below 10^(-dps-5) of the sum; its ratio tends to e^(-2r), so
+    small radii need about dps log(10)/(2r) terms.  A series that has not
+    converged within PRECISE_SERIES_CAP terms raises NumericError naming
+    its radius.  One mpmath context serves every radius."""
     _check_dimension(N, 5)
     import mpmath
 
@@ -587,16 +598,26 @@ def two_term_expansion_error_precise(N: int, r_values, dps: int = 50) -> list[fl
     c2 = c1 * (N - 1) ** 2 / ((N + 1) * (N - 2))
     mu = mp.mpf(N - 1) / (N - 2)
     nu = mp.mpf(N - 3) / (N - 2)
+    small = mp.mpf(10) ** (-dps - 5)
     out = []
     for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
+        if not r > 0.0:
+            raise DomainError(f"the tail series diverges at r = {r:g}; it needs r > 0")
         rr = mp.mpf(r)
+        step = mp.exp(-2 * rr)
+        power = mp.exp(-(N - 1) * rr)  # e^(-(N-1+2k) r), stepped by e^(-2r)
         tail = mp.mpf(0)
-        for k in range(200):
-            expo = N - 1 + 2 * k
-            term = mp.binomial(N - 2 + k, k) * mp.e ** (-expo * rr) / expo
+        for k in range(PRECISE_SERIES_CAP):
+            term = math.comb(N - 2 + k, k) * power / (N - 1 + 2 * k)
             tail += term
-            if term < mp.mpf(10) ** (-dps - 5) * tail:
+            if term < small * tail:
                 break
+            power *= step
+        else:
+            raise NumericError(
+                f"tail series at r = {r:g} has not converged in "
+                f"{PRECISE_SERIES_CAP} terms"
+            )
         s = pref * tail ** (mp.mpf(-1) / (N - 2))
         pred = c1 * mp.e ** (mu * rr) - c2 * mp.e ** (-nu * rr)
         out.append(float(abs(s - pred) / mp.e ** (-nu * rr)))

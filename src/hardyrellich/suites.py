@@ -90,9 +90,10 @@ def _identity_row(cfg: ToolkitConfig, name: str, identity: str,
 
 
 def warp_power_identity(cfg: ToolkitConfig, man: mf.ModelManifold):
-    sampled = [(f"alpha={alpha:g}",
-                ss.warp_power_identity_residual(man, alpha, ss.IDENTITY_SAMPLE))
-               for alpha in _warp_alphas(man.N)]
+    alphas = _warp_alphas(man.N)
+    residuals = ss.warp_power_identity_residual(man, np.array(alphas)[:, None],
+                                                ss.IDENTITY_SAMPLE)
+    sampled = [(f"alpha={alpha:g}", res) for alpha, res in zip(alphas, residuals)]
     return _identity_row(cfg, "warp_power_identity", "warp_power", man, sampled)
 
 
@@ -360,16 +361,17 @@ def ball_hardy_margin_and_equivalence(cfg: ToolkitConfig, N: int):
                margins.passed and equiv <= 1e-5 and cmp_ok)
 
 
-def halfspace_hardy_margins(cfg: ToolkitConfig, N: int, functions, nx: int, ny: int):
-    reports = (euclid.check_halfspace_hardy(v, N, nx=nx, ny=ny) for v in functions)
+def halfspace_hardy_margins(cfg: ToolkitConfig, N: int, functions):
+    """Half-space Hardy margins on the euclid.TENSOR_GRID grid."""
+    reports = (euclid.check_halfspace_hardy(v, N) for v in functions)
     return _margin_row(cfg, "halfspace_hardy_margins", reports)
 
 
 def halfspace_hardy_margin_and_equivalence(cfg: ToolkitConfig, functions):
-    """N = 3 half-space Hardy margins on a 256^2 grid, and the transported
-    radial margin (on 128^2, under its axis-corrected log-y rule) against
-    the hyperbolic one times the sphere-area ratio."""
-    margins = halfspace_hardy_margins(cfg, 3, functions, 256, 256)
+    """N = 3 half-space Hardy margins, and the transported radial margin
+    (on 128^2, under its axis-corrected log-y rule) against the
+    hyperbolic one times the sphere-area ratio."""
+    margins = halfspace_hardy_margins(cfg, 3, functions)
     U = bump(0.5, 1.5)
     vtr = euclid.TransportedRadial(U, 3, alpha=0.5)
     m_t = euclid.check_halfspace_hardy(vtr, 3, nx=128, ny=128).margin
@@ -400,13 +402,12 @@ def halfspace_laplacian_identity_literal_fails(cfg: ToolkitConfig, N: int, alpha
                worst > 1e-6)
 
 
-def halfspace_rellich_margins(cfg: ToolkitConfig, N: int, functions, forms,
-                              nx: int, ny: int):
-    """Second-order half-space margins; each form is "y2", "y4" or "aux"
-    (the auxiliary weighted-gradient bound)."""
+def halfspace_rellich_margins(cfg: ToolkitConfig, N: int, functions, forms):
+    """Second-order half-space margins on the euclid.TENSOR_GRID grid; each
+    form is "y2", "y4" or "aux" (the auxiliary weighted-gradient bound)."""
     reports = (
-        euclid.aux_gradient_inequality(v, N, nx=nx, ny=ny) if form == "aux"
-        else euclid.check_halfspace_rellich(v, N, form, nx=nx, ny=ny)
+        euclid.aux_gradient_inequality(v, N) if form == "aux"
+        else euclid.check_halfspace_rellich(v, N, form)
         for v in functions for form in forms
     )
     return _margin_row(cfg, "halfspace_rellich_margins", reports)
@@ -436,10 +437,10 @@ def two_term_expansion_ratio(cfg: ToolkitConfig, N: int):
 
 
 def s_table_matches_precise(cfg: ToolkitConfig, N: int):
+    radii = (3.0, 4.0, 5.0)
     worst = 0.0
-    for r in (3.0, 4.0, 5.0):
+    for r, b in zip(radii, rellich.two_term_expansion_error_precise(N, radii)):
         a = float(rellich.two_term_expansion_error(N, r))
-        b = rellich.two_term_expansion_error_precise(N, [r])[0]
         worst = max(worst, abs(a - b) / b)
     return row("s_table_matches_precise", worst, 1e-3, worst <= 1e-3)
 
@@ -526,8 +527,7 @@ def _euclid_checks(cfg: ToolkitConfig) -> list:
                 _random_tensor_bumps(cfg.seed + 95, 5)),
         partial(halfspace_laplacian_identity_corrected, cfg, 5, (0.0, 1.5)),
         partial(halfspace_laplacian_identity_literal_fails, cfg, 5, (0.8, 2.5)),
-        partial(halfspace_rellich_margins, cfg, 5, [HALFSPACE_BUMP],
-                ("y2", "y4", "aux"), 256, 256),
+        partial(halfspace_rellich_margins, cfg, 5, [HALFSPACE_BUMP], ("y2", "y4", "aux")),
         partial(halfspace_bilaplacian_identity, cfg, 5),
     ]
 

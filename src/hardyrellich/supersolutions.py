@@ -117,7 +117,7 @@ def power_log_profile(N: int) -> RadialFunction:
 # identity residuals
 
 
-def warp_power_identity_residual(manifold: ModelManifold, alpha: float, r):
+def warp_power_identity_residual(manifold: ModelManifold, alpha, r):
     """Relative residual of the radial-Laplacian identity for (psi/r)^alpha.
 
     The profile satisfies, for every alpha and r > 0,
@@ -125,7 +125,8 @@ def warp_power_identity_residual(manifold: ModelManifold, alpha: float, r):
         = -alpha(alpha-2+N) Phi/psi^2 - alpha(alpha+1) Phi/r^2
           + (2 alpha^2 + alpha(N-1)) (psi'/psi) Phi / r,
     an exact identity; the return value is |LHS - RHS| / max |term| with
-    Phi divided out.
+    Phi divided out.  A (k, 1) array of alphas gives k rows of residuals,
+    each bit for bit the residual of its alpha alone.
     """
     r = _require_positive(r)
     N = manifold.N

@@ -234,3 +234,51 @@ def test_criterion_11_spectral_margin_quadrature():
             worst = max(worst, abs(rep.lhs - fine.lhs) / abs(fine.lhs),
                         abs(rep.rhs - fine.rhs) / abs(fine.rhs))
     _report("11 spectral margin quadrature", worst <= 1e-13, t0, 60.0)
+
+
+def test_criterion_12_tensor_bump_quadrature(monkeypatch):
+    # every term of every tensor-bump margin of the suites and the CLI, on
+    # the shipped grid and patch, against a grid and a patch 4x finer: a
+    # bound stated before the grid was chosen (1e-7 relative), the
+    # observed order of the grid rule against the half grid (>= 4), and a
+    # quad_error that covers the margin's own error
+    from hardyrellich.suites import HALFSPACE_BUMP, _random_tensor_bumps
+
+    t0 = time.perf_counter()
+    n, patch = euclid.TENSOR_GRID, euclid.PATCH_NODES
+    bump_checks = [
+        (HALFSPACE_BUMP, lambda v, m: euclid.check_halfspace_hardy(v, 3, m, m)),
+        (HALFSPACE_BUMP, lambda v, m: euclid.check_halfspace_rellich(v, 5, "y2", m, m)),
+        (HALFSPACE_BUMP, lambda v, m: euclid.check_halfspace_rellich(v, 5, "y4", m, m)),
+        (HALFSPACE_BUMP, lambda v, m: euclid.aux_gradient_inequality(v, 5, m, m)),
+    ] + [(v, lambda v, m: euclid.check_halfspace_hardy(v, 3, m, m))
+         for v in _random_tensor_bumps(ToolkitConfig().seed + 95, 5)]
+    sums = []
+    spied = euclid._halfspace_sums
+
+    def spy(*args):
+        out = spied(*args)
+        sums.append(out[:, 0])
+        return out
+
+    monkeypatch.setattr(euclid, "_halfspace_sums", spy)
+
+    def run(check, v, m, nodes):
+        monkeypatch.setattr(euclid, "PATCH_NODES", nodes)
+        report = check(v, m)
+        return report, sums[-1]
+
+    worst_err, worst_order, covered = 0.0, np.inf, True
+    for v, check in bump_checks:
+        ref, ref_terms = run(check, v, 4 * n, tuple(4 * k for k in patch))
+        rep, terms = run(check, v, n, patch)
+        _, half_terms = run(check, v, n // 2, patch)
+        err = np.abs(terms - ref_terms) / np.abs(ref_terms)
+        half_err = np.abs(half_terms - ref_terms) / np.abs(ref_terms)
+        worst_err = max(worst_err, float(np.max(err)))
+        worst_order = min(worst_order, float(np.min(np.log2(half_err / err))))
+        covered &= rep.quad_error >= abs(rep.margin - ref.margin)
+    print(f"tensor bumps at {n}^2: worst term error {worst_err:.2e}, "
+          f"worst observed order {worst_order:.1f}")
+    _report("12 tensor-bump quadrature", worst_err <= 1e-7 and worst_order >= 4.0 and covered,
+            t0, 60.0)

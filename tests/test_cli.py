@@ -200,7 +200,8 @@ def test_default_config_values(tmp_path):
 
 
 def test_verify_identities_computes_each_residual_once(tmp_path, monkeypatch):
-    # residuals.csv is written from the arrays the identity checks judge
+    # residuals.csv is written from the arrays the identity checks judge;
+    # each manifold's warp powers are one stacked evaluation
     calls = {}
     for name in ("warp_power_identity_residual", "product_profile_identity_residual",
                  "supersolution_equality_residual"):
@@ -210,7 +211,7 @@ def test_verify_identities_computes_each_residual_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(ss, name, counted)
     assert cli.main(["verify", "--suite", "identities", "--out", str(tmp_path)]) == 0
-    assert calls == {"warp_power_identity_residual": 12,
+    assert calls == {"warp_power_identity_residual": 3,
                      "product_profile_identity_residual": 15,
                      "supersolution_equality_residual": 3}
 

@@ -348,7 +348,7 @@ def test_tensor_jet_matches_finite_differences():
 def test_jets_vanish_outside_support():
     U = bump(0.5, 1.5)
     transported = euclid.TransportedRadial(U, 5, alpha=0.5)
-    grid = euclid.TensorGrid.over_box(*transported.box(pad=0.2), 96, 96).off_axis()
+    grid = euclid.TensorGrid.over_box(*transported.box(pad=0.2), 96, 96)
     XI, Y = np.meshgrid(grid.xi, grid.y, indexing="ij")
     d = np.arccosh(1.0 + ((Y - 1.0) ** 2 + XI**2) / (2.0 * Y))
     outside = (d <= U.support[0]) | (d >= U.support[1])
@@ -365,7 +365,7 @@ def test_jets_vanish_outside_support():
 def test_jet_without_laplacian_matches_full_jet():
     # the first-order checks skip the Laplacian; what they read is unchanged
     transported = euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5)
-    grid = euclid.TensorGrid.over_box(*transported.box(), 64, 48).off_axis()
+    grid = euclid.TensorGrid.over_box(*transported.box(), 64, 48)
     full = transported.jet(grid, _all_nodes(grid), 5)
     first = transported.jet(grid, _all_nodes(grid), 5, laplacian=False)
     assert len(full) == 5 and len(first) == 4
@@ -391,18 +391,31 @@ def _nan_at(f, points):
     return RadialFunction(jet, support=f.support, label="planted")
 
 
-def test_tensor_integrate_masks_axis_only():
+def test_tensor_integrate_keeps_the_axis_row():
     base = euclid.tensor_bump(1.0, 0.5, 2.0)
     grid = euclid.TensorGrid.over_box(*base.box(), 8, 8)
     terms = [("v2", 2, 0), ("v2", 2, 1), ("lap2", 0, 0)]
-    # the xi = 0 row carries zero measure
+    # the xi = 0 row is part of the rule (it carries the Euler-Maclaurin
+    # end weight for odd N), so a NaN factor there is found at its first
+    # node, and the Laplacian's fx'/xi takes its limit there
     on_axis = euclid.TensorProductFunction(_nan_at(base.fx, [0.0]), base.fy)
-    assert np.array_equal(euclid._halfspace_sums(on_axis, 5, 8, 8, terms),
-                          euclid._halfspace_sums(base, 5, 8, 8, terms))
+    with pytest.raises(EvaluationError, match=f"\\(0, {grid.y[0]:.6g}\\)"):
+        euclid._halfspace_sums(on_axis, 5, 8, 8, terms)
+    assert np.all(np.isfinite(euclid._halfspace_sums(base, 5, 8, 8, terms)))
     # a NaN factor at xi[4] makes that whole row NaN
-    off_axis = euclid.TensorProductFunction(_nan_at(base.fx, [0.0, grid.xi[4]]), base.fy)
+    off_axis = euclid.TensorProductFunction(_nan_at(base.fx, [grid.xi[4]]), base.fy)
     with pytest.raises(EvaluationError, match=f"{grid.xi[4]:.6g}, {grid.y[0]:.6g}"):
         euclid._halfspace_sums(off_axis, 5, 8, 8, terms)
+
+
+def test_tensor_x_jet_takes_its_axis_limit():
+    v = euclid.tensor_bump(1.0, 0.5, 2.0)
+    xi = np.array([0.0, 1e-9, 0.3, 0.45])
+    for N in (3, 5):
+        f, f1, lx = v.x_jet(xi, N)
+        _, _, f2 = v.fx.jet(xi, 2)
+        assert lx[0] == (N - 1) * f2[0]
+        assert np.array_equal(lx[1:], f2[1:] + (N - 2) * f1[1:] / xi[1:])
 
 
 def _constant(c, support):
@@ -433,46 +446,106 @@ _END_WEIGHT = {3: 1.0 / 12.0, 5: -1.0 / 120.0, 7: 1.0 / 252.0}
 
 
 def _written_out_rule(v, N, nx, ny, step):
-    """(xi, y, w_xi, w_y) of v's rule on the nx x ny grid over its box
-    (step 1) or on its subgrid of every other row and column (step 2),
-    with xi^(N-2) in w_xi.  A tensor product drops the xi = 0 row and
-    keeps y uniform.  A transported profile keeps that row, weighted for
-    odd N by B_(N-1)/(N-1) h^(N-1) with h its own xi spacing, and takes y
-    uniform in s = log y with the trapezoid weights in s times y."""
+    """(xi, y, w_xi, w_y) of v's grid rule on the nx x ny grid over its
+    box (step 1) or on its subgrid of every other row and column (step 2),
+    with xi^(N-2) in w_xi.  Both types keep the xi = 0 row, weighted for
+    odd N by B_(N-1)/(N-1) h^(N-1) with h its own xi spacing.  A tensor
+    product keeps y uniform; a transported profile takes y uniform in
+    s = log y with the trapezoid weights in s times y."""
     xi = np.linspace(0.0, v.box()[0], nx)[::step]
     y = np.linspace(*v.box()[1:], ny)
     w_xi = _trapezoid(xi) * xi ** (N - 2)
-    if isinstance(v, euclid.TensorProductFunction):
-        y = y[::step]
-        return xi[1:], y, w_xi[1:], _trapezoid(y)
     if N % 2:
         w_xi[0] = _END_WEIGHT[N] * (xi[1] - xi[0]) ** (N - 1)
+    if isinstance(v, euclid.TensorProductFunction):
+        y = y[::step]
+        return xi, y, w_xi, _trapezoid(y)
     s = np.linspace(np.log(y[0]), np.log(y[-1]), ny)[::step]
     return xi, np.exp(s), w_xi, _trapezoid(s) * np.exp(s)
 
 
-def _written_out_sums(v, N, rule, terms):
+def _chi(d):
+    """The patch cutoff in d, written out: 1 up to R/2, 0 from R on, and
+    the ramp s(t) = (1 + tanh(tan(pi (t - 1/2))))/2 of t = (R - d)/(R/2)
+    between, R = euclid.PATCH_RADIUS."""
+    R = euclid.PATCH_RADIUS
+    t = np.clip((R - d) / (R / 2.0), 0.0, 1.0)
+    with np.errstate(over="ignore"):
+        ramp = (1.0 + np.tanh(np.tan(np.pi * (t - 0.5)))) / 2.0
+    return np.where(d <= R / 2.0, 1.0, np.where(d >= R, 0.0, ramp))
+
+
+def _clenshaw_curtis_by_moments(a, b, n):
+    """Clenshaw-Curtis nodes and weights on [a, b], solved from the
+    Chebyshev moments: sum_j w_j T_m(x_j) = int T_m for m = 0..n."""
+    t = np.pi * np.arange(n + 1) / n
+    m = np.arange(n + 1)
+    moments = np.zeros(n + 1)
+    moments[::2] = 2.0 / (1.0 - m[::2] ** 2)
+    w = np.linalg.solve(np.cos(np.outer(m, t)), moments)
+    return a + (b - a) * (1.0 - np.cos(t)) / 2.0, w * (b - a) / 2.0
+
+
+def _written_out_patch(v, N, terms, step):
+    """Each term's near part chi(d) d^(-2k) v^2 xi^(N-2) y^(-p), summed in
+    geodesic polar coordinates about (0, 1), dxi dy = y^2 sinh d dd dtheta,
+    with Clenshaw-Curtis rules in d on [0, R] and in theta on [0, pi]:
+    the patch of euclid.PATCH_NODES (step 1) or its half rule (step 2).
+    sinh(d)^(N-1)/d^(2k) is (sinh d/d)^(2k) sinh(d)^(N-1-2k), 1 or 0 at
+    d = 0."""
+    n_d, n_t = (n // step for n in euclid.PATCH_NODES)
+    d, w_d = _clenshaw_curtis_by_moments(0.0, euclid.PATCH_RADIUS, n_d)
+    t, w_t = _clenshaw_curtis_by_moments(0.0, np.pi, n_t)
+    D, T = np.meshgrid(d, t, indexing="ij")
+    y = 1.0 / (np.cosh(D) - np.sinh(D) * np.cos(T))
+    xi = y * np.sinh(D) * np.sin(T)
+    v2 = (v.fx(xi.ravel()) * v.fy(y.ravel())).reshape(xi.shape) ** 2
+    ratio = np.where(D > 0.0, np.sinh(D) / np.where(D > 0.0, D, 1.0), 1.0)
+    weight = np.outer(w_d, w_t) * _chi(D)
+    return [float(np.sum(weight * (y * np.sin(T)) ** (N - 2) * y ** (2 - p) * v2
+                         * ratio ** (2 * k) * np.sinh(D) ** (N - 1 - 2 * k)))
+            if k else 0.0 for q, p, k in terms]
+
+
+def _written_out_sums(v, N, rule, terms, step=1):
     """Each term's sum from mesh arrays on every node of the written-out
     rule: outer products of the factors for a tensor product, the jet at
     every node for a transported profile, with y^(-p) and d^(-2k)
-    multiplied in node by node."""
+    multiplied in node by node.  For a tensor product d^(-2k) is only its
+    far part (1 - chi(d)) d^(-2k), 0 at d <= R/2, and the near part is
+    added from the written-out patch (its half rule for step 2)."""
     xi, y, w_xi, w_y = rule
+    d = np.arccosh(1.0 + ((y - 1.0) ** 2 + xi[:, None] ** 2) / (2.0 * y))
     if isinstance(v, euclid.TensorProductFunction):
         fx, fx1, fx2 = v.fx.jet(xi, 2)
         fy, fy1, fy2 = v.fy.jet(y, 2)
         val = np.outer(fx, fy)
         v_xi, v_y = np.outer(fx1, fy), np.outer(fx, fy1)
-        lap = np.outer(fx2 + (N - 2) * fx1 / xi, fy) + np.outer(fx, fy2)
+        # fx'(0) = 0, so fx'/xi tends to fx''(0) on the axis
+        fx1_xi = np.where(xi > 0.0, fx1 / np.where(xi > 0.0, xi, 1.0), fx2)
+        lap = np.outer(fx2 + (N - 2) * fx1_xi, fy) + np.outer(fx, fy2)
+        near = d <= euclid.PATCH_RADIUS / 2.0
+        safe_d = np.where(near, 1.0, d)
+
+        def distance(k):
+            return np.where(near, 0.0, (1.0 - _chi(d)) / safe_d ** (2 * k))
+
+        patch = _written_out_patch(v, N, terms, step)
     else:
         grid = euclid.TensorGrid(xi, y, w_xi, w_y)
         nodes = _all_nodes(grid)
         _, *parts = v.jet(grid, nodes, N)
         val, v_xi, v_y, lap = (p.reshape(nodes.shape) for p in parts)
+
+        def distance(k):
+            return 1.0 / d ** (2 * k)
+
+        patch = [0.0] * len(terms)
     quantity = {"v2": val * val, "grad2": v_xi * v_xi + v_y * v_y, "lap2": lap * lap}
-    d = np.arccosh(1.0 + ((y - 1.0) ** 2 + xi[:, None] ** 2) / (2.0 * y))
     weight = np.outer(w_xi, w_y)
-    return [float(np.sum(weight * quantity[q] / y**p / d ** (2 * k)))
-            for q, p, k in terms]
+    far = [float(np.sum(weight * quantity[q] / y**p * (distance(k) if k else 1.0)))
+           for q, p, k in terms]
+    return [a + b for a, b in zip(far, patch)]
 
 
 def _brute_force(v, N, nx, ny, terms):
@@ -483,13 +556,25 @@ def _brute_force(v, N, nx, ny, terms):
 @pytest.mark.parametrize("y_power", [2, 4, -2, 0])
 def test_tensor_integrate_folds_y_power(y_power):
     # the separable and support-node sums against brute-force mesh sums
-    terms = [("v2", y_power, k) for k in (0, 1, 2)]
-    terms += [("grad2", y_power, 0), ("lap2", y_power, 0)]
     for N in (3, 5):
+        # d^(-2k) is integrable about (0, 1) for 2k <= N - 1
+        terms = [("v2", y_power, k) for k in range((N - 1) // 2 + 1)]
+        terms += [("grad2", y_power, 0), ("lap2", y_power, 0)]
         for v in (euclid.tensor_bump(1.0, 0.5, 2.0),
                   euclid.TransportedRadial(bump(0.5, 1.5), N, alpha=0.5)):
             sums = euclid._halfspace_sums(v, N, 41, 37, terms)[:, 0]
             assert sums == pytest.approx(_brute_force(v, N, 41, 37, terms), rel=1e-13)
+
+
+def test_clenshaw_curtis_order_must_be_a_multiple_of_4():
+    # the half rule uses the even-order weight formula at order n/2
+    nodes, weights = euclid._clenshaw_curtis(0.0, 1.0, 12)
+    _, want = _clenshaw_curtis_by_moments(0.0, 1.0, 12)
+    _, half = _clenshaw_curtis_by_moments(0.0, 1.0, 6)
+    assert weights[0] == pytest.approx(want, abs=1e-15)
+    assert weights[1, ::2] == pytest.approx(half, abs=1e-15)
+    with pytest.raises(ArgumentError, match="order 30 is not a multiple of 4"):
+        euclid._clenshaw_curtis(0.0, 1.0, 30)
 
 
 def test_transported_radial_rejects_other_dimension():
@@ -529,8 +614,9 @@ def _blocked_values():
 
 @pytest.mark.parametrize("rows", [1, 39, 40, 7])
 def test_blocked_margins_match_single_block(monkeypatch, rows):
-    # rows per block on the 39 off-axis rows of the 40 x 32 grid: one row,
-    # exactly those rows, more than the grid, and a 4-row remainder
+    # rows per block on the 40 rows of the 40 x 32 grid: one row, one
+    # block of 39 rows and one of 1, exactly the grid, and a 5-row
+    # remainder
     single = _blocked_values()
     monkeypatch.setattr(euclid, "BLOCK_NODES", rows * 32)
     blocked = _blocked_values()
@@ -541,17 +627,22 @@ def test_nan_in_a_later_block_names_its_node(monkeypatch):
     monkeypatch.setattr(euclid, "BLOCK_NODES", 4 * 32)  # four rows a block
     tensor = euclid.tensor_bump(1.0, 0.5, 2.0)
     grid = euclid.TensorGrid.over_box(*tensor.box(), 40, 32)
-    # row 25 is in the seventh block of the 39 off-axis rows; a NaN factor
-    # there makes the whole row NaN
+    # row 25 is in the seventh block of the 40 rows; a NaN factor there
+    # makes the whole row NaN
     xi = grid.xi[25]
     planted = euclid.TensorProductFunction(_nan_at(tensor.fx, [xi]), tensor.fy)
     with pytest.raises(EvaluationError, match=f"\\({xi:.6g}, {grid.y[0]:.6g}\\)"):
         euclid.check_halfspace_hardy(planted, 3, 40, 32)
-    # a tensor product's xi = 0 row is dropped, so a NaN there never counts
-    on_axis = euclid.TensorProductFunction(_nan_at(tensor.fx, [0.0]), tensor.fy)
-    report = euclid.check_halfspace_hardy(on_axis, 3, 40, 32)
-    clean = euclid.check_halfspace_hardy(tensor, 3, 40, 32)
-    assert (report.lhs, report.rhs) == (clean.lhs, clean.rhs)
+    # a tensor product keeps its xi = 0 row, so a NaN there is found first
+    on_axis = euclid.TensorProductFunction(_nan_at(tensor.fx, [0.0, xi]), tensor.fy)
+    with pytest.raises(EvaluationError, match=f"\\(0, {grid.y[0]:.6g}\\)"):
+        euclid.check_halfspace_hardy(on_axis, 3, 40, 32)
+    # a NaN met only on the polar patch is named at its patch node
+    patch = euclid._polar_patch(*euclid.PATCH_NODES)
+    y = patch.y[5, 3]
+    planted = euclid.TensorProductFunction(tensor.fx, _nan_at(tensor.fy, [y]))
+    with pytest.raises(EvaluationError, match=f"\\({patch.xi[5, 3]:.6g}, {y:.6g}\\)"):
+        euclid.check_halfspace_hardy(planted, 3, 40, 32)
 
     transported = euclid.TransportedRadial(bump(0.5, 1.5), 3, alpha=0.5)
     grid = transported.rule(euclid.TensorGrid.over_box(*transported.box(), 40, 32))
@@ -601,8 +692,11 @@ def test_halfspace_rellich_peak_memory_is_block_sized():
 def _written_out_nested(v, N, nx, ny, terms):
     """Each term's sum, written out from mesh arrays, on the nx x ny grid
     over v's box and on its subgrid of every other row and column, each
-    under v's rule as _written_out_rule writes it."""
-    return np.array([_written_out_sums(v, N, _written_out_rule(v, N, nx, ny, step), terms)
+    under v's rule as _written_out_rule and _written_out_sums write it
+    (with the patch, and its half rule on the subgrid, for a tensor
+    product)."""
+    return np.array([_written_out_sums(v, N, _written_out_rule(v, N, nx, ny, step), terms,
+                                       step)
                      for step in (1, 2)]).T
 
 

@@ -226,6 +226,30 @@ def test_iterated_log_support_guard():
         hardy.check_iterated_log_improvement(family, 5, [0, 1])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scan_is_the_trial_profile_quotient(k):
+    # the scan forms the t-free factors once; the quotient of each
+    # trial_profile(t, [t] * k, 1/4), written out, is the same to rounding
+    from hardyrellich.iterated_log import iterated_log_stack
+    from hardyrellich.radial import _integrate, make_grid
+
+    grid = make_grid(1e-10, 0.5, 8192, "geometric")
+    r = grid.nodes
+    pk = np.prod(iterated_log_stack(k, r), axis=0)
+    params = [0.5 * 2.0**-j for j in range(5)]
+    want = []
+    for t in params:
+        u, du = hardy.trial_profile(t, [t] * k, 0.25).jet(r, 1)
+        want.append(0.25 + _integrate(du * du * r / pk, grid, "num", subgrid=False)
+                    / _integrate(u * u * pk / r, grid, "den", subgrid=False))
+    assert hardy.iterated_log_optimality_scan(5, k, params) == pytest.approx(want, rel=1e-14)
+
+
+def test_scan_rejects_nonpositive_parameters():
+    with pytest.raises(ArgumentError, match="scan parameters must be positive"):
+        hardy.iterated_log_optimality_scan(5, 1, params=[0.0])
+
+
 def test_trial_profile():
     tp = hardy.trial_profile(0.1, [0.1], 0.25)
     r = 0.05  # below delta: cutoff == 1

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from hardyrellich import manifolds as mf
 from hardyrellich import rellich
-from hardyrellich.errors import DomainError, RangeError, SupportError
+from hardyrellich.errors import DomainError, NumericError, RangeError, SupportError
 from hardyrellich.radial import (
     RadialFunction,
     bilaplacian_form,
@@ -273,6 +273,27 @@ def test_two_term_expansion_ratio_precise():
         a = float(rellich.two_term_expansion_error(5, r))
         b = rellich.two_term_expansion_error_precise(5, [r])[0]
         assert a == pytest.approx(b, rel=1e-3)
+
+
+def test_precise_series_matches_higher_precision():
+    # the suite's radii at the default 50 digits against 80 digits, and
+    # r = 0.05, whose series needs 1,333 terms, against the float table
+    radii = [3.0, 4.0, 5.0, 8.0, 12.0]
+    assert rellich.two_term_expansion_error_precise(5, radii) == pytest.approx(
+        rellich.two_term_expansion_error_precise(5, radii, dps=80), rel=1e-15)
+    precise = rellich.two_term_expansion_error_precise(5, [0.05])[0]
+    assert precise == pytest.approx(
+        rellich.two_term_expansion_error_precise(5, [0.05], dps=80)[0], rel=1e-15)
+    assert precise == pytest.approx(float(rellich.two_term_expansion_error(5, 0.05)),
+                                    rel=1e-12)
+
+
+def test_precise_series_names_the_radius_it_cannot_sum(monkeypatch):
+    monkeypatch.setattr(rellich, "PRECISE_SERIES_CAP", 1000)
+    with pytest.raises(NumericError, match="r = 0.05 has not converged in 1000 terms"):
+        rellich.two_term_expansion_error_precise(5, [3.0, 0.05])
+    with pytest.raises(DomainError, match="r = 0"):
+        rellich.two_term_expansion_error_precise(5, [0.0])
 
 
 def test_precise_expansion_error_thread_safe():

@@ -20,6 +20,17 @@ def test_warp_identity_spot_values():
     assert ss.warp_power_identity_residual(man, (man.N - 1) / 2.0, 2.0) < 1e-8
 
 
+def test_stacked_warp_residuals_are_the_per_alpha_residuals():
+    alphas = (-2.0, -0.5, 1.0, 2.0)
+    for man in FAMILIES:
+        stacked = ss.warp_power_identity_residual(man, np.array(alphas)[:, None],
+                                                  ss.IDENTITY_SAMPLE)
+        assert stacked.shape == (4, ss.IDENTITY_SAMPLE.size)
+        for alpha, res in zip(alphas, stacked):
+            assert np.array_equal(res, ss.warp_power_identity_residual(
+                man, alpha, ss.IDENTITY_SAMPLE))
+
+
 def test_warp_identity_full_sample():
     for man in FAMILIES:
         for alpha in (-2.0, -0.5, 1.0, (man.N - 1) / 2.0):

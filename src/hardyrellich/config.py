@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .errors import ArgumentError
@@ -78,8 +79,9 @@ def default_config() -> ToolkitConfig:
 
 
 def load_config(path: str) -> ToolkitConfig:
-    """Parse a config file; malformed input raises ArgumentError carrying
-    the offending line number."""
+    """Parse a config file.  Malformed input raises ArgumentError carrying the
+    offending line number, and a value that is not a finite number (or not an
+    integer, where the key's default is one) raises one naming the key."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive (M vs m)
     try:
@@ -103,4 +105,13 @@ def load_config(path: str) -> ToolkitConfig:
             raise ArgumentError(
                 f"config section [{section}] has unknown keys: {sorted(unknown)}"
             )
+        for key, value in entries.items():
+            try:
+                number = float(value)
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                raise ArgumentError(f"config [{section}] {key} = {value} is not a finite number")
+            if DEFAULTS[section][key].isdigit() and not number.is_integer():
+                raise ArgumentError(f"config [{section}] {key} = {value} is not an integer")
     return ToolkitConfig(sections=sections)

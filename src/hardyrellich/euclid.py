@@ -229,7 +229,11 @@ class TensorProductFunction:
         without a distance power is a few dot products; the far part of a
         distance-weighted one is (w_xi x)[:, rows] @ (1 - chi) d^(-2k) @
         (w_y y) summed over the row blocks, grid and subgrid in one pass,
-        and its near part is the patch sum."""
+        and its near part is the patch sum, which holds v2 terms only."""
+        near = [t for t, (_, _, k) in enumerate(terms) if k]
+        for term in (terms[t] for t in near):
+            if term[0] != "v2":
+                raise ArgumentError(f"term {term}: the polar patch sums distance-weighted v2 terms only")
         products = self._products(grid.xi, grid.y, N)
         w_xi = grid.xi_weights(N)
         sums = np.zeros((len(terms), 2))
@@ -247,7 +251,6 @@ class TensorProductFunction:
             dist = _far_distance_weights(block, {k for _, k, _, _ in far})
             for t, k, x, y in far:
                 sums[t] += np.vecdot(x[:, rows] @ dist[k], y)
-        near = [t for t, (_, _, k) in enumerate(terms) if k]
         if near:
             sums[near] += self._patch_sums(N, [terms[t] for t in near])
         return sums
@@ -291,13 +294,12 @@ class TensorProductFunction:
             yield values.ravel(), patch.xi.ravel(), patch.y.ravel()
 
 
-def tensor_bump(xi_extent: float, y_lo: float, y_hi: float,
-                label: str = "") -> TensorProductFunction:
+def tensor_bump(xi_extent: float, y_lo: float, y_hi: float) -> TensorProductFunction:
     """Cylindrical bump: plateau cutoff in |x| times a C^inf bump in y."""
     fx = plateau_cutoff(xi_extent / 2.0, xi_extent / 2.0)
     fy = bump(y_lo, y_hi)
-    return TensorProductFunction(fx, fy, label=label or
-                                 f"tensor_bump(xi<{xi_extent:g},y[{y_lo:g},{y_hi:g}])")
+    return TensorProductFunction(
+        fx, fy, label=f"tensor_bump(xi<{xi_extent:g},y[{y_lo:g},{y_hi:g}])")
 
 
 class TransportedRadial:

@@ -150,7 +150,7 @@ def check_general_model(u: RadialFunction, manifold: ModelManifold,
 
 
 def poincare_gap(N: int, r_min: float = 1e-3, r_max: float = 60.0,
-                 M: int = 8192, tol: float = 1e-8) -> ConstantEstimate:
+                 M: int = 8192) -> ConstantEstimate:
     """Bottom of the radial L^2 spectrum of the hyperbolic Laplacian on a
     truncation; reproduces the spectral gap (N-1)^2/4 as the ends widen.
 
@@ -161,7 +161,7 @@ def poincare_gap(N: int, r_min: float = 1e-3, r_max: float = 60.0,
     """
     man = hyperbolic(N)
     grid = make_grid(r_min, r_max, M, "geometric")
-    return min_generalized_eigenvalue(assemble_pencil(man, None, 1.0, grid), tol)
+    return min_generalized_eigenvalue(assemble_pencil(man, None, 1.0, grid), 1e-8)
 
 
 def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
@@ -193,8 +193,7 @@ def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
 
 
 def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
-                   r_max: float = 1e26, M: int = 4096,
-                   tol: float = 1e-10) -> LambdaCurve:
+                   r_max: float = 1e26, M: int = 4096) -> LambdaCurve:
     """h(lambda) = best constant of int u^2/r^2 under numerator
     Dirichlet - lambda L^2, for lambda in [0, (N-1)^2/4] (radial sector).
 
@@ -216,7 +215,7 @@ def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
     value = None
     for lam in lambdas:
         pencil = assemble_pencil(man, lam, lambda r: 1.0 / r**2, grid)
-        value = smallest_eigenvalue(pencil, tol, near=value)
+        value = smallest_eigenvalue(pencil, 1e-10, near=value)
         h_values.append(value)
     return LambdaCurve(N, lambdas, np.asarray(h_values))
 
@@ -305,7 +304,7 @@ def trial_profile(eps: float, a, delta: float) -> RadialFunction:
 
 
 def iterated_log_optimality_scan(N: int, k: int, params=None,
-                                 r_floor: float = 1e-10, M: int = 8192) -> list[float]:
+                                 M: int = 8192) -> list[float]:
     """Rayleigh quotients of the level-k improvement along a shrinking
     parameter sequence; each is >= 1/4 and the sequence drifts down toward
     it (logarithmically slowly, so only the trend is asserted).
@@ -324,7 +323,7 @@ def iterated_log_optimality_scan(N: int, k: int, params=None,
     if any(t <= 0.0 for t in params):
         raise ArgumentError("scan parameters must be positive")
     delta = 0.25
-    grid = make_grid(r_floor, 2.0 * delta, M, "geometric")
+    grid = make_grid(1e-10, 2.0 * delta, M, "geometric")
     r = grid.nodes
     # the profile of trial_profile(t, [t] * k, delta) is U = core(t) c with
     # core(t) = (r P_k)^t and U' = core(t) (t g c + c'), g = (1 + sum_i P_i)/r;

@@ -20,13 +20,6 @@ def _check_unit(t) -> np.ndarray:
     return t
 
 
-def iterated_log(k: int, t):
-    """X_k(t) for k >= 1, t in (0, 1]."""
-    if k < 1:
-        raise DomainError("iterated log order must be k >= 1")
-    return iterated_log_stack(k, t)[-1]
-
-
 def iterated_log_stack(k: int, t) -> np.ndarray:
     """Array [X_1(t), ..., X_k(t)] stacked on the first axis."""
     t = _check_unit(t)
@@ -36,11 +29,6 @@ def iterated_log_stack(k: int, t) -> np.ndarray:
         x = 1.0 / (1.0 - np.log(x))
         out.append(x)
     return np.stack(out) if out else np.zeros((0,) + t.shape)
-
-
-def _products(stack: np.ndarray) -> np.ndarray:
-    """P_i = X_1 ... X_i along the first axis."""
-    return np.cumprod(stack, axis=0)
 
 
 def log_derivatives(exponents, t):
@@ -53,7 +41,7 @@ def log_derivatives(exponents, t):
     k = len(exponents)
     if k == 0:
         return np.zeros_like(t), np.zeros_like(t)
-    P = _products(iterated_log_stack(k, t))
+    P = np.cumprod(iterated_log_stack(k, t), axis=0)  # P_i = X_1 ... X_i
     c = np.asarray(exponents, dtype=float).reshape((k,) + (1,) * t.ndim)
     l1 = np.sum(c * P, axis=0) / t
     cum = np.cumsum(P, axis=0)

@@ -160,7 +160,7 @@ def check_pole_conditions(psi, dpsi, ddpsi) -> None:
             raise ArgumentError(f"psi''(r) != 0 near the pole (r={r:g})")
 
 
-def custom(N: int, psi, dpsi, ddpsi, name: str = "custom") -> ModelManifold:
+def custom(N: int, psi, dpsi, ddpsi) -> ModelManifold:
     """Model from user-supplied closed-form psi, psi', psi''.
 
     The one constructor that takes psi itself; the ratios are built from
@@ -185,7 +185,7 @@ def custom(N: int, psi, dpsi, ddpsi, name: str = "custom") -> ModelManifold:
 
     return ModelManifold(
         N=N,
-        family=name,
+        family="custom",
         log_psi=lambda r: np.log(_psi(r)),
         dpsi_over_psi=lambda r: _dpsi(r) / _psi(r),
         ddpsi_over_psi=lambda r: _ddpsi(r) / _psi(r),

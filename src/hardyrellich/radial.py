@@ -298,27 +298,26 @@ def plateau_cutoff(delta: float, width: float | None = None) -> RadialFunction:
     return RadialFunction(jet, support=(0.0, b), label=f"cutoff[{delta:g}]")
 
 
-def seeded_bumps(seed: int, count: int, lo: float, hi: float,
-                 min_width: float = 0.3) -> RadialFunction:
+def seeded_bumps(seed: int, count: int, lo: float, hi: float) -> RadialFunction:
     """Reproducible random bumps supported inside [lo, hi], as one family;
     each member's label records the seed so failures can be replayed."""
     # bump k takes the draws 4k..4k+3 of the stream as uniform(lo, hi -
-    # min_width), uniform(a + min_width, hi) and two uniform(0.2, 0.5),
-    # each low + (high - low) * random() as Generator.uniform forms it
+    # 0.3), uniform(a + 0.3, hi) and two uniform(0.2, 0.5), each
+    # low + (high - low) * random() as Generator.uniform forms it
     u = np.random.default_rng(seed).random((count, 4)).T[..., None]
-    a = lo + ((hi - min_width) - lo) * u[0]
-    b = (a + min_width) + (hi - (a + min_width)) * u[1]
+    a = lo + ((hi - 0.3) - lo) * u[0]
+    b = (a + 0.3) + (hi - (a + 0.3)) * u[1]
     frac_r, frac_f = 0.2 + (0.5 - 0.2) * u[2:]
     return bump(a, b, rise=frac_r * (b - a), fall=frac_f * (b - a),
                 label=[f"bump(seed={seed},k={k})" for k in range(count)])
 
 
-def grid_covering(support: tuple, M: int = 4096, pad: float = 0.05) -> RadialGrid:
-    """Uniform grid slightly wider than a compact support (for margin
-    checks); a family's (k, 1) support ends give one grid per row."""
+def grid_covering(support: tuple, M: int) -> RadialGrid:
+    """Uniform grid 5% wider than a compact support at each end (for
+    margin checks); a family's (k, 1) support ends give one grid per row."""
     a, b = support
-    width = b - a
-    return make_grid(np.maximum(a - pad * width, a * 0.5), b + pad * width, M, "uniform")
+    pad = 0.05 * (b - a)
+    return make_grid(np.maximum(a - pad, a * 0.5), b + pad, M, "uniform")
 
 
 # ---------------------------------------------------------------------------

@@ -312,32 +312,28 @@ def sharp_r2_next_truncation(N: int, value: float, r_max: float, r_next: float) 
     return limit + rate / L**2 if L > 0.0 else value
 
 
-def euclidean_rellich_constant(N: int = 5, r_min: float = 1e-9,
-                               r_max: float = 1e9, M: int = 8192,
-                               tol: float = 1e-8) -> ConstantEstimate:
+def euclidean_rellich_constant(N: int = 5, M: int = 8192) -> ConstantEstimate:
     """Radial euclidean Rellich pencil: int (Lap u)^2 r^(N-1) over
     int u^2/r^4 r^(N-1); tends to N^2(N-4)^2/16.  After d = r^((N-1)/2) u
     it is int (d'' - (N-1)(N-3)/(4 r^2) d)^2 over int d^2/r^4."""
     _check_dimension(N, 5)
-    grid = make_grid(r_min, r_max, M, "geometric")
+    grid = make_grid(1e-9, 1e9, M, "geometric")
     pencil = assemble_pencil(
         euclidean(N), None, lambda r: 1.0 / r**4, grid, ORDER_BILAPLACIAN
     )
-    return min_generalized_eigenvalue(pencil, tol)
+    return min_generalized_eigenvalue(pencil, 1e-8)
 
 
-def one_d_rellich_constant(r_min: float = 1e-12, r_max: float = 1e12,
-                           M: int = 8192, tol: float = 1e-8) -> ConstantEstimate:
+def one_d_rellich_constant(M: int = 8192) -> ConstantEstimate:
     """1-D anchor: int u''^2 over int u^2/x^4 tends to 9/16, the constant
     the fourth-power weight inherits in the mode reduction.  It is the
     euclidean(3) Rellich pencil, whose substitution d = r u leaves d''."""
-    grid = make_grid(r_min, r_max, M, "geometric")
+    grid = make_grid(1e-12, 1e12, M, "geometric")
     return min_generalized_eigenvalue(
-        assemble_pencil(euclidean(3), None, lambda r: 1.0 / r**4, grid, ORDER_BILAPLACIAN), tol)
+        assemble_pencil(euclidean(3), None, lambda r: 1.0 / r**4, grid, ORDER_BILAPLACIAN), 1e-8)
 
 
-def one_d_hardy_constant(r_min: float = 1e-10, r_max: float = 1e10,
-                         M: int = 8192, tol: float = 1e-8) -> ConstantEstimate:
+def one_d_hardy_constant(r_min: float = 1e-10, M: int = 8192) -> ConstantEstimate:
     """1-D anchor: int z'^2 over int z^2/x^2 tends to 1/4.
 
     This is the limiting quotient behind the sharpness of the (N-1)^2/8
@@ -345,9 +341,9 @@ def one_d_hardy_constant(r_min: float = 1e-10, r_max: float = 1e10,
     rescaling, so the pencil itself is N-free.  It is the euclidean(3)
     Hardy pencil: z = r u, then z = r^(1/2) phi, weight r.
     """
-    grid = make_grid(r_min, r_max, M, "geometric")
+    grid = make_grid(r_min, 1e10, M, "geometric")
     return min_generalized_eigenvalue(
-        assemble_pencil(euclidean(3), None, lambda r: 1.0 / r**2, grid), tol)
+        assemble_pencil(euclidean(3), None, lambda r: 1.0 / r**2, grid), 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +414,19 @@ class ChangeOfVariable:
     """
 
     TABLE_RANGE = (1e-4, 40.0)
+    TABLE_SIZE = 4096
     # Newton polishing of r(s) stops once every relative residual
     # |s(r) - s| / s is at most NEWTON_RTOL before a step, which then
     # leaves an error of order its square; it gives up after NEWTON_STEPS.
     NEWTON_RTOL = 1e-9
     NEWTON_STEPS = 8
 
-    def __init__(self, N: int, table_size: int = 4096):
+    def __init__(self, N: int):
         man = hyperbolic(N)
         self.N = man.N
         self._log_psi = man.log_psi
         lo, hi = self.TABLE_RANGE
-        self.r_tab = np.geomspace(lo, hi, table_size)
+        self.r_tab = np.geomspace(lo, hi, self.TABLE_SIZE)
         tail = self._series_tail(hi)
         panels = _panel_integral(self._integrand, self.r_tab[:-1], self.r_tab[1:])
         self.i_tab = np.concatenate(

@@ -61,7 +61,6 @@ class ExperimentManifest:
     command: str
     config_text: str
     seed: int
-    version: str = __version__
     results: list[CheckRow] = field(default_factory=list)  # in run order
     wall_time_s: float = 0.0
     # (check, suite, seconds) in run order; written to manifest.json only,
@@ -95,7 +94,7 @@ class ExperimentManifest:
             "command": self.command,
             "config": self.config_text,
             "seed": self.seed,
-            "version": self.version,
+            "version": __version__,
             "wall_time_s": self.wall_time_s,
             "check_seconds": [
                 {"check": name, "suite": suite, "seconds": t}

@@ -37,8 +37,8 @@ HALFSPACE_BUMP = euclid.tensor_bump(1.0, 0.5, 2.0)
 _CONJUGATION_POINTS = [(0.7, 2.0), (1.5, 0.8), (0.3, 3.0)]
 
 
-def _builtin_families(N_hardy: int = 5):
-    return [mf.hyperbolic(N_hardy), mf.euclidean(N_hardy), mf.superexp(N_hardy, 2.0)]
+def _builtin_families():
+    return [mf.hyperbolic(5), mf.euclidean(5), mf.superexp(5, 2.0)]
 
 
 def _warp_alphas(N: int) -> tuple:

@@ -269,9 +269,9 @@ def null_criticality_scan(N: int, k_list, M: int = 4096) -> list[tuple[float, fl
     return out
 
 
-def null_criticality_slope(N: int, k_list=(2.0, 4.0, 8.0, 16.0), M: int = 4096) -> float:
+def null_criticality_slope(N: int, k_list=(2.0, 4.0, 8.0, 16.0)) -> float:
     """Slope of the truncated mass against k; 1/4 certifies the log divergence."""
-    pairs = null_criticality_scan(N, k_list, M)
+    pairs = null_criticality_scan(N, k_list)
     ks = np.array([p[0] for p in pairs])
     vs = np.array([p[1] for p in pairs])
     return float(np.polyfit(ks, vs, 1)[0])

@@ -66,6 +66,33 @@ def test_config_unknown_key(tmp_path):
         load_config(str(cfg))
 
 
+@pytest.mark.parametrize("section, key, value, verb", [
+    ("grids", "M", "abc", ["hardy", "sharp", "--N", "3"]),
+    ("tolerances", "margin_rtol", "x", ["hardy", "check"]),
+    ("tolerances", "margin_rtol", "inf", ["hardy", "check"]),
+])
+def test_config_value_that_is_not_a_number_is_a_usage_error(tmp_path, capsys,
+                                                            section, key, value, verb):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    code = cli.main([*verb, "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == cli.USAGE_EXIT
+    assert f"[{section}] {key} = {value} is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_config_integer_key_rejects_a_fraction(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[grids]\nM = 1000.7\n")
+    code = cli.main(["hardy", "sharp", "--N", "3", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+    assert code == cli.USAGE_EXIT
+    assert "[grids] M = 1000.7 is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "constants.csv").exists()
+    cfg.write_text("[grids]\nM = 1e3\n")  # an integral value in any spelling
+    assert load_config(str(cfg)).get_int("grids", "M") == 1000
+
+
 def test_config_overrides_and_snapshot(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[grids]\nM = 2048\n[hardy]\nbump_count = 2\n")
@@ -248,8 +275,9 @@ def test_grids_r_min_reaches_the_sharp_hardy_estimate(tmp_path):
     config = tmp_path / "grids.ini"
     config.write_text("[grids]\nr_min = 1e-4\n")
     common = ["--N", "3", "--config", str(config)]
-    # the narrower truncation lifts the estimate to about 0.306, above the
-    # check's [0.249, 0.30] window, so the run exits 1
+    # the narrower truncation lifts the estimate to 0.30170895 (exactly
+    # 1/4 + pi^2/log^2(1e6) = 0.30170897), above the check's [0.249, 0.30]
+    # window, so the run exits 1
     assert cli.main(["hardy", "sharp", *common, "--out", str(tmp_path / "sharp")]) == 1
     assert cli.main(["curve", "--name", "convergence", *common,
                      "--out", str(tmp_path / "curve")]) == 0

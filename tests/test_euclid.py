@@ -434,6 +434,12 @@ def test_tensor_integrate_raises_on_overflow():
             euclid._halfspace_sums(v, 3, 8, 8, [("v2", -2, 0)])
 
 
+def test_tensor_patch_refuses_a_distance_weighted_gradient_term():
+    # the polar patch sums v^2 alone, so a grad2 term with k = 1 has no near part
+    with pytest.raises(ArgumentError, match=r"\('grad2', 0, 1\)"):
+        euclid._halfspace_sums(euclid.tensor_bump(1.0, 0.5, 2.0), 5, 16, 16, [("grad2", 0, 1)])
+
+
 def _trapezoid(nodes):
     w = np.zeros_like(nodes)
     w[:-1] += np.diff(nodes) / 2.0

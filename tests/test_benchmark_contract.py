@@ -57,9 +57,10 @@ def test_benchmark_selftest_passes(bench):
 
 def test_halfspace_checks_build_one_grid_per_resolution(monkeypatch):
     # the traced euclid.tensor2d.points count adds up the nodes of every
-    # TensorGrid.over_box call: a margin check builds one grid, whose
-    # every-other-node subgrid gives its quadrature error, and so does the
-    # bilaplacian identity
+    # TensorGrid.over_box call: a tensor-bump margin check builds one grid,
+    # whose every-other-node subgrid gives its quadrature error; a
+    # transported profile's checks and the bilaplacian identity build
+    # none, as they integrate on a polar rule
     from hardyrellich import euclid
     from hardyrellich.radial import bump
 
@@ -77,12 +78,12 @@ def test_halfspace_checks_build_one_grid_per_resolution(monkeypatch):
         lambda v: euclid.check_halfspace_rellich(v, 5, "y4", 40, 32),
         lambda v: euclid.aux_gradient_inequality(v, 5, 40, 32),
     )
-    for v in (euclid.tensor_bump(1.0, 0.5, 2.0),
-              euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5)):
+    for v, grids in ((euclid.tensor_bump(1.0, 0.5, 2.0), [(40, 32)]),
+                     (euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5), [])):
         for check in checks:
             sizes.clear()
             check(v)
-            assert sizes == [(40, 32)]
+            assert sizes == grids
     sizes.clear()
-    euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 5, nodes=512, nx=40, ny=32)
-    assert sizes == [(40, 32)]
+    euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 5, nodes=512)
+    assert sizes == []

@@ -132,49 +132,73 @@ def test_halfspace_hardy_guards():
 def test_halfspace_equivalence_with_hyperbolic():
     U = bump(0.5, 1.5)
     vtr = euclid.TransportedRadial(U, 3, alpha=0.5)
-    m_t = euclid.check_halfspace_hardy(vtr, 3, nx=768, ny=768).margin
+    m_t = euclid.check_halfspace_hardy(vtr, 3, *euclid.TRANSPORTED_RULE).margin
     m_h = euclid.hyperbolic_margin_without_sinh(U, 3, nodes=8192)
     ratio = euclid.sphere_area(3) / euclid.sphere_area(2)
-    assert m_t == pytest.approx(m_h * ratio, rel=1e-4)
+    assert m_t == pytest.approx(m_h * ratio, rel=1e-10)
 
 
-def _transported_hardy_error(n):
-    """Relative gap of the transported N = 3 half-space Hardy margin on an
-    n x n grid to the 65,536-node hyperbolic margin times the sphere-area
-    ratio."""
+# d node counts of the transported polar rule: the shipped count and its
+# halvings, each at the shipped theta order
+_D_LADDER = [euclid.TRANSPORTED_RULE[0] // 2**j for j in (3, 2, 1, 0)]
+
+
+def _transported_hardy_error(n_d):
+    """Relative gap of the transported N = 3 half-space Hardy margin on the
+    polar rule of n_d nodes in d to the 65,536-node hyperbolic margin
+    times the sphere-area ratio."""
     U = bump(0.5, 1.5)
-    m_t = euclid.check_halfspace_hardy(euclid.TransportedRadial(U, 3, alpha=0.5), 3, n, n).margin
+    m_t = euclid.check_halfspace_hardy(euclid.TransportedRadial(U, 3, alpha=0.5), 3,
+                                       n_d, euclid.TRANSPORTED_RULE[1]).margin
     m_h = euclid.hyperbolic_margin_without_sinh(U, 3, nodes=65536)
     ratio = euclid.sphere_area(3) / euclid.sphere_area(2)
     return abs(m_t - m_h * ratio) / abs(m_h * ratio)
 
 
-@pytest.mark.parametrize("n", [256, 257])
-def test_transported_hardy_matches_fine_radial_value(n):
-    # twice the suite's grid, and one of the other parity
-    assert _transported_hardy_error(n) <= 2.5e-7
+def _transported_bilaplacian_error(monkeypatch, n_d):
+    """The N = 5 bilaplacian identity's relative gap on the polar rule of
+    n_d nodes in d, against the 65,536-node radial side."""
+    monkeypatch.setattr(euclid, "TRANSPORTED_RULE", (n_d, euclid.TRANSPORTED_RULE[1]))
+    return euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 5, nodes=65536)[2]
 
 
-@pytest.mark.parametrize("n", [128, 129])
-def test_transported_hardy_on_the_suite_grid(n):
-    # the suite's 128^2 grid, and one of the other parity: near n = 128
-    # the error swings with n between about 2e-8 (n = 128) and 9e-7
-    # (n = 120..139), far inside the row's 1e-4 tolerance
-    assert _transported_hardy_error(n) <= 1e-6
+@pytest.mark.parametrize("n_d", [256, 257])
+def test_transported_hardy_matches_fine_radial_value(n_d):
+    # below the shipped d count, of either parity, the N = 3 margin already
+    # matches the fine radial value to rounding (2.0e-14 and 1.7e-14)
+    assert _transported_hardy_error(n_d) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [320, 321, 512, 513])
-def test_transported_bilaplacian_matches_fine_radial_value(n):
-    # the suite's 320^2 grid, a finer one, and one of the other parity each
-    _, _, rel = euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 5, nodes=65536,
-                                                      nx=n, ny=n)
-    assert rel <= 2.5e-7
+@pytest.mark.parametrize("n_d", [320, 321, 512, 513])
+def test_transported_bilaplacian_matches_fine_radial_value(monkeypatch, n_d):
+    # the shipped d count, a finer one, and one of the other parity each
+    assert _transported_bilaplacian_error(monkeypatch, n_d) <= 1e-10
 
 
-def test_transported_hardy_error_is_fourth_order():
-    # the axis end weight cancels the h^2 term: halving h divides the
-    # error by at least 2^4
-    assert _transported_hardy_error(513) * 16.0 <= _transported_hardy_error(257)
+def test_transported_rows_converge_along_the_d_ladder(monkeypatch):
+    # the trapezoid rule in d converges faster than any power, so the error
+    # of each row falls at every doubling (40, 80, 160, 320 nodes read
+    # 4.2e-6, 2.2e-9, 1.5e-12, 1.8e-14 for the Hardy equivalence and
+    # 3.3e-3, 4.1e-8, 2.7e-9, 1.5e-13 for the identity) and is at the
+    # level of rounding at the shipped orders
+    for error in (_transported_hardy_error,
+                  lambda n_d: _transported_bilaplacian_error(monkeypatch, n_d)):
+        ladder = [error(n_d) for n_d in _D_LADDER]
+        assert all(finer <= coarser for coarser, finer in zip(ladder, ladder[1:])), ladder
+        assert ladder[-1] <= 1e-10
+
+
+def test_transported_rule_meets_its_stated_bound():
+    # every term of the two suite rows on the shipped polar rule lies
+    # within 1e-12, relative, of a rule with twice the nodes on each axis
+    n_d, n_theta = euclid.TRANSPORTED_RULE
+    rows = [(3, 0.5, [("grad2", 0, 0), ("v2", 2, 0), ("v2", 2, 1)]),
+            (5, 1.5, [("lap2", -2, 0), ("grad2", 0, 0), ("v2", 2, 0)])]
+    for N, alpha, terms in rows:
+        v = euclid.TransportedRadial(bump(0.5, 1.5), N, alpha)
+        shipped = euclid._halfspace_sums(v, N, n_d, n_theta, terms)[:, 0]
+        finer = euclid._halfspace_sums(v, N, 2 * n_d - 1, 2 * n_theta, terms)[:, 0]
+        assert shipped == pytest.approx(finer, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 40])
@@ -262,9 +286,8 @@ def test_aux_gradient_inequality():
 
 
 def test_bilaplacian_identity_cross_model():
-    lhs, rhs, rel = euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 5,
-                                                          nx=640, ny=640)
-    assert rel <= 1e-4
+    lhs, rhs, rel = euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 5)
+    assert rel <= 1e-10
     assert lhs > 0 and rhs > 0
 
 
@@ -288,75 +311,69 @@ def test_ball_mapped_pair_supports_correspond():
     assert 0.0 < ta < tb < 1.0  # vanishes near the boundary
 
 
-def _stencil_grid(xs, ys, h):
-    """Grid holding a 3x3 stencil of spacing h around every (x, y) pair."""
-    offsets = np.array([-h, 0.0, h])
-    xi = (np.asarray(xs)[:, None] + offsets).ravel()
-    y = (np.asarray(ys)[:, None] + offsets).ravel()
-    return euclid.TensorGrid(xi, y, np.zeros_like(xi), np.zeros_like(y))
+def _closed_form_distance(xi, y):
+    return np.arccosh(1.0 + ((y - 1.0) ** 2 + xi * xi) / (2.0 * y))
 
 
-def _fd_gaps(val, vx, vy, lap, xs, N, h):
-    """Worst relative gap of a gradient and Laplacian given on a stencil
-    grid against central differences of the values there, at the stencil
-    centres."""
-    c = np.s_[1::3, 1::3]
-    fd_x = (val[2::3, 1::3] - val[0::3, 1::3]) / (2 * h)
-    fd_y = (val[1::3, 2::3] - val[1::3, 0::3]) / (2 * h)
-    fd_xx = (val[2::3, 1::3] - 2 * val[c] + val[0::3, 1::3]) / h**2
-    fd_yy = (val[1::3, 2::3] - 2 * val[c] + val[1::3, 0::3]) / h**2
-    fd_lap = fd_xx + (N - 2) * fd_x / np.asarray(xs)[:, None] + fd_yy
-    grad = np.hypot(vx[c], vy[c])
-    assert np.max(grad) > 0.0 and np.max(np.abs(lap[c])) > 0.0
+def _fd_gaps(f, xi, y, vx, vy, lap, N, h):
+    """Worst relative gap of a gradient and Laplacian given at the points
+    (xi, y) against central differences of spacing h of the function
+    f(xi, y) about them."""
+    c = f(xi, y)
+    xp, xm, yp, ym = f(xi + h, y), f(xi - h, y), f(xi, y + h), f(xi, y - h)
+    fd_x = (xp - xm) / (2 * h)
+    fd_y = (yp - ym) / (2 * h)
+    fd_lap = (xp - 2 * c + xm) / h**2 + (N - 2) * fd_x / xi + (yp - 2 * c + ym) / h**2
+    grad = np.hypot(vx, vy)
+    assert np.max(grad) > 0.0 and np.max(np.abs(lap)) > 0.0
     return (
-        np.max(np.hypot(fd_x - vx[c], fd_y - vy[c])) / np.max(grad),
-        np.max(np.abs(fd_lap - lap[c])) / np.max(np.abs(lap[c])),
+        np.max(np.hypot(fd_x - vx, fd_y - vy)) / np.max(grad),
+        np.max(np.abs(fd_lap - lap)) / np.max(np.abs(lap)),
     )
-
-
-def _all_nodes(grid):
-    return np.ones((grid.xi.size, grid.y.size), dtype=bool)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
 def test_transported_jet_matches_finite_differences(alpha):
+    # the jet on the polar mesh, U on its d axis, against central
+    # differences about mesh nodes off the axis
     v = euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=alpha)
-    xs = np.linspace(0.1, 0.9 * v.xi_support[1], 7)
-    ys = np.linspace(1.05 * v.y_support[0], 0.95 * v.y_support[1], 9)
-    grid = _stencil_grid(xs, ys, 1e-5)
-    nodes = _all_nodes(grid)
-    _, *parts = v.jet(grid, nodes, 5)
-    grad_rel, lap_rel = _fd_gaps(*(p.reshape(nodes.shape) for p in parts), xs, 5, 1e-5)
+    rule = v.rule(33, 16)
+    off_axis = np.s_[2:-2:3, 1:-1:2]
+    _, vx, vy, lap = (p[off_axis] for p in v.jet(rule.d[:, None], rule.xi, rule.y, 5))
+    xi, y = rule.xi[off_axis], rule.y[off_axis]
+
+    def value(xi, y):
+        return v.jet(_closed_form_distance(xi, y), xi, y, 5, laplacian=False)[0]
+
+    grad_rel, lap_rel = _fd_gaps(value, xi, y, vx, vy, lap, 5, 1e-5)
     assert grad_rel <= 1e-5 and lap_rel <= 1e-5
 
 
 def test_tensor_jet_matches_finite_differences():
-    # Lx fy + fx fy'' against central differences of the mesh fx (x) fy
+    # Lx fy + fx fy'' against central differences of fx fy
     v = euclid.tensor_bump(1.0, 0.5, 2.0)
     # the factors are C^inf, so stencils may sit on their joints (|x| = 0.5,
     # y = 1.25)
-    xs = np.linspace(0.1, 0.9, 9)
-    ys = np.linspace(0.55, 1.95, 15)
-    grid = _stencil_grid(xs, ys, 1e-5)
-    fx, fx1, lx = v.x_jet(grid.xi, 5)
-    fy, fy1, fy2 = v.fy.jet(grid.y, 2)
-    grad_rel, lap_rel = _fd_gaps(np.outer(fx, fy), np.outer(fx1, fy), np.outer(fx, fy1),
-                                 np.outer(lx, fy) + np.outer(fx, fy2), xs, 5, 1e-5)
+    xi, y = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 0.9, 9),
+                                            np.linspace(0.55, 1.95, 15)))
+    fx, fx1, lx = v.x_jet(xi, 5)
+    fy, fy1, fy2 = v.fy.jet(y, 2)
+    grad_rel, lap_rel = _fd_gaps(lambda xi, y: v.fx(xi) * v.fy(y), xi, y,
+                                 fx1 * fy, fx * fy1, lx * fy + fx * fy2, 5, 1e-5)
     assert grad_rel <= 1e-5 and lap_rel <= 1e-5
 
 
 def test_jets_vanish_outside_support():
     U = bump(0.5, 1.5)
     transported = euclid.TransportedRadial(U, 5, alpha=0.5)
-    grid = euclid.TensorGrid.over_box(*transported.box(pad=0.2), 96, 96)
-    XI, Y = np.meshgrid(grid.xi, grid.y, indexing="ij")
-    d = np.arccosh(1.0 + ((Y - 1.0) ** 2 + XI**2) / (2.0 * Y))
-    outside = (d <= U.support[0]) | (d >= U.support[1])
-    assert outside.any() and not outside.all()
-    for part in transported.jet(grid, outside, 5)[1:]:
+    xi, y = np.meshgrid(np.linspace(0.0, 6.0, 96), np.linspace(0.1, 6.0, 96))
+    d = _closed_form_distance(xi, y)
+    outside = (d > 0.0) & ((d <= U.support[0]) | (d >= U.support[1]))
+    assert outside.sum() > 1000
+    for part in transported.jet(d[outside], xi[outside], y[outside], 5):
         assert np.all(part == 0.0)
     tensor = euclid.tensor_bump(1.0, 0.5, 2.0)
-    xi_out = np.linspace(tensor.xi_support[1], 1.5, 20)
+    xi_out = np.linspace(tensor.fx.support[1], 1.5, 20)
     y_out = np.concatenate([np.linspace(0.2, 0.5, 10), np.linspace(2.0, 2.4, 10)])
     for part in (*tensor.x_jet(xi_out, 5), *tensor.fy.jet(y_out)):
         assert np.all(part == 0.0)
@@ -365,10 +382,10 @@ def test_jets_vanish_outside_support():
 def test_jet_without_laplacian_matches_full_jet():
     # the first-order checks skip the Laplacian; what they read is unchanged
     transported = euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5)
-    grid = euclid.TensorGrid.over_box(*transported.box(), 64, 48)
-    full = transported.jet(grid, _all_nodes(grid), 5)
-    first = transported.jet(grid, _all_nodes(grid), 5, laplacian=False)
-    assert len(full) == 5 and len(first) == 4
+    rule = transported.rule(64, 48)
+    full = transported.jet(rule.d[:, None], rule.xi, rule.y, 5)
+    first = transported.jet(rule.d[:, None], rule.xi, rule.y, 5, laplacian=False)
+    assert len(full) == 4 and len(first) == 3
     for a, b in zip(first, full):
         assert np.array_equal(a, b)
     first_terms = [("grad2", 2, 0), ("v2", 4, 0), ("v2", 2, 1)]
@@ -393,7 +410,7 @@ def _nan_at(f, points):
 
 def test_tensor_integrate_keeps_the_axis_row():
     base = euclid.tensor_bump(1.0, 0.5, 2.0)
-    grid = euclid.TensorGrid.over_box(*base.box(), 8, 8)
+    grid = base.rule(8, 8)
     terms = [("v2", 2, 0), ("v2", 2, 1), ("lap2", 0, 0)]
     # the xi = 0 row is part of the rule (it carries the Euler-Maclaurin
     # end weight for odd N), so a NaN factor there is found at its first
@@ -452,22 +469,18 @@ _END_WEIGHT = {3: 1.0 / 12.0, 5: -1.0 / 120.0, 7: 1.0 / 252.0}
 
 
 def _written_out_rule(v, N, nx, ny, step):
-    """(xi, y, w_xi, w_y) of v's grid rule on the nx x ny grid over its
-    box (step 1) or on its subgrid of every other row and column (step 2),
-    with xi^(N-2) in w_xi.  Both types keep the xi = 0 row, weighted for
-    odd N by B_(N-1)/(N-1) h^(N-1) with h its own xi spacing.  A tensor
-    product keeps y uniform; a transported profile takes y uniform in
-    s = log y with the trapezoid weights in s times y."""
-    xi = np.linspace(0.0, v.box()[0], nx)[::step]
-    y = np.linspace(*v.box()[1:], ny)
+    """(xi, y, w_xi, w_y) of a tensor product's grid rule on the nx x ny
+    grid over the box of its supports padded by 2% (step 1) or on its
+    subgrid of every other row and column (step 2), with xi^(N-2) in w_xi.
+    The xi = 0 row is kept, weighted for odd N by B_(N-1)/(N-1) h^(N-1)
+    with h its own xi spacing."""
+    (_, xb), (ya, yb) = v.fx.support, v.fy.support
+    xi = np.linspace(0.0, 1.02 * xb, nx)[::step]
+    y = np.linspace(0.98 * ya, 1.02 * yb, ny)[::step]
     w_xi = _trapezoid(xi) * xi ** (N - 2)
     if N % 2:
         w_xi[0] = _END_WEIGHT[N] * (xi[1] - xi[0]) ** (N - 1)
-    if isinstance(v, euclid.TensorProductFunction):
-        y = y[::step]
-        return xi, y, w_xi, _trapezoid(y)
-    s = np.linspace(np.log(y[0]), np.log(y[-1]), ny)[::step]
-    return xi, np.exp(s), w_xi, _trapezoid(s) * np.exp(s)
+    return xi, y, w_xi, _trapezoid(y)
 
 
 def _chi(d):
@@ -513,50 +526,53 @@ def _written_out_patch(v, N, terms, step):
             if k else 0.0 for q, p, k in terms]
 
 
-def _written_out_sums(v, N, rule, terms, step=1):
-    """Each term's sum from mesh arrays on every node of the written-out
-    rule: outer products of the factors for a tensor product, the jet at
-    every node for a transported profile, with y^(-p) and d^(-2k)
-    multiplied in node by node.  For a tensor product d^(-2k) is only its
-    far part (1 - chi(d)) d^(-2k), 0 at d <= R/2, and the near part is
-    added from the written-out patch (its half rule for step 2)."""
-    xi, y, w_xi, w_y = rule
-    d = np.arccosh(1.0 + ((y - 1.0) ** 2 + xi[:, None] ** 2) / (2.0 * y))
-    if isinstance(v, euclid.TensorProductFunction):
-        fx, fx1, fx2 = v.fx.jet(xi, 2)
-        fy, fy1, fy2 = v.fy.jet(y, 2)
-        val = np.outer(fx, fy)
-        v_xi, v_y = np.outer(fx1, fy), np.outer(fx, fy1)
-        # fx'(0) = 0, so fx'/xi tends to fx''(0) on the axis
-        fx1_xi = np.where(xi > 0.0, fx1 / np.where(xi > 0.0, xi, 1.0), fx2)
-        lap = np.outer(fx2 + (N - 2) * fx1_xi, fy) + np.outer(fx, fy2)
-        near = d <= euclid.PATCH_RADIUS / 2.0
-        safe_d = np.where(near, 1.0, d)
-
-        def distance(k):
-            return np.where(near, 0.0, (1.0 - _chi(d)) / safe_d ** (2 * k))
-
-        patch = _written_out_patch(v, N, terms, step)
-    else:
-        grid = euclid.TensorGrid(xi, y, w_xi, w_y)
-        nodes = _all_nodes(grid)
-        _, *parts = v.jet(grid, nodes, N)
-        val, v_xi, v_y, lap = (p.reshape(nodes.shape) for p in parts)
-
-        def distance(k):
-            return 1.0 / d ** (2 * k)
-
-        patch = [0.0] * len(terms)
+def _written_out_sums(v, N, nx, ny, terms, step):
+    """Each term's sum from mesh arrays on every node of v's rule written
+    out, on the nx x ny grid or polar rule (step 1) or on its coarser rule
+    (step 2), with y^(-p) and d^(-2k) multiplied in node by node.  For a
+    tensor product the values are outer products of the factors, and
+    d^(-2k) is only its far part (1 - chi(d)) d^(-2k), 0 at d <= R/2, with
+    the near part added from the written-out patch (its half rule for
+    step 2)."""
+    if isinstance(v, euclid.TransportedRadial):
+        return _written_out_polar(v, N, nx, ny, terms, step)
+    xi, y, w_xi, w_y = _written_out_rule(v, N, nx, ny, step)
+    d = _closed_form_distance(xi[:, None], y)
+    fx, fx1, fx2 = v.fx.jet(xi, 2)
+    fy, fy1, fy2 = v.fy.jet(y, 2)
+    val = np.outer(fx, fy)
+    v_xi, v_y = np.outer(fx1, fy), np.outer(fx, fy1)
+    # fx'(0) = 0, so fx'/xi tends to fx''(0) on the axis
+    fx1_xi = np.where(xi > 0.0, fx1 / np.where(xi > 0.0, xi, 1.0), fx2)
+    lap = np.outer(fx2 + (N - 2) * fx1_xi, fy) + np.outer(fx, fy2)
+    near = d <= euclid.PATCH_RADIUS / 2.0
+    safe_d = np.where(near, 1.0, d)
     quantity = {"v2": val * val, "grad2": v_xi * v_xi + v_y * v_y, "lap2": lap * lap}
     weight = np.outer(w_xi, w_y)
-    far = [float(np.sum(weight * quantity[q] / y**p * (distance(k) if k else 1.0)))
+    far = [float(np.sum(weight * quantity[q] / y**p
+                        * (np.where(near, 0.0, (1.0 - _chi(d)) / safe_d ** (2 * k)) if k
+                           else 1.0)))
            for q, p, k in terms]
-    return [a + b for a, b in zip(far, patch)]
+    return [a + b for a, b in zip(far, _written_out_patch(v, N, terms, step))]
 
 
-def _brute_force(v, N, nx, ny, terms):
-    """Each term's sum written out from mesh arrays on v's grid."""
-    return _written_out_sums(v, N, _written_out_rule(v, N, nx, ny, 1), terms)
+def _written_out_polar(v, N, n_d, n_theta, terms, step):
+    """Each term's sum of xi^(N-2) y^(-p) Q d^(-2k) over the transported
+    profile's support annulus a <= d <= b, in geodesic polar coordinates
+    about (0, 1), dxi dy = y^2 sinh d dd dtheta: the trapezoid rule on n_d
+    nodes in d and the Clenshaw-Curtis rule of order n_theta in theta
+    (step 1), or the every-other-d-node subgrid and the order n_theta/2
+    rule (step 2), with Q from the jet at every node."""
+    d = np.linspace(*v.U.support, n_d)[::step]
+    t, w_t = _clenshaw_curtis_by_moments(0.0, np.pi, n_theta // step)
+    D, T = np.meshgrid(d, t, indexing="ij")
+    y = 1.0 / (np.cosh(D) - np.sinh(D) * np.cos(T))
+    xi = y * np.sinh(D) * np.sin(T)
+    val, v_xi, v_y, lap = v.jet(D, xi, y, N)
+    quantity = {"v2": val * val, "grad2": v_xi * v_xi + v_y * v_y, "lap2": lap * lap}
+    weight = np.outer(_trapezoid(d), w_t) * y**2 * np.sinh(D)
+    return [float(np.sum(weight * xi ** (N - 2) * y**-p * quantity[q] / D ** (2 * k)))
+            for q, p, k in terms]
 
 
 @pytest.mark.parametrize("y_power", [2, 4, -2, 0])
@@ -566,10 +582,11 @@ def test_tensor_integrate_folds_y_power(y_power):
         # d^(-2k) is integrable about (0, 1) for 2k <= N - 1
         terms = [("v2", y_power, k) for k in range((N - 1) // 2 + 1)]
         terms += [("grad2", y_power, 0), ("lap2", y_power, 0)]
-        for v in (euclid.tensor_bump(1.0, 0.5, 2.0),
-                  euclid.TransportedRadial(bump(0.5, 1.5), N, alpha=0.5)):
-            sums = euclid._halfspace_sums(v, N, 41, 37, terms)[:, 0]
-            assert sums == pytest.approx(_brute_force(v, N, 41, 37, terms), rel=1e-13)
+        # a transported profile's theta order is a multiple of 4
+        for v, ny in ((euclid.tensor_bump(1.0, 0.5, 2.0), 37),
+                      (euclid.TransportedRadial(bump(0.5, 1.5), N, alpha=0.5), 36)):
+            sums = euclid._halfspace_sums(v, N, 41, ny, terms)[:, 0]
+            assert sums == pytest.approx(_written_out_sums(v, N, 41, ny, terms, 1), rel=1e-13)
 
 
 def test_clenshaw_curtis_order_must_be_a_multiple_of_4():
@@ -604,18 +621,15 @@ def test_blocks_partition_rows_under_budget(monkeypatch):
 
 
 def _blocked_values():
-    transported = euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5)
     tensor = euclid.tensor_bump(1.0, 0.5, 2.0)
     reports = [
-        euclid.check_halfspace_hardy(transported, 5, 40, 32),
+        euclid.check_halfspace_hardy(tensor, 5, 40, 32),
         euclid.check_halfspace_hardy(tensor, 3, 40, 32),
-        euclid.check_halfspace_rellich(transported, 5, "y2", 40, 32),
+        euclid.check_halfspace_rellich(tensor, 5, "y2", 40, 32),
         euclid.check_halfspace_rellich(tensor, 5, "y4", 40, 32),
         euclid.aux_gradient_inequality(tensor, 5, 40, 32),
     ]
-    values = [x for rep in reports for x in (rep.lhs, rep.rhs, rep.margin)]
-    return values + [euclid.halfspace_bilaplacian_identity(
-        bump(0.5, 1.5), 5, nodes=512, nx=40, ny=32)[1]]
+    return [x for rep in reports for x in (rep.lhs, rep.rhs, rep.margin)]
 
 
 @pytest.mark.parametrize("rows", [1, 39, 40, 7])
@@ -632,7 +646,7 @@ def test_blocked_margins_match_single_block(monkeypatch, rows):
 def test_nan_in_a_later_block_names_its_node(monkeypatch):
     monkeypatch.setattr(euclid, "BLOCK_NODES", 4 * 32)  # four rows a block
     tensor = euclid.tensor_bump(1.0, 0.5, 2.0)
-    grid = euclid.TensorGrid.over_box(*tensor.box(), 40, 32)
+    grid = tensor.rule(40, 32)
     # row 25 is in the seventh block of the 40 rows; a NaN factor there
     # makes the whole row NaN
     xi = grid.xi[25]
@@ -650,24 +664,20 @@ def test_nan_in_a_later_block_names_its_node(monkeypatch):
     with pytest.raises(EvaluationError, match=f"\\({patch.xi[5, 3]:.6g}, {y:.6g}\\)"):
         euclid.check_halfspace_hardy(planted, 3, 40, 32)
 
+
+@pytest.mark.parametrize("nodes", [[15], [27, 15]], ids=["one_node", "two_nodes"])
+def test_nan_in_a_transported_profile_names_its_polar_node(nodes):
+    # U lives on the d axis of the polar rule, so a NaN planted in U at a
+    # d node makes that row of the mesh NaN; it is found at the row's
+    # first node, theta = 0, which is on the axis: (0, e^d).  With two
+    # planted nodes the one nearer to (0, 1) is found, as rows run in d
     transported = euclid.TransportedRadial(bump(0.5, 1.5), 3, alpha=0.5)
-    grid = transported.rule(euclid.TensorGrid.over_box(*transported.box(), 40, 32))
-    # row 15 (the fourth block) meets the transported support; the profile
-    # is made NaN at the distance of one node there
-    xi = grid.xi[15]
-    j = np.argmin(np.abs(grid.y - np.sqrt(1.0 + xi * xi)))
-    y, d = grid.y[j], np.arccosh(grid.cosh_dist[15, j])
-    planted = euclid.TransportedRadial(_nan_at(transported.U, [d]), 3, 0.5)
-    with pytest.raises(EvaluationError, match=f"\\({xi:.6g}, {y:.6g}\\)"):
+    rule = transported.rule(40, 32)
+    i = min(nodes)
+    assert rule.xi[i, 0] == 0.0 and rule.y[i, 0] == pytest.approx(np.exp(rule.d[i]))
+    planted = euclid.TransportedRadial(_nan_at(transported.U, rule.d[nodes]), 3, 0.5)
+    with pytest.raises(EvaluationError, match=f"\\(0, {rule.y[i, 0]:.6g}\\)"):
         euclid.check_halfspace_hardy(planted, 3, 40, 32)
-    # the transported xi = 0 row carries the axis end weight, so a NaN at
-    # the distance |log y| of every axis node is found at the first of
-    # them inside the support
-    axis_d = np.abs(np.log(grid.y))
-    inside = (axis_d > 0.5) & (axis_d < 1.5)
-    on_axis = euclid.TransportedRadial(_nan_at(transported.U, axis_d), 3, 0.5)
-    with pytest.raises(EvaluationError, match=f"\\(0, {grid.y[inside][0]:.6g}\\)"):
-        euclid.check_halfspace_hardy(on_axis, 3, 40, 32)
 
 
 def _peak_bytes(check):
@@ -682,7 +692,7 @@ def _peak_bytes(check):
 
 
 def test_halfspace_hardy_peak_memory_is_block_sized():
-    v = euclid.TransportedRadial(bump(0.5, 1.5), 3, 0.5)
+    v = euclid.tensor_bump(1.0, 0.5, 2.0)
     euclid.check_halfspace_hardy(v, 3, 16, 16)  # warm up lazy imports
     peak = _peak_bytes(lambda: euclid.check_halfspace_hardy(v, 3, 768, 768))
     assert peak < 2 * 768 * 768 * 8  # two 768^2 float arrays, 9 MiB
@@ -696,29 +706,25 @@ def test_halfspace_rellich_peak_memory_is_block_sized():
 
 
 def _written_out_nested(v, N, nx, ny, terms):
-    """Each term's sum, written out from mesh arrays, on the nx x ny grid
-    over v's box and on its subgrid of every other row and column, each
-    under v's rule as _written_out_rule and _written_out_sums write it
-    (with the patch, and its half rule on the subgrid, for a tensor
-    product)."""
-    return np.array([_written_out_sums(v, N, _written_out_rule(v, N, nx, ny, step), terms,
-                                       step)
-                     for step in (1, 2)]).T
+    """Each term's sum, written out from mesh arrays, on v's rule and on
+    its coarser rule, as _written_out_sums writes them."""
+    return np.array([_written_out_sums(v, N, nx, ny, terms, step) for step in (1, 2)]).T
 
 
+# a transported profile's theta order (ny) is a multiple of 4
 @pytest.mark.parametrize("check", [
-    lambda v: euclid.check_halfspace_hardy(v, 5, 41, 37),
-    lambda v: euclid.check_halfspace_rellich(v, 5, "y2", 41, 37),
+    lambda v: euclid.check_halfspace_hardy(v, 5, 41, 36),
+    lambda v: euclid.check_halfspace_rellich(v, 5, "y2", 41, 40),
     lambda v: euclid.check_halfspace_rellich(v, 5, "y4", 40, 36),
-    lambda v: euclid.aux_gradient_inequality(v, 5, 40, 37),
+    lambda v: euclid.aux_gradient_inequality(v, 5, 40, 40),
 ], ids=["hardy", "rellich_y2", "rellich_y4", "aux"])
 @pytest.mark.parametrize("make", [
     lambda: euclid.tensor_bump(1.0, 0.5, 2.0),
     lambda: euclid.TransportedRadial(bump(0.5, 1.5), 5, alpha=1.5),
 ], ids=["tensor", "transported"])
 def test_halfspace_quad_error_is_the_margin_change_on_the_subgrid(check, make, monkeypatch):
-    # the same check with its sums written out on the grid and on its
-    # subgrid of every other row and column
+    # the same check with its sums written out on its rule and on the
+    # coarser rule
     v = make()
     report = check(v)
     monkeypatch.setattr(euclid, "_halfspace_sums", _written_out_nested)

@@ -19,6 +19,7 @@ suites.  Exit code 0 means every executed check passed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import cache, partial
 from pathlib import Path
@@ -97,14 +98,38 @@ def _h_lambda_written(cfg: ToolkitConfig, N: int, out: str):
     return result
 
 
+def _count(text: str) -> int:
+    """An integer >= 0; argparse turns the error into a usage error that
+    names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value}")
+    return value
+
+
+def _scale(text: str) -> float:
+    """A finite number >= 0: an infinite, NaN or negative scale would turn
+    every scaled tolerance off or invert it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _common_parent() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None,
                         help="flat key-value config file")
-    common.add_argument("--seed", type=int, default=1234,
-                        help="seed for randomized suites")
+    common.add_argument("--seed", type=_count, default=1234,
+                        help="seed for randomized suites (>= 0)")
     common.add_argument("--out", type=str, default="out", help="output directory")
-    common.add_argument("--tol-scale", type=float, default=1.0,
+    common.add_argument("--tol-scale", type=_scale, default=1.0,
                         help="multiply the [tolerances] keys (margin_rtol, "
                              "identity_rtol) by this factor; fixed check "
                              "criteria are not scaled")
@@ -138,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rmax", type=float, default=None)
     verb(sub, "sweep-lambda", "hardy sweep-lambda", help="h(lambda) curve")
     c = verb(sub, "coeffs", "rellich coeffs", help="per-mode coefficient table")
-    c.add_argument("--nmax", type=int, default=50)
+    c.add_argument("--nmax", type=_count, default=50)
     verb(sub, "asymptotics", "rellich asymptotics",
          help="change-of-variable asymptotics")
     cu = verb(sub, "curve", "curve", help="emit plot data")
@@ -151,11 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     hs = verb(hsub, "sharp", "hardy sharp", N=3)
     hs.add_argument("--rmax", type=float, default=None)
     verb(hsub, "sweep-lambda", "hardy sweep-lambda")
-    verb(hsub, "iterlog", "hardy iterlog").add_argument("--k", type=int, default=3)
+    verb(hsub, "iterlog", "hardy iterlog").add_argument("--k", type=_count, default=3)
 
     rsub = sub.add_parser("rellich", help="second-order inequality checks"
                           ).add_subparsers(dest="action", required=True)
-    verb(rsub, "coeffs", "rellich coeffs").add_argument("--nmax", type=int, default=50)
+    verb(rsub, "coeffs", "rellich coeffs").add_argument("--nmax", type=_count, default=50)
     verb(rsub, "check", "rellich check")
     verb(rsub, "sharp-r2", "rellich sharp-r2")
     verb(rsub, "asymptotics", "rellich asymptotics")

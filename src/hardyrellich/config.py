@@ -81,7 +81,8 @@ def default_config() -> ToolkitConfig:
 def load_config(path: str) -> ToolkitConfig:
     """Parse a config file.  Malformed input raises ArgumentError carrying the
     offending line number, and a value that is not a finite number (or not an
-    integer, where the key's default is one) raises one naming the key."""
+    integer, where the key's default is one, or negative, for a tolerance)
+    raises one naming the key."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive (M vs m)
     try:
@@ -114,4 +115,6 @@ def load_config(path: str) -> ToolkitConfig:
                 raise ArgumentError(f"config [{section}] {key} = {value} is not a finite number")
             if DEFAULTS[section][key].isdigit() and not number.is_integer():
                 raise ArgumentError(f"config [{section}] {key} = {value} is not an integer")
+            if section == "tolerances" and number < 0.0:
+                raise ArgumentError(f"config [{section}] {key} = {value} is negative")
     return ToolkitConfig(sections=sections)

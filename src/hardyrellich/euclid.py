@@ -8,25 +8,24 @@ sides) and restored through sphere_area() where hyperbolic radial values
 are compared against half-space values.
 
 Each half-space check lists its integrals as terms, sums of
-xi^(N-2) y^(-p) Q d^(-2k) with Q one of v^2, |grad v|^2 and (Lap v)^2, and
-_halfspace_sums evaluates them on the rule the test function's type
-builds.  A tensor product fx(|x|) fy(y) takes a TensorGrid that keeps the
-xi = 0 row, with the Euler-Maclaurin end weight for odd N; its trapezoid
-sums are products of the two 1-D sums, so only its distance-weighted
-terms visit the mesh, and those only with their far part, in row blocks
-that share the y axis and hold at most BLOCK_NODES nodes, so no array the
-size of the whole mesh exists; the near part of each distance weight is
-integrated on a polar patch about (0, 1).  A transported radial profile
-y^(-alpha) U(d) takes a geodesic polar rule about (0, 1) over its support
-annulus, where U lives on the d axis alone.
+xi^(N-2) y^(-p) Q d^(-2k) with Q one of v^2, |grad v|^2 and (Lap v)^2.
+_halfspace_sums evaluates them on the rules the test function's type
+names: the type forms the Q the terms name on a rule's mesh, and the rule
+sums the terms from them.  A tensor product fx(|x|) fy(y) takes a
+TensorGrid that keeps the xi = 0 row, with the Euler-Maclaurin end weight
+for odd N, and forms Q from jets on the two axes; the far part of each
+distance weight is summed on the grid and the near part on a polar patch
+about (0, 1).  A transported radial profile y^(-alpha) U(d) takes a
+geodesic polar rule about (0, 1) over its support annulus, where U lives
+on the d axis alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 import numpy as np
 
 from . import claims
@@ -156,27 +155,27 @@ def boundary_weight_comparison(samples: int = 1000) -> tuple[bool, float]:
 # ---------------------------------------------------------------------------
 # tensor functions on the half-space
 #
-# A half-space term (q, p, k) is the tensor quadrature sum of
+# A half-space term (q, p, k) is the quadrature sum of
 #   xi^(N-2) y^(-p) Q d^(-2k)
 # (sphere factor omitted), where Q is v^2 for q = "v2", |grad v|^2 for
 # "grad2" and (Lap v)^2 for "lap2", with Lap the R^N Laplacian of
 # v(|x|, y), and d is the distance to (0, 1); only v2 terms carry a
-# distance power.  Each test function type builds its rule with
-# rule(nx, ny), sums a list of terms with integrals(rule, N, terms) and
-# gives one term's integrand, piece by piece, with integrands(rule, N,
-# term).
+# distance power.  Each test function type names the rules that sum a
+# list of terms with rules(nx, ny, terms) and gives the Q they name on a
+# rule's mesh with quantities(rule, N, qs); each rule sums terms from
+# those with sums(N, terms, quantity).
 
 
 class TensorProductFunction:
     """v(|x|, y) = fx(|x|) * fy(y) with C^inf factors, fx with a smooth
     even extension (fx'(0) = 0).
 
-    Its rule (see integrals) keeps every node of the over_box grid, the
-    xi = 0 row with the end weight of xi_weights, and splits each
-    distance weight d^(-2k) = chi d^(-2k) + (1 - chi) d^(-2k) with chi the
-    cutoff _PATCH_CUTOFF in d: the far part is summed on the grid, where
-    it is smooth, and the near part on the polar patch about (0, 1)
-    (_polar_patch), where d^(-2k) cancels against the polar measure.  On
+    Its rules (see rules) are the over_box grid, which keeps every node,
+    the xi = 0 row with the end weight of xi_weights, and the polar patch
+    about (0, 1) (_polar_patch).  Each distance weight d^(-2k) is split as
+    chi d^(-2k) + (1 - chi) d^(-2k), chi the cutoff _PATCH_CUTOFF in d: the
+    far part is summed on the grid, where it is smooth, and the near part
+    on the patch, where d^(-2k) cancels against the polar measure.  On
     both the integrand is smooth, so every term converges at order >= 4.
     A margin's quad_error, its change against the every-other-node subgrid
     plus the half patch, overstates its error: on the 128^2 y2 margin of
@@ -188,11 +187,21 @@ class TensorProductFunction:
         self.fy = fy
         self.label = label or f"tensor({fx.label},{fy.label})"
 
-    def rule(self, nx: int, ny: int) -> "TensorGrid":
-        """The uniform nx x ny grid, xi = 0 row included, over the box
-        [0, xb] x [ya, yb] of the supports padded by 2%."""
+    def rules(self, nx: int, ny: int, terms) -> list:
+        """(rule, indices of the terms it sums) pairs: the uniform nx x ny
+        grid, xi = 0 row included, over the box [0, xb] x [ya, yb] of the
+        supports padded by 2%, for every term, and the polar patch for the
+        near part of the distance-weighted ones, which must be v2 terms."""
         ya, yb = self.fy.support
-        return TensorGrid.over_box(self.fx.support[1] * 1.02, ya * 0.98, yb * 1.02, nx, ny)
+        grid = TensorGrid.over_box(self.fx.support[1] * 1.02, ya * 0.98, yb * 1.02, nx, ny)
+        near = [t for t, (_, _, k) in enumerate(terms) if k]
+        for term in (terms[t] for t in near):
+            if term[0] != "v2":
+                raise ArgumentError(f"term {term}: the polar patch sums distance-weighted v2 terms only")
+        rules = [(grid, range(len(terms)))]
+        if near:
+            rules.append((_polar_patch(*PATCH_NODES), near))
+        return rules
 
     def x_jet(self, xi, N: int):
         """(fx, fx', Lx), where Lx = fx'' + (N-2) fx'/xi, so that the R^N
@@ -202,75 +211,31 @@ class TensorProductFunction:
         ratio = np.divide(f1, xi, out=f2.copy(), where=xi != 0.0)
         return f, f1, f2 + (N - 2) * ratio
 
-    def _products(self, xi, y, N: int) -> dict:
-        """Each Q on the mesh of the axes xi and y as (x, y) pairs of axis
-        vectors whose outer products add up to Q; (Lap v)^2 expands as
-        Lx^2 fy^2 + 2 (Lx fx)(fy fy'') + fx^2 fy''^2."""
-        fx, fx1, lx = self.x_jet(xi, N)
-        fy, fy1, fy2 = self.fy.jet(y, 2)
+    def quantities(self, rule, N: int, qs) -> dict:
+        """Each Q in qs on the mesh of the rule.  On the grid the jets stay
+        on the axes, fx's on xi as a column and fy's on y, and their
+        products broadcast to the mesh: |grad v|^2 = fx'^2 fy^2 + fx^2 fy'^2
+        and Lap v = Lx fy + fx fy''.  On the patch, which sums v^2 alone,
+        fx and fy are evaluated at order 0 at every node."""
+        if isinstance(rule, _PolarRule):
+            v = self.fx(rule.xi) * self.fy(rule.y)
+            return {"v2": v * v}
+        fx, fx1, lx = (a[:, None] for a in self.x_jet(rule.xi, N))
+        fy, fy1, fy2 = self.fy.jet(rule.y, 2)
         fx_sq, fy_sq = fx * fx, fy * fy
-        return {
-            "v2": [(fx_sq, fy_sq)],
-            "grad2": [(fx1 * fx1, fy_sq), (fx_sq, fy1 * fy1)],
-            "lap2": [(lx * lx, fy_sq), (2.0 * lx * fx, fy * fy2), (fx_sq, fy2 * fy2)],
-        }
-
-    def integrals(self, grid: "TensorGrid", N: int, terms) -> np.ndarray:
-        """The terms' sums under the rule and under its every-other-node
-        subgrid plus half patch, shape (len(terms), 2).  The trapezoid sum
-        of an outer product is the product of the two 1-D sums, so a term
-        without a distance power is a few dot products; the far part of a
-        distance-weighted one is (w_xi x)[:, rows] @ (1 - chi) d^(-2k) @
-        (w_y y) summed over the row blocks, grid and subgrid in one pass,
-        and its near part is the patch sum, which holds v2 terms only."""
-        near = [t for t, (_, _, k) in enumerate(terms) if k]
-        for term in (terms[t] for t in near):
-            if term[0] != "v2":
-                raise ArgumentError(f"term {term}: the polar patch sums distance-weighted v2 terms only")
-        products = self._products(grid.xi, grid.y, N)
-        w_xi = grid.xi_weights(N)
-        sums = np.zeros((len(terms), 2))
-        far = []
-        for t, (q, p, k) in enumerate(terms):
-            w_y = grid.y_weights(p)
-            if k:
-                far += [(t, k, w_xi * x, w_y * y) for x, y in products[q]]
-            else:
-                sums[t] = sum(np.vecdot(w_xi, x) * np.vecdot(w_y, y) for x, y in products[q])
-        start = 0
-        for block in grid.blocks() if far else ():
-            rows = slice(start, start + block.xi.size)
-            start = rows.stop
-            dist = _far_distance_weights(block, {k for _, k, _, _ in far})
-            for t, k, x, y in far:
-                sums[t] += np.vecdot(x[:, rows] @ dist[k], y)
-        if near:
-            patch = _polar_patch(*PATCH_NODES)
-            sums[near] += patch.sums(N, [terms[t] for t in near],
-                                     {"v2": self._patch_v2(patch)})
-        return sums
-
-    def _patch_v2(self, patch: "_PolarRule"):
-        """v^2 on the patch mesh."""
-        v = self.fx(patch.xi) * self.fy(patch.y)
-        v *= v
-        return v
-
-    def integrands(self, grid: "TensorGrid", N: int, term):
-        """(values, xi, y) for each row block of the grid, in row order, and
-        then for the polar patch of a distance-weighted term: the term's
-        integrand at every node (xi, y) of the block, with a distance
-        weight's far part (1 - chi) d^(-2k), and on the patch v^2."""
-        q, p, k = term
-        for block in grid.blocks():
-            values = sum(np.outer(x, y) for x, y in self._products(block.xi, block.y, N)[q])
-            if k:
-                values = values * _far_distance_weights(block, {k})[k]
-            xi, y = np.meshgrid(block.xi, block.y, indexing="ij")
-            yield values.ravel(), xi.ravel(), y.ravel()
-        if k:
-            patch = _polar_patch(*PATCH_NODES)
-            yield patch.mesh_values(self._patch_v2(patch))
+        quantity = {}
+        if "v2" in qs:
+            quantity["v2"] = fx_sq * fy_sq
+        if "grad2" in qs:
+            grad2 = fx1 * fx1 * fy_sq
+            grad2 += fx_sq * (fy1 * fy1)
+            quantity["grad2"] = grad2
+        if "lap2" in qs:
+            lap = lx * fy
+            lap += fx * fy2
+            lap *= lap
+            quantity["lap2"] = lap
+        return quantity
 
 
 def tensor_bump(xi_extent: float, y_lo: float, y_hi: float) -> TensorProductFunction:
@@ -286,7 +251,7 @@ class TransportedRadial:
     built from a radial profile.
 
     U must vanish near d = 0 (support [a, b] with a > 0), which keeps every
-    chain-rule factor finite.  Its rule (see rule) is the geodesic polar
+    chain-rule factor finite.  Its rule (see rules) is the geodesic polar
     rule about (0, 1) over the support annulus a <= d <= b, on which U
     lives on the d axis alone.  A margin's quad_error, its change against
     the every-other-d-node subgrid and the half theta rule, overstates its
@@ -303,14 +268,15 @@ class TransportedRadial:
         self.alpha = alpha
         self.label = f"transported({U.label},alpha={alpha:g})"
 
-    def rule(self, nx: int, ny: int) -> "_PolarRule":
-        """The polar rule of nx nodes in d on [a, b], trapezoid weights with
-        those of the every-other-node subgrid, times the Clenshaw-Curtis
-        rule of order ny in theta on [0, pi] with its half rule.  U and all
-        its derivatives vanish at a and b, and the theta integrand is
-        analytic, so both rules converge faster than any power."""
+    def rules(self, nx: int, ny: int, terms) -> list:
+        """One rule for every term: the polar rule of nx nodes in d on
+        [a, b], trapezoid weights with those of the every-other-node
+        subgrid, times the Clenshaw-Curtis rule of order ny in theta on
+        [0, pi] with its half rule.  U and all its derivatives vanish at a
+        and b, and the theta integrand is analytic, so both rules converge
+        faster than any power."""
         d = np.linspace(*self.U.support, nx)
-        return _polar_rule(d, np.stack([_trapezoid_weights(d), _subgrid_weights(d)]), ny)
+        return [(_polar_rule(d, _trapezoid_pair(d), ny), range(len(terms)))]
 
     def jet(self, d, xi, y, N: int, laplacian: bool = True):
         """(v, dv/dxi, dv/dy, Lap v) at the points (xi, y) at distance d > 0
@@ -351,36 +317,27 @@ class TransportedRadial:
             + ya1 * ((al + 1.0) * U * iy - 2.0 * U1 * d_y),
         )
 
-    def _quantities(self, rule: "_PolarRule", N: int, terms) -> dict:
-        """Each Q the terms name on the mesh of the rule, from one jet."""
+    def quantities(self, rule: "_PolarRule", N: int, qs) -> dict:
+        """Each Q in qs on the mesh of the polar rule, from one jet with U
+        on the d axis."""
         v, v_xi, v_y, *lap = self.jet(rule.d[:, None], rule.xi, rule.y, N,
-                                      laplacian=any(q == "lap2" for q, _, _ in terms))
-        quantity = {"v2": v * v, "grad2": v_xi * v_xi + v_y * v_y}
+                                      laplacian="lap2" in qs)
+        quantity = {}
+        if "v2" in qs:
+            quantity["v2"] = v * v
+        if "grad2" in qs:
+            quantity["grad2"] = v_xi * v_xi + v_y * v_y
         if lap:
             quantity["lap2"] = lap[0] * lap[0]
         return quantity
 
-    def integrals(self, rule: "_PolarRule", N: int, terms) -> np.ndarray:
-        """The terms' sums under the rule and under its subgrid and half
-        rule, shape (len(terms), 2)."""
-        return rule.sums(N, terms, self._quantities(rule, N, terms))
 
-    def integrands(self, rule: "_PolarRule", N: int, term):
-        """(values, xi, y) once: the term's Q at every node of the mesh, in
-        row order."""
-        yield rule.mesh_values(self._quantities(rule, N, [term])[term[0]])
-
-
-# Row blocks of a TensorGrid hold at most this many nodes, so each
-# block-sized temporary of a half-space integrand is at most 128 KiB.
-BLOCK_NODES = 2**14
-
-
-def _subgrid_weights(nodes: np.ndarray) -> np.ndarray:
-    """Trapezoid weights of the every-other-node subgrid nodes[::2], zero
-    on the nodes it skips."""
-    w = np.zeros_like(nodes)
-    w[::2] = _trapezoid_weights(nodes[::2])
+def _trapezoid_pair(nodes: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of the nodes over those of the every-other-node
+    subgrid nodes[::2], zero on the nodes it skips: shape (2, n)."""
+    w = np.zeros((2, nodes.size))
+    w[0] = _trapezoid_weights(nodes)
+    w[1, ::2] = _trapezoid_weights(nodes[::2])
     return w
 
 
@@ -399,26 +356,16 @@ def _axis_end_weight(N: int) -> float:
 
 @dataclass(frozen=True)
 class TensorGrid:
-    """Tensor trapezoid grid on (|x|, y) = (xi, y), with the 1-D weights:
-    the rule of a tensor product.
-
-    sub_xi and sub_y are the weights of the every-other-node subgrid,
-    every other row and column of the grid, zero on the nodes it skips:
-    the sums of one set of node values on the grid and on the subgrid
-    differ by about the subgrid's quadrature error.
-
-    h_xi is the xi spacing of the whole grid.  It sets the end weight of
-    the xi = 0 row (see xi_weights), so a row block that holds that row
-    weighs it as the grid does.
-    """
+    """Tensor trapezoid grid on (|x|, y) = (xi, y): the rule of a tensor
+    product.  w_xi and w_y are the weights on each axis over those of the
+    every-other-node subgrid, every other row and column of the grid,
+    shape (2, n): the sums of one set of node values on the grid and on
+    the subgrid differ by about the subgrid's quadrature error."""
 
     xi: np.ndarray
     y: np.ndarray
     w_xi: np.ndarray
     w_y: np.ndarray
-    sub_xi: np.ndarray
-    sub_y: np.ndarray
-    h_xi: float
 
     @staticmethod
     def over_box(xi_max: float, y_lo: float, y_hi: float,
@@ -428,42 +375,46 @@ class TensorGrid:
             raise ArgumentError("tensor grid needs y > 0")
         xi = np.linspace(0.0, xi_max, nx)
         y = np.linspace(y_lo, y_hi, ny)
-        return TensorGrid(xi, y, _trapezoid_weights(xi), _trapezoid_weights(y),
-                          _subgrid_weights(xi), _subgrid_weights(y),
-                          xi_max / max(nx - 1, 1))
+        return TensorGrid(xi, y, _trapezoid_pair(xi), _trapezoid_pair(y))
 
     def xi_weights(self, N: int) -> np.ndarray:
         """The xi weights of the grid and of its subgrid, shape (2, nx):
         the trapezoid weights times xi^(N-2) (sphere factor omitted).
 
         For odd N a xi = 0 row gets the weights B_(N-1)/(N-1) h^(N-1) and
-        B_(N-1)/(N-1) (2h)^(N-1), h = h_xi: applied to the integrand
-        without its xi^(N-2) factor, they cancel the leading
+        B_(N-1)/(N-1) (2h)^(N-1), h the xi spacing: applied to the
+        integrand without its xi^(N-2) factor, they cancel the leading
         Euler-Maclaurin end term, so for an integrand smooth and even in
         xi the error falls from O(h^(N-1)) to O(h^(N+1)).  For even N >= 4
         that row keeps its trapezoid weight times 0^(N-2) = 0: the
         integrand is then even in xi and has no such end term."""
-        w = np.stack([self.w_xi, self.sub_xi]) * self.xi ** (N - 2)
+        w = self.w_xi * self.xi ** (N - 2)
         if N % 2 and self.xi[0] == 0.0:
-            w[:, 0] = _axis_end_weight(N) * np.array([self.h_xi, 2.0 * self.h_xi]) ** (N - 1)
+            h = self.xi[1]
+            w[:, 0] = _axis_end_weight(N) * np.array([h, 2.0 * h]) ** (N - 1)
         return w
 
-    def y_weights(self, y_power: float = 0) -> np.ndarray:
-        """The y weights of the grid and of its subgrid, shape (2, ny),
-        divided by y^y_power."""
-        w = np.stack([self.w_y, self.sub_y])
-        return w * self.y ** -y_power if y_power else w
+    def sums(self, N: int, terms, quantity: dict) -> np.ndarray:
+        """The sums of the terms (q, p, k) with Q = quantity[q] on the mesh,
+        on the grid and on its subgrid, shape (len(terms), 2): the xi
+        weights of xi_weights, the y weights divided by y^p, and for k > 0
+        the far part (1 - chi) d^(-2k) of the distance weight at every
+        node."""
+        w_xi = self.xi_weights(N)
+        ks = {k for _, _, k in terms if k}
+        far = _far_distance_weights(self, ks) if ks else {}
+        out = []
+        for q, p, k in terms:
+            values = quantity[q] * far[k] if k else quantity[q]
+            out.append(np.vecdot(w_xi @ values, self.w_y * self.y ** -p))
+        return np.array(out)
 
-    def blocks(self):
-        """Row blocks of the grid: sub-grids over consecutive xi rows that
-        share the y axis and hold at most BLOCK_NODES nodes (one row at
-        least).  Their integrals add up to the grid's."""
-        rows = max(1, BLOCK_NODES // self.y.size)
-        for i in range(0, self.xi.size, rows):
-            yield replace(self, xi=self.xi[i:i + rows], w_xi=self.w_xi[i:i + rows],
-                          sub_xi=self.sub_xi[i:i + rows])
+    def node(self, i: int) -> tuple:
+        """(xi, y) of the i-th node of the mesh, in row order."""
+        row, col = divmod(i, self.y.size)
+        return self.xi[row], self.y[col]
 
-    @cached_property
+    @property
     def cosh_dist(self) -> np.ndarray:
         """cosh of the distance to (0, 1) on the mesh, A(y) + xi^2 B(y)
         with A = 1 + (y-1)^2/(2y) and B = 1/(2y)."""
@@ -550,9 +501,9 @@ class _PolarRule:
             out.append(np.vecdot(w_d @ (quantity[q] * self.y ** (N - p)), w_theta))
         return np.array(out)
 
-    def mesh_values(self, values):
-        """(values, xi, y) on the mesh, flattened in row order."""
-        return values.ravel(), self.xi.ravel(), self.y.ravel()
+    def node(self, i: int) -> tuple:
+        """(xi, y) of the i-th node of the mesh, in row order."""
+        return self.xi.flat[i], self.y.flat[i]
 
 
 def _polar_rule(d: np.ndarray, w_d: np.ndarray, n_theta: int) -> _PolarRule:
@@ -578,13 +529,13 @@ def _polar_patch(n_d: int, n_theta: int) -> _PolarRule:
     return patch
 
 
-def _far_distance_weights(block: "TensorGrid", ks) -> dict:
-    """(1 - chi(d)) d^(-2k) at a row block's nodes for each k in ks.  d^-2
-    is formed in place on the whole block and its powers once; 1 - chi is
+def _far_distance_weights(grid: TensorGrid, ks) -> dict:
+    """(1 - chi(d)) d^(-2k) at the grid's nodes for each k in ks.  d^-2
+    is formed in place on the whole mesh and its powers once; 1 - chi is
     applied only at the nodes with d < PATCH_RADIUS, where it is 0 at
     d <= PATCH_RADIUS / 2, so the reference point (0, 1) gets 0, not
     0/0."""
-    w = block.cosh_dist
+    w = grid.cosh_dist
     inv_d2 = np.arccosh(w)
     inv_d2 *= inv_d2
     np.divide(1.0, inv_d2, out=inv_d2)
@@ -600,9 +551,9 @@ def _far_distance_weights(block: "TensorGrid", ks) -> dict:
 
 
 def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> np.ndarray:
-    """The sums of the half-space terms (q, p, k) of v on the rule
-    v.rule(nx, ny) of its type, and on that rule's coarser one, whose
-    change gives quad_error: shape (len(terms), 2).  For a
+    """The sums of the half-space terms (q, p, k) of v on the rules
+    v.rules(nx, ny, terms) of its type, and on each rule's coarser one,
+    whose change gives quad_error: shape (len(terms), 2).  For a
     TensorProductFunction that is the nx x ny grid over its box, with
     the polar patch for the near parts, against the every-other-node
     subgrid and the half patch; for a TransportedRadial the polar rule of
@@ -610,32 +561,32 @@ def _halfspace_sums(v, N: int, nx: int, ny: int, terms) -> np.ndarray:
     subgrid and the half theta rule.
 
     A non-finite sum raises EvaluationError naming the first node, in row
-    order, where that term's integrand is non-finite, or the overflow when
-    the integrand is finite everywhere.
+    order, of the rule where that term's Q is non-finite, or the overflow
+    when Q is finite everywhere.
     """
-    rule = v.rule(nx, ny)
+    sums = np.zeros((len(terms), 2))
     with np.errstate(all="ignore"):  # non-finite sums are traced below
-        sums = v.integrals(rule, N, terms)
-        for term, total in zip(terms, sums):
-            if np.all(np.isfinite(total)):
-                continue
-            for values, xi, y in v.integrands(rule, N, term):
-                bad = np.flatnonzero(~np.isfinite(values))
+        for rule, rows in v.rules(nx, ny, terms):
+            summed = [terms[t] for t in rows]
+            quantity = v.quantities(rule, N, {q for q, _, _ in summed})
+            sums[rows] += rule.sums(N, summed, quantity)
+            for t in rows:
+                if np.all(np.isfinite(sums[t])):
+                    continue
+                bad = np.flatnonzero(~np.isfinite(quantity[terms[t][0]]))
                 if bad.size:
-                    i = bad[0]
                     raise EvaluationError(
-                        f"half-space integrand is non-finite at (xi, y) = "
-                        f"({xi[i]:.6g}, {y[i]:.6g})"
-                    )
-            raise EvaluationError(f"half-space integral of the term {term} overflows")
+                        "half-space integrand is non-finite at (xi, y) = "
+                        "({:.6g}, {:.6g})".format(*rule.node(bad[0])))
+                raise EvaluationError(f"half-space integral of the term {terms[t]} overflows")
     return sums
 
 
 def _tensor_margin(name: str, v, N: int, nx: int, ny: int, terms,
                    sides) -> MarginReport:
     """Half-space margin report from sides(*sums) -> (lhs, rhs), with sums
-    the sums of the terms on v.rule(nx, ny) and on its coarser rule; the
-    margin change between the two is the quadrature error."""
+    the sums of the terms on v.rules(nx, ny, terms) and on their coarser
+    rules; the margin change between the two is the quadrature error."""
     lhs, rhs = sides(*_halfspace_sums(v, N, nx, ny, terms))
     return MarginReport.from_sides(lhs, rhs, name, N, "halfspace", [v.label])
 

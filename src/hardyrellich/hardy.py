@@ -64,8 +64,9 @@ class MarginReport:
     def from_sides(cls, lhs, rhs, name: str, N: int, family: str, test_ids):
         """Reports of lhs >= rhs, where lhs and rhs hold (grid, subgrid)
         sums on their last axis, both summed from one evaluation of the test
-        function (see RadialGrid.sub_weights and TensorGrid): the margin
-        change against the every-other-node subgrid is the quadrature error.
+        function (see RadialGrid.sub_weights, and the (2, n) weight stacks of
+        euclid's TensorGrid and polar rules): the margin change against the
+        coarser rule is the quadrature error.
 
         lhs and rhs of shape (2,) give one report; shape (k, 2), from a
         family on a stacked grid, gives a list of k, one per test id."""

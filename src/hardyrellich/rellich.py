@@ -541,10 +541,6 @@ def change_of_variable(N: int) -> ChangeOfVariable:
     return ChangeOfVariable(N)
 
 
-def s_of_r(N: int, r):
-    return change_of_variable(N).s_of_r(r)
-
-
 def two_term_prediction(N: int, r) -> np.ndarray:
     """The two-term expansion c1 e^(mu r) - c2 e^(-nu r) of s(r), with
     mu = (N-1)/(N-2) and nu = (N-3)/(N-2)."""

@@ -378,8 +378,8 @@ def halfspace_hardy_margin_and_equivalence(cfg: ToolkitConfig, functions):
     m_h = euclid.hyperbolic_margin_without_sinh(U, 3)
     ratio = euclid.sphere_area(3) / euclid.sphere_area(2)
     equiv = abs(m_t - m_h * ratio) / abs(m_h * ratio)
-    return row("halfspace_hardy_margin_and_equivalence", equiv, 1e-4,
-               margins.passed and equiv <= 1e-4)
+    return row("halfspace_hardy_margin_and_equivalence", equiv, 1e-10,
+               margins.passed and equiv <= 1e-10)
 
 
 def halfspace_laplacian_identity_corrected(cfg: ToolkitConfig, N: int, alphas):
@@ -415,7 +415,7 @@ def halfspace_rellich_margins(cfg: ToolkitConfig, N: int, functions, forms):
 
 def halfspace_bilaplacian_identity(cfg: ToolkitConfig, N: int):
     _, _, rel = euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), N)
-    return row("halfspace_bilaplacian_identity", rel, 1e-4, rel <= 1e-4)
+    return row("halfspace_bilaplacian_identity", rel, 1e-10, rel <= 1e-10)
 
 
 def asymptotic_constants_exact(cfg: ToolkitConfig):

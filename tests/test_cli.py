@@ -115,6 +115,46 @@ def test_tol_scale_forces_failure(tmp_path):
     assert (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["hardy", "check", "--seed", "-100"],
+    ["verify", "--suite", "euclid", "--seed", "-200"],
+    ["hardy", "check", "--seed", "-1"],
+    ["rellich", "coeffs", "--nmax", "-1"],
+    ["coeffs", "--nmax", "-1"],
+    ["hardy", "iterlog", "--k", "-1"],
+    ["verify", "--suite", "identities", "--tol-scale", "inf"],
+    ["verify", "--suite", "identities", "--tol-scale", "nan"],
+    ["verify", "--suite", "identities", "--tol-scale", "-1"],
+], ids=" ".join)
+def test_out_of_range_flag_is_a_usage_error(argv, tmp_path, capsys):
+    # a negative seed, table size or series length, and a tolerance scale
+    # that is not a finite number >= 0, are refused before any check runs
+    code = cli.main([*argv, "--out", str(tmp_path)])
+    assert code == cli.USAGE_EXIT
+    assert f"argument {argv[-2]}: must be " in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_flag_ranges_include_zero():
+    args = cli.build_parser().parse_args(
+        ["hardy", "iterlog", "--seed", "0", "--k", "0", "--tol-scale", "0"])
+    assert (args.seed, args.k, args.tol_scale) == (0, 0, 0.0)
+    assert cli.build_parser().parse_args(["coeffs", "--nmax", "0"]).nmax == 0
+
+
+@pytest.mark.parametrize("key", ["margin_rtol", "identity_rtol"])
+def test_config_negative_tolerance_is_a_usage_error(key, tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[tolerances]\n{key} = -1\n")
+    code = cli.main(["verify", "--suite", "identities", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+    assert code == cli.USAGE_EXIT
+    assert f"[tolerances] {key} = -1 is negative" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+    cfg.write_text(f"[tolerances]\n{key} = 0\n")
+    assert load_config(str(cfg)).tolerance(key) == 0.0
+
+
 def test_coeffs_emission(tmp_path):
     code = cli.main(["coeffs", "--N", "5", "--nmax", "10", "--out", str(tmp_path)])
     assert code == 0

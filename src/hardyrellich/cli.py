@@ -75,6 +75,10 @@ CHECKS = {
 # sharp --which value -> (entry, default --N)
 SHARP = {"hardy": ("hardy sharp", 3), "rellich-r2": ("rellich sharp-r2", 5),
          "anchors": ("sharp anchors", None)}
+# the smallest --N of the entries (and curves) that need more than N >= 3
+N_MIN = {"rellich check": 5, "rellich sharp-r2": 5, "rellich coeffs": 5,
+         "rellich asymptotics": 5, "euclid halfspace-rellich": 5,
+         "curve --name s_of_r": 5}
 
 def _coeffs_written(cfg: ToolkitConfig, N: int, n_max: int, out: str):
     """The exact mode-coefficient check on one table, which is also
@@ -122,6 +126,17 @@ def _scale(text: str) -> float:
     return value
 
 
+def _radius(text: str) -> float:
+    """A finite number > 0: a truncation radius."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _common_parent() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None,
@@ -160,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--N", type=int, default=None,
                    help="dimension (default 3 for hardy, 5 for rellich-r2)")
     s.add_argument("--which", choices=tuple(SHARP), default="hardy")
-    s.add_argument("--rmax", type=float, default=None)
+    s.add_argument("--rmax", type=_radius, default=None)
     verb(sub, "sweep-lambda", "hardy sweep-lambda", help="h(lambda) curve")
     c = verb(sub, "coeffs", "rellich coeffs", help="per-mode coefficient table")
     c.add_argument("--nmax", type=_count, default=50)
@@ -174,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                           ).add_subparsers(dest="action", required=True)
     verb(hsub, "check", "hardy check")
     hs = verb(hsub, "sharp", "hardy sharp", N=3)
-    hs.add_argument("--rmax", type=float, default=None)
+    hs.add_argument("--rmax", type=_radius, default=None)
     verb(hsub, "sweep-lambda", "hardy sweep-lambda")
     verb(hsub, "iterlog", "hardy iterlog").add_argument("--k", type=_count, default=3)
 
@@ -226,14 +241,30 @@ def _cmd_curve(args, command: str) -> int:
 
 def _cmd_checks(args, command: str) -> int:
     cfg = _config_from(args)
-    entry = args.entry
-    if entry == "sharp":
-        entry, default_N = SHARP[args.which]
+    checks = [partial(check, cfg, *inputs) for check, *inputs in CHECKS[args.entry](args, cfg)]
+    manifest = suites.run_checks(checks, cfg, command, [args.entry] * len(checks))
+    return _finish(manifest, args.out)
+
+
+def _resolve(args) -> None:
+    """Point sharp at the entry its --which names, with that entry's
+    default --N, and raise ArgumentError for what argparse cannot judge
+    alone: a flag sharp --which anchors does not take, and an --N below
+    its entry's minimum (N_MIN, else 3)."""
+    if args.entry == "sharp":
+        for flag, value in (("--N", args.N), ("--rmax", args.rmax)):
+            if value is not None and args.which == "anchors":
+                raise ArgumentError(f"argument {flag}: sharp --which anchors takes no {flag}")
+        args.entry, default_N = SHARP[args.which]
         if args.N is None:
             args.N = default_N
-    checks = [partial(check, cfg, *inputs) for check, *inputs in CHECKS[entry](args, cfg)]
-    manifest = suites.run_checks(checks, cfg, command, [entry] * len(checks))
-    return _finish(manifest, args.out)
+    N = getattr(args, "N", None)
+    if N is not None:
+        where = f"curve --name {args.name}" if args.entry == "curve" else args.entry
+        minimum = N_MIN.get(where, 3)
+        if N < minimum:
+            raise ArgumentError(f"argument --N: must be an integer >= {minimum} for "
+                                f"{where}, got {N}")
 
 
 def main(argv=None) -> int:
@@ -243,8 +274,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    handler = {"verify": _cmd_verify, "curve": _cmd_curve}.get(args.entry, _cmd_checks)
     try:
+        _resolve(args)
+        handler = {"verify": _cmd_verify, "curve": _cmd_curve}.get(args.entry, _cmd_checks)
         return handler(args, " ".join(argv))
     except ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

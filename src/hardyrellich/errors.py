@@ -33,10 +33,6 @@ class TruncationError(ToolkitError, RuntimeError):
     """The truncated domain is too small for the requested quantity."""
 
 
-class RangeError(ToolkitError, ValueError):
-    """A lookup fell outside a tabulated range."""
-
-
 class ResampleError(ToolkitError, ValueError):
     """A sample point hit a zero of a reference solution; retry shifted."""
 

@@ -4,6 +4,9 @@ variables with its asymptotics.
 
 Closed-form coefficient identities are evaluated in exact rational
 arithmetic; floating point only enters through quadrature and eigensolves.
+The change of variables s(r) is a closed form too: one function,
+_log_tail, evaluates its tail integral in numpy or in an mpmath context,
+and r(s) inverts it by Newton steps.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from . import claims
 from .errors import (
     DomainError,
     NumericError,
-    RangeError,
     TruncationError,
 )
 from .hardy import MarginReport
@@ -372,9 +373,15 @@ class AsymptoticConstants:
         return self.k1_exact - 2 * self.c2_over_c1 == Fraction(-4 * (self.N - 1), self.N + 1)
 
 
+def _c1(N: int, num):
+    """The leading coefficient c1 = ((N-1) / (2^(N-1) (N-2)))^(1/(N-2)) of
+    s(r), in the number type num: float, or an mpmath context's mpf."""
+    return (num(N - 1) / (2 ** (N - 1) * (N - 2))) ** (num(1) / (N - 2))
+
+
 def asymptotic_constants(N: int) -> AsymptoticConstants:
     _check_dimension(N, 5)
-    c1 = ((N - 1) / (2 ** (N - 1) * (N - 2))) ** (1.0 / (N - 2))
+    c1 = _c1(N, float)
     ratio = Fraction((N - 1) ** 2, (N + 1) * (N - 2))
     k1_exact = 2 * (N - 1) * (ratio - 1)
     return AsymptoticConstants(
@@ -387,158 +394,144 @@ def asymptotic_constants(N: int) -> AsymptoticConstants:
     )
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
+# the tail series of _log_tail takes at most this many terms
+TAIL_SERIES_CAP = 10_000
+# the relative rounding error of a double: the float map's target accuracy
+UNIT_ROUNDOFF = 2.0**-53
 
 
-def _panel_integral(f, a, b):
-    """Fixed 12-point Gauss panels, vectorized over array endpoints."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    acc = np.zeros_like(mid)
-    for x, wt in zip(_GAUSS_X, _GAUSS_W):
-        acc += wt * f(mid + half * x)
-    return half * acc
+def _log_tail(N: int, r, m, eps):
+    """log(e^((N-1) r) I(r)), I(r) = int_r^oo (2 sinh x)^(1-N) dx, to a
+    relative error of about eps: in numpy (m = np, r a 1-D array) or in an
+    mpmath context m (r one mpf).
 
+    Where sinh r < 1 it climbs the reduction for the scaled tails
+    K_n = sinh^(n-1) r int_r^oo sinh^-n x dx,
 
-class ChangeOfVariable:
-    """Tabulated monotone map s(r) with ds/s^(N-1) = dr/sinh^(N-1) r.
+      K_n = (cosh r - (n-2) sinh^2 r K_(n-2)) / (n-1),
 
-    The tail integral behind s(r) is accumulated over Gauss panels on a
-    log-spaced table covering r in [1e-4, 40], with the analytic series
-    tail beyond 40 where the integrand is e^(-(N-1)sigma) times a
-    geometric-series correction.  Inversion starts from a cubic Hermite
-    interpolant of log r against log s on the table, with the exact slopes
-    from ds/dr = (s/sinh r)^(N-1), and polishes it by Newton steps.
-    """
+    from K_1 = -log tanh(r/2) or K_2 = e^-r up to n = N-1; each step
+    multiplies an error by (n-2)/(n-1) sinh^2 r < 1, and
+    I = 2^(1-N) K_(N-1) / sinh^(N-2) r.  Elsewhere q = e^(-2r) <= 3 - 2 sqrt 2
+    and it sums
 
-    TABLE_RANGE = (1e-4, 40.0)
-    TABLE_SIZE = 4096
-    # Newton polishing of r(s) stops once every relative residual
-    # |s(r) - s| / s is at most NEWTON_RTOL before a step, which then
-    # leaves an error of order its square; it gives up after NEWTON_STEPS.
-    NEWTON_RTOL = 1e-9
-    NEWTON_STEPS = 8
+      I = e^(-(N-1) r) sum_k C(N-2+k, k) q^k / (N-1+2k)
 
-    def __init__(self, N: int):
-        man = hyperbolic(N)
-        self.N = man.N
-        self._log_psi = man.log_psi
-        lo, hi = self.TABLE_RANGE
-        self.r_tab = np.geomspace(lo, hi, self.TABLE_SIZE)
-        tail = self._series_tail(hi)
-        panels = _panel_integral(self._integrand, self.r_tab[:-1], self.r_tab[1:])
-        self.i_tab = np.concatenate(
-            (tail + np.cumsum(panels[::-1])[::-1], [tail])
-        )
-        self.prefactor = (N - 2) ** (-1.0 / (N - 2)) / 2 ** ((N - 1) / (N - 2))
-        self.s_tab = self._s_from_integral(self.i_tab)
-        # the inverse interpolant's table: log s, log r and d log r / d log s
-        self._log_s = np.log(self.s_tab)
-        self._log_r = np.log(self.r_tab)
-        self._slope = self.s_tab / (self.r_tab * self.ds_dr(self.r_tab, self.s_tab))
+    in Horner form, to the term count at which a bound on the remainder at
+    the largest q is below eps of the sum (at smaller q its share is
+    smaller still); more than TAIL_SERIES_CAP terms raise NumericError
+    naming r."""
+    num = getattr(m, "mpf", float)  # the context's number type
 
-    def _integrand(self, sigma):
-        sigma = np.asarray(sigma, dtype=float)
-        return np.exp(-(self.N - 1) * (math.log(2.0) + self._log_psi(sigma)))
+    def reduction(r):
+        sh, ch = m.sinh(r), m.cosh(r)
+        start = 1 + N % 2
+        k = -m.log(m.tanh(r / 2)) if start == 1 else m.exp(-r)
+        for n in range(start + 2, N, 2):
+            k = (ch - (n - 2) * sh * sh * k) / (n - 1)
+        return m.log(k) - (N - 2) * m.log(sh) + (N - 1) * (r - m.log(2))
 
-    def _series_tail(self, r):
-        """Integral of (e^s - e^-s)^(1-N) from r to infinity, by series."""
-        N = self.N
-        total = 0.0
-        for k in range(0, 60):
-            coeff = math.comb(N - 2 + k, k)
-            expo = N - 1 + 2 * k
-            term = coeff * math.exp(-expo * r) / expo
-            total += term
-            if term < 1e-18 * total:
+    def series(r):
+        q = m.exp(-2 * r)
+        # the term count for an array's radii is the one for the branch's
+        # largest q, 3 - 2 sqrt 2, so a radius gets the same sum in any
+        # array; one mpf radius takes the count for its own q
+        q_top = 3.0 - 2.0 * math.sqrt(2.0) if m is np else float(q)
+        k = 0
+        term = total = 1.0 / (N - 1)  # the k-th term at q_top, and the sum so far
+        while True:
+            ratio = q_top * (N - 1 + k) / (k + 1)  # bounds every later term ratio
+            if ratio < 1.0 and term * ratio <= eps * total * (1.0 - ratio):
                 break
-        return total
+            if k == TAIL_SERIES_CAP:
+                raise NumericError(f"the tail series at r = {float(np.min(r)):g} needs "
+                                   f"more than {TAIL_SERIES_CAP} terms")
+            term *= ratio * (N - 1 + 2 * k) / (N + 1 + 2 * k)
+            total += term
+            k += 1
+        acc = 0
+        for j in range(k, -1, -1):
+            acc = acc * q + num(math.comb(N - 2 + j, j)) / (N - 1 + 2 * j)
+        return m.log(acc)
 
-    def _s_from_integral(self, i_vals):
-        return self.prefactor * np.asarray(i_vals) ** (-1.0 / (self.N - 2))
-
-    def s_of_r(self, r):
-        """Forward map, vectorized; exact series tail for r >= 40."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0):
-            raise DomainError("s(r) needs r > 0")
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        big = r >= self.TABLE_RANGE[1]
-        if np.any(big):
-            out[big] = self._s_from_integral(
-                [self._series_tail(float(x)) for x in r[big]]
-            )
-        small = ~big
-        if np.any(small):
-            rs = r[small]
-            if np.any(rs < self.TABLE_RANGE[0]):
-                raise RangeError(
-                    f"r below tabulated range {self.TABLE_RANGE[0]:g}"
-                )
-            j = np.searchsorted(self.r_tab, rs, side="left")
-            j = np.minimum(j, self.r_tab.size - 1)
-            local = _panel_integral(self._integrand, rs, self.r_tab[j])
-            out[small] = self._s_from_integral(self.i_tab[j] + local)
-        return float(out[0]) if scalar else out
-
-    def log_ds_dr(self, r, s):
-        """log ds/dr = (N-1)(log s - log sinh r): the one copy of the
-        density, which ds_dr, rho_of_r and the mapped profiles exponentiate."""
-        return (self.N - 1) * (np.log(s) - self._log_psi(r))
-
-    def ds_dr(self, r, s):
-        return np.exp(self.log_ds_dr(r, s))
-
-    def r_of_s(self, s):
-        """Inverse map on the tabulated range."""
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        if np.any(s < self.s_tab[0]) or np.any(s > self.s_tab[-1]):
-            raise RangeError(
-                f"s outside tabulated range [{self.s_tab[0]:.3g}, "
-                f"{self.s_tab[-1]:.3g}]"
-            )
-        r = self._invert(s)
-        return float(r[0]) if scalar else r
-
-    def _invert(self, s: np.ndarray) -> np.ndarray:
-        """r(s) on the tabulated range: the Hermite start, then Newton steps
-        until the relative residual meets NEWTON_RTOL (NumericError naming
-        s when NEWTON_STEPS do not)."""
-        x = np.log(s)
-        j = np.clip(np.searchsorted(self._log_s, x, side="right") - 1,
-                    0, self._log_s.size - 2)
-        h = self._log_s[j + 1] - self._log_s[j]
-        t = (x - self._log_s[j]) / h
-        t1 = 1.0 - t
-        r = np.exp(t1 * t1 * ((1.0 + 2.0 * t) * self._log_r[j] + t * h * self._slope[j])
-                   + t * t * ((3.0 - 2.0 * t) * self._log_r[j + 1]
-                              - t1 * h * self._slope[j + 1]))
-        for _ in range(self.NEWTON_STEPS):
-            f = self.s_of_r(r) - s
-            converged = np.abs(f) <= self.NEWTON_RTOL * s
-            r = np.clip(r - f / self.ds_dr(r, s), *self.TABLE_RANGE)
-            if np.all(converged):
-                return r
-        bad = np.flatnonzero(~converged)
-        raise NumericError(
-            f"r(s) did not converge in {self.NEWTON_STEPS} Newton steps at "
-            f"s = {s.flat[bad[0]]:.17g} ({bad.size} nodes)"
-        )
-
-    def rho_of_r(self, r):
-        """Density rho = (sinh r / s)^(2(N-1)) along the map."""
-        return np.exp(-2.0 * self.log_ds_dr(r, self.s_of_r(r)))
+    near = r < m.asinh(1)  # sinh r < 1
+    if m is not np:
+        return reduction(r) if near else series(r)
+    out = np.empty_like(r)
+    if np.any(near):
+        out[near] = reduction(r[near])
+    if not np.all(near):
+        out[~near] = series(r[~near])
+    return out
 
 
-@lru_cache(maxsize=8)
-def change_of_variable(N: int) -> ChangeOfVariable:
-    return ChangeOfVariable(N)
+def _log_s_minus_r(N: int, r, m, eps):
+    """log s(r) - r, in numpy or an mpmath context m as _log_tail, from
+    s = c1 ((N-1) I)^(-1/(N-2)) = (2^(N-1) (N-2) I)^(-1/(N-2)).  Where
+    log s is large, s = e^r e^(log s - r) loses less to rounding than
+    e^(log s)."""
+    return (r - _log_tail(N, r, m, eps) - (N - 1) * m.log(2) - m.log(N - 2)) / (N - 2)
+
+
+def s_of_r(N: int, r):
+    """The flattening map s(r), ds/s^(N-1) = dr/sinh^(N-1) r with s ~ r at
+    the pole, in closed form (_log_tail); vectorized over r > 0."""
+    _check_dimension(N)
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0.0):
+        raise DomainError("s(r) needs r > 0")
+    shape, r = r.shape, r.ravel()
+    return (np.exp(r) * np.exp(_log_s_minus_r(N, r, np, UNIT_ROUNDOFF))).reshape(shape)[()]
+
+
+def log_ds_dr(N: int, r, s):
+    """log ds/dr = (N-1)(log s - log sinh r): the one copy of the density,
+    which r_of_s, rho_of_r and the mapped profiles exponentiate."""
+    return (N - 1) * (np.log(s) - hyperbolic(N).log_psi(r))
+
+
+# r(s) steps each node until its residual |log s(r) - log s| is at most
+# NEWTON_RTOL, then once more, which leaves an error of order its square;
+# it gives up after NEWTON_STEPS.
+NEWTON_RTOL = 1e-9
+NEWTON_STEPS = 8
+
+
+def r_of_s(N: int, s):
+    """The inverse map r(s), vectorized over finite s > 0: Newton steps in
+    log r on log s(r), from r = s (the pole's s ~ r) below c1 and from
+    min(s, log(s/c1)/mu), mu = (N-1)/(N-2) (the inverse of the leading term
+    c1 e^(mu r)), above it; NumericError naming s when NEWTON_STEPS do not
+    converge."""
+    _check_dimension(N)
+    s = np.asarray(s, dtype=float)
+    if not np.all((s > 0.0) & np.isfinite(s)):
+        raise DomainError("r(s) needs a finite s > 0")
+    shape, s = s.shape, s.ravel()
+    c1, log_s = _c1(N, float), np.log(s)
+    r = s.copy()
+    above = s > c1
+    r[above] = np.minimum(s[above], np.log(s[above] / c1) * (N - 2) / (N - 1))
+    x = np.log(r)
+    todo = np.ones(s.shape, dtype=bool)  # the nodes still stepping
+    for _ in range(NEWTON_STEPS):
+        r = np.exp(x[todo])
+        log_sr = r + _log_s_minus_r(N, r, np, UNIT_ROUNDOFF)
+        f = log_sr - log_s[todo]
+        # the slope d log s / d log r = r (ds/dr) / s
+        x[todo] -= f * np.exp(log_sr - x[todo] - log_ds_dr(N, r, np.exp(log_sr)))
+        todo[todo] = np.abs(f) > NEWTON_RTOL
+        if not np.any(todo):
+            return np.exp(x).reshape(shape)[()]
+    raise NumericError(
+        f"r(s) did not converge in {NEWTON_STEPS} Newton steps at "
+        f"s = {s[todo][0]:.17g} ({np.count_nonzero(todo)} nodes)"
+    )
+
+
+def rho_of_r(N: int, r):
+    """Density rho = (sinh r / s)^(2(N-1)) along the map."""
+    return np.exp(-2.0 * log_ds_dr(N, r, s_of_r(N, r)))
 
 
 def two_term_prediction(N: int, r) -> np.ndarray:
@@ -559,61 +552,32 @@ def two_term_expansion_error(N: int, r) -> np.ndarray:
     use two_term_expansion_error_precise for larger radii.
     """
     r = np.asarray(r, dtype=float)
-    s = change_of_variable(N).s_of_r(r)
+    s = s_of_r(N, r)
     return np.abs(s - two_term_prediction(N, r)) / np.exp(-(N - 3) / (N - 2) * r)
 
 
-# two_term_expansion_error_precise sums its series to at most this many
-# terms; r = 1e-3 (N = 5) needs about 57,000
-PRECISE_SERIES_CAP = 100_000
-
-
 def two_term_expansion_error_precise(N: int, r_values, dps: int = 50) -> list[float]:
-    """Expansion error from the exact series for the tail integral,
-    evaluated in high-precision arithmetic (needed for r > ~8, where the
-    remainder is smaller than double-precision rounding in s).
-
-    The tail is sum_k C(N-2+k, k) e^(-(N-1+2k) r)/(N-1+2k), summed until a
-    term drops below 10^(-dps-5) of the sum; its ratio tends to e^(-2r), so
-    small radii need about dps log(10)/(2r) terms.  A series that has not
-    converged within PRECISE_SERIES_CAP terms raises NumericError naming
-    its radius.  One mpmath context serves every radius."""
+    """two_term_expansion_error in dps-digit arithmetic (needed for r > ~8,
+    where the remainder is smaller than double-precision rounding in s):
+    s(r) from _log_tail and c1, c2 from their definitions, all in one
+    private mpmath context, which serves every radius."""
     _check_dimension(N, 5)
     import mpmath
 
     # a private context: mpmath's global precision is shared by every thread
     mp = mpmath.MPContext()
     mp.dps = dps
-    pref = mp.mpf(N - 2) ** (mp.mpf(-1) / (N - 2)) / mp.mpf(2) ** (
-        mp.mpf(N - 1) / (N - 2)
-    )
-    c1 = (mp.mpf(N - 1) / (2 ** (N - 1) * (N - 2))) ** (mp.mpf(1) / (N - 2))
-    c2 = c1 * (N - 1) ** 2 / ((N + 1) * (N - 2))
+    c1 = _c1(N, mp.mpf)
+    c2 = c1 * asymptotic_constants(N).c2_over_c1
     mu = mp.mpf(N - 1) / (N - 2)
     nu = mp.mpf(N - 3) / (N - 2)
-    small = mp.mpf(10) ** (-dps - 5)
     out = []
     for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
         if not r > 0.0:
-            raise DomainError(f"the tail series diverges at r = {r:g}; it needs r > 0")
-        rr = mp.mpf(r)
-        step = mp.exp(-2 * rr)
-        power = mp.exp(-(N - 1) * rr)  # e^(-(N-1+2k) r), stepped by e^(-2r)
-        tail = mp.mpf(0)
-        for k in range(PRECISE_SERIES_CAP):
-            term = math.comb(N - 2 + k, k) * power / (N - 1 + 2 * k)
-            tail += term
-            if term < small * tail:
-                break
-            power *= step
-        else:
-            raise NumericError(
-                f"tail series at r = {r:g} has not converged in "
-                f"{PRECISE_SERIES_CAP} terms"
-            )
-        s = pref * tail ** (mp.mpf(-1) / (N - 2))
-        pred = c1 * mp.e ** (mu * rr) - c2 * mp.e ** (-nu * rr)
-        out.append(float(abs(s - pred) / mp.e ** (-nu * rr)))
+            raise DomainError(f"the tail integral diverges at r = {r:g}; it needs r > 0")
+        r = mp.mpf(r)
+        s = mp.exp(r + _log_s_minus_r(N, r, mp, float(mp.eps)))
+        out.append(float(abs(s - c1 * mp.exp(mu * r) + c2 * mp.exp(-nu * r)) * mp.exp(nu * r)))
     return out
 
 
@@ -622,28 +586,27 @@ def density_correction_fit(N: int, r_values) -> np.ndarray:
     these approach the exact first correction coefficient k1."""
     consts = asymptotic_constants(N)
     mu = (N - 1) / (N - 2)
-    cov = change_of_variable(N)
     r = np.asarray(r_values, dtype=float)
-    g = cov.rho_of_r(r) * np.exp(2.0 * mu * r) * (2.0 * consts.c1) ** (2 * N - 2) - 1.0
+    g = rho_of_r(N, r) * np.exp(2.0 * mu * r) * (2.0 * consts.c1) ** (2 * N - 2) - 1.0
     return g / np.exp(-2.0 * r)
 
 
 def mapped_from_radial(u: RadialFunction, N: int) -> RadialFunction:
-    """Transport a radial profile to the flattened variable: v(s) = u(r(s)).
+    """Transport a radial profile to the flattened variable: v(s) = u(r(s)),
+    supported on s(support of u).
 
     Derivatives use dr/ds = (sinh r/s)^(N-1) = sqrt(rho) and
     d2r/ds2 = (N-1) r'(s) [coth(r) r'(s) - 1/s].
     """
-    cov = change_of_variable(N)
 
     def jet(s, order):
         # one inversion r(s) for the whole jet
         s = np.asarray(s, dtype=float)
-        r = cov.r_of_s(s)
+        r = r_of_s(N, s)
         ur = u.jet(r, order)
         if not order:
             return ur
-        rp = np.exp(-cov.log_ds_dr(r, s))
+        rp = np.exp(-log_ds_dr(N, r, s))
         out = (ur[0], ur[1] * rp)
         if order == 1:
             return out
@@ -651,9 +614,7 @@ def mapped_from_radial(u: RadialFunction, N: int) -> RadialFunction:
         return out + (ur[2] * rp * rp + ur[1] * rpp,)
 
     a, b = u.support
-    s_a = cov.s_of_r(np.maximum(a, cov.TABLE_RANGE[0]))
-    s_b = cov.s_of_r(np.minimum(b, cov.TABLE_RANGE[1]))
-    return RadialFunction(jet, support=(s_a, s_b), label=f"mapped({u.label})",
+    return RadialFunction(jet, support=(s_of_r(N, a), s_of_r(N, b)), label=f"mapped({u.label})",
                           members=tuple(mapped_from_radial(m, N) for m in u.members))
 
 
@@ -670,11 +631,10 @@ def check_mapped_rellich(v: RadialFunction, N: int,
     volume density.
     """
     _check_dimension(N, 5)
-    cov = change_of_variable(N)
     grid = grid_covering(v.support, nodes)
     s = grid.nodes
-    r = cov.r_of_s(s)
-    rho = np.exp(-2.0 * cov.log_ds_dr(r, s))
+    r = r_of_s(N, s)
+    rho = np.exp(-2.0 * log_ds_dr(N, r, s))
     principal = (float(claims.rellich_l2(N)) + float(claims.RELLICH_R4) / r**4
                  + float(claims.rellich_r2(N)) / r**2)
     lhs, rhs = radial_sums(v, grid, [("lap2", 1.0 / rho), ("v2", rho * principal)],

@@ -200,7 +200,7 @@ def emit_curve(name: str, outdir: str | Path, N: int = 5,
         return write_h_lambda_csv(h_lambda_curve(config, N), out)
     if name == "s_of_r":
         r = np.linspace(0.5, 14.0, 28)
-        s = rellich.change_of_variable(N).s_of_r(r)
+        s = rellich.s_of_r(N, r)
         pred = rellich.two_term_prediction(N, r)
         rows = [
             f"{format_value(ri)},{format_value(si)},{format_value(pi)},"

@@ -125,13 +125,63 @@ def test_tol_scale_forces_failure(tmp_path):
     ["verify", "--suite", "identities", "--tol-scale", "inf"],
     ["verify", "--suite", "identities", "--tol-scale", "nan"],
     ["verify", "--suite", "identities", "--tol-scale", "-1"],
+    ["hardy", "sharp", "--rmax", "0"],
+    ["hardy", "sharp", "--rmax", "-5"],
+    ["sharp", "--rmax", "inf"],
+    ["sharp", "--which", "rellich-r2", "--rmax", "nan"],
 ], ids=" ".join)
 def test_out_of_range_flag_is_a_usage_error(argv, tmp_path, capsys):
-    # a negative seed, table size or series length, and a tolerance scale
-    # that is not a finite number >= 0, are refused before any check runs
+    # a negative seed, table size or series length, a tolerance scale that
+    # is not a finite number >= 0 and a truncation radius that is not a
+    # finite number > 0 are refused before any check runs
     code = cli.main([*argv, "--out", str(tmp_path)])
     assert code == cli.USAGE_EXIT
     assert f"argument {argv[-2]}: must be " in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, minimum", [
+    (["hardy", "check", "--N", "2"], 3),
+    (["hardy", "sharp", "--N", "1"], 3),
+    (["sharp", "--N", "2"], 3),
+    (["hardy", "sweep-lambda", "--N", "2"], 3),
+    (["hardy", "iterlog", "--N", "2"], 3),
+    (["euclid", "ball-identities", "--N", "2"], 3),
+    (["euclid", "halfspace-hardy", "--N", "2"], 3),
+    (["euclid", "laplacian-identity", "--N", "-3"], 3),
+    (["euclid", "laplacian-identity", "--N", "0"], 3),
+    (["euclid", "laplacian-identity", "--N", "1"], 3),
+    (["euclid", "laplacian-identity", "--N", "2"], 3),
+    (["curve", "--name", "h_lambda", "--N", "2"], 3),
+    (["curve", "--name", "convergence", "--N", "2"], 3),
+    (["rellich", "check", "--N", "4"], 5),
+    (["rellich", "coeffs", "--N", "4"], 5),
+    (["coeffs", "--N", "4"], 5),
+    (["rellich", "sharp-r2", "--N", "4"], 5),
+    (["sharp", "--which", "rellich-r2", "--N", "4"], 5),
+    (["rellich", "asymptotics", "--N", "3"], 5),
+    (["asymptotics", "--N", "4"], 5),
+    (["euclid", "halfspace-rellich", "--N", "4"], 5),
+    (["curve", "--name", "s_of_r", "--N", "4"], 5),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_dimension_below_the_verbs_minimum_is_a_usage_error(argv, minimum, tmp_path, capsys):
+    # exit 2 naming --N and the verb's minimum, before any check runs; the
+    # minimum itself gets past the check
+    code = cli.main([*argv, "--out", str(tmp_path)])
+    assert code == cli.USAGE_EXIT
+    assert f"argument --N: must be an integer >= {minimum} for " in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+    args = cli.build_parser().parse_args([*argv[:-1], str(minimum)])
+    cli._resolve(args)
+    assert args.N == minimum
+
+
+@pytest.mark.parametrize("flags", [["--N", "7", "--rmax", "5"], ["--rmax", "5"]], ids=" ".join)
+def test_sharp_anchors_refuses_flags_it_ignores(flags, tmp_path, capsys):
+    code = cli.main(["sharp", "--which", "anchors", *flags, "--out", str(tmp_path)])
+    assert code == cli.USAGE_EXIT
+    assert (f"argument {flags[0]}: sharp --which anchors takes no {flags[0]}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "manifest.json").exists()
 
 
@@ -432,7 +482,7 @@ _IMPORT_BOUNDARY = """
 import sys
 from hardyrellich import cli
 out = sys.argv[1]
-seen = ["scipy" in sys.modules]
+seen = ["numpy.polynomial" in sys.modules, "scipy" in sys.modules]
 seen.append(cli.main(["rellich", "coeffs", "--out", out]))
 seen.append("scipy" in sys.modules)
 seen.append(cli.main(["hardy", "sharp", "--out", out]))
@@ -448,8 +498,9 @@ def test_scipy_loads_on_first_factorization(tmp_path):
     done = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    # scipy absent after import and after `rellich coeffs`; both verbs exit 0
-    assert done.stdout.splitlines()[-1] == "[False, 0, False, 0, True]"
+    # numpy.polynomial absent after import; scipy absent after import and
+    # after `rellich coeffs`; both verbs exit 0
+    assert done.stdout.splitlines()[-1] == "[False, False, 0, False, 0, True]"
 
 
 def test_sharp_hardy_overflow_names_its_radius(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 
 from hardyrellich import manifolds as mf
 from hardyrellich import rellich
-from hardyrellich.errors import DomainError, NumericError, RangeError, SupportError
+from hardyrellich.errors import DomainError, NumericError, SupportError
 from hardyrellich.radial import (
     RadialFunction,
     bilaplacian_form,
@@ -236,39 +237,78 @@ def test_asymptotic_constants_exact():
 def test_s_of_r_small_radius_against_quad_oracle():
     # independent oracle: the substituted integral int_0^{e^-r} y^3 (1-y^2)^-4 dy
     N = 5
-    cov = rellich.change_of_variable(N)
     r0 = 1e-3
     I = quad(lambda y: y ** (N - 2) * (1 - y * y) ** (-(N - 1)),
              0.0, np.exp(-r0), limit=200)[0]
-    s_oracle = cov.prefactor * I ** (-1.0 / (N - 2))
-    assert cov.s_of_r(r0) == pytest.approx(s_oracle, rel=1e-6)
-    assert cov.s_of_r(r0) / r0 == pytest.approx(1.0, abs=1e-3)
+    s_oracle = (2 ** (N - 1) * (N - 2) * I) ** (-1.0 / (N - 2))
+    assert rellich.s_of_r(N, r0) == pytest.approx(s_oracle, rel=1e-6)
+    assert rellich.s_of_r(N, r0) / r0 == pytest.approx(1.0, abs=1e-3)
 
 
 def test_s_of_r_growth_and_monotonicity():
-    cov = rellich.change_of_variable(5)
     c = rellich.asymptotic_constants(5)
-    dev = abs(cov.s_of_r(10.0) / (c.c1 * np.exp(40.0 / 3.0)) - 1.0)
+    dev = abs(rellich.s_of_r(5, 10.0) / (c.c1 * np.exp(40.0 / 3.0)) - 1.0)
     assert dev < 1e-8  # deviation is O(e^{-2r})
-    r = np.geomspace(1e-3, 39.0, 128)
-    assert np.all(np.diff(cov.s_of_r(r)) > 0)
-    s_big = cov.s_of_r(50.0)  # series branch beyond the table
-    assert s_big == pytest.approx(c.c1 * np.exp(50.0 * 4.0 / 3.0), rel=1e-8)
+    r = np.geomspace(1e-3, 150.0, 256)
+    assert np.all(np.diff(rellich.s_of_r(5, r)) > 0)
+    assert rellich.s_of_r(5, 50.0) == pytest.approx(c.c1 * np.exp(50.0 * 4.0 / 3.0), rel=1e-8)
 
 
 def test_r_of_s_roundtrip_and_range():
-    cov = rellich.change_of_variable(5)
     r = np.array([0.5, 1.5, 3.0, 20.0])
-    s = cov.s_of_r(r)
-    assert np.max(np.abs(cov.r_of_s(s) - r) / r) < 1e-10
-    with pytest.raises(RangeError):
-        cov.r_of_s(1e30)
+    s = rellich.s_of_r(5, r)
+    assert np.max(np.abs(rellich.r_of_s(5, s) - r) / r) < 1e-14
+    # the map has no upper bound: s = 1e30 inverts, close to log(s/c1)/mu
+    assert rellich.r_of_s(5, 1e30) == pytest.approx(52.4294, abs=1e-4)
+    assert rellich.s_of_r(5, rellich.r_of_s(5, 1e30)) == pytest.approx(1e30, rel=1e-14)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            rellich.r_of_s(5, bad)
+    with pytest.raises(DomainError):
+        rellich.s_of_r(5, np.array([1.0, 0.0]))
+
+
+# an independent oracle for s(r): I(r) = int_r^oo (2 sinh x)^(1-N) dx is,
+# with t = e^-r, the incomplete beta integral
+#   t^(N-1) / (N-1) 2F1(N-1, (N-1)/2; (N+1)/2; t^2)
+_ORACLE_RADII = np.concatenate([np.geomspace(1e-6, 150.0, 40), [0.88137358701954, 0.8813735870196]])
+
+
+def _s_oracle(N, r):
+    import mpmath
+
+    mp = mpmath.MPContext()
+    mp.dps = 40
+    t = mp.exp(-mp.mpf(r))
+    tail = t ** (N - 1) / (N - 1) * mp.hyp2f1(N - 1, mp.mpf(N - 1) / 2, mp.mpf(N + 1) / 2, t * t)
+    return float((2 ** (N - 1) * (N - 2) * tail) ** (-mp.mpf(1) / (N - 2)))
+
+
+@pytest.mark.parametrize("N", [5, 8, 19, 20, 50])
+def test_s_of_r_matches_an_independent_series(N):
+    # both branches (sinh r < 1 and above, the two radii astride the
+    # switch) from the pole to r = 150, where e^(-(N-1) r) underflows for
+    # every N here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = rellich.s_of_r(N, _ORACLE_RADII)
+    oracle = np.array([_s_oracle(N, r) for r in _ORACLE_RADII])
+    assert np.max(np.abs(s / oracle - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("N", [5, 8, 19, 20, 50])
+def test_r_of_s_round_trip_over_the_range(N):
+    r = np.geomspace(1e-6, 150.0, 301)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = rellich.r_of_s(N, rellich.s_of_r(N, r))
+    assert np.max(np.abs(back / r - 1.0)) <= 1e-14
 
 
 def test_two_term_expansion_ratio_precise():
     errs = rellich.two_term_expansion_error_precise(5, [8.0, 12.0])
     assert errs[1] < 0.5 * errs[0]
-    # float table agrees with the precise series while above the noise floor
+    # the float map agrees with the precise series while above the noise floor
     for r in (3.0, 4.0, 5.0):
         a = float(rellich.two_term_expansion_error(5, r))
         b = rellich.two_term_expansion_error_precise(5, [r])[0]
@@ -289,9 +329,15 @@ def test_precise_series_matches_higher_precision():
 
 
 def test_precise_series_names_the_radius_it_cannot_sum(monkeypatch):
-    monkeypatch.setattr(rellich, "PRECISE_SERIES_CAP", 1000)
-    with pytest.raises(NumericError, match="r = 0.05 has not converged in 1000 terms"):
-        rellich.two_term_expansion_error_precise(5, [3.0, 0.05])
+    # r = 0.05 (sinh r < 1) takes the reduction and sums no series; r = 3
+    # needs more series terms than a lowered cap allows, in mpmath and in
+    # floats alike
+    monkeypatch.setattr(rellich, "TAIL_SERIES_CAP", 10)
+    rellich.two_term_expansion_error_precise(5, [0.05])
+    with pytest.raises(NumericError, match="tail series at r = 3 needs more than 10 terms"):
+        rellich.two_term_expansion_error_precise(5, [0.05, 3.0])
+    with pytest.raises(NumericError, match="tail series at r = 3 needs more than 10 terms"):
+        rellich.s_of_r(5, np.array([0.05, 3.0, 4.0]))
     with pytest.raises(DomainError, match="r = 0"):
         rellich.two_term_expansion_error_precise(5, [0.0])
 
@@ -343,10 +389,9 @@ def test_mapped_profile_inverts_once_per_jet(monkeypatch):
     N = 5
     u = bump(1.0, 2.0)
     v = rellich.mapped_from_radial(u, N)
-    cov = rellich.change_of_variable(N)
     s = grid_covering(v.support, 512).nodes
-    r = cov.r_of_s(s)
-    rp = np.exp(-cov.log_ds_dr(r, s))
+    r = rellich.r_of_s(N, s)
+    rp = np.exp(-rellich.log_ds_dr(N, r, s))
     rpp = (N - 1) * rp * (rp / np.tanh(r) - 1.0 / s)
     u0, u1, u2 = u.jet(r, 2)
     written_out = (u0, u1 * rp, u2 * rp * rp + u1 * rpp)
@@ -356,34 +401,54 @@ def test_mapped_profile_inverts_once_per_jet(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(jet, written_out))
 
     calls = []
-    invert = rellich.ChangeOfVariable._invert
-    monkeypatch.setattr(rellich.ChangeOfVariable, "_invert",
-                        lambda self, s: calls.append(1) or invert(self, s))
+    invert = rellich.r_of_s
+    monkeypatch.setattr(rellich, "r_of_s", lambda N, s: calls.append(1) or invert(N, s))
     v.jet(s, 2)
     assert len(calls) == 1
     rellich.check_mapped_rellich(v, N, nodes=256)
     assert len(calls) == 3
 
 
-def test_r_of_s_matches_four_newton_steps_from_the_table():
-    # reference: interpolation in log-log on the table, then four Newton
-    # steps with the exact derivative, clipped to the table range
-    cov = rellich.ChangeOfVariable(5)
-    s = np.geomspace(cov.s_tab[0], cov.s_tab[-1], 3001)
-    r = np.exp(np.interp(np.log(s), np.log(cov.s_tab), np.log(cov.r_tab)))
-    for _ in range(4):
-        r = np.clip(r - (cov.s_of_r(r) - s) / cov.ds_dr(r, s), *cov.TABLE_RANGE)
-    got = cov.r_of_s(s)
-    assert np.max(np.abs(got / r - 1.0)) <= 1e-14
-    assert np.array_equal(cov.r_of_s(s), got)
-    assert cov.r_of_s(float(s[7])) == got[7]
+def test_mapped_rellich_on_far_and_near_supports():
+    # supports far out (s up to 4e28) and near the pole map whole, onto
+    # s(support), with positive margins
+    for u in (bump(30.0, 50.0), bump(5e-5, 1e-3)):
+        v = rellich.mapped_from_radial(u, 5)
+        assert v.support == (rellich.s_of_r(5, u.support[0]), rellich.s_of_r(5, u.support[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rellich.check_mapped_rellich(v, 5).margin > 0
 
-    # ds/dr, rho and the mapped profile's r'(s), all read from log_ds_dr,
-    # keep the bits of the density written out with log sinh
-    log_sinh = mf.hyperbolic(5).log_psi
-    assert np.array_equal(cov.ds_dr(got, s), np.exp(4 * (np.log(s) - log_sinh(got))))
-    assert np.array_equal(cov.rho_of_r(got),
-                          np.exp(2.0 * 4 * (log_sinh(got) - np.log(cov.s_of_r(got)))))
+
+def test_r_of_s_is_newton_in_log_r_written_out():
+    # reference, node by node: the documented start, then Newton steps in
+    # log r on log s(r) with the slope r s'(r)/s written out with log sinh,
+    # stopping one step after the residual is within 1e-9
+    N, mu = 5, 4.0 / 3.0
+    c1 = rellich.asymptotic_constants(N).c1
+    log_sinh = mf.hyperbolic(N).log_psi
+
+    def newton(s):
+        r = s if s <= c1 else min(s, math.log(s / c1) / mu)
+        for _ in range(8):
+            f = math.log(rellich.s_of_r(N, r)) - math.log(s)
+            slope = math.exp(math.log(r) + (N - 2) * (f + math.log(s)) - (N - 1) * log_sinh(r))
+            r = math.exp(math.log(r) - f / slope)
+            if abs(f) <= 1e-9:
+                return r
+        raise AssertionError(f"no convergence at s = {s}")
+
+    s = np.geomspace(1e-6, 1e30, 301)
+    got = rellich.r_of_s(N, s)
+    assert np.max(np.abs(got / np.array([newton(x) for x in s]) - 1.0)) <= 1e-14
+    # each node steps on its own residual: a node alone inverts to the same bits
+    assert np.array_equal(rellich.r_of_s(N, s), got)
+    assert all(rellich.r_of_s(N, float(x)) == y for x, y in zip(s[::10], got[::10]))
+
+    # rho and the mapped profile's r'(s), both read from log_ds_dr, keep
+    # the bits of the density written out with log sinh
+    assert np.array_equal(rellich.rho_of_r(N, got),
+                          np.exp(2.0 * 4 * (log_sinh(got) - np.log(rellich.s_of_r(N, got)))))
     line = RadialFunction(lambda r, order: (r, np.ones_like(r), np.zeros_like(r))[:order + 1],
                           support=(0.5, 2.0))
     rp = rellich.mapped_from_radial(line, 5).jet(s, 1)[1]
@@ -391,15 +456,13 @@ def test_r_of_s_matches_four_newton_steps_from_the_table():
 
 
 def test_r_of_s_raises_when_newton_fails(monkeypatch):
-    from hardyrellich.errors import NumericError
-
-    cov = rellich.ChangeOfVariable(5)
-    s = cov.s_of_r(np.array([0.5, 2.0]))
+    s = rellich.s_of_r(5, np.array([0.5, 2.0]))
     # a forward map rough at the 1e-6 level: no residual gets below 1e-9
-    s_of_r = cov.s_of_r
-    monkeypatch.setattr(cov, "s_of_r", lambda r: s_of_r(r) * (1.0 + 1e-6 * np.cos(1e9 * r)))
+    rough = rellich._log_s_minus_r
+    monkeypatch.setattr(rellich, "_log_s_minus_r",
+                        lambda N, r, m, eps: rough(N, r, m, eps) + 1e-6 * np.cos(1e9 * r))
     with pytest.raises(NumericError, match=r"did not converge in 8 Newton steps at s = "):
-        cov.r_of_s(s)
+        rellich.r_of_s(5, s)
 
 
 def test_mode_coefficients_from_integers_match_the_rational_sums():

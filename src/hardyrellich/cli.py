@@ -46,22 +46,24 @@ CHECKS = {
     "hardy check": lambda a, cfg: [
         (suites.poincare_hardy_margins, (a.N,), cfg.get_int("hardy", "bump_count"))],
     "hardy sharp": lambda a, cfg: [
-        (suites.hardy_sharp_range_and_monotone, a.N,
-         (a.rmax or cfg.get_float("grids", "r_max"),))],
+        (suites.sharp_constants, "hardy_sharp_range_and_monotone",
+         [("hardy_sharp_radial", a.N, (a.rmax or cfg.get_float("grids", "r_max"),))])],
     "hardy sweep-lambda": lambda a, cfg: [(_h_lambda_written, a.N, a.out)],
     "hardy iterlog": lambda a, cfg: [
         (suites.iterated_log_margins, a.N, bump(0.2, 0.8), a.k),
         (suites.iterated_log_optimality_scan, a.N, (max(a.k, 1),))],
     "rellich check": lambda a, cfg: [(suites.poincare_rellich_margins, (a.N,), 10)],
     "rellich sharp-r2": lambda a, cfg: [
-        (suites.rellich_sharp_r2,
-         {a.N: (getattr(a, "rmax", None) or cfg.get_float("rellich", "sharp_r_max"),)})],
+        (suites.sharp_constants, "rellich_sharp_r2",
+         [("rellich_sharp_r2_radial", a.N,
+           (getattr(a, "rmax", None) or cfg.get_float("rellich", "sharp_r_max"),))])],
     "rellich coeffs": lambda a, cfg: [(_coeffs_written, a.N, a.nmax, a.out)],
     "rellich asymptotics": lambda a, cfg: [
         (suites.asymptotic_consistency_exact, (a.N,)),
         (suites.two_term_expansion_ratio, a.N),
         (suites.density_correction_within_5pct, a.N)],
-    "sharp anchors": lambda a, cfg: [(suites.one_d_and_euclid_anchors,)],
+    "sharp anchors": lambda a, cfg: [
+        (suites.sharp_constants, "one_d_and_euclid_anchors", suites.ANCHOR_RUNS)],
     "euclid ball-identities": lambda a, cfg: [(suites.ball_identities, (a.N,))],
     "euclid halfspace-hardy": lambda a, cfg: [
         (suites.halfspace_hardy_margins, a.N, [suites.HALFSPACE_BUMP])],

@@ -29,10 +29,6 @@ class NumericError(ToolkitError, RuntimeError):
     """An iterative numerical procedure failed to converge."""
 
 
-class TruncationError(ToolkitError, RuntimeError):
-    """The truncated domain is too small for the requested quantity."""
-
-
 class ResampleError(ToolkitError, ValueError):
     """A sample point hit a zero of a reference solution; retry shifted."""
 

@@ -482,9 +482,10 @@ def min_generalized_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
                                near: float | None = None) -> ConstantEstimate:
     """Minimal eigenvalue with a refinement history.
 
-    The solve is repeated at M/4, M/2 and M nodes, the coarser pencils
-    from the pencil's rebuild, so the history records three grid
-    refinements; a hand-built pencil without rebuild raises ArgumentError.
+    The solve is repeated at M/4, M/2 and M nodes (integer division), the
+    coarser pencils from the pencil's rebuild, so the history records
+    three grid refinements; a hand-built pencil without rebuild, or fewer
+    than M = 128 nodes (32 at M/4), raises ArgumentError.
     ``near`` (a neighbouring truncation's value, say) warm-starts the first
     solve, and each level's value warm-starts the next; from the third
     level on, moved on by half the last change, as a first-order
@@ -493,10 +494,11 @@ def min_generalized_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
     if pencil.rebuild is None:
         raise ArgumentError("a refinement history needs an assembled pencil (rebuild)")
     grid = pencil.grid
+    if grid.M < 128:
+        raise ArgumentError(f"a refinement history needs M >= 128 nodes, got M = {grid.M}")
     history: list[tuple[int, float]] = []
-    sizes = sorted({max(32, grid.M // 4), max(32, grid.M // 2), grid.M})
     guess = near
-    for m in sizes:
+    for m in (grid.M // 4, grid.M // 2, grid.M):
         p = pencil.rebuild(m) if m != grid.M else pencil
         value = smallest_eigenvalue(p, tol, near=guess)
         history.append((m, value))

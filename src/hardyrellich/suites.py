@@ -175,33 +175,6 @@ def general_model_margins(cfg: ToolkitConfig, manifolds, count: int):
     return _margin_row(cfg, "general_model_margins", reports)
 
 
-def poincare_gap_within_1pct(cfg: ToolkitConfig, Ns):
-    bad = 0.0
-    consts = []
-    for N in Ns:
-        est = hardy.poincare_gap(N, M=cfg.get_int("grids", "M"))
-        gap = float(claims.spectral_gap(N))
-        bad = max(bad, abs(est.value - gap) / gap)
-        consts.append(est.csv_row("poincare_gap_radial", N))
-    return row("poincare_gap_within_1pct", bad, 0.01, bad <= 0.01, constants=consts)
-
-
-def hardy_sharp_range_and_monotone(cfg: ToolkitConfig, N: int, r_maxes):
-    """Sharp Hardy estimates on widening truncations: each in [0.249, 0.30]
-    and nonincreasing as r_max grows; each estimate warm-starts the next."""
-    ests = []
-    for r_max in r_maxes:
-        ests.append(hardy.estimate_sharp_hardy(
-            N, r_min=cfg.get_float("grids", "r_min"), r_max=r_max,
-            M=cfg.get_int("grids", "M"), near=ests[-1].value if ests else None))
-    vals = [est.value for est in ests]
-    ok = all(0.249 <= v <= 0.30 for v in vals) and all(
-        vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1)
-    )
-    return row("hardy_sharp_range_and_monotone", vals[-1], 0.05, ok,
-               constants=[est.csv_row("hardy_sharp_radial", N) for est in ests])
-
-
 def h_lambda_endpoints_and_shape(cfg: ToolkitConfig, N: int, curve=None):
     """Endpoints and shape of the h(lambda) curve; sweeps it unless the
     caller passes the swept ``curve``."""
@@ -284,51 +257,6 @@ def bilaplacian_vs_reduced_form(cfg: ToolkitConfig, Ns):
         rf = rellich.radial_reduced_form(rellich.reduced_from_radial(u, N), N, 0, grid)
         worst = max(worst, float(np.max(abs(bf - rf) / bf)))
     return row("bilaplacian_vs_reduced_form", worst, 1e-5, worst <= 1e-5)
-
-
-def one_d_and_euclid_anchors(cfg: ToolkitConfig):
-    hardy1d = rellich.one_d_hardy_constant()
-    rell1d = rellich.one_d_rellich_constant()
-    euc = rellich.euclidean_rellich_constant(5)
-    consts = [
-        hardy1d.csv_row("one_d_hardy", 1),
-        rell1d.csv_row("one_d_rellich", 1),
-        euc.csv_row("euclid_rellich_radial", 5),
-    ]
-    ok = (
-        abs(hardy1d.value - float(claims.HARDY_R2)) <= 1e-2
-        and abs(rell1d.value - float(claims.RELLICH_R4)) <= 1e-2
-        and abs(euc.value - float(claims.euclid_rellich(5))) <= 5e-2
-    )
-    return row("one_d_and_euclid_anchors", euc.value, 5e-2, ok, constants=consts)
-
-
-def rellich_sharp_r2(cfg: ToolkitConfig, r_maxes_by_N: dict):
-    """Sharp Rellich 1/r^2 estimates on the truncations r_maxes_by_N[N]:
-    each at least (N-1)^2/8 - 1e-2 and nonincreasing as r_max grows; the
-    row value is the widest estimate of the first N.  Each estimate,
-    moved on by the truncation law (rellich.sharp_r2_next_truncation),
-    warm-starts the next truncation of the same N."""
-    vals, consts = {}, []
-    for N, r_maxes in r_maxes_by_N.items():
-        ests = []
-        for r_max in r_maxes:
-            ests.append(rellich.estimate_sharp_rellich_r2(
-                N,
-                r_min=cfg.get_float("rellich", "sharp_r_min"),
-                r_max=r_max,
-                M=cfg.get_int("rellich", "sharp_M"),
-                near=rellich.sharp_r2_next_truncation(
-                    N, ests[-1].value, ests[-1].r_max, r_max) if ests else None,
-            ))
-        vals[N] = [est.value for est in ests]
-        consts += [est.csv_row("rellich_sharp_r2_radial", N) for est in ests]
-    ok = all(
-        all(v >= float(claims.rellich_r2(N)) - 1e-2 for v in vs) and all(np.diff(vs) <= 1e-10)
-        for N, vs in vals.items()
-    )
-    return row("rellich_sharp_r2", next(iter(vals.values()))[-1], 1e-2, ok,
-               constants=consts)
 
 
 def mapped_rellich_margin_and_equivalence(cfg: ToolkitConfig, N: int):
@@ -463,6 +391,99 @@ def s_of_r_monotone_and_flat_at_pole(cfg: ToolkitConfig, N: int):
 
 
 # ---------------------------------------------------------------------------
+# sharp constants: one row kind for every truncated estimate of a claim
+
+
+def _hardy_1d(N: int, c: float, est) -> float:
+    """The truncated 1-D Hardy quotient int v'^2 / int v^2/r^2, whose
+    infimum c is 1/4, in closed form: c + pi^2/log^2(r_max/r_min)."""
+    return c + math.pi**2 / math.log(est.r_max / est.r_min) ** 2
+
+
+# constants.csv name -> (claim(N), read from the claims table when called;
+# estimate(cfg, N, r_max, near) on the truncation r_max, None for the
+# estimator's own; exact(N, c, est), the closed-form truncated value for
+# the claim c, or None; allowance(c) above c where no exact value exists,
+# or None).  At N = 3 the sharp Hardy quotient is the 1-D Hardy quotient
+# and the gap's is int v'^2 + int v^2 over int v^2 (hardy.py).
+SHARP_CLAIMS = {
+    "hardy_sharp_radial": (
+        lambda N: claims.HARDY_R2,
+        lambda cfg, N, r_max, near: hardy.estimate_sharp_hardy(
+            N, r_min=cfg.get_float("grids", "r_min"), r_max=r_max,
+            M=cfg.get_int("grids", "M"), near=near),
+        lambda N, c, est: _hardy_1d(N, c, est) if N == 3 else None, None),
+    "poincare_gap_radial": (
+        lambda N: claims.spectral_gap(N),
+        lambda cfg, N, r_max, near: hardy.poincare_gap(N, M=cfg.get_int("grids", "M")),
+        lambda N, c, est: c + math.pi**2 / (est.r_max - est.r_min) ** 2 if N == 3 else None,
+        lambda c: 0.01 * c),
+    "one_d_hardy": (lambda N: claims.HARDY_R2,
+                    lambda cfg, N, r_max, near: rellich.one_d_hardy_constant(),
+                    _hardy_1d, None),
+    "one_d_rellich": (lambda N: claims.RELLICH_R4,
+                      lambda cfg, N, r_max, near: rellich.one_d_rellich_constant(),
+                      None, lambda c: 1e-2),
+    "euclid_rellich_radial": (lambda N: claims.euclid_rellich(N),
+                              lambda cfg, N, r_max, near: rellich.euclidean_rellich_constant(N),
+                              None, lambda c: 5e-2),
+    "rellich_sharp_r2_radial": (
+        lambda N: claims.rellich_r2(N),
+        lambda cfg, N, r_max, near: rellich.estimate_sharp_rellich_r2(
+            N, r_min=cfg.get_float("rellich", "sharp_r_min"), r_max=r_max,
+            M=cfg.get_int("rellich", "sharp_M"), near=near),
+        None, None),
+}
+
+# the one_d_and_euclid_anchors row, each anchor on its own truncation
+ANCHOR_RUNS = (("euclid_rellich_radial", 5, (None,)), ("one_d_hardy", 1, (None,)),
+               ("one_d_rellich", 1, (None,)))
+
+
+def truncation_law(limit: float, value: float, r_max: float, r_next: float) -> float:
+    """The estimate at r_max = r_next predicted from its value at r_max by
+    the law v = c + 4 pi^2 c / log^2(r_max / r0), c = limit (exact for
+    sharp Hardy at N = 3, c = 1/4 and r0 = r_min): log(r_max / r0) is
+    solved from value, then moved on by log(r_next / r_max).  A value at
+    or below the limit, or r_next below r0, predicts value itself."""
+    rate = 4.0 * math.pi**2 * limit
+    if value <= limit:
+        return value
+    L = math.sqrt(rate / (value - limit)) + math.log(r_next / r_max)
+    return limit + rate / L**2 if L > 0.0 else value
+
+
+def sharp_constants(cfg: ToolkitConfig, name: str, runs) -> CheckRow:
+    """One row for the (SHARP_CLAIMS name, N, r_maxes) runs: each run
+    estimates one claim c on widening truncations, each warm-started by
+    truncation_law.  An estimate v with the budget e = max(|v_M - v_(M/2)|,
+    1e-8 max(1, |v|)), the solver's tol, passes when
+      - v >= c - e: truncation only raises an infimum, so an estimate
+        below the claim (an indefinite numerator, say) refutes it;
+      - |v - exact| <= e where the claim has an exact truncated value,
+        else v <= c + allowance where it has an allowance;
+      - v <= the previous truncation's value + e.
+    The row's value is the last estimate of the first run, its tolerance
+    that estimate's budget."""
+    ok, consts, first = True, [], None
+    for key, N, r_maxes in runs:
+        claim, estimate, exact, allowance = SHARP_CLAIMS[key]
+        c, last = float(claim(N)), None
+        for r_max in r_maxes:
+            near = None if last is None else truncation_law(c, last.value, last.r_max, r_max)
+            est = estimate(cfg, N, r_max, near)
+            (_, coarse), (_, v) = est.history[-2:]
+            e = max(abs(v - coarse), 1e-8 * max(1.0, abs(v)))
+            x = exact(N, c, est) if exact else None
+            window = abs(v - x) <= e if x is not None else not allowance or v <= c + allowance(c)
+            ok = ok and v >= c - e and window and (last is None or v <= last.value + e)
+            consts.append(est.csv_row(key, N))
+            last = est
+        first = first or (v, e)
+    return row(name, *first, ok, constants=consts)
+
+
+# ---------------------------------------------------------------------------
 # suites: each builder binds its checks to the suite's inputs
 
 
@@ -486,8 +507,10 @@ def _hardy_checks(cfg: ToolkitConfig) -> list:
     return [
         partial(poincare_hardy_margins, cfg, (3, 4, 5, 7, 10), count),
         partial(general_model_margins, cfg, _builtin_families(), count),
-        partial(poincare_gap_within_1pct, cfg, (3, 5)),
-        partial(hardy_sharp_range_and_monotone, cfg, 3, (25.0, 50.0, 100.0)),
+        partial(sharp_constants, cfg, "poincare_gap_within_1pct",
+                [("poincare_gap_radial", N, (None,)) for N in (3, 5)]),
+        partial(sharp_constants, cfg, "hardy_sharp_range_and_monotone",
+                [("hardy_sharp_radial", 3, (25.0, 50.0, 100.0))]),
         partial(h_lambda_endpoints_and_shape, cfg, 5),
         partial(iterated_log_margins, cfg, 5,
                 seeded_bumps(cfg.seed + 5, count, 0.15, 0.85),
@@ -506,8 +529,10 @@ def _rellich_checks(cfg: ToolkitConfig) -> list:
         partial(sinh_hardy_1d_margins, cfg, 10),
         partial(mode_chain_margins, cfg, 5, range(6)),
         partial(bilaplacian_vs_reduced_form, cfg, (5, 6, 7, 8)),
-        partial(one_d_and_euclid_anchors, cfg),
-        partial(rellich_sharp_r2, cfg, {5: (1e4, 1e5, r_max), 6: (r_max,)}),
+        partial(sharp_constants, cfg, "one_d_and_euclid_anchors", ANCHOR_RUNS),
+        partial(sharp_constants, cfg, "rellich_sharp_r2",
+                [("rellich_sharp_r2_radial", 5, (1e4, 1e5, r_max)),
+                 ("rellich_sharp_r2_radial", 6, (r_max,))]),
         partial(mapped_rellich_margin_and_equivalence, cfg, 5),
     ]
 

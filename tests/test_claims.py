@@ -87,7 +87,9 @@ TENSOR = euclid.tensor_bump(1.0, 0.5, 2.0)
 
 
 def _estimate(value, r_max=1.0):
-    return ConstantEstimate(value, 1e-3, r_max, 64)
+    """A stub estimate on [1e-3, r_max] whose two-level history gives it
+    the budget 1e-4."""
+    return ConstantEstimate(value, 1e-3, r_max, 128, [(64, value + 1e-4), (128, value)])
 
 
 def _stubbed(check, stubs):
@@ -110,18 +112,40 @@ H_CURVE = hardy.LambdaCurve(5, np.array([0.0, 1.0, 2.0]),
                             np.array([H0, 0.5 * (H0 + H1), H1]))
 
 
-# each anchor 1e-4 inside the low end of its window, so a claim 1e-3 larger
-# puts it outside
-ANCHORS = _stubbed(lambda: suites.one_d_and_euclid_anchors(CFG).passed, {
-    (rellich, "one_d_hardy_constant"): lambda: _estimate(0.25 - 1e-2 + 1e-4),
-    (rellich, "one_d_rellich_constant"): lambda: _estimate(9 / 16 - 1e-2 + 1e-4),
-    (rellich, "euclidean_rellich_constant"): lambda N: _estimate(25 / 16 - 5e-2 + 1e-4),
+def _sharp_row(name, runs):
+    return lambda: suites.sharp_constants(CFG, name, runs).passed
+
+
+# the 1-D Hardy anchor at its exact truncated value 1/4 + pi^2/log^2(1e3),
+# the others 1e-5 inside the low end of their windows, claim - budget: a
+# claim 1e-3 larger puts each outside
+ANCHORS = _stubbed(_sharp_row("one_d_and_euclid_anchors", suites.ANCHOR_RUNS), {
+    (rellich, "one_d_hardy_constant"): lambda: _estimate(0.25 + np.pi**2 / np.log(1e3) ** 2),
+    (rellich, "one_d_rellich_constant"): lambda: _estimate(9 / 16 - 1e-4 + 1e-5),
+    (rellich, "euclidean_rellich_constant"): lambda N: _estimate(25 / 16 - 1e-4 + 1e-5),
 })
 ITERLOG_SCAN = _stubbed(lambda: suites.iterated_log_optimality_scan(CFG, 5, (1,)).passed, {
     (hardy, "iterated_log_optimality_scan"): lambda N, k: [0.25 - 1e-3 + 2e-4]})
-RELLICH_FLOOR = _stubbed(lambda: suites.rellich_sharp_r2(CFG, {5: (1e6,)}).passed, {
-    (rellich, "estimate_sharp_rellich_r2"):
-        lambda N, **kw: _estimate(2.0 - 1e-2 + 1e-4, kw["r_max"])})
+RELLICH_FLOOR = _stubbed(
+    _sharp_row("rellich_sharp_r2", [("rellich_sharp_r2_radial", 5, (1e6,))]), {
+        (rellich, "estimate_sharp_rellich_r2"):
+            lambda N, **kw: _estimate(2.0 - 1e-4 + 1e-5, kw["r_max"])})
+
+
+def _rellich_warm_start():
+    """The warm start the rellich_sharp_r2 row derives from the claim for
+    its second truncation, from a stubbed first estimate of 2.5."""
+    nears = []
+
+    def stub(N, **kw):
+        nears.append(kw["near"])
+        return _estimate(2.5, kw["r_max"])
+
+    _stubbed(_sharp_row("rellich_sharp_r2", [("rellich_sharp_r2_radial", 5, (1e4, 1e5))]),
+             {(rellich, "estimate_sharp_rellich_r2"): stub})()
+    return nears[1]
+
+
 H_ENDS = lambda: suites.h_lambda_endpoints_and_shape(CFG, 5, H_CURVE).passed  # noqa: E731
 JOINT = lambda: suites.joint_sharpness_sum_exact(CFG, range(5, 9)).value  # noqa: E731
 SPLIT = lambda: rellich.verify_euclidean_rellich_split(5)[0]  # noqa: E731
@@ -169,14 +193,13 @@ CONSUMERS = {
     "spectral_gap": [
         lambda: _hardy().lhs,
         lambda: _iterlog(0).lhs,
-        # a truncation short enough to stay definite: with the claim 1e-3
-        # larger the form is indefinite on the default [1e-6, 100]
         lambda: hardy.estimate_sharp_hardy(3, r_max=10.0, M=256).value,
         lambda: hardy.sweep_h_lambda(5, M=256).h_values,
         _stubbed(lambda: reports.h_lambda_curve(CFG, 5), {
             (hardy, "sweep_h_lambda"): lambda N, lambdas, **kw: lambdas}),
-        _stubbed(lambda: suites.poincare_gap_within_1pct(CFG, (3,)).value, {
-            (hardy, "poincare_gap"): lambda N, M: _estimate(4.01)}),
+        # 1e-5 inside the low end of the N = 5 window, claim - budget
+        _stubbed(_sharp_row("poincare_gap_within_1pct", [("poincare_gap_radial", 5, (None,))]),
+                 {(hardy, "poincare_gap"): lambda N, M: _estimate(4.0 - 1e-4 + 1e-5)}),
         HYP_MARGIN,
         GROUND,
     ],
@@ -209,7 +232,6 @@ CONSUMERS = {
         _principal,
         lambda: _chain().rhs,
         lambda: _mapped().rhs,
-        # a truncation far enough above the claim to stay definite
         lambda: rellich.estimate_sharp_rellich_r2(5, r_max=10.0, M=256).value,
     ],
     "rellich_r2": [
@@ -219,7 +241,7 @@ CONSUMERS = {
         lambda: _mapped().rhs,
         lambda: _halfspace("y2").rhs,
         lambda: _halfspace("y4").rhs,
-        lambda: rellich.sharp_r2_next_truncation(5, 2.5, 1e4, 1e5),
+        _rellich_warm_start,
         RELLICH_FLOOR,
     ],
     "RELLICH_R4": [
@@ -295,3 +317,40 @@ def test_h_lambda_row_catches_a_wrong_hardy_claim(monkeypatch):
     assert suites.h_lambda_endpoints_and_shape(CFG, 5).passed
     monkeypatch.setattr(claims, "HARDY_R2", Fraction(53, 200))
     assert not suites.h_lambda_endpoints_and_shape(CFG, 5).passed
+
+
+# ---------------------------------------------------------------------------
+# the sharp-constant rows: a false claim fails its row
+
+
+@pytest.mark.parametrize("name, scale, suite, row", [
+    # an L^2 constant too large leaves the r^-2 numerator indefinite
+    ("rellich_l2", Fraction(1_000_001, 1_000_000), "rellich", "rellich_sharp_r2"),
+    ("spectral_gap", Fraction(1001, 1000), "hardy", "hardy_sharp_range_and_monotone"),
+])
+def test_a_falsified_claim_fails_its_row_and_the_manifest_is_written(
+        name, scale, suite, row, monkeypatch):
+    _perturb(monkeypatch, name, scale)
+    manifest = suites.run_suite(suite, CFG)
+    (result,) = [r for r in manifest.results if r.name == row]
+    assert not result.passed and result.value < 0.0
+    assert manifest.exit_code == 1
+
+
+# each estimate with a closed-form truncated value, and the claim it is
+# built from: the estimators do not read the claim, so only the exact
+# value moves
+EXACT = [
+    ("hardy_sharp_range_and_monotone", ("hardy_sharp_radial", 3, (100.0,)), "HARDY_R2"),
+    ("poincare_gap_within_1pct", ("poincare_gap_radial", 3, (None,)), "spectral_gap"),
+    ("one_d_and_euclid_anchors", ("one_d_hardy", 1, (None,)), "HARDY_R2"),
+]
+
+
+@pytest.mark.parametrize("row, run, name", EXACT, ids=[run[0] for _, run, _ in EXACT])
+def test_an_exact_value_catches_a_claim_off_by_one_in_a_million(row, run, name):
+    assert suites.sharp_constants(CFG, row, [run]).passed
+    for scale in (Fraction(999_999, 1_000_000), Fraction(1_000_001, 1_000_000)):
+        with pytest.MonkeyPatch.context() as mp:
+            _perturb(mp, name, scale)
+            assert not suites.sharp_constants(CFG, row, [run]).passed

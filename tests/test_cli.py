@@ -365,15 +365,18 @@ def test_grids_r_min_reaches_the_sharp_hardy_estimate(tmp_path):
     config = tmp_path / "grids.ini"
     config.write_text("[grids]\nr_min = 1e-4\n")
     common = ["--N", "3", "--config", str(config)]
-    # the narrower truncation lifts the estimate to 0.30170895 (exactly
-    # 1/4 + pi^2/log^2(1e6) = 0.30170897), above the check's [0.249, 0.30]
-    # window, so the run exits 1
-    assert cli.main(["hardy", "sharp", *common, "--out", str(tmp_path / "sharp")]) == 1
+    # the narrower truncation lifts the estimate to its exact value
+    # 1/4 + pi^2/log^2(1e6) = 0.30170897, which the row's window follows
+    assert cli.main(["hardy", "sharp", *common, "--out", str(tmp_path / "sharp")]) == 0
     assert cli.main(["curve", "--name", "convergence", *common,
                      "--out", str(tmp_path / "curve")]) == 0
     (line,) = (tmp_path / "sharp" / "constants.csv").read_text().splitlines()[1:]
     name, N, r_min, r_max, _, value = line.split(",")
     assert (name, N, r_min, r_max) == ("hardy_sharp_radial", "3", "0.0001", "100")
+    (result,) = (tmp_path / "sharp" / "results.csv").read_text().splitlines()[1:]
+    _, status, row_value, budget = result.split(",")
+    assert (status, row_value) == ("pass", value)
+    assert abs(float(value) - (0.25 + math.pi**2 / math.log(1e6) ** 2)) <= float(budget)
     last = (tmp_path / "curve" / "convergence_hardy_sharp_N3.csv").read_text().splitlines()[-1]
     assert value == last.split(",")[1]
     manifest = json.loads((tmp_path / "sharp" / "manifest.json").read_text())
@@ -426,8 +429,25 @@ def test_rellich_sharp_r2_warm_starts_from_the_truncation_law(monkeypatch):
         return ests[-1]
 
     monkeypatch.setattr(rellich, "estimate_sharp_rellich_r2", spied)
-    suites.rellich_sharp_r2(ToolkitConfig(), {5: (1e4, 1e5)})
-    assert nears == [None, rellich.sharp_r2_next_truncation(5, ests[0].value, 1e4, 1e5)]
+    suites.sharp_constants(ToolkitConfig(), "rellich_sharp_r2",
+                           [("rellich_sharp_r2_radial", 5, (1e4, 1e5))])
+    assert nears == [None, suites.truncation_law(2.0, ests[0].value, 1e4, 1e5)]
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_hardy_sharp_above_dimension_three_passes(N, tmp_path):
+    # no closed form there: the estimate (0.59227, 0.69424) need only lie
+    # above the claim 1/4 within its budget
+    assert cli.main(["hardy", "sharp", "--N", str(N), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("M, code", [(20, cli.USAGE_EXIT), (127, cli.USAGE_EXIT), (128, 0)])
+def test_grids_m_below_a_three_level_history_is_a_usage_error(M, code, tmp_path, capsys):
+    config = tmp_path / "grids.ini"
+    config.write_text(f"[grids]\nM = {M}\n")
+    assert cli.main(["hardy", "sharp", "--config", str(config), "--out", str(tmp_path)]) == code
+    if code == cli.USAGE_EXIT:
+        assert f"needs M >= 128 nodes, got M = {M}" in capsys.readouterr().err
 
 
 def test_sharp_rellich_default_dimension(tmp_path):

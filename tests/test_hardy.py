@@ -305,21 +305,6 @@ def test_optimality_scan_matches_direct_quotient():
     assert deco == pytest.approx(direct, rel=1e-6)
 
 
-def test_truncation_error_path(monkeypatch):
-    # the numerator form is nonnegative on every admissible truncation, so the
-    # indefinite branch is exercised by stubbing the eigensolve
-    from hardyrellich.errors import TruncationError
-    from hardyrellich.pencils import ConstantEstimate
-
-    monkeypatch.setattr(
-        hardy,
-        "min_generalized_eigenvalue",
-        lambda pencil, tol, near=None: ConstantEstimate(-0.1, 1e-6, 1.0, 64, []),
-    )
-    with pytest.raises(TruncationError):
-        hardy.estimate_sharp_hardy(3, M=64)
-
-
 def test_model_integrals_evaluate_each_profile_once(monkeypatch):
     # one jet of u and one psi^(N-1) per grid, and the same bits as the
     # one-term forms, which evaluate them again for every term

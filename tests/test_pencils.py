@@ -94,6 +94,14 @@ def test_history_refinement_monotone():
     assert est.history[-1][0] == 8192 and est.value == est.history[-1][1]
 
 
+def test_history_takes_exactly_m_over_4_m_over_2_and_m():
+    est = pencils.min_generalized_eigenvalue(sharp_hardy_pencil(200))
+    assert [m for m, _ in est.history] == [50, 100, 200]
+    # below 128 nodes the coarsest level would fall under 32
+    with pytest.raises(ArgumentError, match="needs M >= 128 nodes, got M = 64"):
+        pencils.min_generalized_eigenvalue(sharp_hardy_pencil(64))
+
+
 def test_euclid_rellich_pencil():
     grid = make_grid(1e-9, 1e9, 8192, "geometric")
     p = pencils.assemble_pencil(mf.euclidean(5), None, lambda r: 1.0 / r**4,

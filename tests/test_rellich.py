@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from hardyrellich import manifolds as mf
-from hardyrellich import rellich
+from hardyrellich import rellich, suites
 from hardyrellich.errors import DomainError, NumericError, SupportError
 from hardyrellich.radial import (
     RadialFunction,
@@ -179,16 +179,18 @@ def test_estimate_sharp_rellich_r2():
 
 
 def test_sharp_r2_next_truncation_follows_the_law():
-    # on the law v = (N-1)^2/8 + (N-1)^2 pi^2/(2 L^2) the prediction is exact
-    for N in (5, 6):
-        limit, rate = (N - 1) ** 2 / 8.0, (N - 1) ** 2 * np.pi**2 / 2.0
+    # on the law v = c + 4 pi^2 c / L^2 the prediction is exact: for the
+    # r^-2 limits c = (N-1)^2/8, N = 5, 6, and for c = 1/4, where it is
+    # the sharp Hardy law 1/4 + pi^2/log^2(r_max/r_min) at N = 3
+    for limit in (2.0, 3.125, 0.25):
+        rate = 4.0 * np.pi**2 * limit
         L1 = np.log(1e4 / 0.37)
         v1 = limit + rate / L1**2
         v2 = limit + rate / (L1 + np.log(10.0)) ** 2
-        assert rellich.sharp_r2_next_truncation(N, v1, 1e4, 1e5) == pytest.approx(v2, rel=1e-14)
+        assert suites.truncation_law(limit, v1, 1e4, 1e5) == pytest.approx(v2, rel=1e-14)
         # at or below the limit, and below r0, the value predicts itself
-        assert rellich.sharp_r2_next_truncation(N, limit, 1e4, 1e5) == limit
-        assert rellich.sharp_r2_next_truncation(N, v1, 1e4, 0.3) == v1
+        assert suites.truncation_law(limit, limit, 1e4, 1e5) == limit
+        assert suites.truncation_law(limit, v1, 1e4, 0.3) == v1
 
 
 def test_sharp_r2_next_truncation_is_a_close_warm_start():
@@ -197,7 +199,7 @@ def test_sharp_r2_next_truncation_is_a_close_warm_start():
     v4 = rellich.estimate_sharp_rellich_r2(5, r_max=1e4, M=2048).value
     v5 = rellich.estimate_sharp_rellich_r2(5, r_max=1e5, M=2048).value
     assert abs(v4 - v5) > 0.1 * v5
-    assert rellich.sharp_r2_next_truncation(5, v4, 1e4, 1e5) == pytest.approx(v5, rel=1e-3)
+    assert suites.truncation_law(2.0, v4, 1e4, 1e5) == pytest.approx(v5, rel=1e-3)
 
 
 def test_one_d_anchors():
@@ -317,7 +319,8 @@ def test_two_term_expansion_ratio_precise():
 
 def test_precise_series_matches_higher_precision():
     # the suite's radii at the default 50 digits against 80 digits, and
-    # r = 0.05, whose series needs 1,333 terms, against the float table
+    # r = 0.05, on the reduction branch of rellich._log_tail, against the
+    # same closed form in floats
     radii = [3.0, 4.0, 5.0, 8.0, 12.0]
     assert rellich.two_term_expansion_error_precise(5, radii) == pytest.approx(
         rellich.two_term_expansion_error_precise(5, radii, dps=80), rel=1e-15)
@@ -362,9 +365,12 @@ def test_precise_expansion_error_thread_safe():
 
 
 def test_density_correction_fit():
+    # formed in 50 digits, the fits approach k1 = -8/9 as e^(-2r) does:
+    # 3.1e-8 at r = 8 (floats read 1.8e-4 of rounding at r = 12)
     fits = rellich.density_correction_fit(5, np.array([8.0, 10.0, 12.0]))
     k1 = rellich.asymptotic_constants(5).k1
-    assert np.max(np.abs(fits / k1 - 1.0)) <= 0.05
+    err = np.abs(fits / k1 - 1.0)
+    assert err[0] <= 1e-7 and np.all(np.diff(err) < 0)
 
 
 def test_mapped_rellich_margin_and_equivalence():
@@ -445,10 +451,8 @@ def test_r_of_s_is_newton_in_log_r_written_out():
     assert np.array_equal(rellich.r_of_s(N, s), got)
     assert all(rellich.r_of_s(N, float(x)) == y for x, y in zip(s[::10], got[::10]))
 
-    # rho and the mapped profile's r'(s), both read from log_ds_dr, keep
-    # the bits of the density written out with log sinh
-    assert np.array_equal(rellich.rho_of_r(N, got),
-                          np.exp(2.0 * 4 * (log_sinh(got) - np.log(rellich.s_of_r(N, got)))))
+    # the mapped profile's r'(s), read from log_ds_dr, keeps the bits of
+    # the density written out with log sinh
     line = RadialFunction(lambda r, order: (r, np.ones_like(r), np.zeros_like(r))[:order + 1],
                           support=(0.5, 2.0))
     rp = rellich.mapped_from_radial(line, 5).jet(s, 1)[1]

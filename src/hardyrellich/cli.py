@@ -24,7 +24,7 @@ import sys
 from functools import cache, partial
 from pathlib import Path
 
-from . import __version__, rellich, suites
+from . import __version__, quotients, rellich, suites
 from .config import ToolkitConfig, default_config, load_config
 from .errors import ArgumentError, ToolkitError
 from .radial import bump
@@ -32,7 +32,6 @@ from .reports import (
     ExperimentManifest,
     emit_curve,
     format_value,
-    h_lambda_curve,
     write_csv,
     write_h_lambda_csv,
 )
@@ -47,7 +46,7 @@ CHECKS = {
         (suites.poincare_hardy_margins, (a.N,), cfg.get_int("hardy", "bump_count"))],
     "hardy sharp": lambda a, cfg: [
         (suites.sharp_constants, "hardy_sharp_range_and_monotone",
-         [("hardy_sharp_radial", a.N, (a.rmax or cfg.get_float("grids", "r_max"),))])],
+         [("hardy_sharp_radial", a.N, (a.rmax,))])],
     "hardy sweep-lambda": lambda a, cfg: [(_h_lambda_written, a.N, a.out)],
     "hardy iterlog": lambda a, cfg: [
         (suites.iterated_log_margins, a.N, bump(0.2, 0.8), a.k),
@@ -55,8 +54,7 @@ CHECKS = {
     "rellich check": lambda a, cfg: [(suites.poincare_rellich_margins, (a.N,), 10)],
     "rellich sharp-r2": lambda a, cfg: [
         (suites.sharp_constants, "rellich_sharp_r2",
-         [("rellich_sharp_r2_radial", a.N,
-           (getattr(a, "rmax", None) or cfg.get_float("rellich", "sharp_r_max"),))])],
+         [("rellich_sharp_r2_radial", a.N, (getattr(a, "rmax", None),))])],
     "rellich coeffs": lambda a, cfg: [(_coeffs_written, a.N, a.nmax, a.out)],
     "rellich asymptotics": lambda a, cfg: [
         (suites.asymptotic_consistency_exact, (a.N,)),
@@ -96,7 +94,7 @@ def _coeffs_written(cfg: ToolkitConfig, N: int, n_max: int, out: str):
 
 def _h_lambda_written(cfg: ToolkitConfig, N: int, out: str):
     """The h(lambda) check on one sweep, whose curve is also written to out."""
-    curve = h_lambda_curve(cfg, N)
+    curve = quotients.sweep_h_lambda(cfg, N)
     path = write_h_lambda_csv(curve, out)
     print(f"data written to {path}")
     result = suites.h_lambda_endpoints_and_shape(cfg, N, curve)

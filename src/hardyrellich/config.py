@@ -2,8 +2,9 @@
 
 The [tolerances] keys are the relative tolerances that margin and
 identity rows are judged against; --tol-scale multiplies them and nothing
-else.  Fixed criteria stay in suites.py (sharp-constant windows, derived
-in SHARP_CLAIMS; exact counts).  Unknown sections and keys are rejected.
+else.  Fixed criteria stay in the code (sharp-constant windows in
+quotients.QUOTIENTS, exact counts in suites.py).  Unknown sections and
+keys are rejected.
 """
 
 from __future__ import annotations

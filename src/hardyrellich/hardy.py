@@ -1,7 +1,7 @@
-"""Margin checks and sharp-constant estimation for the improved Hardy
-inequalities: the shifted-Laplacian inequality on hyperbolic space, its
-curvature-weighted generalization on models, the h(lambda) interpolation
-curve, and the iterated-log series improvement on the unit ball."""
+"""Margin checks for the improved Hardy inequalities: the
+shifted-Laplacian inequality on hyperbolic space, its curvature-weighted
+generalization on models, and the iterated-log series improvement on the
+unit ball; the sharp Hardy estimate is an entry of quotients.QUOTIENTS."""
 
 from __future__ import annotations
 
@@ -9,16 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import claims
-from .errors import ArgumentError, DomainError
+from . import claims, quotients
+from .config import default_config
+from .errors import ArgumentError
 from .iterated_log import iterated_log_stack, log_derivatives
 from .manifolds import ModelManifold, _check_dimension, hardy_weight_general, hyperbolic
-from .pencils import (
-    ConstantEstimate,
-    assemble_pencil,
-    min_generalized_eigenvalue,
-    smallest_eigenvalue,
-)
+from .pencils import ConstantEstimate
 from .radial import (
     RadialFunction,
     RadialGrid,
@@ -80,27 +76,6 @@ class MarginReport:
         return reports if np.ndim(margin) > 1 else reports[0]
 
 
-@dataclass
-class LambdaCurve:
-    """Estimated best Hardy constant as a function of the subtracted
-    spectral fraction lambda in [0, (N-1)^2/4]."""
-
-    N: int
-    lambdas: np.ndarray
-    h_values: np.ndarray
-
-    def is_nonincreasing(self) -> bool:
-        return bool(np.all(np.diff(self.h_values) <= 1e-9))
-
-    def midpoint_concavity_defect(self) -> float:
-        """max over interior points of (h[i-1]+h[i+1])/2 - h[i]; concavity
-        means this is <= 0 up to solver noise."""
-        h = self.h_values
-        if h.size < 3:
-            return 0.0
-        return float(np.max(0.5 * (h[:-2] + h[2:]) - h[1:-1]))
-
-
 def _hardy_sums(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid,
                 *weights) -> np.ndarray:
     """int u'^2, int u^2/r^2 and int u^2/psi^2, then int u^2 w for each
@@ -150,70 +125,10 @@ def check_general_model(u: RadialFunction, manifold: ModelManifold,
         "general_model_hardy", N, manifold.family, u.labels)
 
 
-def poincare_gap(N: int, r_min: float = 1e-3, r_max: float = 60.0,
-                 M: int = 8192) -> ConstantEstimate:
-    """Bottom of the radial L^2 spectrum of the hyperbolic Laplacian on a
-    truncation; reproduces the spectral gap (N-1)^2/4 as the ends widen.
-
-    The pencil of hyperbolic(N) with W = 1 on a geometric grid: for N = 3
-    the quotient is int v'^2 + int v^2 over int v^2 (v = u sinh r,
-    measure dr), so the truncated value is exactly
-    1 + pi^2/(r_max - r_min)^2.
-    """
-    man = hyperbolic(N)
-    grid = make_grid(r_min, r_max, M, "geometric")
-    return min_generalized_eigenvalue(assemble_pencil(man, None, 1.0, grid), 1e-8)
-
-
-def estimate_sharp_hardy(N: int, r_min: float = 1e-6, r_max: float = 100.0,
-                         M: int = 8192, tol: float = 1e-8,
-                         near: float | None = None) -> ConstantEstimate:
-    """Radial-sector estimate of the best constant in front of int u^2/r^2.
-
-    Minimal eigenvalue of the quotient with numerator
-    Dirichlet - (N-1)^2/4 * L^2 and denominator int u^2/r^2 on the
-    truncation; tends to 1/4 from above as the truncation widens.  It is
-    the pencil of hyperbolic(N) with V the claimed spectral gap and
-    W = 1/r^2 on a geometric grid, second order in the log spacing.  For
-    N = 3 the quotient is the 1-D Hardy quotient int v'^2 over int v^2/r^2
-    (v = u sinh r, measure dr), whose truncated value is exactly
-    1/4 + pi^2/log^2(r_max/r_min); other N add the sinh potential.
-    A negative value refutes the claimed gap.
-    ``near`` warm-starts the eigensolve (see min_generalized_eigenvalue).
-    """
-    man = hyperbolic(N)
-    grid = make_grid(r_min, r_max, M, "geometric")
-    pencil = assemble_pencil(man, float(claims.spectral_gap(N)),
-                             lambda r: 1.0 / r**2, grid)
-    return min_generalized_eigenvalue(pencil, tol, near=near)
-
-
-def sweep_h_lambda(N: int, lambdas=None, r_min: float = 1e-9,
-                   r_max: float = 1e26, M: int = 4096) -> LambdaCurve:
-    """h(lambda) = best constant of int u^2/r^2 under numerator
-    Dirichlet - lambda L^2, for lambda in [0, (N-1)^2/4] (radial sector).
-
-    Each h is the smallest eigenvalue of the pencil of hyperbolic(N) with
-    V = lambda and W = 1/r^2 on one geometric grid; each warm-starts the
-    next.  The pencil reaches the huge truncation radii the
-    lambda -> (N-1)^2/4 endpoint needs without ever forming sinh^(N-1).
-    """
-    man = hyperbolic(N)
-    top = float(claims.spectral_gap(N))
-    if lambdas is None:
-        lambdas = np.linspace(0.0, top, 17)
-    lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas < 0.0) or np.any(lambdas > top * (1 + 1e-12)):
-        raise DomainError("lambda must lie in [0, (N-1)^2/4]")
-
-    grid = make_grid(r_min, r_max, M, "geometric")
-    h_values = []
-    value = None
-    for lam in lambdas:
-        pencil = assemble_pencil(man, lam, lambda r: 1.0 / r**2, grid)
-        value = smallest_eigenvalue(pencil, 1e-10, near=value)
-        h_values.append(value)
-    return LambdaCurve(N, lambdas, np.asarray(h_values))
+def estimate_sharp_hardy(N: int, M: int | None = None) -> ConstantEstimate:
+    """The hardy_sharp_radial estimate of quotients.QUOTIENTS on the
+    default truncation, on M nodes where given."""
+    return quotients.estimate("hardy_sharp_radial", N, default_config(), M=M)
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,16 @@ def _closure_weights(nodes: np.ndarray, a, b) -> np.ndarray:
     wide = nodes.shape[-1] >= 5
     lin0 = wide & (d0 <= h0 * (1.0 + 1e-12))
     lin1 = wide & (d1 <= h1 * (1.0 + 1e-12))
-    w[..., :1] += np.where(lin0, d0 + d0 * d0 / (2.0 * h0), d0)
-    w[..., 1:2] -= np.where(lin0, d0 * d0 / (2.0 * h0), 0.0)
-    w[..., -1:] += np.where(lin1, d1 + d1 * d1 / (2.0 * h1), d1)
-    w[..., -2:-1] -= np.where(lin1, d1 * d1 / (2.0 * h1), 0.0)
+    # the correction d^2/(2h) is formed only where it is used: elsewhere
+    # (the wide last cell of a geometric grid) d^2 may overflow
+    c0 = np.where(lin0, d0, 0.0)
+    c0 = c0 * c0 / (2.0 * h0)
+    c1 = np.where(lin1, d1, 0.0)
+    c1 = c1 * c1 / (2.0 * h1)
+    w[..., :1] += d0 + c0
+    w[..., 1:2] -= c0
+    w[..., -1:] += d1 + c1
+    w[..., -2:-1] -= c1
     if np.any(w <= 0.0):
         raise ArgumentError("grid produced nonpositive quadrature weights")
     return w

@@ -1,6 +1,7 @@
-"""Second-order (bilaplacian) inequalities: spherical-mode reduction,
-one-dimensional anchors, sharp-constant pencils, and the density change of
-variables with its asymptotics.
+"""Second-order (bilaplacian) inequalities: spherical-mode reduction, the
+one-dimensional weighted inequality, and the density change of variables
+with its asymptotics; the sharp Rellich estimate and the anchors are
+entries of quotients.QUOTIENTS.
 
 Closed-form coefficient identities are evaluated in exact rational
 arithmetic; floating point only enters through quadrature and eigensolves.
@@ -17,23 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import claims
+from . import claims, quotients
+from .config import default_config
 from .errors import DomainError, NumericError
 from .hardy import MarginReport
-from .manifolds import _check_dimension, euclidean, hyperbolic
-from .pencils import (
-    ConstantEstimate,
-    ORDER_BILAPLACIAN,
-    assemble_pencil,
-    min_generalized_eigenvalue,
-)
-from .radial import (
-    RadialFunction,
-    RadialGrid,
-    grid_covering,
-    make_grid,
-    radial_sums,
-)
+from .manifolds import _check_dimension, hyperbolic
+from .pencils import ConstantEstimate
+from .radial import RadialFunction, RadialGrid, grid_covering, radial_sums
 
 
 # ---------------------------------------------------------------------------
@@ -264,60 +255,13 @@ def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 1024) -> fl
 
 
 # ---------------------------------------------------------------------------
-# sharp-constant pencils
+# the sharp 1/r^2 estimate
 
 
-def estimate_sharp_rellich_r2(N: int, r_min: float = 1e-3, r_max: float = 1e6,
-                              M: int = 8192, tol: float = 1e-8,
-                              near: float | None = None) -> ConstantEstimate:
-    """Radial-sector estimate of the best 1/r^2 constant in the
-    Poincare-Rellich inequality; tends to (N-1)^2/8 from above.
-
-    assemble_pencil forms the bilaplacian quotient after the exact
-    substitution d = sinh^((N-1)/2) u (the mode-0 reduced form): direct
-    sinh^(N-1) assembly both overflows at the truncation radii the
-    constant needs and loses accuracy to exponential cancellation in the
-    discrete operator.  A negative value refutes the claimed L^2 constant.
-    ``near`` warm-starts the eigensolve (see min_generalized_eigenvalue).
-    """
-    _check_dimension(N, 5)
-    pencil = assemble_pencil(hyperbolic(N), float(claims.rellich_l2(N)), lambda r: 1.0 / r**2,
-                             make_grid(r_min, r_max, M, "geometric"), ORDER_BILAPLACIAN)
-    return min_generalized_eigenvalue(pencil, tol, near=near)
-
-
-def euclidean_rellich_constant(N: int = 5, M: int = 8192) -> ConstantEstimate:
-    """Radial euclidean Rellich pencil: int (Lap u)^2 r^(N-1) over
-    int u^2/r^4 r^(N-1); tends to N^2(N-4)^2/16.  After d = r^((N-1)/2) u
-    it is int (d'' - (N-1)(N-3)/(4 r^2) d)^2 over int d^2/r^4."""
-    _check_dimension(N, 5)
-    grid = make_grid(1e-9, 1e9, M, "geometric")
-    pencil = assemble_pencil(
-        euclidean(N), None, lambda r: 1.0 / r**4, grid, ORDER_BILAPLACIAN
-    )
-    return min_generalized_eigenvalue(pencil, 1e-8)
-
-
-def one_d_rellich_constant(M: int = 8192) -> ConstantEstimate:
-    """1-D anchor: int u''^2 over int u^2/x^4 tends to 9/16, the constant
-    the fourth-power weight inherits in the mode reduction.  It is the
-    euclidean(3) Rellich pencil, whose substitution d = r u leaves d''."""
-    grid = make_grid(1e-12, 1e12, M, "geometric")
-    return min_generalized_eigenvalue(
-        assemble_pencil(euclidean(3), None, lambda r: 1.0 / r**4, grid, ORDER_BILAPLACIAN), 1e-8)
-
-
-def one_d_hardy_constant(r_min: float = 1e-10, M: int = 8192) -> ConstantEstimate:
-    """1-D anchor: int z'^2 over int z^2/x^2 tends to 1/4.
-
-    This is the limiting quotient behind the sharpness of the (N-1)^2/8
-    constant: the dimension enters only through the final (N-1)^2/2
-    rescaling, so the pencil itself is N-free.  It is the euclidean(3)
-    Hardy pencil: z = r u, then z = r^(1/2) phi, weight r.
-    """
-    grid = make_grid(r_min, 1e10, M, "geometric")
-    return min_generalized_eigenvalue(
-        assemble_pencil(euclidean(3), None, lambda r: 1.0 / r**2, grid), 1e-8)
+def estimate_sharp_rellich_r2(N: int, M: int | None = None) -> ConstantEstimate:
+    """The rellich_sharp_r2_radial estimate of quotients.QUOTIENTS on the
+    default truncation, on M nodes where given."""
+    return quotients.estimate("rellich_sharp_r2_radial", N, default_config(), M=M)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, claims
+from . import __version__, quotients, rellich
 from .config import ToolkitConfig
 from .errors import ArgumentError
 
@@ -161,20 +161,6 @@ def write_csv(path: str | Path, header: str, rows: list[str]) -> Path:
     return path
 
 
-def h_lambda_curve(config: ToolkitConfig, N: int):
-    """The h(lambda) curve described by the [hardy] sweep_* keys."""
-    from . import hardy
-
-    return hardy.sweep_h_lambda(
-        N,
-        lambdas=np.linspace(0.0, float(claims.spectral_gap(N)),
-                            config.get_int("hardy", "sweep_points")),
-        r_min=config.get_float("hardy", "sweep_r_min"),
-        r_max=config.get_float("hardy", "sweep_r_max"),
-        M=config.get_int("hardy", "sweep_M"),
-    )
-
-
 def write_h_lambda_csv(curve, outdir: str | Path) -> Path:
     """Write rows (lambda, h) of an h(lambda) curve to h_lambda_N<N>.csv."""
     rows = [
@@ -190,14 +176,12 @@ def emit_curve(name: str, outdir: str | Path, N: int = 5,
 
     h_lambda      rows (lambda, h)
     s_of_r        rows (r, s, two_term_prediction, rel_err)
-    convergence   rows (M, estimate) of the Hardy sharp-constant refinement
+    convergence   rows (M, estimate) of the hardy_sharp_radial refinement
     """
-    from . import hardy, rellich
-
     config = config or ToolkitConfig()
     out = Path(outdir)
     if name == "h_lambda":
-        return write_h_lambda_csv(h_lambda_curve(config, N), out)
+        return write_h_lambda_csv(quotients.sweep_h_lambda(config, N), out)
     if name == "s_of_r":
         r = np.linspace(0.5, 14.0, 28)
         s = rellich.s_of_r(N, r)
@@ -210,12 +194,7 @@ def emit_curve(name: str, outdir: str | Path, N: int = 5,
         return write_csv(out / f"s_of_r_N{N}.csv",
                          "r,s,two_term_prediction,rel_err", rows)
     if name == "convergence":
-        est = hardy.estimate_sharp_hardy(
-            N,
-            r_min=config.get_float("grids", "r_min"),
-            r_max=config.get_float("grids", "r_max"),
-            M=config.get_int("grids", "M"),
-        )
+        est = quotients.estimate("hardy_sharp_radial", N, config)
         rows = [f"{m},{format_value(v)}" for m, v in est.history]
         return write_csv(out / f"convergence_hardy_sharp_N{N}.csv",
                          "M,estimate", rows)

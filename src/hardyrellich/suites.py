@@ -20,14 +20,14 @@ from functools import partial
 
 import numpy as np
 
-from . import claims, euclid, hardy, rellich
+from . import claims, euclid, hardy, quotients, rellich
 from . import manifolds as mf
 from . import supersolutions as ss
 from .config import ToolkitConfig
 from .errors import ArgumentError
 from .iterated_log import iterated_log_profile
 from .radial import bump, grid_covering, seeded_bumps, bilaplacian_form
-from .reports import CheckRow, ExperimentManifest, format_value, h_lambda_curve, row
+from .reports import CheckRow, ExperimentManifest, format_value, row
 
 SUITES = ("identities", "hardy", "rellich", "euclid", "asymptotics", "all")
 
@@ -179,7 +179,7 @@ def h_lambda_endpoints_and_shape(cfg: ToolkitConfig, N: int, curve=None):
     """Endpoints and shape of the h(lambda) curve; sweeps it unless the
     caller passes the swept ``curve``."""
     if curve is None:
-        curve = h_lambda_curve(cfg, N)
+        curve = quotients.sweep_h_lambda(cfg, N)
     ends_ok = (
         abs(curve.h_values[0] / float(claims.euclid_hardy(N)) - 1.0) <= 0.02
         and abs(curve.h_values[-1] / float(claims.HARDY_R2) - 1.0) <= 0.02
@@ -394,47 +394,6 @@ def s_of_r_monotone_and_flat_at_pole(cfg: ToolkitConfig, N: int):
 # sharp constants: one row kind for every truncated estimate of a claim
 
 
-def _hardy_1d(N: int, c: float, est) -> float:
-    """The truncated 1-D Hardy quotient int v'^2 / int v^2/r^2, whose
-    infimum c is 1/4, in closed form: c + pi^2/log^2(r_max/r_min)."""
-    return c + math.pi**2 / math.log(est.r_max / est.r_min) ** 2
-
-
-# constants.csv name -> (claim(N), read from the claims table when called;
-# estimate(cfg, N, r_max, near) on the truncation r_max, None for the
-# estimator's own; exact(N, c, est), the closed-form truncated value for
-# the claim c, or None; allowance(c) above c where no exact value exists,
-# or None).  At N = 3 the sharp Hardy quotient is the 1-D Hardy quotient
-# and the gap's is int v'^2 + int v^2 over int v^2 (hardy.py).
-SHARP_CLAIMS = {
-    "hardy_sharp_radial": (
-        lambda N: claims.HARDY_R2,
-        lambda cfg, N, r_max, near: hardy.estimate_sharp_hardy(
-            N, r_min=cfg.get_float("grids", "r_min"), r_max=r_max,
-            M=cfg.get_int("grids", "M"), near=near),
-        lambda N, c, est: _hardy_1d(N, c, est) if N == 3 else None, None),
-    "poincare_gap_radial": (
-        lambda N: claims.spectral_gap(N),
-        lambda cfg, N, r_max, near: hardy.poincare_gap(N, M=cfg.get_int("grids", "M")),
-        lambda N, c, est: c + math.pi**2 / (est.r_max - est.r_min) ** 2 if N == 3 else None,
-        lambda c: 0.01 * c),
-    "one_d_hardy": (lambda N: claims.HARDY_R2,
-                    lambda cfg, N, r_max, near: rellich.one_d_hardy_constant(),
-                    _hardy_1d, None),
-    "one_d_rellich": (lambda N: claims.RELLICH_R4,
-                      lambda cfg, N, r_max, near: rellich.one_d_rellich_constant(),
-                      None, lambda c: 1e-2),
-    "euclid_rellich_radial": (lambda N: claims.euclid_rellich(N),
-                              lambda cfg, N, r_max, near: rellich.euclidean_rellich_constant(N),
-                              None, lambda c: 5e-2),
-    "rellich_sharp_r2_radial": (
-        lambda N: claims.rellich_r2(N),
-        lambda cfg, N, r_max, near: rellich.estimate_sharp_rellich_r2(
-            N, r_min=cfg.get_float("rellich", "sharp_r_min"), r_max=r_max,
-            M=cfg.get_int("rellich", "sharp_M"), near=near),
-        None, None),
-}
-
 # the one_d_and_euclid_anchors row, each anchor on its own truncation
 ANCHOR_RUNS = (("euclid_rellich_radial", 5, (None,)), ("one_d_hardy", 1, (None,)),
                ("one_d_rellich", 1, (None,)))
@@ -454,10 +413,11 @@ def truncation_law(limit: float, value: float, r_max: float, r_next: float) -> f
 
 
 def sharp_constants(cfg: ToolkitConfig, name: str, runs) -> CheckRow:
-    """One row for the (SHARP_CLAIMS name, N, r_maxes) runs: each run
-    estimates one claim c on widening truncations, each warm-started by
-    truncation_law.  An estimate v with the budget e = max(|v_M - v_(M/2)|,
-    1e-8 max(1, |v|)), the solver's tol, passes when
+    """One row for the (quotients.QUOTIENTS name, N, r_maxes) runs: each
+    run estimates one claim c on widening truncations (None: the entry's
+    own), each warm-started by truncation_law.  An estimate v with the
+    budget e = max(|v_M - v_(M/2)|, 1e-8 max(1, |v|)), the solver's tol,
+    passes when
       - v >= c - e: truncation only raises an infimum, so an estimate
         below the claim (an indefinite numerator, say) refutes it;
       - |v - exact| <= e where the claim has an exact truncated value,
@@ -467,15 +427,16 @@ def sharp_constants(cfg: ToolkitConfig, name: str, runs) -> CheckRow:
     that estimate's budget."""
     ok, consts, first = True, [], None
     for key, N, r_maxes in runs:
-        claim, estimate, exact, allowance = SHARP_CLAIMS[key]
-        c, last = float(claim(N)), None
+        q = quotients.QUOTIENTS[key]
+        c, last = float(q.claim(N)), None
         for r_max in r_maxes:
             near = None if last is None else truncation_law(c, last.value, last.r_max, r_max)
-            est = estimate(cfg, N, r_max, near)
+            est = quotients.estimate(key, N, cfg, r_max=r_max, near=near)
             (_, coarse), (_, v) = est.history[-2:]
             e = max(abs(v - coarse), 1e-8 * max(1.0, abs(v)))
-            x = exact(N, c, est) if exact else None
-            window = abs(v - x) <= e if x is not None else not allowance or v <= c + allowance(c)
+            x = q.exact(N, c, est) if q.exact else None
+            cap = q.allowance(c) if q.allowance else math.inf
+            window = abs(v - x) <= e if x is not None else v <= c + cap
             ok = ok and v >= c - e and window and (last is None or v <= last.value + e)
             consts.append(est.csv_row(key, N))
             last = est

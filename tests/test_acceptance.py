@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hardyrellich import euclid, hardy, rellich
+from hardyrellich import euclid, hardy, quotients, rellich
 from hardyrellich import manifolds as mf
 from hardyrellich import supersolutions as ss
 from hardyrellich.config import ToolkitConfig
@@ -19,6 +19,8 @@ from hardyrellich.radial import (
     seeded_bumps,
 )
 from hardyrellich.suites import run_suite
+
+CFG = ToolkitConfig()
 
 
 def _report(name: str, ok: bool, t0: float, budget: float) -> None:
@@ -59,7 +61,7 @@ def test_criterion_2_poincare_gap():
     t0 = time.perf_counter()
     ok = True
     for N in (3, 5):
-        est = hardy.poincare_gap(N, r_min=1e-3, r_max=60.0, M=8192)
+        est = quotients.estimate("poincare_gap_radial", N, CFG, r_max=60.0, M=8192)
         lam = (N - 1) ** 2 / 4.0
         ok &= abs(est.value - lam) / lam <= 0.01
     _report("2 poincare gap", ok, t0, 30.0)
@@ -67,7 +69,7 @@ def test_criterion_2_poincare_gap():
 
 def test_criterion_3_hardy_sharpness():
     t0 = time.perf_counter()
-    vals = [hardy.estimate_sharp_hardy(3, r_max=rmax, M=8192).value
+    vals = [quotients.estimate("hardy_sharp_radial", 3, CFG, r_max=rmax, M=8192).value
             for rmax in (25.0, 50.0, 100.0)]
     ok = all(0.249 <= v <= 0.30 for v in vals)
     ok &= vals[2] <= vals[1] <= vals[0]
@@ -76,7 +78,7 @@ def test_criterion_3_hardy_sharpness():
 
 def test_criterion_4_h_lambda_curve():
     t0 = time.perf_counter()
-    curve = hardy.sweep_h_lambda(5)
+    curve = quotients.sweep_h_lambda(CFG, 5)
     ok = len(curve.lambdas) == 17
     ok &= abs(curve.h_values[0] / 2.25 - 1.0) <= 0.02
     ok &= abs(curve.h_values[-1] / 0.25 - 1.0) <= 0.02
@@ -87,13 +89,13 @@ def test_criterion_4_h_lambda_curve():
 
 def test_criterion_5_rellich_constants():
     t0 = time.perf_counter()
-    euc = rellich.euclidean_rellich_constant(5, M=8192)
+    euc = quotients.estimate("euclid_rellich_radial", 5, CFG, M=8192)
     ok = abs(euc.value - 25.0 / 16.0) <= 5e-2
-    vals = [rellich.estimate_sharp_rellich_r2(5, r_max=rmax, M=8192).value
+    vals = [quotients.estimate("rellich_sharp_r2_radial", 5, CFG, r_max=rmax, M=8192).value
             for rmax in (1e4, 1e5, 1e6)]
     ok &= all(v >= 2.0 - 1e-2 for v in vals)
     ok &= vals[2] <= vals[1] <= vals[0]
-    anchor = rellich.one_d_rellich_constant(M=8192)
+    anchor = quotients.estimate("one_d_rellich", 1, CFG, M=8192)
     ok &= abs(anchor.value - 9.0 / 16.0) <= 1e-2
     _report("5 rellich constants", ok, t0, 300.0)
 

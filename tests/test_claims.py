@@ -8,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hardyrellich import claims, euclid, hardy, rellich, reports, suites
+from hardyrellich import claims, euclid, hardy, pencils, quotients, rellich, suites
 from hardyrellich import manifolds as mf
 from hardyrellich import supersolutions as ss
-from hardyrellich.config import default_config
+from hardyrellich.config import ToolkitConfig, default_config
 from hardyrellich.pencils import ConstantEstimate
 from hardyrellich.radial import bump
 
@@ -81,6 +81,7 @@ def test_claims_relate_as_the_paper_states():
 
 
 CFG = default_config()
+SMALL_SWEEP = ToolkitConfig(sections={"hardy": {"sweep_M": "256"}})
 U = bump(0.5, 2.0)
 BALL_U = bump(0.2, 0.8)
 TENSOR = euclid.tensor_bump(1.0, 0.5, 2.0)
@@ -108,7 +109,7 @@ def _stubbed(check, stubs):
 # 9/4 and 1/4: inside the 2% windows, and out of them once a claim grows
 # by 1e-3
 H0, H1 = 0.9805 * 2.25, 0.9805 * 0.25
-H_CURVE = hardy.LambdaCurve(5, np.array([0.0, 1.0, 2.0]),
+H_CURVE = quotients.LambdaCurve(5, np.array([0.0, 1.0, 2.0]),
                             np.array([H0, 0.5 * (H0 + H1), H1]))
 
 
@@ -119,17 +120,17 @@ def _sharp_row(name, runs):
 # the 1-D Hardy anchor at its exact truncated value 1/4 + pi^2/log^2(1e3),
 # the others 1e-5 inside the low end of their windows, claim - budget: a
 # claim 1e-3 larger puts each outside
+ANCHOR_STUBS = {"one_d_hardy": _estimate(0.25 + np.pi**2 / np.log(1e3) ** 2),
+                "one_d_rellich": _estimate(9 / 16 - 1e-4 + 1e-5),
+                "euclid_rellich_radial": _estimate(25 / 16 - 1e-4 + 1e-5)}
 ANCHORS = _stubbed(_sharp_row("one_d_and_euclid_anchors", suites.ANCHOR_RUNS), {
-    (rellich, "one_d_hardy_constant"): lambda: _estimate(0.25 + np.pi**2 / np.log(1e3) ** 2),
-    (rellich, "one_d_rellich_constant"): lambda: _estimate(9 / 16 - 1e-4 + 1e-5),
-    (rellich, "euclidean_rellich_constant"): lambda N: _estimate(25 / 16 - 1e-4 + 1e-5),
-})
+    (quotients, "estimate"): lambda name, N, cfg, **kw: ANCHOR_STUBS[name]})
 ITERLOG_SCAN = _stubbed(lambda: suites.iterated_log_optimality_scan(CFG, 5, (1,)).passed, {
     (hardy, "iterated_log_optimality_scan"): lambda N, k: [0.25 - 1e-3 + 2e-4]})
 RELLICH_FLOOR = _stubbed(
     _sharp_row("rellich_sharp_r2", [("rellich_sharp_r2_radial", 5, (1e6,))]), {
-        (rellich, "estimate_sharp_rellich_r2"):
-            lambda N, **kw: _estimate(2.0 - 1e-4 + 1e-5, kw["r_max"])})
+        (quotients, "estimate"):
+            lambda name, N, cfg, **kw: _estimate(2.0 - 1e-4 + 1e-5, kw["r_max"])})
 
 
 def _rellich_warm_start():
@@ -137,12 +138,12 @@ def _rellich_warm_start():
     its second truncation, from a stubbed first estimate of 2.5."""
     nears = []
 
-    def stub(N, **kw):
+    def stub(name, N, cfg, **kw):
         nears.append(kw["near"])
         return _estimate(2.5, kw["r_max"])
 
     _stubbed(_sharp_row("rellich_sharp_r2", [("rellich_sharp_r2_radial", 5, (1e4, 1e5))]),
-             {(rellich, "estimate_sharp_rellich_r2"): stub})()
+             {(quotients, "estimate"): stub})()
     return nears[1]
 
 
@@ -193,13 +194,12 @@ CONSUMERS = {
     "spectral_gap": [
         lambda: _hardy().lhs,
         lambda: _iterlog(0).lhs,
-        lambda: hardy.estimate_sharp_hardy(3, r_max=10.0, M=256).value,
-        lambda: hardy.sweep_h_lambda(5, M=256).h_values,
-        _stubbed(lambda: reports.h_lambda_curve(CFG, 5), {
-            (hardy, "sweep_h_lambda"): lambda N, lambdas, **kw: lambdas}),
+        lambda: quotients.estimate("hardy_sharp_radial", 3, CFG, r_max=10.0, M=256).value,
+        lambda: quotients.sweep_h_lambda(SMALL_SWEEP, 5).h_values,
         # 1e-5 inside the low end of the N = 5 window, claim - budget
         _stubbed(_sharp_row("poincare_gap_within_1pct", [("poincare_gap_radial", 5, (None,))]),
-                 {(hardy, "poincare_gap"): lambda N, M: _estimate(4.0 - 1e-4 + 1e-5)}),
+                 {(quotients, "estimate"):
+                  lambda name, N, cfg, **kw: _estimate(4.0 - 1e-4 + 1e-5)}),
         HYP_MARGIN,
         GROUND,
     ],
@@ -232,7 +232,7 @@ CONSUMERS = {
         _principal,
         lambda: _chain().rhs,
         lambda: _mapped().rhs,
-        lambda: rellich.estimate_sharp_rellich_r2(5, r_max=10.0, M=256).value,
+        lambda: quotients.estimate("rellich_sharp_r2_radial", 5, CFG, r_max=10.0, M=256).value,
     ],
     "rellich_r2": [
         lambda: _rellich().rhs,
@@ -292,13 +292,14 @@ def test_poincare_hardy_rhs_grows_by_the_perturbation(monkeypatch):
     assert after.rhs - before.rhs == pytest.approx(1e-3 * 0.25 * by_r2, rel=1e-9)
 
 
-# the Hardy estimators derive 1/4 and (N-1)(N-3)/4 from psi in the
+# the Hardy estimators (every order-2 quotient of the table, and the
+# h(lambda) sweep) derive 1/4 and (N-1)(N-3)/4 from psi in the
 # ground-state substitution: they measure these claims, so they must not
 # read them
 ESTIMATORS = [
-    lambda: hardy.estimate_sharp_hardy(5).value,
-    lambda: hardy.poincare_gap(5).value,
-    lambda: hardy.sweep_h_lambda(5).h_values,
+    *[lambda name=name: quotients.estimate(name, 5, CFG).value
+      for name, q in quotients.QUOTIENTS.items() if q.order == pencils.ORDER_LAPLACIAN],
+    lambda: quotients.sweep_h_lambda(CFG, 5).h_values,
 ]
 
 

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import hardyrellich
-from hardyrellich import cli, hardy, pencils, suites
+from hardyrellich import cli, hardy, pencils, quotients, suites
 from hardyrellich import manifolds as mf
 from hardyrellich import supersolutions as ss
 from hardyrellich.config import DEFAULTS, ToolkitConfig, default_config, load_config
@@ -398,13 +398,13 @@ def test_sweep_lambda_command_endpoints(tmp_path):
 
 def test_sweep_lambda_sweeps_once(tmp_path, monkeypatch):
     sweeps = []
-    sweep = hardy.sweep_h_lambda
+    sweep = quotients.sweep_h_lambda
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         sweeps.append(args)
-        return sweep(*args, **kwargs)
+        return sweep(*args)
 
-    monkeypatch.setattr(hardy, "sweep_h_lambda", counted)
+    monkeypatch.setattr(quotients, "sweep_h_lambda", counted)
     code = cli.main(["sweep-lambda", "--N", "5", "--out", str(tmp_path / "verb")])
     assert code == 0
     assert len(sweeps) == 1
@@ -418,17 +418,15 @@ def test_sweep_lambda_sweeps_once(tmp_path, monkeypatch):
 
 
 def test_rellich_sharp_r2_warm_starts_from_the_truncation_law(monkeypatch):
-    from hardyrellich import rellich
-
     nears, ests = [], []
-    estimate = rellich.estimate_sharp_rellich_r2
+    estimate = quotients.estimate
 
-    def spied(N, **kwargs):
+    def spied(name, N, cfg, **kwargs):
         nears.append(kwargs["near"])
-        ests.append(estimate(N, **{**kwargs, "M": 512}))
+        ests.append(estimate(name, N, cfg, **{**kwargs, "M": 512}))
         return ests[-1]
 
-    monkeypatch.setattr(rellich, "estimate_sharp_rellich_r2", spied)
+    monkeypatch.setattr(quotients, "estimate", spied)
     suites.sharp_constants(ToolkitConfig(), "rellich_sharp_r2",
                            [("rellich_sharp_r2_radial", 5, (1e4, 1e5))])
     assert nears == [None, suites.truncation_law(2.0, ests[0].value, 1e4, 1e5)]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hardyrellich import hardy
+from hardyrellich import hardy, quotients
 from hardyrellich import manifolds as mf
+from hardyrellich.config import ToolkitConfig, default_config
 from hardyrellich.errors import ArgumentError, DomainError, SupportError
 from hardyrellich.radial import (
     RadialFunction,
@@ -84,15 +85,23 @@ def test_margin_suite_seeded():
     assert worst >= -1e-8
 
 
+CFG = default_config()
+
+
+def _grids_r_min(r_min):
+    """The default config with [grids] r_min = r_min."""
+    return ToolkitConfig(sections={"grids": {"r_min": repr(r_min)}})
+
+
 def test_dimension_guard():
     # every entry point refuses N = 2 through hyperbolic(N) or the one
     # dimension check of manifolds, before any other work
     u = bump(0.2, 0.8)
     for call in (lambda: hardy.check_poincare_hardy(u, 2),
                  lambda: hardy.check_general_model(u, mf.hyperbolic(2)),
-                 lambda: hardy.poincare_gap(2),
+                 lambda: quotients.estimate("poincare_gap_radial", 2, CFG),
                  lambda: hardy.estimate_sharp_hardy(2),
-                 lambda: hardy.sweep_h_lambda(2),
+                 lambda: quotients.sweep_h_lambda(CFG, 2),
                  lambda: hardy.check_iterated_log_improvement(u, 2, 1),
                  lambda: hardy.iterated_log_optimality_scan(2, 1)):
         with pytest.raises(DomainError, match="dimension must be an integer >= 3"):
@@ -101,7 +110,7 @@ def test_dimension_guard():
 
 def test_poincare_gap():
     for N in (3, 5):
-        est = hardy.poincare_gap(N, M=4096)
+        est = quotients.estimate("poincare_gap_radial", N, CFG, M=4096)
         lam = (N - 1) ** 2 / 4.0
         assert abs(est.value - lam) / lam < 0.01
 
@@ -111,7 +120,7 @@ def test_estimate_sharp_hardy_range_and_monotone():
     for rmax in (25.0, 50.0, 100.0):
         # monotonicity in r_max needs the resolution to stay ahead of the
         # continuum decrease: M = 8192 as in the acceptance setup
-        est = hardy.estimate_sharp_hardy(3, r_max=rmax, M=8192)
+        est = quotients.estimate("hardy_sharp_radial", 3, CFG, r_max=rmax, M=8192)
         vals.append(est.value)
         assert 0.249 <= est.value <= 0.30
         assert len(est.history) >= 3
@@ -119,7 +128,7 @@ def test_estimate_sharp_hardy_range_and_monotone():
 
 
 def test_estimate_sharp_hardy_n5_lower_bound():
-    est = hardy.estimate_sharp_hardy(5, r_min=1e-4, r_max=100.0, M=4096)
+    est = quotients.estimate("hardy_sharp_radial", 5, _grids_r_min(1e-4), r_max=100.0, M=4096)
     assert est.value >= 0.249
 
 
@@ -128,14 +137,14 @@ def test_estimate_sharp_hardy_n5_lower_bound():
 def test_sharp_hardy_n3_matches_its_exact_truncated_value(r_min, r_max):
     # for N = 3 the quotient is the 1-D Hardy quotient of v = u sinh r on
     # (r_min, r_max), whose minimum is 1/4 + pi^2/log^2(r_max/r_min)
-    est = hardy.estimate_sharp_hardy(3, r_min=r_min, r_max=r_max)
+    est = quotients.estimate("hardy_sharp_radial", 3, _grids_r_min(r_min), r_max=r_max)
     exact = 0.25 + np.pi**2 / np.log(r_max / r_min) ** 2
     assert abs(est.value - exact) <= 5e-8
 
 
 def test_poincare_gap_n3_matches_its_exact_truncated_value():
     # for N = 3 the quotient is int v'^2 + int v^2 over int v^2 (v = u sinh r)
-    est = hardy.poincare_gap(3)
+    est = quotients.estimate("poincare_gap_radial", 3, CFG)
     assert abs(est.value - (1.0 + np.pi**2 / (60.0 - 1e-3) ** 2)) <= 1e-8
 
 
@@ -179,7 +188,7 @@ def test_sharp_hardy_converges_at_second_order():
 
 
 def test_sweep_h_lambda_endpoints_and_shape():
-    curve = hardy.sweep_h_lambda(5, M=4096)
+    curve = quotients.sweep_h_lambda(CFG, 5)
     assert curve.h_values[0] == pytest.approx(2.25, rel=0.02)
     assert curve.h_values[-1] == pytest.approx(0.25, rel=0.02)
     assert curve.is_nonincreasing()
@@ -187,11 +196,6 @@ def test_sweep_h_lambda_endpoints_and_shape():
     # flat region: h(1) still at the euclidean constant
     lam_idx = int(np.argmin(np.abs(curve.lambdas - 1.0)))
     assert curve.h_values[lam_idx] == pytest.approx(2.25, rel=0.02)
-
-
-def test_sweep_domain_guard():
-    with pytest.raises(DomainError):
-        hardy.sweep_h_lambda(5, lambdas=[5.0])
 
 
 def test_iterated_log_improvement_margins():

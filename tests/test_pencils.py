@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hardyrellich import manifolds as mf
-from hardyrellich import cli, hardy, pencils, rellich
+from hardyrellich import cli, hardy, pencils, quotients, rellich, suites
+from hardyrellich.config import default_config
 from hardyrellich.errors import ArgumentError, NumericError
 from hardyrellich.radial import bump, make_grid, radial_sums
 
@@ -25,13 +26,13 @@ def test_euclid_hardy_quarter():
 
 
 def sharp_hardy_pencil(M):
-    # the pencil of estimate_sharp_hardy(3) on [1e-6, 100]
+    # the pencil of the hardy_sharp_radial quotient for N = 3 on [1e-6, 100]
     grid = make_grid(1e-6, 100.0, M, "geometric")
     return pencils.assemble_pencil(mf.hyperbolic(3), 1.0, lambda r: 1.0 / r**2, grid)
 
 
 def gap_pencil(N):
-    # the pencil of poincare_gap's defaults
+    # the pencil of the poincare_gap_radial quotient at the default M
     return pencils.assemble_pencil(mf.hyperbolic(N), None, 1.0,
                                    make_grid(1e-3, 60.0, 8192, "geometric"))
 
@@ -246,7 +247,7 @@ def _positive_definite(pencil, mu):
     return True
 
 
-def _assert_tolerance_honoured(monkeypatch, module, estimate, bandwidth):
+def _assert_tolerance_honoured(monkeypatch, estimate, bandwidth):
     # inertia brackets the true eigenvalue: A - mu B is positive definite
     # exactly below it, so mu must sit within tol of that switch
     solved = []
@@ -255,9 +256,9 @@ def _assert_tolerance_honoured(monkeypatch, module, estimate, bandwidth):
         solved.append(pencil)
         return pencils.min_generalized_eigenvalue(pencil, tol, near)
 
-    monkeypatch.setattr(module, "min_generalized_eigenvalue", recording)
-    tol = 1e-8
-    mu = estimate(tol).value
+    monkeypatch.setattr(quotients, "min_generalized_eigenvalue", recording)
+    tol = 1e-8  # the estimates' own
+    mu = estimate().value
     pencil = solved[-1]
     assert pencil.bandwidth == bandwidth
     assert _positive_definite(pencil, mu - 2 * tol * abs(mu))
@@ -266,13 +267,11 @@ def _assert_tolerance_honoured(monkeypatch, module, estimate, bandwidth):
 
 def test_tolerance_honoured_on_pentadiagonal_pencil(monkeypatch):
     _assert_tolerance_honoured(
-        monkeypatch, rellich,
-        lambda tol: rellich.estimate_sharp_rellich_r2(5, M=8192, tol=tol), 2)
+        monkeypatch, lambda: rellich.estimate_sharp_rellich_r2(5, M=8192), 2)
 
 
 def test_tolerance_honoured_on_tridiagonal_pencil(monkeypatch):
-    _assert_tolerance_honoured(
-        monkeypatch, hardy, lambda tol: hardy.estimate_sharp_hardy(3, tol=tol), 1)
+    _assert_tolerance_honoured(monkeypatch, lambda: hardy.estimate_sharp_hardy(3), 1)
 
 
 def _count_lapack_calls(monkeypatch):
@@ -309,11 +308,12 @@ def test_factorization_count(monkeypatch):
         assert 0 < len(calls) <= 50
         assert "solve" in calls
     # a neighbouring truncation's value warm-starts the coarsest level too
-    near = hardy.estimate_sharp_hardy(3, r_max=25.0).value
+    cfg = default_config()
+    near = quotients.estimate("hardy_sharp_radial", 3, cfg, r_max=25.0).value
     counts = []
     for warm in (None, near):
         calls.clear()
-        hardy.estimate_sharp_hardy(3, r_max=50.0, near=warm)
+        quotients.estimate("hardy_sharp_radial", 3, cfg, r_max=50.0, near=warm)
         counts.append(len(calls))
     assert counts[1] < counts[0]
 
@@ -332,11 +332,25 @@ def test_sharp_large_M_factorization_count(monkeypatch):
     assert _factorizations(calls) <= 32
 
 
+def test_sharp_large_M_estimates_pass_their_rows(monkeypatch):
+    # the benchmark's M = 32768 pair, judged by the rows of the program's
+    # own sharp verbs: sharp Hardy at N = 3 within its budget of the exact
+    # truncated value 1/4 + pi^2/log^2(1e8), Rellich r^-2 at N = 5 above
+    # (N-1)^2/8 less its budget
+    ests = {"hardy_sharp_radial": (3, hardy.estimate_sharp_hardy(3, M=32768)),
+            "rellich_sharp_r2_radial": (5, rellich.estimate_sharp_rellich_r2(5, M=32768))}
+    monkeypatch.setattr(quotients, "estimate", lambda name, N, cfg, **kw: ests[name][1])
+    for name, (N, est) in ests.items():
+        result = suites.sharp_constants(default_config(), name, [(name, N, (None,))])
+        assert result.passed
+        assert result.constants == [est.csv_row(name, N)]
+
+
 def test_verify_all_lapack_calls(monkeypatch, tmp_path):
     # factorizations and solves alike, through the one LAPACK entry point
     calls = _count_lapack_calls(monkeypatch)
     assert cli.main(["verify", "--suite", "all", "--out", str(tmp_path)]) == 0
-    assert len(calls) < 405  # 368 measured, plus a 10% margin
+    assert len(calls) < 405  # 362 measured, plus a 10% margin
 
 
 @pytest.mark.parametrize("offset", [1e-6, -1e-6])

@@ -35,6 +35,17 @@ def test_make_grid_geometric():
     assert np.allclose(ratios, ratios[0])
 
 
+def test_wide_geometric_grid_forms_no_unused_closure_correction():
+    # the last cell of a geometric grid is wider than the gap before it,
+    # so it is closed with a constant; the linear correction d^2/(2h) that
+    # it does not use would overflow at r_max = 1e160 (a RuntimeWarning,
+    # an error under this suite's warning filter)
+    g = radial.make_grid(1e-6, 1e160, 8192, "geometric")
+    assert np.all(np.isfinite(g.quad_weights)) and np.all(g.quad_weights > 0)
+    half_gap = (g.nodes[-1] - g.nodes[-2]) / 2.0
+    assert g.quad_weights[-1] == half_gap + (1e160 - g.nodes[-1])
+
+
 def test_make_grid_argument_errors():
     with pytest.raises(ArgumentError):
         radial.make_grid(2.0, 1.0, 100, "uniform")

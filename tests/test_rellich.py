@@ -9,16 +9,20 @@ import pytest
 from scipy.integrate import quad
 
 from hardyrellich import manifolds as mf
-from hardyrellich import rellich, suites
+from hardyrellich import pencils, quotients, rellich, suites
+from hardyrellich.config import default_config
 from hardyrellich.errors import DomainError, NumericError, SupportError
 from hardyrellich.radial import (
     RadialFunction,
     bilaplacian_form,
     bump,
     grid_covering,
+    make_grid,
     seeded_bumps,
     weighted_l2,
 )
+
+CFG = default_config()
 
 
 def test_mode_eigenvalues():
@@ -169,7 +173,7 @@ def test_poincare_rellich_seeded_margins():
 def test_estimate_sharp_rellich_r2():
     vals = []
     for rmax in (1e4, 1e5, 1e6):
-        est = rellich.estimate_sharp_rellich_r2(5, r_max=rmax, M=4096)
+        est = quotients.estimate("rellich_sharp_r2_radial", 5, CFG, r_max=rmax, M=4096)
         vals.append(est.value)
         assert est.value >= 2.0 - 1e-2
     assert vals[2] <= vals[1] <= vals[0]
@@ -196,21 +200,24 @@ def test_sharp_r2_next_truncation_follows_the_law():
 def test_sharp_r2_next_truncation_is_a_close_warm_start():
     # the previous truncation's value is 13% off the next one; the law's
     # prediction is within 1e-3
-    v4 = rellich.estimate_sharp_rellich_r2(5, r_max=1e4, M=2048).value
-    v5 = rellich.estimate_sharp_rellich_r2(5, r_max=1e5, M=2048).value
+    v4, v5 = (quotients.estimate("rellich_sharp_r2_radial", 5, CFG, r_max=r_max, M=2048).value
+              for r_max in (1e4, 1e5))
     assert abs(v4 - v5) > 0.1 * v5
     assert suites.truncation_law(2.0, v4, 1e4, 1e5) == pytest.approx(v5, rel=1e-3)
 
 
 def test_one_d_anchors():
-    h = rellich.one_d_hardy_constant(M=4096)
+    h = quotients.estimate("one_d_hardy", 1, CFG, M=4096)
     assert abs(h.value - 0.25) <= 1e-2
-    # halving r_min widens the log window: the estimate cannot increase
-    h_wide = rellich.one_d_hardy_constant(r_min=1e-12, M=4096)
+    # lowering r_min widens the log window: the estimate cannot increase
+    q = quotients.QUOTIENTS["one_d_hardy"]
+    wide = make_grid(1e-12, h.r_max, 4096, "geometric")
+    h_wide = pencils.min_generalized_eigenvalue(
+        pencils.assemble_pencil(q.manifold(1), q.V(1), q.W, wide, q.order))
     assert h_wide.value <= h.value
-    r = rellich.one_d_rellich_constant(M=4096)
+    r = quotients.estimate("one_d_rellich", 1, CFG, M=4096)
     assert abs(r.value - 9.0 / 16.0) <= 1e-2
-    e = rellich.euclidean_rellich_constant(5, M=4096)
+    e = quotients.estimate("euclid_rellich_radial", 5, CFG, M=4096)
     assert abs(e.value - 25.0 / 16.0) <= 5e-2
 
 
@@ -221,9 +228,10 @@ def test_anchors_read_their_exact_truncated_values():
     # k = 3/4 - (N-1)(N-3)/4, clamped at both ends; the references are the
     # first root of its 4x4 determinant, computed with mpmath
     hardy_1d = 0.25 + math.pi**2 / math.log(1e10 / 1e-10) ** 2
-    assert abs(rellich.one_d_hardy_constant().value / hardy_1d - 1.0) <= 1e-7
-    assert abs(rellich.euclidean_rellich_constant(5).value / 1.6013347064 - 1.0) <= 3e-5
-    assert abs(rellich.one_d_rellich_constant().value / 0.5709735046 - 1.0) <= 5e-6
+    anchor = lambda name, N: quotients.estimate(name, N, CFG).value  # noqa: E731
+    assert abs(anchor("one_d_hardy", 1) / hardy_1d - 1.0) <= 1e-7
+    assert abs(anchor("euclid_rellich_radial", 5) / 1.6013347064 - 1.0) <= 3e-5
+    assert abs(anchor("one_d_rellich", 1) / 0.5709735046 - 1.0) <= 5e-6
 
 
 def test_asymptotic_constants_exact():

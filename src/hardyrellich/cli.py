@@ -57,7 +57,7 @@ CHECKS = {
          [("rellich_sharp_r2_radial", a.N, (getattr(a, "rmax", None),))])],
     "rellich coeffs": lambda a, cfg: [(_coeffs_written, a.N, a.nmax, a.out)],
     "rellich asymptotics": lambda a, cfg: [
-        (suites.asymptotic_consistency_exact, (a.N,)),
+        (suites.asymptotic_consistency_exact,),
         (suites.two_term_expansion_ratio, a.N),
         (suites.density_correction_within_5pct, a.N)],
     "sharp anchors": lambda a, cfg: [
@@ -81,13 +81,12 @@ N_MIN = {"rellich check": 5, "rellich sharp-r2": 5, "rellich coeffs": 5,
          "curve --name s_of_r": 5}
 
 def _coeffs_written(cfg: ToolkitConfig, N: int, n_max: int, out: str):
-    """The exact mode-coefficient check on one table, which is also
-    written to out."""
-    table = rellich.mode_table(N, n_max)
+    """The N, n_max mode table, written to out, and the exact check that
+    its minima are the closed forms for every N >= 5 and mode n."""
     path = write_csv(Path(out) / f"mode_coeffs_N{N}.csv", "n,lambda_n,d_n,A_n,B_n",
-                     [t.csv_row() for t in table])
+                     [t.csv_row() for t in rellich.mode_table(N, n_max)])
     print(f"data written to {path}")
-    result = suites.mode_coefficient_minima_exact(cfg, (N,), n_max, tables={N: table})
+    result = suites.mode_coefficient_minima_exact(cfg)
     result.files.append(path.name)
     return result
 

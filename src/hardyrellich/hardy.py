@@ -150,8 +150,8 @@ def check_iterated_log_improvement(u: RadialFunction, N: int, k,
     """
     man = hyperbolic(N)
     ks = list(np.atleast_1d(k))
-    if min(ks) < 0:
-        raise ArgumentError("series length k must be >= 0")
+    if not ks or min(ks) < 0:
+        raise ArgumentError(f"series lengths k must be >= 0, and at least one, got {ks}")
     _check_support_inside(u, 0.0, 1.0)
     a, b = u.support
     # pad without leaving (0, 1), where the log weights live

@@ -167,7 +167,9 @@ def assemble_custom_pencil(grid: RadialGrid, zeroth, V, W, order: str) -> Quadra
     The order-2 measure is rescaled by a common constant (r over its median
     node) so the widest truncations stay far from overflow; pencil
     eigenvalues are unchanged.  Overflow is not warned about but reported:
-    a non-finite entry raises EvaluationError naming its node and radius.
+    a non-finite entry raises EvaluationError naming its node and radius,
+    and so does a denominator weight that underflows to 0 (1/r^2 past
+    r ~ 1.3e154); a negative one is an ArgumentError.
     The pencil's rebuild re-assembles the same arguments on
     grid.refined(m).  assemble_pencil derives these arguments from a
     manifold after the ground-state substitution.
@@ -182,12 +184,11 @@ def assemble_custom_pencil(grid: RadialGrid, zeroth, V, W, order: str) -> Quadra
         ext = np.concatenate(([grid.r_min], nodes, [grid.r_max]))
         v_vals = _values(V, nodes)
         w_vals = np.broadcast_to(0.0 if W is None else _values(W, nodes), nodes.shape)
-        if np.any(w_vals <= 0.0):
-            i = int(np.nonzero(w_vals <= 0.0)[0][0])
-            raise ArgumentError(
-                f"denominator weight must be positive; W <= 0 at node {i} "
-                f"(r = {nodes[i]:.6g})"
-            )
+        for bad, error, what in ((w_vals < 0.0, ArgumentError, "must be positive; W <= 0"),
+                                 (w_vals == 0.0, EvaluationError, "underflowed; W = 0")):
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise error(f"denominator weight {what} at node {i} (r = {nodes[i]:.6g})")
         h = np.diff(ext)
         if order == ORDER_LAPLACIAN:
             core = slice(0, n)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import claims
 from .config import ToolkitConfig
+from .errors import ArgumentError
 from .manifolds import _check_dimension, euclidean, hyperbolic
 from .pencils import (
     ORDER_BILAPLACIAN,
@@ -164,11 +165,15 @@ def sweep_h_lambda(cfg: ToolkitConfig, N: int) -> LambdaCurve:
     V = lambda, all on one geometric grid of the [hardy] sweep_r_min,
     sweep_r_max and sweep_M truncation; each warm-starts the next.  The
     pencil reaches the huge truncation radii the lambda -> (N-1)^2/4
-    endpoint needs without ever forming sinh^(N-1).
+    endpoint needs without ever forming sinh^(N-1).  Fewer than 2 points
+    (no curve between the endpoints) raise ArgumentError.
     """
     q = QUOTIENTS["hardy_sharp_radial"]
     man = q.manifold(N)
-    lambdas = np.linspace(0.0, q.V(N), cfg.get_int("hardy", "sweep_points"))
+    points = cfg.get_int("hardy", "sweep_points")
+    if points < 2:
+        raise ArgumentError(f"config [hardy] sweep_points = {points} must be >= 2")
+    lambdas = np.linspace(0.0, q.V(N), points)
     grid = make_grid(cfg.get_float("hardy", "sweep_r_min"), cfg.get_float("hardy", "sweep_r_max"),
                      cfg.get_int("hardy", "sweep_M"), "geometric")
     h_values, value = [], None

@@ -313,7 +313,10 @@ def plateau_cutoff(delta: float, width: float | None = None) -> RadialFunction:
 
 def seeded_bumps(seed: int, count: int, lo: float, hi: float) -> RadialFunction:
     """Reproducible random bumps supported inside [lo, hi], as one family;
-    each member's label records the seed so failures can be replayed."""
+    each member's label records the seed so failures can be replayed.  A
+    count below 1 (a margin row over no bumps) raises ArgumentError."""
+    if count < 1:
+        raise ArgumentError(f"a family of seeded bumps needs count >= 1, got {count}")
     # bump k takes the draws 4k..4k+3 of the stream as uniform(lo, hi -
     # 0.3), uniform(a + 0.3, hi) and two uniform(0.2, 0.5), each
     # low + (high - low) * random() as Generator.uniform forms it

@@ -124,38 +124,84 @@ def ground_state_residual(cfg: ToolkitConfig, Ns):
     return row("ground_state_residual", worst, 1e-10, worst <= 1e-10)
 
 
-def _rellich_split_row(name: str, Ns) -> CheckRow:
-    """Count of the N in Ns whose exact euclidean Rellich split fails."""
-    bad = sum(0 if rellich.verify_euclidean_rellich_split(N)[0] else 1 for N in Ns)
-    return _count_row(name, bad)
+def _failed_differences(f, degrees, nonnegative: bool = False) -> int:
+    """How many exact forward differences refute that f, a Fraction-valued
+    polynomial in N (and a mode n) of degrees (d_N,) or (d_N, d_n), is 0,
+    or with nonnegative >= 0, at every integer N >= 5 and n >= 0.
+
+    From f at N = 5..6 + d_N and n = 0..1 + d_n it forms every
+    D_jk = Delta_N^j Delta_n^k f(5, 0).  Newton's formula
+    f(5 + m, n) = sum D_jk C(m, j) C(n, k) holds for any f of degree at most
+    one above the stated one, and every C(m, j) C(n, k) is >= 0: a D_jk with
+    j = d_N + 1 or k = d_n + 1 refutes the degree unless it is 0, any
+    other D_jk the claim unless it is 0 (>= 0)."""
+    shape = tuple(d + 2 for d in degrees)
+    D = np.array([f(5 + i[0], *i[1:]) for i in np.ndindex(shape)], dtype=object).reshape(shape)
+    for axis, size in enumerate(shape):
+        D = np.stack([np.diff(D, j, axis=axis).take(0, axis=axis) for j in range(size)],
+                     axis=axis)
+    inside = D[tuple(slice(-1) for _ in shape)]
+    beyond = np.count_nonzero(D != 0) - np.count_nonzero(inside != 0)
+    return beyond + np.count_nonzero(inside < 0 if nonnegative else inside != 0)
 
 
-def euclidean_rellich_split_exact(cfg: ToolkitConfig, Ns):
-    return _rellich_split_row("euclidean_rellich_split_exact", Ns)
+def euclidean_rellich_split_exact(cfg: ToolkitConfig):
+    """The euclidean Rellich split 9/16 + A_0 = N^2 (N-4)^2/16, with
+    A_0 = rellich.min_sinh4_closed_form(N), for every N >= 5: the degree-4
+    polynomial 9/16 + A_0 - N^2 (N-4)^2/16, evaluated at N = 5..10, is 0.
+    The value counts the differences that refute it."""
+    bad = _failed_differences(lambda N: claims.RELLICH_R4 + rellich.min_sinh4_closed_form(N)
+                              - claims.euclid_rellich(N), (4,))
+    return _count_row("euclidean_rellich_split_exact", bad)
 
 
-def mode_coefficient_minima_exact(cfg: ToolkitConfig, Ns, n_max: int, tables=None):
-    """The exact minima of the mode coefficients over n <= n_max; builds
-    each N's mode table unless the caller passes ``tables`` by N."""
+def mode_coefficient_minima_exact(cfg: ToolkitConfig):
+    """Every mode n >= 0 has A_n >= A_0 and B_n >= B_0 (A_n, B_n the
+    rellich.sinh4_coefficient and sinh2_coefficient), for every N >= 5:
+    A_n - A_0 has degrees (3, 4) in (N, n), evaluated at N = 5..9 and
+    n = 0..5, and B_n - B_0 degrees (3, 2), at N = 5..9 and n = 0..3, and
+    every difference of both is >= 0.  The minima are the closed forms:
+    A_0 - min_sinh4_closed_form(N) and B_0 - min_sinh2_closed_form(N) are
+    0 as polynomials of degree 4, evaluated at N = 5..10.  The value counts
+    the differences that refute either."""
     bad = 0
-    for N in Ns:
-        tab = tables[N] if tables else rellich.mode_table(N, n_max)
-        if min(t.sinh4_coeff for t in tab) != rellich.min_sinh4_closed_form(N):
-            bad += 1
-        if min(t.sinh2_coeff for t in tab) != rellich.min_sinh2_closed_form(N):
-            bad += 1
-        if tab[0].sinh4_coeff != rellich.min_sinh4_closed_form(N):
-            bad += 1
+    for coefficient, closed_form, n_degree in (
+            (rellich.sinh4_coefficient, rellich.min_sinh4_closed_form, 4),
+            (rellich.sinh2_coefficient, rellich.min_sinh2_closed_form, 2)):
+        bad += _failed_differences(lambda N, n: coefficient(n, N) - coefficient(0, N),
+                                   (3, n_degree), nonnegative=True)
+        bad += _failed_differences(lambda N: coefficient(0, N) - closed_form(N), (4,))
     return _count_row("mode_coefficient_minima_exact", bad)
 
 
-def joint_sharpness_sum_exact(cfg: ToolkitConfig, Ns):
-    return _rellich_split_row("joint_sharpness_sum_exact", Ns)
+def joint_sharpness_sum_exact(cfg: ToolkitConfig):
+    """The Rellich constants are joint with the Poincare-Hardy ones: with
+    g = claims.spectral_gap(N), ||Lap u||^2 - g^2 ||u||^2
+    = ||(-Lap - g) u||^2 + 2g (||grad u||^2 - g ||u||^2), and Poincare-Hardy
+    bounds the last bracket below by HARDY_R2 int u^2/r^2 + ..., so
+    rellich_l2 = g^2 and rellich_r2 = 2 g HARDY_R2 for every N >= 5:
+    rellich_l2 - g^2 (degree 4, at N = 5..10) and rellich_r2 - 2 g HARDY_R2
+    (degree 2, at N = 5..8) are 0.  The value counts the differences that
+    refute either."""
+    bad = _failed_differences(lambda N: claims.rellich_l2(N) - claims.spectral_gap(N) ** 2,
+                              (4,))
+    bad += _failed_differences(
+        lambda N: claims.rellich_r2(N) - 2 * claims.spectral_gap(N) * claims.HARDY_R2, (2,))
+    return _count_row("joint_sharpness_sum_exact", bad)
 
 
-def asymptotic_consistency_exact(cfg: ToolkitConfig, Ns):
-    bad = sum(0 if rellich.asymptotic_constants(N).consistency_exact else 1 for N in Ns)
-    return _count_row("asymptotic_consistency_exact", bad)
+def asymptotic_consistency_exact(cfg: ToolkitConfig):
+    """k1 - 2 c2/c1 = -4(N-1)/(N+1) (rellich.asymptotic_constants) for every
+    N >= 5: (k1 - 2 c2/c1 + 4(N-1)/(N+1)) (N+1)(N-2), a polynomial of degree
+    <= 3, evaluated at N = 5..9, is 0.  The value counts the differences
+    that refute it."""
+
+    def cleared(N):
+        c = rellich.asymptotic_constants(N)
+        return ((c.k1_exact - 2 * c.c2_over_c1 + Fraction(4 * (N - 1), N + 1))
+                * (N + 1) * (N - 2))
+
+    return _count_row("asymptotic_consistency_exact", _failed_differences(cleared, (3,)))
 
 
 # Each margin check below evaluates one seeded family of bumps, stacked
@@ -456,10 +502,10 @@ def _identity_checks(cfg: ToolkitConfig) -> list:
                    partial(supersolution_equality, cfg, man)]
     return checks + [
         partial(ground_state_residual, cfg, (3, 5, 8)),
-        partial(euclidean_rellich_split_exact, cfg, range(5, 51)),
-        partial(mode_coefficient_minima_exact, cfg, range(5, 13), 50),
-        partial(joint_sharpness_sum_exact, cfg, range(5, 13)),
-        partial(asymptotic_consistency_exact, cfg, range(5, 11)),
+        partial(euclidean_rellich_split_exact, cfg),
+        partial(mode_coefficient_minima_exact, cfg),
+        partial(joint_sharpness_sum_exact, cfg),
+        partial(asymptotic_consistency_exact, cfg),
     ]
 
 

@@ -1,7 +1,8 @@
 """The benchmark's tracer contract, read from perfbench/ without changing
 it: every span name its layers fold into a per-layer metric must name a
 function of the package (a renamed function would silently read 0), and
-the benchmark's self-test must pass."""
+the benchmark's self-test must pass, and every suite must build at least
+the rows the benchmark counts."""
 
 import importlib
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-BENCH_MODULES = ("layers", "selftest", "tracer", "reference")
+BENCH_MODULES = ("layers", "selftest", "tracer", "reference", "run")
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +88,23 @@ def test_halfspace_checks_build_one_grid_per_resolution(monkeypatch):
     sizes.clear()
     euclid.halfspace_bilaplacian_identity(bump(0.5, 1.5), 5, nodes=512)
     assert sizes == []
+
+
+def test_each_suite_builds_the_rows_the_benchmark_counts(bench):
+    # perfbench fails a run whose `verify --suite S` writes fewer rows than
+    # its floor for S; the builders bind one check per row, so counting
+    # the checks they build (without running them) finds a dropped row here
+    from hardyrellich import suites
+    from hardyrellich.config import default_config
+
+    run = importlib.import_module("run")
+    floors = {verb[2]: rows for verb, rows in run.VerifyAll.verbs + run.QuadratureChecks.verbs
+              if verb[:2] == ("verify", "--suite")}
+    assert {"all", "identities"} <= set(floors)
+    cfg = default_config()
+    built = {name: len(getattr(suites, f"_{'identity' if name == 'identities' else name}_checks")(
+        cfg)) for name in suites.SUITES[:-1]}
+    built["all"] = sum(built.values())
+    short = {suite: (built[suite], floor) for suite, floor in floors.items()
+             if built[suite] < floor}
+    assert short == {}

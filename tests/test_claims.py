@@ -3,6 +3,7 @@ same bits as the literal it replaced, and every consumer reads it when it
 runs, so perturbing one entry moves every margin, estimator and check row
 that states it."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -148,7 +149,8 @@ def _rellich_warm_start():
 
 
 H_ENDS = lambda: suites.h_lambda_endpoints_and_shape(CFG, 5, H_CURVE).passed  # noqa: E731
-JOINT = lambda: suites.joint_sharpness_sum_exact(CFG, range(5, 9)).value  # noqa: E731
+JOINT = lambda: suites.joint_sharpness_sum_exact(CFG).value  # noqa: E731
+SPLIT_ROW = lambda: suites.euclidean_rellich_split_exact(CFG).value  # noqa: E731
 SPLIT = lambda: rellich.verify_euclidean_rellich_split(5)[0]  # noqa: E731
 GROUND = lambda: ss.ground_state_residual(5, np.array([0.1, 1.0, 10.0]))  # noqa: E731
 EQUALITY = lambda: ss.supersolution_equality_residual(  # noqa: E731
@@ -202,6 +204,7 @@ CONSUMERS = {
                   lambda name, N, cfg, **kw: _estimate(4.0 - 1e-4 + 1e-5)}),
         HYP_MARGIN,
         GROUND,
+        JOINT,
     ],
     "HARDY_R2": [
         lambda: _hardy().rhs,
@@ -215,6 +218,7 @@ CONSUMERS = {
         GROUND,
         EQUALITY,
         lambda: suites.null_criticality_slope(CFG, 5).value,
+        JOINT,
     ],
     "sinh_hardy": [
         lambda: _hardy().rhs,
@@ -233,6 +237,7 @@ CONSUMERS = {
         lambda: _chain().rhs,
         lambda: _mapped().rhs,
         lambda: quotients.estimate("rellich_sharp_r2_radial", 5, CFG, r_max=10.0, M=256).value,
+        JOINT,
     ],
     "rellich_r2": [
         lambda: _rellich().rhs,
@@ -243,6 +248,7 @@ CONSUMERS = {
         lambda: _halfspace("y4").rhs,
         _rellich_warm_start,
         RELLICH_FLOOR,
+        JOINT,
     ],
     "RELLICH_R4": [
         lambda: _rellich().rhs,
@@ -252,10 +258,10 @@ CONSUMERS = {
         lambda: _halfspace("y2").rhs,
         lambda: _halfspace("y4").rhs,
         ANCHORS,
-        JOINT,
+        SPLIT_ROW,
         SPLIT,
     ],
-    "euclid_rellich": [ANCHORS, JOINT, SPLIT],
+    "euclid_rellich": [ANCHORS, SPLIT_ROW, SPLIT],
     "SINH_1D_S4": [lambda: rellich.check_sinh_hardy_1d(U, nodes=512).rhs],
     "SINH_1D_S2": [lambda: rellich.check_sinh_hardy_1d(U, nodes=512).rhs],
     "HALFSPACE_AUX": [lambda: euclid.aux_gradient_inequality(TENSOR, 5, 32, 32).rhs],
@@ -355,3 +361,63 @@ def test_an_exact_value_catches_a_claim_off_by_one_in_a_million(row, run, name):
         with pytest.MonkeyPatch.context() as mp:
             _perturb(mp, name, scale)
             assert not suites.sharp_constants(CFG, row, [run]).passed
+
+
+# ---------------------------------------------------------------------------
+# the exact rows: each proves its polynomial claim for every N >= 5 (and
+# mode n >= 0), so a perturbation fails it, wherever it first shows
+
+
+def _replace(module, name, change):
+    """A perturbation: module.name replaced by change(module.name)."""
+    return lambda mp: mp.setattr(module, name, change(getattr(module, name)))
+
+
+# case -> (row, perturbation)
+EXACT_ROWS = {
+    "split: RELLICH_R4 + 1/16": (
+        suites.euclidean_rellich_split_exact,
+        _replace(claims, "RELLICH_R4", lambda c: c + Fraction(1, 16))),
+    **{f"joint: {name} (1 + 1e-6)": (
+        suites.joint_sharpness_sum_exact,
+        lambda mp, name=name: _perturb(mp, name, Fraction(1_000_001, 1_000_000)))
+       for name in ("spectral_gap", "HARDY_R2", "rellich_l2", "rellich_r2")},
+    # A_n - lambda^3/1e6 keeps its minimum at n = 0 for every n <= 50 and
+    # N <= 12, the modes the row once sampled, but A_1000 = -3.0e9 at N = 5
+    "minima: sinh4_coefficient - lambda^3/1e6": (
+        suites.mode_coefficient_minima_exact,
+        _replace(rellich, "sinh4_coefficient", lambda a: lambda n, N: (
+            a(n, N) - Fraction(rellich.mode_eigenvalue(n, N) ** 3, 10**6)))),
+    "minima: min_sinh2_closed_form + 1/8": (
+        suites.mode_coefficient_minima_exact,
+        _replace(rellich, "min_sinh2_closed_form", lambda b: lambda N: b(N) + Fraction(1, 8))),
+    "consistency: k1_exact + 1/100": (
+        suites.asymptotic_consistency_exact,
+        _replace(rellich, "asymptotic_constants", lambda c: lambda N: dataclasses.replace(
+            c(N), k1_exact=c(N).k1_exact + Fraction(1, 100)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_ROWS))
+def test_an_exact_row_fails_under_a_perturbation(case, monkeypatch):
+    check, perturb = EXACT_ROWS[case]
+    assert check(CFG).passed and check(CFG).value == 0
+    perturb(monkeypatch)
+    result = check(CFG)
+    assert not result.passed and result.value > 0
+
+
+def test_the_difference_helper_reports_a_degree_above_its_bound():
+    failed = suites._failed_differences
+    # (N-5)^5 >= 0 for every N >= 5, but its degree is not 4: its fifth
+    # difference, 5! = 120, counts
+    assert failed(lambda N: Fraction(N - 5) ** 4, (4,), nonnegative=True) == 0
+    assert failed(lambda N: Fraction(N - 5) ** 5, (4,), nonnegative=True) == 1
+    # N n^3 has degree 3 in n: bounded by 2, its two nonzero third
+    # differences in n (j = 0, 1) count
+    assert failed(lambda N, n: Fraction(N * n**3), (1, 3), nonnegative=True) == 0
+    assert failed(lambda N, n: Fraction(N * n**3), (1, 2), nonnegative=True) == 2
+    # N - 6 < 0 at N = 5: its zeroth difference counts as an inequality,
+    # both nonzero differences as an identity
+    assert failed(lambda N: Fraction(N - 6), (1,), nonnegative=True) == 1
+    assert failed(lambda N: Fraction(N - 6), (1,)) == 2

@@ -205,6 +205,26 @@ def test_config_negative_tolerance_is_a_usage_error(key, tmp_path, capsys):
     assert load_config(str(cfg)).tolerance(key) == 0.0
 
 
+
+@pytest.mark.parametrize("key, value, message", [
+    ("bump_count", "0", "seeded bumps needs count >= 1, got 0"),
+    ("bump_count", "-1", "seeded bumps needs count >= 1, got -1"),
+    ("sweep_points", "1", "[hardy] sweep_points = 1 must be >= 2"),
+    ("sweep_points", "0", "[hardy] sweep_points = 0 must be >= 2"),
+    ("sweep_points", "-3", "[hardy] sweep_points = -3 must be >= 2"),
+    ("iterlog_k", "-1", "series lengths k must be >= 0, and at least one, got []"),
+])
+def test_config_count_below_its_minimum_is_a_usage_error(key, value, message, tmp_path,
+                                                         capsys):
+    # no bump to take a margin over, no h(lambda) curve between the ends,
+    # or no series length
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[hardy]\n{key} = {value}\n")
+    code = cli.main(["verify", "--suite", "hardy", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+    assert code == cli.USAGE_EXIT
+    assert message in capsys.readouterr().err
+
 def test_coeffs_emission(tmp_path):
     code = cli.main(["coeffs", "--N", "5", "--nmax", "10", "--out", str(tmp_path)])
     assert code == 0
@@ -542,6 +562,19 @@ def test_sharp_hardy_overflow_names_its_radius(tmp_path):
             pencils.assemble_pencil(mf.euclidean(5), None, lambda r: 1.0 / r**4, grid,
                                     pencils.ORDER_BILAPLACIAN)
 
+
+
+@pytest.mark.parametrize("argv, node", [
+    (["hardy", "sharp", "--rmax", "1e160"], 7903),
+    (["sharp", "--which", "rellich-r2", "--rmax", "1e200"], 6341),
+])
+def test_an_underflowing_weight_is_an_evaluation_error(argv, node, tmp_path, capsys):
+    # 1/r^2 reads 0 past r ~ 1.3e154: a radius the truncation cannot reach
+    # in floating point, not a bad argument
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: denominator weight underflowed")
+    assert f"at node {node} (r = 1.3" in err
 
 @pytest.mark.parametrize("module", [["-W", "error", "-m", "hardyrellich.cli"],
                                     ["-m", "hardyrellich"]], ids=" ".join)

@@ -27,11 +27,3 @@ class EvaluationError(ToolkitError, ArithmeticError):
 
 class NumericError(ToolkitError, RuntimeError):
     """An iterative numerical procedure failed to converge."""
-
-
-class ResampleError(ToolkitError, ValueError):
-    """A sample point hit a zero of a reference solution; retry shifted."""
-
-    def __init__(self, message: str, suggested_shift: float):
-        super().__init__(message)
-        self.suggested_shift = suggested_shift

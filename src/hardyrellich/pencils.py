@@ -53,11 +53,17 @@ class ConstantEstimate:
     radial test functions only.
     """
 
-    value: float
     r_min: float
     r_max: float
-    M: int
-    history: list[tuple[int, float]] = field(default_factory=list)
+    history: list[tuple[int, float]]  # (M, value) per level, finest last
+
+    @property
+    def M(self) -> int:
+        return self.history[-1][0]
+
+    @property
+    def value(self) -> float:
+        return self.history[-1][1]
 
     def csv_row(self, name: str, N: int) -> str:
         return (
@@ -80,8 +86,7 @@ class QuadraticPencil:
     a_bands: np.ndarray
     b_diag: np.ndarray
     grid: RadialGrid
-    order: str
-    rebuild: Callable[[int], "QuadraticPencil"] | None = None
+    rebuild: Callable[[int], "QuadraticPencil"] | None = field(default=None, kw_only=True)
 
     @property
     def size(self) -> int:
@@ -216,7 +221,7 @@ def assemble_custom_pencil(grid: RadialGrid, zeroth, V, W, order: str) -> Quadra
     def rebuild(m: int) -> QuadraticPencil:
         return assemble_custom_pencil(grid.refined(m), zeroth, V, W, order)
 
-    return QuadraticPencil(a_bands, b_diag, grid, order, rebuild=rebuild)
+    return QuadraticPencil(a_bands, b_diag, grid, rebuild=rebuild)
 
 
 def assemble_pencil(
@@ -324,17 +329,15 @@ def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
     (Krylov-Weinstein).  rho bounds the smallest eigenvalue from above, so
     trial points lie in (lo, min(hi, rho)): the asinh midpoint (which
     halves the bracket geometrically while it spans orders of magnitude and
-    arithmetically once it is O(1)), raised to rho - max(2 err, eta) when
-    that is higher.  Each step's change d of rho gives the rate q of the
+    arithmetically once it is O(1)), raised to rho - eta when that is
+    higher.  Each step's change d of rho gives the rate q of the
     current factor: with the shift distance theta = rho - lo, a dominant
     second eigenvector makes eta^2 / (theta d) = sqrt(q) / (1 + sqrt(q)),
     and rho's error is estimated as err = d q / (1 - q).
 
-    Keep rule.  A factor stays while err q^k reaches the target within
-    k = 4 more steps on wider pencils and 3 on tridiagonal ones; otherwise
-    a new factor close below rho and the two steps after it are cheaper.
-    (A solve costs about 0.45 of a factorization with dpbtrs/dpbtrf and
-    0.7 with dpttrs/dpttrf at n = 32768.)
+    Keep rule, the same for every bandwidth.  A factor stays while
+    err q^k reaches the target within k = 3 more steps; otherwise a new
+    factor close below rho and the two steps after it are cheaper.
 
     Certification.  Once err is under 0.1 w, w = tol max(1, |rho|), the
     bracket is closed around rho, above it first: in floating point the
@@ -362,8 +365,8 @@ def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
     the shift where the factorization starts failing and the converged
     Rayleigh quotient agree to about 5e-12 relative.  On the finest
     pentadiagonal Rellich r^-2 pencil of the sharp estimator at M = 32768
-    (n = 32764) they differ by up to 6.4e-8 relative, above tol = 1e-8,
-    so there the bracket holds to tol only for the perturbed pencil.
+    (n = 32764) the returned value lies above the assembled pencil's
+    eigenvalue by more than tol; ROADMAP item 19 gives the measurement.
     """
     if tol <= 0:
         raise ArgumentError("tolerance must be positive")
@@ -377,7 +380,6 @@ def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
         radius[: n - k] += off
     lo = float(np.min(a[0] * s * s - radius))
     hi = float(np.min(a[0] / b))
-    patience = 4 if pencil.bandwidth > 1 else 3  # steps a factor may still take
 
     used = 0
     solve = None  # solver with the factor of A - lo B, while it pays
@@ -458,13 +460,13 @@ def smallest_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
                 t = eta * eta / (theta * d) if theta * d > 0.0 else 0.0
                 ratio = (t / (1.0 - t)) ** 2 if t < 0.5 else 1.0
                 err = d * ratio / (1.0 - ratio) if ratio < 0.5 else d
-                keep = err * ratio**patience <= target
+                keep = err * ratio**3 <= target  # within three more steps
             rho = step_rho
             if err <= target:
                 guided = not certify(rho)
             elif not keep:
                 solve = None
-                reach = max(2.0 * err, eta)
+                reach = eta
             continue
         upper = min(hi, rho) if guided and rho is not None and lo < rho else hi
         mid = math.sinh(0.5 * (math.asinh(lo) + math.asinh(upper)))
@@ -504,10 +506,4 @@ def min_generalized_eigenvalue(pencil: QuadraticPencil, tol: float = 1e-8,
         value = smallest_eigenvalue(p, tol, near=guess)
         history.append((m, value))
         guess = value if len(history) == 1 else 1.5 * value - 0.5 * history[-2][1]
-    return ConstantEstimate(
-        value=value,
-        r_min=grid.r_min,
-        r_max=grid.r_max,
-        M=grid.M,
-        history=history,
-    )
+    return ConstantEstimate(grid.r_min, grid.r_max, history)

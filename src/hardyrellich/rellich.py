@@ -285,10 +285,6 @@ class AsymptoticConstants:
     c2_over_c1: Fraction
     k1_exact: Fraction
 
-    @property
-    def consistency_exact(self) -> bool:
-        return self.k1_exact - 2 * self.c2_over_c1 == Fraction(-4 * (self.N - 1), self.N + 1)
-
 
 def _c1(N: int, num):
     """The leading coefficient c1 = ((N-1) / (2^(N-1) (N-2)))^(1/(N-2)) of

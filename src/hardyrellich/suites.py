@@ -399,7 +399,6 @@ def asymptotic_constants_exact(cfg: ToolkitConfig):
         err <= 1e-14
         and c.c2_over_c1 == Fraction(8, 9)
         and c.k1_exact == Fraction(-8, 9)
-        and c.consistency_exact
     )
     return row("asymptotic_constants_exact", err, 1e-14, ok)
 

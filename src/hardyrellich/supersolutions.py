@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import claims
-from .errors import ArgumentError, ResampleError
+from .errors import ArgumentError
 from .manifolds import (
     ModelManifold,
     _check_dimension,
@@ -233,17 +233,8 @@ def minimal_growth_ratios(N: int, r_small: float, r_large: float):
     minimal-growth hypothesis checked numerically.
     """
     _check_dimension(N)
-    for r in (r_small, r_large):
-        if r <= 0:
-            raise ArgumentError("sample radii must be positive")
-        if abs(np.log(r)) < 1e-12:
-            raise ResampleError(
-                f"second solution vanishes at r = {r:g}; sample elsewhere "
-                f"(try r = {r * 1.1 + 0.1:g})",
-                suggested_shift=r * 1.1 + 0.1,
-            )
-    if not (r_small < 1.0 < r_large):
-        raise ArgumentError("need r_small < 1 < r_large")
+    if not 0.0 < r_small < 1.0 < r_large:
+        raise ArgumentError("need 0 < r_small < 1 < r_large")
     ratio0 = 1.0 / ((N - 2) * abs(np.log(r_small)))
     ratio_inf = 1.0 / ((N - 2) * abs(np.log(r_large)))
     return ratio0, ratio_inf

@@ -91,7 +91,7 @@ TENSOR = euclid.tensor_bump(1.0, 0.5, 2.0)
 def _estimate(value, r_max=1.0):
     """A stub estimate on [1e-3, r_max] whose two-level history gives it
     the budget 1e-4."""
-    return ConstantEstimate(value, 1e-3, r_max, 128, [(64, value + 1e-4), (128, value)])
+    return ConstantEstimate(1e-3, r_max, [(64, value + 1e-4), (128, value)])
 
 
 def _stubbed(check, stubs):

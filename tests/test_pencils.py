@@ -31,6 +31,13 @@ def sharp_hardy_pencil(M):
     return pencils.assemble_pencil(mf.hyperbolic(3), 1.0, lambda r: 1.0 / r**2, grid)
 
 
+def sharp_rellich_pencil(M):
+    # the pencil of the rellich_sharp_r2_radial quotient for N = 5 on [1e-3, 1e6]
+    q = quotients.QUOTIENTS["rellich_sharp_r2_radial"]
+    return pencils.assemble_pencil(q.manifold(5), q.V(5), q.W,
+                                   make_grid(1e-3, 1e6, M, "geometric"), q.order)
+
+
 def gap_pencil(N):
     # the pencil of the poincare_gap_radial quotient at the default M
     return pencils.assemble_pencil(mf.hyperbolic(N), None, 1.0,
@@ -53,7 +60,7 @@ def test_identity_pencil_exact_one():
     grid = make_grid(1.0, 2.0, 64, "uniform")
     bands = np.zeros((2, 64))
     bands[0] = 1.0
-    p = pencils.QuadraticPencil(bands, np.ones(64), grid, pencils.ORDER_LAPLACIAN)
+    p = pencils.QuadraticPencil(bands, np.ones(64), grid)
     assert pencils.smallest_eigenvalue(p) == 1.0
     # a refinement history needs the rebuild only assembled pencils carry
     with pytest.raises(ArgumentError, match="rebuild"):
@@ -82,8 +89,10 @@ def test_rebuild_reassembles_on_the_refined_grid():
     fresh = pencils.assemble_custom_pencil(make_grid(1e-3, 1e3, 64, "geometric"), **args)
     assert np.array_equal(q.a_bands, fresh.a_bands) and np.array_equal(q.b_diag, fresh.b_diag)
     assert q.grid.M == 64 and q.rebuild is not None
-    hand = pencils.QuadraticPencil(p.a_bands, p.b_diag, p.grid, p.order)
+    hand = pencils.QuadraticPencil(p.a_bands, p.b_diag, p.grid)
     assert hand.rebuild is None
+    with pytest.raises(TypeError):  # rebuild is keyword-only
+        pencils.QuadraticPencil(p.a_bands, p.b_diag, p.grid, p.rebuild)
 
 
 def test_history_refinement_monotone():
@@ -162,8 +171,7 @@ def spd_banded_pencils(draw):
     for k in range(bw + 1):
         a_bands[k, : n - k] = np.diag(A, -k)
     grid = make_grid(1.0, 2.0, n, "uniform")
-    order = pencils.ORDER_LAPLACIAN if bw == 1 else pencils.ORDER_BILAPLACIAN
-    return pencils.QuadraticPencil(a_bands, b_diag, grid, order), A
+    return pencils.QuadraticPencil(a_bands, b_diag, grid), A
 
 
 # warm-start values handed to the solver, as functions of the true value;
@@ -199,8 +207,7 @@ def _banded_pencil(A, bw):
     a_bands = np.zeros((bw + 1, n))
     for k in range(bw + 1):
         a_bands[k, : n - k] = np.diag(A, -k)
-    order = pencils.ORDER_LAPLACIAN if bw == 1 else pencils.ORDER_BILAPLACIAN
-    return pencils.QuadraticPencil(a_bands, np.ones(n), make_grid(1.0, 2.0, n, "uniform"), order)
+    return pencils.QuadraticPencil(a_bands, np.ones(n), make_grid(1.0, 2.0, n, "uniform"))
 
 
 def _assert_certified(pencil, A, tol):
@@ -274,20 +281,26 @@ def test_tolerance_honoured_on_tridiagonal_pencil(monkeypatch):
     _assert_tolerance_honoured(monkeypatch, lambda: hardy.estimate_sharp_hardy(3), 1)
 
 
-def _count_lapack_calls(monkeypatch):
+def _count_lapack_calls(monkeypatch, bandwidths=None):
     """Record every factorization (its shift) and every solve with one
-    (the string "solve") through the one LAPACK entry point."""
+    (the string "solve") through the one LAPACK entry point, and each
+    call's pencil bandwidth in ``bandwidths`` where given."""
     calls = []
     factor = pencils._positive_definite
 
+    def record(entry, pencil):
+        calls.append(entry)
+        if bandwidths is not None:
+            bandwidths.append(pencil.bandwidth)
+
     def counted(pencil, mu):
-        calls.append(mu)
+        record(mu, pencil)
         solve = factor(pencil, mu)
         if solve is None:
             return None
 
         def counted_solve(rhs):
-            calls.append("solve")
+            record("solve", pencil)
             return solve(rhs)
 
         return counted_solve
@@ -347,22 +360,30 @@ def test_sharp_large_M_estimates_pass_their_rows(monkeypatch):
 
 
 def test_verify_all_lapack_calls(monkeypatch, tmp_path):
-    # factorizations and solves alike, through the one LAPACK entry point
-    calls = _count_lapack_calls(monkeypatch)
+    # factorizations and solves alike, through the one LAPACK entry point,
+    # in total and per bandwidth: the keep rule does not look at the
+    # bandwidth, so a shift of cost from one to the other must show
+    bandwidths = []
+    calls = _count_lapack_calls(monkeypatch, bandwidths)
     assert cli.main(["verify", "--suite", "all", "--out", str(tmp_path)]) == 0
     assert len(calls) < 405  # 362 measured, plus a 10% margin
+    assert bandwidths.count(1) < 269  # 244 measured, plus a 10% margin
+    assert bandwidths.count(2) < 130  # 118 measured, plus a 10% margin
 
 
 @pytest.mark.parametrize("offset", [1e-6, -1e-6])
 def test_warm_solve_with_accurate_near_factors_three_times(monkeypatch, offset):
-    # the sharp Hardy pencil at M = 8192: one factorization below near,
-    # then one on each side of the converged Rayleigh quotient
-    p = sharp_hardy_pencil(8192)
-    value = pencils.smallest_eigenvalue(p)
+    # the sharp Hardy (tridiagonal) and Rellich r^-2 (pentadiagonal)
+    # pencils at M = 8192, under the one keep rule: one factorization
+    # below near, then one on each side of the converged Rayleigh quotient
+    cases = [(p, pencils.smallest_eigenvalue(p))
+             for p in (sharp_hardy_pencil(8192), sharp_rellich_pencil(8192))]
     calls = _count_lapack_calls(monkeypatch)
-    mu = pencils.smallest_eigenvalue(p, near=value + offset)
-    assert abs(mu - value) <= 1e-8  # both within tol * max(1, |value|)
-    assert _factorizations(calls) <= 3
+    for p, value in cases:
+        calls.clear()
+        mu = pencils.smallest_eigenvalue(p, near=value + offset)
+        assert abs(mu - value) <= 1e-8 * max(1.0, abs(value))  # both within tol
+        assert _factorizations(calls) <= 3
 
 
 def test_discrete_minimum_principle():

@@ -241,7 +241,8 @@ def test_asymptotic_constants_exact():
     assert c.k1_exact == Fraction(-8, 9)
     assert c.k1_exact - 2 * c.c2_over_c1 == Fraction(-8, 3)
     for N in range(5, 13):
-        assert rellich.asymptotic_constants(N).consistency_exact
+        c = rellich.asymptotic_constants(N)
+        assert c.k1_exact - 2 * c.c2_over_c1 == Fraction(-4 * (N - 1), N + 1)
 
 
 def test_s_of_r_small_radius_against_quad_oracle():

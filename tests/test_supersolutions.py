@@ -4,7 +4,7 @@ import sympy
 
 from hardyrellich import manifolds as mf
 from hardyrellich import supersolutions as ss
-from hardyrellich.errors import ArgumentError, DomainError, ResampleError
+from hardyrellich.errors import ArgumentError, DomainError
 from hardyrellich.iterated_log import iterated_log_profile
 from hardyrellich.radial import make_grid
 
@@ -146,9 +146,8 @@ def test_minimal_growth_ratios():
 
 
 def test_minimal_growth_errors():
-    with pytest.raises(ResampleError) as exc:
+    with pytest.raises(ArgumentError):
         ss.minimal_growth_ratios(5, 1e-3, 1.0)
-    assert exc.value.suggested_shift > 1.0
     with pytest.raises(ArgumentError):
         ss.minimal_growth_ratios(5, 1.5, 2.0)
 

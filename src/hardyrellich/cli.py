@@ -54,7 +54,7 @@ CHECKS = {
     "rellich check": lambda a, cfg: [(suites.poincare_rellich_margins, (a.N,), 10)],
     "rellich sharp-r2": lambda a, cfg: [
         (suites.sharp_constants, "rellich_sharp_r2",
-         [("rellich_sharp_r2_radial", a.N, (getattr(a, "rmax", None),))])],
+         [("rellich_sharp_r2_radial", a.N, (a.rmax,))])],
     "rellich coeffs": lambda a, cfg: [(_coeffs_written, a.N, a.nmax, a.out)],
     "rellich asymptotics": lambda a, cfg: [
         (suites.asymptotic_consistency_exact,),
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                           ).add_subparsers(dest="action", required=True)
     verb(rsub, "coeffs", "rellich coeffs").add_argument("--nmax", type=_count, default=50)
     verb(rsub, "check", "rellich check")
-    verb(rsub, "sharp-r2", "rellich sharp-r2")
+    verb(rsub, "sharp-r2", "rellich sharp-r2").add_argument("--rmax", type=_radius, default=None)
     verb(rsub, "asymptotics", "rellich asymptotics")
 
     esub = sub.add_parser("euclid", help="ball and half-space checks"

@@ -240,7 +240,7 @@ class TensorProductFunction:
 
 def tensor_bump(xi_extent: float, y_lo: float, y_hi: float) -> TensorProductFunction:
     """Cylindrical bump: plateau cutoff in |x| times a C^inf bump in y."""
-    fx = plateau_cutoff(xi_extent / 2.0, xi_extent / 2.0)
+    fx = plateau_cutoff(xi_extent / 2.0)
     fy = bump(y_lo, y_hi)
     return TensorProductFunction(
         fx, fy, label=f"tensor_bump(xi<{xi_extent:g},y[{y_lo:g},{y_hi:g}])")
@@ -425,7 +425,7 @@ class TensorGrid:
 # The near part chi(d) d^(-2k) of a tensor product's distance weight:
 # chi is 1 for d <= PATCH_RADIUS / 2 and 0 for d >= PATCH_RADIUS.
 PATCH_RADIUS = 0.3
-_PATCH_CUTOFF = plateau_cutoff(PATCH_RADIUS / 2.0, PATCH_RADIUS / 2.0)
+_PATCH_CUTOFF = plateau_cutoff(PATCH_RADIUS / 2.0)
 # Clenshaw-Curtis orders of the polar patch in d and in theta (multiples
 # of 4, so that the half rule has an even order too)
 PATCH_NODES = (64, 32)

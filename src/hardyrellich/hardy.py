@@ -12,7 +12,7 @@ import numpy as np
 from . import claims, quotients
 from .config import default_config
 from .errors import ArgumentError
-from .iterated_log import iterated_log_stack, log_derivatives
+from .iterated_log import iterated_log_stack
 from .manifolds import ModelManifold, _check_dimension, hardy_weight_general, hyperbolic
 from .pencils import ConstantEstimate
 from .radial import (
@@ -174,46 +174,6 @@ def check_iterated_log_improvement(u: RadialFunction, N: int, k,
     return reports[0] if np.ndim(k) == 0 else [rep for per_k in reports for rep in per_k]
 
 
-def trial_profile(eps: float, a, delta: float) -> RadialFunction:
-    """Near-optimizer family r^eps X_1^{a_1} ... X_k^{a_k} times a C^inf
-    cutoff that is 1 on [0, delta] and 0 beyond 2*delta."""
-    if eps <= 0.0:
-        raise ArgumentError("exponent eps must be positive")
-    a = [float(x) for x in a]
-    if any(x <= 0 for x in a):
-        raise ArgumentError("iterated-log exponents must be positive")
-    if not 2.0 * delta < 1.0:
-        raise ArgumentError("cutoff needs 2*delta < 1")
-    cut = plateau_cutoff(delta, delta)
-    k = len(a)
-
-    def jet(r, order):
-        # core = r^eps X_1^a_1 ... X_k^a_k with log-derivatives l1, l2,
-        # times the cutoff's jet
-        r = np.asarray(r, dtype=float)
-        c = cut.jet(r, order)
-        if k:
-            stack = iterated_log_stack(k, r)
-            core = r**eps * np.prod(
-                stack ** np.asarray(a).reshape((k,) + (1,) * r.ndim), axis=0
-            )
-        else:
-            core = r**eps
-        out = (core * c[0],)
-        if not order:
-            return out
-        l1x, l2x = log_derivatives(a, r) if k else (0.0, 0.0)
-        l1 = eps / r + l1x
-        out += (core * (l1 * c[0] + c[1]),)
-        if order == 1:
-            return out
-        w2 = -eps / r**2 + l2x + l1 * l1
-        return out + (core * (w2 * c[0] + 2.0 * l1 * c[1] + c[2]),)
-
-    return RadialFunction(jet, support=(0.0, 2.0 * delta),
-                          label=f"trial(eps={eps:g},a={a},delta={delta:g})")
-
-
 def iterated_log_optimality_scan(N: int, k: int, params=None,
                                  M: int = 8192) -> list[float]:
     """Rayleigh quotients of the level-k improvement along a shrinking
@@ -236,10 +196,11 @@ def iterated_log_optimality_scan(N: int, k: int, params=None,
     delta = 0.25
     grid = make_grid(1e-10, 2.0 * delta, M, "geometric")
     r = grid.nodes
-    # the profile of trial_profile(t, [t] * k, delta) is U = core(t) c with
-    # core(t) = (r P_k)^t and U' = core(t) (t g c + c'), g = (1 + sum_i P_i)/r;
+    # the trial profile at t is U = core(t) c, with core(t) = (r P_k)^t =
+    # r^t X_1^t ... X_k^t and c the cutoff equal to 1 on [0, delta] and 0
+    # beyond 2 delta; U' = core(t) (t g c + c'), g = (1 + sum_i P_i)/r, and
     # everything but the powers of r P_k is formed once for all t
-    c, c1 = plateau_cutoff(delta, delta).jet(r, 1)
+    c, c1 = plateau_cutoff(delta).jet(r, 1)
     products = np.cumprod(iterated_log_stack(k, r), axis=0)
     pk = products[-1]
     base = r * pk

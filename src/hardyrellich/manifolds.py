@@ -4,9 +4,9 @@ A manifold here is the data (N, psi) with metric dr^2 + psi(r)^2 dw^2 on
 (0, infinity) x S^{N-1}.  It is carried as four overflow-safe ratios,
 log psi, psi'/psi, psi''/psi and (psi'^2 - 1)/psi^2, which are all that
 curvatures, weights, pencils and identity residuals read.  psi itself is
-never formed, so the built-in families stay finite at radii where psi
-overflows; only ``custom`` takes psi, psi' and psi'' (the user's closed
-forms) and builds the ratios from them.
+never formed, so every family (euclidean, hyperbolic, superexp) stays
+finite at radii where psi overflows; another model is a ModelManifold
+built from its own four ratios.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, CapabilityError, DomainError
-
-_POLE_SAMPLES = (1e-6, 1e-8)
-_POLE_RTOL = 1e-4
+from .errors import DomainError
 
 
 def _require_positive(r) -> np.ndarray:
@@ -146,53 +143,6 @@ def superexp(N: int, a: float) -> ModelManifold:
     )
 
 
-def check_pole_conditions(psi, dpsi, ddpsi) -> None:
-    """Numeric check of psi(0+) = 0, psi'(0+) = 1, psi''(0+) = 0.
-
-    Sampled at r = 1e-6 and 1e-8 with relative tolerance 1e-4.
-    """
-    for r in _POLE_SAMPLES:
-        if abs(float(psi(r)) / r - 1.0) > _POLE_RTOL:
-            raise ArgumentError(f"psi(r)/r != 1 near the pole (r={r:g})")
-        if abs(float(dpsi(r)) - 1.0) > _POLE_RTOL:
-            raise ArgumentError(f"psi'(r) != 1 near the pole (r={r:g})")
-        if abs(float(ddpsi(r))) > _POLE_RTOL:
-            raise ArgumentError(f"psi''(r) != 0 near the pole (r={r:g})")
-
-
-def custom(N: int, psi, dpsi, ddpsi) -> ModelManifold:
-    """Model from user-supplied closed-form psi, psi', psi''.
-
-    The one constructor that takes psi itself; the ratios are built from
-    the three evaluators, so they overflow where the user's psi does.  All
-    three are required; finite-difference fallbacks are refused because
-    differenced psi'' cannot reach the identity-residual tolerances the
-    verifiers assert.  Pole conditions are validated here.
-    """
-    for f, label in ((psi, "psi"), (dpsi, "dpsi"), (ddpsi, "ddpsi")):
-        if not callable(f):
-            raise CapabilityError(f"custom manifold needs a callable {label}")
-    check_pole_conditions(psi, dpsi, ddpsi)
-
-    def _psi(r):
-        return np.asarray(psi(_require_positive(r)), dtype=float)
-
-    def _dpsi(r):
-        return np.asarray(dpsi(_require_positive(r)), dtype=float)
-
-    def _ddpsi(r):
-        return np.asarray(ddpsi(_require_positive(r)), dtype=float)
-
-    return ModelManifold(
-        N=N,
-        family="custom",
-        log_psi=lambda r: np.log(_psi(r)),
-        dpsi_over_psi=lambda r: _dpsi(r) / _psi(r),
-        ddpsi_over_psi=lambda r: _ddpsi(r) / _psi(r),
-        tan_ratio=lambda r: (_dpsi(r) ** 2 - 1.0) / _psi(r) ** 2,
-    )
-
-
 # ---------------------------------------------------------------------------
 # curvature and weights
 
@@ -223,7 +173,7 @@ def hardy_weight_general(manifold: ModelManifold, r):
 
 
 def check_monotonicity_condition(manifold: ModelManifold, grid):
-    """Check (N-2) psi' + (N-1) r psi'' >= 0 at every grid node.
+    """Check (N-2) psi' + (N-1) r psi'' >= 0 at every node of the RadialGrid.
 
     Tested divided by psi > 0, as (N-2) psi'/psi + (N-1) r psi''/psi, which
     has the same sign and stays finite at every radius.  Returns
@@ -231,9 +181,7 @@ def check_monotonicity_condition(manifold: ModelManifold, grid):
     violating node index.  This is the hypothesis under which the
     comparison profile used by the supersolution argument is nonincreasing.
     """
-    nodes = np.asarray(getattr(grid, "nodes", grid), dtype=float)
-    if nodes.size == 0:
-        raise ArgumentError("grid must be nonempty")
+    nodes = grid.nodes
     N = manifold.N
     values = ((N - 2) * manifold.dpsi_over_psi(nodes)
               + (N - 1) * nodes * manifold.ddpsi_over_psi(nodes))

@@ -292,20 +292,19 @@ def bump(a, b, rise=None, fall=None, label="") -> RadialFunction:
                           label=f"bumps({len(members)})", members=members)
 
 
-def plateau_cutoff(delta: float, width: float | None = None) -> RadialFunction:
-    """C^inf cutoff equal to 1 on [0, delta], falling to 0 at delta + width."""
-    width = delta if width is None else float(width)
-    b = delta + width
+def plateau_cutoff(delta: float) -> RadialFunction:
+    """C^inf cutoff equal to 1 on [0, delta], falling to 0 at 2 delta."""
+    b = 2.0 * delta
 
     def jet(r, order):
         # each derivative is 0 outside (delta, b) but the value is 1 on
-        # [0, delta]; inside, the ramp in (b - r) / width
+        # [0, delta]; inside, the ramp in (b - r) / delta
         r = np.asarray(r, dtype=float)
         sel = (r > delta) & (r < b)
         out = tuple(np.zeros_like(r) for _ in range(order + 1))
         out[0][r <= delta] = 1.0
-        for k, ramp in enumerate(_ramp_jet((b - r[sel]) / width, order)):
-            out[k][sel] = ramp / (-width) ** k
+        for k, ramp in enumerate(_ramp_jet((b - r[sel]) / delta, order)):
+            out[k][sel] = ramp / (-delta) ** k
         return out
 
     return RadialFunction(jet, support=(0.0, b), label=f"cutoff[{delta:g}]")

@@ -129,6 +129,7 @@ def test_tol_scale_forces_failure(tmp_path):
     ["hardy", "sharp", "--rmax", "-5"],
     ["sharp", "--rmax", "inf"],
     ["sharp", "--which", "rellich-r2", "--rmax", "nan"],
+    ["rellich", "sharp-r2", "--rmax", "0"],
 ], ids=" ".join)
 def test_out_of_range_flag_is_a_usage_error(argv, tmp_path, capsys):
     # a negative seed, table size or series length, a tolerance scale that
@@ -174,6 +175,16 @@ def test_dimension_below_the_verbs_minimum_is_a_usage_error(argv, minimum, tmp_p
     args = cli.build_parser().parse_args([*argv[:-1], str(minimum)])
     cli._resolve(args)
     assert args.N == minimum
+
+
+def test_rellich_sharp_r2_takes_rmax_as_sharp_does(tmp_path):
+    # the two spellings of one entry take the same flags and write the
+    # same estimate
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["rellich", "sharp-r2", "--rmax", "1e4", "--out", str(a)]) == 0
+    assert cli.main(["sharp", "--which", "rellich-r2", "--rmax", "1e4", "--out", str(b)]) == 0
+    assert (a / "constants.csv").read_bytes() == (b / "constants.csv").read_bytes()
+    assert (a / "constants.csv").read_text().splitlines()[1].split(",")[3] == "10000"
 
 
 @pytest.mark.parametrize("flags", [["--N", "7", "--rmax", "5"], ["--rmax", "5"]], ids=" ".join)

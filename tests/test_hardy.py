@@ -230,10 +230,23 @@ def test_iterated_log_support_guard():
         hardy.check_iterated_log_improvement(family, 5, [0, 1])
 
 
+def trial_profile(eps: float, k: int, delta: float, r):
+    """The trial profile u = r^eps X_1^eps ... X_k^eps c and its u', with c
+    the cutoff that is 1 on [0, delta] and 0 beyond 2 delta, written out
+    from the core's log-derivative: u' = core (l1 c + c')."""
+    from hardyrellich.iterated_log import iterated_log_stack, log_derivatives
+    from hardyrellich.radial import plateau_cutoff
+
+    c, c1 = plateau_cutoff(delta).jet(r, 1)
+    core = r**eps * np.prod(iterated_log_stack(k, r) ** eps, axis=0)
+    l1 = eps / r + log_derivatives([eps] * k, r)[0]
+    return core * c, core * (l1 * c + c1)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_scan_is_the_trial_profile_quotient(k):
-    # the scan forms the t-free factors once; the quotient of each
-    # trial_profile(t, [t] * k, 1/4), written out, is the same to rounding
+    # the scan forms the t-free factors once; the quotient of each trial
+    # profile at t, written out, is the same to rounding
     from hardyrellich.iterated_log import iterated_log_stack
     from hardyrellich.radial import _integrate, make_grid
 
@@ -243,7 +256,7 @@ def test_scan_is_the_trial_profile_quotient(k):
     params = [0.5 * 2.0**-j for j in range(5)]
     want = []
     for t in params:
-        u, du = hardy.trial_profile(t, [t] * k, 0.25).jet(r, 1)
+        u, du = trial_profile(t, k, 0.25, r)
         want.append(0.25 + _integrate(du * du * r / pk, grid, "num", subgrid=False)
                     / _integrate(u * u * pk / r, grid, "den", subgrid=False))
     assert hardy.iterated_log_optimality_scan(5, k, params) == pytest.approx(want, rel=1e-14)
@@ -252,23 +265,6 @@ def test_scan_is_the_trial_profile_quotient(k):
 def test_scan_rejects_nonpositive_parameters():
     with pytest.raises(ArgumentError, match="scan parameters must be positive"):
         hardy.iterated_log_optimality_scan(5, 1, params=[0.0])
-
-
-def test_trial_profile():
-    tp = hardy.trial_profile(0.1, [0.1], 0.25)
-    r = 0.05  # below delta: cutoff == 1
-    x1 = 1.0 / (1.0 - np.log(r))
-    assert tp(np.array([r]))[0] == pytest.approx(r**0.1 * x1**0.1, rel=1e-12)
-    assert tp(np.array([0.6]))[0] == 0.0  # beyond 2*delta
-    tp0 = hardy.trial_profile(0.3, [], 0.25)
-    assert tp0(np.array([0.05]))[0] == pytest.approx(0.05**0.3, rel=1e-12)
-    with pytest.raises(ArgumentError):
-        hardy.trial_profile(0.1, [0.1], 0.6)
-    # C^1 sanity across the cutoff ramp
-    h = 1e-6
-    for r0 in (0.05, 0.3, 0.4):
-        fd = (tp(np.array([r0 + h]))[0] - tp(np.array([r0 - h]))[0]) / (2 * h)
-        assert tp.jet(np.array([r0]), 1)[1][0] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def test_optimality_scan_bound_and_trend():
@@ -286,15 +282,14 @@ def test_optimality_scan_matches_direct_quotient():
     from hardyrellich.radial import make_grid
 
     N, k, eps, delta = 5, 1, 0.5, 0.25
-    u_t = hardy.trial_profile(eps, [eps] * k, delta)
     fk = iterated_log_profile(N, k)
     man = mf.hyperbolic(N)
     grid = make_grid(1e-10, 2 * delta, 8192, "geometric")
     r, w = grid.nodes, grid.quad_weights
     phik = np.exp(0.5 * (N - 1) * (np.log(r) - man.log_psi(r))) * fk(r)
-    uu = phik * u_t(r)
+    u0, u1 = trial_profile(eps, k, delta, r)
+    uu = phik * u0
     f0, f1 = fk.jet(r, 1)
-    u0, u1 = u_t.jet(r, 1)
     dlog = 0.5 * (N - 1) * (1.0 / r - 1.0 / np.tanh(r)) + f1 / f0
     du = phik * (dlog * u0 + u1)
     mw = man.measure_weight(r)

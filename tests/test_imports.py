@@ -1,13 +1,17 @@
 """Every name a package module imports is used in that module, and every
-function and class a package module defines is referenced somewhere.
+function, class and method a package module defines is reachable from
+the package's entry points.
 
 Stdlib ast passes, so they need no lint tool: an import left behind when
-the code that read it moves elsewhere fails here, and so does a function
-or class that nothing in src/, tests/ or perfbench/ refers to.
-__init__.py is skipped by the import check, as its imports are the
-package's exports."""
+the code that read it moves elsewhere fails here, and so does a
+definition that no verb reaches.  The reachability walk starts from
+``cli.main``, from the code each module runs on import and from the
+names perfbench's own files write; a call from a test does not count, so
+code that only tests keep alive is reported.  __init__.py is skipped by
+the import check, as its imports are the package's exports."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -45,71 +49,160 @@ def test_module_uses_every_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
 
 
-def definitions(source: str) -> list[str]:
-    """The functions and classes defined at the top level of a module."""
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
-def references(source: str, module: str | None = None) -> set[tuple[str, str]]:
-    """(module, name) pairs that a source file refers to through a package
-    module: ``from hardyrellich.m import name`` (or ``from .m import name``
-    inside the package), ``m.name`` with m bound by ``from hardyrellich
-    import m``, ``from . import m`` or ``import hardyrellich.m as m``, and
-    ``hardyrellich.m.name``.  Inside the package module ``module`` itself
-    every bare name read counts as well."""
-    tree = ast.parse(source)
-    found, alias = set(), {}
-    inside = module is not None
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            relative = inside and node.level > 0
-            if node.module == "hardyrellich" or (relative and node.module is None):
-                alias.update((a.asname or a.name, a.name) for a in node.names)
-            elif node.module and (node.module.startswith("hardyrellich.") or relative):
-                found.update((node.module.split(".")[-1], a.name) for a in node.names)
-        elif isinstance(node, ast.Import):
-            alias.update((a.asname, a.name.split(".")[-1]) for a in node.names
-                         if a.asname and a.name.startswith("hardyrellich."))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            base = node.value
-            if isinstance(base, ast.Name) and base.id in alias:
-                found.add((alias[base.id], node.attr))
-            elif (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
-                  and base.value.id == "hardyrellich"):
-                found.add((base.attr, node.attr))
-        elif inside and isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            found.add((module, node.id))
+def definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """The module's top-level functions and classes and each class's
+    methods, by qualified name (``f``, ``C``, ``C.m``)."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            found[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            found.update((f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, FUNCTIONS))
     return found
 
 
-def unreferenced(root: Path) -> list[str]:
-    """module.name for each top-level function or class of the package
-    that no file under src/, tests/ or perfbench/ refers to."""
-    package = root / "src" / "hardyrellich"
-    defined = [(p.stem, name) for p in sorted(package.glob("*.py"))
-               for name in definitions(p.read_text(encoding="utf-8"))]
-    seen = set()
-    for path in (p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")):
-        module = path.stem if path.parent == package else None
-        seen |= references(path.read_text(encoding="utf-8"), module)
-    return [f"{m}.{name}" for m, name in defined if (m, name) not in seen]
+def bindings(tree: ast.Module, package: str) -> tuple[dict, dict]:
+    """Names the module binds by importing from the package, wherever the
+    import stands: local name -> package module, and local name ->
+    (module, name)."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0 and not source.startswith(package):
+                continue
+            source = source.removeprefix(package).lstrip(".")
+            for a in node.names:
+                if source:
+                    names[a.asname or a.name] = (source.split(".")[-1], a.name)
+                else:
+                    modules[a.asname or a.name] = a.name
+        elif isinstance(node, ast.Import):
+            modules.update((a.asname, a.name.split(".")[-1]) for a in node.names
+                           if a.asname and a.name.startswith(package + "."))
+    return modules, names
 
 
-def test_the_check_sees_an_unreferenced_definition():
-    module = ("def used():\n    return helper()\n"
-              "def helper():\n    return 1\n"
-              "def orphan():\n    return 2\n"
-              "class Orphan:\n    pass\n")
-    assert definitions(module) == ["used", "helper", "orphan", "Orphan"]
-    seen = references(module, "mod") | references(
-        "from hardyrellich import mod as m\nm.used()\n")
-    assert {("mod", n) for n in ("used", "helper")} <= seen
-    assert ("mod", "orphan") not in seen and ("mod", "Orphan") not in seen
-    assert references("from hardyrellich.mod import orphan\n") == {("mod", "orphan")}
-    assert references("import hardyrellich\nhardyrellich.mod.Orphan\n") == {("mod", "Orphan")}
+def import_time_code(tree: ast.Module) -> list[ast.AST]:
+    """What runs when the module is imported: every top-level statement
+    but the imports, and of each function the decorators and defaults
+    only, of each class its bases, decorators and body (methods again by
+    their decorators and defaults)."""
+    def header(f):
+        return [*f.decorator_list, *f.args.defaults, *filter(None, f.args.kw_defaults)]
+
+    code = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, FUNCTIONS):
+            code += header(node)
+        elif isinstance(node, ast.ClassDef):
+            code += [*node.decorator_list, *node.bases, *node.keywords]
+            for stmt in node.body:
+                code += header(stmt) if isinstance(stmt, FUNCTIONS) else [stmt]
+        else:
+            code.append(node)
+    return code
 
 
-def test_every_definition_is_referenced():
-    assert unreferenced(ROOT) == []
+def unreachable(package: Path, perfbench: Path) -> list[str]:
+    """module.qualname of each function, class or method of the package
+    that nothing reaches from the entry points: ``cli.main``, the code
+    each module runs on import, and each definition whose name perfbench
+    writes as a name, an attribute or a part of a dotted span string.
+
+    A name is followed to the module's own definition or to the one it
+    imported; ``m.name`` with m a package module to that module's
+    definition; any other attribute to every method of that name; a class
+    reached reaches its dunder methods, which Python calls for it.  Tests
+    are no entry point: a definition only a test calls is reported."""
+    name = package.name
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    defs = {(m, q): node for m, tree in trees.items() for q, node in definitions(tree).items()}
+    imports = {m: bindings(tree, name) for m, tree in trees.items()}
+    methods = {}
+    for m, q in defs:
+        if "." in q:
+            methods.setdefault(q.rsplit(".", 1)[1], []).append((m, q))
+
+    def targets(m, code):
+        modules, names = imports[m]
+        for node in (n for c in code for n in ast.walk(c)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                yield names.get(node.id, (m, node.id))
+            elif isinstance(node, ast.Attribute):
+                base = node.value
+                if isinstance(base, ast.Name) and base.id in modules:
+                    yield modules[base.id], node.attr
+                elif (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+                      and base.value.id == name):
+                    yield base.attr, node.attr
+                else:
+                    yield from methods.get(node.attr, ())
+
+    perf = set()
+    for path in sorted(perfbench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                perf.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                perf.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and DOTTED.fullmatch(node.value)):
+                perf.update(node.value.split("."))
+    todo = [("cli", "main"), *(key for key in defs if key[1].rsplit(".", 1)[-1] in perf)]
+    todo += [key for m, tree in trees.items() for key in targets(m, import_time_code(tree))]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in reached or key not in defs:
+            continue
+        reached.add(key)
+        node = defs[key]
+        if isinstance(node, ast.ClassDef):
+            todo += [(key[0], f"{node.name}.{f.name}") for f in node.body
+                     if isinstance(f, FUNCTIONS) and f.name.startswith("__")
+                     and f.name.endswith("__")]
+        else:
+            todo += targets(key[0], [node])
+    return [f"{m}.{q}" for m, q in defs if (m, q) not in reached]
+
+
+def test_the_check_sees_an_unreferenced_definition(tmp_path):
+    # a toy package beside a toy perfbench and a toy test file
+    package, perfbench, tests = (tmp_path / d for d in ("toy", "perfbench", "tests"))
+    for d in (package, perfbench, tests):
+        d.mkdir()
+    (package / "cli.py").write_text(
+        "from . import lib\n"
+        "from .lib import Table\n"
+        "def main():\n    return lib.used(), Table().row()\n")
+    (package / "lib.py").write_text(
+        "def used():\n    return 1\n"
+        "def at_import():\n    return 2\n"
+        "LOADED = at_import()\n"
+        "def spanned():\n    return 3\n"
+        "def test_only():\n    return 4\n"
+        "class Table:\n"
+        "    def __init__(self):\n        self.n = 0\n"
+        "    def row(self):\n        return self.n\n"
+        "    def unused_method(self):\n        return 5\n"
+        "class Orphan:\n    pass\n")
+    (perfbench / "layers.py").write_text('GROUPS = {"lib": {"lib.spanned"}}\n')
+    (tests / "test_lib.py").write_text(
+        "from toy import lib\n"
+        "def test_it():\n    assert lib.test_only() == 4\n"
+        "    assert lib.Orphan() and lib.Table().unused_method()\n")
+    assert unreachable(package, perfbench) == [
+        "lib.test_only", "lib.Table.unused_method", "lib.Orphan"]
+
+
+def test_every_definition_is_reachable():
+    assert unreachable(PACKAGE, ROOT / "perfbench") == []

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from hardyrellich import manifolds as mf
-from hardyrellich.errors import ArgumentError, CapabilityError, DomainError
+from hardyrellich.errors import DomainError
 from hardyrellich.radial import make_grid
 
 
@@ -69,7 +69,10 @@ def test_monotonicity_condition_builtin_and_sin():
     for man in (mf.hyperbolic(4), mf.euclidean(3), mf.superexp(5, 2.0)):
         ok, idx = mf.check_monotonicity_condition(man, grid)
         assert ok and idx is None
-    sin_man = mf.custom(4, np.sin, np.cos, lambda r: -np.sin(r))
+    # psi = sin r, which bends back: its four ratios are log sin r, cot r,
+    # psi''/psi = -1 and (cos^2 r - 1)/sin^2 r = -1
+    sin_man = mf.ModelManifold(4, "sin", lambda r: np.log(np.sin(r)), lambda r: 1.0 / np.tan(r),
+                               lambda r: -np.ones_like(r), lambda r: -np.ones_like(r))
     grid = make_grid(0.05, 1.5, 512, "uniform")
     ok, idx = mf.check_monotonicity_condition(sin_man, grid)
     assert not ok
@@ -138,29 +141,20 @@ def test_derivatives_match_finite_differences():
                 assert abs(float(man.tan_ratio(rv)) - tan) / scale < 1e-6
 
 
-def _evaluators_from_ratios(man):
-    """psi, psi', psi'' rebuilt from the ratios a manifold carries."""
-    psi = lambda r: np.exp(man.log_psi(r))  # noqa: E731
-    return (psi, lambda r: psi(r) * man.dpsi_over_psi(r),
-            lambda r: psi(r) * man.ddpsi_over_psi(r))
-
-
 def test_pole_conditions():
+    # every family closes smoothly at the pole: psi(r)/r -> 1, psi' -> 1
+    # and psi'' -> 0, with psi, psi' and psi'' rebuilt from the ratios
     for man in (mf.euclidean(3), mf.hyperbolic(6), mf.superexp(4, 2.0),
                 mf.superexp(5, 2.5)):
-        mf.check_pole_conditions(*_evaluators_from_ratios(man))
+        for r in (1e-6, 1e-8):
+            psi = np.exp(man.log_psi(r))
+            assert abs(psi / r - 1.0) <= 1e-4
+            assert abs(psi * man.dpsi_over_psi(r) - 1.0) <= 1e-4
+            assert abs(psi * man.ddpsi_over_psi(r)) <= 1e-4
     # superexp near the pole: psi'' -> 0 like r^(a-1)
-    ddpsi = _evaluators_from_ratios(mf.superexp(4, 2.0))[2]
-    assert abs(float(ddpsi(1e-6))) < 1e-4
-    assert abs(float(ddpsi(1e-8))) < abs(float(ddpsi(1e-6)))
-
-
-def test_custom_validation():
-    with pytest.raises(ArgumentError):
-        mf.custom(3, lambda r: r**2, lambda r: 2 * r,
-                  lambda r: np.full_like(np.asarray(r, float), 2.0))
-    with pytest.raises(CapabilityError):
-        mf.custom(3, np.sin, np.cos, None)
+    man = mf.superexp(4, 2.0)
+    ddpsi = lambda r: np.exp(man.log_psi(r)) * man.ddpsi_over_psi(r)  # noqa: E731
+    assert abs(ddpsi(1e-8)) < abs(ddpsi(1e-6))
 
 
 def test_dimension_and_domain_guards():
@@ -187,8 +181,10 @@ def test_every_model_checks_its_dimension_however_built():
     for N in (2, 2.5, 0):
         with pytest.raises(DomainError, match="integer >= 3"):
             dataclasses.replace(mf.hyperbolic(3), N=N)
-    with pytest.raises(DomainError):
-        mf.custom(2, np.sinh, np.cosh, np.sinh)
+    flat = mf.euclidean(3)
+    with pytest.raises(DomainError):  # a model built from its own ratios
+        mf.ModelManifold(2, "flat", flat.log_psi, flat.dpsi_over_psi, flat.ddpsi_over_psi,
+                         flat.tan_ratio)
     man = dataclasses.replace(mf.superexp(5, 2.0), N=4.0)
     assert man.N == 4 and isinstance(man.N, int)
 

@@ -131,6 +131,22 @@ def test_bump_smoothness_and_support():
     assert np.max(np.abs(d2 - fd2)) < 1e-4
 
 
+def test_plateau_cutoff_smoothness_and_support():
+    # 1 on [0, delta], 0 from 2 delta on, and the ramp's derivatives carry
+    # the 1/(-delta)^k of its argument (b - r)/delta
+    c = radial.plateau_cutoff(0.25)
+    assert c.support == (0.0, 0.5)
+    assert np.all(c(np.array([0.0, 0.1, 0.25])) == 1.0)
+    assert np.all(c(np.array([0.5, 0.6])) == 0.0)
+    h = 1e-5
+    rr = np.linspace(0.05, 0.55, 101)
+    fd1 = (c(rr + h) - c(rr - h)) / (2 * h)
+    fd2 = (c(rr + h) - 2 * c(rr) + c(rr - h)) / h**2
+    _, d1, d2 = c.jet(rr, 2)
+    assert np.max(np.abs(d1 - fd1)) < 1e-6
+    assert np.max(np.abs(d2 - fd2)) < 1e-4
+
+
 def test_seeded_bumps_reproducible():
     a = radial.seeded_bumps(11, 4, 0.5, 3.0)
     b = radial.seeded_bumps(11, 4, 0.5, 3.0)
@@ -316,7 +332,7 @@ def test_bump_plateau_is_exact():
 def _jet_cases():
     """Each constructor of a RadialFunction with sample points inside its
     domain."""
-    from hardyrellich import euclid, hardy, iterated_log, rellich
+    from hardyrellich import euclid, iterated_log, rellich
     from hardyrellich import supersolutions as ss
 
     man = mf.hyperbolic(5)
@@ -327,7 +343,6 @@ def _jet_cases():
     return {
         "bump": lambda: (radial.bump(0.37, 2.11, 0.41, 0.77), wide),
         "plateau_cutoff": lambda: (radial.plateau_cutoff(0.5), wide),
-        "trial_profile": lambda: (hardy.trial_profile(0.3, [0.5], 0.25), unit),
         "iterated_log_profile": lambda: (iterated_log.iterated_log_profile(5, 2), unit),
         "comparison_profile": lambda: (ss.comparison_profile(man), positive),
         "power_profile": lambda: (ss.power_profile(-1.5), positive),
@@ -384,13 +399,12 @@ def _reference_sums(u, grid, weight, measure, drift, zeroth):
     return {q: (np.dot(w, v), subgrid_sum(grid, v)) for q, v in vals.items()}
 
 
-def _trial_inside(grid_end):
-    # trial_profile reaches r = 0, where no grid starts; its declared support
-    # is cut to the grid, as both sums visit the same nodes
-    from hardyrellich.hardy import trial_profile
+def _cut_iterated_log_profile():
+    # nonzero at both ends of its support: the subgrid sum's end closures
+    # and the grid's end weights see values, not the zeros of a bump
+    from hardyrellich.iterated_log import iterated_log_profile
 
-    u = trial_profile(0.3, [0.5], 0.25)
-    return radial.RadialFunction(u.jet_fn, support=(grid_end, 0.5))
+    return radial.RadialFunction(iterated_log_profile(5, 2).jet_fn, support=(0.02, 0.5))
 
 
 def _sums_cases():
@@ -399,7 +413,7 @@ def _sums_cases():
 
     return {
         "bump": lambda: radial.bump(0.6, 2.3, 0.4, 0.9),
-        "trial_profile": lambda: _trial_inside(0.02),
+        "cut_iterated_log_profile": _cut_iterated_log_profile,
         "reduced_from_radial": lambda: reduced_from_radial(radial.bump(0.5, 2.0), 5),
         "ball_from_radial": lambda: ball_from_radial(radial.bump(0.5, 2.0), 5),
         "mapped_from_radial": lambda: mapped_from_radial(radial.bump(1.0, 2.0), 5),

@@ -180,6 +180,8 @@ def test_profile_nonincreasing():
     assert ss.check_profile_nonincreasing(mf.euclidean(3), grid) is True
     assert ss.check_profile_nonincreasing(mf.superexp(5, 2.0), grid) is True
     # condition violated: reported inapplicable, not False
-    sin_man = mf.custom(4, np.sin, np.cos, lambda r: -np.sin(r))
+    # psi = sin r from its four ratios: log sin r, cot r, -1 and -1
+    sin_man = mf.ModelManifold(4, "sin", lambda r: np.log(np.sin(r)), lambda r: 1.0 / np.tan(r),
+                               lambda r: -np.ones_like(r), lambda r: -np.ones_like(r))
     grid2 = make_grid(0.05, 1.5, 256, "uniform")
     assert ss.check_profile_nonincreasing(sin_man, grid2) is None

@@ -4,8 +4,9 @@ Each entry is an exact Fraction, or a function of the dimension N that
 returns one.  Margins, estimators and check rows read it when they run
 (``claims.<name>``, through float() where they compute in floating point),
 so changing one entry moves every consumer.  Substitution and identity
-coefficients are derived where they are used, and the sharp mode minima
-stay in rellich (min_sinh2_closed_form, min_sinh4_closed_form).
+coefficients are derived where they are used, and the mode coefficients
+stay in rellich (sinh2_coefficient, sinh4_coefficient, whose minima at
+n = 0 are min_sinh2_closed_form and min_sinh4_closed_form).
 """
 
 from fractions import Fraction

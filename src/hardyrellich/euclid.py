@@ -42,7 +42,7 @@ from .radial import (
     plateau_cutoff,
     radial_sums,
 )
-from .hardy import MarginReport
+from .hardy import MarginReport, _poincare_hardy, _sides
 
 
 def sphere_area(dim: int) -> float:
@@ -134,11 +134,11 @@ def check_ball_hardy(v: RadialFunction, N: int, nodes: int = 1024) -> MarginRepo
     grid = make_grid(a * 0.9, (b + 1.0) / 2.0, nodes, "uniform")
     t = grid.nodes
     c2 = conformal_factor(t) ** 2
-    grad2, v2, v2_log = radial_sums(
-        v, grid, [("grad2", 1.0), ("v2", c2), ("v2", c2 / ball_radius_of_t(t) ** 2)],
-        t ** (N - 1))
+    sides = ([(1.0, "grad2", 1.0)],
+             [(float(claims.BALL_HARDY), "v2", c2),
+              (float(claims.HARDY_R2), "v2", c2 / ball_radius_of_t(t) ** 2)])
     return MarginReport.from_sides(
-        grad2, float(claims.BALL_HARDY) * v2 + float(claims.HARDY_R2) * v2_log,
+        *_sides(v, grid, t ** (N - 1), *sides),
         "ball_hardy", N, "ball", v.labels)
 
 
@@ -784,7 +784,6 @@ def hyperbolic_margin_without_sinh(U: RadialFunction, N: int,
     man = hyperbolic(N)
     grid = grid_covering(U.support, nodes)
     r = grid.nodes
-    terms = [("grad2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2)]
-    dirichlet, l2, by_r2 = radial_sums(U, grid, terms, man.measure_weight(r), subgrid=False)
-    return float(dirichlet - float(claims.spectral_gap(N)) * l2
-                 - float(claims.HARDY_R2) * by_r2)
+    lhs, rhs = _sides(U, grid, man.measure_weight(r), *_poincare_hardy(man, r, psi=False),
+                      subgrid=False)
+    return float(lhs - rhs)

@@ -42,7 +42,8 @@ class MarginReport:
     quad_error/|lhs| = 2.0e-10, while its margins agree with a 16,384-node
     grid to 7.1e-16 of |lhs|; on the 128^2 half-space y2 margin of a tensor
     bump (see euclid.TensorProductFunction) it reads 8.4e-5 against a
-    true error of 6.8e-8."""
+    true error of 6.8e-8.  A check row records quad_error / |lhs| as its
+    quad_error_rel: NaN for a report with lhs = 0, and then for the row."""
 
     name: str
     N: int
@@ -76,53 +77,57 @@ class MarginReport:
         return reports if np.ndim(margin) > 1 else reports[0]
 
 
-def _hardy_sums(u: RadialFunction, manifold: ModelManifold, grid: RadialGrid,
-                *weights) -> np.ndarray:
-    """int u'^2, int u^2/r^2 and int u^2/psi^2, then int u^2 w for each
-    weight w, all against the volume weight psi^(N-1), as radial_sums
-    returns them."""
-    r = grid.nodes
-    terms = [("grad2", 1.0), ("v2", 1.0 / r**2), ("v2", manifold.inv_psi_sq(r)),
-             *(("v2", w) for w in weights)]
-    return radial_sums(u, grid, terms, manifold.measure_weight(r))
+def _sides(u: RadialFunction, grid: RadialGrid, measure, *sides, **form) -> list:
+    """Each side, a list of signed terms (c, Q, w), as sum_i c_i int Q_i w_i
+    measure, summed in list order from one radial_sums call (form passes
+    its drift, zeroth and subgrid): (grid, subgrid) pairs as
+    MarginReport.from_sides takes them, or grid sums with subgrid False."""
+    sums = iter(radial_sums(u, grid, [(q, w) for side in sides for _, q, w in side],
+                            measure, **form))
+    return [sum(c * next(sums) for c, _, _ in side) for side in sides]
+
+
+def _poincare_hardy(manifold: ModelManifold, r, weight=None, psi: bool = True) -> tuple:
+    """The sides of Poincare-Hardy on a model, as signed terms at the nodes r:
+
+      int |grad u|^2 - (N-1)^2/4 int u^2 >= 1/4 int u^2/r^2 + (N-1)(N-3)/4 int u^2/psi^2,
+
+    with int w u^2 in place of the L^2 term for a given weight w, and
+    without the 1/psi^2 term for psi False."""
+    N = manifold.N
+    c, w = (-float(claims.spectral_gap(N)), 1.0) if weight is None else (-1.0, weight)
+    rhs = [(float(claims.HARDY_R2), "v2", 1.0 / r**2)]
+    if psi:
+        rhs.append((float(claims.sinh_hardy(N)), "v2", manifold.inv_psi_sq(r)))
+    return [(1.0, "grad2", 1.0), (c, "v2", w)], rhs
 
 
 def check_poincare_hardy(u: RadialFunction, N: int, nodes: int = 1024) -> MarginReport:
-    """Margin of the sharp Poincare-Hardy inequality on hyperbolic space:
-
-      int |grad u|^2 - (N-1)^2/4 int u^2
-        >= 1/4 int u^2/r^2 + (N-1)(N-3)/4 int u^2/sinh^2 r
-
-    (radial reduction, volume weight sinh^(N-1) r).  For N = 3 the sinh
-    coefficient vanishes and this is the plain optimal-constant form.
+    """Margin of the sharp Poincare-Hardy inequality on hyperbolic space
+    (_poincare_hardy; radial reduction, volume weight sinh^(N-1) r).  For
+    N = 3 the sinh coefficient vanishes and this is the plain
+    optimal-constant form.
     """
     man = hyperbolic(N)
-    dirichlet, by_r2, by_psi2, l2 = _hardy_sums(u, man, grid_covering(u.support, nodes), 1.0)
+    grid = grid_covering(u.support, nodes)
+    r = grid.nodes
     return MarginReport.from_sides(
-        dirichlet - float(claims.spectral_gap(N)) * l2,
-        float(claims.HARDY_R2) * by_r2 + float(claims.sinh_hardy(N)) * by_psi2,
+        *_sides(u, grid, man.measure_weight(r), *_poincare_hardy(man, r)),
         "poincare_hardy", N, "hyperbolic", u.labels)
 
 
 def check_general_model(u: RadialFunction, manifold: ModelManifold,
                         nodes: int = 1024) -> MarginReport:
     """Margin of the curvature-weighted Hardy inequality on a model:
-
-      int |grad u|^2 - int w u^2 >= 1/4 int u^2/r^2 + (N-1)(N-3)/4 int u^2/psi^2
-
-    with w the curvature Hardy weight.  Reduces to the classical Hardy
-    inequality for the euclidean family and to the hyperbolic form above
-    for psi = sinh r.
+    _poincare_hardy with int w u^2 on the left, w the curvature Hardy
+    weight.  Reduces to the classical Hardy inequality for the euclidean
+    family and to the hyperbolic form for psi = sinh r.
     """
-    N = manifold.N
-
     grid = grid_covering(u.support, nodes)
-    dirichlet, by_r2, by_psi2, curvature = _hardy_sums(
-        u, manifold, grid, hardy_weight_general(manifold, grid.nodes))
-    return MarginReport.from_sides(
-        dirichlet - curvature,
-        float(claims.HARDY_R2) * by_r2 + float(claims.sinh_hardy(N)) * by_psi2,
-        "general_model_hardy", N, manifold.family, u.labels)
+    r = grid.nodes
+    sides = _poincare_hardy(manifold, r, hardy_weight_general(manifold, r))
+    return MarginReport.from_sides(*_sides(u, grid, manifold.measure_weight(r), *sides),
+                                   "general_model_hardy", manifold.N, manifold.family, u.labels)
 
 
 def estimate_sharp_hardy(N: int, M: int | None = None) -> ConstantEstimate:
@@ -160,17 +165,13 @@ def check_iterated_log_improvement(u: RadialFunction, N: int, k,
     # the series weight of length i is the sum of the first i products
     # X_1^2...X_j^2, over r^2
     series = np.cumsum(np.cumprod(iterated_log_stack(max(ks), r) ** 2, axis=0), axis=0) / r**2
-    weights = {i: series[i - 1] for i in ks if i}
-    dirichlet, by_r2, by_psi2, l2, *by_series = _hardy_sums(u, man, grid, 1.0, *weights.values())
-    series_sums = dict(zip(weights, by_series))
-    lhs = dirichlet - float(claims.spectral_gap(N)) * l2
-    rhs = float(claims.HARDY_R2) * by_r2 + float(claims.sinh_hardy(N)) * by_psi2
-    reports = [
-        MarginReport.from_sides(lhs, rhs + float(claims.ITERATED_LOG) * series_sums[i]
-                                if i else rhs,
-                                f"iterated_log_improvement(k={i})", N, "hyperbolic", u.labels)
-        for i in ks
-    ]
+    # the series terms of each length are a side of their own, added to rhs
+    series = {i: [(float(claims.ITERATED_LOG), "v2", series[i - 1])] for i in ks if i}
+    lhs, rhs, *by_series = _sides(u, grid, man.measure_weight(r), *_poincare_hardy(man, r),
+                                  *series.values())
+    rhs_of = {0: rhs, **{i: rhs + sums for i, sums in zip(series, by_series)}}
+    reports = [MarginReport.from_sides(lhs, rhs_of[i], f"iterated_log_improvement(k={i})", N,
+                                       "hyperbolic", u.labels) for i in ks]
     return reports[0] if np.ndim(k) == 0 else [rep for per_k in reports for rep in per_k]
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import claims, quotients
 from .config import default_config
 from .errors import DomainError, NumericError
-from .hardy import MarginReport
+from .hardy import MarginReport, _sides
 from .manifolds import _check_dimension, hyperbolic
 from .pencils import ConstantEstimate
 from .radial import RadialFunction, RadialGrid, grid_covering, radial_sums
@@ -130,23 +130,19 @@ def verify_euclidean_rellich_split(N: int) -> tuple[bool, bool]:
 def check_sinh_hardy_1d(u: RadialFunction, nodes: int = 1024) -> MarginReport:
     """Margin of the 1-D weighted inequality
     int u'^2/sinh^2 >= 9/4 int u^2/sinh^4 + int u^2/sinh^2 (flat measure)."""
-
     grid = grid_covering(u.support, nodes)
     s2 = hyperbolic(3).inv_psi_sq(grid.nodes)  # psi = sinh r in every dimension
-    weight = float(claims.SINH_1D_S4) * s2 * s2 + float(claims.SINH_1D_S2) * s2
-    lhs, rhs = radial_sums(u, grid, [("grad2", s2), ("v2", weight)], 1.0)
-    return MarginReport.from_sides(lhs, rhs, "sinh_hardy_1d", 1, "line", u.labels)
+    sides = ([(1.0, "grad2", s2)],
+             [(float(claims.SINH_1D_S4), "v2", s2 * s2), (float(claims.SINH_1D_S2), "v2", s2)])
+    return MarginReport.from_sides(*_sides(u, grid, 1.0, *sides),
+                                   "sinh_hardy_1d", 1, "line", u.labels)
 
 
-def _reduced_sums(d: RadialFunction, N: int, n: int, grid: RadialGrid,
-                  *weights, subgrid: bool = True) -> np.ndarray:
-    """The mode-n reduced form, then int d^2 w for each weight w (flat
-    measure), as radial_sums returns them.  Its potential is hyperbolic(N)'s
+def _reduced_potential(N: int, n: int, r) -> np.ndarray:
+    """The zeroth-order term of the mode-n reduced form: hyperbolic(N)'s
     substitution potential plus lambda_n/sinh^2."""
-    man, r = hyperbolic(N), grid.nodes
-    q = man.substitution_potential(r) + mode_eigenvalue(n, N) * man.inv_psi_sq(r)
-    terms = [("lap2", 1.0), *(("v2", w) for w in weights)]
-    return radial_sums(d, grid, terms, 1.0, zeroth=q, subgrid=subgrid)
+    man = hyperbolic(N)
+    return man.substitution_potential(r) + mode_eigenvalue(n, N) * man.inv_psi_sq(r)
 
 
 def radial_reduced_form(d: RadialFunction, N: int, n: int,
@@ -159,7 +155,8 @@ def radial_reduced_form(d: RadialFunction, N: int, n: int,
     the radial function u (the substitution is an isometry of the forms).
     """
     _check_dimension(N, 5)
-    return _reduced_sums(d, N, n, grid, subgrid=False)[0]
+    return radial_sums(d, grid, [("lap2", 1.0)], 1.0, zeroth=_reduced_potential(N, n, grid.nodes),
+                       subgrid=False)[0]
 
 
 def reduced_from_radial(u: RadialFunction, N: int) -> RadialFunction:
@@ -186,57 +183,52 @@ def reduced_from_radial(u: RadialFunction, N: int) -> RadialFunction:
                           members=tuple(reduced_from_radial(m, N) for m in u.members))
 
 
+def _poincare_rellich(N: int, n: int, r, psi: bool = True) -> tuple[list, list]:
+    """The sides of Poincare-Rellich with the mode-n coefficients, as
+    signed terms at the nodes r:
+
+      int (Lap u)^2 - (N-1)^4/16 int u^2
+        >= (N-1)^2/8 int u^2/r^2 + 9/16 int u^2/r^4
+           + B_n int u^2/sinh^2 + A_n int u^2/sinh^4,
+
+    without the two sinh terms for psi False.  In the radial sector,
+    n = 0, B_0 = (N^2-1)(N-3)^2/8 and A_0 = (N-1)(N-3)(N^2-4N-3)/16 are
+    the sharp coefficients (min_sinh2_closed_form, min_sinh4_closed_form)."""
+    rhs = [(float(claims.rellich_r2(N)), "v2", 1.0 / r**2),
+           (float(claims.RELLICH_R4), "v2", 1.0 / r**4)]
+    if psi:
+        s2 = hyperbolic(N).inv_psi_sq(r)
+        rhs += [(float(sinh2_coefficient(n, N)), "v2", s2),
+                (float(sinh4_coefficient(n, N)), "v2", s2**2)]
+    return [(1.0, "lap2", 1.0), (-float(claims.rellich_l2(N)), "v2", 1.0)], rhs
+
+
 def mode_chain_margin(d: RadialFunction, N: int, n: int,
                       nodes: int = 1024) -> MarginReport:
-    """Margin of the per-mode chain: reduced form >= 9/16 int d^2/r^4
-    + (N-1)^2/8 int d^2/r^2 + (N-1)^4/16 int d^2 + A_n int d^2/sinh^4
-    + B_n int d^2/sinh^2 (flat measure)."""
+    """Margin of the per-mode chain: _poincare_rellich for mode n with its
+    int d^2 term moved to the right, so that the reduced form
+    (radial_reduced_form) is the whole left side (flat measure)."""
     _check_dimension(N, 5)
-    a4 = float(sinh4_coefficient(n, N))
-    b2 = float(sinh2_coefficient(n, N))
-
     grid = grid_covering(d.support, nodes)
     r = grid.nodes
-    s2 = hyperbolic(N).inv_psi_sq(r)
-    weight = (float(claims.RELLICH_R4) / r**4 + float(claims.rellich_r2(N)) / r**2
-              + float(claims.rellich_l2(N)) + a4 * s2 * s2 + b2 * s2)
-    lhs, rhs = _reduced_sums(d, N, n, grid, weight)
-    return MarginReport.from_sides(lhs, rhs, f"mode_chain(n={n})", N, "hyperbolic", d.labels)
-
-
-def _poincare_rellich_sums(u: RadialFunction, N: int, grid: RadialGrid) -> np.ndarray:
-    """int (Lap u)^2, int u^2, int u^2/r^2, int u^2/r^4, int u^2/sinh^2 and
-    int u^2/sinh^4 (hyperbolic volume weight), as radial_sums returns them."""
-    man = hyperbolic(N)
-    r = grid.nodes
-    inv_psi2 = man.inv_psi_sq(r)
-    terms = [("lap2", 1.0), ("v2", 1.0), ("v2", 1.0 / r**2), ("v2", 1.0 / r**4),
-             ("v2", inv_psi2), ("v2", inv_psi2**2)]
-    return radial_sums(u, grid, terms, man.measure_weight(r),
-                       drift=(N - 1) * man.dpsi_over_psi(r))
+    (lap2, (c, q, w)), rhs = _poincare_rellich(N, n, r)
+    return MarginReport.from_sides(
+        *_sides(d, grid, 1.0, [lap2], [(-c, q, w), *rhs], zeroth=_reduced_potential(N, n, r)),
+        f"mode_chain(n={n})", N, "hyperbolic", d.labels)
 
 
 def check_poincare_rellich(u: RadialFunction, N: int,
                            nodes: int = 1024) -> MarginReport:
-    """Margin of the sharp Poincare-Rellich inequality (radial sector):
-
-      int (Lap u)^2 - (N-1)^4/16 int u^2
-        >= (N-1)^2/8 int u^2/r^2 + 9/16 int u^2/r^4
-           + (N^2-1)(N-3)^2/8 int u^2/sinh^2
-           + (N-1)(N-3)(N^2-4N-3)/16 int u^2/sinh^4.
-    """
+    """Margin of the sharp Poincare-Rellich inequality in the radial sector:
+    _poincare_rellich for mode 0, against the volume weight sinh^(N-1) r."""
     _check_dimension(N, 5)
-
-    lap2, l2, by_r2, by_r4, by_psi2, by_psi4 = _poincare_rellich_sums(
-        u, N, grid_covering(u.support, nodes))
-    lhs = lap2 - float(claims.rellich_l2(N)) * l2
-    rhs = (
-        float(claims.rellich_r2(N)) * by_r2
-        + float(claims.RELLICH_R4) * by_r4
-        + float(min_sinh2_closed_form(N)) * by_psi2
-        + float(min_sinh4_closed_form(N)) * by_psi4
-    )
-    return MarginReport.from_sides(lhs, rhs, "poincare_rellich", N, "hyperbolic", u.labels)
+    man = hyperbolic(N)
+    grid = grid_covering(u.support, nodes)
+    r = grid.nodes
+    return MarginReport.from_sides(
+        *_sides(u, grid, man.measure_weight(r), *_poincare_rellich(N, 0, r),
+                drift=(N - 1) * man.dpsi_over_psi(r)),
+        "poincare_rellich", N, "hyperbolic", u.labels)
 
 
 def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 1024) -> float:
@@ -247,11 +239,12 @@ def principal_rellich_margin(u: RadialFunction, N: int, nodes: int = 1024) -> fl
     used for the cross-model consistency check.
     """
     _check_dimension(N, 5)
-    lap2, l2, by_r2, by_r4, _, _ = _poincare_rellich_sums(
-        u, N, grid_covering(u.support, nodes))
-    lhs = lap2 - float(claims.rellich_l2(N)) * l2
-    return float((lhs - (float(claims.rellich_r2(N)) * by_r2
-                         + float(claims.RELLICH_R4) * by_r4))[0])
+    man = hyperbolic(N)
+    grid = grid_covering(u.support, nodes)
+    r = grid.nodes
+    lhs, rhs = _sides(u, grid, man.measure_weight(r), *_poincare_rellich(N, 0, r, psi=False),
+                      drift=(N - 1) * man.dpsi_over_psi(r), subgrid=False)
+    return float(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +531,14 @@ def mapped_from_radial(u: RadialFunction, N: int) -> RadialFunction:
 
 def check_mapped_rellich(v: RadialFunction, N: int,
                          nodes: int = 1024) -> MarginReport:
-    """Margin of the flattened-variable Rellich inequality:
+    """Margin of the flattened-variable Rellich inequality: the principal
+    terms of _poincare_rellich (psi False) at r = r(s), with the int v^2
+    term moved to the right,
 
       int rho^-1 (Lap v)^2 s^(N-1) ds
         >= (N-1)^4/16 int rho v^2 s^(N-1) ds
-           + 9/16 int rho/r^4 v^2 s^(N-1) ds
            + (N-1)^2/8 int rho/r^2 v^2 s^(N-1) ds
+           + 9/16 int rho/r^4 v^2 s^(N-1) ds
 
     with Lap the euclidean radial Laplacian in s and rho the transported
     volume density.
@@ -553,8 +548,9 @@ def check_mapped_rellich(v: RadialFunction, N: int,
     s = grid.nodes
     r = r_of_s(N, s)
     rho = np.exp(-2.0 * log_ds_dr(N, r, s))
-    principal = (float(claims.rellich_l2(N)) + float(claims.RELLICH_R4) / r**4
-                 + float(claims.rellich_r2(N)) / r**2)
-    lhs, rhs = radial_sums(v, grid, [("lap2", 1.0 / rho), ("v2", rho * principal)],
-                           s ** (N - 1), drift=(N - 1) / s)
-    return MarginReport.from_sides(lhs, rhs, "mapped_rellich", N, "hyperbolic", v.labels)
+    ((c0, q0, w0), (c, q, w)), rhs = _poincare_rellich(N, 0, r, psi=False)
+    # the change of variables divides (Lap v)^2 by rho and multiplies v^2 by it
+    lhs = [(c0, q0, w0 / rho)]
+    rhs = [(a, p, x * rho) for a, p, x in [(-c, q, w), *rhs]]
+    return MarginReport.from_sides(*_sides(v, grid, s ** (N - 1), lhs, rhs, drift=(N - 1) / s),
+                                   "mapped_rellich", N, "hyperbolic", v.labels)

@@ -53,15 +53,16 @@ def _margin_row(cfg: ToolkitConfig, name: str, reports) -> CheckRow:
     """Worst relative margin, min of margin / |lhs| over the reports,
     judged against [tolerances] margin_rtol.  A non-finite ratio, or a
     report with lhs = 0, fails the row and is its value.  The row also
-    carries the largest quad_error / |lhs| of its reports (manifest only)."""
+    carries the largest quad_error / |lhs| of its reports (manifest only),
+    NaN when any report's is, as for lhs = 0, wherever that report sits."""
     mtol = cfg.tolerance("margin_rtol")
     reports = list(reports)
     ratios = [rep.margin / abs(rep.lhs) if rep.lhs else math.nan for rep in reports]
     bad = [x for x in ratios if not math.isfinite(x)]
     worst = bad[0] if bad else min(ratios)
     result = row(name, worst, mtol, not bad and worst >= -mtol)
-    result.quad_error_rel = max(rep.quad_error / abs(rep.lhs) if rep.lhs else math.nan
-                                for rep in reports)
+    errors = [rep.quad_error / abs(rep.lhs) if rep.lhs else math.nan for rep in reports]
+    result.quad_error_rel = math.nan if any(map(math.isnan, errors)) else max(errors)
     return result
 
 

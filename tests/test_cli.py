@@ -531,7 +531,7 @@ _IMPORT_BOUNDARY = """
 import sys
 from hardyrellich import cli
 out = sys.argv[1]
-seen = ["numpy.polynomial" in sys.modules, "scipy" in sys.modules]
+seen = ["numpy.polynomial" in sys.modules, "scipy" in sys.modules, "mpmath" in sys.modules]
 seen.append(cli.main(["rellich", "coeffs", "--out", out]))
 seen.append("scipy" in sys.modules)
 seen.append(cli.main(["hardy", "sharp", "--out", out]))
@@ -547,9 +547,9 @@ def test_scipy_loads_on_first_factorization(tmp_path):
     done = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    # numpy.polynomial absent after import; scipy absent after import and
-    # after `rellich coeffs`; both verbs exit 0
-    assert done.stdout.splitlines()[-1] == "[False, False, 0, False, 0, True]"
+    # numpy.polynomial and mpmath absent after import; scipy absent after
+    # import and after `rellich coeffs`; both verbs exit 0
+    assert done.stdout.splitlines()[-1] == "[False, False, False, 0, False, 0, True]"
 
 
 def test_sharp_hardy_overflow_names_its_radius(tmp_path):
@@ -650,7 +650,11 @@ def test_margin_row_fails_nonfinite_ratios(bad):
     }[bad]
     cfg = ToolkitConfig()
     assert suites._margin_row(cfg, "m", [good]).passed
-    assert not suites._margin_row(cfg, "m", reports).passed
+    failed = suites._margin_row(cfg, "m", reports)
+    assert not failed.passed
+    # max() keeps a NaN only when it comes first: the manifest's
+    # quad_error_rel is NaN wherever the NaN or zero-lhs report sits
+    assert math.isnan(failed.quad_error_rel) == (bad != "minus_inf")
 
 
 def test_margin_rows_carry_their_quad_error_in_the_manifest(tmp_path):

@@ -142,6 +142,30 @@ def test_mode_chain_margins():
         assert rep.margin > 0
 
 
+@pytest.mark.parametrize("N", [5, 6, 8])
+def test_reduced_and_radial_statements_are_one_inequality(N):
+    # the mode-0 chain of d = sinh^((N-1)/2) u and the radial check of u
+    # sum the same inequality on the same grid, the L^2 term on either side
+    u = seeded_bumps(11 + N, 4, 0.3, 6.0)
+    chain = rellich.mode_chain_margin(rellich.reduced_from_radial(u, N), N, 0)
+    radial = rellich.check_poincare_rellich(u, N)
+    for c, r in zip(chain, radial, strict=True):
+        assert abs(c.margin - r.margin) <= 1e-13 * abs(r.lhs)
+
+
+def test_one_sinh4_coefficient_feeds_both_rellich_margins(monkeypatch):
+    # the radial check and the mode chain read A_n from sinh4_coefficient
+    # when they run (their mode-0 value is min_sinh4_closed_form), so a
+    # change to it moves both right sides
+    u = bump(1.0, 2.5)
+    d = rellich.reduced_from_radial(u, 5)
+    before = (rellich.check_poincare_rellich(u, 5).rhs, rellich.mode_chain_margin(d, 5, 0).rhs)
+    A = rellich.sinh4_coefficient
+    monkeypatch.setattr(rellich, "sinh4_coefficient", lambda n, N: A(n, N) + 1)
+    after = (rellich.check_poincare_rellich(u, 5).rhs, rellich.mode_chain_margin(d, 5, 0).rhs)
+    assert after[0] > before[0] and after[1] > before[1]
+
+
 def test_poincare_rellich_margins():
     for support in ((1.0, 2.0), (10.0, 11.0)):
         rep = rellich.check_poincare_rellich(bump(*support), 5)
